@@ -43,6 +43,16 @@
 //! Message *schemas* (job descriptors, count replies) live with the
 //! types they serialize, in `tnm-motifs`' distributed engine — this
 //! module deliberately knows nothing about motifs.
+//!
+//! ## Versioning
+//!
+//! Both ends of every protocol are one build: a distributed worker is
+//! the coordinator's own `tnm` binary, and `tnm serve` has no clients
+//! outside this workspace. Every field of every message is therefore
+//! required — there are no optional trailing sections and no legacy
+//! layouts to keep readable — and any layout change bumps
+//! [`WIRE_VERSION`], so a peer from another build is refused with
+//! [`WireError::BadVersion`] instead of being misread.
 
 use crate::event::Event;
 use crate::ids::Time;
@@ -56,7 +66,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TNMW";
 pub const EVENT_BLOCK_MAGIC: [u8; 4] = *b"TNME";
 
 /// Current protocol version, embedded in every frame and event block.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Ceiling on a single frame's payload (64 MiB). [`read_frame`] rejects
 /// larger length headers before allocating anything.
@@ -232,7 +242,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

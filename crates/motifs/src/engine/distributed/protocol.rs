@@ -81,11 +81,8 @@ pub(crate) struct WorkerJob {
     /// strips `static_induced` itself.
     pub cfg: EnumConfig,
     /// Request-scoped trace to run the job under, if the coordinator's
-    /// query is being traced. Encoded as a *versioned optional trailing
-    /// section* (length-prefixed, like the stats extension of the serve
-    /// protocol): absent for untraced jobs, so the legacy layout is
-    /// unchanged, and a decoder that sees bytes after the config reads
-    /// them as this section.
+    /// query is being traced. Always encoded as `trace_id ‖ parent_span`;
+    /// trace id 0 means untraced.
     pub trace: Option<tnm_obs::TraceCtx>,
 }
 
@@ -150,10 +147,8 @@ pub(crate) struct ReplyMetrics {
     /// The worker's per-job metrics delta.
     pub obs: tnm_obs::Snapshot,
     /// The worker's side of the request trace (normalized: dense span
-    /// ids, start times zero-based at job start), shipped only when the
-    /// job carried a [`WorkerJob::trace`]. Encoded as a versioned
-    /// optional trailing section after the snapshot — absent when
-    /// empty, so untraced replies keep the legacy layout.
+    /// ids, start times zero-based at job start); empty unless the job
+    /// carried a [`WorkerJob::trace`].
     pub spans: Vec<tnm_obs::SpanRecord>,
 }
 
@@ -174,6 +169,30 @@ pub(crate) fn get_signature(r: &mut WireReader<'_>) -> Result<MotifSignature, Wi
     }
     MotifSignature::from_pairs(&pairs)
         .map_err(|e| WireError::Malformed(format!("non-canonical signature: {e}")))
+}
+
+/// Writes a count table as `u32` row count plus `(signature, u64)` rows
+/// in sorted signature order, so identical tables are byte-identical
+/// regardless of hash-map iteration order. Both protocols use it.
+pub(crate) fn put_counts(w: &mut WireWriter, counts: &MotifCounts) {
+    let mut rows: Vec<_> = counts.iter().collect();
+    rows.sort_unstable();
+    w.put_u32(rows.len() as u32);
+    for (sig, n) in rows {
+        put_signature(w, &sig);
+        w.put_u64(n);
+    }
+}
+
+/// Reads a count table written by [`put_counts`].
+pub(crate) fn get_counts(r: &mut WireReader<'_>) -> Result<MotifCounts, WireError> {
+    let rows = r.u32()?;
+    let mut counts = MotifCounts::new();
+    for _ in 0..rows {
+        let sig = get_signature(r)?;
+        counts.add(sig, r.u64()?);
+    }
+    Ok(counts)
 }
 
 pub(crate) fn put_config(w: &mut WireWriter, cfg: &EnumConfig) {
@@ -237,12 +256,9 @@ pub(crate) fn encode_job(job: &WorkerJob) -> Vec<u8> {
     w.put_u32(job.threads);
     w.put_bool(job.want_induced);
     put_config(&mut w, &job.cfg);
-    if let Some(ctx) = &job.trace {
-        let mut section = WireWriter::new();
-        section.put_u64(ctx.trace_id);
-        section.put_u64(ctx.parent_span);
-        w.put_bytes(&section.into_bytes());
-    }
+    let (trace_id, parent_span) = job.trace.map_or((0, 0), |c| (c.trace_id, c.parent_span));
+    w.put_u64(trace_id);
+    w.put_u64(parent_span);
     w.into_bytes()
 }
 
@@ -260,20 +276,12 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WorkerJob, WireError> {
     let threads = r.u32()?;
     let want_induced = r.bool()?;
     let cfg = get_config(&mut r)?;
-    // Versioned optional trailing section: bytes after the legacy
-    // layout are the trace context.
-    let trace = if r.remaining() > 0 {
-        let section = r.bytes()?;
-        let mut sr = WireReader::new(section);
-        let trace_id = sr.u64()?;
-        let parent_span = sr.u64()?;
-        sr.finish()?;
-        if trace_id == 0 {
-            return Err(WireError::Malformed("trace section with trace id 0".into()));
-        }
-        Some(tnm_obs::TraceCtx { trace_id, parent_span })
-    } else {
-        None
+    let trace_id = r.u64()?;
+    let parent_span = r.u64()?;
+    let trace = match (trace_id, parent_span) {
+        (0, 0) => None,
+        (0, _) => return Err(WireError::Malformed("parent span under trace id 0".into())),
+        _ => Some(tnm_obs::TraceCtx { trace_id, parent_span }),
     };
     r.finish()?;
     Ok(WorkerJob {
@@ -289,9 +297,8 @@ pub(crate) fn decode_job(payload: &[u8]) -> Result<WorkerJob, WireError> {
     })
 }
 
-/// Encodes a [`WorkerReply`] as one or more frames. Count tables are
-/// written in sorted signature order so identical replies are
-/// byte-identical regardless of hash-map iteration order; induced
+/// Encodes a [`WorkerReply`] as one or more frames. Count tables go
+/// through [`put_counts`], so identical replies are byte-identical; induced
 /// replies are split into [`INDUCED_GROUP_BATCH`]-sized frames with the
 /// final one marked `last`, so no shard can produce a frame over the
 /// payload ceiling. `metrics` rides after the body of the final frame.
@@ -309,25 +316,13 @@ pub(crate) fn encode_reply_batched(
     let put_metrics = |w: &mut WireWriter| {
         w.put_u64(metrics.wall_ns);
         tnm_graph::wire::put_obs_snapshot(w, &metrics.obs);
-        // Versioned optional trailing section: the worker's trace
-        // spans, absent when the job was untraced.
-        if !metrics.spans.is_empty() {
-            let mut section = WireWriter::new();
-            tnm_graph::wire::put_span_records(&mut section, &metrics.spans);
-            w.put_bytes(&section.into_bytes());
-        }
+        tnm_graph::wire::put_span_records(w, &metrics.spans);
     };
     match reply {
         WorkerReply::Counts { shard_id, counts } => {
             let mut w = WireWriter::new();
             w.put_u32(*shard_id);
-            let mut rows: Vec<(MotifSignature, u64)> = counts.iter().collect();
-            rows.sort_unstable();
-            w.put_u32(rows.len() as u32);
-            for (sig, n) in rows {
-                put_signature(&mut w, &sig);
-                w.put_u64(n);
-            }
+            put_counts(&mut w, counts);
             put_metrics(&mut w);
             vec![(KIND_COUNTS, w.into_bytes())]
         }
@@ -380,26 +375,13 @@ fn decode_reply_frame(
     let get_metrics = |r: &mut WireReader<'_>| -> Result<ReplyMetrics, WireError> {
         let wall_ns = r.u64()?;
         let obs = tnm_graph::wire::get_obs_snapshot(r)?;
-        let spans = if r.remaining() > 0 {
-            let section = r.bytes()?;
-            let mut sr = WireReader::new(section);
-            let spans = tnm_graph::wire::get_span_records(&mut sr)?;
-            sr.finish()?;
-            spans
-        } else {
-            Vec::new()
-        };
+        let spans = tnm_graph::wire::get_span_records(r)?;
         Ok(ReplyMetrics { wall_ns, obs, spans })
     };
     let out = match kind {
         KIND_COUNTS => {
             let shard_id = r.u32()?;
-            let rows = r.u32()?;
-            let mut counts = MotifCounts::new();
-            for _ in 0..rows {
-                let sig = get_signature(&mut r)?;
-                counts.add(sig, r.u64()?);
-            }
+            let counts = get_counts(&mut r)?;
             let metrics = get_metrics(&mut r)?;
             (WorkerReply::Counts { shard_id, counts }, true, metrics)
         }
@@ -468,6 +450,20 @@ pub(crate) fn read_reply<R: std::io::Read>(
     Ok(Some((reply, metrics)))
 }
 
+/// Test helper for both protocols: every strict prefix of a message
+/// must fail to decode, since with all fields required no legal short
+/// form exists, while the full payload decodes.
+#[cfg(test)]
+pub(crate) fn assert_prefixes_rejected<T>(
+    payload: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+) {
+    for cut in 0..payload.len() {
+        assert!(decode(&payload[..cut]).is_err(), "prefix {cut} accepted");
+    }
+    assert!(decode(payload).is_ok(), "full payload rejected");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,50 +507,6 @@ mod tests {
             let payload = encode_job(&job);
             assert_eq!(decode_job(&payload).unwrap(), job, "config {i}");
         }
-    }
-
-    /// The trace context is a versioned optional trailing section: a
-    /// traceless job encodes to the exact legacy layout (no section at
-    /// all), and a traced job's payload rejects truncation at every
-    /// prefix except the legacy boundary (where it decodes as an
-    /// untraced job — exactly the old-decoder compatibility story).
-    #[test]
-    fn job_trace_section_is_versioned_and_truncation_safe() {
-        let untraced = WorkerJob {
-            shard_id: 7,
-            shard_path: "/tmp/s7".into(),
-            num_nodes: 9,
-            own_lo: 0,
-            own_hi: 10,
-            threads: 1,
-            want_induced: false,
-            cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
-            trace: None,
-        };
-        let legacy = encode_job(&untraced);
-        let traced = WorkerJob {
-            trace: Some(tnm_obs::TraceCtx { trace_id: 0xDEAD_BEEF, parent_span: 42 }),
-            ..untraced.clone()
-        };
-        let payload = encode_job(&traced);
-        assert_eq!(&payload[..legacy.len()], &legacy[..], "legacy prefix is unchanged");
-        for cut in 0..payload.len() {
-            if cut == legacy.len() {
-                assert_eq!(decode_job(&payload[..cut]).unwrap(), untraced);
-            } else {
-                assert!(decode_job(&payload[..cut]).is_err(), "prefix {cut} accepted");
-            }
-        }
-        // Trace id 0 cannot ride in a present section.
-        let mut forged = legacy.clone();
-        let mut section = WireWriter::new();
-        section.put_u64(0);
-        section.put_u64(5);
-        let section = section.into_bytes();
-        let mut w = WireWriter::new();
-        w.put_bytes(&section);
-        forged.extend_from_slice(&w.into_bytes());
-        assert!(matches!(decode_job(&forged), Err(WireError::Malformed(_))));
     }
 
     /// Every catalog signature — all 36 three-event motifs plus the
@@ -615,7 +567,7 @@ mod tests {
 
     #[test]
     fn reply_roundtrips() {
-        let metrics = sample_metrics();
+        let metrics = sample_traced_metrics();
         let mut counts = MotifCounts::new();
         counts.add(sig("010102"), 7);
         counts.add(sig("011202"), 123_456_789);
@@ -632,46 +584,11 @@ mod tests {
         assert_eq!(frames[0].0, KIND_INDUCED);
         assert_eq!(roundtrip(&frames).unwrap(), (reply.clone(), metrics.clone()));
         assert_eq!(reply.shard_id(), 9);
-        // Empty induced replies still produce one (last) frame, and an
-        // empty metrics section decodes back to the default.
+        // Empty induced replies still produce one (last) frame, and
+        // empty metrics decode back to empty.
         let empty = WorkerReply::Induced { shard_id: 3, groups: Vec::new() };
         let wall_only = ReplyMetrics { wall_ns: 5, obs: Default::default(), spans: Vec::new() };
         assert_eq!(roundtrip(&encode_reply(&empty, &wall_only)).unwrap(), (empty, wall_only));
-    }
-
-    /// The span section of [`ReplyMetrics`] is a versioned optional
-    /// trailing section: span-free metrics keep the legacy byte layout,
-    /// spanful ones round-trip (on count replies and on the *last*
-    /// induced chunk), and truncation anywhere inside the section is
-    /// rejected — except at the legacy boundary, which decodes as the
-    /// span-free reply.
-    #[test]
-    fn reply_span_section_is_versioned_and_truncation_safe() {
-        let mut counts = MotifCounts::new();
-        counts.add(sig("010102"), 7);
-        let reply = WorkerReply::Counts { shard_id: 5, counts };
-        let plain = sample_metrics();
-        let traced = sample_traced_metrics();
-        let legacy = encode_reply(&reply, &plain);
-        let frames = encode_reply(&reply, &traced);
-        assert_eq!(roundtrip(&frames).unwrap(), (reply.clone(), traced.clone()));
-        let (payload, legacy_payload) = (&frames[0].1, &legacy[0].1);
-        assert_eq!(&payload[..legacy_payload.len()], &legacy_payload[..]);
-        for cut in 0..payload.len() {
-            let result = decode_reply_frame(KIND_COUNTS, &payload[..cut]);
-            if cut == legacy_payload.len() {
-                let (r, _, m) = result.unwrap();
-                assert_eq!((r, m), (reply.clone(), plain.clone()));
-            } else {
-                assert!(result.is_err(), "reply prefix {cut} accepted");
-            }
-        }
-        // Chunked induced replies carry the spans on the final frame
-        // only, and reassembly preserves them.
-        let induced = sample_induced_reply(4, 5);
-        let frames = encode_reply_batched(&induced, &traced, 2);
-        assert_eq!(frames.len(), 3);
-        assert_eq!(roundtrip(&frames).unwrap(), (induced, traced));
     }
 
     /// Writes the frames to a byte stream and reads them back through
@@ -703,13 +620,13 @@ mod tests {
     /// last marker, is rejected.
     #[test]
     fn induced_replies_chunk_and_reassemble() {
-        let metrics = sample_metrics();
+        let metrics = sample_traced_metrics();
         let reply = sample_induced_reply(4, 5);
         let frames = encode_reply_batched(&reply, &metrics, 2);
         assert_eq!(frames.len(), 3, "5 groups at batch 2 = 3 frames");
         assert!(frames.iter().all(|(k, _)| *k == KIND_INDUCED));
-        // The metrics section rides only on the last frame of the
-        // sequence and survives reassembly.
+        // The metrics (spans included) ride only on the last frame of
+        // the sequence and survive reassembly.
         assert_eq!(roundtrip(&frames).unwrap(), (reply, metrics.clone()));
 
         // Truncated sequence: the last frame never arrives.
@@ -758,16 +675,23 @@ mod tests {
             cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
             trace: None,
         };
-        let payload = encode_job(&job);
-        // Truncation at every prefix length must error, never panic.
-        for cut in 0..payload.len() {
-            assert!(decode_job(&payload[..cut]).is_err(), "prefix {cut} accepted");
+        let traced = WorkerJob {
+            trace: Some(tnm_obs::TraceCtx { trace_id: 0xDEAD_BEEF, parent_span: 42 }),
+            ..job.clone()
+        };
+        for j in [&job, &traced] {
+            let payload = encode_job(j);
+            // Truncation at every prefix length must error, never panic.
+            assert_prefixes_rejected(&payload, decode_job);
+            let mut padded = payload;
+            padded.push(0);
+            assert!(matches!(decode_job(&padded), Err(WireError::TrailingBytes { .. })));
         }
-        // Trailing bytes are rejected: a stray byte after the legacy
-        // prefix reads as a truncated optional trace section.
-        let mut padded = payload.clone();
-        padded.push(0);
-        assert!(decode_job(&padded).is_err());
+        // A parent span under trace id 0 (untraced) is a forged context.
+        let mut forged = encode_job(&job);
+        let n = forged.len();
+        forged[n - 8..].copy_from_slice(&5u64.to_le_bytes());
+        assert!(matches!(decode_job(&forged), Err(WireError::Malformed(_))));
         // An inverted owned range is structural nonsense.
         let bad = WorkerJob { own_lo: 9, own_hi: 3, ..job.clone() };
         assert!(matches!(decode_job(&encode_job(&bad)), Err(WireError::Malformed(_))));
@@ -782,15 +706,16 @@ mod tests {
         ));
         // Unknown reply kinds are refused.
         assert!(matches!(decode_reply_frame(77, &[]), Err(WireError::Malformed(_))));
-        // Reply frames truncate-safely too, including mid-metrics.
+        // Reply frames truncate-safely too, including mid-metrics and
+        // mid-spans, for count and induced replies alike.
         let mut counts = MotifCounts::new();
         counts.add(sig("0102"), 3);
-        let frames = encode_reply(&WorkerReply::Counts { shard_id: 2, counts }, &sample_metrics());
-        for cut in 0..frames[0].1.len() {
-            assert!(
-                decode_reply_frame(KIND_COUNTS, &frames[0].1[..cut]).is_err(),
-                "reply prefix {cut} accepted"
-            );
+        let replies = [WorkerReply::Counts { shard_id: 2, counts }, sample_induced_reply(6, 2)];
+        for reply in &replies {
+            for metrics in [sample_metrics(), sample_traced_metrics()] {
+                let (kind, payload) = &encode_reply(reply, &metrics)[0];
+                assert_prefixes_rejected(payload, |p| decode_reply_frame(*kind, p));
+            }
         }
     }
 }

@@ -15,15 +15,12 @@
 
 use super::protocol::*;
 use crate::count::MotifCounts;
-use crate::engine::distributed::protocol::put_config;
 use crate::engine::query::{Query, QueryResponse};
 use crate::engine::EnumConfig;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-use tnm_graph::wire::{
-    encode_events, read_frame, write_frame, WireError, WireReader, WireWriter, MAX_FRAME_PAYLOAD,
-};
+use tnm_graph::wire::{read_frame, write_frame, WireError, MAX_FRAME_PAYLOAD};
 use tnm_graph::Event;
 
 /// Events per frame when [`ServeClient::load_graph`] chunks a large
@@ -113,10 +110,7 @@ impl ServeClient {
             return Err(ClientError::Wire(WireError::Truncated { needed: 1, available: 0 }));
         };
         if kind == KIND_RESP_ERR {
-            let mut r = WireReader::new(&payload);
-            let msg = r.str().map(str::to_string)?;
-            r.finish()?;
-            return Err(ClientError::Server(msg));
+            return Err(ClientError::Server(decode_error(&payload)?));
         }
         Ok((kind, payload))
     }
@@ -148,16 +142,9 @@ impl ServeClient {
         let mut sorted = events.to_vec();
         sorted.sort_unstable();
         let first = &sorted[..sorted.len().min(LOAD_CHUNK_EVENTS)];
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        w.put_u32(num_nodes);
-        w.put_bytes(&encode_events(first));
-        let payload = self.expect(KIND_REQ_LOAD, &w.into_bytes(), KIND_RESP_LOADED)?;
-        let mut r = WireReader::new(&payload);
-        let _echo = r.str()?;
-        let mut total = r.u64()?;
-        let mut nodes = r.u32()?;
-        r.finish()?;
+        let request = encode_load(name, num_nodes, first);
+        let payload = self.expect(KIND_REQ_LOAD, &request, KIND_RESP_LOADED)?;
+        let (_echo, mut total, mut nodes) = decode_loaded(&payload)?;
         for chunk in sorted[first.len()..].chunks(LOAD_CHUNK_EVENTS) {
             let ack = self.append_events(name, chunk)?;
             total = ack.total_events;
@@ -170,21 +157,15 @@ impl ServeClient {
     /// every subscription's live counts, already updated incrementally
     /// on the server.
     pub fn append_events(&mut self, name: &str, batch: &[Event]) -> Result<AppendAck, ClientError> {
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        w.put_bytes(&encode_events(batch));
-        let payload = self.expect(KIND_REQ_APPEND, &w.into_bytes(), KIND_RESP_APPENDED)?;
+        let request = encode_append(name, batch);
+        let payload = self.expect(KIND_REQ_APPEND, &request, KIND_RESP_APPENDED)?;
         Ok(decode_append_ack(&payload)?)
     }
 
     /// Runs a [`Query`] against a loaded graph. Validation happens
     /// server-side through the same [`Query::run`] path the CLI uses.
     pub fn query(&mut self, name: &str, query: &Query) -> Result<QueryResponse, ClientError> {
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        put_query(&mut w, query);
-        let payload = self.expect(KIND_REQ_QUERY, &w.into_bytes(), KIND_RESP_QUERY)?;
-        Ok(decode_response(&payload)?)
+        Ok(self.query_exchange(name, query, false)?.0)
     }
 
     /// Runs a [`Query`] with request tracing: the server executes it
@@ -198,18 +179,19 @@ impl ServeClient {
         name: &str,
         query: &Query,
     ) -> Result<(QueryResponse, TraceReply), ClientError> {
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        put_query(&mut w, query);
-        put_request_flags(&mut w, REQ_FLAG_TRACE);
-        let payload = self.expect(KIND_REQ_QUERY, &w.into_bytes(), KIND_RESP_QUERY)?;
-        let (response, trace) = decode_query_reply(&payload)?;
-        let trace = trace.ok_or_else(|| {
-            ClientError::Wire(WireError::Malformed(
-                "server did not answer a traced query with a trace section".into(),
-            ))
-        })?;
-        Ok((response, trace))
+        let (response, trace) = self.query_exchange(name, query, true)?;
+        Ok((response, require_trace(trace)?))
+    }
+
+    fn query_exchange(
+        &mut self,
+        name: &str,
+        query: &Query,
+        trace: bool,
+    ) -> Result<(QueryResponse, Option<TraceReply>), ClientError> {
+        let request = encode_query_request(name, query, trace);
+        let payload = self.expect(KIND_REQ_QUERY, &request, KIND_RESP_QUERY)?;
+        Ok(decode_query_reply(&payload)?)
     }
 
     /// Registers an incremental subscription (stream-eligible configs
@@ -219,14 +201,7 @@ impl ServeClient {
         name: &str,
         cfg: &EnumConfig,
     ) -> Result<(u32, MotifCounts), ClientError> {
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        put_config(&mut w, cfg);
-        let payload = self.expect(KIND_REQ_SUBSCRIBE, &w.into_bytes(), KIND_RESP_SUBSCRIBED)?;
-        let mut r = WireReader::new(&payload);
-        let id = r.u32()?;
-        let counts = get_counts(&mut r)?;
-        r.finish()?;
+        let (id, counts, _) = self.subscribe_exchange(name, cfg, false)?;
         Ok((id, counts))
     }
 
@@ -238,21 +213,19 @@ impl ServeClient {
         name: &str,
         cfg: &EnumConfig,
     ) -> Result<(u32, MotifCounts, TraceReply), ClientError> {
-        let mut w = WireWriter::new();
-        w.put_str(name);
-        put_config(&mut w, cfg);
-        put_request_flags(&mut w, REQ_FLAG_TRACE);
-        let payload = self.expect(KIND_REQ_SUBSCRIBE, &w.into_bytes(), KIND_RESP_SUBSCRIBED)?;
-        let mut r = WireReader::new(&payload);
-        let id = r.u32()?;
-        let counts = get_counts(&mut r)?;
-        let trace = get_trace_section(&mut r)?.ok_or_else(|| {
-            ClientError::Wire(WireError::Malformed(
-                "server did not answer a traced subscribe with a trace section".into(),
-            ))
-        })?;
-        r.finish()?;
-        Ok((id, counts, trace))
+        let (id, counts, trace) = self.subscribe_exchange(name, cfg, true)?;
+        Ok((id, counts, require_trace(trace)?))
+    }
+
+    fn subscribe_exchange(
+        &mut self,
+        name: &str,
+        cfg: &EnumConfig,
+        trace: bool,
+    ) -> Result<(u32, MotifCounts, Option<TraceReply>), ClientError> {
+        let request = encode_subscribe(name, cfg, trace);
+        let payload = self.expect(KIND_REQ_SUBSCRIBE, &request, KIND_RESP_SUBSCRIBED)?;
+        Ok(decode_subscribed(&payload)?)
     }
 
     /// Server statistics.
@@ -267,18 +240,22 @@ impl ServeClient {
     /// scrape-style output — that is what `tnm client --metrics` prints.
     pub fn metrics(&mut self) -> Result<tnm_obs::Snapshot, ClientError> {
         let payload = self.expect(KIND_REQ_METRICS, &[], KIND_RESP_METRICS)?;
-        let mut r = WireReader::new(&payload);
-        let snap = tnm_graph::wire::get_obs_snapshot(&mut r)?;
-        r.finish()?;
-        Ok(snap)
+        Ok(decode_metrics(&payload)?)
     }
 
     /// Asks the daemon to stop accepting connections and exit its
     /// accept loop.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         let payload = self.expect(KIND_REQ_SHUTDOWN, &[], KIND_RESP_BYE)?;
-        let r = WireReader::new(&payload);
-        r.finish()?;
-        Ok(())
+        Ok(decode_empty(&payload)?)
     }
+}
+
+/// A traced request must be answered with a trace.
+fn require_trace(trace: Option<TraceReply>) -> Result<TraceReply, ClientError> {
+    trace.ok_or_else(|| {
+        ClientError::Wire(WireError::Malformed(
+            "server did not answer a traced request with a trace".into(),
+        ))
+    })
 }

@@ -31,9 +31,8 @@
 //! histogram observed as each connection closes. The full snapshot is
 //! served over the wire as a Metrics response
 //! ([`ServeClient::metrics`], `tnm client --metrics` renders it as
-//! Prometheus text) and rides along inside [`ServerStats`] as a
-//! versioned optional section. Being per-request rather than per-event,
-//! these records bypass the process-global [`tnm_obs::enabled`] gate.
+//! Prometheus text). Being per-request rather than per-event, these
+//! records bypass the process-global [`tnm_obs::enabled`] gate.
 //!
 //! ## Operating `tnm serve`
 //!
@@ -62,11 +61,10 @@
 //!   `--profile`): the daemon runs that one query under a fresh
 //!   [`tnm_obs::TraceCtx`], collects the span tree (including spans
 //!   stitched back from distributed workers), and ships it in the
-//!   response as a versioned [`TraceReply`] section together with the
-//!   request's metrics delta. Untraced requests stay byte-identical to
-//!   the legacy encoding and pay one atomic load. Tracing is a
-//!   diagnostic: the trace context is process-global, so two
-//!   *concurrently traced* requests may cross-attach spans.
+//!   response as a [`TraceReply`] together with the request's metrics
+//!   delta. Tracing is a diagnostic: the trace context is
+//!   process-global, so two *concurrently traced* requests may
+//!   cross-attach spans.
 //! * **Slow queries and the flight recorder** — every completed query
 //!   lands in two in-memory logs surfaced through [`ServerStats`]
 //!   (`tnm client --slow-queries`): a worst-latency table capped at
@@ -98,7 +96,6 @@ pub use client::{ClientError, ServeClient};
 pub use incremental::{AppendError, IncrementalStream};
 pub use protocol::{AppendAck, GraphStat, QueryLogEntry, ServerStats, TraceReply};
 
-use crate::engine::distributed::protocol::get_config;
 use crate::engine::query::Query;
 use crate::engine::serve::incremental::check_batch;
 use protocol::*;
@@ -109,7 +106,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Duration;
-use tnm_graph::wire::{read_frame, write_frame, WireWriter, MAX_FRAME_PAYLOAD};
+use tnm_graph::wire::{read_frame, write_frame, MAX_FRAME_PAYLOAD};
 use tnm_graph::{Event, TemporalGraph};
 
 /// Tunables for a [`MotifServer`].
@@ -243,12 +240,11 @@ impl ServerState {
             })
             .collect();
         graphs.sort_by(|a, b| a.name.cmp(&b.name));
-        let obs = self.obs.snapshot();
+        let counters = self.obs.snapshot().counters;
         ServerStats {
-            queries: obs.counters.get("serve.queries").copied().unwrap_or(0),
-            appends: obs.counters.get("serve.appends").copied().unwrap_or(0),
+            queries: counters.get("serve.queries").copied().unwrap_or(0),
+            appends: counters.get("serve.appends").copied().unwrap_or(0),
             graphs,
-            obs,
             slow: self.slow.lock().expect("slow lock").clone(),
             flight: self.flight.lock().expect("flight lock").iter().cloned().collect(),
         }
@@ -446,9 +442,7 @@ enum Outcome {
 }
 
 fn err_frame(msg: String) -> Outcome {
-    let mut w = WireWriter::new();
-    w.put_str(&msg);
-    Outcome::Reply(KIND_RESP_ERR, w.into_bytes())
+    Outcome::Reply(KIND_RESP_ERR, encode_error(&msg))
 }
 
 fn handle_connection(stream: TcpStream, state: &ServerState) {
@@ -479,9 +473,8 @@ fn serve_connection(
             Ok(Some(frame)) => frame,
             Ok(None) => break 'conn,
             Err(e) => {
-                let mut w = WireWriter::new();
-                w.put_str(&format!("wire error: {e}"));
-                let _ = write_frame(&mut *writer, KIND_RESP_ERR, &w.into_bytes());
+                let msg = encode_error(&format!("wire error: {e}"));
+                let _ = write_frame(&mut *writer, KIND_RESP_ERR, &msg);
                 let _ = writer.flush();
                 break 'conn;
             }
@@ -511,15 +504,9 @@ fn serve_connection(
 /// (unknown graph, invalid batch, unrunnable query) come back as error
 /// frames; only undecodable payloads bubble up as wire errors.
 fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
-    use tnm_graph::wire::WireReader;
-    let mut r = WireReader::new(payload);
     let result: Result<Outcome, String> = match kind {
         KIND_REQ_LOAD => (|| {
-            let name = r.str().map_err(|e| e.to_string())?.to_string();
-            let num_nodes = r.u32().map_err(|e| e.to_string())?;
-            let block = r.bytes().map_err(|e| e.to_string())?;
-            let mut events = tnm_graph::wire::decode_events(block).map_err(|e| e.to_string())?;
-            r.finish().map_err(|e| e.to_string())?;
+            let (name, num_nodes, mut events) = decode_load(payload).map_err(|e| e.to_string())?;
             if name.is_empty() {
                 return Err("graph name must be non-empty".into());
             }
@@ -542,17 +529,10 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             }
             let (n_events, n_nodes) = (entry.events.len() as u64, entry.num_nodes);
             registry.insert(name.clone(), Arc::new(Mutex::new(entry)));
-            let mut w = WireWriter::new();
-            w.put_str(&name);
-            w.put_u64(n_events);
-            w.put_u32(n_nodes);
-            Ok(Outcome::Reply(KIND_RESP_LOADED, w.into_bytes()))
+            Ok(Outcome::Reply(KIND_RESP_LOADED, encode_loaded(&name, n_events, n_nodes)))
         })(),
         KIND_REQ_APPEND => (|| {
-            let name = r.str().map_err(|e| e.to_string())?.to_string();
-            let block = r.bytes().map_err(|e| e.to_string())?;
-            let batch = tnm_graph::wire::decode_events(block).map_err(|e| e.to_string())?;
-            r.finish().map_err(|e| e.to_string())?;
+            let (name, batch) = decode_append(payload).map_err(|e| e.to_string())?;
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
             let last = entry.events.last().map(|e| e.time);
@@ -596,11 +576,7 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             Ok(Outcome::Reply(KIND_RESP_APPENDED, encode_append_ack(&ack)))
         })(),
         KIND_REQ_QUERY => (|| {
-            let name = r.str().map_err(|e| e.to_string())?.to_string();
-            let query = get_query(&mut r).map_err(|e| e.to_string())?;
-            let flags = get_request_flags(&mut r).map_err(|e| e.to_string())?;
-            r.finish().map_err(|e| e.to_string())?;
-            let traced = flags & REQ_FLAG_TRACE != 0;
+            let (name, query, traced) = decode_query_request(payload).map_err(|e| e.to_string())?;
             let entry = state.entry(&name)?;
             let graph = entry.lock().expect("entry lock").graph();
             // Count outside the locks: a slow query must not block
@@ -641,12 +617,8 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             Ok(Outcome::Reply(KIND_RESP_QUERY, encode_query_reply(&response, trace.as_ref())))
         })(),
         KIND_REQ_SUBSCRIBE => (|| {
-            let name = r.str().map_err(|e| e.to_string())?.to_string();
-            let cfg = get_config(&mut r).map_err(|e| e.to_string())?;
-            let flags = get_request_flags(&mut r).map_err(|e| e.to_string())?;
-            r.finish().map_err(|e| e.to_string())?;
+            let (name, cfg, traced) = decode_subscribe(payload).map_err(|e| e.to_string())?;
             cfg.validate().map_err(|e| e.to_string())?;
-            let traced = flags & REQ_FLAG_TRACE != 0;
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
             let graph = entry.graph();
@@ -667,23 +639,19 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             entry.next_sub_id += 1;
             let counts = stream.counts();
             entry.subscriptions.push(Subscription { id, stream });
-            let mut w = WireWriter::new();
-            w.put_u32(id);
-            put_counts(&mut w, &counts);
-            put_trace_section(&mut w, trace.as_ref());
-            Ok(Outcome::Reply(KIND_RESP_SUBSCRIBED, w.into_bytes()))
+            Ok(Outcome::Reply(KIND_RESP_SUBSCRIBED, encode_subscribed(id, &counts, trace.as_ref())))
         })(),
         KIND_REQ_STATS => (|| {
-            r.finish().map_err(|e| e.to_string())?;
+            decode_empty(payload).map_err(|e| e.to_string())?;
             Ok(Outcome::Reply(KIND_RESP_STATS, encode_stats(&state.stats())))
         })(),
         KIND_REQ_METRICS => (|| {
-            r.finish().map_err(|e| e.to_string())?;
-            let mut w = WireWriter::new();
-            tnm_graph::wire::put_obs_snapshot(&mut w, &state.obs.snapshot());
-            Ok(Outcome::Reply(KIND_RESP_METRICS, w.into_bytes()))
+            decode_empty(payload).map_err(|e| e.to_string())?;
+            Ok(Outcome::Reply(KIND_RESP_METRICS, encode_metrics(&state.obs.snapshot())))
         })(),
-        KIND_REQ_SHUTDOWN => Ok(Outcome::Shutdown),
+        KIND_REQ_SHUTDOWN => {
+            decode_empty(payload).map(|()| Outcome::Shutdown).map_err(|e| e.to_string())
+        }
         other => Err(format!("unknown request kind {other}")),
     };
     result.unwrap_or_else(err_frame)

@@ -2,63 +2,51 @@
 //!
 //! Every message is one [`tnm_graph::wire`] frame (same magic, version,
 //! and length validation as the coordinator ↔ worker protocol); the
-//! `kind` byte selects the schema. Serve kinds are versioned alongside
-//! the worker protocol by partitioning the kind space: worker kinds
-//! occupy `1..=4`, serve **requests** start at [`KIND_REQ_LOAD`] (16)
-//! and serve **responses** at [`KIND_RESP_LOADED`] (32), so a frame can
-//! never be interpreted under the wrong protocol.
+//! `kind` byte selects the schema. The two protocols share one kind
+//! space, partitioned: worker kinds occupy `1..=4`, serve **requests**
+//! start at [`KIND_REQ_LOAD`] (16) and serve **responses** at
+//! [`KIND_RESP_LOADED`] (32), so a frame can never be interpreted under
+//! the wrong protocol.
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
 //! | [`KIND_REQ_LOAD`] | client → server | graph name, node-id space, event block |
 //! | [`KIND_REQ_APPEND`] | client → server | graph name + event block (time-monotone batch) |
-//! | [`KIND_REQ_QUERY`] | client → server | graph name + a full [`Query`] + optional request flags |
-//! | [`KIND_REQ_SUBSCRIBE`] | client → server | graph name + a stream-eligible [`EnumConfig`](crate::engine::EnumConfig) + optional request flags |
+//! | [`KIND_REQ_QUERY`] | client → server | graph name + a full [`Query`] + trace flag |
+//! | [`KIND_REQ_SUBSCRIBE`] | client → server | graph name + a stream-eligible [`EnumConfig`] + trace flag |
 //! | [`KIND_REQ_STATS`] | client → server | empty |
 //! | [`KIND_REQ_SHUTDOWN`] | client → server | empty: stop accepting, drain, exit |
 //! | [`KIND_REQ_METRICS`] | client → server | empty |
 //! | [`KIND_RESP_LOADED`] | server → client | echoed name + event/node totals |
 //! | [`KIND_RESP_APPENDED`] | server → client | new event total + every subscription's live counts |
-//! | [`KIND_RESP_QUERY`] | server → client | the [`QueryResponse`] + optional [`TraceReply`] section |
-//! | [`KIND_RESP_SUBSCRIBED`] | server → client | subscription id + initial counts |
+//! | [`KIND_RESP_QUERY`] | server → client | the [`QueryResponse`] + presence-tagged [`TraceReply`] |
+//! | [`KIND_RESP_SUBSCRIBED`] | server → client | subscription id + initial counts + presence-tagged [`TraceReply`] |
 //! | [`KIND_RESP_STATS`] | server → client | [`ServerStats`] |
 //! | [`KIND_RESP_BYE`] | server → client | empty: shutdown acknowledged |
 //! | [`KIND_RESP_METRICS`] | server → client | the server's full [`tnm_obs::Snapshot`] |
 //! | [`KIND_RESP_ERR`] | server → client | a display string; the connection stays usable |
 //!
-//! Configurations and signatures reuse the worker protocol's codecs
-//! (`put_config`/`get_config`), so the two protocols cannot drift on
-//! how an [`EnumConfig`](crate::engine::EnumConfig) travels; count tables are written in sorted
-//! signature order so identical tables are byte-identical. Every
-//! decoder ends with [`WireReader::finish`], making trailing bytes an
-//! error rather than slack.
-//!
-//! ## Versioned optional sections
-//!
-//! Three message schemas carry a trailing **length-prefixed optional
-//! section** after their fixed legacy prefix, following the same
-//! pattern as the worker protocol's trace/span sections:
-//!
-//! * Query and Subscribe **requests** may end with a request-flags
-//!   section (one `u32` bitset; bit 0 = [`REQ_FLAG_TRACE`]). Absent
-//!   flags read as 0, so legacy requests are untraced.
-//! * A Query (or Subscribe) **response** to a traced request ends with
-//!   a [`TraceReply`] section: the request's stitched span tree plus
-//!   the server-metrics delta it caused.
-//! * [`ServerStats`] payloads append a second optional section after
-//!   the metrics snapshot: the slow-query table and flight-recorder
-//!   ring, written only when non-empty.
-//!
-//! Every section length prefix is validated against its contents, so
-//! truncation anywhere errors instead of decoding short.
+//! This module is the only place that knows these layouts: each kind
+//! has one `encode_*` and one `decode_*` function, which the server's
+//! dispatch and [`ServeClient`](super::ServeClient) call. Configurations,
+//! signatures, and count tables reuse the worker protocol's codecs, so
+//! the two protocols cannot drift on how they travel. Every decoder
+//! ends with [`WireReader::finish`], making trailing bytes an error
+//! rather than slack.
 
 use crate::count::MotifCounts;
-use crate::engine::distributed::protocol::{get_config, get_signature, put_config, put_signature};
+use crate::engine::distributed::protocol::{
+    get_config, get_counts, get_signature, put_config, put_counts, put_signature,
+};
 use crate::engine::query::{Query, QueryInstance, QueryResponse};
 use crate::engine::report::{EngineReport, Estimate};
-use crate::engine::EngineKind;
+use crate::engine::{EngineKind, EnumConfig};
 use std::collections::HashMap;
-use tnm_graph::wire::{WireError, WireReader, WireWriter};
+use tnm_graph::wire::{
+    decode_events, encode_events, get_obs_snapshot, get_span_records, put_obs_snapshot,
+    put_span_records, WireError, WireReader, WireWriter,
+};
+use tnm_graph::Event;
 
 /// Request: load a graph into the registry under a name.
 pub(crate) const KIND_REQ_LOAD: u8 = 16;
@@ -93,15 +81,11 @@ pub(crate) const KIND_RESP_METRICS: u8 = 38;
 /// is a human-readable reason and the connection stays open.
 pub(crate) const KIND_RESP_ERR: u8 = 63;
 
-/// Request flag (bit 0): trace this request. The server runs it under a
-/// fresh [`tnm_obs::TraceCtx`] and appends a [`TraceReply`] section to
-/// the response.
-pub(crate) const REQ_FLAG_TRACE: u32 = 1;
-
-/// The telemetry a traced request ships back alongside its response:
-/// the request's complete span tree (serve root, engine phases, and —
-/// for distributed runs — spans stitched back from worker processes)
-/// plus the delta of the server's metrics registry over the request.
+/// The telemetry a traced Query or Subscribe request ships back
+/// alongside its response: the request's complete span tree (serve
+/// root, engine phases, and — for distributed runs — spans stitched
+/// back from worker processes) plus the delta of the server's metrics
+/// registry over the request.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceReply {
     /// Every span recorded under the request's trace id. All spans
@@ -134,52 +118,22 @@ pub struct QueryLogEntry {
     pub spans: Vec<tnm_obs::SpanRecord>,
 }
 
-/// Writes the optional request-flags section. Zero flags write nothing,
-/// keeping untraced requests byte-identical to the legacy encoding.
-pub(crate) fn put_request_flags(w: &mut WireWriter, flags: u32) {
-    if flags != 0 {
-        let mut section = WireWriter::new();
-        section.put_u32(flags);
-        w.put_bytes(&section.into_bytes());
-    }
-}
-
-/// Reads the optional request-flags section; an absent section (a
-/// legacy client) reads as 0.
-pub(crate) fn get_request_flags(r: &mut WireReader<'_>) -> Result<u32, WireError> {
-    if r.remaining() == 0 {
-        return Ok(0);
-    }
-    let section = r.bytes()?;
-    let mut sr = WireReader::new(section);
-    let flags = sr.u32()?;
-    sr.finish()?;
-    Ok(flags)
-}
-
-/// Appends the optional [`TraceReply`] section to an open response
-/// writer (absent when the request was untraced).
-pub(crate) fn put_trace_section(w: &mut WireWriter, trace: Option<&TraceReply>) {
+/// Writes a [`TraceReply`] behind a presence byte: absent for untraced
+/// requests.
+fn put_trace(w: &mut WireWriter, trace: Option<&TraceReply>) {
+    w.put_bool(trace.is_some());
     if let Some(t) = trace {
-        let mut section = WireWriter::new();
-        tnm_graph::wire::put_span_records(&mut section, &t.spans);
-        tnm_graph::wire::put_obs_snapshot(&mut section, &t.metrics);
-        w.put_bytes(&section.into_bytes());
+        put_span_records(w, &t.spans);
+        put_obs_snapshot(w, &t.metrics);
     }
 }
 
-/// Reads the optional [`TraceReply`] section (inverse of
-/// [`put_trace_section`]).
-pub(crate) fn get_trace_section(r: &mut WireReader<'_>) -> Result<Option<TraceReply>, WireError> {
-    if r.remaining() == 0 {
+/// Reads a [`TraceReply`] written by [`put_trace`].
+fn get_trace(r: &mut WireReader<'_>) -> Result<Option<TraceReply>, WireError> {
+    if !r.bool()? {
         return Ok(None);
     }
-    let section = r.bytes()?;
-    let mut sr = WireReader::new(section);
-    let spans = tnm_graph::wire::get_span_records(&mut sr)?;
-    let metrics = tnm_graph::wire::get_obs_snapshot(&mut sr)?;
-    sr.finish()?;
-    Ok(Some(TraceReply { spans, metrics }))
+    Ok(Some(TraceReply { spans: get_span_records(r)?, metrics: get_obs_snapshot(r)? }))
 }
 
 fn put_query_log(w: &mut WireWriter, entries: &[QueryLogEntry]) {
@@ -190,7 +144,7 @@ fn put_query_log(w: &mut WireWriter, entries: &[QueryLogEntry]) {
         w.put_u64(e.latency_ns);
         w.put_u64(e.trace_id);
         w.put_u64(e.at_unix_ms);
-        tnm_graph::wire::put_span_records(w, &e.spans);
+        put_span_records(w, &e.spans);
     }
 }
 
@@ -204,7 +158,7 @@ fn get_query_log(r: &mut WireReader<'_>) -> Result<Vec<QueryLogEntry>, WireError
             latency_ns: r.u64()?,
             trace_id: r.u64()?,
             at_unix_ms: r.u64()?,
-            spans: tnm_graph::wire::get_span_records(r)?,
+            spans: get_span_records(r)?,
         });
     }
     Ok(entries)
@@ -234,20 +188,9 @@ pub struct GraphStat {
     pub subscriptions: u32,
 }
 
-/// Server-wide counters plus the registry listing.
-///
-/// ## Wire versioning
-///
-/// The legacy fields (`queries`, `appends`, `graphs`) form a fixed
-/// prefix of the [`KIND_RESP_STATS`] payload. Everything newer travels
-/// in trailing **length-prefixed optional sections**, oldest first: the
-/// [`obs`](Self::obs) metrics snapshot, then the query log
-/// ([`slow`](Self::slow) + [`flight`](Self::flight), written only when
-/// either is non-empty). A decoder that only knows the legacy fields
-/// can skip each section as an opaque byte run, and the current decoder
-/// treats absent sections (a legacy server's payload) as empty. Each
-/// section's length prefix is validated against its contents, so
-/// truncation anywhere still errors instead of decoding short.
+/// Server-wide counters, the registry listing, and the query logs. The
+/// full metrics snapshot is a separate request
+/// ([`ServeClient::metrics`](super::ServeClient::metrics)).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Queries served since start.
@@ -256,10 +199,6 @@ pub struct ServerStats {
     pub appends: u64,
     /// Loaded graphs, in name order.
     pub graphs: Vec<GraphStat>,
-    /// The server's metrics snapshot: `serve.*` request counters and
-    /// per-query-kind latency histograms. Empty when the payload came
-    /// from a legacy server without the optional section.
-    pub obs: tnm_obs::Snapshot,
     /// The worst-latency queries since start, latency-descending, at
     /// most [`ServeOptions::slow_queries`](super::ServeOptions)
     /// entries. Traced entries keep their span tree.
@@ -282,26 +221,6 @@ fn static_engine_name(name: &str) -> Result<&'static str, WireError> {
         }
     }
     Err(WireError::Malformed(format!("unknown engine name `{name}` in report")))
-}
-
-pub(crate) fn put_counts(w: &mut WireWriter, counts: &MotifCounts) {
-    let mut rows: Vec<_> = counts.iter().collect();
-    rows.sort_unstable();
-    w.put_u32(rows.len() as u32);
-    for (sig, n) in rows {
-        put_signature(w, &sig);
-        w.put_u64(n);
-    }
-}
-
-pub(crate) fn get_counts(r: &mut WireReader<'_>) -> Result<MotifCounts, WireError> {
-    let rows = r.u32()?;
-    let mut counts = MotifCounts::new();
-    for _ in 0..rows {
-        let sig = get_signature(r)?;
-        counts.add(sig, r.u64()?);
-    }
-    Ok(counts)
 }
 
 fn put_f64(w: &mut WireWriter, v: f64) {
@@ -372,7 +291,7 @@ const QUERY_TAG_BATCH: u8 = 4;
 
 /// Encodes a [`Query`] into an open writer (the request frame also
 /// carries the graph name ahead of it).
-pub(crate) fn put_query(w: &mut WireWriter, query: &Query) {
+fn put_query(w: &mut WireWriter, query: &Query) {
     match query {
         Query::Count { cfg, engine, threads } => {
             w.put_u8(QUERY_TAG_COUNT);
@@ -406,7 +325,7 @@ pub(crate) fn put_query(w: &mut WireWriter, query: &Query) {
 }
 
 /// Decodes a [`Query`] (inverse of [`put_query`]).
-pub(crate) fn get_query(r: &mut WireReader<'_>) -> Result<Query, WireError> {
+fn get_query(r: &mut WireReader<'_>) -> Result<Query, WireError> {
     let tag = r.u8()?;
     let engine = get_engine(r)?;
     let threads = r.u32()? as usize;
@@ -434,9 +353,7 @@ const RESP_TAG_REPORT: u8 = 2;
 const RESP_TAG_INSTANCES: u8 = 3;
 const RESP_TAG_BATCH: u8 = 4;
 
-/// Encodes a [`QueryResponse`] body into an open writer (the
-/// [`KIND_RESP_QUERY`] payload may append a [`TraceReply`] section
-/// after it).
+/// Writes a [`QueryResponse`] body.
 fn put_response(w: &mut WireWriter, resp: &QueryResponse) {
     match resp {
         QueryResponse::Counts(counts) => {
@@ -487,39 +404,6 @@ fn put_response(w: &mut WireWriter, resp: &QueryResponse) {
             }
         }
     }
-}
-
-/// Encodes a [`KIND_RESP_QUERY`] payload: the response body plus, for
-/// traced requests, the trailing [`TraceReply`] section.
-pub(crate) fn encode_query_reply(resp: &QueryResponse, trace: Option<&TraceReply>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    put_response(&mut w, resp);
-    put_trace_section(&mut w, trace);
-    w.into_bytes()
-}
-
-/// Encodes a [`KIND_RESP_QUERY`] payload without a trace section.
-#[cfg(test)]
-pub(crate) fn encode_response(resp: &QueryResponse) -> Vec<u8> {
-    encode_query_reply(resp, None)
-}
-
-/// Decodes a [`KIND_RESP_QUERY`] payload, dropping any trace section.
-pub(crate) fn decode_response(payload: &[u8]) -> Result<QueryResponse, WireError> {
-    Ok(decode_query_reply(payload)?.0)
-}
-
-/// Decodes a [`KIND_RESP_QUERY`] payload together with its optional
-/// [`TraceReply`] section (absent for untraced requests and legacy
-/// servers).
-pub(crate) fn decode_query_reply(
-    payload: &[u8],
-) -> Result<(QueryResponse, Option<TraceReply>), WireError> {
-    let mut r = WireReader::new(payload);
-    let resp = get_response(&mut r)?;
-    let trace = get_trace_section(&mut r)?;
-    r.finish()?;
-    Ok((resp, trace))
 }
 
 /// Decodes a [`QueryResponse`] body (inverse of [`put_response`]).
@@ -579,107 +463,227 @@ fn get_response(r: &mut WireReader<'_>) -> Result<QueryResponse, WireError> {
     Ok(resp)
 }
 
+/// Builds one payload.
+fn encode(body: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    body(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes one payload, which `body` must consume exactly.
+fn decode<T>(
+    payload: &[u8],
+    body: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = WireReader::new(payload);
+    let out = body(&mut r)?;
+    r.finish()?;
+    Ok(out)
+}
+
+/// Decodes an empty payload (Stats, Metrics, and Shutdown requests; the
+/// Bye response).
+pub(crate) fn decode_empty(payload: &[u8]) -> Result<(), WireError> {
+    decode(payload, |_| Ok(()))
+}
+
+/// Encodes a [`KIND_REQ_LOAD`] payload.
+pub(crate) fn encode_load(name: &str, num_nodes: u32, events: &[Event]) -> Vec<u8> {
+    encode(|w| {
+        w.put_str(name);
+        w.put_u32(num_nodes);
+        w.put_bytes(&encode_events(events));
+    })
+}
+
+/// Decodes a [`KIND_REQ_LOAD`] payload: graph name, node-id space,
+/// events.
+pub(crate) fn decode_load(payload: &[u8]) -> Result<(String, u32, Vec<Event>), WireError> {
+    decode(payload, |r| Ok((r.str()?.to_string(), r.u32()?, decode_events(r.bytes()?)?)))
+}
+
+/// Encodes a [`KIND_REQ_APPEND`] payload straight from the borrowed
+/// batch.
+pub(crate) fn encode_append(name: &str, events: &[Event]) -> Vec<u8> {
+    encode(|w| {
+        w.put_str(name);
+        w.put_bytes(&encode_events(events));
+    })
+}
+
+/// Decodes a [`KIND_REQ_APPEND`] payload: graph name, batch.
+pub(crate) fn decode_append(payload: &[u8]) -> Result<(String, Vec<Event>), WireError> {
+    decode(payload, |r| Ok((r.str()?.to_string(), decode_events(r.bytes()?)?)))
+}
+
+/// Encodes a [`KIND_REQ_QUERY`] payload.
+pub(crate) fn encode_query_request(name: &str, query: &Query, trace: bool) -> Vec<u8> {
+    encode(|w| {
+        w.put_str(name);
+        put_query(w, query);
+        w.put_bool(trace);
+    })
+}
+
+/// Decodes a [`KIND_REQ_QUERY`] payload: graph name, query, trace flag.
+pub(crate) fn decode_query_request(payload: &[u8]) -> Result<(String, Query, bool), WireError> {
+    decode(payload, |r| Ok((r.str()?.to_string(), get_query(r)?, r.bool()?)))
+}
+
+/// Encodes a [`KIND_REQ_SUBSCRIBE`] payload.
+pub(crate) fn encode_subscribe(name: &str, cfg: &EnumConfig, trace: bool) -> Vec<u8> {
+    encode(|w| {
+        w.put_str(name);
+        put_config(w, cfg);
+        w.put_bool(trace);
+    })
+}
+
+/// Decodes a [`KIND_REQ_SUBSCRIBE`] payload: graph name, config, trace
+/// flag.
+pub(crate) fn decode_subscribe(payload: &[u8]) -> Result<(String, EnumConfig, bool), WireError> {
+    decode(payload, |r| Ok((r.str()?.to_string(), get_config(r)?, r.bool()?)))
+}
+
+/// Encodes a [`KIND_RESP_LOADED`] payload.
+pub(crate) fn encode_loaded(name: &str, events: u64, nodes: u32) -> Vec<u8> {
+    encode(|w| {
+        w.put_str(name);
+        w.put_u64(events);
+        w.put_u32(nodes);
+    })
+}
+
+/// Decodes a [`KIND_RESP_LOADED`] payload: echoed name, event total,
+/// node-id space.
+pub(crate) fn decode_loaded(payload: &[u8]) -> Result<(String, u64, u32), WireError> {
+    decode(payload, |r| Ok((r.str()?.to_string(), r.u64()?, r.u32()?)))
+}
+
+/// Encodes a [`KIND_RESP_QUERY`] payload.
+pub(crate) fn encode_query_reply(resp: &QueryResponse, trace: Option<&TraceReply>) -> Vec<u8> {
+    encode(|w| {
+        put_response(w, resp);
+        put_trace(w, trace);
+    })
+}
+
+/// Decodes a [`KIND_RESP_QUERY`] payload.
+pub(crate) fn decode_query_reply(
+    payload: &[u8],
+) -> Result<(QueryResponse, Option<TraceReply>), WireError> {
+    decode(payload, |r| Ok((get_response(r)?, get_trace(r)?)))
+}
+
+/// Encodes a [`KIND_RESP_SUBSCRIBED`] payload.
+pub(crate) fn encode_subscribed(
+    id: u32,
+    counts: &MotifCounts,
+    trace: Option<&TraceReply>,
+) -> Vec<u8> {
+    encode(|w| {
+        w.put_u32(id);
+        put_counts(w, counts);
+        put_trace(w, trace);
+    })
+}
+
+/// Decodes a [`KIND_RESP_SUBSCRIBED`] payload: subscription id, initial
+/// counts, trace.
+pub(crate) fn decode_subscribed(
+    payload: &[u8],
+) -> Result<(u32, MotifCounts, Option<TraceReply>), WireError> {
+    decode(payload, |r| Ok((r.u32()?, get_counts(r)?, get_trace(r)?)))
+}
+
+/// Encodes a [`KIND_RESP_METRICS`] payload.
+pub(crate) fn encode_metrics(snap: &tnm_obs::Snapshot) -> Vec<u8> {
+    encode(|w| put_obs_snapshot(w, snap))
+}
+
+/// Decodes a [`KIND_RESP_METRICS`] payload.
+pub(crate) fn decode_metrics(payload: &[u8]) -> Result<tnm_obs::Snapshot, WireError> {
+    decode(payload, get_obs_snapshot)
+}
+
+/// Encodes a [`KIND_RESP_ERR`] payload.
+pub(crate) fn encode_error(msg: &str) -> Vec<u8> {
+    encode(|w| w.put_str(msg))
+}
+
+/// Decodes a [`KIND_RESP_ERR`] payload.
+pub(crate) fn decode_error(payload: &[u8]) -> Result<String, WireError> {
+    decode(payload, |r| Ok(r.str()?.to_string()))
+}
+
 /// Encodes a [`KIND_RESP_APPENDED`] payload.
 pub(crate) fn encode_append_ack(ack: &AppendAck) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(ack.total_events);
-    w.put_u32(ack.subscriptions.len() as u32);
-    for (id, counts) in &ack.subscriptions {
-        w.put_u32(*id);
-        put_counts(&mut w, counts);
-    }
-    w.into_bytes()
+    encode(|w| {
+        w.put_u64(ack.total_events);
+        w.put_u32(ack.subscriptions.len() as u32);
+        for (id, counts) in &ack.subscriptions {
+            w.put_u32(*id);
+            put_counts(w, counts);
+        }
+    })
 }
 
 /// Decodes a [`KIND_RESP_APPENDED`] payload.
 pub(crate) fn decode_append_ack(payload: &[u8]) -> Result<AppendAck, WireError> {
-    let mut r = WireReader::new(payload);
-    let total_events = r.u64()?;
-    let n = r.u32()?;
-    let mut subscriptions = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        let id = r.u32()?;
-        subscriptions.push((id, get_counts(&mut r)?));
-    }
-    r.finish()?;
-    Ok(AppendAck { total_events, subscriptions })
+    decode(payload, |r| {
+        let total_events = r.u64()?;
+        let n = r.u32()?;
+        let mut subscriptions = Vec::with_capacity(n.min(1 << 16) as usize);
+        for _ in 0..n {
+            subscriptions.push((r.u32()?, get_counts(r)?));
+        }
+        Ok(AppendAck { total_events, subscriptions })
+    })
 }
 
-/// Encodes a [`KIND_RESP_STATS`] payload: the legacy prefix followed
-/// by the length-prefixed optional metrics section (see the
-/// [`ServerStats`] versioning notes).
+/// Encodes a [`KIND_RESP_STATS`] payload.
 pub(crate) fn encode_stats(stats: &ServerStats) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(stats.queries);
-    w.put_u64(stats.appends);
-    w.put_u32(stats.graphs.len() as u32);
-    for g in &stats.graphs {
-        w.put_str(&g.name);
-        w.put_u64(g.events);
-        w.put_u32(g.nodes);
-        w.put_u32(g.subscriptions);
-    }
-    let mut section = WireWriter::new();
-    tnm_graph::wire::put_obs_snapshot(&mut section, &stats.obs);
-    w.put_bytes(&section.into_bytes());
-    // Second optional section — the query log — only when there is one,
-    // so a log-less payload is byte-identical to the previous wire
-    // version.
-    if !stats.slow.is_empty() || !stats.flight.is_empty() {
-        let mut section = WireWriter::new();
-        put_query_log(&mut section, &stats.slow);
-        put_query_log(&mut section, &stats.flight);
-        w.put_bytes(&section.into_bytes());
-    }
-    w.into_bytes()
+    encode(|w| {
+        w.put_u64(stats.queries);
+        w.put_u64(stats.appends);
+        w.put_u32(stats.graphs.len() as u32);
+        for g in &stats.graphs {
+            w.put_str(&g.name);
+            w.put_u64(g.events);
+            w.put_u32(g.nodes);
+            w.put_u32(g.subscriptions);
+        }
+        put_query_log(w, &stats.slow);
+        put_query_log(w, &stats.flight);
+    })
 }
 
-/// Decodes a [`KIND_RESP_STATS`] payload. A payload ending after the
-/// legacy fields (a pre-metrics server) decodes with an empty
-/// [`ServerStats::obs`]; a present section must parse exactly to its
-/// declared length.
+/// Decodes a [`KIND_RESP_STATS`] payload.
 pub(crate) fn decode_stats(payload: &[u8]) -> Result<ServerStats, WireError> {
-    let mut r = WireReader::new(payload);
-    let queries = r.u64()?;
-    let appends = r.u64()?;
-    let n = r.u32()?;
-    let mut graphs = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        graphs.push(GraphStat {
-            name: r.str()?.to_string(),
-            events: r.u64()?,
-            nodes: r.u32()?,
-            subscriptions: r.u32()?,
-        });
-    }
-    let obs = if r.remaining() > 0 {
-        let section = r.bytes()?;
-        let mut sr = WireReader::new(section);
-        let snap = tnm_graph::wire::get_obs_snapshot(&mut sr)?;
-        sr.finish()?;
-        snap
-    } else {
-        Default::default()
-    };
-    let (slow, flight) = if r.remaining() > 0 {
-        let section = r.bytes()?;
-        let mut sr = WireReader::new(section);
-        let slow = get_query_log(&mut sr)?;
-        let flight = get_query_log(&mut sr)?;
-        sr.finish()?;
-        (slow, flight)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    r.finish()?;
-    Ok(ServerStats { queries, appends, graphs, obs, slow, flight })
+    decode(payload, |r| {
+        let queries = r.u64()?;
+        let appends = r.u64()?;
+        let n = r.u32()?;
+        let mut graphs = Vec::with_capacity(n.min(1 << 16) as usize);
+        for _ in 0..n {
+            graphs.push(GraphStat {
+                name: r.str()?.to_string(),
+                events: r.u64()?,
+                nodes: r.u32()?,
+                subscriptions: r.u32()?,
+            });
+        }
+        let slow = get_query_log(r)?;
+        let flight = get_query_log(r)?;
+        Ok(ServerStats { queries, appends, graphs, slow, flight })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::Timing;
-    use crate::engine::EnumConfig;
+    use crate::engine::distributed::protocol::assert_prefixes_rejected;
     use crate::notation::sig;
 
     fn table(rows: &[(&str, u64)]) -> MotifCounts {
@@ -742,30 +746,29 @@ mod tests {
                     threads: 8,
                 },
             ];
-            for q in queries {
-                let mut w = WireWriter::new();
-                put_query(&mut w, &q);
-                let bytes = w.into_bytes();
-                let mut r = WireReader::new(&bytes);
-                assert_eq!(get_query(&mut r).unwrap(), q);
-                r.finish().unwrap();
+            for (i, q) in queries.into_iter().enumerate() {
+                let trace = i % 2 == 1;
+                let payload = encode_query_request("g", &q, trace);
+                assert_eq!(decode_query_request(&payload).unwrap(), ("g".into(), q, trace));
             }
         }
+    }
+
+    fn reply(resp: &QueryResponse) -> QueryResponse {
+        let (back, trace) = decode_query_reply(&encode_query_reply(resp, None)).unwrap();
+        assert!(trace.is_none());
+        back
     }
 
     #[test]
     fn responses_roundtrip() {
         let counts = table(&[("010102", 7), ("011202", 123_456)]);
         let resp = QueryResponse::Counts(counts.clone());
-        let QueryResponse::Counts(back) = decode_response(&encode_response(&resp)).unwrap() else {
-            panic!("shape")
-        };
+        let QueryResponse::Counts(back) = reply(&resp) else { panic!("shape") };
         assert_eq!(back, counts);
 
         let report = EngineReport::from_exact("windowed", counts.clone());
-        let QueryResponse::Report(back) =
-            decode_response(&encode_response(&QueryResponse::Report(report.clone()))).unwrap()
-        else {
+        let QueryResponse::Report(back) = reply(&QueryResponse::Report(report.clone())) else {
             panic!("shape")
         };
         assert_eq!(back.engine, "windowed");
@@ -781,9 +784,7 @@ mod tests {
             estimates,
             Estimate { point: 6.5, half_width: 1.25 },
         );
-        let QueryResponse::Report(back) =
-            decode_response(&encode_response(&QueryResponse::Report(approx.clone()))).unwrap()
-        else {
+        let QueryResponse::Report(back) = reply(&QueryResponse::Report(approx.clone())) else {
             panic!("shape")
         };
         assert!(!back.exact);
@@ -799,9 +800,7 @@ mod tests {
                 QueryInstance { signature: sig("010102"), events: vec![1, 2, 8] },
             ],
         };
-        let QueryResponse::Instances { total, instances, truncated } =
-            decode_response(&encode_response(&resp)).unwrap()
-        else {
+        let QueryResponse::Instances { total, instances, truncated } = reply(&resp) else {
             panic!("shape")
         };
         assert_eq!((total, truncated), (9, true));
@@ -809,12 +808,22 @@ mod tests {
         assert_eq!(instances[0].events, vec![0, 3, 5]);
 
         let resp = QueryResponse::Batch(vec![counts.clone(), MotifCounts::new()]);
-        let QueryResponse::Batch(tables) = decode_response(&encode_response(&resp)).unwrap() else {
-            panic!("shape")
-        };
+        let QueryResponse::Batch(tables) = reply(&resp) else { panic!("shape") };
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0], counts);
         assert!(tables[1].is_empty());
+
+        // Traced replies carry the span tree and metrics delta.
+        let trace = sample_trace();
+        let payload = encode_query_reply(&QueryResponse::Counts(counts.clone()), Some(&trace));
+        let (QueryResponse::Counts(back), Some(back_trace)) = decode_query_reply(&payload).unwrap()
+        else {
+            panic!("shape")
+        };
+        assert_eq!((back, back_trace), (counts.clone(), trace.clone()));
+        let payload = encode_subscribed(4, &counts, Some(&trace));
+        assert_eq!(decode_subscribed(&payload).unwrap(), (4, counts.clone(), Some(trace)));
+        assert_eq!(decode_subscribed(&encode_subscribed(0, &counts, None)).unwrap().2, None);
     }
 
     #[test]
@@ -834,124 +843,10 @@ mod tests {
                 nodes: 1_899,
                 subscriptions: 2,
             }],
-            obs: {
-                let r = tnm_obs::Registry::new();
-                r.counter("serve.queries").add(42);
-                r.histogram("serve.query.count_ns").record(150_000);
-                r.histogram("serve.query.count_ns").record(90_000);
-                r.snapshot()
-            },
             ..Default::default()
         };
         assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
-    }
-
-    /// The versioning contract both ways: a legacy payload (no trailing
-    /// section) decodes with an empty snapshot, and a legacy decoder
-    /// reading only the fixed prefix can skip the section as one
-    /// length-prefixed byte run.
-    #[test]
-    fn stats_optional_section_is_versioned() {
-        // Legacy payload: just the fixed prefix, no section.
-        let mut w = WireWriter::new();
-        w.put_u64(7);
-        w.put_u64(11);
-        w.put_u32(0);
-        let decoded = decode_stats(&w.into_bytes()).unwrap();
-        assert_eq!((decoded.queries, decoded.appends), (7, 11));
-        assert!(decoded.obs.is_empty(), "absent section reads as empty metrics");
-
-        // Current payload under a legacy reader: fixed prefix, then one
-        // opaque `bytes()` skip, then a clean finish.
-        let stats = ServerStats {
-            queries: 3,
-            appends: 0,
-            graphs: vec![],
-            obs: {
-                let r = tnm_obs::Registry::new();
-                r.gauge("shard.resident_events").set(512);
-                r.snapshot()
-            },
-            ..Default::default()
-        };
-        let payload = encode_stats(&stats);
-        let mut r = WireReader::new(&payload);
-        assert_eq!(r.u64().unwrap(), 3);
-        assert_eq!(r.u64().unwrap(), 0);
-        assert_eq!(r.u32().unwrap(), 0);
-        let _opaque = r.bytes().unwrap();
-        r.finish().unwrap();
-    }
-
-    /// Truncation anywhere in a stats payload — including inside the
-    /// optional section and its length prefix — errors rather than
-    /// decoding short.
-    #[test]
-    fn stats_truncation_is_rejected_at_every_prefix() {
-        let stats = ServerStats {
-            queries: 1,
-            appends: 2,
-            graphs: vec![GraphStat { name: "g".into(), events: 3, nodes: 4, subscriptions: 5 }],
-            obs: {
-                let r = tnm_obs::Registry::new();
-                r.counter("serve.queries").add(1);
-                r.histogram("serve.query.batch_ns").record(4096);
-                r.snapshot()
-            },
-            ..Default::default()
-        };
-        let payload = encode_stats(&stats);
-        // The one legal short form is the exact legacy prefix (handled
-        // above); every other cut must error.
-        let legacy_len = 8 + 8 + 4 + (4 + 1) + 8 + 4 + 4;
-        for cut in 0..payload.len() {
-            if cut == legacy_len {
-                continue;
-            }
-            assert!(decode_stats(&payload[..cut]).is_err(), "stats prefix {cut} accepted");
-        }
-        assert!(decode_stats(&payload[..legacy_len]).is_ok());
-    }
-
-    #[test]
-    fn decoders_reject_corruption() {
-        let mut w = WireWriter::new();
-        put_query(
-            &mut w,
-            &Query::Count {
-                cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
-                engine: EngineKind::sampling(8, 7),
-                threads: 2,
-            },
-        );
-        let payload = w.into_bytes();
-        for cut in 0..payload.len() {
-            let mut r = WireReader::new(&payload[..cut]);
-            assert!(
-                get_query(&mut r).and_then(|_| r.finish()).is_err(),
-                "query prefix {cut} accepted"
-            );
-        }
-        let mut padded = payload.clone();
-        padded.push(0);
-        let mut r = WireReader::new(&padded);
-        assert!(matches!(
-            get_query(&mut r).and_then(|_| r.finish()),
-            Err(WireError::TrailingBytes { .. })
-        ));
-
-        let resp = encode_response(&QueryResponse::Counts(table(&[("0110", 3)])));
-        for cut in 0..resp.len() {
-            assert!(decode_response(&resp[..cut]).is_err(), "response prefix {cut} accepted");
-        }
-        assert!(matches!(decode_response(&[99]), Err(WireError::Malformed(_))));
-
-        // A report naming an engine no engine reports cannot decode
-        // (the &'static str mapping is a closed set).
-        let mut w = WireWriter::new();
-        w.put_u8(RESP_TAG_REPORT);
-        w.put_str("definitely-not-an-engine");
-        assert!(matches!(decode_response(&w.into_bytes()), Err(WireError::Malformed(_))));
+        assert_eq!(decode_stats(&encode_stats(&stats_with_log())).unwrap(), stats_with_log());
     }
 
     fn span(name: &str, span_id: u64, parent_id: u64) -> tnm_obs::SpanRecord {
@@ -968,52 +863,8 @@ mod tests {
         }
     }
 
-    /// The request-flags section: absent reads as 0, present roundtrips,
-    /// and truncation anywhere inside it errors — the only legal short
-    /// form is the exact flag-less encoding.
-    #[test]
-    fn request_flags_are_versioned_and_reject_truncation() {
-        let query = Query::Count {
-            cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
-            engine: EngineKind::Backtrack,
-            threads: 2,
-        };
-        let mut w = WireWriter::new();
-        put_query(&mut w, &query);
-        put_request_flags(&mut w, 0);
-        let base = w.into_bytes();
-        let mut r = WireReader::new(&base);
-        get_query(&mut r).unwrap();
-        assert_eq!(get_request_flags(&mut r).unwrap(), 0, "absent flags read as 0");
-        r.finish().unwrap();
-
-        let mut w = WireWriter::new();
-        put_query(&mut w, &query);
-        put_request_flags(&mut w, REQ_FLAG_TRACE);
-        let payload = w.into_bytes();
-        assert!(payload.len() > base.len(), "nonzero flags write a section");
-        for cut in 0..=payload.len() {
-            let mut r = WireReader::new(&payload[..cut]);
-            let parsed = get_query(&mut r)
-                .and_then(|q| Ok((q, get_request_flags(&mut r)?)))
-                .and_then(|out| r.finish().map(|()| out));
-            if cut == base.len() {
-                assert_eq!(parsed.unwrap().1, 0, "flag-less boundary decodes untraced");
-            } else if cut == payload.len() {
-                assert_eq!(parsed.unwrap(), (query.clone(), REQ_FLAG_TRACE));
-            } else {
-                assert!(parsed.is_err(), "flags prefix {cut} accepted");
-            }
-        }
-    }
-
-    /// A traced query reply roundtrips its span tree + metrics delta;
-    /// an untraced reply stays byte-identical to the legacy encoding;
-    /// truncation inside the trace section is rejected at every prefix.
-    #[test]
-    fn query_reply_trace_section_is_versioned_and_rejects_truncation() {
-        let resp = QueryResponse::Counts(table(&[("010102", 7)]));
-        let trace = TraceReply {
+    fn sample_trace() -> TraceReply {
+        TraceReply {
             spans: vec![span("serve.query", 1, 0), span("query.count", 2, 1)],
             metrics: {
                 let r = tnm_obs::Registry::new();
@@ -1021,34 +872,12 @@ mod tests {
                 r.histogram("serve.query.count_ns").record(52_000);
                 r.snapshot()
             },
-        };
-        let payload = encode_query_reply(&resp, Some(&trace));
-        let (back, back_trace) = decode_query_reply(&payload).unwrap();
-        let QueryResponse::Counts(counts) = back else { panic!("shape") };
-        assert_eq!(counts, table(&[("010102", 7)]));
-        assert_eq!(back_trace.as_ref(), Some(&trace));
-        // The legacy decoder skips the section.
-        let QueryResponse::Counts(counts) = decode_response(&payload).unwrap() else {
-            panic!("shape")
-        };
-        assert_eq!(counts, table(&[("010102", 7)]));
-
-        let bare = encode_query_reply(&resp, None);
-        assert!(decode_query_reply(&bare).unwrap().1.is_none());
-        for cut in 0..payload.len() {
-            if cut == bare.len() {
-                assert_eq!(decode_query_reply(&payload[..cut]).unwrap().1, None);
-                continue;
-            }
-            assert!(decode_query_reply(&payload[..cut]).is_err(), "reply prefix {cut} accepted");
         }
     }
 
-    /// The stats query-log section: roundtrips slow + flight tables,
-    /// absent section reads as empty, and the only legal short forms
-    /// are the legacy prefix and the log-less boundary.
-    #[test]
-    fn stats_query_log_section_is_versioned_and_rejects_truncation() {
+    /// Stats whose slow table keeps a traced entry's spans and whose
+    /// flight recorder holds the same query without them.
+    fn stats_with_log() -> ServerStats {
         let entry = QueryLogEntry {
             kind: "count".into(),
             graph: "CollegeMsg".into(),
@@ -1057,34 +886,46 @@ mod tests {
             at_unix_ms: 1_700_000_000_123,
             spans: vec![span("serve.query", 1, 0)],
         };
-        let mut flight = entry.clone();
-        flight.spans = Vec::new();
-        flight.trace_id = 0;
-        let stats = ServerStats {
+        let flight = QueryLogEntry { spans: Vec::new(), trace_id: 0, ..entry.clone() };
+        ServerStats {
             queries: 9,
             appends: 0,
-            graphs: vec![],
-            obs: {
-                let r = tnm_obs::Registry::new();
-                r.counter("serve.queries").add(9);
-                r.snapshot()
-            },
+            graphs: vec![GraphStat { name: "g".into(), events: 3, nodes: 4, subscriptions: 5 }],
             slow: vec![entry],
             flight: vec![flight],
-        };
-        let payload = encode_stats(&stats);
-        assert_eq!(decode_stats(&payload).unwrap(), stats);
-
-        let logless = encode_stats(&ServerStats { slow: vec![], flight: vec![], ..stats.clone() });
-        assert!(payload.len() > logless.len(), "a non-empty log writes a second section");
-        let legacy_len = 8 + 8 + 4;
-        for cut in 0..payload.len() {
-            if cut == legacy_len || cut == logless.len() {
-                let short = decode_stats(&payload[..cut]).unwrap();
-                assert!(short.slow.is_empty() && short.flight.is_empty());
-                continue;
-            }
-            assert!(decode_stats(&payload[..cut]).is_err(), "stats prefix {cut} accepted");
         }
+    }
+
+    #[test]
+    fn decoders_reject_corruption() {
+        let query = Query::Count {
+            cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
+            engine: EngineKind::sampling(8, 7),
+            threads: 2,
+        };
+        let request = encode_query_request("g", &query, true);
+        assert_prefixes_rejected(&request, decode_query_request);
+        let mut padded = request.clone();
+        padded.push(0);
+        assert!(matches!(decode_query_request(&padded), Err(WireError::TrailingBytes { .. })));
+
+        let counts = table(&[("0110", 3)]);
+        let resp = QueryResponse::Counts(counts.clone());
+        assert_prefixes_rejected(&encode_query_reply(&resp, None), decode_query_reply);
+        assert_prefixes_rejected(&encode_query_reply(&resp, Some(&sample_trace())), |p| {
+            decode_query_reply(p)
+        });
+        assert_prefixes_rejected(&encode_subscribed(1, &counts, Some(&sample_trace())), |p| {
+            decode_subscribed(p)
+        });
+        assert_prefixes_rejected(&encode_stats(&stats_with_log()), decode_stats);
+        assert!(matches!(decode_query_reply(&[99]), Err(WireError::Malformed(_))));
+
+        // A report naming an engine no engine reports cannot decode
+        // (the &'static str mapping is a closed set).
+        let mut w = WireWriter::new();
+        w.put_u8(RESP_TAG_REPORT);
+        w.put_str("definitely-not-an-engine");
+        assert!(matches!(decode_query_reply(&w.into_bytes()), Err(WireError::Malformed(_))));
     }
 }

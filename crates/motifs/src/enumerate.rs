@@ -4,15 +4,11 @@
 //! The machinery that used to live here — the backtracking walker, its
 //! parallel driver — moved to `crate::engine`, which exposes it behind
 //! the [`CountEngine`](crate::engine::CountEngine) trait with four
-//! interchangeable implementations. This module keeps the original
-//! public API source-compatible:
+//! interchangeable implementations. This module keeps the serial
+//! entry points:
 //!
 //! * [`count_motifs`] — serial counting via the auto-selected serial
 //!   engine (see [`auto_select`](crate::engine::auto_select));
-//! * [`count_motifs_parallel`] — explicit parallelism via the
-//!   work-stealing [`ParallelEngine`](crate::engine::ParallelEngine);
-//!   unlike the old static-chunked version it **honors `threads`** even
-//!   on small graphs instead of silently falling back to serial;
 //! * [`enumerate_instances`] / [`count_signature`] — deterministic
 //!   serial enumeration, unchanged semantics.
 //!
@@ -23,7 +19,7 @@ pub use crate::engine::{EnumConfig, MotifInstance};
 
 use crate::constraints::Timing;
 use crate::count::MotifCounts;
-use crate::engine::{CountEngine, EngineKind, ParallelEngine, WindowedEngine};
+use crate::engine::{CountEngine, EngineKind, WindowedEngine};
 use crate::notation::MotifSignature;
 use tnm_graph::TemporalGraph;
 
@@ -43,28 +39,6 @@ pub fn count_motifs(graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
     EngineKind::Auto.count(graph, cfg, 1)
 }
 
-/// Parallel variant of [`count_motifs`]: the work-stealing executor
-/// claims start events through an atomic cursor and merges per-worker
-/// local tables lock-free at join. Results are identical to the serial
-/// version for every configuration.
-///
-/// `threads` is honored as given (clamped to at least 1): callers who
-/// explicitly ask for parallelism get it regardless of graph size. Use
-/// [`EngineKind::Auto`](crate::engine::EngineKind) when you want the
-/// small-graph serial fallback heuristic instead.
-#[deprecated(
-    since = "0.1.0",
-    note = "route counting through the Query API (`Query::Count` with an \
-            engine and thread budget) or `EngineKind::Parallel.count`"
-)]
-pub fn count_motifs_parallel(
-    graph: &TemporalGraph,
-    cfg: &EnumConfig,
-    threads: usize,
-) -> MotifCounts {
-    ParallelEngine::new(threads).count(graph, cfg)
-}
-
 /// Counts instances of one specific signature (prefix-pruned fast path
 /// used by the Figure 4/5 experiments).
 pub fn count_signature(graph: &TemporalGraph, sig: MotifSignature, timing: Timing) -> u64 {
@@ -77,6 +51,7 @@ pub fn count_signature(graph: &TemporalGraph, sig: MotifSignature, timing: Timin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ParallelEngine;
     use crate::models::MotifModel;
     use crate::notation::sig;
     use tnm_graph::TemporalGraphBuilder;
@@ -240,20 +215,18 @@ mod tests {
         let g = b.build().unwrap();
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(30, 60));
         let serial = count_motifs(&g, &cfg);
-        #[allow(deprecated)]
-        let par = count_motifs_parallel(&g, &cfg, 4);
+        let par = ParallelEngine::new(4).count(&g, &cfg);
         assert_eq!(serial, par);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn explicit_parallelism_is_honored_on_small_graphs() {
-        // The old implementation silently went serial below 1024 events;
-        // the work-stealing executor must still produce identical counts
-        // when actually running multi-threaded on a tiny graph.
+        // The work-stealing executor must produce identical counts when
+        // actually running multi-threaded on a tiny graph.
         let g = chain_graph();
         let cfg = EnumConfig::new(2, 4);
-        assert_eq!(count_motifs_parallel(&g, &cfg, 8), count_motifs(&g, &cfg));
+        let par = ParallelEngine::new(8).count(&g, &cfg);
+        assert_eq!(par, count_motifs(&g, &cfg));
     }
 
     #[test]

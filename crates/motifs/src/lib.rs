@@ -193,8 +193,6 @@ pub mod prelude {
         QueryLogEntry, QueryResponse, SamplingEngine, ServeClient, ServeOptions, ServerStats,
         ShardedEngine, TraceReply, WindowedEngine,
     };
-    #[allow(deprecated)]
-    pub use crate::enumerate::count_motifs_parallel;
     pub use crate::enumerate::{
         count_motifs, count_signature, enumerate_instances, EnumConfig, MotifInstance,
     };
@@ -207,8 +205,6 @@ pub mod prelude {
 pub use constraints::Timing;
 pub use count::MotifCounts;
 pub use engine::{CountEngine, EngineKind};
-#[allow(deprecated)]
-pub use enumerate::count_motifs_parallel;
 pub use enumerate::{count_motifs, EnumConfig};
 pub use event_pair::EventPairType;
 pub use models::MotifModel;

@@ -48,8 +48,8 @@ pub struct SpanRecord {
 
 /// Request-scoped trace identity: a trace id plus the span the next
 /// recorded root should attach under. Flows from `tnm serve` through
-/// `Query::run` into distributed worker processes (as an optional
-/// section of the job frame), so one served query stitches into a
+/// `Query::run` into distributed worker processes (as a field of the
+/// job frame), so one served query stitches into a
 /// single cross-process span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {

@@ -151,12 +151,11 @@ fn engine_matches_brute_force() {
 
 /// Parallel counting is identical to serial counting.
 #[test]
-#[allow(deprecated)]
 fn parallel_equals_serial() {
     for_each_graph(2, 48, |_, graph| {
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(10, 20));
         let serial = count_motifs(&graph, &cfg);
-        let parallel = count_motifs_parallel(&graph, &cfg, 4);
+        let parallel = ParallelEngine::new(4).count(&graph, &cfg);
         assert_eq!(serial, parallel);
     });
 }
