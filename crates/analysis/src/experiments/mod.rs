@@ -133,8 +133,8 @@ pub fn default_threads() -> usize {
 /// How the counting-heavy experiments execute: which
 /// [`EngineKind`] drives the enumeration and with how many threads.
 /// Threaded from the CLI's `--engine`/`--threads`/`--samples`/
-/// `--shard-events`/`--max-resident-shards` flags down to every
-/// table/figure driver via the `run_with` variants.
+/// `--shard-events`/`--workers` flags down to every table/figure driver
+/// via the `run_with` variants.
 ///
 /// [`EngineKind::Sampling`] (with its embedded budget and seed) makes
 /// the drivers *approximate*: tables are computed from rounded point
@@ -142,14 +142,12 @@ pub fn default_threads() -> usize {
 /// expensive to count exactly (under a `threads` budget the sampler
 /// evaluates its window draws in parallel with bit-identical seeded
 /// results). [`EngineKind::Sharded`] keeps them exact while bounding
-/// the counting working set (and, with a resident budget, spilling
-/// time slices to disk) — the out-of-core escape hatch for corpora
-/// larger than memory. [`EngineKind::Distributed`] takes the same
-/// shard plan across **process boundaries**: spilled shards are
-/// counted by `tnm worker` children over a framed wire protocol, with
-/// crashed workers' shards rescheduled onto survivors — still exact,
-/// and the scale-out escape hatch once one process's cores are the
-/// bottleneck. [`EngineKind::Stream`] (which `auto` picks whenever a
+/// the counting working set to one time slice at a time; with
+/// `workers > 0` it takes the same shard plan across **process
+/// boundaries** — shard files are counted by `tnm worker` children over
+/// a framed wire protocol, with crashed workers' shards rescheduled
+/// onto survivors — still exact, and the scale-out escape hatch once
+/// one process's cores are the bottleneck. [`EngineKind::Stream`] (which `auto` picks whenever a
 /// driver's configuration is Paranjape-shaped) counts eligible only-ΔW
 /// spectra without enumerating instances and is the fastest exact
 /// option there by an asymptotic margin. All windowed engines share one

@@ -6,9 +6,9 @@
 //! configuration — the regime the windowed index is built for. Further
 //! groups cover ΔW tightness sweeps (how pruning scales with the window),
 //! parallel scaling, the sampling engine across budgets, the sharded
-//! engine (in-memory and out-of-core spill mode), the distributed
-//! engine (real coordinator/worker processes over the wire protocol vs
-//! the in-process baseline), the stream engine's
+//! engine on both transports (in this thread, and on real worker
+//! processes over the wire protocol vs the in-process baseline — the
+//! `distributed_engine` group), the stream engine's
 //! count-without-enumerating fast path against the windowed walker,
 //! the serve subsystem's incremental append path against a
 //! from-scratch recount, window-index cache reuse, signature-targeted
@@ -29,8 +29,8 @@ use std::time::Duration;
 use tnm_datasets::{generate, DatasetSpec};
 use tnm_graph::TemporalGraph;
 use tnm_motifs::engine::{
-    auto_select, stream_hotpath, BacktrackEngine, CountEngine, DistributedEngine, ParallelEngine,
-    StreamEngine, WindowedEngine, PARALLEL_MIN_WINDOW_EVENTS, SERIAL_FALLBACK_EVENTS,
+    auto_select, stream_hotpath, BacktrackEngine, CountEngine, ParallelEngine, StreamEngine,
+    WindowedEngine, PARALLEL_MIN_WINDOW_EVENTS, SERIAL_FALLBACK_EVENTS,
 };
 use tnm_motifs::pattern::{matcher::StreamingMatcher, EventPattern};
 use tnm_motifs::prelude::*;
@@ -305,14 +305,14 @@ fn bench_stream_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Coordinator/worker counting across process boundaries: every
-/// iteration plans shards, spills them, spawns real `tnm worker`
-/// processes, and merges their framed replies — the full wire round
-/// trip, tracked against the in-process windowed baseline.
+/// The sharded engine's worker-process transport: every iteration plans
+/// shards, writes their files, spawns real `tnm worker` processes, and
+/// merges their framed replies — the full wire round trip, tracked
+/// against the in-process windowed baseline.
 ///
 /// `workers/N` times the whole round trip. That number alone is
-/// ambiguous: a regression could hide in process spawn + shard spill
-/// (one-time setup) or in the shard walks themselves (the steady-state
+/// ambiguous: a regression could hide in process spawn + shard-file
+/// writes (one-time setup) or in the shard walks themselves (the steady-state
 /// cost that scales with data). So each worker count also records a
 /// span-based decomposition from instrumented runs — `setup/N` sums the
 /// coordinator's `distributed.{plan,spill,spawn}` spans, `steady/N`
@@ -321,7 +321,7 @@ fn bench_stream_engine(c: &mut Criterion) {
 /// gates the two regimes independently.
 fn bench_distributed_engine(c: &mut Criterion) {
     assert!(
-        DistributedEngine::worker_binary().is_some(),
+        ShardedEngine::worker_binary().is_some(),
         "distributed bench needs the `tnm` binary: build the workspace (release) first"
     );
     let g = dataset("SMS-A", 12_000);
@@ -333,7 +333,7 @@ fn bench_distributed_engine(c: &mut Criterion) {
         b.iter(|| black_box(WindowedEngine.count(&g, &cfg)))
     });
     // One instrumented run → (plan+spill+spawn, walk+merge) span sums.
-    let phase_split = |engine: &DistributedEngine| -> (Duration, Duration) {
+    let phase_split = |engine: &ShardedEngine| -> (Duration, Duration) {
         tnm_obs::set_enabled(true);
         tnm_obs::drain_spans();
         black_box(engine.count(&g, &cfg));
@@ -352,7 +352,7 @@ fn bench_distributed_engine(c: &mut Criterion) {
         )
     };
     for workers in [2usize, 4] {
-        let engine = DistributedEngine::new(workers).with_shard_events(2_000);
+        let engine = ShardedEngine::new(2_000).with_workers(workers);
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
             b.iter(|| black_box(engine.count(&g, &cfg)))
         });
@@ -369,29 +369,6 @@ fn bench_distributed_engine(c: &mut Criterion) {
             let mut cycle = steady_runs.iter().cycle();
             b.iter_custom(|_iters| cycle.next().expect("non-empty").1)
         });
-    }
-    group.finish();
-}
-
-/// Out-of-core spill mode: every iteration serializes the shards to a
-/// temp dir and counts while keeping at most `max_resident` loaded —
-/// the full write + read + count cycle, so the history tracks the I/O
-/// path, not just the walk.
-fn bench_sharded_spill(c: &mut Criterion) {
-    let g = dataset("SMS-A", 12_000);
-    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3000));
-    let mut group = c.benchmark_group("sharded_spill_mode");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(g.num_events() as u64));
-    for max_resident in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("resident", max_resident),
-            &max_resident,
-            |b, &k| {
-                let engine = ShardedEngine::new(2_000).with_max_resident(k);
-                b.iter(|| black_box(engine.count(&g, &cfg)))
-            },
-        );
     }
     group.finish();
 }
@@ -732,7 +709,6 @@ criterion_group!(
     bench_sampling_engine,
     bench_sharded_engine,
     bench_stream_engine,
-    bench_sharded_spill,
     bench_distributed_engine,
     bench_serve_incremental,
     bench_index_cache,

@@ -40,7 +40,7 @@ Utility commands:
   count --dataset NAME [--events K] [--nodes N] [--dc X] [--dw Y]
         [--consecutive] [--induced] [--constrained] [--top K]
         [--engine E] [--threads N] [--samples K]
-        [--shard-events N] [--max-resident-shards N]
+        [--shard-events N] [--workers N]
         [--trace FILE] [--explain]
                                          Count motifs under a custom model
                                          (sampling engine prints 95% CIs).
@@ -48,8 +48,9 @@ Utility commands:
                                          timed spans for the run and writes
                                          them as Chrome-trace JSON (open in
                                          chrome://tracing or Perfetto); a
-                                         distributed run decomposes into
-                                         plan/spill/spawn/walk/merge phases.
+                                         sharded run with --workers decomposes
+                                         into plan/spill/spawn/walk/merge
+                                         phases.
                                          --explain prints the auto-select
                                          decision with its measured inputs
                                          (event count, expected window
@@ -109,7 +110,7 @@ Service commands:
                                          --trace FILE asks the server to trace
                                          the request and writes its stitched
                                          span tree (serve root, engine phases,
-                                         distributed worker spans — one trace
+                                         sharded worker spans — one trace
                                          id) as Chrome-trace JSON. --profile
                                          prints the same trace as per-phase
                                          totals plus the request's metrics
@@ -138,41 +139,34 @@ Flags:
   --seed N      Corpus seed (default the standard experiment seed)
   --csv         Emit CSV instead of a rendered table (where supported)
   --engine E    Counting engine: backtrack | windowed | parallel |
-                stream | sharded | distributed | sampling | auto
+                stream | sharded | sampling | auto
                 (default auto; see the tnm-motifs rustdoc on choosing
                 one). `stream` counts without enumerating instances —
                 exact and near-linear in events for Paranjape-shape jobs
                 (--dw only, no --induced or other restrictions, <=3
                 events on <=3 nodes), falling back to the windowed
                 walker otherwise; `auto` picks it whenever eligible.
-                `sharded` counts exact totals over time-slice shards and
-                can spill them to disk for graphs larger than memory.
-                `distributed` farms the same shards out to worker
-                processes over a framed wire protocol — exact, with
-                crashed workers' shards rescheduled onto survivors.
+                `sharded` counts exact totals over time-slice shards,
+                one at a time in this process or, with --workers, on
+                worker processes.
                 `sampling` is approximate: counts are point estimates
                 with 95% confidence intervals. fig4/fig5 enumerate exact
                 instance statistics and reject it.
   --threads N   Thread budget for parallel-capable engines (the sharded
-                engine work-steals within each shard; the sampling
-                engine evaluates window draws in parallel with
-                bit-identical seeded results; the distributed engine
-                spreads the budget across its workers, N/workers
-                threads inside each worker process)
+                engine work-steals within each shard, with --workers
+                N/workers threads inside each worker process; the
+                sampling engine evaluates window draws in parallel with
+                bit-identical seeded results)
   --samples K   Sample-window budget for --engine sampling (quadruple it
                 to halve the confidence intervals). The sampler draws its
                 RNG seed from --seed. Rejected for exact engines.
-  --workers N   Worker processes for --engine distributed (default 2).
+  --workers N   Ship the shards of --engine sharded to N >= 1 worker
+                processes over a framed wire protocol — exact, with
+                crashed workers' shards rescheduled onto survivors.
                 Rejected for other engines.
   --shard-events N
-                Target start events per shard for --engine sharded or
-                distributed (default 16384). Rejected for other engines.
-  --max-resident-shards N
-                Spill shards to disk, keeping at most N loaded at a time
-                (--engine sharded only). Without it, shards are cut from
-                the in-memory graph one at a time; with it, the full
-                write/evict/reload cycle runs and bounds the counting
-                working set for out-of-core use.
+                Target start events per shard for --engine sharded
+                (default 16384). Rejected for other engines.
 ";
 
 fn main() -> ExitCode {
@@ -239,61 +233,26 @@ fn run_config_from(args: &Args) -> Result<RunConfig, Box<dyn std::error::Error>>
         )
         .into());
     }
-    match rc.engine {
-        EngineKind::Sharded { shard_events, max_resident_shards } => {
-            let shard_events: usize = args.get_parsed("shard-events", shard_events)?;
-            if shard_events == 0 {
-                return Err("--shard-events must be at least 1".into());
-            }
-            rc.engine = EngineKind::Sharded {
-                shard_events,
-                max_resident_shards: args.get_parsed("max-resident-shards", max_resident_shards)?,
-            };
+    if let EngineKind::Sharded { shard_events, workers } = rc.engine {
+        let shard_events: usize = args.get_parsed("shard-events", shard_events)?;
+        if shard_events == 0 {
+            return Err("--shard-events must be at least 1".into());
         }
-        EngineKind::Distributed { workers, shard_events } => {
-            let workers: usize = args.get_parsed("workers", workers)?;
-            if workers == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            let shard_events: usize = args.get_parsed("shard-events", shard_events)?;
-            if shard_events == 0 {
-                return Err("--shard-events must be at least 1".into());
-            }
-            if args.has("max-resident-shards") {
-                return Err(format!(
-                    "--max-resident-shards is only valid with --engine sharded (got engine \
-                     `{}`; the distributed engine always spills every shard)",
-                    rc.engine
-                )
-                .into());
-            }
-            rc.engine = EngineKind::Distributed { workers, shard_events };
+        let workers: usize = args.get_parsed("workers", workers)?;
+        if args.has("workers") && workers == 0 {
+            return Err("--workers must be at least 1".into());
         }
-        _ => {
-            if args.has("shard-events") {
+        rc.engine = EngineKind::Sharded { shard_events, workers };
+    } else {
+        for flag in ["shard-events", "workers"] {
+            if args.has(flag) {
                 return Err(format!(
-                    "--shard-events is only valid with --engine sharded or --engine \
-                     distributed (got engine `{}`)",
-                    rc.engine
-                )
-                .into());
-            }
-            if args.has("max-resident-shards") {
-                return Err(format!(
-                    "--max-resident-shards is only valid with --engine sharded (got engine \
-                     `{}`)",
+                    "--{flag} is only valid with --engine sharded (got engine `{}`)",
                     rc.engine
                 )
                 .into());
             }
         }
-    }
-    if args.has("workers") && !matches!(rc.engine, EngineKind::Distributed { .. }) {
-        return Err(format!(
-            "--workers is only valid with --engine distributed (got engine `{}`)",
-            rc.engine
-        )
-        .into());
     }
     rc.threads = args.get_parsed("threads", rc.threads)?;
     Ok(rc)
@@ -641,23 +600,15 @@ fn reject_sampling_engine(args: &Args, what: &str) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
+/// Flags every experiment and counting verb accepts.
+const COMMON_FLAGS: [&str; 9] =
+    ["scale", "seed", "csv", "dataset", "engine", "threads", "samples", "workers", "shard-events"];
+
 fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let common = [
-        "scale",
-        "seed",
-        "csv",
-        "dataset",
-        "engine",
-        "threads",
-        "samples",
-        "workers",
-        "shard-events",
-        "max-resident-shards",
-    ];
     match command {
         "help" | "--help" | "-h" => print!("{HELP}"),
-        // Hidden: the distributed engine's worker side. Spawned by the
-        // coordinator as `tnm worker` with framed jobs on stdin and
+        // Hidden: the worker side of the sharded engine's process
+        // transport. Spawned by the coordinator as `tnm worker` with framed jobs on stdin and
         // framed replies on stdout; not intended for interactive use,
         // so it stays out of the help text. TNM_WORKER_EXIT_AFTER is
         // the crash-rescheduling tests' fault-injection knob.
@@ -681,7 +632,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             )?;
         }
         "list" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             for spec in DatasetSpec::all() {
                 println!(
                     "{:<18} {:>7} nodes {:>7} events  median gap {:>5.0}s  ({:?})",
@@ -690,7 +641,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "stats" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             for e in &corpus_from(args)?.entries {
                 let s = GraphStats::compute(&e.graph);
                 println!(
@@ -717,7 +668,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "count" => {
             args.ensure_known(&allowed_flags(
-                &common,
+                &COMMON_FLAGS,
                 &[
                     "events",
                     "nodes",
@@ -738,7 +689,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let top: usize = args.get_parsed("top", 20)?;
             let timing = cfg.timing;
             // TNM_OBS=1 turns the metrics registry on for this run (the
-            // same knob the distributed worker honors), so operators can
+            // same knob `tnm worker` honors), so operators can
             // meter ad-hoc counts. Counts must be unaffected — CI diffs
             // this verb's output against a metrics-off run.
             if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
@@ -773,7 +724,10 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "count-batch" => {
-            args.ensure_known(&allowed_flags(&common, &["spec", "all-3e-motifs", "dw", "top"]))?;
+            args.ensure_known(&allowed_flags(
+                &COMMON_FLAGS,
+                &["spec", "all-3e-motifs", "dw", "top"],
+            ))?;
             let batch = batch_from(args)?;
             let rc = run_config_from(args)?;
             let corpus = corpus_from(args)?;
@@ -839,7 +793,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "client" => {
             args.ensure_known(&allowed_flags(
-                &common,
+                &COMMON_FLAGS,
                 &[
                     "addr",
                     "name",
@@ -1004,7 +958,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "table2" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             let t = experiments::table2::run(&corpus_from(args)?);
             if args.has("csv") {
                 print!("{}", t.to_csv());
@@ -1013,7 +967,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "table3" => {
-            args.ensure_known(&allowed_flags(&common, &["full"]))?;
+            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["full"]))?;
             let t = experiments::table3::run_with(&corpus_from(args)?, &run_config_from(args)?);
             if args.has("csv") {
                 print!("{}", t.to_csv());
@@ -1026,7 +980,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "table4" => {
-            args.ensure_known(&allowed_flags(&common, &["full"]))?;
+            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["full"]))?;
             let t = experiments::table4::run_with(&corpus_from(args)?, &run_config_from(args)?);
             if args.has("csv") {
                 print!("{}", t.to_csv());
@@ -1039,7 +993,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "table5" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             let t = experiments::table5::run_with(&corpus_from(args)?, &run_config_from(args)?);
             if args.has("csv") {
                 print!("{}", t.to_csv());
@@ -1048,15 +1002,15 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "fig1" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             print!("{}", experiments::fig1::run().render());
         }
         "fig2" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             print!("{}", experiments::fig2::run().render());
         }
         "fig3" => {
-            args.ensure_known(&allowed_flags(&common, &["include-4e"]))?;
+            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["include-4e"]))?;
             let f = experiments::fig3::run_with(
                 &corpus_from(args)?,
                 args.has("include-4e"),
@@ -1069,7 +1023,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "fig4" => {
-            args.ensure_known(&allowed_flags(&common, &["all"]))?;
+            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["all"]))?;
             reject_sampling_engine(args, "fig4")?;
             let f = experiments::fig4::run(&corpus_from(args)?, args.has("all"));
             if args.has("csv") {
@@ -1079,7 +1033,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "fig5" => {
-            args.ensure_known(&allowed_flags(&common, &["all"]))?;
+            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["all"]))?;
             reject_sampling_engine(args, "fig5")?;
             let f = experiments::fig5::run(&corpus_from(args)?, args.has("all"));
             if args.has("csv") {
@@ -1089,7 +1043,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "fig6" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             let f = experiments::fig6::run_with(&corpus_from(args)?, &run_config_from(args)?);
             if args.has("csv") {
                 print!("{}", f.to_csv());
@@ -1098,7 +1052,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "all" => {
-            args.ensure_known(&common)?;
+            args.ensure_known(&COMMON_FLAGS)?;
             let corpus = corpus_from(args)?;
             let rc = run_config_from(args)?;
             print!("{}", experiments::table2::run(&corpus).render());
@@ -1133,7 +1087,7 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnm_motifs::engine::{DEFAULT_SHARD_EVENTS, DEFAULT_WORKERS};
+    use tnm_motifs::engine::DEFAULT_SHARD_EVENTS;
 
     fn rc(tokens: &[&str]) -> Result<RunConfig, Box<dyn std::error::Error>> {
         run_config_from(&Args::parse(tokens.iter().map(|s| s.to_string())).unwrap())
@@ -1149,9 +1103,7 @@ mod tests {
             EngineKind::sharded(DEFAULT_SHARD_EVENTS, 0)
         );
         assert_eq!(
-            rc(&["--engine", "sharded", "--shard-events", "512", "--max-resident-shards", "3"])
-                .unwrap()
-                .engine,
+            rc(&["--engine", "sharded", "--shard-events", "512", "--workers", "3"]).unwrap().engine,
             EngineKind::sharded(512, 3)
         );
         assert_eq!(
@@ -1159,14 +1111,8 @@ mod tests {
             EngineKind::sampling(99, 7)
         );
         assert_eq!(
-            rc(&["--engine", "distributed"]).unwrap().engine,
-            EngineKind::distributed(DEFAULT_WORKERS, DEFAULT_SHARD_EVENTS)
-        );
-        assert_eq!(
-            rc(&["--engine", "distributed", "--workers", "4", "--shard-events", "512"])
-                .unwrap()
-                .engine,
-            EngineKind::distributed(4, 512)
+            rc(&["--engine", "sharded", "--workers", "4"]).unwrap().engine,
+            EngineKind::sharded(DEFAULT_SHARD_EVENTS, 4)
         );
         assert_eq!(rc(&["--threads", "3"]).unwrap().threads, 3);
     }
@@ -1175,14 +1121,15 @@ mod tests {
     /// offending engine — not silently run an exact count.
     #[test]
     fn nonsensical_combos_rejected() {
-        for exact in ["backtrack", "windowed", "parallel", "stream", "sharded", "distributed"] {
+        for exact in ["backtrack", "windowed", "parallel", "stream", "sharded"] {
             let err = rc(&["--engine", exact, "--samples", "10"]).unwrap_err().to_string();
             assert!(
                 err.contains("--engine sampling") && err.contains(exact),
                 "engine {exact}: unhelpful error `{err}`"
             );
         }
-        for flag in ["--shard-events", "--max-resident-shards"] {
+        // --shard-events and --workers belong to the sharded engine.
+        for flag in ["--shard-events", "--workers"] {
             let err = rc(&["--engine", "windowed", flag, "4"]).unwrap_err().to_string();
             assert!(
                 err.contains("--engine sharded") && err.contains("windowed"),
@@ -1192,20 +1139,15 @@ mod tests {
             let err = rc(&[flag, "4"]).unwrap_err().to_string();
             assert!(err.contains("--engine sharded"), "flag {flag}: unhelpful error `{err}`");
         }
-        // --workers belongs to the distributed engine alone, and the
-        // distributed engine never takes a resident-shard budget.
-        let err = rc(&["--engine", "windowed", "--workers", "2"]).unwrap_err().to_string();
-        assert!(err.contains("--engine distributed") && err.contains("windowed"), "{err}");
-        let err = rc(&["--workers", "2"]).unwrap_err().to_string();
-        assert!(err.contains("--engine distributed"), "{err}");
-        let err =
-            rc(&["--engine", "distributed", "--max-resident-shards", "2"]).unwrap_err().to_string();
-        assert!(err.contains("--engine sharded") && err.contains("distributed"), "{err}");
         assert!(rc(&["--engine", "sampling", "--samples", "0"]).is_err());
         assert!(rc(&["--engine", "sharded", "--shard-events", "0"]).is_err());
-        assert!(rc(&["--engine", "distributed", "--workers", "0"]).is_err());
-        assert!(rc(&["--engine", "distributed", "--shard-events", "0"]).is_err());
-        assert!(rc(&["--engine", "bogus"]).unwrap_err().to_string().contains("distributed"));
+        assert!(rc(&["--engine", "sharded", "--workers", "0"]).is_err());
+        assert!(rc(&["--engine", "bogus"]).unwrap_err().to_string().contains("sharded"));
+        // The retired engine name and spill flag are gone: the name fails
+        // to parse, the flag is unknown to every verb.
+        assert!(rc(&["--engine", "distributed"]).is_err());
+        let spill = Args::parse(["--max-resident-shards", "2"].iter().map(|s| s.to_string()));
+        assert!(spill.unwrap().ensure_known(&COMMON_FLAGS).is_err());
     }
 
     fn batch(tokens: &[&str]) -> Result<Vec<EnumConfig>, Box<dyn std::error::Error>> {

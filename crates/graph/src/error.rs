@@ -25,7 +25,7 @@ pub enum GraphError {
     },
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// A binary block (spilled shard, wire frame) failed validation
+    /// A binary block (shard file, wire frame) failed validation
     /// while decoding.
     Decode(crate::wire::WireError),
     /// An event referenced a node id beyond the declared node count.

@@ -91,11 +91,10 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &TemporalGraph, path: P) -> R
 /// Unlike the [`write_edge_list`] / [`read_edge_list`] pair — which
 /// compacts node ids on load and re-sorts events — the
 /// [`read_events_raw`] round-trip preserves node ids, event order, and
-/// durations exactly. That exactness is the contract the
-/// [shard store](crate::shard::ShardStore) relies on to map slice-local
-/// event indices back to parent-graph indices after a spill/reload
-/// cycle, and the contract the distributed workers rely on when a shard
-/// file crosses a process boundary.
+/// durations exactly. That exactness is the contract the sharded
+/// engine's worker processes rely on when a shard file crosses a
+/// process boundary: a worker's shard-local event indices and node ids
+/// mean exactly what they meant in the parent's slice.
 pub fn write_events_raw<W: Write>(events: &[crate::event::Event], writer: W) -> Result<()> {
     let mut out = BufWriter::new(writer);
     out.write_all(&crate::wire::encode_events(events))?;

@@ -13,8 +13,7 @@
 //! The crate provides the event store ([`TemporalGraph`]) with per-node and
 //! per-edge time indexes, the windowed candidate index
 //! ([`WindowIndex`]) with its shared per-graph cache ([`index_cache`]),
-//! time-slice sharding with a spillable shard store for out-of-core
-//! counting ([`shard`]), the framed binary [`wire`] encoding that
+//! time-slice shard planning with bounded halos ([`shard`]), the framed binary [`wire`] encoding that
 //! carries shard files and worker messages across process boundaries,
 //! Table 2 statistics ([`stats::GraphStats`]), transformations used by
 //! the paper's protocol (resolution degrading, slicing), SNAP-style
@@ -85,7 +84,7 @@ pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
 pub use index_cache::{global_index_cache, IndexCacheStats, WindowIndexCache};
-pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec, ShardStore};
+pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 pub use static_proj::{global_projection_cache, StaticProjection, StaticProjectionCache};
 pub use window_index::{WindowCursor, WindowIndex};
 pub use wire::WireError;

@@ -1,5 +1,4 @@
-//! Time-slice sharding: planner, materialized shard views, and a
-//! spillable shard store for out-of-core counting.
+//! Time-slice sharding: the planner and materialized shard views.
 //!
 //! δ-bounded motif enumeration has a locality property the paper's
 //! evaluation leans on (and Paranjape et al. make explicit): an instance
@@ -8,11 +7,11 @@
 //! first-to-last timespan (`min(ΔC·(k−1), ΔW)`, duration-widened for
 //! duration-aware ΔC). A time-ordered event log therefore splits into
 //! contiguous **shards** that only interact through a bounded trailing
-//! **halo**, and each shard can be counted independently — sequentially
-//! under a memory budget, or spilled to disk and loaded one at a time
-//! for graphs larger than memory.
+//! **halo**, and each shard can be counted independently — one at a
+//! time in one process, or shipped as an event file to a worker
+//! process.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * [`plan_shards`] — partitions the event range into owned start-event
 //!   slices ([`ShardSpec::own`]) and computes each shard's materialized
@@ -24,12 +23,6 @@
 //! * [`materialize`] / [`Shard`] — an independent [`TemporalGraph`] view
 //!   of one shard's event slice, with [`Shard::to_global`] mapping
 //!   slice-local event indices back to parent indices.
-//! * [`ShardStore`] — loads shards under a resident budget, either by
-//!   rematerializing from the parent's buffer or, in **spill mode**, by
-//!   serializing every shard up front (via
-//!   [`io::write_events_raw`](crate::io::write_events_raw)) and
-//!   (re)reading from disk, so peak residency is bounded by
-//!   `max_resident × max shard size` regardless of graph size.
 //!
 //! ## What a shard view can and cannot answer
 //!
@@ -43,13 +36,9 @@
 //! timeline), which is why the sharded engine in `tnm-motifs` evaluates
 //! static inducedness against the parent graph via [`Shard::to_global`].
 
-use crate::error::Result;
-use crate::event::Event;
 use crate::graph::TemporalGraph;
 use crate::ids::{EventIdx, Time};
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 
 /// How [`plan_shards`] sizes the owned slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +117,7 @@ impl ShardPlan {
     }
 
     /// The largest materialized shard (events incl. pad and halo) — the
-    /// unit the spill mode's memory bound is expressed in.
+    /// most events a sharded run holds in one shard graph.
     pub fn max_shard_events(&self) -> usize {
         self.shards.iter().map(ShardSpec::num_events).max().unwrap_or(0)
     }
@@ -216,242 +205,15 @@ impl Shard {
 /// shard boundary.
 pub fn materialize(graph: &TemporalGraph, spec: &ShardSpec) -> Shard {
     let events = graph.events()[spec.range.clone()].to_vec();
-    Shard { spec: spec.clone(), graph: shard_graph(events, graph.num_nodes()) }
-}
-
-fn shard_graph(events: Vec<Event>, num_nodes: u32) -> TemporalGraph {
-    TemporalGraph::from_sorted_events(events, num_nodes)
-}
-
-/// Where an evicted shard is reloaded from.
-#[derive(Debug)]
-enum StoreBacking {
-    /// Rematerialize from the parent graph's resident event buffer.
-    Parent,
-    /// Read back from per-shard files under `dir` (written up front).
-    Spill {
-        dir: PathBuf,
-        /// Remove `dir` on drop (set for auto-created temp dirs).
-        cleanup: bool,
-    },
-}
-
-/// Loads shards under a resident-shard budget.
-///
-/// Construct with [`ShardStore::in_memory`] (unbounded residency),
-/// [`ShardStore::in_memory_bounded`], or [`ShardStore::spill`] /
-/// [`ShardStore::spill_to`] (out-of-core mode: every shard is serialized
-/// to disk up front and (re)loaded on demand). Eviction is
-/// least-recently-used; with budget `k` and a plan whose largest shard
-/// holds `s` events, peak residency never exceeds `k × s` events — the
-/// `shard.resident_events` gauge in the obs metrics registry tracks the
-/// observed peak so tests and benches can assert the bound.
-#[derive(Debug)]
-pub struct ShardStore<'g> {
-    parent: &'g TemporalGraph,
-    plan: ShardPlan,
-    backing: StoreBacking,
-    /// 0 = unbounded.
-    max_resident: usize,
-    resident: Vec<Option<Shard>>,
-    /// Resident ids, least-recently-used first.
-    lru: VecDeque<usize>,
-    resident_events: usize,
-    loads: u64,
-    evictions: u64,
-}
-
-impl<'g> ShardStore<'g> {
-    fn new(
-        parent: &'g TemporalGraph,
-        plan: ShardPlan,
-        backing: StoreBacking,
-        budget: usize,
-    ) -> Self {
-        let n = plan.len();
-        ShardStore {
-            parent,
-            plan,
-            backing,
-            max_resident: budget,
-            resident: (0..n).map(|_| None).collect(),
-            lru: VecDeque::new(),
-            resident_events: 0,
-            loads: 0,
-            evictions: 0,
-        }
-    }
-
-    /// A store that materializes lazily from the parent and keeps every
-    /// shard resident.
-    pub fn in_memory(parent: &'g TemporalGraph, plan: ShardPlan) -> Self {
-        Self::new(parent, plan, StoreBacking::Parent, 0)
-    }
-
-    /// Like [`ShardStore::in_memory`], but keeps at most `max_resident`
-    /// shards alive; evicted shards are rematerialized from the parent
-    /// on the next access.
-    pub fn in_memory_bounded(
-        parent: &'g TemporalGraph,
-        plan: ShardPlan,
-        max_resident: usize,
-    ) -> Self {
-        Self::new(parent, plan, StoreBacking::Parent, max_resident.max(1))
-    }
-
-    /// Spill mode under an auto-created temporary directory (removed
-    /// when the store drops).
-    pub fn spill(parent: &'g TemporalGraph, plan: ShardPlan, max_resident: usize) -> Result<Self> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "tnm-shards-{}-{}",
-            std::process::id(),
-            SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        // If serialization fails partway, remove the partial spill dir
-        // before propagating — out-of-core runs hit disk pressure
-        // exactly when leaked multi-shard temp files hurt most.
-        let mut store = Self::spill_to(parent, plan, &dir, max_resident).inspect_err(|_| {
-            let _ = std::fs::remove_dir_all(&dir);
-        })?;
-        if let StoreBacking::Spill { cleanup, .. } = &mut store.backing {
-            *cleanup = true;
-        }
-        Ok(store)
-    }
-
-    /// Spill mode under an explicit directory (created if absent, left
-    /// in place on drop). Every shard's event slice is written up front
-    /// as `shard_<id>.events` via
-    /// [`io::write_events_raw`](crate::io::write_events_raw).
-    pub fn spill_to(
-        parent: &'g TemporalGraph,
-        plan: ShardPlan,
-        dir: &Path,
-        max_resident: usize,
-    ) -> Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        for spec in &plan.shards {
-            let file = std::fs::File::create(shard_path(dir, spec.id))?;
-            crate::io::write_events_raw(&parent.events()[spec.range.clone()], file)?;
-        }
-        tnm_obs::counter_add("shard.spills", plan.len() as u64);
-        Ok(Self::new(
-            parent,
-            plan,
-            StoreBacking::Spill { dir: dir.to_path_buf(), cleanup: false },
-            max_resident.max(1),
-        ))
-    }
-
-    /// The plan this store serves.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// True for stores that (re)load shards from disk.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.backing, StoreBacking::Spill { .. })
-    }
-
-    /// Path of shard `id`'s spilled event block (`None` unless the store
-    /// is in spill mode). The distributed coordinator hands these paths
-    /// to worker processes, which read them back with
-    /// [`io::read_events_raw`](crate::io::read_events_raw).
-    pub fn shard_file(&self, id: usize) -> Option<PathBuf> {
-        match &self.backing {
-            StoreBacking::Spill { dir, .. } => Some(shard_path(dir, id)),
-            StoreBacking::Parent => None,
-        }
-    }
-
-    /// Events currently held by resident shards.
-    pub fn resident_events(&self) -> usize {
-        self.resident_events
-    }
-
-    /// Shard loads performed (a shard accessed twice without eviction
-    /// loads once).
-    pub fn loads(&self) -> u64 {
-        self.loads
-    }
-
-    /// Evictions performed to honor the resident budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Returns shard `id`, loading (and evicting) as needed.
-    pub fn get(&mut self, id: usize) -> Result<&Shard> {
-        assert!(id < self.plan.len(), "shard id {id} out of range");
-        if self.resident[id].is_some() {
-            if let Some(pos) = self.lru.iter().position(|&r| r == id) {
-                self.lru.remove(pos);
-                self.lru.push_back(id);
-            }
-            return Ok(self.resident[id].as_ref().expect("checked resident"));
-        }
-        if self.max_resident > 0 {
-            while self.lru.len() >= self.max_resident {
-                let evicted = self.lru.pop_front().expect("non-empty LRU");
-                if let Some(shard) = self.resident[evicted].take() {
-                    self.resident_events -= shard.graph().num_events();
-                    self.evictions += 1;
-                    tnm_obs::counter_add("shard.evictions", 1);
-                }
-            }
-        }
-        let spec = self.plan.shards[id].clone();
-        let shard = match &self.backing {
-            StoreBacking::Parent => materialize(self.parent, &spec),
-            StoreBacking::Spill { dir, .. } => {
-                let file = std::fs::File::open(shard_path(dir, id))?;
-                let events = crate::io::read_events_raw(file)?;
-                if events.len() != spec.num_events() {
-                    // A truncated or tampered spill file is an I/O-level
-                    // failure the caller may handle, not a programming
-                    // error worth aborting the whole run for.
-                    return Err(crate::error::GraphError::Io(std::io::Error::other(format!(
-                        "spilled shard {id} is corrupt: {} events on disk, {} planned",
-                        events.len(),
-                        spec.num_events()
-                    ))));
-                }
-                Shard { spec, graph: shard_graph(events, self.parent.num_nodes()) }
-            }
-        };
-        self.loads += 1;
-        self.resident_events += shard.graph().num_events();
-        tnm_obs::counter_add("shard.loads", 1);
-        tnm_obs::gauge_set("shard.resident_events", self.resident_events as u64);
-        self.lru.push_back(id);
-        self.resident[id] = Some(shard);
-        Ok(self.resident[id].as_ref().expect("just inserted"))
-    }
-}
-
-impl Drop for ShardStore<'_> {
-    fn drop(&mut self) {
-        if let StoreBacking::Spill { dir, cleanup: true } = &self.backing {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn shard_path(dir: &Path, id: usize) -> PathBuf {
-    dir.join(format!("shard_{id}.events"))
+    let graph = TemporalGraph::from_sorted_events(events, graph.num_nodes());
+    Shard { spec: spec.clone(), graph }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TemporalGraphBuilder;
+    use crate::event::Event;
 
     /// 40 events over 20 nodes with duplicate timestamps (two events per
     /// tick) so cuts land inside tie runs.
@@ -547,83 +309,5 @@ mod tests {
                 assert_eq!(shard.graph().event(l as EventIdx), g.event(global as EventIdx));
             }
         }
-    }
-
-    #[test]
-    fn bounded_store_evicts_lru() {
-        let _obs = tnm_obs::test_guard();
-        tnm_obs::set_enabled(true);
-        tnm_obs::global().reset();
-        let g = tied_graph();
-        let plan = plan_shards(&g, Some(2), ShardGoal::EventsPerShard(8));
-        assert!(plan.len() >= 3, "need several shards");
-        let max_shard = plan.max_shard_events();
-        let n = plan.len();
-        let mut store = ShardStore::in_memory_bounded(&g, plan, 2);
-        for id in 0..n {
-            store.get(id).unwrap();
-            assert!(store.resident_events() <= 2 * max_shard);
-        }
-        assert_eq!(store.loads(), n as u64);
-        assert_eq!(store.evictions(), (n - 2) as u64);
-        // The memory high-water mark is read from the obs registry: the
-        // `shard.resident_events` gauge peak must honor the `k × s`
-        // residency bound.
-        let snap = tnm_obs::global().snapshot();
-        tnm_obs::set_enabled(false);
-        assert!(snap.gauges["shard.resident_events"].peak as usize <= 2 * max_shard);
-        // Re-access of a resident shard is not a load.
-        store.get(n - 1).unwrap();
-        assert_eq!(store.loads(), n as u64);
-        // Re-access of an evicted shard is.
-        store.get(0).unwrap();
-        assert_eq!(store.loads(), n as u64 + 1);
-    }
-
-    #[test]
-    fn spill_store_roundtrips_shards() {
-        let _obs = tnm_obs::test_guard();
-        tnm_obs::set_enabled(true);
-        tnm_obs::global().reset();
-        let mut b = TemporalGraphBuilder::new();
-        for i in 0..30u32 {
-            b.push(Event::with_duration(i % 9, (i % 9) + 3, (i / 3) as Time, i % 4));
-        }
-        let g = b.build().unwrap();
-        let plan = plan_shards(&g, Some(2), ShardGoal::EventsPerShard(5));
-        let n = plan.len();
-        let mut spilled = ShardStore::spill(&g, plan.clone(), 1).unwrap();
-        assert!(spilled.is_spilled());
-        let mut direct = ShardStore::in_memory(&g, plan);
-        for id in 0..n {
-            let a = spilled.get(id).unwrap().graph().events().to_vec();
-            let b = direct.get(id).unwrap().graph().events();
-            assert_eq!(a.as_slice(), b, "spilled shard {id} differs from direct materialization");
-            assert!(spilled.resident_events() <= spilled.plan().max_shard_events());
-        }
-        // The gauge is process-global, so its peak is the unbounded
-        // in-memory mirror's full residency (every shard resident at
-        // once) — which dominates the spill store's one-shard budget.
-        let total: usize = direct.plan().shards.iter().map(|s| s.num_events()).sum();
-        let snap = tnm_obs::global().snapshot();
-        tnm_obs::set_enabled(false);
-        assert_eq!(snap.gauges["shard.resident_events"].peak as usize, total);
-    }
-
-    #[test]
-    fn spill_dir_is_cleaned_up() {
-        let g = tied_graph();
-        let plan = plan_shards(&g, Some(2), ShardGoal::EventsPerShard(8));
-        let dir;
-        {
-            let mut store = ShardStore::spill(&g, plan, 1).unwrap();
-            dir = match &store.backing {
-                StoreBacking::Spill { dir, .. } => dir.clone(),
-                _ => unreachable!(),
-            };
-            assert!(dir.exists());
-            store.get(0).unwrap();
-        }
-        assert!(!dir.exists(), "temp spill dir must be removed on drop");
     }
 }

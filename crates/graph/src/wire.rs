@@ -1,9 +1,9 @@
 //! Framed, versioned binary wire encoding for crossing process
 //! boundaries.
 //!
-//! The distributed counting engine ships shard jobs to worker processes
-//! over pipes and reads count replies back; spilled shard files cross
-//! the same boundary on disk. There is no serde backend in this
+//! The sharded counting engine ships shard jobs to worker processes
+//! over pipes and reads count replies back; the shard files they name
+//! cross the same boundary on disk. There is no serde backend in this
 //! offline workspace, so this module defines the encoding from scratch,
 //! in three layers:
 //!
@@ -21,7 +21,7 @@
 //!   a frame boundary decodes as `None`, an EOF anywhere else is
 //!   [`WireError::Truncated`].
 //! * **Event blocks** — [`encode_events`] / [`decode_events`]: the
-//!   on-disk format of spilled shards
+//!   on-disk format of shard files
 //!   ([`io::write_events_raw`](crate::io::write_events_raw)), `magic ‖
 //!   version ‖ count(8)` followed by fixed 20-byte records. The count
 //!   header is validated against the remaining input before the event
@@ -41,13 +41,13 @@
 //!   well-formed message are an error, not slack.
 //!
 //! Message *schemas* (job descriptors, count replies) live with the
-//! types they serialize, in `tnm-motifs`' distributed engine — this
-//! module deliberately knows nothing about motifs.
+//! types they serialize, in `tnm-motifs`' sharded engine and serve
+//! daemon — this module deliberately knows nothing about motifs.
 //!
 //! ## Versioning
 //!
-//! Both ends of every protocol are one build: a distributed worker is
-//! the coordinator's own `tnm` binary, and `tnm serve` has no clients
+//! Both ends of every protocol are one build: a sharded engine's worker
+//! process is the coordinator's own `tnm` binary, and `tnm serve` has no clients
 //! outside this workspace. Every field of every message is therefore
 //! required — there are no optional trailing sections and no legacy
 //! layouts to keep readable — and any layout change bumps
@@ -66,7 +66,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TNMW";
 pub const EVENT_BLOCK_MAGIC: [u8; 4] = *b"TNME";
 
 /// Current protocol version, embedded in every frame and event block.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Ceiling on a single frame's payload (64 MiB). [`read_frame`] rejects
 /// larger length headers before allocating anything.

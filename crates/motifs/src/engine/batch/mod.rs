@@ -43,11 +43,10 @@
 //!   unbounded) — merging `only_c` with `only_w` configs would widen
 //!   the walk to *unbounded* timing, which can cost asymptotically more
 //!   than both separate walks;
-//! * kinds whose execution is not an in-process traversal
-//!   ([sharded](crate::engine::ShardedEngine),
-//!   [distributed](crate::engine::DistributedEngine), sampling) run
-//!   each config solo with that engine — their per-run setup (shard
-//!   spill, worker processes, seeded draws) is not shareable across
+//! * kinds whose execution is not one whole-graph traversal
+//!   ([sharded](crate::engine::ShardedEngine), sampling) run each
+//!   config solo with that engine — their per-run setup (shard plans,
+//!   shard files and worker processes, seeded draws) is not shareable across
 //!   different configs, and estimates must stay bit-identical to the
 //!   per-config API.
 //!
@@ -155,7 +154,7 @@ enum GroupExec {
         /// prunes to the union of the targets' pair prefixes.
         prefix_targets: Option<Vec<MotifSignature>>,
     },
-    /// Unshareable execution (sharded/distributed/sampling): the single
+    /// Unshareable execution (sharded/sampling): the single
     /// member runs its own engine.
     Solo { kind: EngineKind },
 }
@@ -309,7 +308,7 @@ impl BatchPlanner {
     /// would route to the stream engine; under explicit `Stream`, every
     /// [`StreamEngine::eligible`] config), walk groups keyed by
     /// [`GroupKey`]-equality plus the bounded-span guardrail, solo
-    /// groups for sharded/distributed/sampling kinds. Group order is
+    /// groups for sharded/sampling kinds. Group order is
     /// deterministic (first-member order).
     pub fn plan(
         graph: &TemporalGraph,
@@ -324,12 +323,7 @@ impl BatchPlanner {
         let mut walk_buckets: Vec<(GroupKey, crate::constraints::Timing, bool, usize)> = Vec::new();
 
         for (i, cfg) in cfgs.iter().enumerate() {
-            if matches!(
-                kind,
-                EngineKind::Sharded { .. }
-                    | EngineKind::Distributed { .. }
-                    | EngineKind::Sampling { .. }
-            ) {
+            if matches!(kind, EngineKind::Sharded { .. } | EngineKind::Sampling { .. }) {
                 groups.push(PlanGroup { members: vec![i], exec: GroupExec::Solo { kind } });
                 continue;
             }
@@ -422,8 +416,8 @@ impl BatchPlanner {
 
     /// Picks the traversal driver for one walk group. Under `Auto` the
     /// group's **widest-reach** walk config drives [`auto_select`];
-    /// selections whose execution cannot share an in-process walk
-    /// (sharded/distributed) degrade to the work-stealing in-memory
+    /// selections whose execution cannot share one whole-graph walk
+    /// (sharded, either transport) degrade to the work-stealing in-memory
     /// walk — the graph is already resident, so the batch keeps the
     /// amortization and only gives up the bounded working set.
     fn walk_driver(
@@ -445,14 +439,10 @@ impl BatchPlanner {
             EngineKind::Parallel => parallel_or_serial(threads),
             EngineKind::Auto => match auto_select(graph, walk_cfg, threads) {
                 EngineKind::Backtrack => WalkDriver::SerialNodeList,
-                EngineKind::Parallel
-                | EngineKind::Sharded { .. }
-                | EngineKind::Distributed { .. } => parallel_or_serial(threads),
+                EngineKind::Parallel | EngineKind::Sharded { .. } => parallel_or_serial(threads),
                 _ => WalkDriver::SerialWindowed,
             },
-            EngineKind::Sharded { .. }
-            | EngineKind::Distributed { .. }
-            | EngineKind::Sampling { .. } => {
+            EngineKind::Sharded { .. } | EngineKind::Sampling { .. } => {
                 unreachable!("solo kinds never reach walk planning")
             }
         }

@@ -1,28 +1,24 @@
-//! [`DistributedEngine`] — exact counting across **process boundaries**:
-//! a coordinator that plans time-slice shards, spills them to disk, and
-//! farms them out to worker processes over a framed wire protocol.
+//! The worker-process transport of
+//! [`ShardedEngine`](crate::engine::ShardedEngine): a coordinator that
+//! writes every planned shard to a temporary event file and farms the
+//! files out to `tnm worker` processes over a framed wire protocol.
 //!
-//! This is the first engine where counting leaves the coordinator's
-//! address space — the stepping stone from the sharded engine's
-//! out-of-core runs (PR 3) to multi-machine merging. The division of
-//! labor:
+//! The division of labor:
 //!
-//! * **Coordinator** (this module): plans shards with
-//!   [`tnm_graph::shard::plan_shards`] (owned start ranges, tie-safe
-//!   left pads, reach-bounded halos), spills every shard up front
-//!   through the [`ShardStore`](tnm_graph::ShardStore) (binary
-//!   [`io::write_events_raw`](tnm_graph::io::write_events_raw) blocks),
-//!   spawns N worker processes (the hidden `tnm worker` subcommand),
-//!   and drives a work queue over them — one coordinator thread per
-//!   worker, each sending [`protocol`] job frames on the child's stdin
-//!   and reading reply frames from its stdout. Per-shard results merge
-//!   into one [`MotifCounts`]; merging is commutative, so scheduling
-//!   order never affects the totals.
+//! * **Coordinator** ([`count_on_workers`]): writes one
+//!   [`io::write_events_raw`](tnm_graph::io::write_events_raw) block per
+//!   shard under a temporary directory (removed when the run ends, even
+//!   by a panic), spawns N worker processes (the hidden `tnm worker`
+//!   subcommand), and drives a work queue over them — one coordinator
+//!   thread per worker, each sending [`protocol`] job frames on the
+//!   child's stdin and reading reply frames from its stdout. Per-shard
+//!   results merge into one [`MotifCounts`]; merging is commutative, so
+//!   scheduling order never affects the totals.
 //! * **Worker** ([`run_worker`]): loads the shard file it is told
 //!   about, rebuilds the slice as an independent graph in the parent's
-//!   node-id space, and walks **only the owned start events** — the
-//!   same ownership partition that makes the in-process sharded engine
-//!   exact.
+//!   node-id space, and runs the sharded engine's per-shard walk over
+//!   **only the owned start events** — the same ownership partition
+//!   that makes the in-thread transport exact.
 //!
 //! ## Crash detection and rescheduling
 //!
@@ -44,21 +40,8 @@
 //! `(signature, node set, covered edges)` groups with counts, since the
 //! verdict depends on nothing else — and the coordinator rechecks each
 //! *group* once against the parent graph through the shared
-//! [`global_projection_cache`] before tallying. The same split as the
-//! in-process sharded driver, moved across the wire, with reply sizes
-//! bounded by distinct structures instead of instance counts.
-//!
-//! ## Worker binary resolution
-//!
-//! Workers are `tnm worker` processes. The binary resolves from, in
-//! order: the `TNM_WORKER_BIN` environment variable, a `tnm` binary
-//! next to the current executable, or one in its parent directory (the
-//! `target/<profile>/deps/<test>` → `target/<profile>/tnm` layout cargo
-//! gives test and bench executables). When no binary resolves — an
-//! embedding application that never installed the CLI — the engine
-//! falls back to the in-process [`ShardedEngine`], which is exact, and
-//! reports `workers_spawned: 0` so tests that *require* the wire path
-//! can tell the difference.
+//! [`global_projection_cache`] before tallying. Reply sizes are bounded
+//! by distinct structures instead of instance counts.
 
 pub(crate) mod protocol;
 mod worker;
@@ -66,370 +49,233 @@ mod worker;
 pub use worker::run_worker;
 
 use crate::count::MotifCounts;
-use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::{CountEngine, EngineCaps, ShardedEngine, WindowedEngine};
+use crate::engine::config::EnumConfig;
+use crate::engine::ShardedConfig;
 use crate::induced::induced_cover_ok;
 use protocol::{WorkerJob, WorkerReply, KIND_JOB, KIND_SHUTDOWN};
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tnm_graph::shard::{plan_shards, ShardGoal, ShardPlan, ShardStore};
+use tnm_graph::shard::ShardPlan;
 use tnm_graph::static_proj::global_projection_cache;
 use tnm_graph::wire::{self, WireError};
 use tnm_graph::TemporalGraph;
 use tnm_graph::{Edge, NodeId};
 
-/// Default worker-process count (CLI `--engine distributed` without
-/// `--workers`). Two is the smallest count that exercises real
-/// cross-process scheduling; production runs size this to cores or
-/// machines.
-pub const DEFAULT_WORKERS: usize = 2;
-
-/// Tuning of the distributed executor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistributedConfig {
-    /// Worker processes to spawn (clamped to at least 1, and never more
-    /// than the plan has shards).
-    pub workers: usize,
-    /// Target owned start events per shard (clamped to at least 1).
-    pub shard_events: usize,
-    /// Thread budget **inside each worker process** for the
-    /// within-shard work-stealing walk (1 = serial workers).
-    pub worker_threads: usize,
-    /// Explicit worker binary override (`None` = resolve automatically).
-    pub worker_bin: Option<PathBuf>,
-    /// Fault injection `(worker index, jobs before exit)` — see
-    /// [`DistributedEngine::with_fault_after`].
-    pub fault_after: Option<(usize, usize)>,
+/// One temporary directory holding a run's shard files, removed when
+/// the guard drops — after a normal run, and on the unwind of a run
+/// that panics because every worker died.
+struct ShardFiles {
+    dir: PathBuf,
 }
 
-/// Observability of one distributed run, for the crash-rescheduling and
-/// smoke tests. Worker losses and job reschedules are read from the obs
-/// registry (`distributed.workers_lost` / `distributed.jobs_rescheduled`
-/// counters) — this struct carries only what the registry cannot: the
-/// run's plan geometry and spawn outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DistributedRunStats {
-    /// Shards the plan produced.
-    pub shards: usize,
-    /// Worker processes successfully spawned (0 = the run stayed
-    /// in-process: degenerate single-shard plan or no worker binary).
-    pub workers_spawned: usize,
+impl ShardFiles {
+    /// Writes every shard's event slice as `shard_<id>.events` under a
+    /// fresh directory in the system temp dir.
+    fn write(graph: &TemporalGraph, plan: &ShardPlan) -> tnm_graph::Result<ShardFiles> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tnm-shards-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir)?;
+        // Guard first: a write failing partway still removes the dir.
+        let files = ShardFiles { dir };
+        for spec in &plan.shards {
+            let file = std::fs::File::create(files.path(spec.id))?;
+            tnm_graph::io::write_events_raw(&graph.events()[spec.range.clone()], file)?;
+        }
+        Ok(files)
+    }
+
+    fn path(&self, id: usize) -> PathBuf {
+        self.dir.join(format!("shard_{id}.events"))
+    }
 }
 
-/// Exact distributed counting engine. See the [module docs](self).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistributedEngine {
-    config: DistributedConfig,
+impl Drop for ShardFiles {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
-impl DistributedEngine {
-    /// A distributed engine with `workers` worker processes and the
-    /// default shard size.
-    pub fn new(workers: usize) -> Self {
-        DistributedEngine {
-            config: DistributedConfig {
-                workers: workers.max(1),
-                shard_events: crate::engine::DEFAULT_SHARD_EVENTS,
-                worker_threads: 1,
-                worker_bin: None,
-                fault_after: None,
-            },
-        }
-    }
+/// Counts `plan`'s shards (more than one) on `config.workers` worker
+/// processes spawned from `bin`, each walking with `config.threads`
+/// threads. Returns the merged counts and the number of workers that
+/// spawned. Panics when every worker died with shards outstanding.
+pub(crate) fn count_on_workers(
+    config: &ShardedConfig,
+    bin: &Path,
+    graph: &TemporalGraph,
+    cfg: &EnumConfig,
+    plan: &ShardPlan,
+) -> (MotifCounts, usize) {
+    let shards = plan.len();
+    // The files are the workers' inputs; the guard lives until the end
+    // of the run. The span names the directory so a trace shows where
+    // the run's files went.
+    let files = {
+        let span = tnm_obs::span!("distributed.spill", shards = shards);
+        let files =
+            ShardFiles::write(graph, plan).expect("sharded engine: writing shard files failed");
+        let _span = span.arg("dir", files.dir.display());
+        files
+    };
+    // The active request trace (if any) rides along in every job
+    // frame; workers collect their spans under it and ship them
+    // back for stitching.
+    let trace = tnm_obs::current_trace();
+    let jobs: VecDeque<QueuedJob> = plan
+        .shards
+        .iter()
+        .map(|spec| WorkerJob {
+            shard_id: spec.id as u32,
+            shard_path: files.path(spec.id).to_string_lossy().into_owned(),
+            num_nodes: graph.num_nodes(),
+            own_lo: spec.own_local().start as u64,
+            own_hi: spec.own_local().end as u64,
+            threads: config.threads as u32,
+            want_induced: cfg.static_induced,
+            cfg: cfg.clone(),
+            trace,
+        })
+        .map(|job| QueuedJob { job, attempts: 0, last_error: None })
+        .collect();
+    // The parent-side projection for induced rechecks, shared with
+    // every other consumer through the global cache.
+    let projection = cfg.static_induced.then(|| global_projection_cache().get_or_build(graph));
+    let n_workers = config.workers.min(shards).max(1);
 
-    /// Sets the target owned start events per shard (chainable).
-    pub fn with_shard_events(mut self, shard_events: usize) -> Self {
-        self.config.shard_events = shard_events.max(1);
-        self
-    }
-
-    /// Sets the thread budget each worker process uses for its
-    /// within-shard work-stealing walk (chainable). Shipped in the job
-    /// descriptor; totals are unaffected — the within-worker merge is
-    /// the same commutative table merge as [`ParallelEngine`]'s.
-    ///
-    /// [`ParallelEngine`]: crate::engine::ParallelEngine
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.config.worker_threads = threads.max(1);
-        self
-    }
-
-    /// Overrides worker-binary resolution with an explicit path
-    /// (chainable).
-    pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.config.worker_bin = Some(bin.into());
-        self
-    }
-
-    /// Fault injection for tests (chainable): worker `worker` is
-    /// spawned with `TNM_WORKER_EXIT_AFTER=jobs`, making it vanish
-    /// after serving that many jobs — a deterministic mid-run crash for
-    /// the rescheduling tests. Counts must come out identical anyway.
-    pub fn with_fault_after(mut self, worker: usize, jobs: usize) -> Self {
-        self.config.fault_after = Some((worker, jobs.max(1)));
-        self
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &DistributedConfig {
-        &self.config
-    }
-
-    /// Resolves the worker binary this process would spawn: the
-    /// `TNM_WORKER_BIN` environment variable, then a `tnm` binary in
-    /// the current executable's directory, then in its parent (cargo's
-    /// `deps/` layout for test and bench executables). `None` when no
-    /// candidate exists.
-    ///
-    /// An explicit `TNM_WORKER_BIN` is taken **verbatim**, existence
-    /// unchecked — like [`DistributedEngine::with_worker_bin`], an
-    /// explicit override that turns out to be wrong must fail loudly at
-    /// spawn time, never quietly fall back to the in-process engine.
-    pub fn worker_binary() -> Option<PathBuf> {
-        if let Some(p) = std::env::var_os("TNM_WORKER_BIN") {
-            return Some(PathBuf::from(p));
-        }
-        let exe = std::env::current_exe().ok()?;
-        let name = format!("tnm{}", std::env::consts::EXE_SUFFIX);
-        let mut dir = exe.parent()?;
-        // Same-profile locations first: the executable's own directory
-        // (the CLI spawning itself) and its parent (cargo's
-        // `target/<profile>/deps/` layout for tests and benches).
-        for _ in 0..2 {
-            let candidate = dir.join(&name);
-            if candidate.is_file() {
-                return Some(candidate);
-            }
-            dir = dir.parent()?;
-        }
-        // `dir` is now the profile directory's parent (`target/`).
-        // `cargo test` builds bin targets only as test harnesses — it
-        // never links the plain `tnm` binary — so a freshly checked-out
-        // tree tested with `cargo build --release && cargo test` has
-        // the worker only in the sibling `release/` profile.
-        for profile in ["release", "debug"] {
-            let candidate = dir.join(profile).join(&name);
-            if candidate.is_file() {
-                return Some(candidate);
-            }
-        }
-        None
-    }
-
-    fn plan(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> ShardPlan {
-        plan_shards(
-            graph,
-            cfg.admissible_reach(graph),
-            ShardGoal::EventsPerShard(self.config.shard_events),
-        )
-    }
-
-    /// Counts and reports the run's worker/rescheduling statistics —
-    /// what the crash tests assert against.
-    pub fn count_with_stats(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-    ) -> (MotifCounts, DistributedRunStats) {
-        let plan = {
-            let _span = tnm_obs::span!("distributed.plan");
-            self.plan(graph, cfg)
-        };
-        let shards = plan.len();
-        let local_stats = DistributedRunStats { shards: shards.max(1), workers_spawned: 0 };
-        // A one-shard plan (unbounded reach, or a shard target at or
-        // above the graph) would ship the whole log to one worker for
-        // nothing: count in-process, like the sharded engine's
-        // degenerate path.
-        if shards <= 1 {
-            return (WindowedEngine.count(graph, cfg), local_stats);
-        }
-        let bin = match self.config.worker_bin.clone().or_else(Self::worker_binary) {
-            Some(b) => b,
-            // No worker binary anywhere (library embedding without the
-            // CLI): stay exact in-process, with the worker budget
-            // recycled as the sharded engine's thread budget so the
-            // fallback keeps the job's parallelism. workers_spawned: 0
-            // makes this path visible to tests that require the wire.
-            None => {
-                let threads = self.config.workers * self.config.worker_threads;
-                let counts = ShardedEngine::new(self.config.shard_events)
-                    .with_threads(threads)
-                    .count(graph, cfg);
-                return (counts, local_stats);
-            }
-        };
-        // Spill every shard up front; the store's temp dir lives until
-        // the end of the run and the files are the workers' inputs.
-        let store = {
-            let _span = tnm_obs::span!("distributed.spill", shards = shards);
-            ShardStore::spill(graph, plan, 1)
-                .expect("distributed engine: spilling shards to disk failed")
-        };
-        let plan = store.plan();
-        // The active request trace (if any) rides along in every job
-        // frame; workers collect their spans under it and ship them
-        // back for stitching.
-        let trace = tnm_obs::current_trace();
-        let jobs: VecDeque<QueuedJob> = plan
-            .shards
-            .iter()
-            .map(|spec| WorkerJob {
-                shard_id: spec.id as u32,
-                shard_path: store
-                    .shard_file(spec.id)
-                    .expect("spill store has files")
-                    .to_string_lossy()
-                    .into_owned(),
-                num_nodes: graph.num_nodes(),
-                own_lo: spec.own_local().start as u64,
-                own_hi: spec.own_local().end as u64,
-                threads: self.config.worker_threads as u32,
-                want_induced: cfg.static_induced,
-                cfg: cfg.clone(),
-                trace,
-            })
-            .map(|job| QueuedJob { job, attempts: 0, last_error: None })
-            .collect();
-        // The parent-side projection for induced rechecks, shared with
-        // every other consumer through the global cache.
-        let projection = cfg.static_induced.then(|| global_projection_cache().get_or_build(graph));
-        let n_workers = self.config.workers.min(shards).max(1);
-
-        let queue = Mutex::new(jobs);
-        let merged = Mutex::new(MotifCounts::new());
-        let pending = AtomicUsize::new(shards);
-        let spawned = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..n_workers {
-                let bin = &bin;
-                let queue = &queue;
-                let merged = &merged;
-                let pending = &pending;
-                let spawned = &spawned;
-                let projection = projection.as_deref();
-                let fault = self.config.fault_after.filter(|&(idx, _)| idx == w);
-                scope.spawn(move || {
-                    let mut child = {
-                        let _span = tnm_obs::span!("distributed.spawn", worker = w);
-                        match spawn_worker(bin, fault.map(|(_, jobs)| jobs)) {
-                            Ok(c) => c,
-                            Err(_) => {
-                                tnm_obs::counter_add("distributed.workers_lost", 1);
-                                return;
-                            }
+    let queue = Mutex::new(jobs);
+    let merged = Mutex::new(MotifCounts::new());
+    let pending = AtomicUsize::new(shards);
+    let spawned = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..n_workers {
+            let queue = &queue;
+            let merged = &merged;
+            let pending = &pending;
+            let spawned = &spawned;
+            let projection = projection.as_deref();
+            let fault = config.fault_after.filter(|&(idx, _)| idx == w);
+            scope.spawn(move || {
+                let mut child = {
+                    let _span = tnm_obs::span!("distributed.spawn", worker = w);
+                    match spawn_worker(bin, fault.map(|(_, jobs)| jobs)) {
+                        Ok(c) => c,
+                        Err(_) => {
+                            tnm_obs::counter_add("distributed.workers_lost", 1);
+                            return;
                         }
+                    }
+                };
+                spawned.fetch_add(1, Ordering::Relaxed);
+                let mut stdin = child.stdin.take().expect("piped stdin");
+                let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+                loop {
+                    let queued = queue.lock().expect("job queue poisoned").pop_front();
+                    let Some(mut queued) = queued else {
+                        if pending.load(Ordering::Acquire) == 0 {
+                            break;
+                        }
+                        // Another worker is mid-shard; if it dies,
+                        // its job comes back to the queue. Stay
+                        // alive to pick it up.
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        continue;
                     };
-                    spawned.fetch_add(1, Ordering::Relaxed);
-                    let mut stdin = child.stdin.take().expect("piped stdin");
-                    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-                    loop {
-                        let queued = queue.lock().expect("job queue poisoned").pop_front();
-                        let Some(mut queued) = queued else {
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
+                    match dispatch(&mut stdin, &mut stdout, &queued.job) {
+                        Ok((reply, metrics)) => {
+                            let shard_id = reply.shard_id();
+                            if tnm_obs::enabled() {
+                                // Fold the worker's per-job metrics
+                                // into the coordinator's registry
+                                // and re-emit its wall time as a
+                                // synthetic walk span, so one trace
+                                // shows the whole run.
+                                tnm_obs::global().apply(&metrics.obs);
+                                tnm_obs::histogram_record_ns(
+                                    "distributed.shard_wall_ns",
+                                    metrics.wall_ns,
+                                );
                             }
-                            // Another worker is mid-shard; if it dies,
-                            // its job comes back to the queue. Stay
-                            // alive to pick it up.
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                            continue;
-                        };
-                        match dispatch(&mut stdin, &mut stdout, &queued.job) {
-                            Ok((reply, metrics)) => {
-                                let shard_id = reply.shard_id();
-                                if tnm_obs::enabled() {
-                                    // Fold the worker's per-job metrics
-                                    // into the coordinator's registry
-                                    // and re-emit its wall time as a
-                                    // synthetic walk span, so one trace
-                                    // shows the whole run.
-                                    tnm_obs::global().apply(&metrics.obs);
-                                    tnm_obs::histogram_record_ns(
-                                        "distributed.shard_wall_ns",
-                                        metrics.wall_ns,
-                                    );
-                                }
-                                if tnm_obs::enabled() || trace.is_some() {
-                                    tnm_obs::record_span(
-                                        "distributed.walk",
-                                        metrics.wall_ns,
-                                        &[("shard", shard_id.to_string())],
-                                    );
-                                }
-                                if let Some(ctx) = trace {
-                                    // Stitch the worker's shipped spans
-                                    // into this process's trace: re-mint
-                                    // ids, attach their roots under the
-                                    // request's parent span, and shift
-                                    // their zero-based clocks to "the
-                                    // walk started wall_ns ago".
-                                    tnm_obs::inject_spans(
-                                        metrics.spans,
-                                        ctx.parent_span,
-                                        tnm_obs::now_ns().saturating_sub(metrics.wall_ns),
-                                    );
-                                }
-                                let _merge = tnm_obs::span!("distributed.merge", shard = shard_id);
-                                apply_reply(projection, reply, merged);
-                                pending.fetch_sub(1, Ordering::Release);
+                            if tnm_obs::enabled() || trace.is_some() {
+                                tnm_obs::record_span(
+                                    "distributed.walk",
+                                    metrics.wall_ns,
+                                    &[("shard", shard_id.to_string())],
+                                );
                             }
-                            Err(e) => {
-                                // Crash detected: hand the shard to the
-                                // survivors — with its failure history,
-                                // so a *poisoned* shard that keeps
-                                // killing workers is diagnosable from
-                                // the final error — and retire this
-                                // worker.
-                                queued.attempts += 1;
-                                queued.last_error = Some(e.to_string());
-                                queue.lock().expect("job queue poisoned").push_back(queued);
-                                tnm_obs::counter_add("distributed.workers_lost", 1);
-                                tnm_obs::counter_add("distributed.jobs_rescheduled", 1);
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                return;
+                            if let Some(ctx) = trace {
+                                // Stitch the worker's shipped spans
+                                // into this process's trace: re-mint
+                                // ids, attach their roots under the
+                                // request's parent span, and shift
+                                // their zero-based clocks to "the
+                                // walk started wall_ns ago".
+                                tnm_obs::inject_spans(
+                                    metrics.spans,
+                                    ctx.parent_span,
+                                    tnm_obs::now_ns().saturating_sub(metrics.wall_ns),
+                                );
                             }
+                            let _merge = tnm_obs::span!("distributed.merge", shard = shard_id);
+                            apply_reply(projection, reply, merged);
+                            pending.fetch_sub(1, Ordering::Release);
+                        }
+                        Err(e) => {
+                            // Crash detected: hand the shard to the
+                            // survivors — with its failure history,
+                            // so a *poisoned* shard that keeps
+                            // killing workers is diagnosable from
+                            // the final error — and retire this
+                            // worker.
+                            queued.attempts += 1;
+                            queued.last_error = Some(e.to_string());
+                            queue.lock().expect("job queue poisoned").push_back(queued);
+                            tnm_obs::counter_add("distributed.workers_lost", 1);
+                            tnm_obs::counter_add("distributed.jobs_rescheduled", 1);
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            return;
                         }
                     }
-                    let _ = wire::write_frame(&mut stdin, KIND_SHUTDOWN, &[]);
-                    let _ = stdin.flush();
-                    drop(stdin);
-                    let _ = child.wait();
-                });
-            }
-        });
-        let outstanding = pending.load(Ordering::Acquire);
-        if outstanding > 0 {
-            // Name the shards and their failure history: "one poisoned
-            // shard job killed each worker in turn" reads very
-            // differently from "the cluster went down", and the
-            // operator needs to know which.
-            let leftovers: Vec<String> = queue
-                .lock()
-                .expect("job queue poisoned")
-                .iter()
-                .map(|q| match (&q.last_error, q.attempts) {
-                    (Some(err), n) => {
-                        format!("shard {} ({n} failed attempts; last: {err})", q.job.shard_id)
-                    }
-                    (None, _) => format!("shard {} (never attempted)", q.job.shard_id),
-                })
-                .collect();
-            panic!(
-                "distributed engine: every worker died with {outstanding} shard(s) uncounted: {}",
-                leftovers.join("; ")
-            );
+                }
+                let _ = wire::write_frame(&mut stdin, KIND_SHUTDOWN, &[]);
+                let _ = stdin.flush();
+                drop(stdin);
+                let _ = child.wait();
+            });
         }
-        let stats =
-            DistributedRunStats { shards, workers_spawned: spawned.load(Ordering::Relaxed) };
-        let counts = merged.into_inner().expect("merged counts poisoned");
-        (counts, stats)
+    });
+    let outstanding = pending.load(Ordering::Acquire);
+    if outstanding > 0 {
+        // Name the shards and their failure history: "one poisoned
+        // shard job killed each worker in turn" reads very
+        // differently from "the cluster went down", and the
+        // operator needs to know which.
+        let leftovers: Vec<String> = queue
+            .lock()
+            .expect("job queue poisoned")
+            .iter()
+            .map(|q| match (&q.last_error, q.attempts) {
+                (Some(err), n) => {
+                    format!("shard {} ({n} failed attempts; last: {err})", q.job.shard_id)
+                }
+                (None, _) => format!("shard {} (never attempted)", q.job.shard_id),
+            })
+            .collect();
+        panic!(
+            "sharded engine: every worker died with {outstanding} shard(s) uncounted: {}",
+            leftovers.join("; ")
+        );
     }
+    let counts = merged.into_inner().expect("merged counts poisoned");
+    (counts, spawned.load(Ordering::Relaxed))
 }
 
 /// One work-queue entry: the job plus its failure history, so the
@@ -441,7 +287,7 @@ struct QueuedJob {
     last_error: Option<String>,
 }
 
-fn spawn_worker(bin: &PathBuf, exit_after: Option<usize>) -> std::io::Result<Child> {
+fn spawn_worker(bin: &Path, exit_after: Option<usize>) -> std::io::Result<Child> {
     let mut cmd = Command::new(bin);
     cmd.arg("worker").stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::inherit());
     if let Some(jobs) = exit_after {
@@ -526,43 +372,11 @@ fn apply_reply(
     }
 }
 
-impl CountEngine for DistributedEngine {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: self.config.workers > 1,
-            windowed_pruning: true,
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
-    }
-
-    fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
-        self.count_with_stats(graph, cfg).0
-    }
-
-    /// Per-instance callbacks cannot cross a process boundary, so
-    /// enumeration delegates to the in-process sharded engine over the
-    /// same plan geometry — identical instances in the serial engines'
-    /// deterministic order.
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        ShardedEngine::new(self.config.shard_events).enumerate(graph, cfg, callback);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::constraints::Timing;
-    use tnm_graph::TemporalGraphBuilder;
+    use crate::engine::{CountEngine, EnumConfig, ShardedEngine, WindowedEngine};
+    use tnm_graph::{TemporalGraph, TemporalGraphBuilder};
 
     fn graph(events: usize) -> TemporalGraph {
         let mut b = TemporalGraphBuilder::new();
@@ -582,13 +396,15 @@ mod tests {
         // Unbounded timing: one shard, no processes.
         let unbounded = EnumConfig::new(3, 3);
         let (counts, stats) =
-            DistributedEngine::new(4).with_shard_events(16).count_with_stats(&g, &unbounded);
+            ShardedEngine::new(16).with_workers(4).count_with_stats(&g, &unbounded);
         assert_eq!(stats.shards, 1);
         assert_eq!(stats.workers_spawned, 0);
         assert_eq!(counts, WindowedEngine.count(&g, &unbounded));
         // Shard target at the graph size: same degeneration.
         let bounded = EnumConfig::new(3, 3).with_timing(Timing::only_w(10));
-        let (counts, stats) = DistributedEngine::new(2).count_with_stats(&g, &bounded);
+        let (counts, stats) = ShardedEngine::new(crate::engine::DEFAULT_SHARD_EVENTS)
+            .with_workers(2)
+            .count_with_stats(&g, &bounded);
         assert_eq!(stats.shards, 1);
         assert_eq!(counts, WindowedEngine.count(&g, &bounded));
     }
@@ -597,8 +413,8 @@ mod tests {
     fn bogus_worker_binary_panics_rather_than_undercounts() {
         let g = graph(200);
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(8));
-        let engine = DistributedEngine::new(2)
-            .with_shard_events(25)
+        let engine = ShardedEngine::new(25)
+            .with_workers(2)
             .with_worker_bin("/nonexistent/definitely-not-tnm");
         // An explicit-but-bogus binary is a spawn failure per worker,
         // not a quiet fallback: every worker is lost, and a run with
@@ -610,14 +426,14 @@ mod tests {
 
     #[test]
     fn engine_name_and_caps() {
-        let e = DistributedEngine::new(4).with_shard_events(100);
-        assert_eq!(e.name(), "distributed");
+        let e = ShardedEngine::new(100).with_workers(4);
+        assert_eq!(e.name(), "sharded");
         assert!(e.capabilities().parallel);
         assert!(e.capabilities().windowed_pruning);
         assert!(e.capabilities().deterministic_enumeration);
-        assert!(!DistributedEngine::new(1).capabilities().parallel);
+        assert!(!ShardedEngine::new(100).with_workers(1).capabilities().parallel);
         assert_eq!(e.config().workers, 4);
         assert_eq!(e.config().shard_events, 100);
-        assert_eq!(DistributedEngine::new(0).config().workers, 1);
+        assert_eq!(ShardedEngine::new(100).with_workers(0).config().workers, 0);
     }
 }

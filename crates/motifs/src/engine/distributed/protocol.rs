@@ -7,7 +7,7 @@
 //!
 //! | kind | direction | payload |
 //! |---|---|---|
-//! | [`KIND_JOB`] | coordinator → worker | [`WorkerJob`]: shard id, spilled-shard path, node-id space, owned start range, full [`EnumConfig`] |
+//! | [`KIND_JOB`] | coordinator → worker | [`WorkerJob`]: shard id, shard-file path, node-id space, owned start range, full [`EnumConfig`] |
 //! | [`KIND_COUNTS`] | worker → coordinator | shard id + per-signature counts |
 //! | [`KIND_INDUCED`] | worker → coordinator | shard id + a `last` marker + a batch of [`InducedGroup`]s — instances aggregated by (signature, node set, covered edges) for the coordinator's inducedness recheck; large replies span several frames, reassembled by [`read_reply`] |
 //! | [`KIND_SHUTDOWN`] | coordinator → worker | empty: drain and exit cleanly |
@@ -60,7 +60,7 @@ pub(crate) const INDUCED_GROUP_BATCH: usize = 200_000;
 pub(crate) struct WorkerJob {
     /// Plan-wide shard id; echoed in the reply.
     pub shard_id: u32,
-    /// Path of the spilled shard file
+    /// Path of the shard file
     /// ([`io::write_events_raw`](tnm_graph::io::write_events_raw) block).
     pub shard_path: String,
     /// The parent graph's node-id space (shard events keep parent ids).

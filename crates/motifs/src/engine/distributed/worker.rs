@@ -1,39 +1,31 @@
-//! The worker side of the distributed engine: a frame-driven loop any
-//! process can run over a pair of byte streams.
+//! The worker side of the sharded engine's process transport: a
+//! frame-driven loop any process can run over a pair of byte streams.
 //!
 //! The `tnm` CLI exposes this as the hidden `tnm worker` subcommand;
 //! the coordinator spawns N such processes and speaks the
 //! [`protocol`](super::protocol) frames over their stdin/stdout. The
-//! loop is deliberately dumb: read a job frame, load the spilled shard
-//! it names, count (or enumerate) the shard's **owned** start events
-//! with the shared walker, write one reply frame, flush, repeat until a
+//! loop is deliberately dumb: read a job frame, load the shard file it
+//! names, run the sharded engine's per-shard walk over the shard's
+//! **owned** start events, write one reply frame, flush, repeat until a
 //! shutdown frame or EOF. All policy — scheduling, rescheduling after a
 //! crash, merging, the static-inducedness recheck — lives with the
 //! coordinator.
 //!
 //! A worker never sees the parent graph. The one predicate that needs
-//! it, static inducedness, is stripped from the shipped configuration
-//! before walking (exactly like the in-process sharded driver) and the
-//! instances go back aggregated by their inducedness-relevant structure
-//! — `(signature, node set, covered edges)` groups — for the
-//! coordinator to filter, one verdict per group.
+//! it, static inducedness, is stripped by the per-shard walk (exactly as
+//! in the in-thread transport) and the instances go back aggregated by
+//! their inducedness-relevant structure — `(signature, node set,
+//! covered edges)` groups — for the coordinator to filter, one verdict
+//! per group.
 
 use super::protocol::{
-    decode_job, encode_reply, InducedGroup, ReplyMetrics, WorkerJob, WorkerReply, KIND_JOB,
-    KIND_SHUTDOWN,
+    decode_job, encode_reply, ReplyMetrics, WorkerJob, WorkerReply, KIND_JOB, KIND_SHUTDOWN,
 };
-use crate::count::MotifCounts;
-use crate::engine::parallel::{work_steal_count, work_steal_map, DEFAULT_STEAL_CHUNK};
-use crate::engine::walker::{Walker, WindowedCandidates};
-use crate::notation::MotifSignature;
+use crate::engine::ShardWalk;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use tnm_graph::wire::{self, WireError};
-use tnm_graph::{window_index::WindowIndex, EventIdx, TemporalGraph};
-
-/// Aggregation key of one induced group: sorted node set plus sorted
-/// covered directed edges (parent-id space).
-type GroupKey = (MotifSignature, Vec<u32>, Vec<(u32, u32)>);
+use tnm_graph::TemporalGraph;
 
 /// Runs the worker loop until a shutdown frame or a clean EOF on
 /// `input`. `exit_after` is fault injection for the crash-rescheduling
@@ -129,7 +121,8 @@ fn normalize_spans(mut spans: Vec<tnm_obs::SpanRecord>) -> Vec<tnm_obs::SpanReco
     spans
 }
 
-/// Loads the job's shard and counts (or enumerates) its owned starts.
+/// Loads and validates the job's shard file, then walks its owned
+/// starts into a counts or induced-groups reply.
 fn serve_job(job: &WorkerJob) -> Result<WorkerReply, WireError> {
     let file = std::fs::File::open(&job.shard_path)?;
     let events = tnm_graph::io::read_events_raw(file).map_err(|e| match e {
@@ -159,98 +152,14 @@ fn serve_job(job: &WorkerJob) -> Result<WorkerReply, WireError> {
         )));
     }
     let graph = TemporalGraph::from_sorted_events(events, job.num_nodes);
-    // Same split as the in-process sharded driver: the walk never
-    // evaluates static inducedness — a time slice cannot answer
-    // whole-timeline `has_edge` — so either the caller did not ask for
-    // it, or aggregated induced groups go back for the coordinator's
-    // per-group recheck.
-    let mut local_cfg = job.cfg.clone();
-    local_cfg.static_induced = false;
-    let index = WindowIndex::build(&graph);
+    let walk = ShardWalk::new(&graph, own, &job.cfg);
     let threads = (job.threads as usize).max(1);
-    if job.want_induced {
-        // Aggregate by inducedness-relevant structure: the verdict
-        // depends only on (node set, covered edges), so one group per
-        // distinct combination bounds the reply by structure, not by
-        // instance count. Shard node ids are parent ids already.
-        // Per-worker maps merge with u64 additions (commutative), and
-        // the final sort makes the reply bytes deterministic at any
-        // thread count.
-        let tally = |map: &mut HashMap<GroupKey, u64>, sig: MotifSignature, evs: &[EventIdx]| {
-            let mut nodes: Vec<u32> = Vec::with_capacity(2 * evs.len());
-            let mut covered: Vec<(u32, u32)> = Vec::with_capacity(evs.len());
-            for &idx in evs {
-                let e = graph.event(idx);
-                nodes.push(e.src.0);
-                nodes.push(e.dst.0);
-                covered.push((e.src.0, e.dst.0));
-            }
-            nodes.sort_unstable();
-            nodes.dedup();
-            covered.sort_unstable();
-            covered.dedup();
-            *map.entry((sig, nodes, covered)).or_insert(0) += 1;
-        };
-        let mut groups: HashMap<GroupKey, u64> = HashMap::new();
-        if threads > 1 && own.len() > 1 {
-            let base = own.start;
-            let locals = work_steal_map(
-                own.len(),
-                threads,
-                DEFAULT_STEAL_CHUNK,
-                || {
-                    (
-                        Walker::new(&graph, &local_cfg, WindowedCandidates::new(&index)),
-                        HashMap::<GroupKey, u64>::new(),
-                    )
-                },
-                |state, claimed| {
-                    let (walker, map) = state;
-                    walker.run_range(base + claimed.start..base + claimed.end, |inst| {
-                        tally(map, inst.signature, inst.events)
-                    });
-                },
-            );
-            for (_, local) in locals {
-                for (key, n) in local {
-                    *groups.entry(key).or_insert(0) += n;
-                }
-            }
-        } else {
-            let mut walker = Walker::new(&graph, &local_cfg, WindowedCandidates::new(&index));
-            walker.run_range(own, |inst| tally(&mut groups, inst.signature, inst.events));
-        }
-        let mut groups: Vec<InducedGroup> = groups
-            .into_iter()
-            .map(|((signature, nodes, covered), count)| InducedGroup {
-                signature,
-                nodes,
-                covered,
-                count,
-            })
-            .collect();
-        // Deterministic reply bytes regardless of hash-map order.
-        groups.sort_unstable_by(|a, b| {
-            (a.signature, &a.nodes, &a.covered).cmp(&(b.signature, &b.nodes, &b.covered))
-        });
-        Ok(WorkerReply::Induced { shard_id: job.shard_id, groups })
-    } else if threads > 1 && own.len() > 1 {
-        let counts = work_steal_count(
-            &graph,
-            &local_cfg,
-            own,
-            threads,
-            DEFAULT_STEAL_CHUNK,
-            || WindowedCandidates::new(&index),
-            |local, inst| local.add(inst.signature, 1),
-        );
-        Ok(WorkerReply::Counts { shard_id: job.shard_id, counts })
+    let shard_id = job.shard_id;
+    Ok(if job.want_induced {
+        WorkerReply::Induced { shard_id, groups: walk.induced_groups(threads) }
     } else {
-        let mut counts = MotifCounts::new();
-        let mut walker = Walker::new(&graph, &local_cfg, WindowedCandidates::new(&index));
-        walker.run_range(own, |inst| counts.add(inst.signature, 1));
-        Ok(WorkerReply::Counts { shard_id: job.shard_id, counts })
-    }
+        WorkerReply::Counts { shard_id, counts: walk.count(threads, |_| true) }
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! profitable execution strategy varies with the workload: graph size,
 //! timing tightness, available cores, and whether the log fits in
 //! memory at all. This module makes the strategy a value: a
-//! [`CountEngine`] trait with seven interchangeable implementations,
+//! [`CountEngine`] trait with six interchangeable implementations,
 //! selectable programmatically via [`EngineKind`] or from the CLI via
 //! `--engine`.
 //!
@@ -17,8 +17,7 @@
 //! | [`BacktrackEngine`] | serial walk, plain node-index scans | tiny graphs or unbounded timing, where building an index outweighs pruning; also the reference for differential tests |
 //! | [`WindowedEngine`] | serial walk, [`WindowIndex`](tnm_graph::WindowIndex) binary-search pruning | bounded ΔC/ΔW on one core — the best single-threaded walker for realistic in-memory workloads |
 //! | [`ParallelEngine`] | work-stealing workers over the windowed index | large graphs on multi-core hardware with enough admissible work per start event |
-//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), counted one at a time; work-stealing within a shard, optional spill to disk | very large logs under bounded timing — and the only exact option when the working set must stay below the graph size (out-of-core runs) |
-//! | [`DistributedEngine`] | coordinator/worker **processes** over the shard plan: spilled shards shipped to `tnm worker` children via the framed [`tnm_graph::wire`] protocol, crash-detected shards rescheduled onto survivors | the same huge bounded-timing logs once one process's cores are the bottleneck — the stepping stone to multi-machine runs |
+//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]) over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
 //! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
@@ -29,7 +28,7 @@
 //! [`MotifCounts`] for identical [`EnumConfig`]s — the cross-engine
 //! equivalence suite (`tests/engine_equivalence.rs`) enforces this for
 //! all four paper models, including shard cuts placed inside motif
-//! spans, the stream engine's eligibility boundary, and the distributed
+//! spans, the stream engine's eligibility boundary, and the sharded
 //! engine's process boundary (worker crashes included). The sampling
 //! engine is **approximate**: its `count` returns rounded point
 //! estimates, and its calibration is enforced by
@@ -71,7 +70,7 @@
 //! analysis drivers `table3`/`table5`/`fig5` run as batch plans, and
 //! `tnm count-batch` exposes the same API on the CLI). Under `Auto`,
 //! each group's engine is chosen from its widest-reach member;
-//! sharded/distributed/sampling kinds run each config solo, since their
+//! sharded/sampling kinds run each config solo, since their
 //! per-run setup is not shareable.
 //!
 //! ## The Query API
@@ -147,15 +146,15 @@
 //! |---|---|---|
 //! | walkers | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
 //! | caches | — | `cache.{index,proj}.{hits,misses,rejected}`, `cache.{index,proj}.verify_ns` |
-//! | shard store | `walk.shard{shard}` | `shard.{loads,spills,evictions}`, `shard.resident_events` (peak = the canonical high-water mark) |
+//! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
 //! | stream DPs | — | `stream.pair.{pairs_swept,groups_advanced,window_events}`, `stream.star.{centers_swept,center_events}`, `stream.triad.{triangles_swept,groups_advanced,window_events}` |
-//! | distributed | `distributed.{plan,spill,spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
+//! | sharded, worker processes | `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
 //! | query API | `query.{count,report,enumerate,batch}{engine,threads}` — the root of every [`Query::run`] | — |
 //! | serve | `serve.query{graph,kind}`, `serve.subscribe{graph}` — per-request roots when the trace flag is set | `serve.{queries,appends}`, `serve.query.{count,report,enumerate,batch}_ns`, `serve.connection_frames`, `serve.subscription_advance_ns` |
 //!
 //! Workers ship their per-job metrics snapshot (plus wall time) inside
 //! reply frames; the coordinator folds them into its own registry, so
-//! one trace and one snapshot describe a whole distributed run —
+//! one trace and one snapshot describe a whole worker-process run —
 //! per-shard wall times make stragglers visible. When a request-scoped
 //! trace is active ([`tnm_obs::TraceCtx`], set by the serve trace flag
 //! or `tnm client --trace`), workers additionally ship their **span
@@ -184,9 +183,7 @@ mod windowed;
 pub use backtrack::BacktrackEngine;
 pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner, WalkDriver};
 pub use config::{ConfigError, EnumConfig, MotifInstance};
-pub use distributed::{
-    run_worker, DistributedConfig, DistributedEngine, DistributedRunStats, DEFAULT_WORKERS,
-};
+pub use distributed::run_worker;
 pub use parallel::{ParallelConfig, ParallelEngine, DEFAULT_STEAL_CHUNK, SERIAL_FALLBACK_EVENTS};
 pub use query::{Query, QueryError, QueryInstance, QueryResponse};
 pub use report::{t_critical_95, EngineReport, Estimate, Z_95};
@@ -195,6 +192,7 @@ pub use serve::{
     AppendAck, AppendError, ClientError, GraphStat, IncrementalStream, MotifServer, QueryLogEntry,
     ServeClient, ServeOptions, ServerHandle, ServerStats, TraceReply,
 };
+pub(crate) use sharded::ShardWalk;
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRunStats, DEFAULT_SHARD_EVENTS};
 #[doc(hidden)]
 pub use stream::hotpath as stream_hotpath;
@@ -260,23 +258,14 @@ pub enum EngineKind {
     /// [`StreamEngine`]: exact count-without-enumerating fast path for
     /// eligible Paranjape-shape jobs, windowed-walker fallback otherwise.
     Stream,
-    /// [`ShardedEngine`] over time-slice shards (exact; spills to disk
-    /// when `max_resident_shards > 0`).
+    /// [`ShardedEngine`] over time-slice shards (exact).
     Sharded {
         /// Target owned start events per shard.
         shard_events: usize,
-        /// `0` = in-memory; `n > 0` = spill mode keeping ≤ `n` shards
-        /// resident.
-        max_resident_shards: usize,
-    },
-    /// [`DistributedEngine`]: the shard plan farmed out to worker
-    /// **processes** over the framed wire protocol (exact; crash-
-    /// detected shards are rescheduled onto surviving workers).
-    Distributed {
-        /// Worker processes to spawn.
+        /// `0` = walk the shards in this thread; `n > 0` = ship them to
+        /// `n` worker processes over the framed wire protocol (crash-
+        /// detected shards are rescheduled onto surviving workers).
         workers: usize,
-        /// Target owned start events per shard.
-        shard_events: usize,
     },
     /// [`SamplingEngine`] with the given budget and seed (approximate).
     Sampling {
@@ -323,11 +312,11 @@ pub const STREAM_MIN_WINDOW_EVENTS: f64 = 1.0;
 pub const SHARDED_MIN_EVENTS: usize = 262_144;
 
 /// From this many events up — four sharded thresholds — [`auto_select`]
-/// escalates a bounded-reach, multi-worker workload from the in-process
-/// sharded engine to [`EngineKind::Distributed`]: the shard plan is the
-/// same, but per-shard index builds and walks move to worker processes,
-/// so the coordinator's address space holds only the parent graph and
-/// the merge. Like the sharded rule it requires a bounded admissible
+/// moves a bounded-reach, multi-worker workload from the sharded
+/// engine's in-thread transport to its worker processes: the shard plan
+/// is the same, but per-shard index builds and walks move out of this
+/// process, so the coordinator's address space holds only the parent
+/// graph and the merge. Like the sharded rule it requires a bounded admissible
 /// reach, and additionally a worker budget above one — a single worker
 /// would pay process spawn and wire framing for the sharded engine's
 /// exact work.
@@ -363,12 +352,13 @@ fn expected_window_events(graph: &TemporalGraph, cfg: &EnumConfig) -> f64 {
 ///    [`EngineKind::Backtrack`] (nothing to prune; skip the index build);
 /// 3. at least [`DISTRIBUTED_MIN_EVENTS`] events with a bounded
 ///    admissible reach and a worker budget above one →
-///    [`EngineKind::Distributed`] (the thread budget becomes the worker
-///    count; counting leaves the coordinator's address space);
+///    [`EngineKind::Sharded`] with `workers` = the thread budget
+///    (counting leaves the coordinator's address space);
 /// 4. at least [`SHARDED_MIN_EVENTS`] events with a bounded admissible
 ///    reach ([`EnumConfig::admissible_reach`]) →
-///    [`EngineKind::Sharded`] (bounded working set; the within-shard
-///    executor still uses the thread budget);
+///    [`EngineKind::Sharded`] in this thread (`workers = 0`; bounded
+///    working set; the within-shard executor still uses the thread
+///    budget);
 /// 5. more than one thread, at least [`SERIAL_FALLBACK_EVENTS`] events,
 ///    **and** at least [`PARALLEL_MIN_WINDOW_EVENTS`] expected events
 ///    per ΔC/ΔW window → [`EngineKind::Parallel`] (enough work per start
@@ -475,14 +465,13 @@ pub fn explain_auto_select(
     }
     if threads > 1 && m >= DISTRIBUTED_MIN_EVENTS && bounded_reach {
         explain.chosen =
-            EngineKind::Distributed { workers: threads, shard_events: DEFAULT_SHARD_EVENTS };
+            EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: threads };
         explain.rule = 3;
         explain.reason = "huge bounded-reach graph with a worker budget; leave the address space";
         return explain;
     }
     if m >= SHARDED_MIN_EVENTS && bounded_reach {
-        explain.chosen =
-            EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, max_resident_shards: 0 };
+        explain.chosen = EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 };
         explain.rule = 4;
         explain.reason = "large bounded-reach graph; time slices keep the working set small";
         return explain;
@@ -498,14 +487,16 @@ pub fn explain_auto_select(
 
 impl EngineKind {
     /// Every concrete **exact** kind (excludes `Auto` and the
-    /// approximate sampler), for sweeps and benches.
+    /// approximate sampler), for sweeps and benches. The sharded engine
+    /// appears once per transport: in this thread and on two worker
+    /// processes.
     pub const CONCRETE: [EngineKind; 6] = [
         EngineKind::Backtrack,
         EngineKind::Windowed,
         EngineKind::Parallel,
         EngineKind::Stream,
-        EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, max_resident_shards: 0 },
-        EngineKind::Distributed { workers: DEFAULT_WORKERS, shard_events: DEFAULT_SHARD_EVENTS },
+        EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 },
+        EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 2 },
     ];
 
     /// The exact kinds as a slice — the registry the cross-engine
@@ -522,15 +513,9 @@ impl EngineKind {
     }
 
     /// The sharded kind with an explicit per-shard event target and
-    /// resident budget (`0` = in-memory).
-    pub fn sharded(shard_events: usize, max_resident_shards: usize) -> EngineKind {
-        EngineKind::Sharded { shard_events, max_resident_shards }
-    }
-
-    /// The distributed kind with explicit worker-process and per-shard
-    /// event targets.
-    pub fn distributed(workers: usize, shard_events: usize) -> EngineKind {
-        EngineKind::Distributed { workers, shard_events }
+    /// worker-process count (`0` = walk the shards in this thread).
+    pub fn sharded(shard_events: usize, workers: usize) -> EngineKind {
+        EngineKind::Sharded { shard_events, workers }
     }
 
     /// Instantiates the engine, resolving `Auto` against the workload
@@ -546,26 +531,16 @@ impl EngineKind {
             EngineKind::Windowed => Box::new(WindowedEngine),
             EngineKind::Parallel => Box::new(ParallelEngine::new(threads)),
             EngineKind::Stream => Box::new(StreamEngine),
-            EngineKind::Sharded { shard_events, max_resident_shards } => {
-                let mut engine =
-                    ShardedEngine::new(shard_events.max(1)).with_threads(threads.max(1));
-                if max_resident_shards > 0 {
-                    engine = engine.with_max_resident(max_resident_shards);
-                }
-                Box::new(engine)
-            }
-            EngineKind::Distributed { workers, shard_events } => {
-                let workers = workers.max(1);
-                // The thread budget spreads across the worker
-                // processes: T threads over W workers gives each worker
-                // ⌊T/W⌋ (at least 1) within-shard threads, keeping
-                // total parallelism at the budget instead of W × T —
-                // and keeping auto-resolved runs (workers = threads)
-                // from oversubscribing quadratically.
+            EngineKind::Sharded { shard_events, workers } => {
+                // The thread budget spreads across worker processes: T
+                // threads over W workers gives each worker ⌊T/W⌋ (at
+                // least 1) within-shard threads, keeping total
+                // parallelism at the budget instead of W × T — and
+                // keeping auto-resolved runs (workers = threads) from
+                // oversubscribing quadratically.
+                let threads = (threads.max(1) / workers.max(1)).max(1);
                 Box::new(
-                    DistributedEngine::new(workers)
-                        .with_shard_events(shard_events.max(1))
-                        .with_worker_threads((threads.max(1) / workers).max(1)),
+                    ShardedEngine::new(shard_events).with_workers(workers).with_threads(threads),
                 )
             }
             EngineKind::Sampling { samples, seed } => {
@@ -590,7 +565,7 @@ impl EngineKind {
     /// across compatible configs (see the [`batch`](self) planner):
     /// stream-eligible ΔW groups share one DP pass, walk-shaped groups
     /// share one widest-timing walk with per-config emission masks, and
-    /// unshareable kinds (sharded/distributed/sampling) run each config
+    /// unshareable kinds (sharded/sampling) run each config
     /// solo. `out[i]` is bit-identical to `self.count(graph, &cfgs[i],
     /// threads)` — enforced by `tests/batch_planner.rs`. Under `Auto`,
     /// each group's engine is chosen from its widest-reach member.
@@ -613,14 +588,7 @@ impl std::str::FromStr for EngineKind {
             "windowed" => Ok(EngineKind::Windowed),
             "parallel" => Ok(EngineKind::Parallel),
             "stream" => Ok(EngineKind::Stream),
-            "sharded" => Ok(EngineKind::Sharded {
-                shard_events: DEFAULT_SHARD_EVENTS,
-                max_resident_shards: 0,
-            }),
-            "distributed" => Ok(EngineKind::Distributed {
-                workers: DEFAULT_WORKERS,
-                shard_events: DEFAULT_SHARD_EVENTS,
-            }),
+            "sharded" => Ok(EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 }),
             "sampling" => Ok(EngineKind::Sampling {
                 samples: DEFAULT_SAMPLING_BUDGET as u32,
                 seed: DEFAULT_SAMPLING_SEED,
@@ -639,7 +607,6 @@ impl std::fmt::Display for EngineKind {
             EngineKind::Parallel => "parallel",
             EngineKind::Stream => "stream",
             EngineKind::Sharded { .. } => "sharded",
-            EngineKind::Distributed { .. } => "distributed",
             EngineKind::Sampling { .. } => "sampling",
             EngineKind::Auto => "auto",
         };
@@ -658,7 +625,7 @@ impl std::fmt::Display for ParseEngineError {
         write!(
             f,
             "unknown engine `{}` (expected backtrack, windowed, parallel, stream, sharded, \
-             distributed, sampling, or auto)",
+             sampling, or auto)",
             self.got
         )
     }
@@ -714,17 +681,12 @@ mod tests {
             EngineKind::sharded(DEFAULT_SHARD_EVENTS, 0),
         );
         assert_eq!(EngineKind::sharded(512, 4).to_string(), "sharded");
-        assert_eq!(
-            "distributed".parse::<EngineKind>().unwrap(),
-            EngineKind::distributed(DEFAULT_WORKERS, DEFAULT_SHARD_EVENTS),
-        );
-        assert_eq!(EngineKind::distributed(4, 512).to_string(), "distributed");
+        assert!("distributed".parse::<EngineKind>().is_err());
         assert!("bogus".parse::<EngineKind>().is_err());
         let msg = "bogus".parse::<EngineKind>().unwrap_err().to_string();
         assert!(msg.contains("sampling"), "error must list all engines: {msg}");
         assert!(msg.contains("sharded"), "error must list all engines: {msg}");
         assert!(msg.contains("stream"), "error must list all engines: {msg}");
-        assert!(msg.contains("distributed"), "error must list all engines: {msg}");
     }
 
     /// Sweeps and benches iterate [`EngineKind::all_exact`]; the stream
@@ -737,11 +699,11 @@ mod tests {
         assert_eq!(EngineKind::all_exact(), EngineKind::CONCRETE);
         assert!(!EngineKind::all_exact().contains(&EngineKind::Auto));
         assert!(!EngineKind::all_exact().iter().any(|k| matches!(k, EngineKind::Sampling { .. })));
-        // The first cross-process engine must sit in the registry too,
-        // or the equivalence sweep never crosses a process boundary.
+        // The worker-process transport must sit in the registry too, or
+        // the equivalence sweep never crosses a process boundary.
         assert!(EngineKind::all_exact()
             .iter()
-            .any(|k| matches!(k, EngineKind::Distributed { .. })));
+            .any(|k| matches!(k, EngineKind::Sharded { workers, .. } if *workers > 0)));
     }
 
     /// Pins the [`auto_select`] table: each row is (events, span,
@@ -807,8 +769,8 @@ mod tests {
             // one worker — nothing to distribute — so the same graph
             // falls through to the sharded rule; stream eligibility
             // still outranks everything.
-            (&mega, &loose_w4, 8, EngineKind::distributed(8, DEFAULT_SHARD_EVENTS)),
-            (&mega, &loose_c, 2, EngineKind::distributed(2, DEFAULT_SHARD_EVENTS)),
+            (&mega, &loose_w4, 8, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 8)),
+            (&mega, &loose_c, 2, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 2)),
             (&mega, &loose_w4, 1, sharded_default),
             (&mega, &unbounded, 8, EngineKind::Parallel),
             (&mega, &loose_w, 8, EngineKind::Stream),
@@ -855,15 +817,11 @@ mod tests {
             // on its own: estimation is an explicit caller choice.
             assert!(!matches!(got, EngineKind::Sampling { .. }));
         }
-        // Explicit approximate/sharded/distributed kinds resolve to
-        // their engines with parameters intact, bypassing the table.
+        // Explicit approximate/sharded kinds resolve to their engines
+        // with parameters intact, bypassing the table.
         assert_eq!(EngineKind::sampling(32, 5).engine_for(&tiny, &loose_w, 4).name(), "sampling");
         assert_eq!(EngineKind::sharded(64, 2).engine_for(&tiny, &loose_w, 4).name(), "sharded");
         assert_eq!(sharded_default.engine_for(&huge, &loose_w, 8).name(), "sharded");
-        assert_eq!(
-            EngineKind::distributed(2, 64).engine_for(&tiny, &loose_w, 4).name(),
-            "distributed"
-        );
     }
 
     /// [`explain_auto_select`] shows its working: the chosen kind always
@@ -921,7 +879,7 @@ mod tests {
         assert!(shard.capabilities().windowed_pruning);
         assert!(shard.capabilities().deterministic_enumeration);
         assert!(shard.with_threads(4).capabilities().parallel);
-        let dist = DistributedEngine::new(2);
+        let dist = ShardedEngine::new(128).with_workers(2);
         assert!(dist.capabilities().parallel);
         assert!(dist.capabilities().windowed_pruning);
         assert!(dist.capabilities().deterministic_enumeration);

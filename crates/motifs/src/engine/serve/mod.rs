@@ -98,6 +98,7 @@ pub use protocol::{AppendAck, GraphStat, QueryLogEntry, ServerStats, TraceReply}
 
 use crate::engine::query::Query;
 use crate::engine::serve::incremental::check_batch;
+use crate::engine::EngineKind;
 use protocol::*;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
@@ -112,8 +113,9 @@ use tnm_graph::{Event, TemporalGraph};
 /// Tunables for a [`MotifServer`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Ceiling on any single request's thread budget (requests ask for
-    /// their own budget; the server clamps it here).
+    /// Ceiling on any single request's thread budget and on the sharded
+    /// engine's worker processes (requests ask for their own; the server
+    /// clamps them here).
     pub max_threads: usize,
     /// Ceiling on instances materialized per enumerate response, so a
     /// reply always fits the frame-payload limit.
@@ -686,24 +688,32 @@ fn run_traced<T>(
     (out, tnm_obs::take_trace_spans(ctx.trace_id), ctx.trace_id)
 }
 
-/// Applies the server's resource ceilings to a decoded query.
+/// Applies the server's resource ceilings to a decoded query:
+/// `max_threads` caps both the thread budget and the sharded engine's
+/// worker processes (0 workers stays 0 — the in-thread transport).
 fn clamp(query: Query, options: &ServeOptions) -> Query {
     let cap = options.max_threads.max(1);
+    let engine = |engine: EngineKind| match engine {
+        EngineKind::Sharded { shard_events, workers } => {
+            EngineKind::Sharded { shard_events, workers: workers.min(cap) }
+        }
+        other => other,
+    };
     match query {
-        Query::Count { cfg, engine, threads } => {
-            Query::Count { cfg, engine, threads: threads.clamp(1, cap) }
+        Query::Count { cfg, engine: e, threads } => {
+            Query::Count { cfg, engine: engine(e), threads: threads.clamp(1, cap) }
         }
-        Query::Report { cfg, engine, threads } => {
-            Query::Report { cfg, engine, threads: threads.clamp(1, cap) }
+        Query::Report { cfg, engine: e, threads } => {
+            Query::Report { cfg, engine: engine(e), threads: threads.clamp(1, cap) }
         }
-        Query::Enumerate { cfg, engine, threads, limit } => Query::Enumerate {
+        Query::Enumerate { cfg, engine: e, threads, limit } => Query::Enumerate {
             cfg,
-            engine,
+            engine: engine(e),
             threads: threads.clamp(1, cap),
             limit: limit.min(options.enumerate_cap),
         },
-        Query::Batch { cfgs, engine, threads } => {
-            Query::Batch { cfgs, engine, threads: threads.clamp(1, cap) }
+        Query::Batch { cfgs, engine: e, threads } => {
+            Query::Batch { cfgs, engine: engine(e), threads: threads.clamp(1, cap) }
         }
     }
 }

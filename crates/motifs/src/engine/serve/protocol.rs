@@ -213,9 +213,7 @@ pub struct ServerStats {
 /// str [`EngineReport::engine`] requires. Only names the engines
 /// actually report can appear; anything else is a protocol violation.
 fn static_engine_name(name: &str) -> Result<&'static str, WireError> {
-    for known in
-        ["backtrack", "windowed", "parallel", "stream", "sharded", "distributed", "sampling"]
-    {
+    for known in ["backtrack", "windowed", "parallel", "stream", "sharded", "sampling"] {
         if name == known {
             return Ok(known);
         }
@@ -236,9 +234,8 @@ const ENGINE_TAG_WINDOWED: u8 = 1;
 const ENGINE_TAG_PARALLEL: u8 = 2;
 const ENGINE_TAG_STREAM: u8 = 3;
 const ENGINE_TAG_SHARDED: u8 = 4;
-const ENGINE_TAG_DISTRIBUTED: u8 = 5;
-const ENGINE_TAG_SAMPLING: u8 = 6;
-const ENGINE_TAG_AUTO: u8 = 7;
+const ENGINE_TAG_SAMPLING: u8 = 5;
+const ENGINE_TAG_AUTO: u8 = 6;
 
 fn put_engine(w: &mut WireWriter, kind: EngineKind) {
     match kind {
@@ -246,15 +243,10 @@ fn put_engine(w: &mut WireWriter, kind: EngineKind) {
         EngineKind::Windowed => w.put_u8(ENGINE_TAG_WINDOWED),
         EngineKind::Parallel => w.put_u8(ENGINE_TAG_PARALLEL),
         EngineKind::Stream => w.put_u8(ENGINE_TAG_STREAM),
-        EngineKind::Sharded { shard_events, max_resident_shards } => {
+        EngineKind::Sharded { shard_events, workers } => {
             w.put_u8(ENGINE_TAG_SHARDED);
             w.put_u64(shard_events as u64);
-            w.put_u64(max_resident_shards as u64);
-        }
-        EngineKind::Distributed { workers, shard_events } => {
-            w.put_u8(ENGINE_TAG_DISTRIBUTED);
             w.put_u64(workers as u64);
-            w.put_u64(shard_events as u64);
         }
         EngineKind::Sampling { samples, seed } => {
             w.put_u8(ENGINE_TAG_SAMPLING);
@@ -271,12 +263,8 @@ fn get_engine(r: &mut WireReader<'_>) -> Result<EngineKind, WireError> {
         ENGINE_TAG_WINDOWED => EngineKind::Windowed,
         ENGINE_TAG_PARALLEL => EngineKind::Parallel,
         ENGINE_TAG_STREAM => EngineKind::Stream,
-        ENGINE_TAG_SHARDED => EngineKind::Sharded {
-            shard_events: r.u64()? as usize,
-            max_resident_shards: r.u64()? as usize,
-        },
-        ENGINE_TAG_DISTRIBUTED => {
-            EngineKind::Distributed { workers: r.u64()? as usize, shard_events: r.u64()? as usize }
+        ENGINE_TAG_SHARDED => {
+            EngineKind::Sharded { shard_events: r.u64()? as usize, workers: r.u64()? as usize }
         }
         ENGINE_TAG_SAMPLING => EngineKind::Sampling { samples: r.u32()?, seed: r.u64()? },
         ENGINE_TAG_AUTO => EngineKind::Auto,
@@ -730,8 +718,8 @@ mod tests {
             EngineKind::Windowed,
             EngineKind::Parallel,
             EngineKind::Stream,
-            EngineKind::sharded(512, 2),
-            EngineKind::distributed(3, 700),
+            EngineKind::sharded(512, 0),
+            EngineKind::sharded(700, 3),
             EngineKind::sampling(64, 42),
             EngineKind::Auto,
         ];
@@ -905,6 +893,12 @@ mod tests {
         };
         let request = encode_query_request("g", &query, true);
         assert_prefixes_rejected(&request, decode_query_request);
+        let sharded = Query::Count {
+            cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
+            engine: EngineKind::sharded(64, 3),
+            threads: 2,
+        };
+        assert_prefixes_rejected(&encode_query_request("g", &sharded, false), decode_query_request);
         let mut padded = request.clone();
         padded.push(0);
         assert!(matches!(decode_query_request(&padded), Err(WireError::TrailingBytes { .. })));

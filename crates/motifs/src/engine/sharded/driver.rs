@@ -1,24 +1,145 @@
-//! Per-shard execution: serial and work-stealing walks over a shard's
-//! owned start events, with the static-inducedness check routed back to
-//! the parent graph.
+//! The per-shard walk both transports run ([`ShardWalk`]): static
+//! inducedness stripped, a shard-local window index, and a serial or
+//! work-stealing pass over the shard's owned start events. The
+//! in-thread transport counts and enumerates through it; `tnm worker`
+//! builds its count and induced-group replies with it.
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::parallel::{work_steal_count, DEFAULT_STEAL_CHUNK};
+use crate::engine::distributed::protocol::InducedGroup;
+use crate::engine::parallel::{work_steal_map, DEFAULT_STEAL_CHUNK};
 use crate::engine::walker::{Walker, WindowedCandidates};
 use crate::induced::static_induced_ok;
+use crate::notation::MotifSignature;
+use std::collections::HashMap;
+use std::ops::Range;
 use tnm_graph::shard::Shard;
 use tnm_graph::window_index::WindowIndex;
 use tnm_graph::{EventIdx, TemporalGraph};
 
-/// The configuration a shard walk runs under: identical to the caller's
-/// except that static inducedness is stripped — a time slice cannot
-/// answer whole-timeline `has_edge` queries, so that check happens
-/// against the parent at emission ([`induced_in_parent`]).
-fn shard_local_config(cfg: &EnumConfig) -> EnumConfig {
-    let mut local = cfg.clone();
-    local.static_induced = false;
-    local
+/// One shard prepared for walking. The configuration is the caller's
+/// with static inducedness stripped — a time slice cannot answer
+/// whole-timeline `has_edge` queries, so the caller re-checks that
+/// predicate against the parent (per instance in this process, per
+/// induced group on the coordinator of a worker run). The window index
+/// is built directly rather than through the global cache: shard graphs
+/// are transient, and letting them churn the LRU would evict the
+/// long-lived parent indexes other engines share.
+pub(crate) struct ShardWalk<'g> {
+    graph: &'g TemporalGraph,
+    own: Range<usize>,
+    cfg: EnumConfig,
+    index: WindowIndex,
+}
+
+impl<'g> ShardWalk<'g> {
+    /// Prepares a walk launching only from the shard-local starts `own`.
+    pub(crate) fn new(graph: &'g TemporalGraph, own: Range<usize>, cfg: &EnumConfig) -> Self {
+        let mut cfg = cfg.clone();
+        cfg.static_induced = false;
+        ShardWalk { graph, own, cfg, index: WindowIndex::build(graph) }
+    }
+
+    /// Visits the owned instances serially, in start-event order.
+    fn run(&self, visit: impl FnMut(&MotifInstance<'_>)) {
+        Walker::new(self.graph, &self.cfg, WindowedCandidates::new(&self.index))
+            .run_range(self.own.clone(), visit);
+    }
+
+    /// Folds the owned instances into accumulators: one serial pass, or
+    /// the shared work-stealing executor when `threads > 1`, returning
+    /// one accumulator per worker thread for the caller to merge.
+    fn fold<A: Send>(
+        &self,
+        threads: usize,
+        init: impl Fn() -> A + Sync,
+        visit: impl Fn(&mut A, &MotifInstance<'_>) + Sync,
+    ) -> Vec<A> {
+        if threads <= 1 || self.own.len() <= 1 {
+            let mut acc = init();
+            self.run(|inst| visit(&mut acc, inst));
+            return vec![acc];
+        }
+        let base = self.own.start;
+        work_steal_map(
+            self.own.len(),
+            threads,
+            DEFAULT_STEAL_CHUNK,
+            || (init(), Walker::new(self.graph, &self.cfg, WindowedCandidates::new(&self.index))),
+            |(acc, walker), claimed| {
+                walker.run_range(base + claimed.start..base + claimed.end, |inst| visit(acc, inst));
+            },
+        )
+        .into_iter()
+        .map(|(acc, _walker)| acc)
+        .collect()
+    }
+
+    /// Counts the owned instances that pass `keep`.
+    pub(crate) fn count(
+        &self,
+        threads: usize,
+        keep: impl Fn(&MotifInstance<'_>) -> bool + Sync,
+    ) -> MotifCounts {
+        let mut locals = self
+            .fold(threads, MotifCounts::new, |counts, inst| {
+                if keep(inst) {
+                    counts.add(inst.signature, 1);
+                }
+            })
+            .into_iter();
+        let mut counts = locals.next().unwrap_or_default();
+        for local in locals {
+            counts.merge(&local);
+        }
+        counts
+    }
+
+    /// Aggregates the owned instances by inducedness-relevant structure
+    /// for a coordinator's static-inducedness recheck. The verdict
+    /// depends only on (node set, covered edges), so one group per
+    /// distinct combination bounds the reply by structure, not by
+    /// instance count. Shard node ids are parent ids already. Per-thread
+    /// maps merge with u64 additions (commutative), and the final sort
+    /// makes the groups deterministic at any thread count.
+    pub(crate) fn induced_groups(&self, threads: usize) -> Vec<InducedGroup> {
+        type GroupKey = (MotifSignature, Vec<u32>, Vec<(u32, u32)>);
+        let tally = |map: &mut HashMap<GroupKey, u64>, inst: &MotifInstance<'_>| {
+            let mut nodes: Vec<u32> = Vec::with_capacity(2 * inst.events.len());
+            let mut covered: Vec<(u32, u32)> = Vec::with_capacity(inst.events.len());
+            for &idx in inst.events {
+                let e = self.graph.event(idx);
+                nodes.push(e.src.0);
+                nodes.push(e.dst.0);
+                covered.push((e.src.0, e.dst.0));
+            }
+            nodes.sort_unstable();
+            nodes.dedup();
+            covered.sort_unstable();
+            covered.dedup();
+            *map.entry((inst.signature, nodes, covered)).or_insert(0) += 1;
+        };
+        let mut locals = self.fold(threads, HashMap::new, tally).into_iter();
+        let mut merged = locals.next().unwrap_or_default();
+        for local in locals {
+            for (key, n) in local {
+                *merged.entry(key).or_insert(0) += n;
+            }
+        }
+        let mut groups: Vec<InducedGroup> = merged
+            .into_iter()
+            .map(|((signature, nodes, covered), count)| InducedGroup {
+                signature,
+                nodes,
+                covered,
+                count,
+            })
+            .collect();
+        groups.sort_unstable_by(|a, b| {
+            (a.signature, &a.nodes, &a.covered).cmp(&(b.signature, &b.nodes, &b.covered))
+        });
+        groups
+    }
 }
 
 /// Evaluates static inducedness of a shard-local instance against the
@@ -38,57 +159,31 @@ fn induced_in_parent(parent: &TemporalGraph, shard: &Shard, local_events: &[Even
     }
 }
 
-/// Counts one shard's owned instances, serially or via the shared
-/// work-stealing executor when `threads > 1`.
+/// Counts one in-memory shard's owned instances, re-checking static
+/// inducedness per instance against the parent.
 pub(super) fn count_shard(
     parent: &TemporalGraph,
     shard: &Shard,
     cfg: &EnumConfig,
     threads: usize,
 ) -> MotifCounts {
-    let local_cfg = shard_local_config(cfg);
-    let index = WindowIndex::build(shard.graph());
-    let own = shard.own_local();
     let need_induced = cfg.static_induced;
-    let tally = |counts: &mut MotifCounts, inst: &MotifInstance<'_>| {
-        if need_induced && !induced_in_parent(parent, shard, inst.events) {
-            return;
-        }
-        counts.add(inst.signature, 1);
-    };
-    if threads > 1 && own.len() > 1 {
-        work_steal_count(
-            shard.graph(),
-            &local_cfg,
-            own,
-            threads,
-            DEFAULT_STEAL_CHUNK,
-            || WindowedCandidates::new(&index),
-            tally,
-        )
-    } else {
-        let mut counts = MotifCounts::new();
-        let mut walker = Walker::new(shard.graph(), &local_cfg, WindowedCandidates::new(&index));
-        walker.run_range(own, |inst| tally(&mut counts, inst));
-        counts
-    }
+    ShardWalk::new(shard.graph(), shard.own_local(), cfg)
+        .count(threads, |inst| !need_induced || induced_in_parent(parent, shard, inst.events))
 }
 
-/// Enumerates one shard's owned instances in serial start order,
-/// handing the callback instances whose event indices are translated to
-/// the parent graph.
+/// Enumerates one in-memory shard's owned instances in serial start
+/// order, handing the callback instances whose event indices are
+/// translated to the parent graph.
 pub(super) fn enumerate_shard(
     parent: &TemporalGraph,
     shard: &Shard,
     cfg: &EnumConfig,
     callback: &mut dyn FnMut(&MotifInstance<'_>),
 ) {
-    let local_cfg = shard_local_config(cfg);
-    let index = WindowIndex::build(shard.graph());
     let need_induced = cfg.static_induced;
     let mut global = vec![0 as EventIdx; cfg.num_events];
-    let mut walker = Walker::new(shard.graph(), &local_cfg, WindowedCandidates::new(&index));
-    walker.run_range(shard.own_local(), |inst| {
+    ShardWalk::new(shard.graph(), shard.own_local(), cfg).run(|inst| {
         if need_induced && !induced_in_parent(parent, shard, inst.events) {
             return;
         }

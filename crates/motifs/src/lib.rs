@@ -19,10 +19,9 @@
 //! * a pluggable **counting-engine subsystem** ([`engine`]): one shared
 //!   backtracking walk behind the [`engine::CountEngine`] trait, with
 //!   serial, window-indexed, work-stealing parallel, time-slice sharded
-//!   (in-memory or spilled to disk for out-of-core runs),
-//!   **distributed** (coordinator/worker processes over the framed
-//!   [`tnm_graph::wire`] protocol, crash-detected shards rescheduled),
-//!   and interval-sampling implementations (the sampler reports
+//!   (shards walked in this thread, or shipped to worker processes over
+//!   the framed [`tnm_graph::wire`] protocol with crash-detected shards
+//!   rescheduled), and interval-sampling implementations (the sampler reports
 //!   confidence intervals through [`engine::CountEngine::report`] and
 //!   evaluates draws in parallel with bit-identical seeded results),
 //!   plus the **streaming fast path** ([`engine::StreamEngine`]) that
@@ -86,18 +85,16 @@
 //!   lock-free at join) over the windowed index. The best choice for
 //!   large graphs on multi-core hardware.
 //! * [`engine::ShardedEngine`] (`sharded`) — time-slice shards with
-//!   bounded halos ([`tnm_graph::shard`]), counted one at a time with
-//!   the work-stealing executor inside each shard; optional spill mode
-//!   serializes shards to disk and bounds peak residency for logs
-//!   larger than memory. Exact.
-//! * [`engine::DistributedEngine`] (`distributed`) — the same shard
-//!   plan farmed out to **worker processes**: the coordinator spills
-//!   every shard, spawns `tnm worker` children, ships framed job
-//!   descriptors over the [`tnm_graph::wire`] protocol, and merges the
-//!   framed count replies — with crash-detected shards rescheduled onto
-//!   surviving workers, and the one whole-timeline predicate (static
-//!   inducedness) re-checked on the coordinator against the parent
-//!   graph. Exact; the stepping stone to multi-machine merging.
+//!   bounded halos ([`tnm_graph::shard`]), each counted by the same
+//!   per-shard walk over one of two transports. With `workers = 0` the
+//!   shards are walked one at a time in this thread, work-stealing
+//!   inside each shard. With `workers = n` the coordinator writes every
+//!   shard to a temporary event file, spawns `n` `tnm worker` children,
+//!   ships framed job descriptors over the [`tnm_graph::wire`] protocol
+//!   and merges the framed count replies — with crash-detected shards
+//!   rescheduled onto surviving workers, and the one whole-timeline
+//!   predicate (static inducedness) re-checked on the coordinator
+//!   against the parent graph. Exact.
 //! * [`engine::StreamEngine`] (`stream`) — **count without
 //!   enumerating**: for eligible Paranjape-shape jobs (only-ΔW,
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the
@@ -109,14 +106,14 @@
 //!   sampling: unbiased point estimates with ~95 % confidence intervals
 //!   via [`engine::CountEngine::report`], at a fraction of exact cost on
 //!   large windows; window draws parallelize with bit-identical seeded
-//!   results. The other six engines are exact and produce identical
+//!   results. The other five engines are exact and produce identical
 //!   counts.
 //! * [`engine::EngineKind::Auto`] (`auto`, the default) — resolves per
 //!   workload via [`engine::auto_select`]: the stream fast path whenever
-//!   eligible, backtrack for small unbounded-timing jobs, distributed
-//!   for bounded-timing graphs above [`engine::DISTRIBUTED_MIN_EVENTS`]
-//!   with a multi-worker budget, sharded above
-//!   [`engine::SHARDED_MIN_EVENTS`], work-stealing parallel when the
+//!   eligible, backtrack for small unbounded-timing jobs, sharded on
+//!   worker processes for bounded-timing graphs above
+//!   [`engine::DISTRIBUTED_MIN_EVENTS`] with a multi-worker budget,
+//!   sharded in this thread above [`engine::SHARDED_MIN_EVENTS`], work-stealing parallel when the
 //!   graph and its ΔC/ΔW windows carry enough work for multiple
 //!   threads, serial windowed otherwise.
 //!

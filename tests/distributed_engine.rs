@@ -1,5 +1,5 @@
-//! Distributed-engine integration suite: real coordinator/worker
-//! process pairs over the framed wire protocol.
+//! Worker-process integration suite for the sharded engine: real
+//! coordinator/worker process pairs over the framed wire protocol.
 //!
 //! Three contracts are pinned here:
 //!
@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
-use tnm_motifs::engine::{CountEngine, DistributedEngine, WindowedEngine};
+use tnm_motifs::engine::{CountEngine, ShardedEngine, WindowedEngine};
 
 /// Seeded random graph with duplicate timestamps (ties straddle shard
 /// cuts on purpose).
@@ -45,7 +45,7 @@ fn random_graph(seed: u64, nodes: u32, events: usize, horizon: i64) -> TemporalG
 /// in-process fallback instead of the wire.
 #[test]
 fn worker_binary_resolves() {
-    let bin = DistributedEngine::worker_binary()
+    let bin = ShardedEngine::worker_binary()
         .expect("`tnm` binary not found next to the test executable — build the workspace");
     assert!(bin.is_file());
 }
@@ -60,7 +60,7 @@ fn matches_windowed_across_shard_sizes_and_workers() {
     let reference = WindowedEngine.count(&g, &cfg);
     for shard_events in [1usize, 9, 50] {
         for workers in [1usize, 2, 3] {
-            let engine = DistributedEngine::new(workers).with_shard_events(shard_events);
+            let engine = ShardedEngine::new(shard_events).with_workers(workers);
             let (counts, stats) = engine.count_with_stats(&g, &cfg);
             assert_eq!(counts, reference, "shard_events={shard_events}, workers={workers}");
             assert!(stats.shards > 1, "plan must actually shard");
@@ -90,7 +90,7 @@ fn worker_threads_are_exact() {
         EnumConfig::new(3, 3).with_timing(Timing::only_w(30)).with_static_induced(true),
     ] {
         let reference = WindowedEngine.count(&g, &cfg);
-        let engine = DistributedEngine::new(2).with_shard_events(40).with_worker_threads(3);
+        let engine = ShardedEngine::new(40).with_workers(2).with_threads(3);
         let (counts, stats) = engine.count_with_stats(&g, &cfg);
         assert_eq!(counts, reference);
         assert_eq!(stats.workers_spawned, 2);
@@ -122,8 +122,7 @@ fn coordinator_recheck_keeps_induced_models_exact() {
         ),
     ] {
         let reference = WindowedEngine.count(&g, &cfg);
-        let (counts, stats) =
-            DistributedEngine::new(2).with_shard_events(15).count_with_stats(&g, &cfg);
+        let (counts, stats) = ShardedEngine::new(15).with_workers(2).count_with_stats(&g, &cfg);
         assert_eq!(counts, reference, "{label}");
         assert!(stats.workers_spawned > 0, "{label}: must cross the process boundary");
     }
@@ -144,7 +143,7 @@ fn worker_crash_mid_run_is_rescheduled_exactly() {
     ] {
         tnm_obs::global().reset();
         let reference = WindowedEngine.count(&g, &cfg);
-        let engine = DistributedEngine::new(2).with_shard_events(12).with_fault_after(0, 1);
+        let engine = ShardedEngine::new(12).with_workers(2).with_fault_after(0, 1);
         let (counts, stats) = engine.count_with_stats(&g, &cfg);
         let snap = tnm_obs::global().snapshot();
         assert_eq!(counts, reference, "counts must survive the crash bit-identically");
@@ -176,7 +175,7 @@ fn rescheduling_is_deterministic_across_runs() {
     let reference = WindowedEngine.count(&g, &cfg);
     for run in 0..3 {
         tnm_obs::global().reset();
-        let engine = DistributedEngine::new(2).with_shard_events(10).with_fault_after(0, 2);
+        let engine = ShardedEngine::new(10).with_workers(2).with_fault_after(0, 2);
         let (counts, _) = engine.count_with_stats(&g, &cfg);
         let snap = tnm_obs::global().snapshot();
         assert_eq!(counts, reference, "run {run}");
@@ -195,8 +194,7 @@ fn college_msg_corpus_is_bit_identical() {
     let g = generate(&spec, 13);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
     let reference = WindowedEngine.count(&g, &cfg);
-    let (counts, stats) =
-        DistributedEngine::new(2).with_shard_events(200).count_with_stats(&g, &cfg);
+    let (counts, stats) = ShardedEngine::new(200).with_workers(2).count_with_stats(&g, &cfg);
     assert_eq!(counts, reference);
     assert!(stats.workers_spawned == 2 && stats.shards >= 4);
 }
@@ -285,7 +283,7 @@ fn traces_stitch_into_one_well_formed_tree_even_under_worker_crashes() {
     tnm_obs::set_trace(Some(ctx));
     let root = tnm_obs::Span::start("test.distributed");
     tnm_obs::set_trace(Some(tnm_obs::TraceCtx { trace_id: ctx.trace_id, parent_span: root.id() }));
-    let engine = DistributedEngine::new(2).with_shard_events(12).with_fault_after(0, 1);
+    let engine = ShardedEngine::new(12).with_workers(2).with_fault_after(0, 1);
     let counts = engine.count(&g, &cfg);
     drop(root);
     tnm_obs::set_trace(None);
@@ -323,4 +321,34 @@ fn traces_stitch_into_one_well_formed_tree_even_under_worker_crashes() {
     // The stitched tree exports as one Chrome-trace JSON document.
     let json = tnm_obs::chrome_trace(&spans);
     assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"));
+}
+
+/// Each worker run writes its shard files into one temporary directory,
+/// named by the `distributed.spill` span. The directory is gone once the
+/// run returns — after a healthy run, and after a worker crash forced a
+/// requeue.
+#[test]
+fn shard_file_dir_is_cleaned_up() {
+    let _obs = tnm_obs::test_guard();
+    let g = random_graph(508, 11, 300, 260);
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(18, 40));
+    let reference = WindowedEngine.count(&g, &cfg);
+    for engine in [
+        ShardedEngine::new(12).with_workers(2),
+        ShardedEngine::new(12).with_workers(2).with_fault_after(0, 1),
+    ] {
+        let ctx = tnm_obs::TraceCtx::new();
+        tnm_obs::set_trace(Some(ctx));
+        let (counts, stats) = engine.count_with_stats(&g, &cfg);
+        tnm_obs::set_trace(None);
+        let spans = tnm_obs::take_trace_spans(ctx.trace_id);
+        assert_eq!(counts, reference);
+        assert_eq!(stats.workers_spawned, 2, "the run must use the process transport");
+        let spill = spans.iter().find(|s| s.name == "distributed.spill").expect("spill span");
+        let (_, dir) =
+            spill.args.iter().find(|(k, _)| k == "dir").expect("spill span names its dir");
+        let dir = std::path::Path::new(dir);
+        assert!(dir.starts_with(std::env::temp_dir()), "{}", dir.display());
+        assert!(!dir.exists(), "shard-file dir {} must be removed", dir.display());
+    }
 }

@@ -33,15 +33,15 @@ fn corpus() -> TemporalGraph {
 }
 
 /// Engines whose instrumentation sits in distinct layers: the serial
-/// walkers, the work-stealing executor, sharding (resident and spill
-/// mode), and the stream DPs.
+/// walkers, the work-stealing executor, sharding (in this thread and on
+/// worker processes), and the stream DPs.
 fn engines() -> Vec<Box<dyn CountEngine>> {
     vec![
         Box::new(BacktrackEngine),
         Box::new(WindowedEngine),
         Box::new(ParallelEngine::new(4)),
         Box::new(ShardedEngine::new(600)),
-        Box::new(ShardedEngine::new(600).with_max_resident(1)),
+        Box::new(ShardedEngine::new(600).with_workers(2)),
         Box::new(StreamEngine),
     ]
 }

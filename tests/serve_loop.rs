@@ -437,6 +437,34 @@ fn traced_queries_ship_span_trees_and_populate_query_logs() {
     server.join().unwrap();
 }
 
+/// The daemon's `max_threads` ceiling caps the sharded engine's worker
+/// processes too: a traced query asking for 64 workers from a daemon
+/// capped at 2 spawns at most 2 of them, and still counts exactly.
+#[test]
+fn worker_processes_are_clamped_to_the_thread_ceiling() {
+    let events = random_events(41, 20, 800, 2000);
+    let graph = TemporalGraph::from_events(events.clone()).unwrap();
+    let server = MotifServer::bind_with(
+        "127.0.0.1:0",
+        ServeOptions { max_threads: 2, ..ServeOptions::default() },
+    )
+    .unwrap()
+    .spawn();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    client.load_graph("g", &events, 0).unwrap();
+
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(60));
+    let q = Query::Count { cfg: cfg.clone(), engine: EngineKind::sharded(20, 64), threads: 2 };
+    let (resp, trace) = client.query_traced("g", &q).unwrap();
+    let QueryResponse::Counts(counts) = resp else { panic!("shape") };
+    assert_eq!(counts, EngineKind::Windowed.count(&graph, &cfg, 1));
+    let spawns = trace.spans.iter().filter(|s| s.name == "distributed.spawn").count();
+    assert!((1..=2).contains(&spawns), "{spawns} worker spawns under a ceiling of 2");
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// Minimal std-only HTTP GET against the daemon's scrape surface.
 fn scrape(addr: SocketAddr, path: &str) -> (String, String) {
     use std::io::Read;
@@ -484,14 +512,15 @@ fn http_scrape_surface_serves_metrics_health_and_timeseries() {
     assert!(status.contains(" 200 "));
     assert_eq!(body, "ok\n");
 
-    // Wait for the background sampler to fold at least one window,
+    // Wait for the background sampler to fold a window sampled after
+    // the query (on a busy host the first window can land before it),
     // then the JSON must parse with the `tnm top` parser.
     let mut points = Vec::new();
     for _ in 0..200 {
         let (status, body) = scrape(http, "/timeseries");
         assert!(status.contains(" 200 "));
         points = tnm_obs::parse_timeseries_json(&body).expect("valid /timeseries JSON");
-        if !points.is_empty() {
+        if points.iter().any(|p| p.delta.counters.contains_key("serve.queries")) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));

@@ -1,13 +1,11 @@
 //! Sharded-subsystem integration suite: planner geometry through the
-//! public API, spill-mode round-trips, and the out-of-core **memory
-//! bound** — the acceptance property that peak resident shard events
-//! never exceed `max_resident_shards × (shard events + pad + halo)` on
-//! a graph several times that size.
+//! public API, exactness of the worker-process transport under
+//! graph-global restrictions, and the `EngineKind` seam.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
-use tnm_graph::shard::{plan_shards, ShardGoal, ShardStore};
+use tnm_graph::shard::{plan_shards, ShardGoal};
 use tnm_motifs::engine::ShardedEngine;
 
 /// Deterministic tie-rich random graph (same generator shape as the
@@ -24,48 +22,6 @@ fn random_graph(seed: u64, nodes: u32, events: usize, horizon: i64) -> TemporalG
         batch.push(Event::new(u, v, rng.gen_range(0i64..horizon)));
     }
     TemporalGraph::from_events(batch).expect("non-empty batch")
-}
-
-/// The headline out-of-core property: on a graph at least 4× the
-/// residency budget, a spilled run keeps peak resident events within
-/// `max_resident_shards × max_shard_events`, where each shard's size is
-/// its owned target plus pad and halo — while still counting exactly.
-#[test]
-fn spill_mode_bounds_peak_memory() {
-    let _obs = tnm_obs::test_guard();
-    tnm_obs::set_enabled(true);
-    tnm_obs::global().reset();
-    let g = random_graph(99, 40, 8_000, 60_000);
-    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(120));
-    let (shard_events, max_resident) = (500usize, 2usize);
-    let engine = ShardedEngine::new(shard_events).with_max_resident(max_resident);
-    let (counts, stats) = engine.count_with_stats(&g, &cfg);
-    let snap = tnm_obs::global().snapshot();
-    tnm_obs::set_enabled(false);
-
-    assert!(stats.spilled, "a max_resident budget must engage spill mode");
-    assert!(stats.shards >= 16, "plan too coarse for the bound to mean anything");
-    // The bound itself, in both the observed and the planned form. The
-    // observed peak is the `shard.resident_events` gauge high-water
-    // mark in the obs registry.
-    let peak = snap.gauges["shard.resident_events"].peak as usize;
-    assert!(
-        peak <= max_resident * stats.max_shard_events,
-        "peak {} exceeds {} × {}",
-        peak,
-        max_resident,
-        stats.max_shard_events
-    );
-    // The graph dwarfs the working set: this is a genuine out-of-core
-    // regime, not a bound that happens to cover the whole graph.
-    assert!(
-        g.num_events() >= 4 * max_resident * stats.max_shard_events,
-        "graph {} too small vs working set {}",
-        g.num_events(),
-        max_resident * stats.max_shard_events
-    );
-    // And the run is still exact.
-    assert_eq!(counts, WindowedEngine.count(&g, &cfg));
 }
 
 /// The halo is reach-sized, so `max_shard_events` stays near
@@ -95,10 +51,10 @@ fn halos_stay_bounded_by_reach() {
     }
 }
 
-/// Spill mode is bit-exact against in-memory sharding and the serial
+/// The worker-process transport is bit-exact against the serial
 /// engines even with graph-global restrictions enabled (consecutive
-/// events need the pad; static inducedness needs the parent-graph
-/// check).
+/// events need the pad; static inducedness needs the coordinator's
+/// parent-graph recheck).
 #[test]
 fn spilled_counts_match_with_global_restrictions() {
     let g = random_graph(21, 15, 2_000, 5_000);
@@ -112,50 +68,16 @@ fn spilled_counts_match_with_global_restrictions() {
     for (label, cfg) in variants {
         let reference = WindowedEngine.count(&g, &cfg);
         assert_eq!(
-            ShardedEngine::new(150).with_max_resident(1).count(&g, &cfg),
+            ShardedEngine::new(150).with_workers(2).count(&g, &cfg),
             reference,
-            "{label}: spilled"
+            "{label}: worker processes"
         );
         assert_eq!(
-            ShardedEngine::new(150).with_max_resident(3).with_threads(4).count(&g, &cfg),
+            ShardedEngine::new(150).with_workers(2).with_threads(3).count(&g, &cfg),
             reference,
-            "{label}: spilled + threaded"
+            "{label}: worker processes + threads"
         );
     }
-}
-
-/// The store itself: loads, evictions, and residency counters behave
-/// under a sequential pass, spilled and not. The residency peak is the
-/// `shard.resident_events` gauge high-water mark in the obs registry.
-#[test]
-fn store_counters_through_public_api() {
-    let _obs = tnm_obs::test_guard();
-    tnm_obs::set_enabled(true);
-    tnm_obs::global().reset();
-    let g = random_graph(3, 20, 1_000, 4_000);
-    let plan = plan_shards(&g, Some(50), ShardGoal::EventsPerShard(100));
-    let n = plan.len();
-    assert!(n >= 9);
-
-    let mut spilled = ShardStore::spill(&g, plan.clone(), 2).unwrap();
-    for id in 0..n {
-        let shard = spilled.get(id).unwrap();
-        assert_eq!(shard.graph().events(), &g.events()[shard.spec().range.clone()]);
-    }
-    let snap = tnm_obs::global().snapshot();
-    tnm_obs::set_enabled(false);
-    assert!(spilled.is_spilled());
-    assert_eq!(spilled.loads(), n as u64);
-    assert_eq!(spilled.evictions(), (n - 2) as u64);
-    let peak = snap.gauges["shard.resident_events"].peak as usize;
-    assert!(peak <= 2 * spilled.plan().max_shard_events());
-
-    let mut unbounded = ShardStore::in_memory(&g, plan);
-    for id in 0..n {
-        unbounded.get(id).unwrap();
-    }
-    assert_eq!(unbounded.evictions(), 0);
-    assert_eq!(unbounded.resident_events(), unbounded.plan().total_materialized_events());
 }
 
 /// Sharded runs behave through the `EngineKind` seam used by the CLI
@@ -164,13 +86,15 @@ fn store_counters_through_public_api() {
 fn engine_kind_round_trip() {
     let g = random_graph(11, 12, 800, 2_500);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(60));
-    let kind = EngineKind::sharded(90, 2);
     let reference = WindowedEngine.count(&g, &cfg);
-    assert_eq!(kind.count(&g, &cfg, 2), reference);
-    let report = kind.report(&g, &cfg, 2);
-    assert!(report.exact);
-    assert_eq!(report.engine, "sharded");
-    assert_eq!(report.counts, reference);
-    assert!(report.total.is_exact());
+    for workers in [0, 2] {
+        let kind = EngineKind::sharded(90, workers);
+        assert_eq!(kind.count(&g, &cfg, 2), reference, "workers={workers}");
+        let report = kind.report(&g, &cfg, 2);
+        assert!(report.exact);
+        assert_eq!(report.engine, "sharded");
+        assert_eq!(report.counts, reference);
+        assert!(report.total.is_exact());
+    }
     assert_eq!("sharded".parse::<EngineKind>().unwrap().count(&g, &cfg, 1), reference);
 }
