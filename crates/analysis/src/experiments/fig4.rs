@@ -101,7 +101,7 @@ pub fn run_target(corpus: &Corpus, motif: &str, dataset: &str) -> Option<Fig4Tar
             let cfg = EnumConfig::for_signature(signature).with_timing(timing);
             let mut histograms = vec![Histogram::new(0.0, 1.0, BINS); n_intermediate];
             let mut instances = 0u64;
-            enumerate_instances(&entry.graph, &cfg, |inst| {
+            WindowedEngine.enumerate(&entry.graph, &cfg, &mut |inst| {
                 let times = inst.times(&entry.graph);
                 let first = times[0] as f64;
                 let last = *times.last().expect("non-empty") as f64;

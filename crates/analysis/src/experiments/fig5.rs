@@ -226,7 +226,7 @@ mod tests {
             let mut histogram = Histogram::new(0.0, (2 * DELTA_W) as f64, BINS);
             let mut instances = 0u64;
             let mut max_span = 0i64;
-            enumerate_instances(&e.graph, &cfg, |inst| {
+            WindowedEngine.enumerate(&e.graph, &cfg, &mut |inst| {
                 let span = inst.timespan(&e.graph);
                 histogram.add(span as f64);
                 instances += 1;

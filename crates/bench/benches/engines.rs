@@ -21,8 +21,6 @@
 //! object per benchmark; set `TNM_BENCH_JSON=path` to also write it to a
 //! file) — this feeds the repo's `BENCH_*.json` trajectory.
 
-mod legacy;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
@@ -420,6 +418,11 @@ fn bench_index_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// Instances of one signature, prefix-pruned by the windowed walker.
+fn count_one(g: &TemporalGraph, s: MotifSignature, timing: Timing) -> u64 {
+    WindowedEngine.count(g, &EnumConfig::for_signature(s).with_timing(timing)).total()
+}
+
 fn bench_signature_targeting(c: &mut Criterion) {
     let g = dataset("CollegeMsg", 8_000);
     let timing = Timing::only_w(3000);
@@ -429,10 +432,10 @@ fn bench_signature_targeting(c: &mut Criterion) {
         b.iter(|| black_box(count_motifs(&g, &EnumConfig::new(3, 3).with_timing(timing))))
     });
     group.bench_function("targeted_010102", |b| {
-        b.iter(|| black_box(count_signature(&g, sig("010102"), timing)))
+        b.iter(|| black_box(count_one(&g, sig("010102"), timing)))
     });
     group.bench_function("targeted_011202", |b| {
-        b.iter(|| black_box(count_signature(&g, sig("011202"), timing)))
+        b.iter(|| black_box(count_one(&g, sig("011202"), timing)))
     });
     group.finish();
 }
@@ -598,79 +601,46 @@ fn bench_hotpath_window_probe(c: &mut Criterion) {
     group.finish();
 }
 
-/// The branchless arena pair DP vs the faithful pre-rewrite copy
-/// (per-pair `Vec` merge chasing `graph.event()`, nested-array tables).
+/// The branchless arena pair DP (SoA columns, flat bit-indexed tables).
 fn bench_hotpath_pair_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;
-    assert_eq!(
-        legacy::pair_triples(&g, delta),
-        stream_hotpath::pair_triples(&g, delta),
-        "legacy and SoA pair DPs must agree before racing"
-    );
     let mut group = c.benchmark_group("hotpath_pair_dp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(g.num_events() as u64));
-    group.bench_function("legacy", |b| b.iter(|| black_box(legacy::pair_triples(&g, delta))));
     group.bench_function("soa", |b| b.iter(|| black_box(stream_hotpath::pair_triples(&g, delta))));
     group.finish();
 }
 
-/// The flat-table shared-bounds star sweeps vs the pre-rewrite AoS
-/// `Incident`-struct version with per-event group scans.
+/// The flat-table shared-bounds star sweeps.
 fn bench_hotpath_star_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;
-    assert_eq!(
-        legacy::star_stars(&g, delta),
-        stream_hotpath::star_stars(&g, delta),
-        "legacy and SoA star sweeps must agree before racing"
-    );
     let mut group = c.benchmark_group("hotpath_star_dp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(g.num_events() as u64));
-    group.bench_function("legacy", |b| b.iter(|| black_box(legacy::star_stars(&g, delta))));
     group.bench_function("soa", |b| b.iter(|| black_box(stream_hotpath::star_stars(&g, delta))));
     group.finish();
 }
 
-/// The cache-blocked six-way-merge triad DP vs the pre-rewrite
-/// collect-then-sort version in projection order.
+/// The cache-blocked six-way-merge triad DP.
 fn bench_hotpath_triad_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;
-    assert_eq!(
-        legacy::triad_triads(&g, delta),
-        stream_hotpath::triad_triads(&g, delta),
-        "legacy and blocked triad DPs must agree before racing"
-    );
     let mut group = c.benchmark_group("hotpath_triad_dp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(g.num_events() as u64));
-    group.bench_function("legacy", |b| b.iter(|| black_box(legacy::triad_triads(&g, delta))));
     group.bench_function("soa", |b| b.iter(|| black_box(stream_hotpath::triad_triads(&g, delta))));
     group.finish();
 }
 
-/// Shard-plan boundary scans: the live planner's dense-time-column
-/// `partition_point`s vs the pre-rewrite `Event`-struct scans.
+/// Shard-plan boundary scans: the planner's dense-time-column
+/// `partition_point`s.
 fn bench_hotpath_shard_plan(c: &mut Criterion) {
     let g = dataset("Email", 20_000);
     let (reach, target) = (3_000i64, 500usize);
-    let plan =
-        tnm_graph::plan_shards(&g, Some(reach), tnm_graph::ShardGoal::EventsPerShard(target));
-    let legacy_total: usize =
-        legacy::plan_scan(&g, reach, target).iter().map(|(_, r)| r.len()).sum();
-    assert_eq!(legacy_total, plan.total_materialized_events(), "plans must agree before racing");
     let mut group = c.benchmark_group("hotpath_shard_plan");
     group.sample_size(10);
-    group.bench_function("legacy", |b| {
-        b.iter(|| {
-            black_box(
-                legacy::plan_scan(&g, reach, target).iter().map(|(_, r)| r.len()).sum::<usize>(),
-            )
-        })
-    });
     group.bench_function("soa", |b| {
         b.iter(|| {
             black_box(

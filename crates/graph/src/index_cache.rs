@@ -1,10 +1,13 @@
-//! Shared [`WindowIndex`] cache keyed on graph identity.
+//! Verified per-graph caches keyed on graph identity: the shared
+//! [`WindowIndex`] cache ([`global_index_cache`]) and, through the same
+//! [`VerifiedCache`], the static-projection cache
+//! ([`global_projection_cache`](crate::static_proj::global_projection_cache)).
 //!
 //! The experiment drivers count the same [`TemporalGraph`] dozens of
 //! times (one count per model × timing configuration), and the sampling
 //! engine draws dozens of windows per estimate — yet every windowed
-//! count used to rebuild the `O(m)` [`WindowIndex`] from scratch.
-//! [`WindowIndexCache`] lets all of them share one index per graph.
+//! count used to rebuild the `O(m)` [`WindowIndex`] from scratch. A
+//! [`VerifiedCache`] lets all of them share one structure per graph.
 //!
 //! ## Identity without ownership
 //!
@@ -15,31 +18,31 @@
 //! allocates a fresh buffer and therefore a fresh key). Addresses can be
 //! recycled after a graph is dropped, so a key match alone is never
 //! trusted: every hit is **verified** against the graph with
-//! [`WindowIndex::matches`], an allocation-free sequential `O(m)` pass
-//! that is several times cheaper than a rebuild. A verification failure
-//! counts as a miss and the stale entry is replaced. The cache is
-//! therefore exactly as correct as building fresh, merely faster.
+//! [`GraphDerived::matches`], an `O(m)` pass that is cheaper than a
+//! rebuild. A verification failure counts as a miss and the stale entry
+//! is replaced. The cache is therefore exactly as correct as building
+//! fresh, merely faster.
 //!
 //! ## Concurrency
 //!
-//! Lookups take a short mutex; index construction happens **outside** the
-//! lock, so concurrent counts of different graphs never serialize behind
-//! one build. Two threads racing to build the same graph's index do
-//! duplicate work once, then share the winning entry.
+//! Lookups take a short mutex; both construction and the `O(m)` hit
+//! verification happen **outside** the lock, so concurrent lookups of
+//! different graphs never serialize behind one build or one verify. Two
+//! threads racing to build the same graph's structure do duplicate work
+//! once, then share the winning entry.
 //!
-//! Engines use the process-wide [`global_index_cache`]; tests and
-//! special-purpose callers can construct private instances for
-//! deterministic statistics.
+//! Engines use the process-wide caches; tests and special-purpose
+//! callers can construct private instances for deterministic statistics.
 //!
 //! ## Memory
 //!
-//! The global cache retains up to [`DEFAULT_INDEX_CACHE_CAPACITY`]
+//! The global index cache retains up to [`DEFAULT_INDEX_CACHE_CAPACITY`]
 //! indexes (`2m` words each) for the process lifetime, including
 //! indexes of graphs that have since been dropped — a deliberate trade
 //! for the common driver pattern of counting the same corpus
 //! repeatedly. Long-lived consumers that churn through very large
-//! graphs can call [`WindowIndexCache::clear`] on the global cache
-//! after releasing a graph to return the memory immediately.
+//! graphs can call [`VerifiedCache::clear`] on the global cache after
+//! releasing a graph to return the memory immediately.
 
 use crate::graph::TemporalGraph;
 use crate::window_index::WindowIndex;
@@ -49,41 +52,79 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Number of graphs the [`global_index_cache`] retains (LRU beyond this).
 pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 8;
 
-/// Observability counters for a [`WindowIndexCache`].
+/// A per-graph structure a [`VerifiedCache`] can hold.
+pub trait GraphDerived: Send + Sync + Sized {
+    /// Prefix of the cache's metric names: `{prefix}.{hits,misses,
+    /// rejected}` counters and the `{prefix}.verify_ns` histogram.
+    const METRIC_PREFIX: &'static str;
+
+    /// Builds the structure from `graph`.
+    fn build(graph: &TemporalGraph) -> Self;
+
+    /// True iff this structure describes exactly `graph`.
+    fn matches(&self, graph: &TemporalGraph) -> bool;
+}
+
+impl GraphDerived for WindowIndex {
+    const METRIC_PREFIX: &'static str = "cache.index";
+
+    fn build(graph: &TemporalGraph) -> Self {
+        WindowIndex::build(graph)
+    }
+
+    fn matches(&self, graph: &TemporalGraph) -> bool {
+        WindowIndex::matches(self, graph)
+    }
+}
+
+/// The shared [`WindowIndex`] cache type.
+pub type WindowIndexCache = VerifiedCache<WindowIndex>;
+
+/// Observability counters of a [`VerifiedCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexCacheStats {
-    /// Lookups answered by a verified cached index.
+pub struct CacheStats {
+    /// Lookups answered by a verified cached entry.
     pub hits: u64,
-    /// Lookups that had no entry for the graph's key.
+    /// Lookups that had no usable entry for the graph's key.
     pub misses: u64,
     /// Key collisions rejected by content verification (recycled buffer
     /// addresses); each also counts as a miss.
     pub rejected: u64,
 }
 
-/// One cached index with its identity key and LRU stamp.
-struct Entry {
-    /// `(events buffer address, event count)` of the graph indexed.
+/// One cached value with its identity key and LRU stamp.
+struct Entry<T> {
+    /// `(events buffer address, event count)` of the graph it describes.
     key: (usize, usize),
-    index: Arc<WindowIndex>,
+    value: Arc<T>,
     last_used: u64,
 }
 
-/// A bounded, verified cache of [`WindowIndex`]es keyed on graph
-/// identity. See the [module docs](self) for the identity and
-/// correctness model.
-pub struct WindowIndexCache {
-    entries: Mutex<Vec<Entry>>,
+/// The metric names of one cache, formatted once from its prefix.
+struct MetricNames {
+    hits: String,
+    misses: String,
+    rejected: String,
+    verify_ns: String,
+}
+
+/// A bounded, verified cache of per-graph structures keyed on graph
+/// identity. See the [module docs](self) for the identity, correctness
+/// and locking model.
+pub struct VerifiedCache<T> {
+    entries: Mutex<Vec<Entry<T>>>,
     capacity: usize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
+    names: MetricNames,
 }
 
-impl std::fmt::Debug for WindowIndexCache {
+impl<T: GraphDerived> std::fmt::Debug for VerifiedCache<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowIndexCache")
+        f.debug_struct("VerifiedCache")
+            .field("kind", &T::METRIC_PREFIX)
             .field("len", &self.len())
             .field("capacity", &self.capacity)
             .field("stats", &self.stats())
@@ -91,62 +132,72 @@ impl std::fmt::Debug for WindowIndexCache {
     }
 }
 
-impl WindowIndexCache {
+impl<T: GraphDerived> VerifiedCache<T> {
     /// An empty cache retaining at most `capacity` graphs.
     pub fn new(capacity: usize) -> Self {
-        WindowIndexCache {
+        let name = |what: &str| format!("{}.{what}", T::METRIC_PREFIX);
+        VerifiedCache {
             entries: Mutex::new(Vec::with_capacity(capacity.max(1))),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            names: MetricNames {
+                hits: name("hits"),
+                misses: name("misses"),
+                rejected: name("rejected"),
+                verify_ns: name("verify_ns"),
+            },
         }
     }
 
-    fn key_of(graph: &TemporalGraph) -> (usize, usize) {
-        (graph.events().as_ptr() as usize, graph.num_events())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry<T>>> {
+        self.entries.lock().expect("graph cache poisoned")
     }
 
-    /// Returns the cached index for `graph`, building (and caching) it on
+    /// Returns the cached value for `graph`, building (and caching) it on
     /// a miss. Hits are verified against the graph's actual content, so
-    /// the returned index is always correct for `graph`.
-    pub fn get_or_build(&self, graph: &TemporalGraph) -> Arc<WindowIndex> {
-        let key = Self::key_of(graph);
+    /// the returned value is always correct for `graph`.
+    pub fn get_or_build(&self, graph: &TemporalGraph) -> Arc<T> {
+        let key = (graph.events().as_ptr() as usize, graph.num_events());
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut entries = self.entries.lock().expect("index cache poisoned");
-            if let Some(e) = entries.iter_mut().find(|e| e.key == key) {
-                let verify_start = tnm_obs::enabled().then(std::time::Instant::now);
-                let verified = e.index.matches(graph);
-                if let Some(t0) = verify_start {
-                    tnm_obs::histogram_record_ns(
-                        "cache.index.verify_ns",
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
-                if verified {
-                    e.last_used = stamp;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    tnm_obs::counter_add("cache.index.hits", 1);
-                    return Arc::clone(&e.index);
-                }
-                // Recycled buffer address: the entry describes a dead
-                // graph. Drop it; the rebuild below replaces it.
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                tnm_obs::counter_add("cache.index.rejected", 1);
-                entries.retain(|e| e.key != key);
+        // Fetch the candidate under the lock, but verify it outside: a
+        // lookup of another graph must never wait on this O(m) pass.
+        let candidate = self.lock().iter_mut().find(|e| e.key == key).map(|e| {
+            e.last_used = stamp;
+            Arc::clone(&e.value)
+        });
+        if let Some(value) = candidate {
+            let verify_start = tnm_obs::enabled().then(std::time::Instant::now);
+            let verified = value.matches(graph);
+            if let Some(t0) = verify_start {
+                tnm_obs::histogram_record_ns(&self.names.verify_ns, t0.elapsed().as_nanos() as u64);
             }
+            if verified {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                tnm_obs::counter_add(&self.names.hits, 1);
+                return value;
+            }
+            // Recycled buffer address: the entry describes a dead graph.
+            // Drop exactly the value we verified (a racing thread may
+            // already have replaced it with a fresh, correct one); the
+            // rebuild below replaces it.
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            tnm_obs::counter_add(&self.names.rejected, 1);
+            self.lock().retain(|e| e.key != key || !Arc::ptr_eq(&e.value, &value));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        tnm_obs::counter_add("cache.index.misses", 1);
-        let built = Arc::new(WindowIndex::build(graph));
-        let mut entries = self.entries.lock().expect("index cache poisoned");
+        tnm_obs::counter_add(&self.names.misses, 1);
+        let built = Arc::new(T::build(graph));
+        let mut entries = self.lock();
         match entries.iter_mut().find(|e| e.key == key) {
-            // A racing thread cached the same graph while we built.
+            // A racing thread cached the same graph while we built: the
+            // caller's graph is alive, so an entry under its buffer
+            // address can only have been built from that same graph.
             Some(e) => {
                 e.last_used = stamp;
-                Arc::clone(&e.index)
+                Arc::clone(&e.value)
             }
             None => {
                 if entries.len() >= self.capacity {
@@ -158,7 +209,7 @@ impl WindowIndexCache {
                         .expect("capacity >= 1 implies non-empty");
                     entries.swap_remove(oldest);
                 }
-                entries.push(Entry { key, index: Arc::clone(&built), last_used: stamp });
+                entries.push(Entry { key, value: Arc::clone(&built), last_used: stamp });
                 built
             }
         }
@@ -166,22 +217,22 @@ impl WindowIndexCache {
 
     /// Number of graphs currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("index cache poisoned").len()
+        self.lock().len()
     }
 
-    /// True if no index is cached.
+    /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every cached index (counters are kept).
+    /// Drops every cached value (counters are kept).
     pub fn clear(&self) {
-        self.entries.lock().expect("index cache poisoned").clear();
+        self.lock().clear();
     }
 
     /// Snapshot of the hit/miss/rejection counters.
-    pub fn stats(&self) -> IndexCacheStats {
-        IndexCacheStats {
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -196,9 +247,12 @@ pub fn global_index_cache() -> &'static WindowIndexCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::TemporalGraphBuilder;
+    use crate::static_proj::{global_projection_cache, StaticProjection};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
 
     fn graph(seed: i64, events: usize) -> TemporalGraph {
         let mut b = TemporalGraphBuilder::new();
@@ -211,35 +265,36 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn hit_on_same_graph_miss_on_other() {
-        let cache = WindowIndexCache::new(4);
+    fn stats(hits: u64, misses: u64, rejected: u64) -> CacheStats {
+        CacheStats { hits, misses, rejected }
+    }
+
+    fn check_hits<T: GraphDerived>() {
+        let cache = VerifiedCache::<T>::new(4);
         let g1 = graph(1, 100);
         let g2 = graph(2, 100);
         let a = cache.get_or_build(&g1);
-        assert_eq!(cache.stats(), IndexCacheStats { hits: 0, misses: 1, rejected: 0 });
+        assert_eq!(cache.stats(), stats(0, 1, 0), "{}", T::METRIC_PREFIX);
         let b = cache.get_or_build(&g1);
-        assert_eq!(cache.stats().hits, 1);
-        assert!(Arc::ptr_eq(&a, &b), "hit must return the cached index");
+        assert_eq!(cache.stats().hits, 1, "{}", T::METRIC_PREFIX);
+        assert!(Arc::ptr_eq(&a, &b), "{}: hit must return the cached value", T::METRIC_PREFIX);
         cache.get_or_build(&g2);
-        assert_eq!(cache.stats(), IndexCacheStats { hits: 1, misses: 2, rejected: 0 });
+        assert_eq!(cache.stats(), stats(1, 2, 0), "{}", T::METRIC_PREFIX);
         assert_eq!(cache.len(), 2);
     }
 
-    #[test]
-    fn clone_has_its_own_identity() {
-        let cache = WindowIndexCache::new(4);
+    fn check_clone_identity<T: GraphDerived>() {
+        let cache = VerifiedCache::<T>::new(4);
         let g = graph(3, 50);
         let copy = g.clone();
         cache.get_or_build(&g);
         cache.get_or_build(&copy);
-        assert_eq!(cache.stats().misses, 2, "a clone is a different graph");
+        assert_eq!(cache.stats().misses, 2, "{}: a clone is a different graph", T::METRIC_PREFIX);
         assert_eq!(cache.len(), 2);
     }
 
-    #[test]
-    fn evicts_least_recently_used() {
-        let cache = WindowIndexCache::new(2);
+    pub(crate) fn check_lru<T: GraphDerived>() {
+        let cache = VerifiedCache::<T>::new(2);
         let g1 = graph(1, 40);
         let g2 = graph(2, 40);
         let g3 = graph(3, 40);
@@ -249,9 +304,62 @@ mod tests {
         cache.get_or_build(&g3); // evicts g2
         assert_eq!(cache.len(), 2);
         cache.get_or_build(&g1);
-        assert_eq!(cache.stats().hits, 2, "g1 must have survived eviction");
+        assert_eq!(cache.stats().hits, 2, "{}: g1 must have survived eviction", T::METRIC_PREFIX);
         cache.get_or_build(&g2);
-        assert_eq!(cache.stats().misses, 4, "g2 was evicted and rebuilt");
+        assert_eq!(cache.stats().misses, 4, "{}: g2 was evicted and rebuilt", T::METRIC_PREFIX);
+    }
+
+    pub(crate) fn check_clear_and_floor<T: GraphDerived>() {
+        let cache = VerifiedCache::<T>::new(0); // clamped to 1
+        let g1 = graph(1, 30);
+        let g2 = graph(2, 30);
+        cache.get_or_build(&g1);
+        cache.get_or_build(&g2);
+        assert_eq!(cache.len(), 1);
+        cache.clear();
+        assert!(cache.is_empty());
+        cache.get_or_build(&g1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// The values both caches hold answer like fresh builds.
+    pub(crate) fn check_cached_values_match<T: GraphDerived>() {
+        let cache = VerifiedCache::<T>::new(4);
+        let g1 = graph(5, 80);
+        let g2 = graph(6, 80);
+        let a = cache.get_or_build(&g1);
+        let b = cache.get_or_build(&g2);
+        assert!(a.matches(&g1) && b.matches(&g2), "{}", T::METRIC_PREFIX);
+        assert!(!a.matches(&g2) && !b.matches(&g1), "{}", T::METRIC_PREFIX);
+        // A clone is a different graph (fresh buffer, fresh key) but the
+        // same content.
+        let c = cache.get_or_build(&g1.clone());
+        assert!(!Arc::ptr_eq(&a, &c) && c.matches(&g1));
+        assert_eq!(cache.stats(), stats(0, 3, 0), "{}", T::METRIC_PREFIX);
+    }
+
+    #[test]
+    fn hit_on_same_graph_miss_on_other() {
+        check_hits::<WindowIndex>();
+        check_hits::<StaticProjection>();
+    }
+
+    #[test]
+    fn clone_has_its_own_identity() {
+        check_clone_identity::<WindowIndex>();
+        check_clone_identity::<StaticProjection>();
+    }
+
+    #[test]
+    fn evicts_least_recently_used() {
+        check_lru::<WindowIndex>();
+        check_lru::<StaticProjection>();
+    }
+
+    #[test]
+    fn clear_and_capacity_floor() {
+        check_clear_and_floor::<WindowIndex>();
+        check_clear_and_floor::<StaticProjection>();
     }
 
     #[test]
@@ -265,20 +373,8 @@ mod tests {
             assert!(ix.matches(&g));
             assert_eq!(ix.num_incidences(), g.num_events() * 2);
         }
-    }
-
-    #[test]
-    fn clear_and_capacity_floor() {
-        let cache = WindowIndexCache::new(0); // clamped to 1
-        let g1 = graph(1, 30);
-        let g2 = graph(2, 30);
-        cache.get_or_build(&g1);
-        cache.get_or_build(&g2);
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        cache.get_or_build(&g1);
-        assert_eq!(cache.len(), 1);
+        check_cached_values_match::<WindowIndex>();
+        check_cached_values_match::<StaticProjection>();
     }
 
     #[test]
@@ -287,5 +383,59 @@ mod tests {
         let a = global_index_cache().get_or_build(&g);
         let b = global_index_cache().get_or_build(&g);
         assert!(Arc::ptr_eq(&a, &b));
+        let a = global_projection_cache().get_or_build(&g);
+        let b = global_projection_cache().get_or_build(&g);
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// Handshake of the one parked verification: `matches` reports on the
+    /// first sender, then waits on the receiver.
+    static GATE: Mutex<Option<(Sender<()>, Receiver<()>)>> = Mutex::new(None);
+
+    /// A cached value whose verification parks on [`GATE`] when armed.
+    struct Parked(usize);
+
+    impl GraphDerived for Parked {
+        const METRIC_PREFIX: &'static str = "cache.test";
+
+        fn build(graph: &TemporalGraph) -> Self {
+            Parked(graph.num_events())
+        }
+
+        fn matches(&self, graph: &TemporalGraph) -> bool {
+            let gate = GATE.lock().unwrap().take();
+            if let Some((entered, release)) = gate {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.0 == graph.num_events()
+        }
+    }
+
+    #[test]
+    fn verification_runs_outside_the_lock() {
+        let cache = VerifiedCache::<Parked>::new(4);
+        let (g1, g2) = (graph(1, 40), graph(2, 50));
+        cache.get_or_build(&g1);
+        cache.get_or_build(&g2);
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        *GATE.lock().unwrap() = Some((entered_tx, release_rx));
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| cache.get_or_build(&g1));
+            entered_rx.recv().unwrap();
+            let (done_tx, done_rx) = channel();
+            let cache = &cache;
+            let g2 = &g2;
+            scope.spawn(move || {
+                cache.get_or_build(g2);
+                done_tx.send(()).unwrap();
+            });
+            let other = done_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            parked.join().unwrap();
+            assert!(other.is_ok(), "a lookup of another graph waited on a parked verification");
+        });
+        assert_eq!(cache.stats(), stats(2, 2, 0));
     }
 }

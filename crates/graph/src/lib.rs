@@ -83,7 +83,7 @@ pub use error::{GraphError, Result};
 pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
-pub use index_cache::{global_index_cache, IndexCacheStats, WindowIndexCache};
+pub use index_cache::{global_index_cache, CacheStats, WindowIndexCache};
 pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 pub use static_proj::{global_projection_cache, StaticProjection, StaticProjectionCache};
 pub use window_index::{WindowCursor, WindowIndex};

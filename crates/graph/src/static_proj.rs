@@ -10,17 +10,17 @@
 //! *count* — a ΔW sweep over one graph would rebuild it dozens of times.
 //! [`StaticProjectionCache`] (and the process-wide
 //! [`global_projection_cache`]) lets every consumer share one projection
-//! per graph, with the same identity-plus-verification model as
-//! [`WindowIndexCache`](crate::index_cache::WindowIndexCache): entries
-//! are keyed on the graph's event-buffer address and **exactly verified**
-//! against the graph's content on every hit, so a recycled allocation
-//! can never serve a stale projection.
+//! per graph through the same [`VerifiedCache`] as the window index:
+//! entries are keyed on the graph's event-buffer address and **exactly
+//! verified** against the graph's content on every hit, outside the
+//! cache lock, so a recycled allocation can never serve a stale
+//! projection.
 
 use crate::graph::TemporalGraph;
 use crate::ids::{Edge, NodeId};
+use crate::index_cache::{GraphDerived, VerifiedCache};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The static directed graph underlying a temporal network, with
 /// multiplicity (events-per-edge) information.
@@ -188,161 +188,20 @@ impl StaticProjection {
 /// this).
 pub const DEFAULT_PROJECTION_CACHE_CAPACITY: usize = 8;
 
-/// One cached projection with its identity key and LRU stamp.
-struct Entry {
-    /// `(events buffer address, event count)` of the graph projected.
-    key: (usize, usize),
-    proj: Arc<StaticProjection>,
-    last_used: u64,
-}
+impl GraphDerived for StaticProjection {
+    const METRIC_PREFIX: &'static str = "cache.proj";
 
-/// A bounded, verified cache of [`StaticProjection`]s keyed on graph
-/// identity, mirroring
-/// [`WindowIndexCache`](crate::index_cache::WindowIndexCache): an entry
-/// is keyed on the graph's event-buffer address and length (stable for
-/// the graph's lifetime; a clone allocates a fresh buffer and therefore
-/// a fresh key), and every key hit is verified with
-/// [`StaticProjection::matches`] before being served — a recycled
-/// buffer address can never leak a dead graph's projection. Lookups
-/// take a short mutex; both projection construction and the `O(m)`
-/// hit verification happen outside the lock, so concurrent consumers
-/// of different graphs never serialize behind each other.
-pub struct StaticProjectionCache {
-    entries: Mutex<Vec<Entry>>,
-    capacity: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejected: AtomicU64,
-}
+    fn build(graph: &TemporalGraph) -> Self {
+        StaticProjection::from_graph(graph)
+    }
 
-impl std::fmt::Debug for StaticProjectionCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses, rejected) = self.stats();
-        f.debug_struct("StaticProjectionCache")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity)
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .field("rejected", &rejected)
-            .finish()
+    fn matches(&self, graph: &TemporalGraph) -> bool {
+        StaticProjection::matches(self, graph)
     }
 }
 
-impl StaticProjectionCache {
-    /// An empty cache retaining at most `capacity` graphs.
-    pub fn new(capacity: usize) -> Self {
-        StaticProjectionCache {
-            entries: Mutex::new(Vec::with_capacity(capacity.max(1))),
-            capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    fn key_of(graph: &TemporalGraph) -> (usize, usize) {
-        (graph.events().as_ptr() as usize, graph.num_events())
-    }
-
-    /// Returns the cached projection for `graph`, building (and caching)
-    /// it on a miss. Hits are verified against the graph's actual
-    /// content, so the returned projection is always correct for
-    /// `graph`.
-    pub fn get_or_build(&self, graph: &TemporalGraph) -> Arc<StaticProjection> {
-        let key = Self::key_of(graph);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        // Fetch the candidate under the lock, but run the O(m) content
-        // verification *outside* it — concurrent consumers of different
-        // graphs must never serialize behind each other's verification
-        // passes (construction already happens outside for the same
-        // reason).
-        let candidate = {
-            let mut entries = self.entries.lock().expect("projection cache poisoned");
-            entries.iter_mut().find(|e| e.key == key).map(|e| {
-                e.last_used = stamp;
-                Arc::clone(&e.proj)
-            })
-        };
-        if let Some(proj) = candidate {
-            let verify_start = tnm_obs::enabled().then(std::time::Instant::now);
-            let verified = proj.matches(graph);
-            if let Some(t0) = verify_start {
-                tnm_obs::histogram_record_ns(
-                    "cache.proj.verify_ns",
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            if verified {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                tnm_obs::counter_add("cache.proj.hits", 1);
-                return proj;
-            }
-            // Recycled buffer address: the entry describes a dead
-            // graph. Drop exactly the projection we verified (a racing
-            // thread may already have replaced it with a fresh, correct
-            // one); the rebuild below replaces it.
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            tnm_obs::counter_add("cache.proj.rejected", 1);
-            let mut entries = self.entries.lock().expect("projection cache poisoned");
-            entries.retain(|e| e.key != key || !Arc::ptr_eq(&e.proj, &proj));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        tnm_obs::counter_add("cache.proj.misses", 1);
-        let built = Arc::new(StaticProjection::from_graph(graph));
-        let mut entries = self.entries.lock().expect("projection cache poisoned");
-        match entries.iter_mut().find(|e| e.key == key) {
-            // A racing thread cached the same graph while we built: the
-            // caller's graph is alive, so an entry under its buffer
-            // address can only have been built from that same graph —
-            // no verification needed here.
-            Some(e) => {
-                e.last_used = stamp;
-                Arc::clone(&e.proj)
-            }
-            None => {
-                if entries.len() >= self.capacity {
-                    let oldest = entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .expect("capacity >= 1 implies non-empty");
-                    entries.swap_remove(oldest);
-                }
-                entries.push(Entry { key, proj: Arc::clone(&built), last_used: stamp });
-                built
-            }
-        }
-    }
-
-    /// Number of graphs currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("projection cache poisoned").len()
-    }
-
-    /// True if no projection is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached projection (counters are kept).
-    pub fn clear(&self) {
-        self.entries.lock().expect("projection cache poisoned").clear();
-    }
-
-    /// `(hits, misses, rejected)` counter snapshot; `rejected` counts
-    /// key collisions refused by content verification (each also counts
-    /// as a miss).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-        )
-    }
-}
+/// The shared [`StaticProjection`] cache type.
+pub type StaticProjectionCache = VerifiedCache<StaticProjection>;
 
 /// The process-wide projection cache shared by the streaming engine's
 /// triad class and the coordinator-side induced rechecks.
@@ -355,6 +214,7 @@ pub fn global_projection_cache() -> &'static StaticProjectionCache {
 mod tests {
     use super::*;
     use crate::builder::TemporalGraphBuilder;
+    use crate::index_cache::tests as cache_checks;
 
     fn sample() -> StaticProjection {
         let g = TemporalGraphBuilder::new()
@@ -407,6 +267,32 @@ mod tests {
     }
 
     #[test]
+    fn cache_hits_verified_and_shared() {
+        cache_checks::check_cached_values_match::<StaticProjection>();
+        cache_checks::check_cached_values_match::<crate::WindowIndex>();
+    }
+
+    #[test]
+    fn cache_evicts_lru_and_clears() {
+        for check in [
+            cache_checks::check_lru::<StaticProjection>,
+            cache_checks::check_lru::<crate::WindowIndex>,
+            cache_checks::check_clear_and_floor::<StaticProjection>,
+            cache_checks::check_clear_and_floor::<crate::WindowIndex>,
+        ] {
+            check();
+        }
+    }
+
+    #[test]
+    fn global_cache_is_shared() {
+        let g = graph(9, 50);
+        let a = global_projection_cache().get_or_build(&g);
+        let b = global_projection_cache().get_or_build(&g);
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
     fn matches_is_exact() {
         let g = graph(1, 60);
         let p = StaticProjection::from_graph(&g);
@@ -429,54 +315,5 @@ mod tests {
         assert!(!StaticProjection::from_graph(&c).matches(&a));
         assert!(!p.matches(&graph(2, 60)));
         assert!(!p.matches(&graph(1, 59)));
-    }
-
-    #[test]
-    fn cache_hits_verified_and_shared() {
-        let cache = StaticProjectionCache::new(4);
-        let g1 = graph(1, 80);
-        let g2 = graph(2, 80);
-        let a = cache.get_or_build(&g1);
-        assert_eq!(cache.stats(), (0, 1, 0));
-        let b = cache.get_or_build(&g1);
-        assert!(Arc::ptr_eq(&a, &b), "hit must return the cached projection");
-        assert_eq!(cache.stats(), (1, 1, 0));
-        cache.get_or_build(&g2);
-        assert_eq!(cache.stats(), (1, 2, 0));
-        assert_eq!(cache.len(), 2);
-        // A clone is a different graph (fresh buffer, fresh key).
-        cache.get_or_build(&g1.clone());
-        assert_eq!(cache.stats(), (1, 3, 0));
-        // Cached projections answer like fresh ones.
-        for e in g1.events() {
-            assert!(a.has_edge(e.edge()));
-        }
-    }
-
-    #[test]
-    fn cache_evicts_lru_and_clears() {
-        let cache = StaticProjectionCache::new(2);
-        let g1 = graph(1, 40);
-        let g2 = graph(2, 40);
-        let g3 = graph(3, 40);
-        cache.get_or_build(&g1);
-        cache.get_or_build(&g2);
-        cache.get_or_build(&g1); // g2 becomes LRU
-        cache.get_or_build(&g3); // evicts g2
-        assert_eq!(cache.len(), 2);
-        cache.get_or_build(&g1);
-        assert_eq!(cache.stats().0, 2, "g1 must have survived eviction");
-        cache.get_or_build(&g2);
-        assert_eq!(cache.stats().1, 4, "g2 was evicted and rebuilt");
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn global_cache_is_shared() {
-        let g = graph(9, 50);
-        let a = global_projection_cache().get_or_build(&g);
-        let b = global_projection_cache().get_or_build(&g);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 }

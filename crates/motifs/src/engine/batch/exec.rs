@@ -17,25 +17,23 @@
 //!
 //! The restriction flags (consecutive/induced/constrained/duration) are
 //! group-key equal, so the shared walker applies them exactly as each
-//! member's own walk would. The parallel driver reuses the
-//! work-stealing executor with a per-worker `(accumulator, walker)`
-//! pair — the same shape as [`work_steal_count`]
-//! (crate::engine::parallel) — and merges per-slot tables after join
-//! (u64 additions commute, so scheduling never leaks into results).
+//! member's own walk would. Counting runs on the shared walk executor
+//! with a per-worker `(accumulator, walker)` pair — inline on one
+//! thread, work-stealing on more — and merges per-slot tables after
+//! join (u64 additions commute, so scheduling never leaks into results).
 
 use std::collections::HashMap;
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::parallel::{work_steal_map, DEFAULT_STEAL_CHUNK};
+use crate::engine::parallel::walk_fold;
 use crate::engine::walker::{
     CandidateSource, NodeListCandidates, PrefixFilter, Walker, WindowedCandidates,
 };
+use crate::engine::EngineKind;
 use crate::notation::MotifSignature;
 use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::{TemporalGraph, Time};
-
-use super::WalkDriver;
 
 /// One member's emission-time predicate, with unbounded windows mapped
 /// to `Time::MAX` so the checks are branch-free comparisons.
@@ -164,7 +162,9 @@ fn make_walker<'g, C: CandidateSource>(
     }
 }
 
-/// Counts one walk group: a single traversal under `walk_cfg`, with
+/// Counts one walk group: a single traversal under `walk_cfg` on the
+/// walk executor with `threads` threads, over the node-list candidates
+/// for `Backtrack` and the shared window index otherwise, with
 /// per-member masks folding into `out[member]`.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn count_walk_group(
@@ -173,71 +173,50 @@ pub(super) fn count_walk_group(
     members: &[usize],
     walk_cfg: &EnumConfig,
     prefix_targets: Option<&[MotifSignature]>,
-    driver: WalkDriver,
+    kind: EngineKind,
     threads: usize,
     out: &mut [MotifCounts],
 ) {
     let masks = masks_of(cfgs, members);
     let check_timing = any_tighter(&masks, walk_cfg);
-    let duration_aware = walk_cfg.duration_aware;
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
-    let m = graph.num_events();
-    let merged: GroupAcc = match driver {
-        WalkDriver::SerialNodeList => {
-            let mut acc = GroupAcc::new(masks.len());
-            let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), NodeListCandidates);
-            walker.run_range(0..m, |inst| {
-                tally(graph, &masks, duration_aware, check_timing, &mut acc, inst)
-            });
-            acc
-        }
-        WalkDriver::SerialWindowed => {
-            let index = global_index_cache().get_or_build(graph);
-            let mut acc = GroupAcc::new(masks.len());
-            let mut walker =
-                make_walker(graph, walk_cfg, prefix.as_ref(), WindowedCandidates::new(&index));
-            walker.run_range(0..m, |inst| {
-                tally(graph, &masks, duration_aware, check_timing, &mut acc, inst)
-            });
-            acc
-        }
-        WalkDriver::Parallel => {
-            let index = global_index_cache().get_or_build(graph);
-            let locals = work_steal_map(
-                m,
-                threads,
-                DEFAULT_STEAL_CHUNK,
-                || {
-                    (
-                        GroupAcc::new(masks.len()),
-                        make_walker(
-                            graph,
-                            walk_cfg,
-                            prefix.as_ref(),
-                            WindowedCandidates::new(&index),
-                        ),
-                    )
-                },
-                |state, claimed| {
-                    let (acc, walker) = state;
-                    walker.run_range(claimed, |inst| {
-                        tally(graph, &masks, duration_aware, check_timing, acc, inst)
-                    });
-                },
-            );
-            let mut merged = GroupAcc::new(masks.len());
-            for (local, _walker) in &locals {
-                for (slot, counts) in local.counts.iter().enumerate() {
-                    merged.counts[slot].merge(counts);
-                }
-            }
-            merged
-        }
+    let locals = if kind == EngineKind::Backtrack {
+        fold_group(graph, walk_cfg, prefix.as_ref(), &masks, check_timing, threads, || {
+            NodeListCandidates
+        })
+    } else {
+        let index = global_index_cache().get_or_build(graph);
+        fold_group(graph, walk_cfg, prefix.as_ref(), &masks, check_timing, threads, || {
+            WindowedCandidates::new(&index)
+        })
     };
-    for (pos, mask) in masks.iter().enumerate() {
-        out[mask.slot].merge(&merged.counts[pos]);
+    for local in &locals {
+        for (pos, mask) in masks.iter().enumerate() {
+            out[mask.slot].merge(&local.counts[pos]);
+        }
     }
+}
+
+/// One group walk on the executor over `source`'s candidates, returning
+/// one accumulator per worker.
+fn fold_group<C: CandidateSource + Send>(
+    graph: &TemporalGraph,
+    walk_cfg: &EnumConfig,
+    prefix: Option<&PrefixFilter>,
+    masks: &[MemberMask],
+    check_timing: bool,
+    threads: usize,
+    source: impl Fn() -> C + Sync,
+) -> Vec<GroupAcc> {
+    let duration_aware = walk_cfg.duration_aware;
+    walk_fold(
+        0..graph.num_events(),
+        threads,
+        || make_walker(graph, walk_cfg, prefix, source()),
+        || GroupAcc::new(masks.len()),
+        |acc, inst| tally(graph, masks, duration_aware, check_timing, acc, inst),
+    )
 }
 
 /// Enumerates one walk group serially over the window index, invoking

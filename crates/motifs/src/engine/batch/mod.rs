@@ -121,18 +121,6 @@ pub(crate) fn count_batch_with(
     BatchPlanner::plan(graph, cfgs, kind, threads).execute(graph, cfgs, threads)
 }
 
-/// How a walk group drives its single traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkDriver {
-    /// Serial walk over the plain node index ([`BacktrackEngine`]
-    /// (crate::engine::BacktrackEngine) semantics).
-    SerialNodeList,
-    /// Serial walk over the shared [`WindowIndex`](tnm_graph::WindowIndex).
-    SerialWindowed,
-    /// Work-stealing workers over the shared window index.
-    Parallel,
-}
-
 /// One planned group: the member config indices plus how their shared
 /// traversal runs.
 #[derive(Debug, Clone)]
@@ -149,7 +137,11 @@ enum GroupExec {
     /// per instance.
     Walk {
         walk_cfg: EnumConfig,
-        driver: WalkDriver,
+        /// The resolved walker: `Backtrack` (plain node index),
+        /// `Windowed`, or `Parallel` (windowed, more than one thread).
+        kind: EngineKind,
+        /// Executor threads; 1 unless `kind` is `Parallel`.
+        threads: usize,
         /// Set when every member targets a signature: the shared walk
         /// prunes to the union of the targets' pair prefixes.
         prefix_targets: Option<Vec<MotifSignature>>,
@@ -192,17 +184,12 @@ impl BatchPlan {
                 GroupExec::Stream { delta_w, num_events } => {
                     format!("stream ΔW={delta_w} {num_events}e ×{}", g.members.len())
                 }
-                GroupExec::Walk { walk_cfg, driver, prefix_targets } => {
-                    let d = match driver {
-                        WalkDriver::SerialNodeList => "backtrack",
-                        WalkDriver::SerialWindowed => "windowed",
-                        WalkDriver::Parallel => "parallel",
-                    };
+                GroupExec::Walk { walk_cfg, kind, prefix_targets, .. } => {
                     let pf = match prefix_targets {
                         Some(t) => format!(" prefix[{}]", t.len()),
                         None => String::new(),
                     };
-                    format!("walk({d}) {}{pf} ×{}", walk_cfg.timing, g.members.len())
+                    format!("walk({kind}) {}{pf} ×{}", walk_cfg.timing, g.members.len())
                 }
                 GroupExec::Solo { kind } => format!("solo({kind}) ×{}", g.members.len()),
             })
@@ -237,15 +224,15 @@ impl BatchPlan {
                         out[i] = StreamEngine::project(&spectrum, &cfgs[i]);
                     }
                 }
-                GroupExec::Walk { walk_cfg, driver, prefix_targets } => {
+                GroupExec::Walk { walk_cfg, kind, threads, prefix_targets } => {
                     exec::count_walk_group(
                         graph,
                         cfgs,
                         &group.members,
                         walk_cfg,
                         prefix_targets.as_deref(),
-                        *driver,
-                        threads,
+                        *kind,
+                        *threads,
                         &mut out,
                     );
                 }
@@ -376,11 +363,12 @@ impl BatchPlanner {
                 walk_buckets.push((key, cfg.timing, unbounded, groups.len()));
                 groups.push(PlanGroup {
                     members: vec![i],
-                    // Timing/driver/prefix are finalized below, once the
+                    // Timing/walker/prefix are finalized below, once the
                     // bucket's membership is complete.
                     exec: GroupExec::Walk {
                         walk_cfg: cfg.clone(),
-                        driver: WalkDriver::SerialWindowed,
+                        kind: EngineKind::Windowed,
+                        threads: 1,
                         prefix_targets: None,
                     },
                 });
@@ -407,44 +395,35 @@ impl BatchPlanner {
                 .map(|&i| cfgs[i].signature_filter)
                 .collect::<Option<Vec<_>>>()
                 .filter(|targets| PrefixFilter::new(targets.iter(), key.num_events).is_some());
-            let driver = Self::walk_driver(graph, &walk_cfg, kind, threads);
-            groups[gi].exec = GroupExec::Walk { walk_cfg, driver, prefix_targets };
+            let (kind, threads) = Self::walker_for(graph, &walk_cfg, kind, threads);
+            groups[gi].exec = GroupExec::Walk { walk_cfg, kind, threads, prefix_targets };
         }
 
         BatchPlan { groups, n_configs: cfgs.len() }
     }
 
-    /// Picks the traversal driver for one walk group. Under `Auto` the
+    /// Resolves the walker and executor threads of one walk group: the
+    /// node-list `Backtrack` walk, or the windowed walk — `Parallel` when
+    /// it gets more than one thread, `Windowed` on one. Under `Auto` the
     /// group's **widest-reach** walk config drives [`auto_select`];
     /// selections whose execution cannot share one whole-graph walk
-    /// (sharded, either transport) degrade to the work-stealing in-memory
+    /// (sharded, either transport) degrade to the parallel in-memory
     /// walk — the graph is already resident, so the batch keeps the
     /// amortization and only gives up the bounded working set.
-    fn walk_driver(
+    fn walker_for(
         graph: &TemporalGraph,
         walk_cfg: &EnumConfig,
         kind: EngineKind,
         threads: usize,
-    ) -> WalkDriver {
-        let parallel_or_serial = |threads: usize| {
-            if threads > 1 {
-                WalkDriver::Parallel
-            } else {
-                WalkDriver::SerialWindowed
+    ) -> (EngineKind, usize) {
+        let resolved =
+            if kind == EngineKind::Auto { auto_select(graph, walk_cfg, threads) } else { kind };
+        match resolved {
+            EngineKind::Backtrack => (EngineKind::Backtrack, 1),
+            EngineKind::Parallel | EngineKind::Sharded { .. } if threads > 1 => {
+                (EngineKind::Parallel, threads)
             }
-        };
-        match kind {
-            EngineKind::Backtrack => WalkDriver::SerialNodeList,
-            EngineKind::Windowed | EngineKind::Stream => WalkDriver::SerialWindowed,
-            EngineKind::Parallel => parallel_or_serial(threads),
-            EngineKind::Auto => match auto_select(graph, walk_cfg, threads) {
-                EngineKind::Backtrack => WalkDriver::SerialNodeList,
-                EngineKind::Parallel | EngineKind::Sharded { .. } => parallel_or_serial(threads),
-                _ => WalkDriver::SerialWindowed,
-            },
-            EngineKind::Sharded { .. } | EngineKind::Sampling { .. } => {
-                unreachable!("solo kinds never reach walk planning")
-            }
+            _ => (EngineKind::Windowed, 1),
         }
     }
 }

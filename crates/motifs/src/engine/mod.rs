@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`BacktrackEngine`] | serial walk, plain node-index scans | tiny graphs or unbounded timing, where building an index outweighs pruning; also the reference for differential tests |
 //! | [`WindowedEngine`] | serial walk, [`WindowIndex`](tnm_graph::WindowIndex) binary-search pruning | bounded ΔC/ΔW on one core — the best single-threaded walker for realistic in-memory workloads |
-//! | [`ParallelEngine`] | work-stealing workers over the windowed index | large graphs on multi-core hardware with enough admissible work per start event |
+//! | [`ParallelEngine`] | the walk executor over the windowed index: work-stealing workers, or one inline walk on a one-thread budget | large graphs on multi-core hardware with enough admissible work per start event |
 //! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]) over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
 //! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
@@ -48,8 +48,8 @@
 //! count, which is the inherent limitation of sampling rare motifs.
 //!
 //! [`EngineKind::Auto`] picks an engine from the graph, configuration,
-//! and thread budget (see [`auto_select`]) and is what the legacy
-//! [`count_motifs`](crate::count_motifs) wrapper uses.
+//! and thread budget (see [`auto_select`]) and is what the one-call
+//! [`count_motifs`](crate::count_motifs) entry uses.
 //! All windowed engines share one [`WindowIndex`](tnm_graph::WindowIndex)
 //! per graph through the
 //! [global index cache](tnm_graph::index_cache::global_index_cache), so
@@ -125,8 +125,8 @@
 //!   L2-resident.
 //!
 //! The `hotpath_*` bench groups (`crates/bench/benches/engines.rs`)
-//! time each of these loops against a faithful copy of the
-//! struct-chasing implementation they replaced.
+//! time each of these loops; `hotpath_window_probe` also times the
+//! struct-striding probe the column layout replaced.
 //!
 //! ## Observability
 //!
@@ -181,10 +181,10 @@ mod walker;
 mod windowed;
 
 pub use backtrack::BacktrackEngine;
-pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner, WalkDriver};
+pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner};
 pub use config::{ConfigError, EnumConfig, MotifInstance};
 pub use distributed::run_worker;
-pub use parallel::{ParallelConfig, ParallelEngine, DEFAULT_STEAL_CHUNK, SERIAL_FALLBACK_EVENTS};
+pub use parallel::{ParallelEngine, SERIAL_FALLBACK_EVENTS};
 pub use query::{Query, QueryError, QueryInstance, QueryResponse};
 pub use report::{t_critical_95, EngineReport, Estimate, Z_95};
 pub use sampling::{SamplingEngine, DEFAULT_SAMPLING_BUDGET, DEFAULT_SAMPLING_SEED};
@@ -866,7 +866,6 @@ mod tests {
         let par = ParallelEngine::new(4);
         assert!(par.capabilities().parallel);
         assert!(par.capabilities().windowed_pruning);
-        assert!(!ParallelEngine::over_backtrack(4).capabilities().windowed_pruning);
         let samp = SamplingEngine::new(8, 1);
         assert!(!samp.capabilities().parallel);
         assert!(samp.capabilities().windowed_pruning);
@@ -913,13 +912,5 @@ mod tests {
             }
         }
         assert!(!EngineKind::sampling(16, 7).report(&g, &cfg, 1).exact);
-    }
-
-    #[test]
-    fn parallel_config_defaults() {
-        let cfg = ParallelConfig::new(0);
-        assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.serial_fallback_events, SERIAL_FALLBACK_EVENTS);
-        assert_eq!(cfg.steal_chunk, DEFAULT_STEAL_CHUNK);
     }
 }

@@ -1,4 +1,5 @@
-//! [`ParallelEngine`] — work-stealing parallel counting.
+//! The walk executor ([`work_steal_map`]) and [`ParallelEngine`], its
+//! whole-graph windowed instantiation.
 //!
 //! The seed repo's parallel path split start events into `threads` static
 //! chunks and merged results through a `Mutex`. Static chunking is a poor
@@ -10,139 +11,67 @@
 //!
 //! * **Work stealing via an atomic cursor** — start events live behind a
 //!   single `AtomicUsize`; each worker claims the next
-//!   [`ParallelConfig::steal_chunk`] start events with `fetch_add` and
-//!   returns for more when done. Fast workers automatically absorb the
-//!   skew; there is no partitioning decision to get wrong.
+//!   [`DEFAULT_STEAL_CHUNK`] start events with `fetch_add` and returns
+//!   for more when done. Fast workers automatically absorb the skew;
+//!   there is no partitioning decision to get wrong.
 //! * **Lock-free merge at join** — each worker counts into a private
-//!   [`MotifCounts`] and *returns it from the scoped thread*; the spawning
-//!   thread merges the locals after `join`, so no lock is ever contended
-//!   (the old design serialized every worker's full-table merge behind a
-//!   `Mutex` while peers were still counting).
+//!   accumulator and *returns it from the scoped thread*; the spawning
+//!   thread merges the locals after `join`, so no lock is ever contended.
 //!
-//! Candidate generation inside each worker uses the windowed index by
-//! default (fetched once from the
-//! [global index cache](tnm_graph::index_cache::global_index_cache) and
-//! shared by reference across workers) or the plain node index when
-//! constructed via [`ParallelEngine::over_backtrack`].
+//! It is the one loop that walks a range of start events for counting:
+//! [`ParallelEngine`], the sharded engine's per-shard walk, and batch
+//! walk groups all call it through [`walk_fold`]. A one-thread budget
+//! runs the whole range inline on the caller's thread, so serial callers
+//! need no branch of their own.
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::walker::{CandidateSource, NodeListCandidates, Walker, WindowedCandidates};
-use crate::engine::{BacktrackEngine, CountEngine, EngineCaps, WindowedEngine};
+use crate::engine::walker::{CandidateSource, Walker, WindowedCandidates};
+use crate::engine::{CountEngine, EngineCaps, WindowedEngine};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::TemporalGraph;
 
-/// Tuning knobs of the work-stealing executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker count. Clamped to at least 1; 1 degenerates to serial.
-    pub threads: usize,
-    /// Below this many events the **auto** engine
-    /// ([`EngineKind::Auto`](crate::engine::EngineKind)) prefers a serial
-    /// engine — thread spawn/merge overhead dominates tiny graphs. An
-    /// explicitly constructed `ParallelEngine` ignores it and honors
-    /// `threads` as asked.
-    pub serial_fallback_events: usize,
-    /// Start events claimed per `fetch_add`. Larger chunks amortise the
-    /// atomic; smaller chunks balance better. The default suits start
-    /// events whose cost varies by orders of magnitude.
-    pub steal_chunk: usize,
-}
-
-/// Default for [`ParallelConfig::serial_fallback_events`] (the seed
-/// repo's hardcoded `m < 1024` check, now named and overridable).
+/// Below this many events the **auto** engine
+/// ([`EngineKind::Auto`](crate::engine::EngineKind)) prefers a serial
+/// engine — thread spawn/merge overhead dominates tiny graphs. An
+/// explicitly constructed [`ParallelEngine`] honors its thread count as
+/// asked.
 pub const SERIAL_FALLBACK_EVENTS: usize = 1024;
 
-/// Default for [`ParallelConfig::steal_chunk`].
-pub const DEFAULT_STEAL_CHUNK: usize = 64;
+/// Start events claimed per `fetch_add`. Larger chunks amortise the
+/// atomic; smaller chunks balance better. This suits start events whose
+/// cost varies by orders of magnitude.
+pub(crate) const DEFAULT_STEAL_CHUNK: usize = 64;
 
-impl ParallelConfig {
-    /// Standard configuration for `threads` workers.
-    pub fn new(threads: usize) -> Self {
-        ParallelConfig {
-            threads: threads.max(1),
-            serial_fallback_events: SERIAL_FALLBACK_EVENTS,
-            steal_chunk: DEFAULT_STEAL_CHUNK,
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
-    }
-}
-
-/// Which candidate source the workers use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Inner {
-    Windowed,
-    Backtrack,
-}
-
-/// Work-stealing parallel counting engine.
+/// Work-stealing parallel counting engine over the windowed index.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelEngine {
-    config: ParallelConfig,
-    inner: Inner,
+    threads: usize,
 }
 
 impl ParallelEngine {
-    /// Work-stealing workers over the windowed candidate index.
+    /// Work-stealing workers over the windowed candidate index; one
+    /// thread walks inline.
     pub fn new(threads: usize) -> Self {
-        ParallelEngine { config: ParallelConfig::new(threads), inner: Inner::Windowed }
-    }
-
-    /// Work-stealing workers over the plain node index (for apples-to-
-    /// apples scheduler benchmarks against [`BacktrackEngine`]).
-    pub fn over_backtrack(threads: usize) -> Self {
-        ParallelEngine { config: ParallelConfig::new(threads), inner: Inner::Backtrack }
-    }
-
-    /// Overrides the executor tuning.
-    pub fn with_config(mut self, config: ParallelConfig) -> Self {
-        self.config = ParallelConfig { threads: config.threads.max(1), ..config };
-        self
-    }
-
-    /// The executor configuration.
-    pub fn config(&self) -> &ParallelConfig {
-        &self.config
-    }
-
-    /// Runs the work-stealing loop with a per-worker `CandidateSource`
-    /// factory, merging the per-worker local counts after join.
-    fn run<C, M>(&self, graph: &TemporalGraph, cfg: &EnumConfig, make_source: M) -> MotifCounts
-    where
-        C: CandidateSource + Send,
-        M: Fn() -> C + Sync,
-    {
-        // Build the SoA time column before the fan-out so no worker
-        // stalls on its first window probe while another initializes it.
-        let _ = graph.columns();
-        work_steal_count(
-            graph,
-            cfg,
-            0..graph.num_events(),
-            self.config.threads,
-            self.config.steal_chunk,
-            make_source,
-            |local, inst| local.add(inst.signature, 1),
-        )
+        ParallelEngine { threads: threads.max(1) }
     }
 }
 
-/// The generic work-stealing executor: `threads` workers claim
-/// `chunk`-sized index ranges of `0..len` through an atomic cursor,
-/// each folding its claims into a private per-worker accumulator built
-/// by `make_acc` (which typically bundles reusable scratch — a
-/// [`Walker`], an RNG-free sampling state — with the results). The
-/// per-worker accumulators are returned **in spawn order** after join,
-/// so callers that need deterministic merges (the sampling engine's
-/// seeded confidence intervals) can reduce them — or per-item results
-/// stored inside them — in a fixed order regardless of how the work was
-/// actually interleaved.
+/// The walk executor: `threads` workers claim `chunk`-sized index ranges
+/// of `0..len` through an atomic cursor, each folding its claims into a
+/// private per-worker accumulator built by `make_acc` (which typically
+/// bundles reusable scratch — a [`Walker`], an RNG-free sampling state —
+/// with the results). The per-worker accumulators are returned **in
+/// spawn order** after join, so callers that need deterministic merges
+/// (the sampling engine's seeded confidence intervals) can reduce them —
+/// or per-item results stored inside them — in a fixed order regardless
+/// of how the work was actually interleaved.
+///
+/// When `threads`, clamped to `len`, is 1, the executor spawns nothing:
+/// it calls `make_acc` once and `work` once with `0..len` on the caller's
+/// thread and records no `walk.worker` span.
 pub(crate) fn work_steal_map<A, MS, W>(
     len: usize,
     threads: usize,
@@ -153,9 +82,14 @@ pub(crate) fn work_steal_map<A, MS, W>(
 where
     A: Send,
     MS: Fn() -> A + Sync,
-    W: Fn(&mut A, std::ops::Range<usize>) + Sync,
+    W: Fn(&mut A, Range<usize>) + Sync,
 {
     let threads = threads.max(1).min(len.max(1));
+    if threads == 1 {
+        let mut acc = make_acc();
+        work(&mut acc, 0..len);
+        return vec![acc];
+    }
     let chunk = chunk.max(1);
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -182,58 +116,56 @@ where
     })
 }
 
-/// The counting instantiation of [`work_steal_map`], decoupled from
-/// [`ParallelEngine`] so the sharded engine can drive it **within a
-/// shard**: workers claim slices of `starts`, walk them with a
-/// per-worker [`Walker`] over `make_source`'s candidate source, fold
-/// each instance into a per-worker local table via `tally`, and the
-/// locals merge lock-free after join (u64 additions commute, so the
-/// merge order never affects the result).
-pub(crate) fn work_steal_count<C, M, T>(
-    graph: &TemporalGraph,
-    cfg: &EnumConfig,
-    starts: std::ops::Range<usize>,
+/// Walks the start events `starts` on the executor: each worker owns a
+/// [`Walker`] from `make_walker` and an accumulator from `init`, and
+/// `visit` folds every instance into the accumulator of the worker that
+/// found it. Returns one accumulator per worker for the caller to merge.
+pub(crate) fn walk_fold<'g, C, A>(
+    starts: Range<usize>,
     threads: usize,
-    chunk: usize,
-    make_source: M,
-    tally: T,
-) -> MotifCounts
+    make_walker: impl Fn() -> Walker<'g, C> + Sync,
+    init: impl Fn() -> A + Sync,
+    visit: impl Fn(&mut A, &MotifInstance<'_>) + Sync,
+) -> Vec<A>
 where
     C: CandidateSource + Send,
-    M: Fn() -> C + Sync,
-    T: Fn(&mut MotifCounts, &MotifInstance<'_>) + Sync,
+    A: Send,
 {
     let base = starts.start;
-    let len = starts.len();
-    let locals = work_steal_map(
-        len,
+    work_steal_map(
+        starts.len(),
         threads,
-        chunk,
-        || (MotifCounts::new(), Walker::new(graph, cfg, make_source())),
-        |state, claimed| {
-            let (local, walker) = state;
-            walker.run_range(base + claimed.start..base + claimed.end, |inst| tally(local, inst));
+        DEFAULT_STEAL_CHUNK,
+        || (init(), make_walker()),
+        |(acc, walker), claimed| {
+            walker.run_range(base + claimed.start..base + claimed.end, |inst| visit(acc, inst));
         },
-    );
-    let mut merged = MotifCounts::new();
-    for (local, _walker) in &locals {
-        merged.merge(local);
+    )
+    .into_iter()
+    .map(|(acc, _walker)| acc)
+    .collect()
+}
+
+/// Sums per-worker count tables (u64 additions commute, so the merge
+/// order never affects the result).
+pub(crate) fn merge_counts(locals: Vec<MotifCounts>) -> MotifCounts {
+    let mut locals = locals.into_iter();
+    let mut merged = locals.next().unwrap_or_default();
+    for local in locals {
+        merged.merge(&local);
     }
     merged
 }
 
 impl CountEngine for ParallelEngine {
     fn name(&self) -> &'static str {
-        match self.inner {
-            Inner::Windowed => "parallel",
-            Inner::Backtrack => "parallel-backtrack",
-        }
+        "parallel"
     }
 
     fn capabilities(&self) -> EngineCaps {
         EngineCaps {
-            parallel: true,
-            windowed_pruning: self.inner == Inner::Windowed,
+            parallel: self.threads > 1,
+            windowed_pruning: true,
             // Counting is deterministic; *enumeration order* under a
             // callback falls back to the serial engine (see `enumerate`).
             deterministic_enumeration: true,
@@ -242,25 +174,22 @@ impl CountEngine for ParallelEngine {
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
-        if self.config.threads <= 1 {
-            // One worker: skip the executor, not the semantics.
-            return match self.inner {
-                Inner::Windowed => WindowedEngine.count(graph, cfg),
-                Inner::Backtrack => BacktrackEngine.count(graph, cfg),
-            };
-        }
-        match self.inner {
-            Inner::Windowed => {
-                let index = global_index_cache().get_or_build(graph);
-                self.run(graph, cfg, || WindowedCandidates::new(&index))
-            }
-            Inner::Backtrack => self.run(graph, cfg, || NodeListCandidates),
-        }
+        // Build the SoA time column before the fan-out so no worker
+        // stalls on its first window probe while another initializes it.
+        let _ = graph.columns();
+        let index = global_index_cache().get_or_build(graph);
+        merge_counts(walk_fold(
+            0..graph.num_events(),
+            self.threads,
+            || Walker::new(graph, cfg, WindowedCandidates::new(&index)),
+            MotifCounts::new,
+            |counts, inst| counts.add(inst.signature, 1),
+        ))
     }
 
     /// Enumeration hands instances to a `&mut dyn FnMut` callback, which
     /// cannot be shared across workers; it therefore delegates to the
-    /// matching serial engine so callers get the deterministic
+    /// serial windowed engine so callers get the deterministic
     /// start-event order the serial engines guarantee.
     fn enumerate(
         &self,
@@ -268,16 +197,39 @@ impl CountEngine for ParallelEngine {
         cfg: &EnumConfig,
         callback: &mut dyn FnMut(&MotifInstance<'_>),
     ) {
-        match self.inner {
-            Inner::Windowed => WindowedEngine.enumerate(graph, cfg, callback),
-            Inner::Backtrack => BacktrackEngine.enumerate(graph, cfg, callback),
-        }
+        WindowedEngine.enumerate(graph, cfg, callback)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_thread_runs_inline_with_one_claim() {
+        let _guard = tnm_obs::test_guard();
+        tnm_obs::set_enabled(true);
+        tnm_obs::drain_spans();
+        let caller = std::thread::current().id();
+        let made = AtomicUsize::new(0);
+        let accs = work_steal_map(
+            97,
+            1,
+            8,
+            || {
+                made.fetch_add(1, Ordering::Relaxed);
+                (std::thread::current().id(), Vec::new())
+            },
+            |(_, claims): &mut (_, Vec<Range<usize>>), r| claims.push(r),
+        );
+        let spans = tnm_obs::drain_spans();
+        tnm_obs::set_enabled(false);
+        assert_eq!(made.load(Ordering::Relaxed), 1, "make_acc runs once");
+        assert_eq!(accs.len(), 1);
+        assert_eq!(accs[0].0, caller, "the accumulator is built on the caller's thread");
+        assert_eq!(accs[0].1, vec![0..97], "one claim covering the whole range");
+        assert!(spans.iter().all(|s| s.name != "walk.worker"), "no worker span inline");
+    }
 
     #[test]
     fn spans_nest_and_order_under_the_work_stealing_executor() {

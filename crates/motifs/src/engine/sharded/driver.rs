@@ -1,13 +1,13 @@
 //! The per-shard walk both transports run ([`ShardWalk`]): static
-//! inducedness stripped, a shard-local window index, and a serial or
-//! work-stealing pass over the shard's owned start events. The
+//! inducedness stripped, a shard-local window index, and a pass of the
+//! walk executor over the shard's owned start events. The
 //! in-thread transport counts and enumerates through it; `tnm worker`
 //! builds its count and induced-group replies with it.
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::distributed::protocol::InducedGroup;
-use crate::engine::parallel::{work_steal_map, DEFAULT_STEAL_CHUNK};
+use crate::engine::parallel::{merge_counts, walk_fold};
 use crate::engine::walker::{Walker, WindowedCandidates};
 use crate::induced::static_induced_ok;
 use crate::notation::MotifSignature;
@@ -40,39 +40,13 @@ impl<'g> ShardWalk<'g> {
         ShardWalk { graph, own, cfg, index: WindowIndex::build(graph) }
     }
 
-    /// Visits the owned instances serially, in start-event order.
-    fn run(&self, visit: impl FnMut(&MotifInstance<'_>)) {
+    fn walker(&self) -> Walker<'_, WindowedCandidates<'_>> {
         Walker::new(self.graph, &self.cfg, WindowedCandidates::new(&self.index))
-            .run_range(self.own.clone(), visit);
     }
 
-    /// Folds the owned instances into accumulators: one serial pass, or
-    /// the shared work-stealing executor when `threads > 1`, returning
-    /// one accumulator per worker thread for the caller to merge.
-    fn fold<A: Send>(
-        &self,
-        threads: usize,
-        init: impl Fn() -> A + Sync,
-        visit: impl Fn(&mut A, &MotifInstance<'_>) + Sync,
-    ) -> Vec<A> {
-        if threads <= 1 || self.own.len() <= 1 {
-            let mut acc = init();
-            self.run(|inst| visit(&mut acc, inst));
-            return vec![acc];
-        }
-        let base = self.own.start;
-        work_steal_map(
-            self.own.len(),
-            threads,
-            DEFAULT_STEAL_CHUNK,
-            || (init(), Walker::new(self.graph, &self.cfg, WindowedCandidates::new(&self.index))),
-            |(acc, walker), claimed| {
-                walker.run_range(base + claimed.start..base + claimed.end, |inst| visit(acc, inst));
-            },
-        )
-        .into_iter()
-        .map(|(acc, _walker)| acc)
-        .collect()
+    /// Visits the owned instances serially, in start-event order.
+    fn run(&self, visit: impl FnMut(&MotifInstance<'_>)) {
+        self.walker().run_range(self.own.clone(), visit);
     }
 
     /// Counts the owned instances that pass `keep`.
@@ -81,18 +55,17 @@ impl<'g> ShardWalk<'g> {
         threads: usize,
         keep: impl Fn(&MotifInstance<'_>) -> bool + Sync,
     ) -> MotifCounts {
-        let mut locals = self
-            .fold(threads, MotifCounts::new, |counts, inst| {
+        merge_counts(walk_fold(
+            self.own.clone(),
+            threads,
+            || self.walker(),
+            MotifCounts::new,
+            |counts, inst| {
                 if keep(inst) {
                     counts.add(inst.signature, 1);
                 }
-            })
-            .into_iter();
-        let mut counts = locals.next().unwrap_or_default();
-        for local in locals {
-            counts.merge(&local);
-        }
-        counts
+            },
+        ))
     }
 
     /// Aggregates the owned instances by inducedness-relevant structure
@@ -119,7 +92,8 @@ impl<'g> ShardWalk<'g> {
             covered.dedup();
             *map.entry((inst.signature, nodes, covered)).or_insert(0) += 1;
         };
-        let mut locals = self.fold(threads, HashMap::new, tally).into_iter();
+        let mut locals =
+            walk_fold(self.own.clone(), threads, || self.walker(), HashMap::new, tally).into_iter();
         let mut merged = locals.next().unwrap_or_default();
         for local in locals {
             for (key, n) in local {

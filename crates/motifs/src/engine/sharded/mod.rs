@@ -15,8 +15,8 @@
 //! * **`workers = 0` — in this thread.** Shards are materialized from
 //!   the parent's event buffer one at a time, so at most one shard graph
 //!   and its index are resident beside the parent. Within a shard,
-//!   counting reuses the work-stealing executor of
-//!   [`ParallelEngine`] under the `threads` budget.
+//!   counting runs on the walk executor every walker shares, under the
+//!   `threads` budget; one thread walks inline.
 //! * **`workers = n > 0` — worker processes.** Every shard is written
 //!   to a temporary event file and `n` `tnm worker` children count them
 //!   over the framed wire protocol, each with `threads` threads inside.
@@ -214,11 +214,7 @@ impl ShardedEngine {
         // to one worker): run the monolithic engine on the parent
         // instead, sharing the global index cache.
         if plan.len() <= 1 {
-            let counts = if self.config.threads > 1 {
-                ParallelEngine::new(self.config.threads).count(graph, cfg)
-            } else {
-                WindowedEngine.count(graph, cfg)
-            };
+            let counts = ParallelEngine::new(self.config.threads).count(graph, cfg);
             let stats = ShardedRunStats {
                 shards: 1,
                 max_shard_events: graph.num_events(),

@@ -1,57 +1,32 @@
-//! Legacy enumeration entry points, now thin wrappers over the
-//! [`engine`](crate::engine) subsystem.
+//! The one-call counting entry point, [`count_motifs`].
 //!
-//! The machinery that used to live here — the backtracking walker, its
-//! parallel driver — moved to `crate::engine`, which exposes it behind
-//! the [`CountEngine`](crate::engine::CountEngine) trait with four
-//! interchangeable implementations. This module keeps the serial
-//! entry points:
-//!
-//! * [`count_motifs`] — serial counting via the auto-selected serial
-//!   engine (see [`auto_select`](crate::engine::auto_select));
-//! * [`enumerate_instances`] / [`count_signature`] — deterministic
-//!   serial enumeration, unchanged semantics.
-//!
-//! New code that cares about strategy should select an engine through
-//! [`EngineKind`](crate::engine::EngineKind) instead.
+//! Counting and enumeration run behind the
+//! [`CountEngine`](crate::engine::CountEngine) trait in
+//! [`engine`](crate::engine), which picks an execution strategy through
+//! [`EngineKind`]. [`count_motifs`] is the
+//! shortcut for the common case: the auto-selected engine on one thread.
+//! Enumerate instances with an engine's
+//! [`enumerate`](crate::engine::CountEngine::enumerate), e.g.
+//! [`WindowedEngine`](crate::engine::WindowedEngine)'s deterministic
+//! start-event order.
 
 pub use crate::engine::{EnumConfig, MotifInstance};
 
-use crate::constraints::Timing;
 use crate::count::MotifCounts;
-use crate::engine::{CountEngine, EngineKind, WindowedEngine};
-use crate::notation::MotifSignature;
+use crate::engine::EngineKind;
 use tnm_graph::TemporalGraph;
 
-/// Enumerates every motif instance admitted by `cfg`, invoking `callback`
-/// once per instance (events in time order, deterministic order).
-pub fn enumerate_instances<F: FnMut(&MotifInstance<'_>)>(
-    graph: &TemporalGraph,
-    cfg: &EnumConfig,
-    mut callback: F,
-) {
-    WindowedEngine.enumerate(graph, cfg, &mut callback);
-}
-
 /// Counts instances per canonical signature with the auto-selected
-/// serial engine.
+/// engine on one thread.
 pub fn count_motifs(graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
     EngineKind::Auto.count(graph, cfg, 1)
-}
-
-/// Counts instances of one specific signature (prefix-pruned fast path
-/// used by the Figure 4/5 experiments).
-pub fn count_signature(graph: &TemporalGraph, sig: MotifSignature, timing: Timing) -> u64 {
-    let cfg = EnumConfig::for_signature(sig).with_timing(timing);
-    let mut n = 0u64;
-    enumerate_instances(graph, &cfg, |_| n += 1);
-    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ParallelEngine;
+    use crate::constraints::Timing;
+    use crate::engine::{CountEngine, ParallelEngine, WindowedEngine};
     use crate::models::MotifModel;
     use crate::notation::sig;
     use tnm_graph::TemporalGraphBuilder;
@@ -192,7 +167,8 @@ mod tests {
             .unwrap();
         let full = count_motifs(&g, &EnumConfig::new(3, 3).with_timing(Timing::only_w(10)));
         for (s, n) in full.iter() {
-            let targeted = count_signature(&g, s, Timing::only_w(10));
+            let cfg = EnumConfig::for_signature(s).with_timing(Timing::only_w(10));
+            let targeted = WindowedEngine.count(&g, &cfg).total();
             assert_eq!(targeted, n, "signature {s}");
         }
     }
@@ -259,7 +235,7 @@ mod tests {
     fn instance_times_and_timespan() {
         let g = chain_graph();
         let mut spans = Vec::new();
-        enumerate_instances(&g, &EnumConfig::new(3, 4), |inst| {
+        WindowedEngine.enumerate(&g, &EnumConfig::new(3, 4), &mut |inst| {
             spans.push((inst.times(&g), inst.timespan(&g)));
         });
         assert_eq!(spans, vec![(vec![10, 20, 30], 20)]);

@@ -26,8 +26,8 @@
 //!   evaluates draws in parallel with bit-identical seeded results),
 //!   plus the **streaming fast path** ([`engine::StreamEngine`]) that
 //!   counts eligible δ-window spectra without enumerating instances;
-//!   legacy entry points ([`enumerate`]), and spectrum analytics
-//!   ([`count`]);
+//!   the one-call [`count_motifs`] entry ([`enumerate`]), and spectrum
+//!   analytics ([`count`]);
 //! * a serializable **Query API** ([`engine::Query`] /
 //!   [`engine::QueryResponse`]) shared by the CLI verbs, the library,
 //!   and **`tnm serve`** — a resident counting daemon
@@ -80,15 +80,16 @@
 //!   searches over inline timestamps, so bounded ΔC/ΔW configurations
 //!   skip non-admissible events entirely. The best single-threaded
 //!   choice for realistic workloads.
-//! * [`engine::ParallelEngine`] (`parallel`) — work-stealing workers
+//! * [`engine::ParallelEngine`] (`parallel`) — the walk executor every
+//!   walker shares, over the windowed index: work-stealing workers
 //!   (atomic start-event cursor, per-worker local tables merged
-//!   lock-free at join) over the windowed index. The best choice for
-//!   large graphs on multi-core hardware.
+//!   lock-free at join), or one inline walk on a one-thread budget. The
+//!   best choice for large graphs on multi-core hardware.
 //! * [`engine::ShardedEngine`] (`sharded`) — time-slice shards with
 //!   bounded halos ([`tnm_graph::shard`]), each counted by the same
 //!   per-shard walk over one of two transports. With `workers = 0` the
-//!   shards are walked one at a time in this thread, work-stealing
-//!   inside each shard. With `workers = n` the coordinator writes every
+//!   shards are walked one at a time in this thread, on the same
+//!   executor inside each shard. With `workers = n` the coordinator writes every
 //!   shard to a temporary event file, spawns `n` `tnm worker` children,
 //!   ships framed job descriptors over the [`tnm_graph::wire`] protocol
 //!   and merges the framed count replies — with crash-detected shards
@@ -186,13 +187,11 @@ pub mod prelude {
     pub use crate::engine::{
         count_batch, enumerate_batch, AppendAck, BacktrackEngine, BatchPlan, BatchPlanner,
         ConfigError, CountEngine, EngineCaps, EngineKind, EngineReport, Estimate,
-        IncrementalStream, MotifServer, ParallelConfig, ParallelEngine, Query, QueryError,
-        QueryLogEntry, QueryResponse, SamplingEngine, ServeClient, ServeOptions, ServerStats,
-        ShardedEngine, TraceReply, WindowedEngine,
+        IncrementalStream, MotifServer, ParallelEngine, Query, QueryError, QueryLogEntry,
+        QueryResponse, SamplingEngine, ServeClient, ServeOptions, ServerStats, ShardedEngine,
+        TraceReply, WindowedEngine,
     };
-    pub use crate::enumerate::{
-        count_motifs, count_signature, enumerate_instances, EnumConfig, MotifInstance,
-    };
+    pub use crate::enumerate::{count_motifs, EnumConfig, MotifInstance};
     pub use crate::event_pair::{EventPairCounts, EventPairType, ALL_PAIR_TYPES};
     pub use crate::models::{EventOrdering, MotifModel};
     pub use crate::notation::{sig, MotifSignature};

@@ -19,7 +19,7 @@
 //!   the plan is pinned to a single group);
 //! * solo kinds: sharded and sampling (seeded sampling estimates must
 //!   be bit-identical to the per-config API);
-//! * `enumerate_batch` against per-config `enumerate_instances`,
+//! * `enumerate_batch` against per-config `WindowedEngine::enumerate`,
 //!   instance lists compared in order.
 
 use rand::rngs::StdRng;
@@ -189,6 +189,32 @@ fn table5_style_ratio_sweep_mixes_stream_and_walk_groups() {
     assert_batch_matches(&g, &batch, "table5 ratio sweep");
 }
 
+/// Every walk group names its resolved walker in `describe()` — what
+/// `tnm count-batch` prints — and a parallel group on one thread runs
+/// (and is labelled) as the windowed walk.
+#[test]
+fn walk_groups_describe_their_resolved_walker() {
+    let g = random_graph(46, 9, 140, 160);
+    let batch = [
+        EnumConfig::new(3, 3).with_timing(Timing::both(20, 50)),
+        EnumConfig::new(3, 3).with_timing(Timing::both(10, 40)),
+    ];
+    for (kind, threads, label) in [
+        (EngineKind::Backtrack, 1, "walk(backtrack)"),
+        (EngineKind::Windowed, 1, "walk(windowed)"),
+        (EngineKind::Parallel, 4, "walk(parallel)"),
+        (EngineKind::Parallel, 1, "walk(windowed)"),
+    ] {
+        let plan = BatchPlanner::plan(&g, &batch, kind, threads);
+        assert_eq!(plan.num_groups(), 1, "{}", plan.describe());
+        assert!(plan.describe().contains(label), "{kind}×{threads}: {}", plan.describe());
+        let got = plan.execute(&g, &batch, threads);
+        for (i, cfg) in batch.iter().enumerate() {
+            assert_eq!(got[i], kind.count(&g, cfg, threads), "{kind}×{threads} config #{i}");
+        }
+    }
+}
+
 #[test]
 fn solo_kinds_match() {
     let g = random_graph(45, 8, 90, 140);
@@ -219,7 +245,7 @@ fn enumerate_batch_matches_per_config_enumeration() {
     });
     for (i, cfg) in batch.iter().enumerate() {
         let mut expected: Vec<Vec<u32>> = Vec::new();
-        enumerate_instances(&g, cfg, |inst| expected.push(inst.events.to_vec()));
+        WindowedEngine.enumerate(&g, cfg, &mut |inst| expected.push(inst.events.to_vec()));
         assert_eq!(batched[i], expected, "config #{i} instance lists diverge");
     }
 }

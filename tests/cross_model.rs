@@ -64,7 +64,8 @@ fn streaming_matcher_agrees_with_engine_on_signatures() {
     let delta_w = 60;
     for s in ["011202", "010102", "011221", "011220", "0112"] {
         let signature = sig(s);
-        let exact = count_signature(&g, signature, Timing::only_w(delta_w));
+        let cfg = EnumConfig::for_signature(signature).with_timing(Timing::only_w(delta_w));
+        let exact = WindowedEngine.count(&g, &cfg).total();
         let pattern = EventPattern::from_signature(signature, delta_w);
         let matches = StreamingMatcher::match_graph(pattern, &g).len() as u64;
         assert_eq!(matches, exact, "matcher vs engine disagree on {s}");
@@ -78,7 +79,7 @@ fn signature_targeting_agrees_with_full_spectrum() {
     let full = count_motifs(&g, &EnumConfig::new(3, 3).with_timing(timing));
     let mut targeted_total = 0u64;
     for m in tnm_motifs::catalog::all_3e() {
-        let n = count_signature(&g, m, timing);
+        let n = WindowedEngine.count(&g, &EnumConfig::for_signature(m).with_timing(timing)).total();
         assert_eq!(n, full.get(m), "targeted count mismatch for {m}");
         targeted_total += n;
     }

@@ -183,7 +183,7 @@ fn emitted_instances_are_valid() {
         let model = MotifModel::kovanen(12);
         let cfg = EnumConfig::for_model(&model, 3, 3);
         let mut checked = 0usize;
-        tnm_motifs::enumerate::enumerate_instances(&graph, &cfg, |inst| {
+        WindowedEngine.enumerate(&graph, &cfg, &mut |inst| {
             let verdict = check_instance(&graph, inst.events, &model);
             assert!(verdict.is_valid(), "engine emitted invalid instance: {verdict}");
             checked += 1;

@@ -52,7 +52,6 @@ fn engines() -> Vec<Box<dyn CountEngine>> {
         Box::new(BacktrackEngine),
         Box::new(WindowedEngine),
         Box::new(ParallelEngine::new(4)),
-        Box::new(ParallelEngine::over_backtrack(3)),
         Box::new(ShardedEngine::new(16)),
         Box::new(ShardedEngine::new(25).with_threads(3)),
         Box::new(StreamEngine),
