@@ -10,6 +10,7 @@ use crate::event_pair::{EventPairCounts, EventPairType};
 use crate::notation::MotifSignature;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use tnm_graph::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// Counts of motif instances keyed by canonical signature.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -130,6 +131,24 @@ impl MotifCounts {
             }
         }
         m
+    }
+}
+
+/// A `u32` row count, then `(signature, u64)` rows in ascending
+/// signature order, so identical tables are byte-identical regardless
+/// of hash-map iteration order. Decoding requires that order.
+impl Wire for MotifCounts {
+    fn put(&self, w: &mut WireWriter) {
+        let mut rows: Vec<_> = self.iter().collect();
+        rows.sort_unstable();
+        rows.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let rows: Vec<(MotifSignature, u64)> = Wire::get(r)?;
+        if rows.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(WireError::Malformed("count rows not in ascending signature order".into()));
+        }
+        Ok(rows.into_iter().collect())
     }
 }
 

@@ -11,6 +11,7 @@ use crate::constraints::Timing;
 use crate::models::MotifModel;
 use crate::notation::MotifSignature;
 use std::fmt;
+use tnm_graph::wire::{Wire, WireError, WireReader, WireWriter};
 use tnm_graph::{EventIdx, TemporalGraph, Time};
 
 /// A structurally invalid [`EnumConfig`], reported by
@@ -291,6 +292,54 @@ impl EnumConfig {
             (None, Some(w)) => Some(w),
             (Some(c), Some(w)) => Some(c.min(w)),
         }
+    }
+}
+
+/// The three size bounds as `u32`s, the four restriction flags packed
+/// into one byte, both timing bounds as presence-tagged `i64`s, then the
+/// optional signature target. Decoding rejects out-of-range size bounds,
+/// unknown flag bits, and negative timing bounds.
+impl Wire for EnumConfig {
+    fn put(&self, w: &mut WireWriter) {
+        (self.num_events as u32).put(w);
+        (self.max_nodes as u32).put(w);
+        (self.min_nodes as u32).put(w);
+        let flags = (self.consecutive_events as u8)
+            | ((self.static_induced as u8) << 1)
+            | ((self.constrained_dynamic as u8) << 2)
+            | ((self.duration_aware as u8) << 3);
+        flags.put(w);
+        self.timing.delta_c.put(w);
+        self.timing.delta_w.put(w);
+        self.signature_filter.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let num_events = u32::get(r)? as usize;
+        let max_nodes = u32::get(r)? as usize;
+        let min_nodes = u32::get(r)? as usize;
+        if num_events < 1 || max_nodes < 2 {
+            return Err(WireError::Malformed(format!(
+                "config bounds out of range: {num_events} events on {max_nodes} nodes"
+            )));
+        }
+        let flags = u8::get(r)?;
+        if flags & !0x0F != 0 {
+            return Err(WireError::Malformed(format!("unknown config flag bits {flags:#x}")));
+        }
+        let timing = Timing { delta_c: Wire::get(r)?, delta_w: Wire::get(r)? };
+        if timing.delta_c.is_some_and(|c| c < 0) || timing.delta_w.is_some_and(|w| w < 0) {
+            return Err(WireError::Malformed("negative timing bound".into()));
+        }
+        Ok(EnumConfig {
+            min_nodes,
+            timing,
+            consecutive_events: flags & 1 != 0,
+            static_induced: flags & 2 != 0,
+            constrained_dynamic: flags & 4 != 0,
+            duration_aware: flags & 8 != 0,
+            signature_filter: Wire::get(r)?,
+            ..EnumConfig::new(num_events, max_nodes)
+        })
     }
 }
 

@@ -52,7 +52,7 @@ use crate::count::MotifCounts;
 use crate::engine::config::EnumConfig;
 use crate::engine::ShardedConfig;
 use crate::induced::induced_cover_ok;
-use protocol::{WorkerJob, WorkerReply, KIND_JOB, KIND_SHUTDOWN};
+use protocol::{WorkerJob, WorkerMsg, WorkerReply};
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -245,7 +245,7 @@ pub(crate) fn count_on_workers(
                         }
                     }
                 }
-                let _ = wire::write_frame(&mut stdin, KIND_SHUTDOWN, &[]);
+                let _ = wire::write_msg(&mut stdin, &WorkerMsg::Shutdown);
                 let _ = stdin.flush();
                 drop(stdin);
                 let _ = child.wait();
@@ -309,7 +309,7 @@ fn dispatch(
     stdout: &mut BufReader<std::process::ChildStdout>,
     job: &WorkerJob,
 ) -> Result<(WorkerReply, protocol::ReplyMetrics), WireError> {
-    wire::write_frame(&mut *stdin, KIND_JOB, &protocol::encode_job(job))?;
+    wire::write_msg(&mut *stdin, &WorkerMsg::Job(job.clone()))?;
     stdin.flush()?;
     match protocol::read_reply(&mut *stdout, wire::MAX_FRAME_PAYLOAD)? {
         Some((reply, metrics)) => {

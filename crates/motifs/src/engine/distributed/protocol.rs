@@ -1,16 +1,16 @@
 //! Message schemas of the coordinator ↔ worker protocol.
 //!
-//! Every message travels as one [`tnm_graph::wire`] frame whose `kind`
-//! byte selects the schema. The framing layer (magic, version, length
-//! validation) lives in `tnm-graph`; this module only defines the
-//! payloads, which are built from the wire primitives:
+//! Every message travels as one [`tnm_graph::wire`] frame whose kind
+//! byte is the `wire_enum!` tag of a [`WorkerMsg`] (coordinator →
+//! worker) or a [`ReplyFrame`] (worker → coordinator); those two
+//! `wire_enum!` lists define the kinds, and this table mirrors them:
 //!
-//! | kind | direction | payload |
+//! | kind | message | payload |
 //! |---|---|---|
-//! | [`KIND_JOB`] | coordinator → worker | [`WorkerJob`]: shard id, shard-file path, node-id space, owned start range, full [`EnumConfig`] |
-//! | [`KIND_COUNTS`] | worker → coordinator | shard id + per-signature counts |
-//! | [`KIND_INDUCED`] | worker → coordinator | shard id + a `last` marker + a batch of [`InducedGroup`]s — instances aggregated by (signature, node set, covered edges) for the coordinator's inducedness recheck; large replies span several frames, reassembled by [`read_reply`] |
-//! | [`KIND_SHUTDOWN`] | coordinator → worker | empty: drain and exit cleanly |
+//! | 1 | `WorkerMsg::Job` | [`WorkerJob`]: shard id, shard-file path, node-id space, owned start range, full [`EnumConfig`], trace context |
+//! | 2 | `ReplyFrame::Counts` | shard id + per-signature counts + [`ReplyMetrics`] |
+//! | 3 | `ReplyFrame::Induced` | an [`InducedChunk`]: shard id + a `last` marker + a batch of [`InducedGroup`]s — instances aggregated by (signature, node set, covered edges) for the coordinator's inducedness recheck — and, on the last chunk only, [`ReplyMetrics`]; large replies span several frames, reassembled by [`read_reply`] |
+//! | 4 | `WorkerMsg::Shutdown` | empty: drain and exit cleanly |
 //!
 //! Induced replies deliberately do **not** ship one record per
 //! instance: the static-inducedness verdict depends only on the
@@ -26,29 +26,16 @@
 //! mixed shard ids). The coordinator evaluates each group's verdict
 //! exactly once.
 //!
-//! Signatures are packed one byte per event (`src_digit << 4 \|
-//! dst_digit` — digits never exceed 9), and decoding re-validates
-//! canonical form through [`MotifSignature::from_pairs`], so a corrupt
-//! peer cannot smuggle a non-canonical signature into a count table.
-//! Every decoder finishes with [`WireReader::finish`], making trailing
-//! bytes an error rather than slack.
+//! Configurations, signatures, and count tables travel through the
+//! `Wire` impls next to those types, shared with the serve protocol.
 
-use crate::constraints::Timing;
 use crate::count::MotifCounts;
 use crate::engine::config::EnumConfig;
 use crate::notation::MotifSignature;
-use tnm_graph::wire::{WireError, WireReader, WireWriter};
+use tnm_graph::wire::{self, get_short, put_short, Wire, WireError, WireReader, WireWriter};
+use tnm_graph::{wire_enum, wire_struct};
 
-/// Frame kind: a shard job descriptor.
-pub(crate) const KIND_JOB: u8 = 1;
-/// Frame kind: a per-signature count reply.
-pub(crate) const KIND_COUNTS: u8 = 2;
-/// Frame kind: an aggregated induced-group reply (static-induced jobs).
-pub(crate) const KIND_INDUCED: u8 = 3;
-/// Frame kind: orderly worker shutdown.
-pub(crate) const KIND_SHUTDOWN: u8 = 4;
-
-/// Maximum [`InducedGroup`]s per [`KIND_INDUCED`] frame. A group
+/// Maximum [`InducedGroup`]s per induced frame. A group
 /// encodes to well under 256 bytes (≤ 8 events ⇒ ≤ 16 nodes and ≤ 8
 /// covered edges), so a full batch stays far below
 /// [`MAX_FRAME_PAYLOAD`](tnm_graph::wire::MAX_FRAME_PAYLOAD); a shard
@@ -86,6 +73,59 @@ pub(crate) struct WorkerJob {
     pub trace: Option<tnm_obs::TraceCtx>,
 }
 
+/// Fields in declaration order, the trace as `trace_id ‖ parent_span`
+/// (`0 ‖ 0` when untraced). Decoding rejects an inverted owned range and
+/// a parent span under trace id 0.
+impl Wire for WorkerJob {
+    fn put(&self, w: &mut WireWriter) {
+        self.shard_id.put(w);
+        self.shard_path.put(w);
+        self.num_nodes.put(w);
+        self.own_lo.put(w);
+        self.own_hi.put(w);
+        self.threads.put(w);
+        self.want_induced.put(w);
+        self.cfg.put(w);
+        self.trace.map_or((0, 0), |c| (c.trace_id, c.parent_span)).put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (shard_id, shard_path, num_nodes) = (u32::get(r)?, String::get(r)?, u32::get(r)?);
+        let (own_lo, own_hi) = <(u64, u64)>::get(r)?;
+        if own_lo > own_hi {
+            return Err(WireError::Malformed(format!(
+                "owned range {own_lo}..{own_hi} is inverted"
+            )));
+        }
+        let (threads, want_induced, cfg) = (u32::get(r)?, bool::get(r)?, EnumConfig::get(r)?);
+        let trace = match <(u64, u64)>::get(r)? {
+            (0, 0) => None,
+            (0, _) => return Err(WireError::Malformed("parent span under trace id 0".into())),
+            (trace_id, parent_span) => Some(tnm_obs::TraceCtx { trace_id, parent_span }),
+        };
+        Ok(WorkerJob {
+            shard_id,
+            shard_path,
+            num_nodes,
+            own_lo,
+            own_hi,
+            threads,
+            want_induced,
+            cfg,
+            trace,
+        })
+    }
+}
+
+/// A coordinator → worker frame.
+#[derive(Debug)]
+pub(crate) enum WorkerMsg {
+    /// Run one shard job and reply.
+    Job(WorkerJob),
+    /// Drain and exit cleanly.
+    Shutdown,
+}
+wire_enum!(WorkerMsg { 1 => Job(job), 4 => Shutdown });
+
 /// One aggregated induced-recheck unit: every owned instance of
 /// `signature` whose node set is `nodes` and whose events cover exactly
 /// the directed edges in `covered` (all in parent node-id space, since
@@ -101,6 +141,25 @@ pub(crate) struct InducedGroup {
     pub covered: Vec<(u32, u32)>,
     /// Instances in the group.
     pub count: u64,
+}
+
+/// The signature, nodes and covered edges behind `u8` counts (a motif
+/// has at most 16 nodes and 8 edges), then the instance count.
+impl Wire for InducedGroup {
+    fn put(&self, w: &mut WireWriter) {
+        self.signature.put(w);
+        put_short(w, &self.nodes);
+        put_short(w, &self.covered);
+        self.count.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(InducedGroup {
+            signature: Wire::get(r)?,
+            nodes: get_short(r)?,
+            covered: get_short(r)?,
+            count: Wire::get(r)?,
+        })
+    }
 }
 
 /// A worker's answer to one [`WorkerJob`].
@@ -137,9 +196,9 @@ impl WorkerReply {
 /// Worker-side execution report riding on every reply: the job's wall
 /// time (always measured — one clock read per shard) plus the worker's
 /// obs metrics snapshot for that job (empty unless the worker runs with
-/// observability enabled, i.e. was spawned with `TNM_OBS=1`). Encoded
-/// after the reply body on the [`KIND_COUNTS`] frame and on the *last*
-/// [`KIND_INDUCED`] frame of a chunk sequence.
+/// observability enabled, i.e. was spawned with `TNM_OBS=1`). It travels
+/// after the reply body on the counts frame and on the *last* frame of
+/// an induced chunk sequence.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct ReplyMetrics {
     /// Wall-clock nanoseconds the worker spent serving the job.
@@ -151,268 +210,71 @@ pub(crate) struct ReplyMetrics {
     /// carried a [`WorkerJob::trace`].
     pub spans: Vec<tnm_obs::SpanRecord>,
 }
+wire_struct!(ReplyMetrics { wall_ns, obs, spans });
 
-pub(crate) fn put_signature(w: &mut WireWriter, sig: &MotifSignature) {
-    let pairs = sig.pairs();
-    w.put_u8(pairs.len() as u8);
-    for &(a, b) in pairs {
-        w.put_u8((a << 4) | b);
-    }
+/// One frame of an induced reply: the metrics ride on the last chunk
+/// only, so `metrics.is_some()` is the `last` marker.
+#[derive(Debug)]
+pub(crate) struct InducedChunk {
+    /// Echo of [`WorkerJob::shard_id`].
+    pub shard_id: u32,
+    /// This chunk's groups.
+    pub groups: Vec<InducedGroup>,
+    /// The job's metrics, on the final chunk.
+    pub metrics: Option<ReplyMetrics>,
 }
 
-pub(crate) fn get_signature(r: &mut WireReader<'_>) -> Result<MotifSignature, WireError> {
-    let len = r.u8()? as usize;
-    let mut pairs = Vec::with_capacity(len);
-    for _ in 0..len {
-        let byte = r.u8()?;
-        pairs.push((byte >> 4, byte & 0x0F));
-    }
-    MotifSignature::from_pairs(&pairs)
-        .map_err(|e| WireError::Malformed(format!("non-canonical signature: {e}")))
-}
-
-/// Writes a count table as `u32` row count plus `(signature, u64)` rows
-/// in sorted signature order, so identical tables are byte-identical
-/// regardless of hash-map iteration order. Both protocols use it.
-pub(crate) fn put_counts(w: &mut WireWriter, counts: &MotifCounts) {
-    let mut rows: Vec<_> = counts.iter().collect();
-    rows.sort_unstable();
-    w.put_u32(rows.len() as u32);
-    for (sig, n) in rows {
-        put_signature(w, &sig);
-        w.put_u64(n);
-    }
-}
-
-/// Reads a count table written by [`put_counts`].
-pub(crate) fn get_counts(r: &mut WireReader<'_>) -> Result<MotifCounts, WireError> {
-    let rows = r.u32()?;
-    let mut counts = MotifCounts::new();
-    for _ in 0..rows {
-        let sig = get_signature(r)?;
-        counts.add(sig, r.u64()?);
-    }
-    Ok(counts)
-}
-
-pub(crate) fn put_config(w: &mut WireWriter, cfg: &EnumConfig) {
-    w.put_u32(cfg.num_events as u32);
-    w.put_u32(cfg.max_nodes as u32);
-    w.put_u32(cfg.min_nodes as u32);
-    let flags = (cfg.consecutive_events as u8)
-        | ((cfg.static_induced as u8) << 1)
-        | ((cfg.constrained_dynamic as u8) << 2)
-        | ((cfg.duration_aware as u8) << 3);
-    w.put_u8(flags);
-    w.put_opt_i64(cfg.timing.delta_c);
-    w.put_opt_i64(cfg.timing.delta_w);
-    match &cfg.signature_filter {
-        Some(sig) => {
-            w.put_bool(true);
-            put_signature(w, sig);
+/// `shard_id ‖ last ‖ groups ‖ metrics (last chunk only)`.
+impl Wire for InducedChunk {
+    fn put(&self, w: &mut WireWriter) {
+        (self.shard_id, self.metrics.is_some()).put(w);
+        self.groups.put(w);
+        if let Some(m) = &self.metrics {
+            m.put(w);
         }
-        None => w.put_bool(false),
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (shard_id, last) = Wire::get(r)?;
+        let groups = Wire::get(r)?;
+        let metrics = if last { Some(Wire::get(r)?) } else { None };
+        Ok(InducedChunk { shard_id, groups, metrics })
     }
 }
 
-pub(crate) fn get_config(r: &mut WireReader<'_>) -> Result<EnumConfig, WireError> {
-    let num_events = r.u32()? as usize;
-    let max_nodes = r.u32()? as usize;
-    let min_nodes = r.u32()? as usize;
-    if num_events < 1 || max_nodes < 2 {
-        return Err(WireError::Malformed(format!(
-            "config bounds out of range: {num_events} events on {max_nodes} nodes"
-        )));
-    }
-    let flags = r.u8()?;
-    if flags & !0x0F != 0 {
-        return Err(WireError::Malformed(format!("unknown config flag bits {flags:#x}")));
-    }
-    let delta_c = r.opt_i64()?;
-    let delta_w = r.opt_i64()?;
-    if delta_c.is_some_and(|c| c < 0) || delta_w.is_some_and(|w| w < 0) {
-        return Err(WireError::Malformed("negative timing bound".into()));
-    }
-    let signature_filter = if r.bool()? { Some(get_signature(r)?) } else { None };
-    let mut cfg = EnumConfig::new(num_events, max_nodes);
-    cfg.min_nodes = min_nodes;
-    cfg.timing = Timing { delta_c, delta_w };
-    cfg.consecutive_events = flags & 1 != 0;
-    cfg.static_induced = flags & 2 != 0;
-    cfg.constrained_dynamic = flags & 4 != 0;
-    cfg.duration_aware = flags & 8 != 0;
-    cfg.signature_filter = signature_filter;
-    Ok(cfg)
+/// A worker → coordinator frame.
+#[derive(Debug)]
+pub(crate) enum ReplyFrame {
+    /// A whole counts reply.
+    Counts { shard_id: u32, counts: MotifCounts, metrics: ReplyMetrics },
+    /// One chunk of an induced reply.
+    Induced(InducedChunk),
 }
+wire_enum!(ReplyFrame { 2 => Counts { shard_id, counts, metrics }, 3 => Induced(chunk) });
 
-/// Encodes a [`KIND_JOB`] payload.
-pub(crate) fn encode_job(job: &WorkerJob) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u32(job.shard_id);
-    w.put_str(&job.shard_path);
-    w.put_u32(job.num_nodes);
-    w.put_u64(job.own_lo);
-    w.put_u64(job.own_hi);
-    w.put_u32(job.threads);
-    w.put_bool(job.want_induced);
-    put_config(&mut w, &job.cfg);
-    let (trace_id, parent_span) = job.trace.map_or((0, 0), |c| (c.trace_id, c.parent_span));
-    w.put_u64(trace_id);
-    w.put_u64(parent_span);
-    w.into_bytes()
-}
-
-/// Decodes a [`KIND_JOB`] payload.
-pub(crate) fn decode_job(payload: &[u8]) -> Result<WorkerJob, WireError> {
-    let mut r = WireReader::new(payload);
-    let shard_id = r.u32()?;
-    let shard_path = r.str()?.to_string();
-    let num_nodes = r.u32()?;
-    let own_lo = r.u64()?;
-    let own_hi = r.u64()?;
-    if own_lo > own_hi {
-        return Err(WireError::Malformed(format!("owned range {own_lo}..{own_hi} is inverted")));
-    }
-    let threads = r.u32()?;
-    let want_induced = r.bool()?;
-    let cfg = get_config(&mut r)?;
-    let trace_id = r.u64()?;
-    let parent_span = r.u64()?;
-    let trace = match (trace_id, parent_span) {
-        (0, 0) => None,
-        (0, _) => return Err(WireError::Malformed("parent span under trace id 0".into())),
-        _ => Some(tnm_obs::TraceCtx { trace_id, parent_span }),
-    };
-    r.finish()?;
-    Ok(WorkerJob {
-        shard_id,
-        shard_path,
-        num_nodes,
-        own_lo,
-        own_hi,
-        threads,
-        want_induced,
-        cfg,
-        trace,
-    })
-}
-
-/// Encodes a [`WorkerReply`] as one or more frames. Count tables go
-/// through [`put_counts`], so identical replies are byte-identical; induced
-/// replies are split into [`INDUCED_GROUP_BATCH`]-sized frames with the
-/// final one marked `last`, so no shard can produce a frame over the
-/// payload ceiling. `metrics` rides after the body of the final frame.
-pub(crate) fn encode_reply(reply: &WorkerReply, metrics: &ReplyMetrics) -> Vec<(u8, Vec<u8>)> {
-    encode_reply_batched(reply, metrics, INDUCED_GROUP_BATCH)
-}
-
-/// [`encode_reply`] with an explicit batch size (unit tests exercise
-/// chunking without building 200k groups).
-pub(crate) fn encode_reply_batched(
-    reply: &WorkerReply,
-    metrics: &ReplyMetrics,
+/// Splits a [`WorkerReply`] into frames. Count tables travel in sorted
+/// row order, so identical replies are byte-identical; induced replies
+/// are split into `batch`-sized chunks with the final one marked `last`
+/// (production uses [`INDUCED_GROUP_BATCH`]), so no shard can produce a
+/// frame over the payload ceiling. `metrics` ride on the final frame.
+pub(crate) fn reply_frames(
+    reply: WorkerReply,
+    metrics: ReplyMetrics,
     batch: usize,
-) -> Vec<(u8, Vec<u8>)> {
-    let put_metrics = |w: &mut WireWriter| {
-        w.put_u64(metrics.wall_ns);
-        tnm_graph::wire::put_obs_snapshot(w, &metrics.obs);
-        tnm_graph::wire::put_span_records(w, &metrics.spans);
-    };
-    match reply {
+) -> Vec<ReplyFrame> {
+    let (shard_id, mut groups) = match reply {
         WorkerReply::Counts { shard_id, counts } => {
-            let mut w = WireWriter::new();
-            w.put_u32(*shard_id);
-            put_counts(&mut w, counts);
-            put_metrics(&mut w);
-            vec![(KIND_COUNTS, w.into_bytes())]
+            return vec![ReplyFrame::Counts { shard_id, counts, metrics }]
         }
-        WorkerReply::Induced { shard_id, groups } => {
-            let batch = batch.max(1);
-            let chunks: Vec<&[InducedGroup]> =
-                if groups.is_empty() { vec![&[]] } else { groups.chunks(batch).collect() };
-            let n_chunks = chunks.len();
-            chunks
-                .into_iter()
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let mut w = WireWriter::new();
-                    w.put_u32(*shard_id);
-                    let last = i + 1 == n_chunks;
-                    w.put_bool(last);
-                    w.put_u32(chunk.len() as u32);
-                    for g in chunk {
-                        put_signature(&mut w, &g.signature);
-                        w.put_u8(g.nodes.len() as u8);
-                        for &n in &g.nodes {
-                            w.put_u32(n);
-                        }
-                        w.put_u8(g.covered.len() as u8);
-                        for &(a, b) in &g.covered {
-                            w.put_u32(a);
-                            w.put_u32(b);
-                        }
-                        w.put_u64(g.count);
-                    }
-                    if last {
-                        put_metrics(&mut w);
-                    }
-                    (KIND_INDUCED, w.into_bytes())
-                })
-                .collect()
-        }
+        WorkerReply::Induced { shard_id, groups } => (shard_id, groups),
+    };
+    let mut frames = Vec::new();
+    while groups.len() > batch.max(1) {
+        let rest = groups.split_off(batch.max(1));
+        frames.push(ReplyFrame::Induced(InducedChunk { shard_id, groups, metrics: None }));
+        groups = rest;
     }
-}
-
-/// Decodes one reply frame. The second tuple element is the frame's
-/// `last` marker (count replies are always final); the third carries
-/// the [`ReplyMetrics`] section, present only on final frames
-/// (defaulted on non-final induced chunks).
-fn decode_reply_frame(
-    kind: u8,
-    payload: &[u8],
-) -> Result<(WorkerReply, bool, ReplyMetrics), WireError> {
-    let mut r = WireReader::new(payload);
-    let get_metrics = |r: &mut WireReader<'_>| -> Result<ReplyMetrics, WireError> {
-        let wall_ns = r.u64()?;
-        let obs = tnm_graph::wire::get_obs_snapshot(r)?;
-        let spans = tnm_graph::wire::get_span_records(r)?;
-        Ok(ReplyMetrics { wall_ns, obs, spans })
-    };
-    let out = match kind {
-        KIND_COUNTS => {
-            let shard_id = r.u32()?;
-            let counts = get_counts(&mut r)?;
-            let metrics = get_metrics(&mut r)?;
-            (WorkerReply::Counts { shard_id, counts }, true, metrics)
-        }
-        KIND_INDUCED => {
-            let shard_id = r.u32()?;
-            let last = r.bool()?;
-            let n = r.u32()?;
-            let mut groups = Vec::with_capacity(n.min(1 << 20) as usize);
-            for _ in 0..n {
-                let signature = get_signature(&mut r)?;
-                let k = r.u8()? as usize;
-                let mut nodes = Vec::with_capacity(k);
-                for _ in 0..k {
-                    nodes.push(r.u32()?);
-                }
-                let k = r.u8()? as usize;
-                let mut covered = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let a = r.u32()?;
-                    let b = r.u32()?;
-                    covered.push((a, b));
-                }
-                groups.push(InducedGroup { signature, nodes, covered, count: r.u64()? });
-            }
-            let metrics = if last { get_metrics(&mut r)? } else { ReplyMetrics::default() };
-            (WorkerReply::Induced { shard_id, groups }, last, metrics)
-        }
-        other => return Err(WireError::Malformed(format!("unexpected reply frame kind {other}"))),
-    };
-    r.finish()?;
-    Ok(out)
+    frames.push(ReplyFrame::Induced(InducedChunk { shard_id, groups, metrics: Some(metrics) }));
+    frames
 }
 
 /// Reads one **complete** reply from the stream, reassembling chunked
@@ -424,51 +286,39 @@ pub(crate) fn read_reply<R: std::io::Read>(
     mut r: R,
     max_payload: usize,
 ) -> Result<Option<(WorkerReply, ReplyMetrics)>, WireError> {
-    let Some((kind, payload)) = tnm_graph::wire::read_frame(&mut r, max_payload)? else {
-        return Ok(None);
+    let mut chunk = match wire::read_msg(&mut r, max_payload)? {
+        None => return Ok(None),
+        Some(ReplyFrame::Counts { shard_id, counts, metrics }) => {
+            return Ok(Some((WorkerReply::Counts { shard_id, counts }, metrics)))
+        }
+        Some(ReplyFrame::Induced(chunk)) => chunk,
     };
-    let (mut reply, mut last, mut metrics) = decode_reply_frame(kind, &payload)?;
-    while !last {
-        let Some((kind, payload)) = tnm_graph::wire::read_frame(&mut r, max_payload)? else {
-            return Err(WireError::Truncated { needed: 1, available: 0 });
-        };
-        let (next, next_last, next_metrics) = decode_reply_frame(kind, &payload)?;
-        match (&mut reply, next) {
-            (
-                WorkerReply::Induced { shard_id, groups },
-                WorkerReply::Induced { shard_id: next_id, groups: more },
-            ) if *shard_id == next_id => groups.extend(more),
-            _ => {
+    while chunk.metrics.is_none() {
+        match wire::read_msg(&mut r, max_payload)? {
+            Some(ReplyFrame::Induced(next)) if next.shard_id == chunk.shard_id => {
+                chunk.groups.extend(next.groups);
+                chunk.metrics = next.metrics;
+            }
+            Some(_) => {
                 return Err(WireError::Malformed(
                     "reply chunk sequence switched kind or shard".into(),
                 ))
             }
+            None => return Err(WireError::Truncated { needed: 1, available: 0 }),
         }
-        last = next_last;
-        metrics = next_metrics;
     }
-    Ok(Some((reply, metrics)))
-}
-
-/// Test helper for both protocols: every strict prefix of a message
-/// must fail to decode, since with all fields required no legal short
-/// form exists, while the full payload decodes.
-#[cfg(test)]
-pub(crate) fn assert_prefixes_rejected<T>(
-    payload: &[u8],
-    decode: impl Fn(&[u8]) -> Result<T, WireError>,
-) {
-    for cut in 0..payload.len() {
-        assert!(decode(&payload[..cut]).is_err(), "prefix {cut} accepted");
-    }
-    assert!(decode(payload).is_ok(), "full payload rejected");
+    let InducedChunk { shard_id, groups, metrics } = chunk;
+    Ok(Some((WorkerReply::Induced { shard_id, groups }, metrics.expect("last chunk"))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog;
+    use crate::constraints::Timing;
+    use crate::engine::wire_suite::assert_prefixes_rejected;
     use crate::notation::sig;
+    use tnm_graph::wire::{decode, encode, write_msg};
 
     fn sample_configs() -> Vec<EnumConfig> {
         let mut cfgs = vec![
@@ -504,8 +354,8 @@ mod tests {
                 cfg,
                 trace,
             };
-            let payload = encode_job(&job);
-            assert_eq!(decode_job(&payload).unwrap(), job, "config {i}");
+            let payload = encode(&job);
+            assert_eq!(decode::<WorkerJob>(&payload).unwrap(), job, "config {i}");
         }
     }
 
@@ -518,12 +368,9 @@ mod tests {
         sigs.push(sig("01"));
         sigs.push(sig("01023132"));
         for s in sigs {
-            let mut w = WireWriter::new();
-            put_signature(&mut w, &s);
-            let bytes = w.into_bytes();
-            let mut r = WireReader::new(&bytes);
-            assert_eq!(get_signature(&mut r).unwrap(), s);
-            r.finish().unwrap();
+            let bytes = encode(&s);
+            assert_eq!(bytes.len(), 1 + s.num_events(), "one packed byte per event");
+            assert_eq!(decode::<MotifSignature>(&bytes).unwrap(), s);
         }
     }
 
@@ -572,31 +419,32 @@ mod tests {
         counts.add(sig("010102"), 7);
         counts.add(sig("011202"), 123_456_789);
         let reply = WorkerReply::Counts { shard_id: 5, counts };
-        let frames = encode_reply(&reply, &metrics);
+        let frames = reply_frames(reply.clone(), metrics.clone(), INDUCED_GROUP_BATCH);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].0, KIND_COUNTS);
+        assert!(matches!(frames[0], ReplyFrame::Counts { .. }));
         assert_eq!(roundtrip(&frames).unwrap(), (reply.clone(), metrics.clone()));
         assert_eq!(reply.shard_id(), 5);
 
         let reply = sample_induced_reply(9, 5);
-        let frames = encode_reply(&reply, &metrics);
+        let frames = reply_frames(reply.clone(), metrics.clone(), INDUCED_GROUP_BATCH);
         assert_eq!(frames.len(), 1, "5 groups fit one production batch");
-        assert_eq!(frames[0].0, KIND_INDUCED);
+        assert!(matches!(frames[0], ReplyFrame::Induced(_)));
         assert_eq!(roundtrip(&frames).unwrap(), (reply.clone(), metrics.clone()));
         assert_eq!(reply.shard_id(), 9);
         // Empty induced replies still produce one (last) frame, and
         // empty metrics decode back to empty.
         let empty = WorkerReply::Induced { shard_id: 3, groups: Vec::new() };
         let wall_only = ReplyMetrics { wall_ns: 5, obs: Default::default(), spans: Vec::new() };
-        assert_eq!(roundtrip(&encode_reply(&empty, &wall_only)).unwrap(), (empty, wall_only));
+        let frames = reply_frames(empty.clone(), wall_only.clone(), INDUCED_GROUP_BATCH);
+        assert_eq!(roundtrip(&frames).unwrap(), (empty, wall_only));
     }
 
     /// Writes the frames to a byte stream and reads them back through
     /// the reassembling reader.
-    fn roundtrip(frames: &[(u8, Vec<u8>)]) -> Result<(WorkerReply, ReplyMetrics), WireError> {
+    fn roundtrip(frames: &[ReplyFrame]) -> Result<(WorkerReply, ReplyMetrics), WireError> {
         let mut stream = Vec::new();
-        for (kind, payload) in frames {
-            tnm_graph::wire::write_frame(&mut stream, *kind, payload).unwrap();
+        for frame in frames {
+            write_msg(&mut stream, frame).unwrap();
         }
         Ok(read_reply(stream.as_slice(), 1 << 20)?.expect("one reply"))
     }
@@ -622,25 +470,25 @@ mod tests {
     fn induced_replies_chunk_and_reassemble() {
         let metrics = sample_traced_metrics();
         let reply = sample_induced_reply(4, 5);
-        let frames = encode_reply_batched(&reply, &metrics, 2);
+        let frames = reply_frames(reply.clone(), metrics.clone(), 2);
         assert_eq!(frames.len(), 3, "5 groups at batch 2 = 3 frames");
-        assert!(frames.iter().all(|(k, _)| *k == KIND_INDUCED));
+        assert!(frames.iter().all(|f| matches!(f, ReplyFrame::Induced(_))));
         // The metrics (spans included) ride only on the last frame of
         // the sequence and survive reassembly.
         assert_eq!(roundtrip(&frames).unwrap(), (reply, metrics.clone()));
 
         // Truncated sequence: the last frame never arrives.
         let mut stream = Vec::new();
-        for (kind, payload) in &frames[..2] {
-            tnm_graph::wire::write_frame(&mut stream, *kind, payload).unwrap();
+        for frame in &frames[..2] {
+            write_msg(&mut stream, frame).unwrap();
         }
         assert!(matches!(read_reply(stream.as_slice(), 1 << 20), Err(WireError::Truncated { .. })));
 
         // A chunk for a different shard cannot splice in.
-        let alien = encode_reply_batched(&sample_induced_reply(8, 3), &metrics, 100);
+        let alien = reply_frames(sample_induced_reply(8, 3), metrics, 100);
         let mut stream = Vec::new();
-        tnm_graph::wire::write_frame(&mut stream, frames[0].0, &frames[0].1).unwrap();
-        tnm_graph::wire::write_frame(&mut stream, alien[0].0, &alien[0].1).unwrap();
+        write_msg(&mut stream, &frames[0]).unwrap();
+        write_msg(&mut stream, &alien[0]).unwrap();
         assert!(matches!(read_reply(stream.as_slice(), 1 << 20), Err(WireError::Malformed(_))));
     }
 
@@ -657,9 +505,9 @@ mod tests {
         b.add(sig("010101"), 3);
         b.add(sig("010102"), 1);
         let m = ReplyMetrics::default();
-        let pa = encode_reply(&WorkerReply::Counts { shard_id: 0, counts: a }, &m);
-        let pb = encode_reply(&WorkerReply::Counts { shard_id: 0, counts: b }, &m);
-        assert_eq!(pa, pb);
+        let frames =
+            |counts| reply_frames(WorkerReply::Counts { shard_id: 0, counts }, m.clone(), 1);
+        assert_eq!(encode(&frames(a)[0]), encode(&frames(b)[0]));
     }
 
     #[test]
@@ -680,32 +528,29 @@ mod tests {
             ..job.clone()
         };
         for j in [&job, &traced] {
-            let payload = encode_job(j);
+            let payload = encode(j);
             // Truncation at every prefix length must error, never panic.
-            assert_prefixes_rejected(&payload, decode_job);
+            assert_prefixes_rejected::<WorkerJob>(&payload);
             let mut padded = payload;
             padded.push(0);
-            assert!(matches!(decode_job(&padded), Err(WireError::TrailingBytes { .. })));
+            assert!(matches!(decode::<WorkerJob>(&padded), Err(WireError::TrailingBytes { .. })));
         }
         // A parent span under trace id 0 (untraced) is a forged context.
-        let mut forged = encode_job(&job);
+        let mut forged = encode(&job);
         let n = forged.len();
         forged[n - 8..].copy_from_slice(&5u64.to_le_bytes());
-        assert!(matches!(decode_job(&forged), Err(WireError::Malformed(_))));
+        assert!(matches!(decode::<WorkerJob>(&forged), Err(WireError::Malformed(_))));
         // An inverted owned range is structural nonsense.
         let bad = WorkerJob { own_lo: 9, own_hi: 3, ..job.clone() };
-        assert!(matches!(decode_job(&encode_job(&bad)), Err(WireError::Malformed(_))));
+        assert!(matches!(decode::<WorkerJob>(&encode(&bad)), Err(WireError::Malformed(_))));
         // A non-canonical signature byte cannot decode.
         let mut w = WireWriter::new();
-        w.put_u8(1);
-        w.put_u8(0x23); // pair (2,3): first pair must be (0,1)
+        1u8.put(&mut w);
+        0x23u8.put(&mut w); // pair (2,3): first pair must be (0,1)
         let bytes = w.into_bytes();
-        assert!(matches!(
-            get_signature(&mut WireReader::new(&bytes)),
-            Err(WireError::Malformed(_))
-        ));
+        assert!(matches!(decode::<MotifSignature>(&bytes), Err(WireError::Malformed(_))));
         // Unknown reply kinds are refused.
-        assert!(matches!(decode_reply_frame(77, &[]), Err(WireError::Malformed(_))));
+        assert!(matches!(decode::<ReplyFrame>(&[77]), Err(WireError::Malformed(_))));
         // Reply frames truncate-safely too, including mid-metrics and
         // mid-spans, for count and induced replies alike.
         let mut counts = MotifCounts::new();
@@ -713,8 +558,8 @@ mod tests {
         let replies = [WorkerReply::Counts { shard_id: 2, counts }, sample_induced_reply(6, 2)];
         for reply in &replies {
             for metrics in [sample_metrics(), sample_traced_metrics()] {
-                let (kind, payload) = &encode_reply(reply, &metrics)[0];
-                assert_prefixes_rejected(payload, |p| decode_reply_frame(*kind, p));
+                let frames = reply_frames(reply.clone(), metrics, INDUCED_GROUP_BATCH);
+                assert_prefixes_rejected::<ReplyFrame>(&encode(&frames[0]));
             }
         }
     }

@@ -19,7 +19,7 @@
 //! per group.
 
 use super::protocol::{
-    decode_job, encode_reply, ReplyMetrics, WorkerJob, WorkerReply, KIND_JOB, KIND_SHUTDOWN,
+    reply_frames, ReplyMetrics, WorkerJob, WorkerMsg, WorkerReply, INDUCED_GROUP_BATCH,
 };
 use crate::engine::ShardWalk;
 use std::collections::HashMap;
@@ -44,59 +44,52 @@ pub fn run_worker<R: Read, W: Write>(
 ) -> Result<(), WireError> {
     let mut served = 0usize;
     loop {
-        let Some((kind, payload)) = wire::read_frame(&mut input, wire::MAX_FRAME_PAYLOAD)? else {
-            return Ok(()); // coordinator closed the stream between jobs
+        let job = match wire::read_msg(&mut input, wire::MAX_FRAME_PAYLOAD)? {
+            // Coordinator closed the stream between jobs, or asked to stop.
+            None | Some(WorkerMsg::Shutdown) => return Ok(()),
+            Some(WorkerMsg::Job(job)) => job,
         };
-        match kind {
-            KIND_SHUTDOWN => return Ok(()),
-            KIND_JOB => {
-                let t0 = std::time::Instant::now();
-                let job = decode_job(&payload)?;
-                // A traced job installs its context for the duration of
-                // the walk: every span the walk opens (on this thread or
-                // the work-stealing threads it spawns) carries the trace
-                // id and ships back for the coordinator to stitch.
-                if let Some(ctx) = job.trace {
-                    tnm_obs::set_trace(Some(ctx));
-                }
-                let reply = {
-                    let _span = tnm_obs::span!("walk.shard", shard = job.shard_id);
-                    serve_job(&job)?
-                };
-                let spans = match job.trace {
-                    Some(ctx) => {
-                        tnm_obs::set_trace(None);
-                        normalize_spans(tnm_obs::take_trace_spans(ctx.trace_id))
-                    }
-                    None => Vec::new(),
-                };
-                let metrics = ReplyMetrics {
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                    // Per-job delta: snapshot the worker's registry and
-                    // clear it so the next job starts from zero. The
-                    // coordinator re-enables obs in spawned workers via
-                    // `TNM_OBS=1` (wired by the CLI's worker entry).
-                    obs: if tnm_obs::enabled() {
-                        let snap = tnm_obs::global().snapshot();
-                        tnm_obs::global().reset();
-                        snap
-                    } else {
-                        Default::default()
-                    },
-                    spans,
-                };
-                for (kind, body) in encode_reply(&reply, &metrics) {
-                    wire::write_frame(&mut output, kind, &body)?;
-                }
-                output.flush()?;
-                served += 1;
-                if exit_after.is_some_and(|n| served >= n) {
-                    return Ok(()); // injected fault: vanish mid-run
-                }
+        let t0 = std::time::Instant::now();
+        // A traced job installs its context for the duration of
+        // the walk: every span the walk opens (on this thread or
+        // the work-stealing threads it spawns) carries the trace
+        // id and ships back for the coordinator to stitch.
+        if let Some(ctx) = job.trace {
+            tnm_obs::set_trace(Some(ctx));
+        }
+        let reply = {
+            let _span = tnm_obs::span!("walk.shard", shard = job.shard_id);
+            serve_job(&job)?
+        };
+        let spans = match job.trace {
+            Some(ctx) => {
+                tnm_obs::set_trace(None);
+                normalize_spans(tnm_obs::take_trace_spans(ctx.trace_id))
             }
-            other => {
-                return Err(WireError::Malformed(format!("unexpected frame kind {other}")));
-            }
+            None => Vec::new(),
+        };
+        let metrics = ReplyMetrics {
+            wall_ns: t0.elapsed().as_nanos() as u64,
+            // Per-job delta: snapshot the worker's registry and
+            // clear it so the next job starts from zero. The
+            // coordinator re-enables obs in spawned workers via
+            // `TNM_OBS=1` (wired by the CLI's worker entry).
+            obs: if tnm_obs::enabled() {
+                let snap = tnm_obs::global().snapshot();
+                tnm_obs::global().reset();
+                snap
+            } else {
+                Default::default()
+            },
+            spans,
+        };
+        for frame in reply_frames(reply, metrics, INDUCED_GROUP_BATCH) {
+            wire::write_msg(&mut output, &frame)?;
+        }
+        output.flush()?;
+        served += 1;
+        if exit_after.is_some_and(|n| served >= n) {
+            return Ok(()); // injected fault: vanish mid-run
         }
     }
 }
@@ -164,7 +157,7 @@ fn serve_job(job: &WorkerJob) -> Result<WorkerReply, WireError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::protocol::{encode_job, read_reply};
+    use super::super::protocol::read_reply;
     use super::*;
     use crate::constraints::Timing;
     use crate::engine::{CountEngine, EnumConfig, WindowedEngine};
@@ -206,8 +199,8 @@ mod tests {
             trace: None,
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&job)).unwrap();
-        wire::write_frame(&mut input, KIND_SHUTDOWN, &[]).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(job.clone())).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Shutdown).unwrap();
         let mut output = Vec::new();
         run_worker(input.as_slice(), &mut output, None).unwrap();
         let mut cursor = output.as_slice();
@@ -253,7 +246,7 @@ mod tests {
             trace: Some(ctx),
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&job)).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(job.clone())).unwrap();
         let mut output = Vec::new();
         run_worker(input.as_slice(), &mut output, None).unwrap();
         let (_, metrics) =
@@ -298,7 +291,7 @@ mod tests {
             trace: None,
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&job)).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(job.clone())).unwrap();
         let mut output = Vec::new();
         run_worker(input.as_slice(), &mut output, None).unwrap();
         let (reply, _) = read_reply(output.as_slice(), wire::MAX_FRAME_PAYLOAD).unwrap().unwrap();
@@ -348,8 +341,8 @@ mod tests {
             trace: None,
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&job)).unwrap();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&job)).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(job.clone())).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(job.clone())).unwrap();
         let mut output = Vec::new();
         run_worker(input.as_slice(), &mut output, Some(1)).unwrap();
         let mut cursor = output.as_slice();
@@ -381,7 +374,7 @@ mod tests {
             trace: None,
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&missing)).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(missing.clone())).unwrap();
         assert!(run_worker(input.as_slice(), &mut Vec::new(), None).is_err());
 
         let oversized = WorkerJob {
@@ -390,7 +383,7 @@ mod tests {
             ..missing.clone()
         };
         let mut input = Vec::new();
-        wire::write_frame(&mut input, KIND_JOB, &encode_job(&oversized)).unwrap();
+        wire::write_msg(&mut input, &WorkerMsg::Job(oversized.clone())).unwrap();
         assert!(run_worker(input.as_slice(), &mut Vec::new(), None).is_err());
 
         let mut input = Vec::new();

@@ -94,12 +94,17 @@
 //! registered Paranjape-shape subscriptions **live under appends** via
 //! [`IncrementalStream`] — O(new events) per batch, bit-identical to a
 //! from-scratch [`StreamEngine`] recount. Messages travel as
-//! [`tnm_graph::wire`] frames versioned alongside the worker protocol:
-//! request kinds LoadGraph 16, AppendEvents 17, Query 18, Subscribe 19,
-//! Stats 20, Shutdown 21; response kinds Loaded 32, Appended 33,
-//! QueryResponse 34, Subscribed 35, Stats 36, Bye 37, Error 63 (worker
-//! kinds own `1..=4`, so the protocols cannot be confused). Use
-//! [`ServeClient`] (or the `tnm client` verb) to speak it.
+//! [`tnm_graph::wire`] frames versioned alongside the worker protocol;
+//! a frame's kind byte is the `wire_enum!` tag of the serve module's
+//! request and response enums: request kinds Load 16, Append 17,
+//! Query 18, Subscribe 19, Stats 20, Shutdown 21, Metrics 22; response
+//! kinds Loaded 32, Appended 33, Query 34, Subscribed 35, Stats 36,
+//! Bye 37, Metrics 38, Error 63 (worker kinds own `1..=4`, so the
+//! protocols cannot be confused). Every layout is written once, as a
+//! [`Wire`](tnm_graph::wire::Wire) impl next to its type or a
+//! `wire_struct!` / `wire_enum!` entry, and `wire_suite` pins them to
+//! golden frames and fuzzes every decoder. Use [`ServeClient`] (or the
+//! `tnm client` verb) to speak it.
 //!
 //! ## Data layout
 //!
@@ -179,6 +184,8 @@ mod sharded;
 mod stream;
 mod walker;
 mod windowed;
+#[cfg(test)]
+mod wire_suite;
 
 pub use backtrack::BacktrackEngine;
 pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner};
@@ -278,6 +285,16 @@ pub enum EngineKind {
     #[default]
     Auto,
 }
+
+tnm_graph::wire_enum!(EngineKind {
+    0 => Backtrack,
+    1 => Windowed,
+    2 => Parallel,
+    3 => Stream,
+    4 => Sharded { shard_events as u64, workers as u64 },
+    5 => Sampling { samples, seed },
+    6 => Auto,
+});
 
 /// Below this many events, an unbounded-timing workload resolves to
 /// [`BacktrackEngine`]: with no ΔC/ΔW to prune by, the window index buys

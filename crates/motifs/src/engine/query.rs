@@ -27,7 +27,8 @@ use crate::engine::report::EngineReport;
 use crate::engine::EngineKind;
 use crate::notation::MotifSignature;
 use std::fmt;
-use tnm_graph::{EventIdx, TemporalGraph};
+use tnm_graph::wire::{get_short, put_short, Wire, WireError, WireReader, WireWriter};
+use tnm_graph::{wire_enum, EventIdx, TemporalGraph};
 
 /// One self-contained counting request: configuration(s) + engine +
 /// thread budget. Shared verbatim by the CLI verbs, the `tnm serve`
@@ -78,6 +79,13 @@ pub enum Query {
     },
 }
 
+wire_enum!(Query {
+    1 => Count { engine, threads as u32, cfg },
+    2 => Report { engine, threads as u32, cfg },
+    3 => Enumerate { engine, threads as u32, limit as u64, cfg },
+    4 => Batch { engine, threads as u32, cfgs },
+});
+
 /// One materialized instance in a [`QueryResponse::Instances`] reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryInstance {
@@ -85,6 +93,17 @@ pub struct QueryInstance {
     pub signature: MotifSignature,
     /// Time-ordered event indices into the queried graph.
     pub events: Vec<EventIdx>,
+}
+
+/// The signature, then the event indices behind a `u8` count.
+impl Wire for QueryInstance {
+    fn put(&self, w: &mut WireWriter) {
+        self.signature.put(w);
+        put_short(w, &self.events);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(QueryInstance { signature: Wire::get(r)?, events: get_short(r)? })
+    }
 }
 
 /// The answer to one [`Query`], shape-matched to the request variant.
@@ -108,6 +127,13 @@ pub enum QueryResponse {
     /// Answer to [`Query::Batch`]: `out[i]` answers `cfgs[i]`.
     Batch(Vec<MotifCounts>),
 }
+
+wire_enum!(QueryResponse {
+    1 => Counts(counts),
+    2 => Report(report),
+    3 => Instances { total, truncated, instances },
+    4 => Batch(tables),
+});
 
 impl QueryResponse {
     /// The flat count table of the response, merging batch members;

@@ -15,6 +15,7 @@
 use crate::count::MotifCounts;
 use crate::notation::MotifSignature;
 use std::collections::HashMap;
+use tnm_graph::wire::{encode, Wire, WireError, WireReader, WireWriter};
 
 /// Two-sided z-value of the ~95 % normal confidence interval used by the
 /// sampling engine's reports at comfortable sample budgets.
@@ -89,6 +90,8 @@ impl Estimate {
     }
 }
 
+tnm_graph::wire_struct!(Estimate { point, half_width });
+
 impl std::fmt::Display for Estimate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_exact() {
@@ -156,6 +159,54 @@ impl EngineReport {
     /// Number of signatures with an estimate.
     pub fn num_signatures(&self) -> usize {
         self.estimates.len()
+    }
+}
+
+/// The names [`EngineReport::engine`] can hold: the engines' own
+/// [`name`](crate::engine::CountEngine::name)s.
+const ENGINE_NAMES: [&str; 6] =
+    ["backtrack", "windowed", "parallel", "stream", "sharded", "sampling"];
+
+/// Engine name, exactness, sample count, integral counts, the
+/// per-signature estimates in ascending signature order, and the total.
+/// Decoding accepts only the engines' own names (the `'static` str is a
+/// closed set), rebuilds the report through
+/// [`from_exact`](EngineReport::from_exact) /
+/// [`from_estimates`](EngineReport::from_estimates) so its invariants
+/// cannot drift from a local run's, and rejects any input the rebuilt
+/// report does not re-encode to exactly.
+impl Wire for EngineReport {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_bytes(self.engine.as_bytes());
+        self.exact.put(w);
+        self.samples.map(|s| s as u64).put(w);
+        self.counts.put(w);
+        let mut rows: Vec<_> = self.iter().collect();
+        rows.sort_unstable_by_key(|(sig, _)| *sig);
+        rows.put(w);
+        self.total.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let start = r.rest();
+        let name = String::get(r)?;
+        let engine = ENGINE_NAMES.into_iter().find(|&known| known == name).ok_or_else(|| {
+            WireError::Malformed(format!("unknown engine name `{name}` in report"))
+        })?;
+        let exact = bool::get(r)?;
+        let samples = Option::<u64>::get(r)?;
+        let counts = <MotifCounts as Wire>::get(r)?;
+        let rows: Vec<(MotifSignature, Estimate)> = Wire::get(r)?;
+        let total = Estimate::get(r)?;
+        let report = if exact {
+            EngineReport::from_exact(engine, counts)
+        } else {
+            let samples = samples.unwrap_or(0) as usize;
+            EngineReport::from_estimates(engine, samples, rows.into_iter().collect(), total)
+        };
+        if encode(&report) != start[..start.len() - r.rest().len()] {
+            return Err(WireError::Malformed("report does not match its reconstruction".into()));
+        }
+        Ok(report)
     }
 }
 

@@ -3,24 +3,25 @@
 //! [`ServeClient`] wraps one TCP connection in typed request/response
 //! calls: load a graph, run a [`Query`], append a live batch, register
 //! an incremental subscription, read stats, shut the daemon down. Every
-//! call writes one request frame and reads exactly one response frame;
-//! a [`KIND_RESP_ERR`](super::protocol::KIND_RESP_ERR) frame surfaces
-//! as [`ClientError::Server`] and the connection stays usable for the
-//! next call — mirroring the server's recoverable-error contract.
+//! call writes one [`Request`] frame and reads exactly one [`Response`]
+//! frame; an error response surfaces as [`ClientError::Server`] and the
+//! connection stays usable for the next call — mirroring the server's
+//! recoverable-error contract.
 //!
 //! Large initial loads are chunked automatically: a graph bigger than
-//! [`LOAD_CHUNK_EVENTS`] ships as one LoadGraph frame plus time-ordered
-//! AppendEvents frames, so no request ever approaches the wire's
+//! [`LOAD_CHUNK_EVENTS`] ships as one `Load` request plus time-ordered
+//! `Append` requests, so no request ever approaches the wire's
 //! frame-payload ceiling.
 
-use super::protocol::*;
+use super::protocol::{AppendAck, Request, Response, ServerStats, TraceReply};
 use crate::count::MotifCounts;
 use crate::engine::query::{Query, QueryResponse};
 use crate::engine::EnumConfig;
+use std::borrow::Cow;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-use tnm_graph::wire::{read_frame, write_frame, WireError, MAX_FRAME_PAYLOAD};
+use tnm_graph::wire::{read_msg, write_msg, Message, WireError, MAX_FRAME_PAYLOAD};
 use tnm_graph::Event;
 
 /// Events per frame when [`ServeClient::load_graph`] chunks a large
@@ -101,33 +102,16 @@ impl ServeClient {
     }
 
     /// One request/response exchange. The server keeps the connection
-    /// open after an error frame, so `Err(Server(_))` does not poison
-    /// the client.
-    fn exchange(&mut self, kind: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), ClientError> {
-        write_frame(&mut self.writer, kind, payload)?;
+    /// open after an error response, so `Err(Server(_))` does not
+    /// poison the client.
+    fn call(&mut self, request: &Request<'_>) -> Result<Response, ClientError> {
+        write_msg(&mut self.writer, request)?;
         self.writer.flush()?;
-        let Some((kind, payload)) = read_frame(&mut self.reader, MAX_FRAME_PAYLOAD)? else {
-            return Err(ClientError::Wire(WireError::Truncated { needed: 1, available: 0 }));
-        };
-        if kind == KIND_RESP_ERR {
-            return Err(ClientError::Server(decode_error(&payload)?));
+        match read_msg(&mut self.reader, MAX_FRAME_PAYLOAD)? {
+            Some(Response::Error(message)) => Err(ClientError::Server(message)),
+            Some(response) => Ok(response),
+            None => Err(ClientError::Wire(WireError::Truncated { needed: 1, available: 0 })),
         }
-        Ok((kind, payload))
-    }
-
-    fn expect(
-        &mut self,
-        req_kind: u8,
-        payload: &[u8],
-        resp_kind: u8,
-    ) -> Result<Vec<u8>, ClientError> {
-        let (kind, payload) = self.exchange(req_kind, payload)?;
-        if kind != resp_kind {
-            return Err(ClientError::Wire(WireError::Malformed(format!(
-                "expected response kind {resp_kind}, got {kind}"
-            ))));
-        }
-        Ok(payload)
     }
 
     /// Loads `events` into the server's registry under `name`,
@@ -142,9 +126,11 @@ impl ServeClient {
         let mut sorted = events.to_vec();
         sorted.sort_unstable();
         let first = &sorted[..sorted.len().min(LOAD_CHUNK_EVENTS)];
-        let request = encode_load(name, num_nodes, first);
-        let payload = self.expect(KIND_REQ_LOAD, &request, KIND_RESP_LOADED)?;
-        let (_echo, mut total, mut nodes) = decode_loaded(&payload)?;
+        let request = Request::Load { name: name.into(), num_nodes, events: Cow::Borrowed(first) };
+        let (mut total, mut nodes) = match self.call(&request)? {
+            Response::Loaded { events, nodes, .. } => (events, nodes),
+            other => return Err(unexpected(&other)),
+        };
         for chunk in sorted[first.len()..].chunks(LOAD_CHUNK_EVENTS) {
             let ack = self.append_events(name, chunk)?;
             total = ack.total_events;
@@ -157,9 +143,10 @@ impl ServeClient {
     /// every subscription's live counts, already updated incrementally
     /// on the server.
     pub fn append_events(&mut self, name: &str, batch: &[Event]) -> Result<AppendAck, ClientError> {
-        let request = encode_append(name, batch);
-        let payload = self.expect(KIND_REQ_APPEND, &request, KIND_RESP_APPENDED)?;
-        Ok(decode_append_ack(&payload)?)
+        match self.call(&Request::Append { name: name.into(), events: Cow::Borrowed(batch) })? {
+            Response::Appended(ack) => Ok(ack),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Runs a [`Query`] against a loaded graph. Validation happens
@@ -189,9 +176,11 @@ impl ServeClient {
         query: &Query,
         trace: bool,
     ) -> Result<(QueryResponse, Option<TraceReply>), ClientError> {
-        let request = encode_query_request(name, query, trace);
-        let payload = self.expect(KIND_REQ_QUERY, &request, KIND_RESP_QUERY)?;
-        Ok(decode_query_reply(&payload)?)
+        let request = Request::Query { name: name.into(), query: query.clone(), trace };
+        match self.call(&request)? {
+            Response::Query { response, trace } => Ok((response, trace)),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Registers an incremental subscription (stream-eligible configs
@@ -223,15 +212,18 @@ impl ServeClient {
         cfg: &EnumConfig,
         trace: bool,
     ) -> Result<(u32, MotifCounts, Option<TraceReply>), ClientError> {
-        let request = encode_subscribe(name, cfg, trace);
-        let payload = self.expect(KIND_REQ_SUBSCRIBE, &request, KIND_RESP_SUBSCRIBED)?;
-        Ok(decode_subscribed(&payload)?)
+        match self.call(&Request::Subscribe { name: name.into(), cfg: cfg.clone(), trace })? {
+            Response::Subscribed { id, counts, trace } => Ok((id, counts, trace)),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Server statistics.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let payload = self.expect(KIND_REQ_STATS, &[], KIND_RESP_STATS)?;
-        Ok(decode_stats(&payload)?)
+        match self.call(&Request::Stats)? {
+            Response::Stats(stats) => Ok(stats),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// The server's full metrics snapshot (`serve.*` counters and
@@ -239,16 +231,25 @@ impl ServeClient {
     /// [`to_prometheus`](tnm_obs::Snapshot::to_prometheus) for
     /// scrape-style output — that is what `tnm client --metrics` prints.
     pub fn metrics(&mut self) -> Result<tnm_obs::Snapshot, ClientError> {
-        let payload = self.expect(KIND_REQ_METRICS, &[], KIND_RESP_METRICS)?;
-        Ok(decode_metrics(&payload)?)
+        match self.call(&Request::Metrics)? {
+            Response::Metrics(snapshot) => Ok(snapshot),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Asks the daemon to stop accepting connections and exit its
     /// accept loop.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let payload = self.expect(KIND_REQ_SHUTDOWN, &[], KIND_RESP_BYE)?;
-        Ok(decode_empty(&payload)?)
+        match self.call(&Request::Shutdown)? {
+            Response::Bye => Ok(()),
+            other => Err(unexpected(&other)),
+        }
     }
+}
+
+/// A response of the wrong shape for its request.
+fn unexpected(response: &Response) -> ClientError {
+    ClientError::Wire(WireError::Malformed(format!("unexpected response kind {}", response.kind())))
 }
 
 /// A traced request must be answered with a trace.

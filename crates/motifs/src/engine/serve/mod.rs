@@ -99,7 +99,7 @@ pub use protocol::{AppendAck, GraphStat, QueryLogEntry, ServerStats, TraceReply}
 use crate::engine::query::Query;
 use crate::engine::serve::incremental::check_batch;
 use crate::engine::EngineKind;
-use protocol::*;
+use protocol::{Request, Response};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -107,7 +107,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Duration;
-use tnm_graph::wire::{read_frame, write_frame, MAX_FRAME_PAYLOAD};
+use tnm_graph::wire::{decode, read_raw_msg, write_msg, MAX_FRAME_PAYLOAD};
 use tnm_graph::{Event, TemporalGraph};
 
 /// Tunables for a [`MotifServer`].
@@ -436,17 +436,6 @@ fn spawn_sampler(state: Arc<ServerState>) -> thread::JoinHandle<()> {
     })
 }
 
-/// Answer for one request frame, plus whether this connection asked the
-/// whole server to stop.
-enum Outcome {
-    Reply(u8, Vec<u8>),
-    Shutdown,
-}
-
-fn err_frame(msg: String) -> Outcome {
-    Outcome::Reply(KIND_RESP_ERR, encode_error(&msg))
-}
-
 fn handle_connection(stream: TcpStream, state: &ServerState) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -467,48 +456,47 @@ fn serve_connection(
     state: &ServerState,
 ) {
     let mut frames = 0u64;
-    'conn: loop {
+    loop {
         // Wire-level garbage (bad magic, oversized length, truncation
         // mid-frame) is unrecoverable on this connection — the stream
         // position is lost — so close it; the daemon lives on.
-        let frame = match read_frame(&mut *reader, state.options.max_frame) {
+        let frame = match read_raw_msg(&mut *reader, state.options.max_frame) {
             Ok(Some(frame)) => frame,
-            Ok(None) => break 'conn,
+            Ok(None) => break,
             Err(e) => {
-                let msg = encode_error(&format!("wire error: {e}"));
-                let _ = write_frame(&mut *writer, KIND_RESP_ERR, &msg);
+                let _ = write_msg(&mut *writer, &Response::Error(format!("wire error: {e}")));
                 let _ = writer.flush();
-                break 'conn;
+                break;
             }
         };
         frames += 1;
-        let outcome = dispatch(state, frame.0, &frame.1);
-        match outcome {
-            Outcome::Reply(kind, payload) => {
-                if write_frame(&mut *writer, kind, &payload).is_err() || writer.flush().is_err() {
-                    break 'conn;
-                }
-            }
-            Outcome::Shutdown => {
-                let _ = write_frame(&mut *writer, KIND_RESP_BYE, &[]);
-                let _ = writer.flush();
-                state.shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop so it observes the flag.
-                let _ = TcpStream::connect(state.addr);
-                break 'conn;
-            }
+        // A well-framed request that does not decode, or cannot be
+        // served, is answered with an error and the connection stays.
+        let response = decode::<Request<'_>>(&frame)
+            .map_err(|e| e.to_string())
+            .and_then(|request| dispatch(state, request))
+            .unwrap_or_else(Response::Error);
+        let sent = write_msg(&mut *writer, &response).is_ok() && writer.flush().is_ok();
+        if matches!(response, Response::Bye) {
+            state.shutdown.store(true, Ordering::SeqCst);
+            // Unblock the accept loop so it observes the flag.
+            let _ = TcpStream::connect(state.addr);
+            break;
+        }
+        if !sent {
+            break;
         }
     }
     state.obs.histogram("serve.connection_frames").record(frames);
 }
 
-/// Decodes and serves one request frame. Application-level failures
-/// (unknown graph, invalid batch, unrunnable query) come back as error
-/// frames; only undecodable payloads bubble up as wire errors.
-fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
-    let result: Result<Outcome, String> = match kind {
-        KIND_REQ_LOAD => (|| {
-            let (name, num_nodes, mut events) = decode_load(payload).map_err(|e| e.to_string())?;
+/// Serves one decoded request. Application-level failures (unknown
+/// graph, invalid batch, unrunnable query) come back as the error
+/// string the connection answers with.
+fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, String> {
+    match request {
+        Request::Load { name, num_nodes, events } => {
+            let mut events = events.into_owned();
             if name.is_empty() {
                 return Err("graph name must be non-empty".into());
             }
@@ -529,12 +517,11 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             if registry.contains_key(&name) {
                 return Err(format!("graph `{name}` is already loaded"));
             }
-            let (n_events, n_nodes) = (entry.events.len() as u64, entry.num_nodes);
+            let (events, nodes) = (entry.events.len() as u64, entry.num_nodes);
             registry.insert(name.clone(), Arc::new(Mutex::new(entry)));
-            Ok(Outcome::Reply(KIND_RESP_LOADED, encode_loaded(&name, n_events, n_nodes)))
-        })(),
-        KIND_REQ_APPEND => (|| {
-            let (name, batch) = decode_append(payload).map_err(|e| e.to_string())?;
+            Ok(Response::Loaded { name, events, nodes })
+        }
+        Request::Append { name, events: batch } => {
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
             let last = entry.events.last().map(|e| e.time);
@@ -567,18 +554,16 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             entry.num_nodes = entry.num_nodes.max(max_node);
             entry.graph = None; // identity changed: rebuild lazily
             state.obs.counter("serve.appends").add(batch.len() as u64);
-            let ack = AppendAck {
+            Ok(Response::Appended(AppendAck {
                 total_events: entry.events.len() as u64,
                 subscriptions: entry
                     .subscriptions
                     .iter()
                     .map(|s| (s.id, s.stream.counts()))
                     .collect(),
-            };
-            Ok(Outcome::Reply(KIND_RESP_APPENDED, encode_append_ack(&ack)))
-        })(),
-        KIND_REQ_QUERY => (|| {
-            let (name, query, traced) = decode_query_request(payload).map_err(|e| e.to_string())?;
+            }))
+        }
+        Request::Query { name, query, trace: traced } => {
             let entry = state.entry(&name)?;
             let graph = entry.lock().expect("entry lock").graph();
             // Count outside the locks: a slow query must not block
@@ -616,10 +601,9 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
                 at_unix_ms: unix_ms(),
                 spans,
             });
-            Ok(Outcome::Reply(KIND_RESP_QUERY, encode_query_reply(&response, trace.as_ref())))
-        })(),
-        KIND_REQ_SUBSCRIBE => (|| {
-            let (name, cfg, traced) = decode_subscribe(payload).map_err(|e| e.to_string())?;
+            Ok(Response::Query { response, trace })
+        }
+        Request::Subscribe { name, cfg, trace: traced } => {
             cfg.validate().map_err(|e| e.to_string())?;
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
@@ -641,22 +625,12 @@ fn dispatch(state: &ServerState, kind: u8, payload: &[u8]) -> Outcome {
             entry.next_sub_id += 1;
             let counts = stream.counts();
             entry.subscriptions.push(Subscription { id, stream });
-            Ok(Outcome::Reply(KIND_RESP_SUBSCRIBED, encode_subscribed(id, &counts, trace.as_ref())))
-        })(),
-        KIND_REQ_STATS => (|| {
-            decode_empty(payload).map_err(|e| e.to_string())?;
-            Ok(Outcome::Reply(KIND_RESP_STATS, encode_stats(&state.stats())))
-        })(),
-        KIND_REQ_METRICS => (|| {
-            decode_empty(payload).map_err(|e| e.to_string())?;
-            Ok(Outcome::Reply(KIND_RESP_METRICS, encode_metrics(&state.obs.snapshot())))
-        })(),
-        KIND_REQ_SHUTDOWN => {
-            decode_empty(payload).map(|()| Outcome::Shutdown).map_err(|e| e.to_string())
+            Ok(Response::Subscribed { id, counts, trace })
         }
-        other => Err(format!("unknown request kind {other}")),
-    };
-    result.unwrap_or_else(err_frame)
+        Request::Stats => Ok(Response::Stats(state.stats())),
+        Request::Metrics => Ok(Response::Metrics(state.obs.snapshot())),
+        Request::Shutdown => Ok(Response::Bye),
+    }
 }
 
 /// Runs `f` under a fresh request-scoped trace: mints a trace id, opens

@@ -1,85 +1,41 @@
 //! Message schemas of the `tnm serve` client ↔ server protocol.
 //!
 //! Every message is one [`tnm_graph::wire`] frame (same magic, version,
-//! and length validation as the coordinator ↔ worker protocol); the
-//! `kind` byte selects the schema. The two protocols share one kind
-//! space, partitioned: worker kinds occupy `1..=4`, serve **requests**
-//! start at [`KIND_REQ_LOAD`] (16) and serve **responses** at
-//! [`KIND_RESP_LOADED`] (32), so a frame can never be interpreted under
-//! the wrong protocol.
+//! and length validation as the coordinator ↔ worker protocol) carrying
+//! a [`Request`] or a [`Response`]. The frame's kind byte is the
+//! message's `wire_enum!` tag: the two `wire_enum!` lists below define
+//! the kinds, and this table mirrors them. Requests start at 16 and
+//! responses at 32, while worker kinds occupy `1..=4`, so a frame can
+//! never be interpreted under the wrong protocol.
 //!
-//! | kind | direction | payload |
+//! | kind | message | payload |
 //! |---|---|---|
-//! | [`KIND_REQ_LOAD`] | client → server | graph name, node-id space, event block |
-//! | [`KIND_REQ_APPEND`] | client → server | graph name + event block (time-monotone batch) |
-//! | [`KIND_REQ_QUERY`] | client → server | graph name + a full [`Query`] + trace flag |
-//! | [`KIND_REQ_SUBSCRIBE`] | client → server | graph name + a stream-eligible [`EnumConfig`] + trace flag |
-//! | [`KIND_REQ_STATS`] | client → server | empty |
-//! | [`KIND_REQ_SHUTDOWN`] | client → server | empty: stop accepting, drain, exit |
-//! | [`KIND_REQ_METRICS`] | client → server | empty |
-//! | [`KIND_RESP_LOADED`] | server → client | echoed name + event/node totals |
-//! | [`KIND_RESP_APPENDED`] | server → client | new event total + every subscription's live counts |
-//! | [`KIND_RESP_QUERY`] | server → client | the [`QueryResponse`] + presence-tagged [`TraceReply`] |
-//! | [`KIND_RESP_SUBSCRIBED`] | server → client | subscription id + initial counts + presence-tagged [`TraceReply`] |
-//! | [`KIND_RESP_STATS`] | server → client | [`ServerStats`] |
-//! | [`KIND_RESP_BYE`] | server → client | empty: shutdown acknowledged |
-//! | [`KIND_RESP_METRICS`] | server → client | the server's full [`tnm_obs::Snapshot`] |
-//! | [`KIND_RESP_ERR`] | server → client | a display string; the connection stays usable |
+//! | 16 | `Request::Load` | graph name, node-id space, event block |
+//! | 17 | `Request::Append` | graph name + event block (time-monotone batch) |
+//! | 18 | `Request::Query` | graph name + a full [`Query`] + trace flag |
+//! | 19 | `Request::Subscribe` | graph name + a stream-eligible [`EnumConfig`] + trace flag |
+//! | 20 | `Request::Stats` | empty |
+//! | 21 | `Request::Shutdown` | empty: stop accepting, drain, exit |
+//! | 22 | `Request::Metrics` | empty |
+//! | 32 | `Response::Loaded` | echoed name + event/node totals |
+//! | 33 | `Response::Appended` | [`AppendAck`]: new event total + every subscription's live counts |
+//! | 34 | `Response::Query` | the [`QueryResponse`] + presence-tagged [`TraceReply`] |
+//! | 35 | `Response::Subscribed` | subscription id + initial counts + presence-tagged [`TraceReply`] |
+//! | 36 | `Response::Stats` | [`ServerStats`] |
+//! | 37 | `Response::Bye` | empty: shutdown acknowledged |
+//! | 38 | `Response::Metrics` | the server's full [`tnm_obs::Snapshot`] |
+//! | 63 | `Response::Error` | a display string; the connection stays usable |
 //!
-//! This module is the only place that knows these layouts: each kind
-//! has one `encode_*` and one `decode_*` function, which the server's
-//! dispatch and [`ServeClient`](super::ServeClient) call. Configurations,
-//! signatures, and count tables reuse the worker protocol's codecs, so
-//! the two protocols cannot drift on how they travel. Every decoder
-//! ends with [`WireReader::finish`], making trailing bytes an error
-//! rather than slack.
+//! Each layout is written once: a variant's field list here, or the
+//! `Wire` impl next to the type it carries ([`Query`], [`EnumConfig`],
+//! [`MotifCounts`], ...), which the worker protocol shares, so the two
+//! protocols cannot drift on how they travel.
 
 use crate::count::MotifCounts;
-use crate::engine::distributed::protocol::{
-    get_config, get_counts, get_signature, put_config, put_counts, put_signature,
-};
-use crate::engine::query::{Query, QueryInstance, QueryResponse};
-use crate::engine::report::{EngineReport, Estimate};
-use crate::engine::{EngineKind, EnumConfig};
-use std::collections::HashMap;
-use tnm_graph::wire::{
-    decode_events, encode_events, get_obs_snapshot, get_span_records, put_obs_snapshot,
-    put_span_records, WireError, WireReader, WireWriter,
-};
-use tnm_graph::Event;
-
-/// Request: load a graph into the registry under a name.
-pub(crate) const KIND_REQ_LOAD: u8 = 16;
-/// Request: append a time-monotone event batch to a loaded graph.
-pub(crate) const KIND_REQ_APPEND: u8 = 17;
-/// Request: run a [`Query`] against a loaded graph.
-pub(crate) const KIND_REQ_QUERY: u8 = 18;
-/// Request: register an incremental subscription on a loaded graph.
-pub(crate) const KIND_REQ_SUBSCRIBE: u8 = 19;
-/// Request: server statistics.
-pub(crate) const KIND_REQ_STATS: u8 = 20;
-/// Request: orderly server shutdown.
-pub(crate) const KIND_REQ_SHUTDOWN: u8 = 21;
-/// Request: the server's full metrics snapshot (Prometheus-renderable).
-pub(crate) const KIND_REQ_METRICS: u8 = 22;
-
-/// Response to [`KIND_REQ_LOAD`].
-pub(crate) const KIND_RESP_LOADED: u8 = 32;
-/// Response to [`KIND_REQ_APPEND`].
-pub(crate) const KIND_RESP_APPENDED: u8 = 33;
-/// Response to [`KIND_REQ_QUERY`].
-pub(crate) const KIND_RESP_QUERY: u8 = 34;
-/// Response to [`KIND_REQ_SUBSCRIBE`].
-pub(crate) const KIND_RESP_SUBSCRIBED: u8 = 35;
-/// Response to [`KIND_REQ_STATS`].
-pub(crate) const KIND_RESP_STATS: u8 = 36;
-/// Response to [`KIND_REQ_SHUTDOWN`].
-pub(crate) const KIND_RESP_BYE: u8 = 37;
-/// Response to [`KIND_REQ_METRICS`].
-pub(crate) const KIND_RESP_METRICS: u8 = 38;
-/// Any request the server understood but could not serve; the payload
-/// is a human-readable reason and the connection stays open.
-pub(crate) const KIND_RESP_ERR: u8 = 63;
+use crate::engine::query::{Query, QueryResponse};
+use crate::engine::EnumConfig;
+use std::borrow::Cow;
+use tnm_graph::{wire_enum, wire_struct, Event};
 
 /// The telemetry a traced Query or Subscribe request ships back
 /// alongside its response: the request's complete span tree (serve
@@ -96,6 +52,7 @@ pub struct TraceReply {
     /// histogram observation, `serve.queries` increment, ...).
     pub metrics: tnm_obs::Snapshot,
 }
+wire_struct!(TraceReply { spans, metrics });
 
 /// One completed query in the server's slow-query table or flight
 /// recorder (see [`ServerStats::slow`] / [`ServerStats::flight`]).
@@ -117,52 +74,7 @@ pub struct QueryLogEntry {
     /// queries.
     pub spans: Vec<tnm_obs::SpanRecord>,
 }
-
-/// Writes a [`TraceReply`] behind a presence byte: absent for untraced
-/// requests.
-fn put_trace(w: &mut WireWriter, trace: Option<&TraceReply>) {
-    w.put_bool(trace.is_some());
-    if let Some(t) = trace {
-        put_span_records(w, &t.spans);
-        put_obs_snapshot(w, &t.metrics);
-    }
-}
-
-/// Reads a [`TraceReply`] written by [`put_trace`].
-fn get_trace(r: &mut WireReader<'_>) -> Result<Option<TraceReply>, WireError> {
-    if !r.bool()? {
-        return Ok(None);
-    }
-    Ok(Some(TraceReply { spans: get_span_records(r)?, metrics: get_obs_snapshot(r)? }))
-}
-
-fn put_query_log(w: &mut WireWriter, entries: &[QueryLogEntry]) {
-    w.put_u32(entries.len() as u32);
-    for e in entries {
-        w.put_str(&e.kind);
-        w.put_str(&e.graph);
-        w.put_u64(e.latency_ns);
-        w.put_u64(e.trace_id);
-        w.put_u64(e.at_unix_ms);
-        put_span_records(w, &e.spans);
-    }
-}
-
-fn get_query_log(r: &mut WireReader<'_>) -> Result<Vec<QueryLogEntry>, WireError> {
-    let n = r.u32()?;
-    let mut entries = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        entries.push(QueryLogEntry {
-            kind: r.str()?.to_string(),
-            graph: r.str()?.to_string(),
-            latency_ns: r.u64()?,
-            trace_id: r.u64()?,
-            at_unix_ms: r.u64()?,
-            spans: get_span_records(r)?,
-        });
-    }
-    Ok(entries)
-}
+wire_struct!(QueryLogEntry { kind, graph, latency_ns, trace_id, at_unix_ms, spans });
 
 /// Acknowledgement of an append: the graph's new size plus the live
 /// counts of every subscription on it, already updated incrementally.
@@ -174,6 +86,7 @@ pub struct AppendAck {
     /// graph, in id order.
     pub subscriptions: Vec<(u32, MotifCounts)>,
 }
+wire_struct!(AppendAck { total_events, subscriptions });
 
 /// One registry entry in a [`ServerStats`] report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,6 +100,7 @@ pub struct GraphStat {
     /// Registered incremental subscriptions.
     pub subscriptions: u32,
 }
+wire_struct!(GraphStat { name, events, nodes, subscriptions });
 
 /// Server-wide counters, the registry listing, and the query logs. The
 /// full metrics snapshot is a separate request
@@ -208,471 +122,80 @@ pub struct ServerStats {
     /// queries, oldest first, without span trees.
     pub flight: Vec<QueryLogEntry>,
 }
+wire_struct!(ServerStats { queries, appends, graphs, slow, flight });
 
-/// Maps an engine name that travelled the wire back to the `'static`
-/// str [`EngineReport::engine`] requires. Only names the engines
-/// actually report can appear; anything else is a protocol violation.
-fn static_engine_name(name: &str) -> Result<&'static str, WireError> {
-    for known in ["backtrack", "windowed", "parallel", "stream", "sharded", "sampling"] {
-        if name == known {
-            return Ok(known);
-        }
-    }
-    Err(WireError::Malformed(format!("unknown engine name `{name}` in report")))
+/// A client → server message. Event batches are borrowed on the client
+/// side, so a load or append ships the caller's slice without a copy.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Request<'a> {
+    /// Load a graph into the registry under a name.
+    Load { name: String, num_nodes: u32, events: Cow<'a, [Event]> },
+    /// Append a time-monotone event batch to a loaded graph.
+    Append { name: String, events: Cow<'a, [Event]> },
+    /// Run a [`Query`] against a loaded graph.
+    Query { name: String, query: Query, trace: bool },
+    /// Register an incremental subscription on a loaded graph.
+    Subscribe { name: String, cfg: EnumConfig, trace: bool },
+    /// Server statistics.
+    Stats,
+    /// Orderly server shutdown.
+    Shutdown,
+    /// The server's full metrics snapshot (Prometheus-renderable).
+    Metrics,
 }
+wire_enum!(Request<'a> {
+    16 => Load { name, num_nodes, events },
+    17 => Append { name, events },
+    18 => Query { name, query, trace },
+    19 => Subscribe { name, cfg, trace },
+    20 => Stats,
+    21 => Shutdown,
+    22 => Metrics,
+});
 
-fn put_f64(w: &mut WireWriter, v: f64) {
-    w.put_u64(v.to_bits());
+/// A server → client message: one per request.
+#[derive(Debug)]
+pub(crate) enum Response {
+    /// Answer to `Load`: the echoed name, event total, node-id space.
+    Loaded { name: String, events: u64, nodes: u32 },
+    /// Answer to `Append`.
+    Appended(AppendAck),
+    /// Answer to `Query`; the trace is present iff the request asked.
+    Query { response: QueryResponse, trace: Option<TraceReply> },
+    /// Answer to `Subscribe`: subscription id, initial counts, trace.
+    Subscribed { id: u32, counts: MotifCounts, trace: Option<TraceReply> },
+    /// Answer to `Stats`.
+    Stats(ServerStats),
+    /// Answer to `Shutdown`.
+    Bye,
+    /// Answer to `Metrics`.
+    Metrics(tnm_obs::Snapshot),
+    /// Any request the server understood but could not serve; the
+    /// connection stays open.
+    Error(String),
 }
-
-fn get_f64(r: &mut WireReader<'_>) -> Result<f64, WireError> {
-    Ok(f64::from_bits(r.u64()?))
-}
-
-const ENGINE_TAG_BACKTRACK: u8 = 0;
-const ENGINE_TAG_WINDOWED: u8 = 1;
-const ENGINE_TAG_PARALLEL: u8 = 2;
-const ENGINE_TAG_STREAM: u8 = 3;
-const ENGINE_TAG_SHARDED: u8 = 4;
-const ENGINE_TAG_SAMPLING: u8 = 5;
-const ENGINE_TAG_AUTO: u8 = 6;
-
-fn put_engine(w: &mut WireWriter, kind: EngineKind) {
-    match kind {
-        EngineKind::Backtrack => w.put_u8(ENGINE_TAG_BACKTRACK),
-        EngineKind::Windowed => w.put_u8(ENGINE_TAG_WINDOWED),
-        EngineKind::Parallel => w.put_u8(ENGINE_TAG_PARALLEL),
-        EngineKind::Stream => w.put_u8(ENGINE_TAG_STREAM),
-        EngineKind::Sharded { shard_events, workers } => {
-            w.put_u8(ENGINE_TAG_SHARDED);
-            w.put_u64(shard_events as u64);
-            w.put_u64(workers as u64);
-        }
-        EngineKind::Sampling { samples, seed } => {
-            w.put_u8(ENGINE_TAG_SAMPLING);
-            w.put_u32(samples);
-            w.put_u64(seed);
-        }
-        EngineKind::Auto => w.put_u8(ENGINE_TAG_AUTO),
-    }
-}
-
-fn get_engine(r: &mut WireReader<'_>) -> Result<EngineKind, WireError> {
-    Ok(match r.u8()? {
-        ENGINE_TAG_BACKTRACK => EngineKind::Backtrack,
-        ENGINE_TAG_WINDOWED => EngineKind::Windowed,
-        ENGINE_TAG_PARALLEL => EngineKind::Parallel,
-        ENGINE_TAG_STREAM => EngineKind::Stream,
-        ENGINE_TAG_SHARDED => {
-            EngineKind::Sharded { shard_events: r.u64()? as usize, workers: r.u64()? as usize }
-        }
-        ENGINE_TAG_SAMPLING => EngineKind::Sampling { samples: r.u32()?, seed: r.u64()? },
-        ENGINE_TAG_AUTO => EngineKind::Auto,
-        other => return Err(WireError::Malformed(format!("unknown engine tag {other}"))),
-    })
-}
-
-const QUERY_TAG_COUNT: u8 = 1;
-const QUERY_TAG_REPORT: u8 = 2;
-const QUERY_TAG_ENUMERATE: u8 = 3;
-const QUERY_TAG_BATCH: u8 = 4;
-
-/// Encodes a [`Query`] into an open writer (the request frame also
-/// carries the graph name ahead of it).
-fn put_query(w: &mut WireWriter, query: &Query) {
-    match query {
-        Query::Count { cfg, engine, threads } => {
-            w.put_u8(QUERY_TAG_COUNT);
-            put_engine(w, *engine);
-            w.put_u32(*threads as u32);
-            put_config(w, cfg);
-        }
-        Query::Report { cfg, engine, threads } => {
-            w.put_u8(QUERY_TAG_REPORT);
-            put_engine(w, *engine);
-            w.put_u32(*threads as u32);
-            put_config(w, cfg);
-        }
-        Query::Enumerate { cfg, engine, threads, limit } => {
-            w.put_u8(QUERY_TAG_ENUMERATE);
-            put_engine(w, *engine);
-            w.put_u32(*threads as u32);
-            w.put_u64(*limit as u64);
-            put_config(w, cfg);
-        }
-        Query::Batch { cfgs, engine, threads } => {
-            w.put_u8(QUERY_TAG_BATCH);
-            put_engine(w, *engine);
-            w.put_u32(*threads as u32);
-            w.put_u32(cfgs.len() as u32);
-            for cfg in cfgs {
-                put_config(w, cfg);
-            }
-        }
-    }
-}
-
-/// Decodes a [`Query`] (inverse of [`put_query`]).
-fn get_query(r: &mut WireReader<'_>) -> Result<Query, WireError> {
-    let tag = r.u8()?;
-    let engine = get_engine(r)?;
-    let threads = r.u32()? as usize;
-    Ok(match tag {
-        QUERY_TAG_COUNT => Query::Count { cfg: get_config(r)?, engine, threads },
-        QUERY_TAG_REPORT => Query::Report { cfg: get_config(r)?, engine, threads },
-        QUERY_TAG_ENUMERATE => {
-            let limit = r.u64()? as usize;
-            Query::Enumerate { cfg: get_config(r)?, engine, threads, limit }
-        }
-        QUERY_TAG_BATCH => {
-            let n = r.u32()? as usize;
-            let mut cfgs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                cfgs.push(get_config(r)?);
-            }
-            Query::Batch { cfgs, engine, threads }
-        }
-        other => return Err(WireError::Malformed(format!("unknown query tag {other}"))),
-    })
-}
-
-const RESP_TAG_COUNTS: u8 = 1;
-const RESP_TAG_REPORT: u8 = 2;
-const RESP_TAG_INSTANCES: u8 = 3;
-const RESP_TAG_BATCH: u8 = 4;
-
-/// Writes a [`QueryResponse`] body.
-fn put_response(w: &mut WireWriter, resp: &QueryResponse) {
-    match resp {
-        QueryResponse::Counts(counts) => {
-            w.put_u8(RESP_TAG_COUNTS);
-            put_counts(w, counts);
-        }
-        QueryResponse::Report(report) => {
-            w.put_u8(RESP_TAG_REPORT);
-            w.put_str(report.engine);
-            w.put_bool(report.exact);
-            match report.samples {
-                Some(s) => {
-                    w.put_bool(true);
-                    w.put_u64(s as u64);
-                }
-                None => w.put_bool(false),
-            }
-            put_counts(w, &report.counts);
-            let mut rows: Vec<_> = report.iter().collect();
-            rows.sort_unstable_by_key(|(sig, _)| *sig);
-            w.put_u32(rows.len() as u32);
-            for (sig, est) in rows {
-                put_signature(w, &sig);
-                put_f64(w, est.point);
-                put_f64(w, est.half_width);
-            }
-            put_f64(w, report.total.point);
-            put_f64(w, report.total.half_width);
-        }
-        QueryResponse::Instances { total, instances, truncated } => {
-            w.put_u8(RESP_TAG_INSTANCES);
-            w.put_u64(*total);
-            w.put_bool(*truncated);
-            w.put_u32(instances.len() as u32);
-            for inst in instances {
-                put_signature(w, &inst.signature);
-                w.put_u8(inst.events.len() as u8);
-                for &e in &inst.events {
-                    w.put_u32(e);
-                }
-            }
-        }
-        QueryResponse::Batch(tables) => {
-            w.put_u8(RESP_TAG_BATCH);
-            w.put_u32(tables.len() as u32);
-            for t in tables {
-                put_counts(w, t);
-            }
-        }
-    }
-}
-
-/// Decodes a [`QueryResponse`] body (inverse of [`put_response`]).
-fn get_response(r: &mut WireReader<'_>) -> Result<QueryResponse, WireError> {
-    let resp = match r.u8()? {
-        RESP_TAG_COUNTS => QueryResponse::Counts(get_counts(r)?),
-        RESP_TAG_REPORT => {
-            let engine = static_engine_name(r.str()?)?;
-            let exact = r.bool()?;
-            let samples = if r.bool()? { Some(r.u64()? as usize) } else { None };
-            let counts = get_counts(r)?;
-            let n = r.u32()?;
-            let mut estimates = HashMap::new();
-            for _ in 0..n {
-                let sig = get_signature(r)?;
-                let point = get_f64(r)?;
-                let half_width = get_f64(r)?;
-                estimates.insert(sig, Estimate { point, half_width });
-            }
-            let total = Estimate { point: get_f64(r)?, half_width: get_f64(r)? };
-            let report = if exact {
-                // Reconstruct through the exact constructor so the
-                // invariants (zero-width intervals, derived total)
-                // cannot drift from what a local run produces.
-                EngineReport::from_exact(engine, counts)
-            } else {
-                EngineReport::from_estimates(engine, samples.unwrap_or(0), estimates, total)
-            };
-            QueryResponse::Report(report)
-        }
-        RESP_TAG_INSTANCES => {
-            let total = r.u64()?;
-            let truncated = r.bool()?;
-            let n = r.u32()?;
-            let mut instances = Vec::with_capacity(n.min(1 << 20) as usize);
-            for _ in 0..n {
-                let signature = get_signature(r)?;
-                let k = r.u8()? as usize;
-                let mut events = Vec::with_capacity(k);
-                for _ in 0..k {
-                    events.push(r.u32()?);
-                }
-                instances.push(QueryInstance { signature, events });
-            }
-            QueryResponse::Instances { total, instances, truncated }
-        }
-        RESP_TAG_BATCH => {
-            let n = r.u32()?;
-            let mut tables = Vec::with_capacity(n.min(1 << 16) as usize);
-            for _ in 0..n {
-                tables.push(get_counts(r)?);
-            }
-            QueryResponse::Batch(tables)
-        }
-        other => return Err(WireError::Malformed(format!("unknown response tag {other}"))),
-    };
-    Ok(resp)
-}
-
-/// Builds one payload.
-fn encode(body: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    body(&mut w);
-    w.into_bytes()
-}
-
-/// Decodes one payload, which `body` must consume exactly.
-fn decode<T>(
-    payload: &[u8],
-    body: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
-) -> Result<T, WireError> {
-    let mut r = WireReader::new(payload);
-    let out = body(&mut r)?;
-    r.finish()?;
-    Ok(out)
-}
-
-/// Decodes an empty payload (Stats, Metrics, and Shutdown requests; the
-/// Bye response).
-pub(crate) fn decode_empty(payload: &[u8]) -> Result<(), WireError> {
-    decode(payload, |_| Ok(()))
-}
-
-/// Encodes a [`KIND_REQ_LOAD`] payload.
-pub(crate) fn encode_load(name: &str, num_nodes: u32, events: &[Event]) -> Vec<u8> {
-    encode(|w| {
-        w.put_str(name);
-        w.put_u32(num_nodes);
-        w.put_bytes(&encode_events(events));
-    })
-}
-
-/// Decodes a [`KIND_REQ_LOAD`] payload: graph name, node-id space,
-/// events.
-pub(crate) fn decode_load(payload: &[u8]) -> Result<(String, u32, Vec<Event>), WireError> {
-    decode(payload, |r| Ok((r.str()?.to_string(), r.u32()?, decode_events(r.bytes()?)?)))
-}
-
-/// Encodes a [`KIND_REQ_APPEND`] payload straight from the borrowed
-/// batch.
-pub(crate) fn encode_append(name: &str, events: &[Event]) -> Vec<u8> {
-    encode(|w| {
-        w.put_str(name);
-        w.put_bytes(&encode_events(events));
-    })
-}
-
-/// Decodes a [`KIND_REQ_APPEND`] payload: graph name, batch.
-pub(crate) fn decode_append(payload: &[u8]) -> Result<(String, Vec<Event>), WireError> {
-    decode(payload, |r| Ok((r.str()?.to_string(), decode_events(r.bytes()?)?)))
-}
-
-/// Encodes a [`KIND_REQ_QUERY`] payload.
-pub(crate) fn encode_query_request(name: &str, query: &Query, trace: bool) -> Vec<u8> {
-    encode(|w| {
-        w.put_str(name);
-        put_query(w, query);
-        w.put_bool(trace);
-    })
-}
-
-/// Decodes a [`KIND_REQ_QUERY`] payload: graph name, query, trace flag.
-pub(crate) fn decode_query_request(payload: &[u8]) -> Result<(String, Query, bool), WireError> {
-    decode(payload, |r| Ok((r.str()?.to_string(), get_query(r)?, r.bool()?)))
-}
-
-/// Encodes a [`KIND_REQ_SUBSCRIBE`] payload.
-pub(crate) fn encode_subscribe(name: &str, cfg: &EnumConfig, trace: bool) -> Vec<u8> {
-    encode(|w| {
-        w.put_str(name);
-        put_config(w, cfg);
-        w.put_bool(trace);
-    })
-}
-
-/// Decodes a [`KIND_REQ_SUBSCRIBE`] payload: graph name, config, trace
-/// flag.
-pub(crate) fn decode_subscribe(payload: &[u8]) -> Result<(String, EnumConfig, bool), WireError> {
-    decode(payload, |r| Ok((r.str()?.to_string(), get_config(r)?, r.bool()?)))
-}
-
-/// Encodes a [`KIND_RESP_LOADED`] payload.
-pub(crate) fn encode_loaded(name: &str, events: u64, nodes: u32) -> Vec<u8> {
-    encode(|w| {
-        w.put_str(name);
-        w.put_u64(events);
-        w.put_u32(nodes);
-    })
-}
-
-/// Decodes a [`KIND_RESP_LOADED`] payload: echoed name, event total,
-/// node-id space.
-pub(crate) fn decode_loaded(payload: &[u8]) -> Result<(String, u64, u32), WireError> {
-    decode(payload, |r| Ok((r.str()?.to_string(), r.u64()?, r.u32()?)))
-}
-
-/// Encodes a [`KIND_RESP_QUERY`] payload.
-pub(crate) fn encode_query_reply(resp: &QueryResponse, trace: Option<&TraceReply>) -> Vec<u8> {
-    encode(|w| {
-        put_response(w, resp);
-        put_trace(w, trace);
-    })
-}
-
-/// Decodes a [`KIND_RESP_QUERY`] payload.
-pub(crate) fn decode_query_reply(
-    payload: &[u8],
-) -> Result<(QueryResponse, Option<TraceReply>), WireError> {
-    decode(payload, |r| Ok((get_response(r)?, get_trace(r)?)))
-}
-
-/// Encodes a [`KIND_RESP_SUBSCRIBED`] payload.
-pub(crate) fn encode_subscribed(
-    id: u32,
-    counts: &MotifCounts,
-    trace: Option<&TraceReply>,
-) -> Vec<u8> {
-    encode(|w| {
-        w.put_u32(id);
-        put_counts(w, counts);
-        put_trace(w, trace);
-    })
-}
-
-/// Decodes a [`KIND_RESP_SUBSCRIBED`] payload: subscription id, initial
-/// counts, trace.
-pub(crate) fn decode_subscribed(
-    payload: &[u8],
-) -> Result<(u32, MotifCounts, Option<TraceReply>), WireError> {
-    decode(payload, |r| Ok((r.u32()?, get_counts(r)?, get_trace(r)?)))
-}
-
-/// Encodes a [`KIND_RESP_METRICS`] payload.
-pub(crate) fn encode_metrics(snap: &tnm_obs::Snapshot) -> Vec<u8> {
-    encode(|w| put_obs_snapshot(w, snap))
-}
-
-/// Decodes a [`KIND_RESP_METRICS`] payload.
-pub(crate) fn decode_metrics(payload: &[u8]) -> Result<tnm_obs::Snapshot, WireError> {
-    decode(payload, get_obs_snapshot)
-}
-
-/// Encodes a [`KIND_RESP_ERR`] payload.
-pub(crate) fn encode_error(msg: &str) -> Vec<u8> {
-    encode(|w| w.put_str(msg))
-}
-
-/// Decodes a [`KIND_RESP_ERR`] payload.
-pub(crate) fn decode_error(payload: &[u8]) -> Result<String, WireError> {
-    decode(payload, |r| Ok(r.str()?.to_string()))
-}
-
-/// Encodes a [`KIND_RESP_APPENDED`] payload.
-pub(crate) fn encode_append_ack(ack: &AppendAck) -> Vec<u8> {
-    encode(|w| {
-        w.put_u64(ack.total_events);
-        w.put_u32(ack.subscriptions.len() as u32);
-        for (id, counts) in &ack.subscriptions {
-            w.put_u32(*id);
-            put_counts(w, counts);
-        }
-    })
-}
-
-/// Decodes a [`KIND_RESP_APPENDED`] payload.
-pub(crate) fn decode_append_ack(payload: &[u8]) -> Result<AppendAck, WireError> {
-    decode(payload, |r| {
-        let total_events = r.u64()?;
-        let n = r.u32()?;
-        let mut subscriptions = Vec::with_capacity(n.min(1 << 16) as usize);
-        for _ in 0..n {
-            subscriptions.push((r.u32()?, get_counts(r)?));
-        }
-        Ok(AppendAck { total_events, subscriptions })
-    })
-}
-
-/// Encodes a [`KIND_RESP_STATS`] payload.
-pub(crate) fn encode_stats(stats: &ServerStats) -> Vec<u8> {
-    encode(|w| {
-        w.put_u64(stats.queries);
-        w.put_u64(stats.appends);
-        w.put_u32(stats.graphs.len() as u32);
-        for g in &stats.graphs {
-            w.put_str(&g.name);
-            w.put_u64(g.events);
-            w.put_u32(g.nodes);
-            w.put_u32(g.subscriptions);
-        }
-        put_query_log(w, &stats.slow);
-        put_query_log(w, &stats.flight);
-    })
-}
-
-/// Decodes a [`KIND_RESP_STATS`] payload.
-pub(crate) fn decode_stats(payload: &[u8]) -> Result<ServerStats, WireError> {
-    decode(payload, |r| {
-        let queries = r.u64()?;
-        let appends = r.u64()?;
-        let n = r.u32()?;
-        let mut graphs = Vec::with_capacity(n.min(1 << 16) as usize);
-        for _ in 0..n {
-            graphs.push(GraphStat {
-                name: r.str()?.to_string(),
-                events: r.u64()?,
-                nodes: r.u32()?,
-                subscriptions: r.u32()?,
-            });
-        }
-        let slow = get_query_log(r)?;
-        let flight = get_query_log(r)?;
-        Ok(ServerStats { queries, appends, graphs, slow, flight })
-    })
-}
+wire_enum!(Response {
+    32 => Loaded { name, events, nodes },
+    33 => Appended(ack),
+    34 => Query { response, trace },
+    35 => Subscribed { id, counts, trace },
+    36 => Stats(stats),
+    37 => Bye,
+    38 => Metrics(snapshot),
+    63 => Error(message),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraints::Timing;
-    use crate::engine::distributed::protocol::assert_prefixes_rejected;
+    use crate::engine::query::QueryInstance;
+    use crate::engine::report::{EngineReport, Estimate};
+    use crate::engine::wire_suite::assert_prefixes_rejected;
+    use crate::engine::EngineKind;
     use crate::notation::sig;
+    use std::collections::HashMap;
+    use tnm_graph::wire::{decode, encode, Message, Wire, WireError, WireWriter};
 
     fn table(rows: &[(&str, u64)]) -> MotifCounts {
         let mut c = MotifCounts::new();
@@ -684,24 +207,39 @@ mod tests {
 
     #[test]
     fn kind_spaces_do_not_collide_with_the_worker_protocol() {
-        let serve_kinds = [
-            KIND_REQ_LOAD,
-            KIND_REQ_APPEND,
-            KIND_REQ_QUERY,
-            KIND_REQ_SUBSCRIBE,
-            KIND_REQ_STATS,
-            KIND_REQ_SHUTDOWN,
-            KIND_REQ_METRICS,
-            KIND_RESP_LOADED,
-            KIND_RESP_APPENDED,
-            KIND_RESP_QUERY,
-            KIND_RESP_SUBSCRIBED,
-            KIND_RESP_STATS,
-            KIND_RESP_BYE,
-            KIND_RESP_METRICS,
-            KIND_RESP_ERR,
+        let cfg = EnumConfig::new(3, 3);
+        let query = Query::Count { cfg: cfg.clone(), engine: EngineKind::Auto, threads: 1 };
+        let events = Cow::Borrowed(&[][..]);
+        let requests = [
+            Request::Load { name: "g".into(), num_nodes: 0, events: events.clone() },
+            Request::Append { name: "g".into(), events },
+            Request::Query { name: "g".into(), query, trace: false },
+            Request::Subscribe { name: "g".into(), cfg, trace: false },
+            Request::Stats,
+            Request::Shutdown,
+            Request::Metrics,
         ];
-        for k in serve_kinds {
+        let counts = MotifCounts::new();
+        let responses = [
+            Response::Loaded { name: "g".into(), events: 0, nodes: 0 },
+            Response::Appended(AppendAck { total_events: 0, subscriptions: Vec::new() }),
+            Response::Query { response: QueryResponse::Counts(counts.clone()), trace: None },
+            Response::Subscribed { id: 0, counts, trace: None },
+            Response::Stats(ServerStats::default()),
+            Response::Bye,
+            Response::Metrics(Default::default()),
+            Response::Error(String::new()),
+        ];
+        let serve_kinds: Vec<u8> =
+            requests.iter().map(Message::kind).chain(responses.iter().map(Message::kind)).collect();
+        // The tag is the first encoded byte, which frames carry as kind.
+        for r in &requests {
+            assert_eq!(encode(r)[0], r.kind());
+        }
+        for r in &responses {
+            assert_eq!(encode(r)[0], r.kind());
+        }
+        for &k in &serve_kinds {
             assert!(k >= 16, "serve kinds start at 16; worker kinds own 1..=4");
         }
         let mut sorted = serve_kinds.to_vec();
@@ -736,14 +274,38 @@ mod tests {
             ];
             for (i, q) in queries.into_iter().enumerate() {
                 let trace = i % 2 == 1;
-                let payload = encode_query_request("g", &q, trace);
-                assert_eq!(decode_query_request(&payload).unwrap(), ("g".into(), q, trace));
+                let request = Request::Query { name: "g".into(), query: q, trace };
+                assert_eq!(decode::<Request<'_>>(&encode(&request)).unwrap(), request);
             }
         }
     }
 
+    fn query_reply(response: &QueryResponse, trace: Option<&TraceReply>) -> Vec<u8> {
+        encode(&Response::Query { response: response.clone(), trace: trace.cloned() })
+    }
+
+    fn unpack_query_reply(bytes: &[u8]) -> Result<(QueryResponse, Option<TraceReply>), WireError> {
+        match decode(bytes)? {
+            Response::Query { response, trace } => Ok((response, trace)),
+            other => panic!("shape {other:?}"),
+        }
+    }
+
+    fn subscribed(id: u32, counts: &MotifCounts, trace: Option<&TraceReply>) -> Vec<u8> {
+        encode(&Response::Subscribed { id, counts: counts.clone(), trace: trace.cloned() })
+    }
+
+    fn unpack_subscribed(
+        bytes: &[u8],
+    ) -> Result<(u32, MotifCounts, Option<TraceReply>), WireError> {
+        match decode(bytes)? {
+            Response::Subscribed { id, counts, trace } => Ok((id, counts, trace)),
+            other => panic!("shape {other:?}"),
+        }
+    }
+
     fn reply(resp: &QueryResponse) -> QueryResponse {
-        let (back, trace) = decode_query_reply(&encode_query_reply(resp, None)).unwrap();
+        let (back, trace) = unpack_query_reply(&query_reply(resp, None)).unwrap();
         assert!(trace.is_none());
         back
     }
@@ -803,15 +365,15 @@ mod tests {
 
         // Traced replies carry the span tree and metrics delta.
         let trace = sample_trace();
-        let payload = encode_query_reply(&QueryResponse::Counts(counts.clone()), Some(&trace));
-        let (QueryResponse::Counts(back), Some(back_trace)) = decode_query_reply(&payload).unwrap()
+        let payload = query_reply(&QueryResponse::Counts(counts.clone()), Some(&trace));
+        let (QueryResponse::Counts(back), Some(back_trace)) = unpack_query_reply(&payload).unwrap()
         else {
             panic!("shape")
         };
         assert_eq!((back, back_trace), (counts.clone(), trace.clone()));
-        let payload = encode_subscribed(4, &counts, Some(&trace));
-        assert_eq!(decode_subscribed(&payload).unwrap(), (4, counts.clone(), Some(trace)));
-        assert_eq!(decode_subscribed(&encode_subscribed(0, &counts, None)).unwrap().2, None);
+        let payload = subscribed(4, &counts, Some(&trace));
+        assert_eq!(unpack_subscribed(&payload).unwrap(), (4, counts.clone(), Some(trace)));
+        assert_eq!(unpack_subscribed(&subscribed(0, &counts, None)).unwrap().2, None);
     }
 
     #[test]
@@ -820,7 +382,7 @@ mod tests {
             total_events: 1234,
             subscriptions: vec![(0, table(&[("01", 5)])), (3, MotifCounts::new())],
         };
-        assert_eq!(decode_append_ack(&encode_append_ack(&ack)).unwrap(), ack);
+        assert_eq!(decode::<AppendAck>(&encode(&ack)).unwrap(), ack);
 
         let stats = ServerStats {
             queries: 42,
@@ -833,8 +395,8 @@ mod tests {
             }],
             ..Default::default()
         };
-        assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
-        assert_eq!(decode_stats(&encode_stats(&stats_with_log())).unwrap(), stats_with_log());
+        assert_eq!(decode::<ServerStats>(&encode(&stats)).unwrap(), stats);
+        assert_eq!(decode::<ServerStats>(&encode(&stats_with_log())).unwrap(), stats_with_log());
     }
 
     fn span(name: &str, span_id: u64, parent_id: u64) -> tnm_obs::SpanRecord {
@@ -891,35 +453,33 @@ mod tests {
             engine: EngineKind::sampling(8, 7),
             threads: 2,
         };
-        let request = encode_query_request("g", &query, true);
-        assert_prefixes_rejected(&request, decode_query_request);
+        let request = encode(&Request::Query { name: "g".into(), query, trace: true });
+        assert_prefixes_rejected::<Request<'_>>(&request);
         let sharded = Query::Count {
             cfg: EnumConfig::new(3, 3).with_timing(Timing::only_w(10)),
             engine: EngineKind::sharded(64, 3),
             threads: 2,
         };
-        assert_prefixes_rejected(&encode_query_request("g", &sharded, false), decode_query_request);
+        let request_sharded = Request::Query { name: "g".into(), query: sharded, trace: false };
+        assert_prefixes_rejected::<Request<'_>>(&encode(&request_sharded));
         let mut padded = request.clone();
         padded.push(0);
-        assert!(matches!(decode_query_request(&padded), Err(WireError::TrailingBytes { .. })));
+        assert!(matches!(decode::<Request<'_>>(&padded), Err(WireError::TrailingBytes { .. })));
 
         let counts = table(&[("0110", 3)]);
         let resp = QueryResponse::Counts(counts.clone());
-        assert_prefixes_rejected(&encode_query_reply(&resp, None), decode_query_reply);
-        assert_prefixes_rejected(&encode_query_reply(&resp, Some(&sample_trace())), |p| {
-            decode_query_reply(p)
-        });
-        assert_prefixes_rejected(&encode_subscribed(1, &counts, Some(&sample_trace())), |p| {
-            decode_subscribed(p)
-        });
-        assert_prefixes_rejected(&encode_stats(&stats_with_log()), decode_stats);
-        assert!(matches!(decode_query_reply(&[99]), Err(WireError::Malformed(_))));
+        assert_prefixes_rejected::<Response>(&query_reply(&resp, None));
+        assert_prefixes_rejected::<Response>(&query_reply(&resp, Some(&sample_trace())));
+        assert_prefixes_rejected::<Response>(&subscribed(1, &counts, Some(&sample_trace())));
+        assert_prefixes_rejected::<Response>(&encode(&Response::Stats(stats_with_log())));
+        assert!(matches!(decode::<Response>(&[34, 99]), Err(WireError::Malformed(_))));
 
         // A report naming an engine no engine reports cannot decode
         // (the &'static str mapping is a closed set).
         let mut w = WireWriter::new();
-        w.put_u8(RESP_TAG_REPORT);
-        w.put_str("definitely-not-an-engine");
-        assert!(matches!(decode_query_reply(&w.into_bytes()), Err(WireError::Malformed(_))));
+        34u8.put(&mut w); // Response::Query
+        2u8.put(&mut w); // QueryResponse::Report
+        "definitely-not-an-engine".to_string().put(&mut w);
+        assert!(matches!(decode::<Response>(&w.into_bytes()), Err(WireError::Malformed(_))));
     }
 }

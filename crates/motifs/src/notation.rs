@@ -14,6 +14,7 @@ use crate::event_pair::EventPairType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use tnm_graph::wire::{Wire, WireError, WireReader, WireWriter};
 
 /// Maximum number of events a signature can carry. The paper explores
 /// 3- and 4-event motifs; 8 leaves room for extensions.
@@ -198,6 +199,29 @@ impl fmt::Display for MotifSignature {
             write!(f, "{a}{b}")?;
         }
         Ok(())
+    }
+}
+
+/// A `u8` length, then one packed byte per event (`src_digit << 4 |
+/// dst_digit`; canonical digits stay below 16). Decoding re-validates
+/// canonical form through [`MotifSignature::from_pairs`], so a corrupt
+/// peer cannot smuggle a non-canonical signature into a count table.
+impl Wire for MotifSignature {
+    fn put(&self, w: &mut WireWriter) {
+        self.len.put(w);
+        for &(a, b) in self.pairs() {
+            ((a << 4) | b).put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = u8::get(r)?;
+        let mut pairs = Vec::new();
+        for _ in 0..len {
+            let byte = u8::get(r)?;
+            pairs.push((byte >> 4, byte & 0x0F));
+        }
+        MotifSignature::from_pairs(&pairs)
+            .map_err(|e| WireError::Malformed(format!("non-canonical signature: {e}")))
     }
 }
 

@@ -1,8 +1,8 @@
 //! Cross-engine equivalence suite.
 //!
 //! The engine subsystem's core contract: every exact [`CountEngine`] —
-//! serial backtrack, window-indexed, work-stealing parallel (over both
-//! candidate sources), and time-slice sharded — produces **identical**
+//! serial backtrack, window-indexed, work-stealing parallel, stream,
+//! and time-slice sharded — produces **identical**
 //! [`MotifCounts`] for identical configurations. This suite pins the
 //! contract across:
 //!
@@ -11,9 +11,9 @@
 //! * tight and loose ΔC/ΔW regimes (plus unbounded);
 //! * generated graphs: seeded random batches (tie-rich) and the
 //!   synthetic dataset generator corpora;
-//! * adversarial shard geometries — cuts inside motif spans, duplicate
-//!   timestamps straddling a cut, spill mode with a one-shard budget
-//!   ([`sharded_boundaries_are_exact`]);
+//! * adversarial shard geometries — cuts inside motif spans, down to
+//!   one start event per shard, and duplicate timestamps straddling a
+//!   cut ([`sharded_boundaries_are_exact`]);
 //! * the stream engine's count-without-enumerating fast path across
 //!   every eligible Paranjape configuration, equal-timestamp tie sweeps
 //!   included, plus its fall-back on ineligible configurations
@@ -23,9 +23,9 @@
 //!   whose merged lists are all multi-event timestamp groups, and
 //!   duration-heavy graphs with duplicate timestamps
 //!   ([`tie_saturated_and_duration_heavy_corpus_agrees`]);
-//! * the distributed engine's **process boundary**: real `tnm worker`
-//!   children counting spilled shards over the framed wire protocol,
-//!   with a tiny shard target so every sweep ships many shards
+//! * the sharded engine's worker-process transport: real `tnm worker`
+//!   children counting shard files over the framed wire protocol, with
+//!   a tiny shard target so every sweep ships many shards
 //!   (`tests/distributed_engine.rs` adds the worker-crash rescheduling
 //!   sweep on top).
 
@@ -38,15 +38,16 @@ use tnm_motifs::engine::{
     WindowedEngine,
 };
 
-/// Every engine under test. The work-stealing executor appears twice —
-/// over the windowed index and over the plain node index — so scheduler
-/// bugs and candidate-source bugs cannot mask one another. The sharded
-/// and distributed engines run with deliberately tiny shard targets so
-/// the suite's small graphs still split into many shards, with cuts
-/// landing inside motif spans — and, for the distributed engine, every
-/// shard actually crossing a process boundary. The stream engine joins
-/// every sweep: on eligible configurations it exercises the
-/// count-without-enumerating DPs, on the rest its windowed fallback.
+/// Every engine under test: the serial walkers, the work-stealing
+/// executor over the windowed index, the stream engine, and the sharded
+/// engine on both transports — in this thread (serially and with three
+/// walk threads) and on two worker processes. The sharded runs use
+/// deliberately tiny shard targets so the suite's small graphs still
+/// split into many shards, with cuts landing inside motif spans — and,
+/// for the worker transport, every shard actually crossing a process
+/// boundary. The stream engine joins every sweep: on eligible
+/// configurations it exercises the count-without-enumerating DPs, on
+/// the rest its windowed fallback.
 fn engines() -> Vec<Box<dyn CountEngine>> {
     vec![
         Box::new(BacktrackEngine),
@@ -197,9 +198,8 @@ fn signature_targeting_agrees() {
 /// paper models at tight and loose ΔC/ΔW, adversarial shard sizes
 /// (including one start event per shard, so every cut lands inside
 /// every multi-event motif's span) and tie-rich graphs whose duplicate
-/// timestamps straddle the cuts, the sharded engine — in memory,
-/// threaded, and spilled with a one-shard residency budget — must match
-/// the backtrack reference exactly.
+/// timestamps straddle the cuts, the sharded engine's in-thread
+/// transport must match the backtrack reference exactly.
 #[test]
 fn sharded_boundaries_are_exact() {
     // horizon << events ⇒ duplicate timestamps everywhere, including on
