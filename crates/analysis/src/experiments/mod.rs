@@ -153,10 +153,10 @@ pub fn default_threads() -> usize {
 /// option there by an asymptotic margin. All windowed engines share one
 /// `WindowIndex` per graph through
 /// [`tnm_graph::index_cache::global_index_cache`] (and the streaming
-/// triad class shares its static projection through
-/// `tnm_graph::static_proj::global_projection_cache`), so the dozens of
-/// counts a driver performs on the same corpus entry build each index
-/// once; the sharded engine instead builds a transient index per time
+/// triad class reads the static triangles each graph lists once,
+/// `TemporalGraph::triangles`), so the dozens of counts a driver
+/// performs on the same corpus entry build each index once; the
+/// sharded engine instead builds a transient index per time
 /// slice, deliberately bypassing that cache.
 ///
 /// Drivers that sweep several configurations over one graph (the

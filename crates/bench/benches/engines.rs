@@ -623,7 +623,12 @@ fn bench_hotpath_star_dp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cache-blocked six-way-merge triad DP.
+/// The cache-blocked six-way-merge triad DP. `soa` runs the 12-node hub
+/// graph (few triangles, long merged lists: the DP dominates);
+/// `sparse_stackoverflow` a 40k-event, many-node StackOverflow-spec
+/// corpus at ΔW 3000 (thousands of short triangles, where a per-count
+/// triangle listing would dominate). Both graphs list their triangles
+/// once, in the warm-up, so the rows time the per-count merge and DP.
 fn bench_hotpath_triad_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;
@@ -631,6 +636,11 @@ fn bench_hotpath_triad_dp(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(g.num_events() as u64));
     group.bench_function("soa", |b| b.iter(|| black_box(stream_hotpath::triad_triads(&g, delta))));
+    let sparse = dataset("StackOverflow", 40_000);
+    group.throughput(Throughput::Elements(sparse.num_events() as u64));
+    group.bench_function("sparse_stackoverflow", |b| {
+        b.iter(|| black_box(stream_hotpath::triad_triads(&sparse, 3_000)))
+    });
     group.finish();
 }
 

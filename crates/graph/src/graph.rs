@@ -17,6 +17,7 @@ use crate::columns::EventColumns;
 use crate::error::{GraphError, Result};
 use crate::event::Event;
 use crate::ids::{Edge, EventIdx, NodeId, Time};
+use crate::triangles::{TriangleTable, Triangles};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -36,6 +37,9 @@ pub struct TemporalGraph {
     /// Lazy SoA view of `events`; built at most once per graph (clones
     /// carry the already-built columns along).
     columns: OnceLock<EventColumns>,
+    /// Lazy static-triangle table over `edge_events`; built at most once
+    /// per graph, like `columns`.
+    triangles: OnceLock<TriangleTable>,
 }
 
 impl TemporalGraph {
@@ -73,6 +77,7 @@ impl TemporalGraph {
             edge_spans,
             edge_events,
             columns: OnceLock::new(),
+            triangles: OnceLock::new(),
         }
     }
 
@@ -84,6 +89,17 @@ impl TemporalGraph {
     #[inline]
     pub fn columns(&self) -> &EventColumns {
         self.columns.get_or_init(|| EventColumns::build(&self.events))
+    }
+
+    /// The static triangles of the graph — undirected node triples whose
+    /// three pairs each carry an event — listed on first use in
+    /// `O(m^1.5)` for `m` node pairs and kept for the graph's lifetime
+    /// (clones carry an already-built table along). See
+    /// [`crate::triangles`] for the layout.
+    pub fn triangles(&self) -> Triangles<'_> {
+        let table =
+            self.triangles.get_or_init(|| TriangleTable::build(self.num_nodes, &self.edge_spans));
+        Triangles::new(table, &self.edge_events)
     }
 
     /// The dense, ascending start-time column (`times()[i] ==

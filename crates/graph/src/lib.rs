@@ -74,6 +74,7 @@ pub mod shard;
 pub mod static_proj;
 pub mod stats;
 pub mod transform;
+pub mod triangles;
 pub mod window_index;
 pub mod wire;
 
@@ -86,5 +87,6 @@ pub use ids::{Edge, EventIdx, NodeId, Time};
 pub use index_cache::{global_index_cache, CacheStats, WindowIndexCache};
 pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 pub use static_proj::{global_projection_cache, StaticProjection, StaticProjectionCache};
+pub use triangles::Triangles;
 pub use window_index::{WindowCursor, WindowIndex};
 pub use wire::WireError;

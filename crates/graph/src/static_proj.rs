@@ -3,18 +3,18 @@
 //! The paper distinguishes *edges* (static projections, unique node pairs)
 //! from *events* (timestamped interactions). Inducedness for Hulovatyy and
 //! Paranjape models is defined against this projection, and the dataset
-//! generators use its degree distributions for preferential attachment.
+//! generator tests check its reciprocity.
 //!
-//! Building the projection costs an `O(m)` multiplicity pass plus
-//! neighbor-list sorts, and the streaming motif engine needs it once per
-//! *count* — a ΔW sweep over one graph would rebuild it dozens of times.
-//! [`StaticProjectionCache`] (and the process-wide
-//! [`global_projection_cache`]) lets every consumer share one projection
-//! per graph through the same [`VerifiedCache`] as the window index:
-//! entries are keyed on the graph's event-buffer address and **exactly
-//! verified** against the graph's content on every hit, outside the
-//! cache lock, so a recycled allocation can never serve a stale
-//! projection.
+//! No counting engine reads a projection: static inducedness asks the
+//! graph's own edge index ([`TemporalGraph::has_edge`]), and the
+//! streaming triad class reads the triangle table the graph lists once
+//! ([`TemporalGraph::triangles`]). For callers that want one projection
+//! per graph, [`StaticProjectionCache`] (and the process-wide
+//! [`global_projection_cache`]) share it through the same
+//! [`VerifiedCache`] as the window index: entries are keyed on the
+//! graph's event-buffer address and **exactly verified** against the
+//! graph's content on every hit, outside the cache lock, so a recycled
+//! allocation can never serve a stale projection.
 
 use crate::graph::TemporalGraph;
 use crate::ids::{Edge, NodeId};
@@ -112,62 +112,6 @@ impl StaticProjection {
         self.multiplicity.len()
     }
 
-    /// Distinct neighbors of `node` ignoring direction, sorted and
-    /// deduplicated. The adjacency the undirected triangle walk uses.
-    pub fn undirected_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let mut all: Vec<NodeId> = self.out_neighbors[node.index()]
-            .iter()
-            .chain(self.in_neighbors[node.index()].iter())
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
-    /// Invokes `f` once per undirected triangle `{a, b, c}` (as a sorted
-    /// `[a, b, c]` with `a < b < c`) of the projection, regardless of
-    /// event directions on its three node pairs. This is the classic
-    /// forward-adjacency walk: each node keeps only its higher-id
-    /// undirected neighbors, and each triangle is discovered exactly once
-    /// from its lowest edge. Cost `O(Σ_edges min-degree)` — the standard
-    /// triangle-listing bound.
-    ///
-    /// The streaming motif engine enumerates static triangles once
-    /// through this hook and then runs its δ-window merge DP over each
-    /// triangle's event list.
-    pub fn for_each_undirected_triangle<F: FnMut([NodeId; 3])>(&self, mut f: F) {
-        let n = self.out_neighbors.len();
-        // Forward adjacency: undirected neighbors with a strictly higher id.
-        let forward: Vec<Vec<NodeId>> = (0..n)
-            .map(|u| {
-                let mut fwd = self.undirected_neighbors(NodeId(u as u32));
-                fwd.retain(|v| v.index() > u);
-                fwd
-            })
-            .collect();
-        for a in 0..n {
-            let fa = &forward[a];
-            for (i, &b) in fa.iter().enumerate() {
-                let fb = &forward[b.index()];
-                // Intersect the two sorted higher-neighbor runs; every
-                // common member c closes the triangle a < b < c.
-                let (mut x, mut y) = (i + 1, 0);
-                while x < fa.len() && y < fb.len() {
-                    match fa[x].cmp(&fb[y]) {
-                        std::cmp::Ordering::Less => x += 1,
-                        std::cmp::Ordering::Greater => y += 1,
-                        std::cmp::Ordering::Equal => {
-                            f([NodeId(a as u32), b, fa[x]]);
-                            x += 1;
-                            y += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Fraction of directed edges whose reverse edge also exists
     /// (a reciprocity measure: message networks are highly reciprocal,
     /// stack-exchange networks much less so).
@@ -203,8 +147,8 @@ impl GraphDerived for StaticProjection {
 /// The shared [`StaticProjection`] cache type.
 pub type StaticProjectionCache = VerifiedCache<StaticProjection>;
 
-/// The process-wide projection cache shared by the streaming engine's
-/// triad class and the coordinator-side induced rechecks.
+/// The process-wide projection cache, shared by every caller that asks
+/// for a graph's projection through it.
 pub fn global_projection_cache() -> &'static StaticProjectionCache {
     static CACHE: OnceLock<StaticProjectionCache> = OnceLock::new();
     CACHE.get_or_init(|| StaticProjectionCache::new(DEFAULT_PROJECTION_CACHE_CAPACITY))

@@ -39,8 +39,8 @@
 //! their instances **aggregated by inducedness-relevant structure** —
 //! `(signature, node set, covered edges)` groups with counts, since the
 //! verdict depends on nothing else — and the coordinator rechecks each
-//! *group* once against the parent graph through the shared
-//! [`global_projection_cache`] before tallying. Reply sizes are bounded
+//! *group* once against the parent graph's own edge index
+//! ([`TemporalGraph::has_edge`]) before tallying. Reply sizes are bounded
 //! by distinct structures instead of instance counts.
 
 pub(crate) mod protocol;
@@ -60,7 +60,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tnm_graph::shard::ShardPlan;
-use tnm_graph::static_proj::global_projection_cache;
 use tnm_graph::wire::{self, WireError};
 use tnm_graph::TemporalGraph;
 use tnm_graph::{Edge, NodeId};
@@ -145,9 +144,6 @@ pub(crate) fn count_on_workers(
         })
         .map(|job| QueuedJob { job, attempts: 0, last_error: None })
         .collect();
-    // The parent-side projection for induced rechecks, shared with
-    // every other consumer through the global cache.
-    let projection = cfg.static_induced.then(|| global_projection_cache().get_or_build(graph));
     let n_workers = config.workers.min(shards).max(1);
 
     let queue = Mutex::new(jobs);
@@ -160,7 +156,6 @@ pub(crate) fn count_on_workers(
             let merged = &merged;
             let pending = &pending;
             let spawned = &spawned;
-            let projection = projection.as_deref();
             let fault = config.fault_after.filter(|&(idx, _)| idx == w);
             scope.spawn(move || {
                 let mut child = {
@@ -224,7 +219,7 @@ pub(crate) fn count_on_workers(
                                 );
                             }
                             let _merge = tnm_obs::span!("distributed.merge", shard = shard_id);
-                            apply_reply(projection, reply, merged);
+                            apply_reply(graph, reply, merged);
                             pending.fetch_sub(1, Ordering::Release);
                         }
                         Err(e) => {
@@ -322,8 +317,9 @@ fn dispatch(
             }
             // The reply kind must match what the job asked for: a
             // counts reply to an induced job would merge unfiltered
-            // counts (silent overcount), the reverse would have no
-            // projection to check against. Either means the peer does
+            // counts (silent overcount), the reverse would filter a
+            // non-induced job by inducedness (silent undercount).
+            // Either means the peer does
             // not speak this job's contract — a worker failure, not a
             // panic.
             let induced_reply = matches!(reply, WorkerReply::Induced { .. });
@@ -343,18 +339,13 @@ fn dispatch(
 /// Folds one verified reply into the merged totals. Count replies
 /// merge directly; induced groups pass the coordinator's
 /// static-inducedness verdict — one [`induced_cover_ok`] evaluation per
-/// group against the shared parent projection — before tallying.
-fn apply_reply(
-    projection: Option<&tnm_graph::StaticProjection>,
-    reply: WorkerReply,
-    merged: &Mutex<MotifCounts>,
-) {
+/// group against the parent graph's edge index — before tallying.
+fn apply_reply(graph: &TemporalGraph, reply: WorkerReply, merged: &Mutex<MotifCounts>) {
     match reply {
         WorkerReply::Counts { counts, .. } => {
             merged.lock().expect("merged counts poisoned").merge(&counts);
         }
         WorkerReply::Induced { groups, .. } => {
-            let proj = projection.expect("induced replies only for induced jobs");
             let mut counts = MotifCounts::new();
             let mut nodes: Vec<NodeId> = Vec::new();
             let mut covered: Vec<Edge> = Vec::new();
@@ -363,7 +354,7 @@ fn apply_reply(
                 nodes.extend(g.nodes.iter().map(|&n| NodeId(n)));
                 covered.clear();
                 covered.extend(g.covered.iter().map(|&(a, b)| Edge::new(a, b)));
-                if induced_cover_ok(&nodes, &covered, |edge| proj.has_edge(edge)) {
+                if induced_cover_ok(&nodes, &covered, |edge| graph.has_edge(edge)) {
                     counts.add(g.signature, g.count);
                 }
             }

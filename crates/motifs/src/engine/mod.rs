@@ -88,8 +88,8 @@
 //! ## `tnm serve`: the resident counting service
 //!
 //! [`MotifServer`] turns the crate into a long-running system: a TCP
-//! daemon holding a registry of loaded graphs (the identity-keyed
-//! window-index/static-projection caches as its resident working set),
+//! daemon holding a registry of loaded graphs (with the identity-keyed
+//! window-index cache as its resident working set),
 //! answering [`Query`] requests from concurrent clients, and keeping
 //! registered Paranjape-shape subscriptions **live under appends** via
 //! [`IncrementalStream`] — O(new events) per batch, bit-identical to a
@@ -310,9 +310,10 @@ pub const PARALLEL_MIN_WINDOW_EVENTS: f64 = 2.0;
 
 /// Minimum expected events per ΔW window for [`auto_select`] to route a
 /// **triangle-bearing** job to [`StreamEngine`]. The stream pair/star
-/// classes are `O(events)` regardless, but the triad class pays
-/// Σ over static triangles of their event counts — projection-density
-/// work the window never prunes. Below one expected event per window the
+/// classes are `O(events)` regardless, but every triad count merges and
+/// sweeps Σ over static triangles of their event counts (the triangles
+/// themselves are listed once per graph) — projection-density work the
+/// window never prunes. Below one expected event per window the
 /// walkers' probes die almost immediately (≈ `O(m)` total), so a
 /// starved needle-ΔW sweep over a dense projection must stay on them.
 /// Jobs whose node budget or signature target gates the triangle class

@@ -15,11 +15,12 @@
 //! Each registry entry keeps its canonical event log plus a lazily
 //! (re)built [`TemporalGraph`]. The `Arc<TemporalGraph>` is held for as
 //! long as the entry goes unmodified, so the identity-keyed global
-//! [`WindowIndexCache`](tnm_graph::index_cache) /
-//! `StaticProjectionCache` keep their entries hot across queries — the
-//! second query against a loaded graph pays no index rebuild. An
-//! append invalidates the cached graph (its event buffer changes
-//! identity); subscriptions are *not* invalidated, which is the point:
+//! [`WindowIndexCache`](tnm_graph::index_cache) keeps its entry hot
+//! across queries and the graph keeps its own lazily built columns and
+//! static triangle table — the second query against a loaded graph pays
+//! no index rebuild or triangle listing. An append invalidates the
+//! cached graph (a fresh graph rebuilds all three); subscriptions are
+//! *not* invalidated, which is the point:
 //! their counts advance incrementally from the ΔW tail alone.
 //!
 //! ## Observability

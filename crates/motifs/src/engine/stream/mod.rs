@@ -18,10 +18,11 @@
 //!    before, after, and straddling each event — from which the 24
 //!    2-leaf star signatures (and the 2-event wedges) follow by
 //!    inclusion–exclusion against the all-same-leaf counts.
-//! 3. **Triads** ([`triad`]): static triangles are enumerated once via
-//!    [`StaticProjection::for_each_undirected_triangle`], and each
-//!    triangle's merged event list runs the generic 6-label window DP,
-//!    keeping only label triples that use all three node pairs.
+//! 3. **Triads** ([`triad`]): static triangles are listed once per
+//!    graph ([`TemporalGraph::triangles`], kept with the graph), and per
+//!    count each triangle's six edge-event lists merge into one list
+//!    that runs the generic 6-label window DP, keeping only label
+//!    triples that use all three node pairs.
 //!
 //! No class ever materializes an instance, and the classes partition the
 //! ≤ 3-node spectrum (a sequence touches 1, 2, or 3 undirected node
@@ -47,8 +48,8 @@
 //! exact for *any* configuration and safe to include in blanket sweeps;
 //! [`auto_select`](crate::engine::auto_select) only routes eligible jobs
 //! here — and keeps triangle-bearing jobs on the walkers when the ΔW
-//! window is starved, since the triad class's cost follows projection
-//! density, not the window (see
+//! window is starved, since the triad class's per-count cost follows
+//! the triangles' total event count, not the window (see
 //! [`STREAM_MIN_WINDOW_EVENTS`](crate::engine::STREAM_MIN_WINDOW_EVENTS)).
 //! `enumerate` always delegates to the walker — there are no instances
 //! to visit on the fast path.
@@ -98,9 +99,10 @@ impl StreamEngine {
     /// True if the fast path would run its triangle class for `cfg`: a
     /// 3-event spectrum whose node budget admits 3-node motifs and whose
     /// signature target (if any) is a triangle. This is the one class
-    /// whose cost scales with projection density — Σ over static
-    /// triangles of their event counts, independent of ΔW — rather than
-    /// with the event count alone, which is why
+    /// whose per-count cost — a merge and DP over Σ over static
+    /// triangles of their event counts, independent of ΔW (the listing
+    /// itself is once per graph) — scales with projection density
+    /// rather than with the event count alone, which is why
     /// [`auto_select`](crate::engine::auto_select) checks window
     /// occupancy before routing triad-bearing jobs here.
     pub fn needs_triads(cfg: &EnumConfig) -> bool {

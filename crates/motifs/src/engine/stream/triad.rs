@@ -2,32 +2,32 @@
 //!
 //! A 3-node, 3-event motif that is neither a 2-node sequence nor a star
 //! uses all three undirected node pairs of its node set — a temporal
-//! triangle. Static triangles are enumerated once from the
-//! [`StaticProjection`]; each triangle's events (up to six directed
-//! edges) merge into one time-ordered list where every event carries a
-//! 6-valued label — (undirected pair, direction) — and the generic
-//! Paranjape window DP counts every strictly-ordered label triple within
-//! ΔW. Only triples whose three labels cover all three pairs are folded
-//! into signatures; the rest belong to the pair/star classes and are
-//! discarded for free (their accumulator slots simply map to no
-//! signature).
+//! triangle. Static triangles are listed once per graph
+//! ([`TemporalGraph::triangles`]); each triangle's events (up to six
+//! directed edges) merge into one time-ordered list where every event
+//! carries a 6-valued label — (undirected pair, direction) — and the
+//! generic Paranjape window DP counts every strictly-ordered label
+//! triple within ΔW. Only triples whose three labels cover all three
+//! pairs are folded into signatures; the rest belong to the pair/star
+//! classes and are discarded for free (their accumulator slots simply
+//! map to no signature).
 //!
-//! Cost: `O(Σ_triangles events-on-the-triangle · 6)` — the WSDM'17
+//! Cost per count: `O(Σ_triangles events-on-the-triangle · 6)` — the
+//! six-way merge plus the DP over each triangle's footprint, the WSDM'17
 //! triangle bound — with a 48-entry label-triple → signature table
-//! computed once per count.
+//! computed once per count. Listing the triangles is the graph's
+//! one-time `O(m^1.5)` cost, shared by every later count.
 //!
 //! Data layout (see [`super::arena`]): each triangle's merged list is
 //! built by a six-way cursor merge over its directed edge-event index
 //! lists (event indices are globally time-ordered, so no sort is
 //! needed) straight into the arena's SoA scratch — dense `times` plus
-//! the 6-valued label in `tags`. Triangles are processed in
-//! **footprint-sorted, cache-sized blocks**: work items carry their
-//! merged-list length, are sorted ascending, and run in blocks whose
-//! combined footprint fits [`BLOCK_EVENT_BUDGET`], so the arena and DP
-//! tables stay resident while the bulk of small triangles stream
-//! through, and the few giant lists are quarantined at the end instead
-//! of evicting the scratch mid-stream. Accumulation is commutative
-//! sums, so the reordering cannot change any count.
+//! the 6-valued label in `tags`. The graph keeps its triangles sorted
+//! by footprint (merged-list length), so the scratch grows
+//! monotonically: the bulk of small triangles stream through a
+//! cache-resident arena, and the few giant lists come last instead of
+//! evicting it mid-stream. Accumulation is commutative sums, so the
+//! order cannot change any count.
 
 // The DP tables are indexed by label/pair ids used across several
 // tables per loop body; iterator forms would obscure the recurrences.
@@ -36,30 +36,23 @@
 use super::arena::{expiry_cut, DenseGroups, DpArena, GroupMap, SealedGroups};
 use crate::count::MotifCounts;
 use crate::notation::MotifSignature;
-use tnm_graph::static_proj::global_projection_cache;
-use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph, Time};
+use tnm_graph::{EventIdx, TemporalGraph, Time};
 
 /// Labels: `pair * 2 + dir`, pairs 0 = {a,b}, 1 = {a,c}, 2 = {b,c} for
 /// the triangle's sorted nodes `a < b < c`; dir 0 = lower → higher id.
 const LABELS: usize = 6;
 
-/// Combined merged-event budget per processing block: 2^15 events ≈
-/// 0.75 MiB of arena scratch (8 B time + 1 B tag, doubled for slack) —
-/// comfortably L2-resident on the targeted cores.
-const BLOCK_EVENT_BUDGET: usize = 1 << 15;
-
-/// Counts every δ-window temporal triangle into `out`. The static
-/// projection comes from the shared
-/// [`global_projection_cache`], so a ΔW sweep over one graph builds it
-/// (and can re-list its triangles) once per graph instead of once per
-/// count.
+/// Counts every δ-window temporal triangle into `out`, over the graph's
+/// footprint-sorted triangle table (listed on the graph's first triad
+/// count and reused by every later one).
 pub(crate) fn count_triads(
     graph: &TemporalGraph,
     delta: Time,
     out: &mut MotifCounts,
     arena: &mut DpArena,
 ) {
-    let proj = global_projection_cache().get_or_build(graph);
+    let triangles = graph.triangles();
+    let times = graph.times();
     let sig_table = label_triple_signatures();
     let combos = closing_combos();
     // One flat accumulator over label triples, shared by all triangles:
@@ -68,49 +61,25 @@ pub(crate) fn count_triads(
     let obs = tnm_obs::enabled();
     let (mut triangles_swept, mut groups_advanced, mut peak_window) = (0u64, 0u64, 0u64);
     let tie_free = !graph.columns().has_time_ties();
-    // Gather work items with their merged-list footprint, then sort so
-    // blocks hold triangles of similar size (see module docs).
-    let mut work: Vec<(u32, [NodeId; 3])> = Vec::new();
-    proj.for_each_undirected_triangle(|nodes| {
-        work.push((triangle_footprint(graph, nodes), nodes));
-    });
-    work.sort_unstable_by_key(|&(footprint, _)| footprint);
-    let mut i = 0usize;
-    while i < work.len() {
-        let start = i;
-        let mut block_events = 0usize;
-        // A block always advances (the first item is admitted even when
-        // it alone exceeds the budget).
-        while i < work.len()
-            && (i == start || block_events + work[i].0 as usize <= BLOCK_EVENT_BUDGET)
-        {
-            block_events += work[i].0 as usize;
-            i += 1;
-        }
-        // The block's largest footprint comes last (sorted order): one
-        // reserve covers every triangle in the block.
-        arena.times.reserve(work[i - 1].0 as usize);
-        arena.tags.reserve(work[i - 1].0 as usize);
-        for &(_, nodes) in &work[start..i] {
-            merge_triangle_events(graph, nodes, arena);
-            if tie_free {
-                let groups = DenseGroups(arena.times.len());
-                if obs {
-                    triangles_swept += 1;
-                    groups_advanced += groups.num_groups() as u64;
-                    peak_window = peak_window.max(arena.times.len() as u64);
-                }
-                triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
-            } else {
-                arena.seal_groups();
-                if obs {
-                    triangles_swept += 1;
-                    groups_advanced += arena.num_groups() as u64;
-                    peak_window = peak_window.max(arena.times.len() as u64);
-                }
-                let groups = SealedGroups(&arena.bounds);
-                triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
+    for t in 0..triangles.len() {
+        merge_triangle_events(&triangles.edge_lists(t), times, arena);
+        if tie_free {
+            let groups = DenseGroups(arena.times.len());
+            if obs {
+                triangles_swept += 1;
+                groups_advanced += groups.num_groups() as u64;
+                peak_window = peak_window.max(arena.times.len() as u64);
             }
+            triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
+        } else {
+            arena.seal_groups();
+            if obs {
+                triangles_swept += 1;
+                groups_advanced += arena.num_groups() as u64;
+                peak_window = peak_window.max(arena.times.len() as u64);
+            }
+            let groups = SealedGroups(&arena.bounds);
+            triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
         }
     }
     if obs {
@@ -127,35 +96,16 @@ pub(crate) fn count_triads(
     }
 }
 
-/// The triangle's six directed edge-event lists, labels 0..=5 in the
-/// canonical (pair, dir) order.
-fn edge_lists(graph: &TemporalGraph, nodes: [NodeId; 3]) -> [&[EventIdx]; LABELS] {
-    let [a, b, c] = nodes;
-    let mut lists: [&[EventIdx]; LABELS] = [&[]; LABELS];
-    for (pair, (lo, hi)) in [(a, b), (a, c), (b, c)].into_iter().enumerate() {
-        lists[pair * 2] = graph.edge_events(Edge { src: lo, dst: hi });
-        lists[pair * 2 + 1] = graph.edge_events(Edge { src: hi, dst: lo });
-    }
-    lists
-}
-
-/// Total merged-list length for a triangle — its work-item footprint.
-fn triangle_footprint(graph: &TemporalGraph, nodes: [NodeId; 3]) -> u32 {
-    edge_lists(graph, nodes).iter().map(|l| l.len() as u32).sum()
-}
-
-/// Merges the triangle's six directed edge-event lists into the arena
-/// as a time-ordered labeled list. Event indices are assigned in
-/// global time order, so a six-cursor min-merge on the indices
-/// replaces the old collect-then-sort; the DP only needs timestamp
-/// *groups* (within-group order is immaterial under the
-/// ties-never-co-occur rule), and timestamps come from the dense SoA
-/// time column. Callers seal the group boundaries only when the log
-/// has timestamp ties.
-fn merge_triangle_events(graph: &TemporalGraph, nodes: [NodeId; 3], arena: &mut DpArena) {
+/// Merges a triangle's six directed edge-event lists (labels 0..=5 in
+/// the canonical (pair, dir) order) into the arena as a time-ordered
+/// labeled list. Event indices are assigned in global time order, so a
+/// six-cursor min-merge on the indices needs no sort;
+/// the DP only needs timestamp *groups* (within-group order is
+/// immaterial under the ties-never-co-occur rule), and timestamps come
+/// from the dense SoA time column. Callers seal the group boundaries
+/// only when the log has timestamp ties.
+fn merge_triangle_events(lists: &[&[EventIdx]; LABELS], times: &[Time], arena: &mut DpArena) {
     arena.clear();
-    let lists = edge_lists(graph, nodes);
-    let times = graph.times();
     let mut cursor = [0usize; LABELS];
     loop {
         let mut best: Option<(u32, usize)> = None;
@@ -339,14 +289,38 @@ mod tests {
             (0, 1, 7),
             (2, 1, 7),
         ]);
+        let triangles = g.triangles();
+        assert_eq!(triangles.len(), 1);
         let mut arena = DpArena::default();
-        merge_triangle_events(&g, [NodeId(0), NodeId(1), NodeId(2)], &mut arena);
+        merge_triangle_events(&triangles.edge_lists(0), g.times(), &mut arena);
         assert_eq!(arena.times, vec![1, 2, 3, 4, 5, 6, 7, 7]);
         let mut sorted = arena.times.clone();
         sorted.sort_unstable();
         assert_eq!(arena.times, sorted);
         arena.seal_groups();
         assert_eq!(arena.num_groups(), 7);
+    }
+
+    #[test]
+    fn clone_counts_match_original() {
+        // Clones taken before and after the triangle table is built
+        // (the second carries the table along) count identically.
+        let g = graph(&[
+            (0, 1, 1),
+            (1, 2, 2),
+            (2, 0, 3),
+            (2, 3, 4),
+            (3, 0, 5),
+            (1, 3, 6),
+            (0, 2, 7),
+            (3, 1, 8),
+        ]);
+        let cold = g.clone();
+        let counts = triads(&g, 6);
+        assert!(counts.total() > 0);
+        let warm = g.clone();
+        assert_eq!(triads(&cold, 6), counts);
+        assert_eq!(triads(&warm, 6), counts);
     }
 
     #[test]
