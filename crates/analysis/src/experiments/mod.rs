@@ -150,14 +150,13 @@ pub fn default_threads() -> usize {
 /// one process's cores are the bottleneck. [`EngineKind::Stream`] (which `auto` picks whenever a
 /// driver's configuration is Paranjape-shaped) counts eligible only-ΔW
 /// spectra without enumerating instances and is the fastest exact
-/// option there by an asymptotic margin. All windowed engines share one
-/// `WindowIndex` per graph through
-/// [`tnm_graph::index_cache::global_index_cache`] (and the streaming
-/// triad class reads the static triangles each graph lists once,
-/// `TemporalGraph::triangles`), so the dozens of counts a driver
-/// performs on the same corpus entry build each index once; the
-/// sharded engine instead builds a transient index per time
-/// slice, deliberately bypassing that cache.
+/// option there by an asymptotic margin. All windowed engines read the
+/// `WindowIndex` each graph builds once (`TemporalGraph::window_index`),
+/// and the streaming triad class reads the static triangles each graph
+/// lists once (`TemporalGraph::triangles`), so the dozens of counts a
+/// driver performs on the same corpus entry build each index once; the
+/// sharded engine's shard graphs build their own, dropped with each
+/// time slice.
 ///
 /// Drivers that sweep several configurations over one graph (the
 /// table3 restriction pair, the table5 ratio sweep, fig5's panels) go

@@ -424,18 +424,13 @@ fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) {
             }
         }
     }
-    for (label, hits, misses) in [
-        ("index cache", "cache.index.hits", "cache.index.misses"),
-        ("proj cache", "cache.proj.hits", "cache.proj.misses"),
-    ] {
-        let hits = d.counters.get(hits).copied().unwrap_or(0);
-        let misses = d.counters.get(misses).copied().unwrap_or(0);
-        if hits + misses > 0 {
-            println!(
-                "  {label:<12} {:>5.1}% hit rate ({hits} hits / {misses} misses)",
-                100.0 * hits as f64 / (hits + misses) as f64
-            );
-        }
+    let hits = d.counters.get("cache.proj.hits").copied().unwrap_or(0);
+    let misses = d.counters.get("cache.proj.misses").copied().unwrap_or(0);
+    if hits + misses > 0 {
+        println!(
+            "  proj cache   {:>5.1}% hit rate ({hits} hits / {misses} misses)",
+            100.0 * hits as f64 / (hits + misses) as f64
+        );
     }
     if let Some(g) = d.gauges.get("shard.resident_events") {
         println!("  resident shard events {} (peak {})", g.value, g.peak);

@@ -11,13 +11,16 @@
 //!   graphlet* restriction is a per-edge range count on this index.
 //!
 //! Both indexes store event indices rather than copies of the events, so a
-//! graph with `m` events costs `O(m)` extra words.
+//! graph with `m` events costs `O(m)` extra words. The windowed walkers'
+//! [`WindowIndex`] is a view over the node index plus a time column the
+//! graph builds on first use ([`TemporalGraph::window_index`]).
 
 use crate::columns::EventColumns;
 use crate::error::{GraphError, Result};
 use crate::event::Event;
 use crate::ids::{Edge, EventIdx, NodeId, Time};
 use crate::triangles::{TriangleTable, Triangles};
+use crate::window_index::WindowIndex;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -40,6 +43,10 @@ pub struct TemporalGraph {
     /// Lazy static-triangle table over `edge_events`; built at most once
     /// per graph, like `columns`.
     triangles: OnceLock<TriangleTable>,
+    /// Lazy time column aligned with `node_events` (`node_times[i]` is
+    /// the time of event `node_events[i]`); built at most once per
+    /// graph, like `columns`.
+    node_times: OnceLock<Vec<Time>>,
 }
 
 impl TemporalGraph {
@@ -78,6 +85,7 @@ impl TemporalGraph {
             edge_events,
             columns: OnceLock::new(),
             triangles: OnceLock::new(),
+            node_times: OnceLock::new(),
         }
     }
 
@@ -100,6 +108,20 @@ impl TemporalGraph {
         let table =
             self.triangles.get_or_init(|| TriangleTable::build(self.num_nodes, &self.edge_spans));
         Triangles::new(table, &self.edge_events)
+    }
+
+    /// The windowed candidate index: the node index with each event's
+    /// time stored inline beside it. The time column is built on first
+    /// use in `O(m)` (recording one `index.build` span) and kept for the
+    /// graph's lifetime (clones carry an already-built column along). See
+    /// [`crate::window_index`].
+    pub fn window_index(&self) -> WindowIndex<'_> {
+        let node_times = self.node_times.get_or_init(|| {
+            let times = self.times();
+            let _span = tnm_obs::span!("index.build", events = self.num_events());
+            self.node_events.iter().map(|&i| times[i as usize]).collect()
+        });
+        WindowIndex::new(&self.node_offsets, &self.node_events, node_times)
     }
 
     /// The dense, ascending start-time column (`times()[i] ==

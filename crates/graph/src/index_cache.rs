@@ -1,18 +1,20 @@
-//! Verified per-graph caches keyed on graph identity: the shared
-//! [`WindowIndex`] cache ([`global_index_cache`]) and, through the same
-//! [`VerifiedCache`], the static-projection cache
+//! Verified per-graph caches keyed on graph identity: the
+//! [`VerifiedCache`] behind the static-projection cache
 //! ([`global_projection_cache`](crate::static_proj::global_projection_cache)).
 //!
-//! The experiment drivers count the same [`TemporalGraph`] dozens of
-//! times (one count per model × timing configuration), and the sampling
-//! engine draws dozens of windows per estimate — yet every windowed
-//! count used to rebuild the `O(m)` [`WindowIndex`] from scratch. A
-//! [`VerifiedCache`] lets all of them share one structure per graph.
+//! The per-graph structures the counting engines read — the SoA
+//! columns, the windowed candidate index and the static triangle table —
+//! live on the graph itself ([`TemporalGraph::columns`],
+//! [`TemporalGraph::window_index`], [`TemporalGraph::triangles`]): each
+//! is built once on first use and shared by every count of that graph
+//! object. A [`VerifiedCache`] is for a structure a caller wants shared
+//! across calls that hand it only a `&TemporalGraph`, without the graph
+//! owning it.
 //!
 //! ## Identity without ownership
 //!
-//! Callers hand engines a plain `&TemporalGraph`, so the cache cannot key
-//! on an owned handle. Instead an entry is keyed on the graph's **event
+//! Callers hand a plain `&TemporalGraph`, so the cache cannot key on an
+//! owned handle. Instead an entry is keyed on the graph's **event
 //! buffer address and length** — stable for the graph's whole lifetime
 //! (moving a graph moves the `Vec` header, not its heap buffer; cloning
 //! allocates a fresh buffer and therefore a fresh key). Addresses can be
@@ -31,26 +33,17 @@
 //! threads racing to build the same graph's structure do duplicate work
 //! once, then share the winning entry.
 //!
-//! Engines use the process-wide caches; tests and special-purpose
-//! callers can construct private instances for deterministic statistics.
-//!
 //! ## Memory
 //!
-//! The global index cache retains up to [`DEFAULT_INDEX_CACHE_CAPACITY`]
-//! indexes (`2m` words each) for the process lifetime, including
-//! indexes of graphs that have since been dropped — a deliberate trade
-//! for the common driver pattern of counting the same corpus
-//! repeatedly. Long-lived consumers that churn through very large
-//! graphs can call [`VerifiedCache::clear`] on the global cache after
-//! releasing a graph to return the memory immediately.
+//! A cache retains up to its capacity of values for the process
+//! lifetime, including values of graphs that have since been dropped.
+//! Call [`VerifiedCache::clear`] after releasing a large graph to return
+//! the memory immediately.
 
 use crate::graph::TemporalGraph;
 use crate::window_index::WindowIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of graphs the [`global_index_cache`] retains (LRU beyond this).
-pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 8;
+use std::sync::{Arc, Mutex};
 
 /// A per-graph structure a [`VerifiedCache`] can hold.
 pub trait GraphDerived: Send + Sync + Sized {
@@ -64,21 +57,6 @@ pub trait GraphDerived: Send + Sync + Sized {
     /// True iff this structure describes exactly `graph`.
     fn matches(&self, graph: &TemporalGraph) -> bool;
 }
-
-impl GraphDerived for WindowIndex {
-    const METRIC_PREFIX: &'static str = "cache.index";
-
-    fn build(graph: &TemporalGraph) -> Self {
-        WindowIndex::build(graph)
-    }
-
-    fn matches(&self, graph: &TemporalGraph) -> bool {
-        WindowIndex::matches(self, graph)
-    }
-}
-
-/// The shared [`WindowIndex`] cache type.
-pub type WindowIndexCache = VerifiedCache<WindowIndex>;
 
 /// Observability counters of a [`VerifiedCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -240,10 +218,29 @@ impl<T: GraphDerived> VerifiedCache<T> {
     }
 }
 
-/// The process-wide cache used by the windowed counting engines.
-pub fn global_index_cache() -> &'static WindowIndexCache {
-    static CACHE: OnceLock<WindowIndexCache> = OnceLock::new();
-    CACHE.get_or_init(|| WindowIndexCache::new(DEFAULT_INDEX_CACHE_CAPACITY))
+/// The windowed candidate index under its former cache entry point,
+/// kept for the out-of-workspace benchmark harness only:
+/// [`get_or_build`](GraphIndexLookup::get_or_build) returns the graph's
+/// own [`TemporalGraph::window_index`] and
+/// [`clear`](GraphIndexLookup::clear) has nothing to drop.
+#[doc(hidden)]
+pub fn global_index_cache() -> GraphIndexLookup {
+    GraphIndexLookup
+}
+
+/// See [`global_index_cache`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct GraphIndexLookup;
+
+impl GraphIndexLookup {
+    /// The graph's own window index.
+    pub fn get_or_build<'g>(&self, graph: &'g TemporalGraph) -> WindowIndex<'g> {
+        graph.window_index()
+    }
+
+    /// A no-op: the index lives and dies with its graph.
+    pub fn clear(&self) {}
 }
 
 #[cfg(test)]
@@ -322,7 +319,7 @@ pub(crate) mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// The values both caches hold answer like fresh builds.
+    /// Cached values answer like fresh builds.
     pub(crate) fn check_cached_values_match<T: GraphDerived>() {
         let cache = VerifiedCache::<T>::new(4);
         let g1 = graph(5, 80);
@@ -340,49 +337,32 @@ pub(crate) mod tests {
 
     #[test]
     fn hit_on_same_graph_miss_on_other() {
-        check_hits::<WindowIndex>();
         check_hits::<StaticProjection>();
     }
 
     #[test]
     fn clone_has_its_own_identity() {
-        check_clone_identity::<WindowIndex>();
         check_clone_identity::<StaticProjection>();
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        check_lru::<WindowIndex>();
         check_lru::<StaticProjection>();
     }
 
     #[test]
     fn clear_and_capacity_floor() {
-        check_clear_and_floor::<WindowIndex>();
         check_clear_and_floor::<StaticProjection>();
     }
 
     #[test]
     fn cached_index_is_correct() {
-        let cache = WindowIndexCache::new(2);
-        let g = graph(5, 80);
-        let fresh = WindowIndex::build(&g);
-        let cached = cache.get_or_build(&g);
-        let cached_again = cache.get_or_build(&g);
-        for ix in [&fresh, cached.as_ref(), cached_again.as_ref()] {
-            assert!(ix.matches(&g));
-            assert_eq!(ix.num_incidences(), g.num_events() * 2);
-        }
-        check_cached_values_match::<WindowIndex>();
         check_cached_values_match::<StaticProjection>();
     }
 
     #[test]
     fn global_cache_is_shared() {
         let g = graph(9, 60);
-        let a = global_index_cache().get_or_build(&g);
-        let b = global_index_cache().get_or_build(&g);
-        assert!(Arc::ptr_eq(&a, &b));
         let a = global_projection_cache().get_or_build(&g);
         let b = global_projection_cache().get_or_build(&g);
         assert!(Arc::ptr_eq(&a, &b));

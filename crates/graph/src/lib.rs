@@ -11,14 +11,14 @@
 //!   definitions (they matter only for dynamic graphlets).
 //!
 //! The crate provides the event store ([`TemporalGraph`]) with per-node and
-//! per-edge time indexes, the windowed candidate index
-//! ([`WindowIndex`]) with its shared per-graph cache ([`index_cache`]),
-//! time-slice shard planning with bounded halos ([`shard`]), the framed binary [`wire`] encoding that
-//! carries shard files and worker messages across process boundaries,
-//! Table 2 statistics ([`stats::GraphStats`]), transformations used by
-//! the paper's protocol (resolution degrading, slicing), SNAP-style
-//! I/O, and the static projection with its shared per-graph cache
-//! ([`static_proj`]).
+//! per-edge time indexes, the windowed candidate index ([`WindowIndex`],
+//! built once per graph by [`TemporalGraph::window_index`]), time-slice
+//! shard planning with bounded halos ([`shard`]), the framed binary
+//! [`wire`] encoding that carries shard files and worker messages across
+//! process boundaries, Table 2 statistics ([`stats::GraphStats`]),
+//! transformations used by the paper's protocol (resolution degrading,
+//! slicing), SNAP-style I/O, and the static projection ([`static_proj`])
+//! with its verified per-graph cache ([`index_cache`]).
 //!
 //! ## Data layout
 //!
@@ -84,9 +84,11 @@ pub use error::{GraphError, Result};
 pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
-pub use index_cache::{global_index_cache, CacheStats, WindowIndexCache};
+#[doc(hidden)]
+pub use index_cache::global_index_cache;
+pub use index_cache::CacheStats;
 pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 pub use static_proj::{global_projection_cache, StaticProjection, StaticProjectionCache};
 pub use triangles::Triangles;
-pub use window_index::{WindowCursor, WindowIndex};
+pub use window_index::WindowIndex;
 pub use wire::WireError;

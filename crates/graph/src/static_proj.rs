@@ -10,11 +10,11 @@
 //! streaming triad class reads the triangle table the graph lists once
 //! ([`TemporalGraph::triangles`]). For callers that want one projection
 //! per graph, [`StaticProjectionCache`] (and the process-wide
-//! [`global_projection_cache`]) share it through the same
-//! [`VerifiedCache`] as the window index: entries are keyed on the
-//! graph's event-buffer address and **exactly verified** against the
-//! graph's content on every hit, outside the cache lock, so a recycled
-//! allocation can never serve a stale projection.
+//! [`global_projection_cache`]) share it through a [`VerifiedCache`]:
+//! entries are keyed on the graph's event-buffer address and **exactly
+//! verified** against the graph's content on every hit, outside the
+//! cache lock, so a recycled allocation can never serve a stale
+//! projection.
 
 use crate::graph::TemporalGraph;
 use crate::ids::{Edge, NodeId};
@@ -213,16 +213,13 @@ mod tests {
     #[test]
     fn cache_hits_verified_and_shared() {
         cache_checks::check_cached_values_match::<StaticProjection>();
-        cache_checks::check_cached_values_match::<crate::WindowIndex>();
     }
 
     #[test]
     fn cache_evicts_lru_and_clears() {
         for check in [
             cache_checks::check_lru::<StaticProjection>,
-            cache_checks::check_lru::<crate::WindowIndex>,
             cache_checks::check_clear_and_floor::<StaticProjection>,
-            cache_checks::check_clear_and_floor::<crate::WindowIndex>,
         ] {
             check();
         }

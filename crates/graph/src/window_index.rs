@@ -5,63 +5,44 @@
 //! to node `x` fall in the half-open time window `(after, upto]`?"*. The
 //! node index on [`TemporalGraph`] can answer it, but every probe chases
 //! `events[i].time` through an indirection, and the upper bound is found
-//! by a linear scan. [`WindowIndex`] stores each node's event timestamps
-//! **inline and contiguous**, so both window endpoints resolve with
-//! `partition_point` binary searches over a dense `i64` array and the
-//! result comes back as a ready-made `&[EventIdx]` slice — no per-element
-//! time checks, no indirection, cache-line-friendly.
+//! by a linear scan. [`WindowIndex`] pairs each node's event list with
+//! its timestamps stored **inline and contiguous**, so both window
+//! endpoints resolve with `partition_point` binary searches over a dense
+//! `i64` array and the result comes back as a ready-made `&[EventIdx]`
+//! slice — no per-element time checks, no indirection,
+//! cache-line-friendly.
 //!
-//! [`WindowCursor`] complements the random-access query with a streaming
-//! one: a consumer that sweeps time forward over a single node's list
-//! advances a monotone position with galloping search, paying amortised
-//! `O(1)` per advance instead of `O(log d)` per probe. The counting
-//! engines ended up not needing it — their forward sweeps run over
-//! *merged* per-pair/per-center/per-triangle lists in arena scratch
-//! (see `tnm_motifs::engine::stream`), where window expiry is a
-//! `partition_point` over precomputed group boundaries, not a per-node
-//! cursor. The cursor stays as a tested standalone primitive (pinned by
-//! this module's `cursor_*` tests) for consumers that do walk one
-//! node's timeline monotonically, e.g. ad-hoc per-node sweeps.
+//! The index is a borrowed view, [`TemporalGraph::window_index`]: the
+//! event lists *are* the graph's node index, and the timestamp column
+//! beside them is built by the graph on first use (`O(m)` time, `2m`
+//! words) and kept for the graph's lifetime, like its SoA columns and
+//! triangle table. Every windowed engine counting the same graph
+//! object therefore shares one column, and a clone carries it along.
 //!
-//! Build cost is `O(m)` time and `2m` words of memory (the event-id and
-//! timestamp arrays), piggybacking on the already-sorted node index.
+//! [`TemporalGraph`]: crate::TemporalGraph
+//! [`TemporalGraph::window_index`]: crate::TemporalGraph::window_index
 
-use crate::graph::TemporalGraph;
 use crate::ids::{EventIdx, NodeId, Time};
 
 /// Per-node CSR event lists with timestamps stored inline.
 ///
 /// See the [module docs](self) for why this beats the plain node index
 /// for windowed candidate generation.
-#[derive(Debug, Clone)]
-pub struct WindowIndex {
+#[derive(Debug, Clone, Copy)]
+pub struct WindowIndex<'g> {
     /// `offsets[n]..offsets[n+1]` is node `n`'s span in the two arrays.
-    offsets: Vec<u32>,
+    offsets: &'g [u32],
     /// Event indices, grouped by node, time-sorted within each group.
-    event_ids: Vec<EventIdx>,
+    event_ids: &'g [EventIdx],
     /// `times[i]` is the timestamp of `event_ids[i]` (dense, searchable).
-    times: Vec<Time>,
+    times: &'g [Time],
 }
 
-impl WindowIndex {
-    /// Builds the index from a graph in `O(m)` (the graph's node index is
-    /// already time-sorted; this only flattens timestamps inline).
-    pub fn build(graph: &TemporalGraph) -> Self {
-        let n = graph.num_nodes() as usize;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut event_ids = Vec::with_capacity(graph.num_events() * 2);
-        let mut times = Vec::with_capacity(graph.num_events() * 2);
-        // Gather through the dense SoA time column: each lookup reads an
-        // 8-byte row instead of dereferencing a 24-byte `Event`.
-        let col_times = graph.times();
-        offsets.push(0);
-        for node in 0..graph.num_nodes() {
-            for &idx in graph.node_events(NodeId(node)) {
-                event_ids.push(idx);
-                times.push(col_times[idx as usize]);
-            }
-            offsets.push(event_ids.len() as u32);
-        }
+impl<'g> WindowIndex<'g> {
+    /// A view over a node index (`offsets`, `event_ids`) and the time
+    /// column aligned with it.
+    pub(crate) fn new(offsets: &'g [u32], event_ids: &'g [EventIdx], times: &'g [Time]) -> Self {
+        debug_assert_eq!(event_ids.len(), times.len());
         WindowIndex { offsets, event_ids, times }
     }
 
@@ -77,15 +58,11 @@ impl WindowIndex {
         self.event_ids.len()
     }
 
-    #[inline]
-    fn span(&self, node: NodeId) -> (usize, usize) {
-        (self.offsets[node.index()] as usize, self.offsets[node.index() + 1] as usize)
-    }
-
     /// Node `node`'s full `(event_ids, times)` parallel slices.
     #[inline]
-    pub fn node_slices(&self, node: NodeId) -> (&[EventIdx], &[Time]) {
-        let (lo, hi) = self.span(node);
+    pub fn node_slices(&self, node: NodeId) -> (&'g [EventIdx], &'g [Time]) {
+        let lo = self.offsets[node.index()] as usize;
+        let hi = self.offsets[node.index() + 1] as usize;
         (&self.event_ids[lo..hi], &self.times[lo..hi])
     }
 
@@ -93,7 +70,7 @@ impl WindowIndex {
     /// (`upto = None` means unbounded above). Both endpoints are resolved
     /// by binary search on the inline timestamp array.
     #[inline]
-    pub fn events_in(&self, node: NodeId, after: Time, upto: Option<Time>) -> &[EventIdx] {
+    pub fn events_in(&self, node: NodeId, after: Time, upto: Option<Time>) -> &'g [EventIdx] {
         let (ids, times) = self.node_slices(node);
         let start = times.partition_point(|&t| t <= after);
         let end = match upto {
@@ -113,106 +90,13 @@ impl WindowIndex {
         let (_, times) = self.node_slices(node);
         times.partition_point(|&x| x <= t)
     }
-
-    /// Opens a streaming cursor over `node`'s events.
-    pub fn cursor(&self, node: NodeId) -> WindowCursor {
-        WindowCursor { node, pos: 0 }
-    }
-
-    /// True iff this index describes exactly `graph` — every per-node
-    /// event list and every inline timestamp agrees with the graph's own
-    /// node index. An allocation-free sequential `O(m)` pass, several
-    /// times cheaper than [`WindowIndex::build`]; the
-    /// [index cache](crate::index_cache) runs it on every key hit so a
-    /// recycled buffer address can never smuggle in a stale index.
-    pub fn matches(&self, graph: &TemporalGraph) -> bool {
-        if self.num_nodes() != graph.num_nodes() || self.num_incidences() != graph.num_events() * 2
-        {
-            return false;
-        }
-        let col_times = graph.times();
-        for node in 0..graph.num_nodes() {
-            let (ids, times) = self.node_slices(NodeId(node));
-            if ids != graph.node_events(NodeId(node)) {
-                return false;
-            }
-            if !ids.iter().zip(times).all(|(&i, &t)| col_times[i as usize] == t) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// A reusable, monotone streaming position inside one node's event list.
-///
-/// Cursors only move forward: [`WindowCursor::advance_past`] gallops from
-/// the current position, so a full forward sweep over a node's `d` events
-/// costs `O(d)` total regardless of how many advances are made. Reset by
-/// opening a fresh cursor via [`WindowIndex::cursor`].
-#[derive(Debug, Clone, Copy)]
-pub struct WindowCursor {
-    node: NodeId,
-    pos: usize,
-}
-
-impl WindowCursor {
-    /// The node this cursor walks.
-    #[inline]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Current position within the node's span.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Advances the cursor to the first event with `time > t` (no-op when
-    /// already past it) using galloping search from the current position.
-    pub fn advance_past(&mut self, index: &WindowIndex, t: Time) {
-        let (_, times) = index.node_slices(self.node);
-        if self.pos >= times.len() || times[self.pos] > t {
-            return;
-        }
-        // Gallop: double the step until overshooting, then binary-search
-        // the last bracket. Amortised O(1) per advance on forward sweeps.
-        let mut step = 1;
-        let mut hi = self.pos + 1;
-        while hi < times.len() && times[hi] <= t {
-            self.pos = hi;
-            hi += step;
-            step *= 2;
-        }
-        let hi = hi.min(times.len());
-        self.pos += times[self.pos..hi].partition_point(|&x| x <= t);
-    }
-
-    /// Events from the cursor position with time `<= upto` (unbounded when
-    /// `None`), **without** moving the cursor.
-    #[inline]
-    pub fn window<'a>(&self, index: &'a WindowIndex, upto: Option<Time>) -> &'a [EventIdx] {
-        let (ids, times) = index.node_slices(self.node);
-        let end = match upto {
-            Some(b) => self.pos + times[self.pos..].partition_point(|&t| t <= b),
-            None => ids.len(),
-        };
-        &ids[self.pos..end]
-    }
-
-    /// True once the cursor has swept past every event of its node.
-    #[inline]
-    pub fn is_exhausted(&self, index: &WindowIndex) -> bool {
-        let (lo, hi) = index.span(self.node);
-        self.pos >= hi - lo
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TemporalGraphBuilder;
+    use crate::graph::TemporalGraph;
 
     fn sample() -> TemporalGraph {
         TemporalGraphBuilder::new()
@@ -229,12 +113,13 @@ mod tests {
     #[test]
     fn matches_graph_node_index() {
         let g = sample();
-        let ix = WindowIndex::build(&g);
+        let ix = g.window_index();
         assert_eq!(ix.num_nodes(), g.num_nodes());
         assert_eq!(ix.num_incidences(), g.num_events() * 2);
         for n in 0..g.num_nodes() {
             let (ids, times) = ix.node_slices(NodeId(n));
             assert_eq!(ids, g.node_events(NodeId(n)));
+            assert!(std::ptr::eq(ids, g.node_events(NodeId(n))), "the view borrows the node index");
             for (&i, &t) in ids.iter().zip(times) {
                 assert_eq!(g.event(i).time, t);
             }
@@ -244,7 +129,7 @@ mod tests {
     #[test]
     fn window_queries_agree_with_scan() {
         let g = sample();
-        let ix = WindowIndex::build(&g);
+        let ix = g.window_index();
         for n in 0..g.num_nodes() {
             let node = NodeId(n);
             for after in 0..20 {
@@ -276,46 +161,11 @@ mod tests {
     #[test]
     fn first_after_boundaries() {
         let g = sample();
-        let ix = WindowIndex::build(&g);
+        let ix = g.window_index();
         // Node 2 events at times 7, 9, 11, 15.
         assert_eq!(ix.first_after(NodeId(2), 0), 0);
         assert_eq!(ix.first_after(NodeId(2), 7), 1);
         assert_eq!(ix.first_after(NodeId(2), 10), 2);
         assert_eq!(ix.first_after(NodeId(2), 15), 4);
-    }
-
-    #[test]
-    fn cursor_streams_forward() {
-        let g = sample();
-        let ix = WindowIndex::build(&g);
-        let mut cur = ix.cursor(NodeId(2)); // times 7, 9, 11, 15
-        assert_eq!(cur.window(&ix, Some(9)).len(), 2);
-        cur.advance_past(&ix, 8);
-        assert_eq!(cur.position(), 1);
-        cur.advance_past(&ix, 8); // no-op: already past
-        assert_eq!(cur.position(), 1);
-        cur.advance_past(&ix, 11);
-        assert_eq!(cur.position(), 3);
-        assert_eq!(cur.window(&ix, None).len(), 1);
-        assert!(!cur.is_exhausted(&ix));
-        cur.advance_past(&ix, 100);
-        assert!(cur.is_exhausted(&ix));
-        assert!(cur.window(&ix, None).is_empty());
-    }
-
-    #[test]
-    fn cursor_gallop_matches_binary_search() {
-        // Long list with duplicate timestamps to stress the gallop.
-        let mut b = TemporalGraphBuilder::new();
-        for i in 0..200i64 {
-            b.push(crate::event::Event::new(0u32, 1u32 + (i % 3) as u32, i / 2));
-        }
-        let g = b.build().unwrap();
-        let ix = WindowIndex::build(&g);
-        let mut cur = ix.cursor(NodeId(0));
-        for t in 0..110 {
-            cur.advance_past(&ix, t);
-            assert_eq!(cur.position(), ix.first_after(NodeId(0), t), "t={t}");
-        }
     }
 }

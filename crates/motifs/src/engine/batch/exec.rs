@@ -32,7 +32,6 @@ use crate::engine::walker::{
 };
 use crate::engine::EngineKind;
 use crate::notation::MotifSignature;
-use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::{TemporalGraph, Time};
 
 /// One member's emission-time predicate, with unbounded windows mapped
@@ -186,9 +185,9 @@ pub(super) fn count_walk_group(
             NodeListCandidates
         })
     } else {
-        let index = global_index_cache().get_or_build(graph);
+        let index = graph.window_index();
         fold_group(graph, walk_cfg, prefix.as_ref(), &masks, check_timing, threads, || {
-            WindowedCandidates::new(&index)
+            WindowedCandidates::new(index)
         })
     };
     for local in &locals {
@@ -236,9 +235,9 @@ pub(super) fn enumerate_walk_group<F: FnMut(usize, &MotifInstance<'_>)>(
     let duration_aware = walk_cfg.duration_aware;
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
-    let index = global_index_cache().get_or_build(graph);
+    let index = graph.window_index();
     let mut accept: HashMap<MotifSignature, Vec<u32>> = HashMap::new();
-    let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), WindowedCandidates::new(&index));
+    let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), WindowedCandidates::new(index));
     walker.run_range(0..graph.num_events(), |inst| {
         let sig = inst.signature;
         let accepted = accept.entry(sig).or_insert_with(|| {

@@ -50,11 +50,11 @@
 //! [`EngineKind::Auto`] picks an engine from the graph, configuration,
 //! and thread budget (see [`auto_select`]) and is what the one-call
 //! [`count_motifs`](crate::count_motifs) entry uses.
-//! All windowed engines share one [`WindowIndex`](tnm_graph::WindowIndex)
-//! per graph through the
-//! [global index cache](tnm_graph::index_cache::global_index_cache), so
-//! repeated counts of the same graph — the experiment drivers' common
-//! pattern — pay the `O(m)` build once.
+//! All windowed engines read the graph's own
+//! [`WindowIndex`](tnm_graph::WindowIndex), which
+//! [`TemporalGraph::window_index`](tnm_graph::TemporalGraph::window_index)
+//! builds on first use and keeps, so repeated counts of the same graph —
+//! the experiment drivers' common pattern — pay the `O(m)` build once.
 //!
 //! ## Batching many configurations
 //!
@@ -88,8 +88,8 @@
 //! ## `tnm serve`: the resident counting service
 //!
 //! [`MotifServer`] turns the crate into a long-running system: a TCP
-//! daemon holding a registry of loaded graphs (with the identity-keyed
-//! window-index cache as its resident working set),
+//! daemon holding a registry of loaded graphs as its resident working
+//! set (each with the columns, window index and triangle table it built),
 //! answering [`Query`] requests from concurrent clients, and keeping
 //! registered Paranjape-shape subscriptions **live under appends** via
 //! [`IncrementalStream`] — O(new events) per batch, bit-identical to a
@@ -125,9 +125,10 @@
 //!   precomputed timestamp-group boundaries, window expiry advances an
 //!   amortized group cursor against those boundaries, and the DP tables are
 //!   flat bit-indexed `[u64; K]` accumulators whose updates are
-//!   unconditional indexed adds. Triangles additionally run in
-//!   footprint-sorted cache-sized blocks so the scratch stays
-//!   L2-resident.
+//!   unconditional indexed adds. The triangles themselves come from the
+//!   table each graph lists once
+//!   ([`TemporalGraph::triangles`](tnm_graph::TemporalGraph::triangles)),
+//!   so a triad count is only the six-way merge and the window DP.
 //!
 //! The `hotpath_*` bench groups (`crates/bench/benches/engines.rs`)
 //! time each of these loops; `hotpath_window_probe` also times the
@@ -150,7 +151,8 @@
 //! | layer | spans | metrics |
 //! |---|---|---|
 //! | walkers | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
-//! | caches | — | `cache.{index,proj}.{hits,misses,rejected}`, `cache.{index,proj}.verify_ns` |
+//! | graph | `index.build{events}` — once per graph, when its window index is built | — |
+//! | projection cache | — | `cache.proj.{hits,misses,rejected}`, `cache.proj.verify_ns` |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
 //! | stream DPs | — | `stream.pair.{pairs_swept,groups_advanced,window_events}`, `stream.star.{centers_swept,center_events}`, `stream.triad.{triangles_swept,groups_advanced,window_events}` |
 //! | sharded, worker processes | `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |

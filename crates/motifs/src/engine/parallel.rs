@@ -30,7 +30,6 @@ use crate::engine::walker::{CandidateSource, Walker, WindowedCandidates};
 use crate::engine::{CountEngine, EngineCaps, WindowedEngine};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::TemporalGraph;
 
 /// Below this many events the **auto** engine
@@ -174,14 +173,14 @@ impl CountEngine for ParallelEngine {
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
-        // Build the SoA time column before the fan-out so no worker
-        // stalls on its first window probe while another initializes it.
-        let _ = graph.columns();
-        let index = global_index_cache().get_or_build(graph);
+        // Build the window index (and the SoA columns it reads) before
+        // the fan-out so no worker stalls on its first probe while
+        // another builds them.
+        let index = graph.window_index();
         merge_counts(walk_fold(
             0..graph.num_events(),
             self.threads,
-            || Walker::new(graph, cfg, WindowedCandidates::new(&index)),
+            || Walker::new(graph, cfg, WindowedCandidates::new(index)),
             MotifCounts::new,
             |counts, inst| counts.add(inst.signature, 1),
         ))

@@ -21,9 +21,9 @@
 //!
 //! Unlike the pre-trait free function this module replaces, the sampler
 //! never materialises a per-window subgraph: it walks the *full* graph
-//! through the shared [`WindowIndex`](tnm_graph::WindowIndex) (built
-//! once per graph via the
-//! [global index cache](tnm_graph::index_cache::global_index_cache)),
+//! through the graph's [`WindowIndex`](tnm_graph::WindowIndex) (built
+//! once per graph by
+//! [`TemporalGraph::window_index`](tnm_graph::TemporalGraph::window_index)),
 //! restricting start events to the window and discarding instances that
 //! stick out past its end. Two consequences:
 //!
@@ -68,7 +68,6 @@ use crate::notation::MotifSignature;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::{TemporalGraph, Time};
 
 /// Default sample budget when none is given (CLI `--engine sampling`
@@ -203,7 +202,7 @@ impl CountEngine for SamplingEngine {
         // A window can start anywhere that overlaps the timeline:
         // T + L possible starts, left-aligned at t0 - L + 1.
         let horizon = (t1 - t0) + window_len;
-        let index = global_index_cache().get_or_build(graph);
+        let index = graph.window_index();
         // All offsets come off the seeded RNG up front, in one stream:
         // the draw sequence — and therefore every estimate — is
         // independent of the thread budget.
@@ -226,7 +225,7 @@ impl CountEngine for SamplingEngine {
         let mut moments: HashMap<MotifSignature, (f64, f64)> = HashMap::new();
         let mut total_moments = (0.0f64, 0.0f64);
         if self.threads <= 1 {
-            let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(&index));
+            let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(index));
             let mut acc: HashMap<MotifSignature, f64> = HashMap::new();
             for w in &windows {
                 let total =
@@ -244,7 +243,7 @@ impl CountEngine for SamplingEngine {
                 windows.len(),
                 self.threads,
                 1,
-                || (Walker::new(graph, cfg, WindowedCandidates::new(&index)), Vec::new()),
+                || (Walker::new(graph, cfg, WindowedCandidates::new(index)), Vec::new()),
                 |state, claimed| {
                     let (walker, out) = state;
                     for i in claimed {

@@ -14,14 +14,14 @@
 //!
 //! Each registry entry keeps its canonical event log plus a lazily
 //! (re)built [`TemporalGraph`]. The `Arc<TemporalGraph>` is held for as
-//! long as the entry goes unmodified, so the identity-keyed global
-//! [`WindowIndexCache`](tnm_graph::index_cache) keeps its entry hot
-//! across queries and the graph keeps its own lazily built columns and
-//! static triangle table — the second query against a loaded graph pays
-//! no index rebuild or triangle listing. An append invalidates the
-//! cached graph (a fresh graph rebuilds all three); subscriptions are
-//! *not* invalidated, which is the point:
-//! their counts advance incrementally from the ΔW tail alone.
+//! long as the entry goes unmodified, and the graph keeps what it builds
+//! on first use — its SoA columns, its window index
+//! ([`TemporalGraph::window_index`]) and its static triangle table — so
+//! the second query against a loaded graph pays no index build or
+//! triangle listing. An append invalidates the cached graph (a fresh
+//! graph builds all three again, on first use); subscriptions are *not*
+//! invalidated, which is the point: their counts advance incrementally
+//! from the ΔW tail alone.
 //!
 //! ## Observability
 //!
@@ -101,7 +101,7 @@ use crate::engine::query::Query;
 use crate::engine::serve::incremental::check_batch;
 use crate::engine::EngineKind;
 use protocol::{Request, Response};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,13 +171,14 @@ struct Subscription {
 }
 
 /// One loaded graph: the canonical sorted event log, a lazily rebuilt
-/// graph (kept alive so the identity-keyed index caches stay hot), and
-/// the subscriptions riding on it.
+/// graph (kept alive so the structures it builds on first use serve
+/// every later query), and the subscriptions riding on it.
 struct GraphEntry {
     events: Vec<Event>,
     num_nodes: u32,
     /// Rebuilt on demand after appends; held while the entry is
-    /// unmodified so cache identity is preserved across queries.
+    /// unmodified so its window index and triangle table are reused
+    /// across queries.
     graph: Option<Arc<TemporalGraph>>,
     subscriptions: Vec<Subscription>,
     next_sub_id: u32,
@@ -644,7 +645,10 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
 /// The trace context is process-global (that is what lets spawned
 /// threads and worker processes inherit it), so two concurrent traced
 /// requests can cross-attach spans; tracing is an opt-in diagnostic,
-/// and the last writer wins.
+/// and the last writer wins. A span another request nested under one of
+/// its own spans can land in this trace while that parent is still open;
+/// such orphans (and anything beneath them) are dropped, so the returned
+/// spans always form one tree.
 fn run_traced<T>(
     root: &'static str,
     args: &[(&str, &str)],
@@ -660,7 +664,16 @@ fn run_traced<T>(
     let out = f();
     drop(span);
     tnm_obs::set_trace(None);
-    (out, tnm_obs::take_trace_spans(ctx.trace_id), ctx.trace_id)
+    let mut spans = tnm_obs::take_trace_spans(ctx.trace_id);
+    loop {
+        let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+        let before = spans.len();
+        spans.retain(|s| s.parent_id == 0 || ids.contains(&s.parent_id));
+        if spans.len() == before {
+            break;
+        }
+    }
+    (out, spans, ctx.trace_id)
 }
 
 /// Applies the server's resource ceilings to a decoded query:

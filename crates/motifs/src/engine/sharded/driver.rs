@@ -1,5 +1,5 @@
 //! The per-shard walk both transports run ([`ShardWalk`]): static
-//! inducedness stripped, a shard-local window index, and a pass of the
+//! inducedness stripped, the shard graph's own window index, and a pass of the
 //! walk executor over the shard's owned start events. The
 //! in-thread transport counts and enumerates through it; `tnm worker`
 //! builds its count and induced-group replies with it.
@@ -22,14 +22,13 @@ use tnm_graph::{EventIdx, TemporalGraph};
 /// whole-timeline `has_edge` queries, so the caller re-checks that
 /// predicate against the parent (per instance in this process, per
 /// induced group on the coordinator of a worker run). The window index
-/// is built directly rather than through the global cache: shard graphs
-/// are transient, and letting them churn the LRU would evict the
-/// long-lived parent indexes other engines share.
+/// is the shard graph's own, built before any walker fans out and
+/// dropped with the shard.
 pub(crate) struct ShardWalk<'g> {
     graph: &'g TemporalGraph,
     own: Range<usize>,
     cfg: EnumConfig,
-    index: WindowIndex,
+    index: WindowIndex<'g>,
 }
 
 impl<'g> ShardWalk<'g> {
@@ -37,11 +36,11 @@ impl<'g> ShardWalk<'g> {
     pub(crate) fn new(graph: &'g TemporalGraph, own: Range<usize>, cfg: &EnumConfig) -> Self {
         let mut cfg = cfg.clone();
         cfg.static_induced = false;
-        ShardWalk { graph, own, cfg, index: WindowIndex::build(graph) }
+        ShardWalk { graph, own, cfg, index: graph.window_index() }
     }
 
     fn walker(&self) -> Walker<'_, WindowedCandidates<'_>> {
-        Walker::new(self.graph, &self.cfg, WindowedCandidates::new(&self.index))
+        Walker::new(self.graph, &self.cfg, WindowedCandidates::new(self.index))
     }
 
     /// Visits the owned instances serially, in start-event order.

@@ -212,7 +212,7 @@ impl ShardedEngine {
         // Materializing it would clone the entire event buffer and
         // rebuild a full-size index for nothing (or ship the whole log
         // to one worker): run the monolithic engine on the parent
-        // instead, sharing the global index cache.
+        // instead, sharing the parent's own window index.
         if plan.len() <= 1 {
             let counts = ParallelEngine::new(self.config.threads).count(graph, cfg);
             let stats = ShardedRunStats {

@@ -5,7 +5,7 @@
 //! candidate events come from** at each extension step. That seam is the
 //! [`CandidateSource`] trait — [`NodeListCandidates`] scans the graph's
 //! plain node index (the original behaviour), while
-//! [`WindowedCandidates`] answers the same query from a prebuilt
+//! [`WindowedCandidates`] answers the same query from the graph's
 //! [`WindowIndex`] with binary searches on inline timestamps. Keeping the
 //! walk itself shared is what makes the engines provably equivalent: the
 //! emission filters, signature canonicalisation, and ordering rules are
@@ -84,7 +84,7 @@ impl CandidateSource for NodeListCandidates {
     }
 }
 
-/// Candidate generation over a prebuilt [`WindowIndex`]: both window
+/// Candidate generation over a graph's [`WindowIndex`]: both window
 /// endpoints resolve with binary searches on dense inline timestamps,
 /// each node answers with a ready-made **sorted run** of event indices,
 /// and the runs are k-way merged (k = current motif nodes, ≤ 4) with
@@ -92,12 +92,12 @@ impl CandidateSource for NodeListCandidates {
 /// the node-list strategy with an `O(c·k)` merge.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowedCandidates<'ix> {
-    index: &'ix WindowIndex,
+    index: WindowIndex<'ix>,
 }
 
 impl<'ix> WindowedCandidates<'ix> {
-    /// Wraps a prebuilt index (shareable across worker threads).
-    pub fn new(index: &'ix WindowIndex) -> Self {
+    /// Wraps a graph's index (shareable across worker threads).
+    pub fn new(index: WindowIndex<'ix>) -> Self {
         WindowedCandidates { index }
     }
 }

@@ -5,17 +5,16 @@
 //! timestamp arrays let both ΔC/ΔW window endpoints resolve with binary
 //! searches and the candidates arrive as a ready slice, so under bounded
 //! timing the walker never touches an event outside the admissible
-//! window. The `O(m)` index is obtained through the
-//! [global index cache](tnm_graph::index_cache::global_index_cache), so
-//! repeated counts of the same graph build it once — but see
+//! window. The graph builds the `O(m)` index on first use and keeps it
+//! ([`TemporalGraph::window_index`]), so repeated counts of the same
+//! graph build it once — but see
 //! [`BacktrackEngine`](crate::engine::BacktrackEngine) for the
-//! degenerate cases where even a cached index is not worth consulting.
+//! degenerate cases where even a built index is not worth consulting.
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::walker::{Walker, WindowedCandidates};
 use crate::engine::{CountEngine, EngineCaps};
-use tnm_graph::index_cache::global_index_cache;
 use tnm_graph::TemporalGraph;
 
 /// Serial backtracking engine over a time-windowed candidate index.
@@ -48,8 +47,7 @@ impl CountEngine for WindowedEngine {
         cfg: &EnumConfig,
         callback: &mut dyn FnMut(&MotifInstance<'_>),
     ) {
-        let index = global_index_cache().get_or_build(graph);
-        let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(&index));
+        let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(graph.window_index()));
         walker.run_range_by_ref(0..graph.num_events(), callback);
     }
 }

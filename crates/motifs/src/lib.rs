@@ -118,9 +118,10 @@
 //!   graph and its ΔC/ΔW windows carry enough work for multiple
 //!   threads, serial windowed otherwise.
 //!
-//! All windowed engines share one [`tnm_graph::WindowIndex`] per graph
-//! through [`tnm_graph::index_cache::global_index_cache`], so repeated
-//! counts of the same graph build the index once.
+//! All windowed engines read one [`tnm_graph::WindowIndex`] per graph,
+//! built on first use by [`tnm_graph::TemporalGraph::window_index`] and
+//! kept with the graph, so repeated counts of the same graph build the
+//! index once.
 //!
 //! Every engine layer is instrumented through `tnm_obs`: hierarchical
 //! timed spans (Chrome-trace export via `tnm count --trace`) and named

@@ -12,10 +12,13 @@
 //!   multi-engine pass leaves the global registry empty and the span
 //!   collector empty; the disabled path is one branch, not a
 //!   "record-but-hide".
-//! * **Enabled runs land on the documented names** — the
-//!   `engine.*` / `cache.*` counter names in the engine module docs
-//!   are a wire-adjacent contract (dashboards key off them), so a
-//!   windowed run must populate exactly those families.
+//! * **Enabled runs land on the documented names** — the `engine.*`
+//!   counter names and span names in the engine module docs are a
+//!   wire-adjacent contract (dashboards key off them), so a windowed
+//!   run must populate exactly those families.
+//! * **One index build per graph** — every windowed path reads the
+//!   graph's own window index, so counting one graph through all of
+//!   them records exactly one `index.build` span.
 //!
 //! Every test serializes on [`tnm_obs::test_guard`]: the registry and
 //! the enabled switch are process-global.
@@ -25,6 +28,11 @@ use tnm_datasets::{generate, DatasetSpec};
 use tnm_motifs::engine::{
     BacktrackEngine, CountEngine, ParallelEngine, ShardedEngine, StreamEngine, WindowedEngine,
 };
+
+/// How many `index.build` spans `spans` holds.
+fn index_builds(spans: &[tnm_obs::SpanRecord]) -> usize {
+    spans.iter().filter(|s| s.name == "index.build").count()
+}
 
 fn corpus() -> TemporalGraph {
     let mut spec = DatasetSpec::by_name("CollegeMsg").expect("known dataset");
@@ -105,16 +113,50 @@ fn enabled_windowed_run_lands_on_the_documented_names() {
     tnm_obs::drain_spans();
     let counts = WindowedEngine.count(&g, &cfg);
     let snap = tnm_obs::global().snapshot();
-    tnm_obs::drain_spans();
+    let spans = tnm_obs::drain_spans();
     tnm_obs::set_enabled(false);
     tnm_obs::global().reset();
     let scanned = snap.counters.get("engine.events_scanned").copied().unwrap_or(0);
     let emitted = snap.counters.get("engine.instances_emitted").copied().unwrap_or(0);
     assert!(scanned > 0, "the walker flushes its scan tally: {:?}", snap.counters);
     assert_eq!(emitted, counts.total(), "emitted tally equals the spectrum total");
-    assert!(
-        snap.counters.keys().any(|k| k.starts_with("cache.index.")),
-        "the windowed engine goes through the index cache: {:?}",
-        snap.counters
-    );
+    assert_eq!(index_builds(&spans), 1, "the windowed engine builds the graph's index once");
+}
+
+/// Counts one graph through every windowed path — the serial and
+/// work-stealing walkers, the sampler, a batch walk group, batch
+/// enumeration and a one-shard sharded run — and requires that they all
+/// read one index, built once, with every exact count equal to the
+/// index-free backtrack reference.
+#[test]
+fn every_windowed_path_shares_one_index_build() {
+    let _guard = tnm_obs::test_guard();
+    let g = corpus();
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
+    let reference = BacktrackEngine.count(&g, &cfg);
+    tnm_obs::set_enabled(true);
+    tnm_obs::global().reset();
+    tnm_obs::drain_spans();
+    let windowed = WindowedEngine.count(&g, &cfg);
+    let parallel = ParallelEngine::new(4).count(&g, &cfg);
+    let sampled = SamplingEngine::new(16, 3).report(&g, &cfg);
+    let batch = EngineKind::Windowed.count_batch(&g, std::slice::from_ref(&cfg), 2);
+    let mut enumerated = MotifCounts::new();
+    enumerate_batch(&g, std::slice::from_ref(&cfg), |_, inst| enumerated.add(inst.signature, 1));
+    let (sharded, stats) = ShardedEngine::new(g.num_events()).count_with_stats(&g, &cfg);
+    let spans = tnm_obs::drain_spans();
+    tnm_obs::set_enabled(false);
+    tnm_obs::global().reset();
+    assert_eq!(index_builds(&spans), 1, "one index per graph, whichever path asks first");
+    assert_eq!(stats.shards, 1, "the sharded run must take its one-shard path");
+    assert_eq!(sampled.samples, Some(16));
+    for (path, counts) in [
+        ("windowed", &windowed),
+        ("parallel", &parallel),
+        ("batch walk group", &batch[0]),
+        ("enumerate_batch", &enumerated),
+        ("sharded", &sharded),
+    ] {
+        assert_eq!(*counts, reference, "{path}");
+    }
 }

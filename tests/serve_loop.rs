@@ -48,6 +48,15 @@ fn random_events(seed: u64, nodes: u32, events: usize, horizon: i64) -> Vec<Even
     batch
 }
 
+/// Serializes the tests that send traced queries: the trace context is
+/// process-global, so two traced requests in flight at once would
+/// cross-attach spans.
+static TRACED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn traced_guard() -> std::sync::MutexGuard<'static, ()> {
+    TRACED.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn spawn_server() -> (ServerHandle, SocketAddr) {
     let server = MotifServer::bind("127.0.0.1:0").expect("bind").spawn();
     let addr = server.addr();
@@ -368,6 +377,7 @@ fn concurrent_clients_are_isolated() {
 /// the same connection stay trace-free.
 #[test]
 fn traced_queries_ship_span_trees_and_populate_query_logs() {
+    let _traced = traced_guard();
     let events = random_events(31, 30, 800, 2500);
     let graph = TemporalGraph::from_events(events.clone()).unwrap();
     let server = MotifServer::bind_with(
@@ -437,11 +447,58 @@ fn traced_queries_ship_span_trees_and_populate_query_logs() {
     server.join().unwrap();
 }
 
+/// A loaded graph keeps the window index it builds: two windowed
+/// queries against it record exactly one `index.build` span, and after
+/// an append invalidates it, the rebuilt graph builds its own once more.
+/// Spans are tallied by their `events` argument — graph sizes no other
+/// test loads — so a concurrent test's build can never land in the
+/// tally.
+#[test]
+fn loaded_graphs_build_their_window_index_once() {
+    let _traced = traced_guard();
+    let mut events = random_events(59, 25, 618, 2000);
+    events.sort_unstable();
+    let (base, tail) = events.split_at(611);
+    let (server, addr) = spawn_server();
+    let mut client = ServeClient::connect(addr).unwrap();
+    client.load_graph("g", base, 0).unwrap();
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(200));
+    let q = Query::Count { cfg: cfg.clone(), engine: EngineKind::Windowed, threads: 1 };
+    let builds = |client: &mut ServeClient, graph_events: usize| {
+        let (resp, trace) = client.query_traced("g", &q).unwrap();
+        let QueryResponse::Counts(counts) = resp else { panic!("shape") };
+        let n = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "index.build")
+            .filter(|s| s.args.iter().any(|(k, v)| k == "events" && *v == graph_events.to_string()))
+            .count();
+        (counts, n)
+    };
+
+    let (first, first_builds) = builds(&mut client, base.len());
+    let (second, second_builds) = builds(&mut client, base.len());
+    let base_graph = TemporalGraph::from_events(base.to_vec()).unwrap();
+    assert_eq!(first, EngineKind::Backtrack.count(&base_graph, &cfg, 1));
+    assert_eq!(second, first);
+    assert_eq!(first_builds + second_builds, 1, "one index build per loaded graph");
+
+    client.append_events("g", tail).unwrap();
+    let (grown, grown_builds) = builds(&mut client, events.len());
+    let full = TemporalGraph::from_events(events.clone()).unwrap();
+    assert_eq!(grown, EngineKind::Backtrack.count(&full, &cfg, 1));
+    assert_eq!(grown_builds, 1, "the rebuilt graph builds its own index");
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// The daemon's `max_threads` ceiling caps the sharded engine's worker
 /// processes too: a traced query asking for 64 workers from a daemon
 /// capped at 2 spawns at most 2 of them, and still counts exactly.
 #[test]
 fn worker_processes_are_clamped_to_the_thread_ceiling() {
+    let _traced = traced_guard();
     let events = random_events(41, 20, 800, 2000);
     let graph = TemporalGraph::from_events(events.clone()).unwrap();
     let server = MotifServer::bind_with(

@@ -1,11 +1,10 @@
-//! Window-index reuse correctness: counting through a cached index must
-//! be indistinguishable from counting with freshly built indexes, and
-//! the cache must never serve one graph's index for another.
+//! Window-index reuse correctness: counting through a graph's kept
+//! index must be indistinguishable from counting on a fresh graph, and
+//! a graph's index must describe that graph and no other.
 
-use std::sync::Arc;
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
-use tnm_graph::{WindowIndex, WindowIndexCache};
+use tnm_graph::{NodeId, WindowIndex};
 
 fn dataset(name: &str, events: usize, seed: u64) -> TemporalGraph {
     let mut spec = DatasetSpec::by_name(name).expect("known dataset");
@@ -13,9 +12,29 @@ fn dataset(name: &str, events: usize, seed: u64) -> TemporalGraph {
     generate(&spec, seed)
 }
 
-/// Counting the same graph twice — the second time through the warm
-/// global cache — must yield identical results to the cold run and to
-/// the cache-free backtrack reference.
+/// True iff `ix` describes exactly `g`: every per-node event list is the
+/// graph's node index and every inline time is that event's time.
+fn describes(ix: &WindowIndex<'_>, g: &TemporalGraph) -> bool {
+    ix.num_nodes() == g.num_nodes()
+        && ix.num_incidences() == 2 * g.num_events()
+        && (0..g.num_nodes()).all(|n| {
+            let (ids, times) = ix.node_slices(NodeId(n));
+            ids == g.node_events(NodeId(n))
+                && ids.iter().zip(times).all(|(&i, &t)| g.event(i).time == t)
+        })
+}
+
+/// True iff both views answer from the same arrays.
+fn same_arrays(a: &WindowIndex<'_>, b: &WindowIndex<'_>, nodes: u32) -> bool {
+    (0..nodes).all(|n| {
+        let ((ai, at), (bi, bt)) = (a.node_slices(NodeId(n)), b.node_slices(NodeId(n)));
+        std::ptr::eq(ai, bi) && std::ptr::eq(at, bt)
+    })
+}
+
+/// Counting the same graph twice — the second time through its kept
+/// index — must yield identical results to the cold run and to the
+/// index-free backtrack reference.
 #[test]
 fn repeated_counts_through_cache_are_identical() {
     let g = dataset("CollegeMsg", 2_000, 3);
@@ -34,89 +53,71 @@ fn repeated_counts_through_cache_are_identical() {
     }
 }
 
-/// The cached index is the same object across calls for the same graph,
-/// equals a fresh build, and a different graph gets its own entry.
+/// The same graph answers every call from the same arrays, and a
+/// different graph gets its own index describing it alone.
 #[test]
 fn cache_hits_same_graph_and_misses_other() {
-    let cache = WindowIndexCache::new(4);
     let g1 = dataset("Email", 1_000, 1);
     let g2 = dataset("Email", 1_000, 2); // same spec, different content
-    let first = cache.get_or_build(&g1);
-    let second = cache.get_or_build(&g1);
-    assert!(Arc::ptr_eq(&first, &second), "same graph must hit");
-    assert_eq!(cache.stats().hits, 1);
-    assert_eq!(cache.stats().misses, 1);
+    let first = g1.window_index();
+    let second = g1.window_index();
+    assert!(same_arrays(&first, &second, g1.num_nodes()), "same graph must reuse its index");
 
-    let other = cache.get_or_build(&g2);
-    assert!(!Arc::ptr_eq(&first, &other), "different graph must get its own index");
-    assert_eq!(cache.stats().misses, 2);
-    assert!(other.matches(&g2) && !other.matches(&g1));
-
-    // Both cached indexes agree with fresh builds in every query.
-    for (g, ix) in [(&g1, &first), (&g2, &other)] {
-        let fresh = WindowIndex::build(g);
-        assert!(ix.matches(g));
-        for node in 0..g.num_nodes() {
-            let n = tnm_graph::NodeId(node);
-            assert_eq!(ix.node_slices(n), fresh.node_slices(n));
-        }
-    }
+    let other = g2.window_index();
+    assert!(describes(&first, &g1) && describes(&other, &g2));
+    assert!(!describes(&other, &g1), "different graph must get its own index");
+    assert!(!same_arrays(&first, &other, g1.num_nodes().min(g2.num_nodes())));
 }
 
-/// A clone carries the same content but a different event buffer, so it
-/// must *miss* — graph identity, not content equality, keys the cache.
+/// A clone taken before the build builds its own column; a clone taken
+/// after carries the built one along. Either way its index describes the
+/// clone, answering from the clone's own arrays.
 #[test]
 fn clone_is_a_different_graph_to_the_cache() {
-    let cache = WindowIndexCache::new(4);
     let g = dataset("SMS-A", 800, 9);
-    let copy = g.clone();
-    let a = cache.get_or_build(&g);
-    let b = cache.get_or_build(&copy);
-    assert!(!Arc::ptr_eq(&a, &b));
-    assert_eq!(cache.stats().misses, 2);
-    assert_eq!(cache.stats().hits, 0);
-    // Content-equal, so both indexes match both graphs.
-    assert!(a.matches(&copy) && b.matches(&g));
+    let before = g.clone();
+    let a = g.window_index();
+    let after = g.clone();
+    let (b, c) = (before.window_index(), after.window_index());
+    for (ix, graph) in [(&a, &g), (&b, &before), (&c, &after)] {
+        assert!(describes(ix, graph));
+    }
+    assert!(!same_arrays(&a, &b, g.num_nodes()));
+    assert!(!same_arrays(&a, &c, g.num_nodes()));
+    // Content-equal, so every index describes every copy.
+    assert!(describes(&a, &before) && describes(&b, &g) && describes(&c, &g));
 }
 
 /// Dropping a graph and building new ones must never produce a stale
-/// hit: even when an event buffer address is recycled, verification
-/// rejects an index that does not describe the new graph exactly.
+/// index: even when an allocator recycles a dropped graph's buffers,
+/// each new graph's index describes it exactly.
 #[test]
 fn recycled_graphs_never_get_stale_indexes() {
-    let cache = WindowIndexCache::new(8);
     // Churn through many same-sized graphs, dropping each before the
     // next allocation so the allocator is encouraged to reuse buffers.
     for round in 0..50u64 {
         let g = dataset("Calls-Copenhagen", 500, round);
-        let ix = cache.get_or_build(&g);
         assert!(
-            ix.matches(&g),
-            "round {round}: cache returned an index that does not describe the graph"
+            describes(&g.window_index(), &g),
+            "round {round}: the index does not describe the graph"
         );
         let cfg = EnumConfig::new(2, 3).with_timing(Timing::only_w(600));
         assert_eq!(WindowedEngine.count(&g, &cfg), BacktrackEngine.count(&g, &cfg));
     }
-    let s = cache.stats();
-    assert_eq!(s.hits, 0, "distinct graphs must never hit ({s:?})");
-    assert_eq!(s.misses, 50, "every distinct graph is a miss ({s:?})");
-    // `s.rejected` counts recycled-address collisions caught by
-    // verification; it is allocator-dependent, so any value is fine —
-    // what matters is that none of them became a hit.
 }
 
 /// The sampler leans hardest on reuse: every one of its window draws
-/// walks the shared index. Its estimates must agree with exact counts
-/// whether the cache is cold or warm.
+/// walks the graph's index. Its estimates must agree with exact counts
+/// whether the index is cold or warm.
 #[test]
 fn sampling_engine_reuses_index_correctly() {
     let g = dataset("CollegeMsg", 2_000, 5);
     let cfg = EnumConfig::new(2, 3).with_timing(Timing::only_w(1_000));
     let cold = SamplingEngine::new(300, 8).report(&g, &cfg);
-    // Warm the cache via an exact count, then sample again.
+    // Warm the index via an exact count, then sample again.
     let exact = WindowedEngine.count(&g, &cfg).total() as f64;
     let warm = SamplingEngine::new(300, 8).report(&g, &cfg);
-    assert_eq!(cold.total, warm.total, "cache state must not affect sampling results");
+    assert_eq!(cold.total, warm.total, "index state must not affect sampling results");
     let rel = (warm.total.point - exact).abs() / exact.max(1.0);
     assert!(rel < 0.25, "estimate {} vs exact {exact} (rel {rel:.3})", warm.total.point);
 }
