@@ -15,7 +15,9 @@
 //! counting, streaming matching, the observability tax (`obs_overhead`
 //! pins the metrics-disabled hot path against the BENCH history,
 //! `query_trace_overhead` does the same for the untraced `Query::run`
-//! path vs a request-scoped trace), and dataset generation.
+//! path vs a request-scoped trace), the graph build
+//! (`graph_build`: `from_sorted_events` at two corpus sizes), and
+//! dataset generation.
 //!
 //! The harness prints a machine-readable JSON summary on exit (one
 //! object per benchmark; set `TNM_BENCH_JSON=path` to also write it to a
@@ -680,6 +682,36 @@ fn bench_hotpath_shard_plan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The graph build a served graph pays after every append:
+/// `from_sorted_events` (sortedness check, node index, edge index) on a
+/// sparse many-node StackOverflow-spec corpus of 40k events and a
+/// CollegeMsg-spec corpus of 150k. The event-log copy it consumes is
+/// made outside the timed region.
+fn bench_graph_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph_build");
+    group.sample_size(10);
+    for (name, events, id) in
+        [("StackOverflow", 40_000, "stackoverflow_40k"), ("CollegeMsg", 150_000, "collegemsg_150k")]
+    {
+        let g = dataset(name, events);
+        group.throughput(Throughput::Elements(g.num_events() as u64));
+        group.bench_function(id, |b| {
+            b.iter_custom(|iters| {
+                let mut total = Duration::ZERO;
+                for _ in 0..iters {
+                    let log = g.events().to_vec();
+                    let t0 = std::time::Instant::now();
+                    let built = black_box(TemporalGraph::from_sorted_events(log, g.num_nodes()));
+                    total += t0.elapsed();
+                    drop(built);
+                }
+                total
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataset_generation");
     group.sample_size(10);
@@ -715,6 +747,7 @@ criterion_group!(
     bench_hotpath_star_dp,
     bench_hotpath_triad_dp,
     bench_hotpath_shard_plan,
+    bench_graph_build,
     bench_generation
 );
 criterion_main!(benches);

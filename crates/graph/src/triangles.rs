@@ -38,10 +38,9 @@
 //! carry pair ids, so a found triangle knows its three pair ids without
 //! a lookup.
 
-use crate::ids::{Edge, EventIdx};
+use crate::ids::{Edge, EventIdx, NodeId};
 #[cfg(doc)]
 use crate::TemporalGraph;
-use std::collections::HashMap;
 
 /// Marks a node with no forward edge from the current listing root.
 const UNMARKED: u32 = u32::MAX;
@@ -57,11 +56,14 @@ pub(crate) struct TriangleTable {
 }
 
 impl TriangleTable {
-    /// Lists the triangles of the static graph whose directed edges map
-    /// to `edge_spans` (spans into the graph's edge-event index).
-    pub(crate) fn build(num_nodes: u32, edge_spans: &HashMap<Edge, (u32, u32)>) -> Self {
-        let (pair_nodes, pairs) = undirected_pairs(edge_spans);
-        let n = num_nodes as usize;
+    /// Lists the triangles of the static graph held in the graph's
+    /// edge-index CSR: `edge_offsets` (`n + 1`) cuts the slots per
+    /// source node, and slot `k` is the edge to `edge_dsts[k]` whose
+    /// events are `edge_starts[k]..edge_starts[k + 1]` of the graph's
+    /// edge-event index (see [`crate::graph`]).
+    pub(crate) fn build(edge_offsets: &[u32], edge_dsts: &[NodeId], edge_starts: &[u32]) -> Self {
+        let (pair_nodes, pairs) = undirected_pairs(edge_offsets, edge_dsts, edge_starts);
+        let n = edge_offsets.len() - 1;
         let mut degree = vec![0u32; n];
         for &(lo, hi) in &pair_nodes {
             degree[lo as usize] += 1;
@@ -136,14 +138,22 @@ impl TriangleTable {
 
 /// The graph's undirected node pairs, sorted by `(lo, hi)`, each with
 /// its two directed spans (`(0, 0)` for a direction with no events).
-fn undirected_pairs(edge_spans: &HashMap<Edge, (u32, u32)>) -> (Vec<(u32, u32)>, Vec<[u32; 4]>) {
-    let mut directed: Vec<(u32, u32, usize, (u32, u32))> = edge_spans
-        .iter()
-        .map(|(e, &span)| {
+fn undirected_pairs(
+    edge_offsets: &[u32],
+    edge_dsts: &[NodeId],
+    edge_starts: &[u32],
+) -> (Vec<(u32, u32)>, Vec<[u32; 4]>) {
+    let mut directed: Vec<(u32, u32, usize, (u32, u32))> = Vec::with_capacity(edge_dsts.len());
+    for src in 0..edge_offsets.len() - 1 {
+        for k in edge_offsets[src] as usize..edge_offsets[src + 1] as usize {
+            let e = Edge { src: NodeId(src as u32), dst: edge_dsts[k] };
             let (lo, hi, dir) = if e.src < e.dst { (e.src, e.dst, 0) } else { (e.dst, e.src, 1) };
-            (lo.0, hi.0, dir, span)
-        })
-        .collect();
+            let span = (edge_starts[k], edge_starts[k + 1] - edge_starts[k]);
+            directed.push((lo.0, hi.0, dir, span));
+        }
+    }
+    // Slots ascend with `(src, dst)`, so only the `hi → lo` entries are
+    // out of `(lo, hi)` order.
     directed.sort_unstable();
     let mut nodes: Vec<(u32, u32)> = Vec::with_capacity(directed.len());
     let mut spans: Vec<[u32; 4]> = Vec::with_capacity(directed.len());

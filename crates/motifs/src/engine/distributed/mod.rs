@@ -150,14 +150,24 @@ pub(crate) fn count_on_workers(
     let merged = Mutex::new(MotifCounts::new());
     let pending = AtomicUsize::new(shards);
     let spawned = AtomicUsize::new(0);
+    // Fault injection is deterministic: the faulted worker is handed
+    // its first `jobs + 1` jobs — the last is the one it vanishes on —
+    // before the queue opens to the others, so no other worker can
+    // drain the queue first and leave the fault unfired.
+    let fault_after = config.fault_after.filter(|&(w, _)| w < n_workers);
+    let reserved = AtomicUsize::new(fault_after.map_or(0, |(_, jobs)| jobs + 1));
     std::thread::scope(|scope| {
         for w in 0..n_workers {
             let queue = &queue;
             let merged = &merged;
             let pending = &pending;
             let spawned = &spawned;
-            let fault = config.fault_after.filter(|&(idx, _)| idx == w);
+            let reserved = &reserved;
+            let fault = fault_after.filter(|&(idx, _)| idx == w);
             scope.spawn(move || {
+                // However the faulted worker's thread ends, the queue
+                // opens to the others.
+                let _gate = fault.map(|_| OpenGate(reserved));
                 let mut child = {
                     let _span = tnm_obs::span!("distributed.spawn", worker = w);
                     match spawn_worker(bin, fault.map(|(_, jobs)| jobs)) {
@@ -172,7 +182,22 @@ pub(crate) fn count_on_workers(
                 let mut stdin = child.stdin.take().expect("piped stdin");
                 let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
                 loop {
-                    let queued = queue.lock().expect("job queue poisoned").pop_front();
+                    let open = fault.is_some() || reserved.load(Ordering::Acquire) == 0;
+                    let queued = if open {
+                        queue.lock().expect("job queue poisoned").pop_front()
+                    } else {
+                        None
+                    };
+                    if fault.is_some() {
+                        // Only this thread writes the reservation: each
+                        // job it takes uses up one slot, and an empty
+                        // queue opens it at once.
+                        let left = match queued {
+                            Some(_) => reserved.load(Ordering::Acquire).saturating_sub(1),
+                            None => 0,
+                        };
+                        reserved.store(left, Ordering::Release);
+                    }
                     let Some(mut queued) = queued else {
                         if pending.load(Ordering::Acquire) == 0 {
                             break;
@@ -271,6 +296,16 @@ pub(crate) fn count_on_workers(
     }
     let counts = merged.into_inner().expect("merged counts poisoned");
     (counts, spawned.load(Ordering::Relaxed))
+}
+
+/// Opens the fault-injection reservation (sets it to zero) when
+/// dropped.
+struct OpenGate<'a>(&'a AtomicUsize);
+
+impl Drop for OpenGate<'_> {
+    fn drop(&mut self) {
+        self.0.store(0, Ordering::Release);
+    }
 }
 
 /// One work-queue entry: the job plus its failure history, so the

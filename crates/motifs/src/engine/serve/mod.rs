@@ -18,10 +18,12 @@
 //! on first use — its SoA columns, its window index
 //! ([`TemporalGraph::window_index`]) and its static triangle table — so
 //! the second query against a loaded graph pays no index build or
-//! triangle listing. An append invalidates the cached graph (a fresh
-//! graph builds all three again, on first use); subscriptions are *not*
-//! invalidated, which is the point: their counts advance incrementally
-//! from the ΔW tail alone.
+//! triangle listing. An append invalidates the cached graph; the next
+//! query rebuilds it from the log — the node and edge indexes are
+//! counting sorts, `O(m + n)` with no hashing (about 5–7 ms for a
+//! 150k-event log on a 2-vCPU host), and the lazy structures follow on
+//! first use. Subscriptions are *not* invalidated, which is the point:
+//! their counts advance incrementally from the ΔW tail alone.
 //!
 //! ## Observability
 //!
@@ -87,6 +89,13 @@
 //! wire-level garbage (bad magic, oversized length, truncation) closes
 //! that connection only — the daemon itself never dies from a bad
 //! peer, which `tests/serve_loop.rs` pins.
+//!
+//! Both ends of every connection set `TCP_NODELAY`. A frame is written
+//! through an 8 KiB `BufWriter`, so a frame with a larger payload (a
+//! 512-event append, a big reply) leaves as an 11-byte header segment
+//! followed by the payload. With Nagle's algorithm on, the payload
+//! waits until the peer ACKs the header — and the peer delays that ACK
+//! by about 40 ms — so every such exchange stalled 40 ms in transport.
 
 mod client;
 mod http;
@@ -439,6 +448,9 @@ fn spawn_sampler(state: Arc<ServerState>) -> thread::JoinHandle<()> {
 }
 
 fn handle_connection(stream: TcpStream, state: &ServerState) {
+    // Replies go out without waiting on Nagle (see the module docs); a
+    // socket that refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -703,5 +715,31 @@ fn clamp(query: Query, options: &ServeOptions) -> Query {
         Query::Batch { cfgs, engine: e, threads } => {
             Query::Batch { cfgs, engine: engine(e), threads: threads.clamp(1, cap) }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both ends of a serve connection turn Nagle's algorithm off: the
+    /// client socket `connect` opens and the socket the server accepted.
+    #[test]
+    fn both_ends_set_tcp_nodelay() {
+        let server = MotifServer::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.nodelay().unwrap(), "client socket");
+        let (accepted, _) = listener.accept().unwrap();
+        // A clone shares the socket, and with it the option.
+        let probe = accepted.try_clone().unwrap();
+        assert!(!probe.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        let state = Arc::clone(&server.state);
+        let conn = thread::spawn(move || handle_connection(accepted, &state));
+        // One answered request: the connection handler is running.
+        client.stats().unwrap();
+        assert!(probe.nodelay().unwrap(), "server's accepted socket");
+        drop(client);
+        conn.join().unwrap();
     }
 }

@@ -135,7 +135,10 @@ impl ShardedEngine {
     /// Fault injection for tests (chainable): worker `worker` is
     /// spawned with `TNM_WORKER_EXIT_AFTER=jobs`, making it vanish
     /// after serving that many jobs — a deterministic mid-run crash for
-    /// the rescheduling tests. Counts must come out identical anyway.
+    /// the rescheduling tests. The coordinator hands that worker its
+    /// first `jobs + 1` jobs before the queue opens to the others, so
+    /// the crash fires on every run that has more than `jobs` shards.
+    /// Counts must come out identical anyway.
     pub fn with_fault_after(mut self, worker: usize, jobs: usize) -> Self {
         self.config.fault_after = Some((worker, jobs.max(1)));
         self

@@ -31,7 +31,7 @@
 use super::arena::{expiry_cut, DpArena, SealedGroups};
 use super::two_node_signature;
 use crate::count::MotifCounts;
-use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph, Time};
+use tnm_graph::{Edge, EventIdx, TemporalGraph, Time};
 
 /// Accumulated direction sequences for one pair list: `two` is indexed
 /// `(d1 << 1) | d2`, `three` is `(d1 << 2) | (d2 << 1) | d3`.
@@ -89,16 +89,21 @@ fn accumulate<const TRIPLES: bool>(
     // every group a single event: the DP then runs fused over the two
     // directed index lists — no merged list is materialized at all.
     let tie_free = !graph.columns().has_time_ties();
-    for edge in graph.static_edges() {
+    // The edge index lists static edges in ascending `(src, dst)` order,
+    // each with its event list, so only the reverse direction is a
+    // lookup.
+    for (edge, list) in graph.static_edge_events() {
         let (lo, hi) = (edge.src.min(edge.dst), edge.src.max(edge.dst));
         // Visit each unordered pair once: from its lo→hi edge when that
         // exists, else from the hi→lo edge (which then exists alone).
-        if edge.src > edge.dst && graph.has_edge(Edge { src: lo, dst: hi }) {
+        let (fwd, rev) = if edge.src < edge.dst {
+            (list, graph.edge_events(Edge { src: hi, dst: lo }))
+        } else if graph.has_edge(Edge { src: lo, dst: hi }) {
             continue;
-        }
+        } else {
+            (&[][..], list)
+        };
         if tie_free {
-            let fwd = graph.edge_events(Edge { src: lo, dst: hi });
-            let rev = graph.edge_events(Edge { src: hi, dst: lo });
             if obs {
                 pairs_swept += 1;
                 groups_advanced += (fwd.len() + rev.len()) as u64;
@@ -106,7 +111,7 @@ fn accumulate<const TRIPLES: bool>(
             }
             pair_fused_dp::<TRIPLES>(times, fwd, rev, delta, &mut acc);
         } else {
-            merge_pair_events(graph, times, lo, hi, arena);
+            merge_pair_events(times, fwd, rev, arena);
             if obs {
                 pairs_swept += 1;
                 groups_advanced += arena.num_groups() as u64;
@@ -124,21 +129,13 @@ fn accumulate<const TRIPLES: bool>(
     acc
 }
 
-/// Merges the two directed event lists of `{lo, hi}` into the arena's
-/// SoA scratch as a time-ordered direction-tagged list and seals its
-/// group boundaries. Event-index order is global time order, so a
-/// two-pointer merge on indices suffices; timestamps are resolved
-/// against the dense SoA time column.
-fn merge_pair_events(
-    graph: &TemporalGraph,
-    times: &[Time],
-    lo: NodeId,
-    hi: NodeId,
-    arena: &mut DpArena,
-) {
+/// Merges the two directed event lists of `{lo, hi}` (`fwd` = `lo → hi`,
+/// `rev` = `hi → lo`) into the arena's SoA scratch as a time-ordered
+/// direction-tagged list and seals its group boundaries. Event-index
+/// order is global time order, so a two-pointer merge on indices
+/// suffices; timestamps are resolved against the dense SoA time column.
+fn merge_pair_events(times: &[Time], fwd: &[EventIdx], rev: &[EventIdx], arena: &mut DpArena) {
     arena.clear();
-    let fwd = graph.edge_events(Edge { src: lo, dst: hi });
-    let rev = graph.edge_events(Edge { src: hi, dst: lo });
     arena.times.reserve(fwd.len() + rev.len());
     arena.tags.reserve(fwd.len() + rev.len());
     let (mut i, mut j) = (0, 0);
@@ -302,7 +299,7 @@ fn pair_window_dp<const TRIPLES: bool>(
 mod tests {
     use super::*;
     use crate::notation::sig;
-    use tnm_graph::{Event, TemporalGraphBuilder};
+    use tnm_graph::{Event, NodeId, TemporalGraphBuilder};
 
     fn graph(events: &[(u32, u32, i64)]) -> TemporalGraph {
         let mut b = TemporalGraphBuilder::new();
@@ -392,7 +389,7 @@ mod tests {
         let fwd = g.edge_events(Edge { src: NodeId(0), dst: NodeId(1) });
         let rev = g.edge_events(Edge { src: NodeId(1), dst: NodeId(0) });
         let mut arena = DpArena::default();
-        merge_pair_events(&g, times, NodeId(0), NodeId(1), &mut arena);
+        merge_pair_events(times, fwd, rev, &mut arena);
         for delta in [0, 3, 25, 10_000] {
             let mut grouped = PairAcc::default();
             pair_window_dp::<true>(&arena.times, &arena.tags, &arena.bounds, delta, &mut grouped);

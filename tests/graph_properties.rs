@@ -59,6 +59,51 @@ fn built_graphs_satisfy_invariants() {
     });
 }
 
+/// The edge index (a CSR keyed by source) against a brute-force scan of
+/// the log, for every ordered node pair — including pairs whose source
+/// lies outside the graph. The graphs have tied timestamps, parallel
+/// events and isolated nodes (ids up to `num_nodes` that no event uses).
+#[test]
+fn edge_index_matches_brute_force() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(12_000 + case);
+        let nodes: u32 = rng.gen_range(2..16);
+        let mut events = Vec::new();
+        for _ in 0..rng.gen_range(1usize..80) {
+            let u = rng.gen_range(0..nodes);
+            let v = (u + rng.gen_range(1..nodes)) % nodes;
+            let t: i64 = rng.gen_range(0i64..20);
+            events.push(Event::new(u, v, t));
+            if rng.gen_range(0..4) == 0 {
+                events.push(Event::new(u, v, t)); // a parallel event
+            }
+        }
+        events.sort();
+        let spare: u32 = rng.gen_range(0..4);
+        let sorted = TemporalGraph::from_sorted_events(events.clone(), nodes + spare);
+        let built = TemporalGraph::from_events(events).unwrap();
+        for g in [&sorted, &built] {
+            let mut expected_edges = Vec::new();
+            for u in 0..g.num_nodes() + 3 {
+                for v in 0..g.num_nodes() + 3 {
+                    let edge = Edge::new(u, v);
+                    let expected: Vec<EventIdx> = (0..g.num_events() as EventIdx)
+                        .filter(|&i| g.event(i).edge() == edge)
+                        .collect();
+                    assert_eq!(g.edge_events(edge), expected.as_slice(), "case {case}: {edge:?}");
+                    assert_eq!(g.has_edge(edge), !expected.is_empty(), "case {case}: {edge:?}");
+                    if !expected.is_empty() {
+                        expected_edges.push(edge);
+                    }
+                }
+            }
+            // Ascending `(src, dst)`, each edge once.
+            assert_eq!(g.static_edges().collect::<Vec<_>>(), expected_edges, "case {case}");
+            assert_eq!(g.num_static_edges(), expected_edges.len(), "case {case}");
+        }
+    }
+}
+
 #[test]
 fn window_counts_match_scan() {
     for_each_case(2, |rng, events| {
