@@ -125,12 +125,12 @@ Service commands:
                                          flight recorder of recent queries.
   top [--addr H:P] [--interval MS] [--iters N]
                                          Live terminal view of a daemon's
-                                         /timeseries feed (requires serve
-                                         --http-port): per-window query and
-                                         append rates, p50/p99 latency per
-                                         query kind, cache hit rates, resident
+                                         metrics time series, read over the
+                                         serve wire protocol: per-window
+                                         query and append rates, p50/p99
+                                         latency per query kind, resident
                                          shard events. Default addr
-                                         127.0.0.1:9090, refresh every 1000 ms;
+                                         127.0.0.1:7878, refresh every 1000 ms;
                                          --iters N stops after N frames
                                          (0 = run until interrupted).
 
@@ -363,50 +363,34 @@ fn report_trace(
     Ok(())
 }
 
-/// One blocking HTTP/1.1 GET against the daemon's scrape surface,
-/// returning the response body. Std-only on purpose — the scrape
-/// protocol is one request line and one `Connection: close` response.
-fn http_get(addr: &str, path: &str) -> Result<String, Box<dyn std::error::Error>> {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| {
-        format!("cannot connect to http://{addr}: {e} (is `tnm serve` running with --http-port?)")
-    })?;
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed HTTP response from {addr}{path}"))?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
-        return Err(format!("{addr}{path} answered `{status}`").into());
-    }
-    Ok(body.to_string())
-}
-
 /// One `tnm top` frame: the latest time-series window rendered as
-/// rates, latency quantiles, cache hit rates, and residency.
-fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) {
-    use std::io::IsTerminal;
-    if std::io::stdout().is_terminal() {
-        // Repaint in place only when attached to a terminal; piped
-        // output stays an appendable log.
-        print!("\x1b[2J\x1b[H");
-    }
+/// rates, latency quantiles and residency.
+fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) -> String {
+    use std::fmt::Write;
     let Some(last) = points.last() else {
-        println!("tnm top — {addr}: no samples yet (the daemon samples once per second)");
-        return;
+        return format!("tnm top — {addr}: no samples yet (the daemon samples once per second)\n");
     };
-    let secs = last.interval_ms.max(1) as f64 / 1000.0;
-    println!("tnm top — {addr} — {} sample(s) retained, last window {:.1}s", points.len(), secs);
+    let mut out = String::new();
     let d = &last.delta;
-    let rate = |name: &str| d.counters.get(name).copied().unwrap_or(0) as f64 / secs;
-    println!(
-        "  queries/s {:>9.2}    appended events/s {:>9.2}",
-        rate("serve.queries"),
-        rate("serve.appends")
-    );
+    if last.interval_ms == 0 {
+        // The daemon's first sample counts from process start, not over
+        // a measured window, so it yields no rate.
+        let _ = writeln!(out, "tnm top — {addr} — first sample, no rates until the next one");
+    } else {
+        let secs = last.interval_ms as f64 / 1000.0;
+        let _ = writeln!(
+            out,
+            "tnm top — {addr} — {} sample(s) retained, last window {secs:.1}s",
+            points.len()
+        );
+        let rate = |name: &str| d.counters.get(name).copied().unwrap_or(0) as f64 / secs;
+        let _ = writeln!(
+            out,
+            "  queries/s {:>9.2}    appended events/s {:>9.2}",
+            rate("serve.queries"),
+            rate("serve.appends")
+        );
+    }
     for (kind, hist) in [
         ("count", "serve.query.count_ns"),
         ("report", "serve.query.report_ns"),
@@ -415,7 +399,8 @@ fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) {
     ] {
         if let Some(h) = d.histograms.get(hist) {
             if h.count > 0 {
-                println!(
+                let _ = writeln!(
+                    out,
                     "  {kind:<10} {:>5} in window    p50 {:>10}    p99 {:>10}",
                     h.count,
                     format_ns(h.percentile(0.5)),
@@ -424,17 +409,10 @@ fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) {
             }
         }
     }
-    let hits = d.counters.get("cache.proj.hits").copied().unwrap_or(0);
-    let misses = d.counters.get("cache.proj.misses").copied().unwrap_or(0);
-    if hits + misses > 0 {
-        println!(
-            "  proj cache   {:>5.1}% hit rate ({hits} hits / {misses} misses)",
-            100.0 * hits as f64 / (hits + misses) as f64
-        );
-    }
     if let Some(g) = d.gauges.get("shard.resident_events") {
-        println!("  resident shard events {} (peak {})", g.value, g.peak);
+        let _ = writeln!(out, "  resident shard events {} (peak {})", g.value, g.peak);
     }
+    out
 }
 
 /// The shared flag set plus per-command extras, for `ensure_known` —
@@ -922,15 +900,19 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "top" => {
             args.ensure_known(&["addr", "interval", "iters"])?;
-            let addr = args.get("addr").unwrap_or("127.0.0.1:9090");
+            let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
             let interval: u64 = args.get_parsed("interval", 1000)?;
             let iters: usize = args.get_parsed("iters", 0)?;
+            let mut client = ServeClient::connect(addr)?;
             let mut frame = 0usize;
             loop {
-                let body = http_get(addr, "/timeseries")?;
-                let points = tnm_obs::parse_timeseries_json(&body)
-                    .map_err(|e| format!("bad /timeseries payload from {addr}: {e}"))?;
-                render_top(addr, &points);
+                use std::io::IsTerminal;
+                if std::io::stdout().is_terminal() {
+                    // Repaint in place only when attached to a terminal;
+                    // piped output stays an appendable log.
+                    print!("\x1b[2J\x1b[H");
+                }
+                print!("{}", render_top(addr, &client.timeseries()?));
                 frame += 1;
                 if iters != 0 && frame >= iters {
                     break;
@@ -1197,5 +1179,40 @@ mod tests {
         let b = batch(&["--all-3e-motifs"]).unwrap();
         assert_eq!(b.len(), 36);
         assert!(b.iter().all(|c| c.timing == Timing::only_w(3000) && c.signature_filter.is_some()));
+    }
+
+    /// A ring sampled at `times` (ms) with `queries[i]` queries served
+    /// before sample `i`, as the daemon's sampler records it.
+    fn ring(times: &[u64], queries: &[u64]) -> Vec<tnm_obs::TimePoint> {
+        let r = tnm_obs::Registry::new();
+        let mut ts = tnm_obs::TimeSeries::new(8);
+        for (&at, &q) in times.iter().zip(queries) {
+            r.counter("serve.queries").add(q);
+            ts.record(at, r.snapshot());
+        }
+        ts.points().cloned().collect()
+    }
+
+    #[test]
+    fn top_renders_rates_over_the_last_window() {
+        let frame = render_top("d", &ring(&[1_000, 3_000], &[4, 5]));
+        assert!(frame.contains("2 sample(s) retained, last window 2.0s"), "{frame}");
+        assert!(frame.contains("queries/s      2.50"), "{frame}");
+    }
+
+    /// The first sample's flows count from daemon start over no measured
+    /// window: dividing them by a 1 ms floor printed 5 queries as 5000/s.
+    #[test]
+    fn top_prints_no_rate_for_the_first_sample() {
+        let frame = render_top("d", &ring(&[1_000], &[5]));
+        assert!(!frame.contains("queries/s"), "{frame}");
+        assert!(frame.contains("first sample"), "{frame}");
+    }
+
+    #[test]
+    fn top_reports_an_empty_ring() {
+        let frame = render_top("d", &[]);
+        assert!(frame.contains("no samples yet"), "{frame}");
+        assert!(!frame.contains("queries/s"), "{frame}");
     }
 }

@@ -16,8 +16,8 @@
 //!   It is implemented here for little-endian integers, `f64` (as its
 //!   bits), `bool` (`0` / `1` only), `String` (`u32` length ‖ UTF-8),
 //!   `Option<T>` (presence byte ‖ value), pairs, `Vec<T>` (`u32` count ‖
-//!   elements), event blocks, and the obs snapshot and span types both
-//!   protocols ship. Message types derive theirs with
+//!   elements), event blocks, and the obs snapshot, span and time-point
+//!   types the protocols ship. Message types derive theirs with
 //!   [`wire_struct!`](crate::wire_struct) (fields in wire order) and
 //!   [`wire_enum!`](crate::wire_enum) (a one-byte tag per variant, then
 //!   its fields); [`encode`] / [`decode`] run a layout over a whole
@@ -79,6 +79,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
+use tnm_obs::TimePoint;
 
 /// Magic bytes opening every wire frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"TNMW";
@@ -759,6 +760,11 @@ fn get_named<V>(
     }
     Ok(map)
 }
+
+// One window of the serve daemon's sample ring: `at_unix_ms ‖
+// interval_ms ‖ delta`. The serve protocol's TimeSeries response ships
+// the ring as a `Vec` of these; that is what `tnm top` polls.
+crate::wire_struct!(TimePoint { at_unix_ms, interval_ms, delta });
 
 /// One span record: `name ‖ args ‖ start_ns ‖ dur_ns ‖ tid ‖ depth ‖
 /// trace_id ‖ span_id ‖ parent_id`. Distributed workers ship their side

@@ -9,7 +9,7 @@
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::walker::{NodeListCandidates, Walker};
-use crate::engine::{CountEngine, EngineCaps};
+use crate::engine::CountEngine;
 use tnm_graph::TemporalGraph;
 
 /// Serial backtracking engine over the plain node index.
@@ -19,15 +19,6 @@ pub struct BacktrackEngine;
 impl CountEngine for BacktrackEngine {
     fn name(&self) -> &'static str {
         "backtrack"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: false,
-            windowed_pruning: false,
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {

@@ -454,10 +454,6 @@ mod tests {
     fn engine_name_and_caps() {
         let e = ShardedEngine::new(100).with_workers(4);
         assert_eq!(e.name(), "sharded");
-        assert!(e.capabilities().parallel);
-        assert!(e.capabilities().windowed_pruning);
-        assert!(e.capabilities().deterministic_enumeration);
-        assert!(!ShardedEngine::new(100).with_workers(1).capabilities().parallel);
         assert_eq!(e.config().workers, 4);
         assert_eq!(e.config().shard_events, 100);
         assert_eq!(ShardedEngine::new(100).with_workers(0).config().workers, 0);

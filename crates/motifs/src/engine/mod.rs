@@ -211,28 +211,11 @@ pub use windowed::WindowedEngine;
 use crate::count::MotifCounts;
 use tnm_graph::TemporalGraph;
 
-/// What an engine can do; used by callers to pick and by diagnostics to
-/// explain a choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Uses more than one thread in `count`.
-    pub parallel: bool,
-    /// Prunes candidates through the time-windowed index.
-    pub windowed_pruning: bool,
-    /// `enumerate` visits instances in the serial start-event order.
-    pub deterministic_enumeration: bool,
-    /// Honors [`EnumConfig::signature_filter`] with prefix pruning.
-    pub supports_signature_filter: bool,
-}
-
 /// A motif counting engine: one execution strategy for the shared
 /// enumeration semantics defined by [`EnumConfig`].
 pub trait CountEngine: Send + Sync {
     /// Stable engine name (what `--engine` parses, what reports print).
     fn name(&self) -> &'static str;
-
-    /// Capability flags.
-    fn capabilities(&self) -> EngineCaps;
 
     /// Counts instances per canonical signature.
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts;
@@ -876,33 +859,6 @@ mod tests {
         assert!(explain.unbounded_timing && !explain.bounded_reach);
         assert!(explain.expected_window_events.is_infinite());
         assert!(explain.to_string().contains("inf (unbounded timing)"));
-    }
-
-    #[test]
-    fn capability_flags_are_coherent() {
-        assert!(!BacktrackEngine.capabilities().parallel);
-        assert!(!BacktrackEngine.capabilities().windowed_pruning);
-        assert!(WindowedEngine.capabilities().windowed_pruning);
-        let par = ParallelEngine::new(4);
-        assert!(par.capabilities().parallel);
-        assert!(par.capabilities().windowed_pruning);
-        let samp = SamplingEngine::new(8, 1);
-        assert!(!samp.capabilities().parallel);
-        assert!(samp.capabilities().windowed_pruning);
-        assert!(!StreamEngine.capabilities().parallel);
-        assert!(StreamEngine.capabilities().windowed_pruning);
-        assert!(StreamEngine.capabilities().deterministic_enumeration);
-        assert!(StreamEngine.capabilities().supports_signature_filter);
-        let shard = ShardedEngine::new(128);
-        assert!(!shard.capabilities().parallel);
-        assert!(shard.capabilities().windowed_pruning);
-        assert!(shard.capabilities().deterministic_enumeration);
-        assert!(shard.with_threads(4).capabilities().parallel);
-        let dist = ShardedEngine::new(128).with_workers(2);
-        assert!(dist.capabilities().parallel);
-        assert!(dist.capabilities().windowed_pruning);
-        assert!(dist.capabilities().deterministic_enumeration);
-        assert!(samp.with_threads(4).capabilities().parallel);
     }
 
     #[test]

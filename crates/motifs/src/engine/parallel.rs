@@ -27,7 +27,7 @@
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::walker::{CandidateSource, Walker, WindowedCandidates};
-use crate::engine::{CountEngine, EngineCaps, WindowedEngine};
+use crate::engine::{CountEngine, WindowedEngine};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tnm_graph::TemporalGraph;
@@ -159,17 +159,6 @@ pub(crate) fn merge_counts(locals: Vec<MotifCounts>) -> MotifCounts {
 impl CountEngine for ParallelEngine {
     fn name(&self) -> &'static str {
         "parallel"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: self.threads > 1,
-            windowed_pruning: true,
-            // Counting is deterministic; *enumeration order* under a
-            // callback falls back to the serial engine (see `enumerate`).
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {

@@ -63,7 +63,7 @@ use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::parallel::work_steal_map;
 use crate::engine::report::{t_critical_95, EngineReport, Estimate};
 use crate::engine::walker::{Walker, WindowedCandidates};
-use crate::engine::{CountEngine, EngineCaps, WindowedEngine};
+use crate::engine::{CountEngine, WindowedEngine};
 use crate::notation::MotifSignature;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,16 +164,6 @@ impl SamplingEngine {
 impl CountEngine for SamplingEngine {
     fn name(&self) -> &'static str {
         "sampling"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: self.threads > 1,
-            windowed_pruning: true,
-            // `enumerate` is exact and delegates to the windowed engine.
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     /// Rounded point estimates ([`EngineReport::counts`]). Call
@@ -439,8 +429,6 @@ mod tests {
                 }
             }
         }
-        assert!(SamplingEngine::new(8, 1).with_threads(4).capabilities().parallel);
-        assert!(!SamplingEngine::new(8, 1).capabilities().parallel);
     }
 
     #[test]

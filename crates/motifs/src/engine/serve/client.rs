@@ -2,11 +2,12 @@
 //!
 //! [`ServeClient`] wraps one TCP connection in typed request/response
 //! calls: load a graph, run a [`Query`], append a live batch, register
-//! an incremental subscription, read stats, shut the daemon down. Every
-//! call writes one [`Request`] frame and reads exactly one [`Response`]
-//! frame; an error response surfaces as [`ClientError::Server`] and the
-//! connection stays usable for the next call — mirroring the server's
-//! recoverable-error contract.
+//! an incremental subscription, read stats, metrics and the metrics
+//! time series, shut the daemon down. Every call writes one [`Request`]
+//! frame and reads exactly one [`Response`] frame; an error response
+//! surfaces as [`ClientError::Server`] and the connection stays usable
+//! for the next call — mirroring the server's recoverable-error
+//! contract.
 //!
 //! Large initial loads are chunked automatically: a graph bigger than
 //! [`LOAD_CHUNK_EVENTS`] ships as one `Load` request plus time-ordered
@@ -244,6 +245,17 @@ impl ServeClient {
     pub fn metrics(&mut self) -> Result<tnm_obs::Snapshot, ClientError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(snapshot) => Ok(snapshot),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// The sampler's retained windows of metric deltas, oldest first
+    /// (see [`tnm_obs::TimeSeries`]) — what `tnm top` polls. The same
+    /// ring is served as JSON on the HTTP scrape surface's
+    /// `/timeseries`, but this call needs no HTTP listener.
+    pub fn timeseries(&mut self) -> Result<Vec<tnm_obs::TimePoint>, ClientError> {
+        match self.call(&Request::TimeSeries)? {
+            Response::TimeSeries(points) => Ok(points),
             other => Err(unexpected(&other)),
         }
     }

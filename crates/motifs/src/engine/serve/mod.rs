@@ -57,8 +57,12 @@
 //!   [`ServeOptions::timeseries_cap`] windows (default 120 ≈ the last
 //!   two minutes). Each retained [`tnm_obs::TimePoint`] is the *delta*
 //!   over its window, so rates and per-window latency quantiles fall
-//!   out directly — `tnm top` polls `/timeseries` and renders QPS,
-//!   p50/p99 per query kind, cache hit rates, and shard residency.
+//!   out directly. The sampler runs whether or not the HTTP listener
+//!   is bound: the ring is served over the wire as a TimeSeries
+//!   response ([`ServeClient::timeseries`]) and, when
+//!   [`ServeOptions::http_port`] is set, as JSON on `/timeseries`.
+//!   `tnm top` polls the wire call and renders QPS, p50/p99 per query
+//!   kind, and shard residency.
 //! * **Per-query tracing** — a client can set the trace request flag
 //!   ([`ServeClient::query_traced`] / `tnm client --trace FILE` /
 //!   `--profile`): the daemon runs that one query under a fresh
@@ -214,8 +218,8 @@ struct ServerState {
     /// recorded unconditionally — serve call sites are per-request, not
     /// per-event, so they bypass the process-global enabled gate.
     obs: tnm_obs::Registry,
-    /// Ring of periodic merged-metrics samples for `/timeseries` and
-    /// `tnm top`, fed by the background sampler thread.
+    /// Ring of periodic merged-metrics samples for the TimeSeries
+    /// request and `/timeseries`, fed by the background sampler thread.
     timeseries: Mutex<tnm_obs::TimeSeries>,
     /// Worst-latency completed queries, latency-descending, capped at
     /// [`ServeOptions::slow_queries`]. Traced entries keep their span
@@ -643,6 +647,10 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
         }
         Request::Stats => Ok(Response::Stats(state.stats())),
         Request::Metrics => Ok(Response::Metrics(state.obs.snapshot())),
+        Request::TimeSeries => {
+            let ring = state.timeseries.lock().expect("timeseries lock");
+            Ok(Response::TimeSeries(ring.points().cloned().collect()))
+        }
         Request::Shutdown => Ok(Response::Bye),
     }
 }

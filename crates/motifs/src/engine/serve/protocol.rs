@@ -17,6 +17,7 @@
 //! | 20 | `Request::Stats` | empty |
 //! | 21 | `Request::Shutdown` | empty: stop accepting, drain, exit |
 //! | 22 | `Request::Metrics` | empty |
+//! | 23 | `Request::TimeSeries` | empty |
 //! | 32 | `Response::Loaded` | echoed name + event/node totals |
 //! | 33 | `Response::Appended` | [`AppendAck`]: new event total + every subscription's live counts |
 //! | 34 | `Response::Query` | the [`QueryResponse`] + presence-tagged [`TraceReply`] |
@@ -24,6 +25,7 @@
 //! | 36 | `Response::Stats` | [`ServerStats`] |
 //! | 37 | `Response::Bye` | empty: shutdown acknowledged |
 //! | 38 | `Response::Metrics` | the server's full [`tnm_obs::Snapshot`] |
+//! | 39 | `Response::TimeSeries` | the sampler's retained [`tnm_obs::TimePoint`] windows, oldest first |
 //! | 63 | `Response::Error` | a display string; the connection stays usable |
 //!
 //! Each layout is written once: a variant's field list here, or the
@@ -142,6 +144,8 @@ pub(crate) enum Request<'a> {
     Shutdown,
     /// The server's full metrics snapshot (Prometheus-renderable).
     Metrics,
+    /// The sampler's ring of windowed metric deltas.
+    TimeSeries,
 }
 wire_enum!(Request<'a> {
     16 => Load { name, num_nodes, events },
@@ -151,6 +155,7 @@ wire_enum!(Request<'a> {
     20 => Stats,
     21 => Shutdown,
     22 => Metrics,
+    23 => TimeSeries,
 });
 
 /// A server → client message: one per request.
@@ -170,6 +175,8 @@ pub(crate) enum Response {
     Bye,
     /// Answer to `Metrics`.
     Metrics(tnm_obs::Snapshot),
+    /// Answer to `TimeSeries`: the retained windows, oldest first.
+    TimeSeries(Vec<tnm_obs::TimePoint>),
     /// Any request the server understood but could not serve; the
     /// connection stays open.
     Error(String),
@@ -182,6 +189,7 @@ wire_enum!(Response {
     36 => Stats(stats),
     37 => Bye,
     38 => Metrics(snapshot),
+    39 => TimeSeries(points),
     63 => Error(message),
 });
 
@@ -218,6 +226,7 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Metrics,
+            Request::TimeSeries,
         ];
         let counts = MotifCounts::new();
         let responses = [
@@ -228,6 +237,7 @@ mod tests {
             Response::Stats(ServerStats::default()),
             Response::Bye,
             Response::Metrics(Default::default()),
+            Response::TimeSeries(Vec::new()),
             Response::Error(String::new()),
         ];
         let serve_kinds: Vec<u8> =

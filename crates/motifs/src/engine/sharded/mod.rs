@@ -47,7 +47,7 @@ pub(crate) use driver::ShardWalk;
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::{distributed, CountEngine, EngineCaps, ParallelEngine, WindowedEngine};
+use crate::engine::{distributed, CountEngine, ParallelEngine, WindowedEngine};
 use std::path::PathBuf;
 use tnm_graph::shard::{materialize, plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 use tnm_graph::TemporalGraph;
@@ -269,15 +269,6 @@ fn load(graph: &TemporalGraph, spec: &ShardSpec) -> Shard {
 impl CountEngine for ShardedEngine {
     fn name(&self) -> &'static str {
         "sharded"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: self.config.threads > 1 || self.config.workers > 1,
-            windowed_pruning: true,
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {

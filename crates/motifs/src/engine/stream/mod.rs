@@ -69,7 +69,7 @@ use arena::DpArena;
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::windowed::WindowedEngine;
-use crate::engine::{CountEngine, EngineCaps};
+use crate::engine::CountEngine;
 use crate::notation::MotifSignature;
 use tnm_graph::TemporalGraph;
 
@@ -214,15 +214,6 @@ impl StreamEngine {
 impl CountEngine for StreamEngine {
     fn name(&self) -> &'static str {
         "stream"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: false,
-            windowed_pruning: true,
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {

@@ -14,7 +14,7 @@
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::walker::{Walker, WindowedCandidates};
-use crate::engine::{CountEngine, EngineCaps};
+use crate::engine::CountEngine;
 use tnm_graph::TemporalGraph;
 
 /// Serial backtracking engine over a time-windowed candidate index.
@@ -24,15 +24,6 @@ pub struct WindowedEngine;
 impl CountEngine for WindowedEngine {
     fn name(&self) -> &'static str {
         "windowed"
-    }
-
-    fn capabilities(&self) -> EngineCaps {
-        EngineCaps {
-            parallel: false,
-            windowed_pruning: true,
-            deterministic_enumeration: true,
-            supports_signature_filter: true,
-        }
     }
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {

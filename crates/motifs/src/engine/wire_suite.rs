@@ -4,7 +4,8 @@
 //! shape (every serve request and response, traced and untraced, the
 //! worker job, counts, chunked induced and shutdown frames, and one
 //! event block), one `name hex` line each. The file was written by the
-//! hand-written encoders that preceded the `Wire` trait and is never
+//! hand-written encoders that preceded the `Wire` trait; a message kind
+//! added since appends its lines at the end, and no line is ever
 //! regenerated: [`golden_frames_match_the_fixture`] pins today's
 //! encoders to those bytes, so a layout change cannot slip in without
 //! a [`WIRE_VERSION`](tnm_graph::wire::WIRE_VERSION) bump.
@@ -74,6 +75,18 @@ fn snapshot() -> tnm_obs::Snapshot {
     h.record(52_000);
     h.record(u64::MAX);
     r.snapshot()
+}
+
+/// A sampler ring: a first window (interval 0) and an empty second one.
+fn time_points() -> Vec<tnm_obs::TimePoint> {
+    vec![
+        tnm_obs::TimePoint { at_unix_ms: 1_700_000_000_123, interval_ms: 0, delta: snapshot() },
+        tnm_obs::TimePoint {
+            at_unix_ms: 1_700_000_001_123,
+            interval_ms: 1_000,
+            delta: Default::default(),
+        },
+    ]
 }
 
 fn trace() -> TraceReply {
@@ -299,6 +312,8 @@ fn golden() -> Vec<(String, Vec<u8>)> {
     let empty = reply_frames(induced(3, 0), ReplyMetrics::default(), INDUCED_GROUP_BATCH);
     push("worker.reply.induced.empty".into(), frames(&empty));
     push("worker.shutdown".into(), frames(&[WorkerMsg::Shutdown]));
+    push("serve.req.timeseries".into(), frames(&[Request::TimeSeries]));
+    push("serve.resp.timeseries".into(), frames(&[Response::TimeSeries(time_points())]));
     out
 }
 
@@ -494,6 +509,7 @@ fn fuzz_all(cases: usize) {
         cases,
         15,
     );
+    fuzz::<Vec<tnm_obs::TimePoint>>("time points", &seeds_of([time_points(), vec![]]), cases, 16);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! triangle formed by events 1, 2, 4 of `(a,b,2),(b,c,4),(c,a,5),(c,a,6)`
 //! is valid even though event 3 is skipped, because edge `c→a` is covered).
 
-use tnm_graph::{Edge, EventIdx, NodeId, StaticProjection, TemporalGraph};
+use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph};
 
 /// Maximum node count the scratch buffers support (motifs are tiny).
 const MAX_MOTIF_NODES: usize = 8;
@@ -21,30 +21,6 @@ const MAX_MOTIF_NODES: usize = 8;
 /// of the motif events must cover every graph edge internal to the
 /// motif's node set.
 pub fn static_induced_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bool {
-    check_induced(graph, motif_events, |edge| graph.has_edge(edge))
-}
-
-/// [`static_induced_ok`] with edge membership answered by a prebuilt
-/// [`StaticProjection`] instead of the graph's own edge index. The two
-/// are equivalent on a projection of `graph`; this variant exists so
-/// callers that already hold a shared projection (via
-/// [`global_projection_cache`](tnm_graph::static_proj::global_projection_cache))
-/// reuse it rather than touching two structures. The distributed
-/// coordinator goes one step further and checks pre-extracted groups
-/// with [`induced_cover_ok`] directly.
-pub fn static_induced_ok_with(
-    proj: &StaticProjection,
-    graph: &TemporalGraph,
-    motif_events: &[EventIdx],
-) -> bool {
-    check_induced(graph, motif_events, |edge| proj.has_edge(edge))
-}
-
-fn check_induced(
-    graph: &TemporalGraph,
-    motif_events: &[EventIdx],
-    has_edge: impl Fn(Edge) -> bool,
-) -> bool {
     let mut nodes: [NodeId; MAX_MOTIF_NODES] = [NodeId(0); MAX_MOTIF_NODES];
     let mut n = 0usize;
     let mut covered: [Edge; MAX_MOTIF_NODES * 2] = [Edge::new(0u32, 0u32); MAX_MOTIF_NODES * 2];
@@ -64,7 +40,7 @@ fn check_induced(
             n_cov += 1;
         }
     }
-    induced_cover_ok(&nodes[..n], &covered[..n_cov], has_edge)
+    induced_cover_ok(&nodes[..n], &covered[..n_cov], |edge| graph.has_edge(edge))
 }
 
 /// The inducedness predicate over an already-extracted **node set** and
@@ -154,26 +130,6 @@ mod tests {
             .unwrap();
         assert!(!static_induced_ok(&g, &[0, 2]));
         assert!(static_induced_ok(&g, &[0, 1]));
-    }
-
-    #[test]
-    fn projection_variant_agrees_with_graph_variant() {
-        let g = TemporalGraphBuilder::new()
-            .event(0, 1, 1)
-            .event(1, 2, 2)
-            .event(2, 3, 3)
-            .event(3, 0, 4)
-            .event(0, 2, 5)
-            .build()
-            .unwrap();
-        let proj = StaticProjection::from_graph(&g);
-        for evs in [&[0u32, 1, 2, 3][..], &[0, 1, 2, 3, 4], &[0, 1, 4], &[2, 3]] {
-            assert_eq!(
-                static_induced_ok(&g, evs),
-                static_induced_ok_with(&proj, &g, evs),
-                "events {evs:?}"
-            );
-        }
     }
 
     #[test]

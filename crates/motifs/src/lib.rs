@@ -187,10 +187,10 @@ pub mod prelude {
     };
     pub use crate::engine::{
         count_batch, enumerate_batch, AppendAck, BacktrackEngine, BatchPlan, BatchPlanner,
-        ConfigError, CountEngine, EngineCaps, EngineKind, EngineReport, Estimate,
-        IncrementalStream, MotifServer, ParallelEngine, Query, QueryError, QueryLogEntry,
-        QueryResponse, SamplingEngine, ServeClient, ServeOptions, ServerStats, ShardedEngine,
-        TraceReply, WindowedEngine,
+        ConfigError, CountEngine, EngineKind, EngineReport, Estimate, IncrementalStream,
+        MotifServer, ParallelEngine, Query, QueryError, QueryLogEntry, QueryResponse,
+        SamplingEngine, ServeClient, ServeOptions, ServerStats, ShardedEngine, TraceReply,
+        WindowedEngine,
     };
     pub use crate::enumerate::{count_motifs, EnumConfig, MotifInstance};
     pub use crate::event_pair::{EventPairCounts, EventPairType, ALL_PAIR_TYPES};

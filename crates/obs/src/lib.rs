@@ -50,7 +50,7 @@ pub use span::{
     chrome_trace, current_trace, drain_spans, inject_spans, now_ns, record_span, set_trace,
     take_trace_spans, Span, SpanRecord, TraceCtx,
 };
-pub use timeseries::{parse_timeseries_json, TimePoint, TimeSeries};
+pub use timeseries::{TimePoint, TimeSeries};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};

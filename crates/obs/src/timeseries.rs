@@ -10,12 +10,15 @@
 //! window's observations (so [`HistogramSnapshot::percentile`] yields
 //! p50/p99 *over the window*).
 //!
-//! [`TimeSeries::to_json`] renders the ring for the serve HTTP
-//! `/timeseries` endpoint, and [`parse_timeseries_json`] reads it back
-//! — `tnm top` polls exactly this pair, so the round-trip is pinned by
-//! test rather than by an external JSON dependency.
+//! The ring leaves the process two ways. [`TimeSeries::to_json`]
+//! renders it for the serve HTTP `/timeseries` endpoint, the external
+//! scrape surface. The serve wire protocol ships the [`TimePoint`]s
+//! themselves in its binary encoding, and that is what `tnm top` polls;
+//! nothing in the workspace reads the JSON back.
 
-use crate::registry::{GaugeSnapshot, HistogramSnapshot, Snapshot};
+#[cfg(doc)]
+use crate::registry::HistogramSnapshot;
+use crate::registry::Snapshot;
 use std::collections::VecDeque;
 
 /// One sampled window: what happened between this sample and the
@@ -131,319 +134,6 @@ fn push_entries<'a, V: 'a>(
     }
 }
 
-// ---------------------------------------------------------------------
-// A minimal JSON reader for the subset `to_json` emits. The workspace
-// is dependency-free by construction (vendored stubs only), so `tnm
-// top` parses the `/timeseries` payload through this instead of serde.
-
-/// Parses [`TimeSeries::to_json`] output back into points. Tolerates
-/// whitespace and unknown keys (skipped structurally) so the format can
-/// grow; returns a descriptive error for malformed input.
-pub fn parse_timeseries_json(text: &str) -> Result<Vec<TimePoint>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let mut points = Vec::new();
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        if key == "points" {
-            p.expect(b'[')?;
-            if !p.try_expect(b']') {
-                loop {
-                    points.push(p.point()?);
-                    if !p.try_expect(b',') {
-                        p.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-        } else {
-            p.skip_value()?;
-        }
-        if !p.try_expect(b',') {
-            break;
-        }
-    }
-    p.expect(b'}')?;
-    Ok(points)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.try_expect(b) {
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn try_expect(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched:
-                    // advance one char, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    /// Skips any well-formed JSON value (for unknown keys).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'"' => {
-                self.string()?;
-            }
-            b'{' => {
-                self.pos += 1;
-                if !self.try_expect(b'}') {
-                    loop {
-                        self.string()?;
-                        self.expect(b':')?;
-                        self.skip_value()?;
-                        if !self.try_expect(b',') {
-                            self.expect(b'}')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            b'[' => {
-                self.pos += 1;
-                if !self.try_expect(b']') {
-                    loop {
-                        self.skip_value()?;
-                        if !self.try_expect(b',') {
-                            self.expect(b']')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            b't' | b'f' | b'n' => {
-                while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_alphabetic()) {
-                    self.pos += 1;
-                }
-            }
-            _ => {
-                // Number (possibly signed/fractional — skipped, the
-                // emitter only writes u64s we care about).
-                if self.peek() == Some(b'-') {
-                    self.pos += 1;
-                }
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                if start == self.pos {
-                    return Err(format!("unexpected byte at {}", self.pos));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn point(&mut self) -> Result<TimePoint, String> {
-        let mut point = TimePoint::default();
-        self.expect(b'{')?;
-        if self.try_expect(b'}') {
-            return Ok(point);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "at_ms" => point.at_unix_ms = self.u64()?,
-                "interval_ms" => point.interval_ms = self.u64()?,
-                "counters" => {
-                    self.object(
-                        |p, name, point| {
-                            let v = p.u64()?;
-                            point.delta.counters.insert(name, v);
-                            Ok(())
-                        },
-                        &mut point,
-                    )?;
-                }
-                "gauges" => {
-                    self.object(
-                        |p, name, point| {
-                            let mut g = GaugeSnapshot::default();
-                            p.expect(b'{')?;
-                            loop {
-                                let k = p.string()?;
-                                p.expect(b':')?;
-                                let v = p.u64()?;
-                                match k.as_str() {
-                                    "value" => g.value = v,
-                                    "peak" => g.peak = v,
-                                    other => return Err(format!("unknown gauge field `{other}`")),
-                                }
-                                if !p.try_expect(b',') {
-                                    p.expect(b'}')?;
-                                    break;
-                                }
-                            }
-                            point.delta.gauges.insert(name, g);
-                            Ok(())
-                        },
-                        &mut point,
-                    )?;
-                }
-                "histograms" => {
-                    self.object(
-                        |p, name, point| {
-                            let mut h = HistogramSnapshot::default();
-                            p.expect(b'{')?;
-                            loop {
-                                let k = p.string()?;
-                                p.expect(b':')?;
-                                match k.as_str() {
-                                    "count" => h.count = p.u64()?,
-                                    "sum" => h.sum = p.u64()?,
-                                    "buckets" => {
-                                        p.expect(b'[')?;
-                                        if !p.try_expect(b']') {
-                                            loop {
-                                                p.expect(b'[')?;
-                                                let i = p.u64()?;
-                                                p.expect(b',')?;
-                                                let n = p.u64()?;
-                                                p.expect(b']')?;
-                                                let i = u8::try_from(i)
-                                                    .map_err(|_| "bucket index out of range")?;
-                                                h.buckets.push((i, n));
-                                                if !p.try_expect(b',') {
-                                                    p.expect(b']')?;
-                                                    break;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    other => {
-                                        return Err(format!("unknown histogram field `{other}`"))
-                                    }
-                                }
-                                if !p.try_expect(b',') {
-                                    p.expect(b'}')?;
-                                    break;
-                                }
-                            }
-                            point.delta.histograms.insert(name, h);
-                            Ok(())
-                        },
-                        &mut point,
-                    )?;
-                }
-                _ => self.skip_value()?,
-            }
-            if !self.try_expect(b',') {
-                self.expect(b'}')?;
-                return Ok(point);
-            }
-        }
-    }
-
-    /// Parses `{"name": <value>, …}` with `f` consuming each value.
-    fn object(
-        &mut self,
-        mut f: impl FnMut(&mut Parser<'a>, String, &mut TimePoint) -> Result<(), String>,
-        point: &mut TimePoint,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.try_expect(b'}') {
-            return Ok(());
-        }
-        loop {
-            let name = self.string()?;
-            self.expect(b':')?;
-            f(self, name, point)?;
-            if !self.try_expect(b',') {
-                return self.expect(b'}');
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,50 +162,40 @@ mod tests {
         assert_eq!(points[1].delta.histograms["lat"].count, 1);
     }
 
+    /// `to_json` of the ring built in `json_round_trips_exactly`, one
+    /// point per line.
+    const PINNED: &str = concat!(
+        r#"{"points":[{"at_ms":1700000000123,"interval_ms":0,"counters":{"odd \"name\"\\\n\u0001":1,"serve.queries":3},"gauges":{"shard.resident_events":{"value":42,"peak":42}},"histograms":{"serve.query.report_ns":{"count":2,"sum":2001000,"buckets":[[10,1],[21,1]]}}},"#,
+        r#"{"at_ms":1700000001123,"interval_ms":1000,"counters":{"serve.queries":9},"gauges":{"shard.resident_events":{"value":7,"peak":42}},"histograms":{"serve.query.report_ns":{"count":1,"sum":3,"buckets":[[2,1]]}}}]}"#,
+    );
+
+    /// `GET /timeseries` is the external scrape surface: every field of
+    /// every point must reach it exactly, so its bytes are pinned for a
+    /// ring holding every metric kind, a name that needs escaping, a
+    /// first window (interval 0) and a second window.
     #[test]
     fn json_round_trips_exactly() {
         let r = Registry::new();
-        let mut ts = TimeSeries::new(8);
+        let mut ts = TimeSeries::new(4);
         r.counter("serve.queries").add(3);
+        r.counter("odd \"name\"\\\n\u{1}").incr();
         r.gauge("shard.resident_events").set(42);
         let h = r.histogram("serve.query.report_ns");
         h.record(1_000);
         h.record(2_000_000);
         ts.record(1_700_000_000_123, r.snapshot());
         r.counter("serve.queries").add(9);
+        r.gauge("shard.resident_events").set(7);
         h.record(3);
         ts.record(1_700_000_001_123, r.snapshot());
-        let json = ts.to_json();
-        let parsed = parse_timeseries_json(&json).expect("emitted JSON parses");
-        let expected: Vec<TimePoint> = ts.points().cloned().collect();
-        assert_eq!(parsed, expected);
+        assert_eq!(ts.to_json(), PINNED);
     }
 
+    /// An unsampled ring renders an empty point list, not an empty body.
     #[test]
     fn empty_series_round_trips() {
         let ts = TimeSeries::new(4);
+        assert!(ts.is_empty());
         assert_eq!(ts.to_json(), "{\"points\":[]}");
-        assert_eq!(parse_timeseries_json(&ts.to_json()).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn parser_tolerates_unknown_keys_and_rejects_garbage() {
-        let json = "{\"version\":7,\"points\":[{\"at_ms\":5,\"interval_ms\":2,\
-                     \"future\":[1,{\"x\":null}],\"counters\":{\"a\":1},\
-                     \"gauges\":{},\"histograms\":{}}]}";
-        let points = parse_timeseries_json(json).expect("unknown keys are skipped");
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].at_unix_ms, 5);
-        assert_eq!(points[0].delta.counters["a"], 1);
-        for bad in [
-            "",
-            "{",
-            "{\"points\":",
-            "{\"points\":[{]}",
-            "{\"points\":[{\"at_ms\":\"x\"}]}",
-            "{\"points\":[{\"histograms\":{\"h\":{\"buckets\":[[500,1]]}}}]}",
-        ] {
-            assert!(parse_timeseries_json(bad).is_err(), "accepted: {bad:?}");
-        }
     }
 }

@@ -534,10 +534,30 @@ fn scrape(addr: SocketAddr, path: &str) -> (String, String) {
     (head.lines().next().unwrap_or("").to_string(), body.to_string())
 }
 
+/// Polls the daemon's sample ring over the wire until a window holds
+/// the `serve.queries` increment (on a busy host the first window can
+/// land before the query), then checks that the windows' deltas sum to
+/// the one query served.
+fn ring_after_one_query(client: &mut ServeClient) {
+    let mut points = Vec::new();
+    for _ in 0..200 {
+        points = client.timeseries().unwrap();
+        if points.iter().any(|p| p.delta.counters.contains_key("serve.queries")) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(!points.is_empty(), "the sampler must record within 2 s");
+    assert!(points.iter().all(|p| p.at_unix_ms > 0));
+    let total_queries: u64 =
+        points.iter().filter_map(|p| p.delta.counters.get("serve.queries")).sum();
+    assert_eq!(total_queries, 1, "the windows' deltas must sum to the one query");
+}
+
 /// The HTTP scrape surface: `/metrics` serves Prometheus text,
 /// `/healthz` answers while wire clients are mid-session, and
-/// `/timeseries` serves JSON the `tnm top` parser accepts — all on a
-/// separate listener that never speaks the framed wire protocol.
+/// `/timeseries` serves the sample ring as JSON — all on a separate
+/// listener that never speaks the framed wire protocol.
 #[test]
 fn http_scrape_surface_serves_metrics_health_and_timeseries() {
     let events = random_events(37, 25, 600, 2000);
@@ -569,24 +589,12 @@ fn http_scrape_surface_serves_metrics_health_and_timeseries() {
     assert!(status.contains(" 200 "));
     assert_eq!(body, "ok\n");
 
-    // Wait for the background sampler to fold a window sampled after
-    // the query (on a busy host the first window can land before it),
-    // then the JSON must parse with the `tnm top` parser.
-    let mut points = Vec::new();
-    for _ in 0..200 {
-        let (status, body) = scrape(http, "/timeseries");
-        assert!(status.contains(" 200 "));
-        points = tnm_obs::parse_timeseries_json(&body).expect("valid /timeseries JSON");
-        if points.iter().any(|p| p.delta.counters.contains_key("serve.queries")) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(!points.is_empty(), "the sampler must record within 2 s");
-    assert!(points.iter().all(|p| p.at_unix_ms > 0));
-    let total_queries: u64 =
-        points.iter().filter_map(|p| p.delta.counters.get("serve.queries")).sum();
-    assert_eq!(total_queries, 1, "the windows' deltas must sum to the one query");
+    // The ring read over the wire holds the query's window, and the
+    // JSON scrape of the same ring shows it too.
+    ring_after_one_query(&mut client);
+    let (status, body) = scrape(http, "/timeseries");
+    assert!(status.contains(" 200 "), "/timeseries answered `{status}`");
+    assert!(body.contains("\"serve.queries\":1"), "no window of the query in:\n{body}");
 
     let (status, _) = scrape(http, "/nope");
     assert!(status.contains(" 404 "));
@@ -594,6 +602,27 @@ fn http_scrape_surface_serves_metrics_health_and_timeseries() {
     // The wire connection survived all of it.
     let stats = client.stats().unwrap();
     assert_eq!(stats.queries, 1);
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The sample ring travels over the wire protocol, so a daemon without
+/// the HTTP scrape listener still serves it — what `tnm top` reads.
+#[test]
+fn timeseries_is_served_over_the_wire_without_an_http_listener() {
+    let server = MotifServer::bind_with(
+        "127.0.0.1:0",
+        ServeOptions { http_port: None, sample_interval_ms: 25, ..ServeOptions::default() },
+    )
+    .unwrap()
+    .spawn();
+    assert!(server.http_addr().is_none());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    client.load_graph("g", &random_events(41, 20, 300, 1000), 0).unwrap();
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(100));
+    let q = Query::Count { cfg, engine: EngineKind::Windowed, threads: 1 };
+    let QueryResponse::Counts(_) = client.query("g", &q).unwrap() else { panic!("shape") };
+    ring_after_one_query(&mut client);
     client.shutdown().unwrap();
     server.join().unwrap();
 }
