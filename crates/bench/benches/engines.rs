@@ -16,8 +16,9 @@
 //! pins the metrics-disabled hot path against the BENCH history,
 //! `query_trace_overhead` does the same for the untraced `Query::run`
 //! path vs a request-scoped trace), the graph build
-//! (`graph_build`: `from_sorted_events` at two corpus sizes), and
-//! dataset generation.
+//! (`graph_build`: `from_sorted_events` at two corpus sizes), edge-list
+//! ingest (`ingest`: `read_edge_list_str` with dense and sparse node
+//! ids), and dataset generation.
 //!
 //! The harness prints a machine-readable JSON summary on exit (one
 //! object per benchmark; set `TNM_BENCH_JSON=path` to also write it to a
@@ -712,6 +713,37 @@ fn bench_graph_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// Edge-list ingest, `read_edge_list_str` end to end (parse, node-id
+/// compaction, tie-run sort, graph build), on the text `cold_count`
+/// parses: SMS-A at 3× its event budget, about 90k tie-heavy events.
+/// `sms_a_90k` keeps the generator's small ids, which the parser's dense
+/// table compacts; `sparse_ids` shifts every id past `2 × lines`, so
+/// each lookup goes through the keyed hash map. The text is generated
+/// outside the timed region.
+fn bench_ingest(c: &mut Criterion) {
+    let mut spec = DatasetSpec::sms_a();
+    spec.num_events *= 3;
+    let g = generate(&spec, 1);
+    let mut dense = Vec::new();
+    tnm_graph::io::write_edge_list(&g, &mut dense).unwrap();
+    let dense = String::from_utf8(dense).unwrap();
+    let shift = 1u64 << 40;
+    let sparse: String = g
+        .events()
+        .iter()
+        .map(|e| format!("{} {} {}\n", shift + e.src.0 as u64, shift + e.dst.0 as u64, e.time))
+        .collect();
+    let mut group = c.benchmark_group("ingest");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(g.num_events() as u64));
+    for (id, text) in [("sms_a_90k", &dense), ("sparse_ids", &sparse)] {
+        group.bench_function(id, |b| {
+            b.iter(|| black_box(tnm_graph::io::read_edge_list_str(text).unwrap()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataset_generation");
     group.sample_size(10);
@@ -748,6 +780,7 @@ criterion_group!(
     bench_hotpath_triad_dp,
     bench_hotpath_shard_plan,
     bench_graph_build,
+    bench_ingest,
     bench_generation
 );
 criterion_main!(benches);

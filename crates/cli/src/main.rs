@@ -37,16 +37,22 @@ Utility commands:
   list              List the nine datasets
   stats --dataset NAME [--seed N]        Statistics of one synthetic dataset
   generate --dataset NAME --out FILE     Write a synthetic dataset as an edge list
-  count --dataset NAME [--events K] [--nodes N] [--dc X] [--dw Y]
-        [--consecutive] [--induced] [--constrained] [--top K]
-        [--engine E] [--threads N] [--samples K]
+  count (--dataset NAME | --input FILE) [--events K] [--nodes N]
+        [--dc X] [--dw Y] [--consecutive] [--induced] [--constrained]
+        [--top K] [--engine E] [--threads N] [--samples K]
         [--shard-events N] [--workers N]
         [--trace FILE] [--explain]
                                          Count motifs under a custom model
                                          (sampling engine prints 95% CIs).
+                                         --input FILE counts a SNAP edge list
+                                         (`src dst time [duration]`, e.g. from
+                                         `generate`) instead of a generated
+                                         dataset; the report is named after
+                                         the file stem.
                                          --trace FILE records hierarchical
-                                         timed spans for the run and writes
-                                         them as Chrome-trace JSON (open in
+                                         timed spans for the run, ingest
+                                         included, and writes them as
+                                         Chrome-trace JSON (open in
                                          chrome://tracing or Perfetto); a
                                          sharded run with --workers decomposes
                                          into plan/spill/spawn/walk/merge
@@ -653,10 +659,13 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     "top",
                     "trace",
                     "explain",
+                    "input",
                 ],
             ))?;
-            let corpus = corpus_from(args)?;
-            let entry = corpus.entries.first().ok_or("count requires --dataset NAME")?;
+            let input = args.get("input");
+            if input.is_some() && (args.has("dataset") || args.positional(0).is_some()) {
+                return Err("--input and --dataset are mutually exclusive".into());
+            }
             let cfg = count_cfg_from(args)?;
             let rc = run_config_from(args)?;
             let top: usize = args.get_parsed("top", 20)?;
@@ -668,26 +677,36 @@ fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
                 tnm_obs::set_enabled(true);
             }
-            if args.has("explain") {
-                println!(
-                    "{}",
-                    tnm_motifs::engine::explain_auto_select(&entry.graph, &cfg, rc.threads)
-                );
-            }
             let trace = args.get("trace");
             if trace.is_some() {
-                // Collect spans for exactly this run: flip the flag on
-                // and clear anything a previous phase left behind.
+                // Collect spans for exactly this run, ingest included:
+                // flip the flag on and clear anything left behind.
                 tnm_obs::set_enabled(true);
                 tnm_obs::drain_spans();
+            }
+            let (name, graph) = match input {
+                Some(path) => {
+                    let graph = tnm_graph::io::read_edge_list_file(path)
+                        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+                    let stem = std::path::Path::new(path).file_stem().unwrap_or_default();
+                    (stem.to_string_lossy().into_owned(), graph)
+                }
+                None => {
+                    let entry = corpus_from(args)?.entries.into_iter().next();
+                    let entry = entry.ok_or("count requires --dataset NAME or --input FILE")?;
+                    (entry.spec.name, entry.graph)
+                }
+            };
+            if args.has("explain") {
+                println!("{}", tnm_motifs::engine::explain_auto_select(&graph, &cfg, rc.threads));
             }
             // One validation-and-dispatch path for every front end: the
             // same Query the serve daemon answers over the wire.
             let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
-            let QueryResponse::Report(report) = query.run(&entry.graph)? else {
+            let QueryResponse::Report(report) = query.run(&graph)? else {
                 unreachable!("Report queries answer with Report responses")
             };
-            print_report(&entry.spec.name, &report, timing, top);
+            print_report(&name, &report, timing, top);
             if let Some(path) = trace {
                 let spans = tnm_obs::drain_spans();
                 std::fs::write(path, tnm_obs::chrome_trace(&spans))

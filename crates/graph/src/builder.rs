@@ -3,7 +3,8 @@
 use crate::error::{GraphError, Result};
 use crate::event::Event;
 use crate::graph::TemporalGraph;
-use crate::ids::{NodeId, Time};
+use crate::ids::Time;
+use std::collections::HashMap;
 
 /// Accumulates events and produces a validated, index-backed
 /// [`TemporalGraph`].
@@ -82,6 +83,13 @@ impl TemporalGraphBuilder {
 
     /// Sorts, validates, indexes, and returns the graph.
     ///
+    /// Events end up in `Event`'s total `(time, src, dst, duration)`
+    /// order. When the time column is already non-decreasing — an edge
+    /// list read in file order, the generator's output, every transform
+    /// of a built graph — only each run of equal timestamps is sorted;
+    /// one inversion anywhere falls back to a full `sort_unstable`. Both
+    /// produce the same order, since the order is total.
+    ///
     /// # Errors
     ///
     /// * [`GraphError::Empty`] if there are no events;
@@ -105,8 +113,19 @@ impl TemporalGraphBuilder {
             Some(n) => n,
             None => max_node + 1,
         };
-        events.sort_unstable();
+        sort_events(&mut events);
         Ok(TemporalGraph::from_sorted_events(events, num_nodes))
+    }
+}
+
+/// Sorts `events` into `Event`'s order; see [`TemporalGraphBuilder::build`].
+fn sort_events(events: &mut [Event]) {
+    if events.windows(2).all(|w| w[0].time <= w[1].time) {
+        for ties in events.chunk_by_mut(|a, b| a.time == b.time) {
+            ties.sort_unstable();
+        }
+    } else {
+        events.sort_unstable();
     }
 }
 
@@ -114,36 +133,67 @@ impl TemporalGraphBuilder {
 /// the dense `0..n` space the graph requires, preserving first-appearance
 /// order. Returns the dense events plus the forward map.
 pub fn compact_node_ids(raw: &[(u64, u64, Time)]) -> (Vec<Event>, Vec<u64>) {
-    let mut map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-    let mut names: Vec<u64> = Vec::new();
-    let mut dense = |v: u64, map: &mut std::collections::HashMap<u64, u32>| -> u32 {
-        *map.entry(v).or_insert_with(|| {
-            names.push(v);
-            (names.len() - 1) as u32
+    let mut ids = NodeCompactor::new(2 * raw.len());
+    let events = raw
+        .iter()
+        .map(|&(u, v, t)| {
+            let src = ids.id(u);
+            Event::new(src, ids.id(v), t)
         })
-    };
-    let mut events = Vec::with_capacity(raw.len());
-    for &(u, v, t) in raw {
-        let su = dense(u, &mut map);
-        let sv = dense(v, &mut map);
-        events.push(Event::new(su, sv, t));
-    }
-    (events, names)
+        .collect();
+    (events, ids.into_names())
 }
 
-/// Extracts the set of distinct nodes actually used by `events`.
-pub fn used_nodes(events: &[Event]) -> Vec<NodeId> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for e in events {
-        if seen.insert(e.src) {
-            out.push(e.src);
-        }
-        if seen.insert(e.dst) {
-            out.push(e.dst);
+/// Maps raw node ids to dense `u32` ids in first-appearance order: the
+/// one compaction routine behind [`compact_node_ids`], the edge-list
+/// parser and [`crate::transform::compact_nodes`].
+///
+/// An id below the `dense_below` given to [`NodeCompactor::new`] looks
+/// up a flat table, allocated (zeroed) on the first such id; a larger id
+/// goes through std's keyed `HashMap`, so ids chosen to collide cost no
+/// more than hashing every id would.
+pub(crate) struct NodeCompactor {
+    /// Dense id + 1 per raw id below `table`'s length; 0 = not seen yet.
+    table: Vec<u32>,
+    dense_below: usize,
+    sparse: HashMap<u64, u32>,
+    /// Raw id per dense id.
+    names: Vec<u64>,
+}
+
+impl NodeCompactor {
+    /// A compactor whose table covers raw ids `0..dense_below`.
+    pub(crate) fn new(dense_below: usize) -> Self {
+        NodeCompactor { table: Vec::new(), dense_below, sparse: HashMap::new(), names: Vec::new() }
+    }
+
+    /// The dense id of `raw`, minting the next one on first sight.
+    #[inline]
+    pub(crate) fn id(&mut self, raw: u64) -> u32 {
+        let next = self.names.len() as u32;
+        match usize::try_from(raw) {
+            Ok(slot) if slot < self.dense_below => {
+                if self.table.is_empty() {
+                    self.table = vec![0; self.dense_below];
+                }
+                let entry = &mut self.table[slot];
+                if *entry == 0 {
+                    self.names.push(raw);
+                    *entry = next + 1;
+                }
+                *entry - 1
+            }
+            _ => *self.sparse.entry(raw).or_insert_with(|| {
+                self.names.push(raw);
+                next
+            }),
         }
     }
-    out
+
+    /// The raw id of every dense id, in order.
+    pub(crate) fn into_names(self) -> Vec<u64> {
+        self.names
+    }
 }
 
 #[cfg(test)]
@@ -203,12 +253,37 @@ mod tests {
         assert_eq!(events[2], Event::new(2u32, 0u32, 3));
     }
 
+    /// The tie-run sort and the full-sort fallback both give `Event`'s
+    /// total order: on logs already in time order (shuffled within tie
+    /// runs) and on logs with inversions.
     #[test]
-    fn used_nodes_distinct_in_order() {
-        let events =
-            vec![Event::new(3u32, 1u32, 1), Event::new(1u32, 3u32, 2), Event::new(0u32, 2u32, 3)];
-        let nodes = used_nodes(&events);
-        assert_eq!(nodes, vec![NodeId(3), NodeId(1), NodeId(0), NodeId(2)]);
+    fn tie_run_sort_matches_a_full_sort() {
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for case in 0..200 {
+            let len = next(60) as usize;
+            let mut time = 0;
+            let mut events: Vec<Event> = (0..len)
+                .map(|_| {
+                    time += next(3) as Time;
+                    let src = next(5) as u32;
+                    Event::with_duration(src, (src + 1 + next(4) as u32) % 6, time, next(2) as u32)
+                })
+                .collect();
+            if case % 2 == 1 && len > 1 {
+                let (a, b) = (next(len as u64) as usize, next(len as u64) as usize);
+                events.swap(a, b);
+            }
+            let mut expected = events.clone();
+            expected.sort_unstable();
+            sort_events(&mut events);
+            assert_eq!(events, expected, "case {case}");
+        }
     }
 
     #[test]

@@ -36,7 +36,12 @@
 //! [`TemporalGraph::from_sorted_events`] build (sortedness check, node
 //! and edge index) takes about 5–7 ms for a 150k-event CollegeMsg-spec
 //! log and 1–2 ms for a 40k-event StackOverflow-spec log on a 2-vCPU
-//! Xeon host (the `graph_build` bench group). A lookup
+//! Xeon host (the `graph_build` bench group). It is about half of an
+//! edge-list ingest: reading a 90k-event SMS-A ×3 file
+//! ([`crate::io::read_edge_list_file`]) takes 11–12 ms, of which this
+//! build is 4.5–5 ms, parsing and node-id compaction about 5 ms, and the
+//! builder's tie-run sort (see [`crate::TemporalGraphBuilder::build`])
+//! under 1 ms (the `ingest` bench group). A lookup
 //! ([`TemporalGraph::edge_events`], [`TemporalGraph::has_edge`]) is a
 //! binary search in the source's out-list, and
 //! [`TemporalGraph::static_edges`] walks the slots in order.

@@ -7,7 +7,7 @@
 //!   10 % of StackOverflow events "for efficiency purposes".
 //! * **Node compaction**: drops unused node ids after filtering.
 
-use crate::builder::TemporalGraphBuilder;
+use crate::builder::{NodeCompactor, TemporalGraphBuilder};
 use crate::event::Event;
 use crate::graph::TemporalGraph;
 use crate::ids::Time;
@@ -82,13 +82,15 @@ pub fn rebase_time(graph: &TemporalGraph, origin: Time) -> TemporalGraph {
 /// Renumbers nodes densely by first appearance, dropping unused ids.
 /// Useful after [`filter_events`] or [`slice_time_window`].
 pub fn compact_nodes(graph: &TemporalGraph) -> TemporalGraph {
-    let raw: Vec<(u64, u64, Time)> =
-        graph.events().iter().map(|e| (e.src.0 as u64, e.dst.0 as u64, e.time)).collect();
-    let (mut events, _names) = crate::builder::compact_node_ids(&raw);
-    // compact_node_ids drops durations; restore them positionally.
-    for (ev, orig) in events.iter_mut().zip(graph.events()) {
-        ev.duration = orig.duration;
-    }
+    let mut ids = NodeCompactor::new(graph.num_nodes() as usize);
+    let events: Vec<Event> = graph
+        .events()
+        .iter()
+        .map(|e| {
+            let src = ids.id(e.src.0.into());
+            Event { src: src.into(), dst: ids.id(e.dst.0.into()).into(), ..*e }
+        })
+        .collect();
     TemporalGraphBuilder::from_events(events).build().expect("compacting a valid graph")
 }
 

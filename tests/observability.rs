@@ -19,6 +19,9 @@
 //! * **One index build per graph** — every windowed path reads the
 //!   graph's own window index, so counting one graph through all of
 //!   them records exactly one `index.build` span.
+//! * **One span per ingest** — a traced edge-list read records one
+//!   `ingest.parse` span (with its byte and event counts) and one
+//!   `graph.build` inside it.
 //!
 //! Every test serializes on [`tnm_obs::test_guard`]: the registry and
 //! the enabled switch are process-global.
@@ -159,4 +162,24 @@ fn every_windowed_path_shares_one_index_build() {
     ] {
         assert_eq!(*counts, reference, "{path}");
     }
+}
+
+#[test]
+fn a_traced_edge_list_read_records_one_parse_and_one_build() {
+    let _guard = tnm_obs::test_guard();
+    let text = "# src dst time\n1 2 10\n2 3 10\n3 1 12 5\n4 4 13\n";
+    tnm_obs::set_enabled(true);
+    tnm_obs::drain_spans();
+    let g = tnm_graph::io::read_edge_list_str(text).unwrap();
+    let spans = tnm_obs::drain_spans();
+    tnm_obs::set_enabled(false);
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+    let (parse, build) = (named("ingest.parse"), named("graph.build"));
+    assert_eq!((parse.len(), build.len()), (1, 1), "{spans:?}");
+    let arg = |key: &str| parse[0].args.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+    assert_eq!(arg("bytes"), Some(text.len().to_string().as_str()));
+    // The self-loop is parsed, then dropped by the build.
+    assert_eq!(arg("events"), Some("4"));
+    assert_eq!(g.num_events(), 3);
+    assert_eq!(build[0].parent_id, parse[0].span_id, "the build runs inside the parse span");
 }

@@ -12,6 +12,12 @@
 //!   `ServeClient`, from a fake server;
 //! * a 9-byte induced reply to the sharded engine's coordinator, from a
 //!   fake worker process.
+//!
+//! The edge-list parser sizes its tables from the input's line count,
+//! never from the values on a line. A file of 10⁶ blank and comment
+//! lines, and a single line of maximal ids, time and duration, must
+//! each parse without any single allocation above 10 × the input bytes
+//! + 64 KiB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -177,4 +183,31 @@ fn coordinator_refuses_a_forged_induced_count_without_reserving() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(outcome.is_err(), "a run whose only worker failed must not return counts");
     assert!(largest < LIMIT, "decoding the forged induced reply allocated {largest} bytes at once");
+}
+
+/// The parser's bound: 10 × the input bytes + 64 KiB.
+fn parse_limit(input: &[u8]) -> usize {
+    10 * input.len() + (64 << 10)
+}
+
+#[test]
+fn parser_allocates_in_proportion_to_its_input() {
+    let _case = CASE.lock().unwrap_or_else(|e| e.into_inner());
+    let blank = "\n".repeat(1_000_000);
+    let comments = ["# comment\n", "%\n", " \t\n"].concat().repeat(1_000_000 / 3);
+    for (what, input) in [("blank lines", &blank), ("comment lines", &comments)] {
+        let (result, largest) = measured(|| tnm_graph::io::parse_edge_list(input.as_bytes()));
+        assert!(matches!(result, Err(tnm_graph::GraphError::Empty)), "{what}: {result:?}");
+        let limit = parse_limit(input.as_bytes());
+        assert!(largest <= limit, "{what}: one allocation of {largest} bytes (limit {limit})");
+    }
+    for line in [
+        "18446744073709551615 18446744073709551614 9223372036854775807 4294967295\n",
+        "1099511627776 1 -9223372036854775808.5 7",
+    ] {
+        let (graph, largest) = measured(|| tnm_graph::io::parse_edge_list(line.as_bytes()));
+        assert_eq!(graph.expect("a valid line").num_events(), 1);
+        let limit = parse_limit(line.as_bytes());
+        assert!(largest <= limit, "{line:?}: one allocation of {largest} bytes (limit {limit})");
+    }
 }
