@@ -74,23 +74,22 @@ impl Corpus {
 
     /// Generates all nine datasets with a custom seed.
     pub fn with_seed(seed: u64) -> Self {
-        let entries = DatasetSpec::all()
-            .into_iter()
-            .map(|spec| {
-                let graph = generate(&spec, seed);
-                CorpusEntry { spec, graph }
-            })
-            .collect();
-        Corpus { entries }
+        Self::generate(DatasetSpec::all(), seed)
     }
 
     /// Generates a reduced corpus: event budgets scaled by `factor`
     /// (clamped to at least 500 events). Used by benches and smoke tests.
     pub fn scaled(factor: f64, seed: u64) -> Self {
-        let entries = DatasetSpec::all()
+        Self::generate(DatasetSpec::all().into_iter().map(|s| scaled_spec(s, factor)), seed)
+    }
+
+    /// Generates exactly `specs`, in the order given. Each graph depends
+    /// on its own spec and `seed` alone, so a subset comes out identical
+    /// to the same datasets of a full corpus.
+    pub fn generate(specs: impl IntoIterator<Item = DatasetSpec>, seed: u64) -> Self {
+        let entries = specs
             .into_iter()
-            .map(|mut spec| {
-                spec.num_events = ((spec.num_events as f64 * factor) as usize).max(500);
+            .map(|spec| {
                 let graph = generate(&spec, seed);
                 CorpusEntry { spec, graph }
             })
@@ -123,6 +122,13 @@ impl Corpus {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// `spec` with its event budget scaled by `factor` and clamped to at
+/// least 500 events, as in [`Corpus::scaled`].
+pub fn scaled_spec(mut spec: DatasetSpec, factor: f64) -> DatasetSpec {
+    spec.num_events = ((spec.num_events as f64 * factor) as usize).max(500);
+    spec
 }
 
 /// Number of worker threads used by the counting-heavy experiments.

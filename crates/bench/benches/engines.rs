@@ -11,8 +11,9 @@
 //! `distributed_engine` group), the stream engine's
 //! count-without-enumerating fast path against the windowed walker,
 //! the serve subsystem's incremental append path against a
-//! from-scratch recount, window-index build vs reuse, signature-targeted
-//! counting, streaming matching, the observability tax (`obs_overhead`
+//! from-scratch recount, window-index build vs reuse, the walker on the
+//! four models (`walker_models`), signature-targeted counting, streaming
+//! matching, the observability tax (`obs_overhead`
 //! pins the metrics-disabled hot path against the BENCH history,
 //! `query_trace_overhead` does the same for the untraced `Query::run`
 //! path vs a request-scoped trace), the graph build
@@ -435,6 +436,29 @@ fn bench_index_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shared walker on the paper's model comparison: `WindowedEngine`
+/// on the 40k-event StackOverflow spec for each of the four models
+/// (ΔC = 1500 s, ΔW = 3000 s) at 3 events on ≤ 3 nodes, plus the Table 5
+/// ΔC/ΔW = 0.5 and 0.25 configs. Every id walks, whatever `auto` would
+/// pick; the index is built before timing starts.
+fn bench_walker_models(c: &mut Criterion) {
+    let g = dataset("StackOverflow", 40_000);
+    g.window_index();
+    let mut group = c.benchmark_group("walker_models");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(g.num_events() as u64));
+    let names = ["kovanen", "song", "hulovatyy", "paranjape"];
+    for (name, model) in names.into_iter().zip(MotifModel::all_four(1500, 3000)) {
+        let cfg = EnumConfig::for_model(&model, 3, 3);
+        group.bench_function(name, |b| b.iter(|| black_box(WindowedEngine.count(&g, &cfg))));
+    }
+    for (name, ratio) in [("ratio_0.5", 0.5), ("ratio_0.25", 0.25)] {
+        let cfg = EnumConfig::new(3, 3).exact_nodes(3).with_timing(Timing::from_ratio(3000, ratio));
+        group.bench_function(name, |b| b.iter(|| black_box(WindowedEngine.count(&g, &cfg))));
+    }
+    group.finish();
+}
+
 /// Instances of one signature, prefix-pruned by the windowed walker.
 fn count_one(g: &TemporalGraph, s: MotifSignature, timing: Timing) -> u64 {
     WindowedEngine.count(g, &EnumConfig::for_signature(s).with_timing(timing)).total()
@@ -770,6 +794,7 @@ criterion_group!(
     bench_distributed_engine,
     bench_serve_incremental,
     bench_index_cache,
+    bench_walker_models,
     bench_signature_targeting,
     bench_streaming_matcher,
     bench_obs_overhead,

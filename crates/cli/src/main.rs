@@ -203,22 +203,19 @@ fn main() -> ExitCode {
 fn corpus_from(args: &Args) -> Result<Corpus, Box<dyn std::error::Error>> {
     let scale: f64 = args.get_parsed("scale", 1.0)?;
     let seed: u64 = args.get_parsed("seed", experiments::CORPUS_SEED)?;
-    let corpus = if (scale - 1.0).abs() < f64::EPSILON {
-        Corpus::with_seed(seed)
-    } else {
-        Corpus::scaled(scale, seed)
-    };
-    // The dataset may be named via --dataset or as a positional argument.
-    Ok(match args.get("dataset").or_else(|| args.positional(0)) {
-        Some(name) => {
-            let only = corpus.only(&[name]);
-            if only.is_empty() {
-                return Err(format!("unknown dataset `{name}` (see `tnm list`)").into());
-            }
-            only
+    let mut specs = DatasetSpec::all();
+    // The dataset may be named via --dataset or as a positional argument;
+    // only the named one is generated.
+    if let Some(name) = args.get("dataset").or_else(|| args.positional(0)) {
+        specs.retain(|s| s.name.eq_ignore_ascii_case(name));
+        if specs.is_empty() {
+            return Err(format!("unknown dataset `{name}` (see `tnm list`)").into());
         }
-        None => corpus,
-    })
+    }
+    if (scale - 1.0).abs() >= f64::EPSILON {
+        specs = specs.into_iter().map(|s| experiments::scaled_spec(s, scale)).collect();
+    }
+    Ok(Corpus::generate(specs, seed))
 }
 
 fn run_config_from(args: &Args) -> Result<RunConfig, Box<dyn std::error::Error>> {

@@ -14,8 +14,9 @@
 //!
 //! Both indexes store event indices rather than copies of the events, so a
 //! graph with `m` events costs `O(m)` extra words. The windowed walkers'
-//! [`WindowIndex`] is a view over the node index plus a time column the
-//! graph builds on first use ([`TemporalGraph::window_index`]).
+//! [`WindowIndex`] is a view over the node index plus a time column and a
+//! per-event slot column the graph builds on first use
+//! ([`TemporalGraph::window_index`]).
 //!
 //! ## Edge-index layout
 //!
@@ -51,7 +52,7 @@ use crate::error::{GraphError, Result};
 use crate::event::Event;
 use crate::ids::{Edge, EventIdx, NodeId, Time};
 use crate::triangles::{TriangleTable, Triangles};
-use crate::window_index::WindowIndex;
+use crate::window_index::{WindowColumns, WindowIndex};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -81,10 +82,10 @@ pub struct TemporalGraph {
     /// Lazy static-triangle table over `edge_events`; built at most once
     /// per graph, like `columns`.
     triangles: OnceLock<TriangleTable>,
-    /// Lazy time column aligned with `node_events` (`node_times[i]` is
-    /// the time of event `node_events[i]`); built at most once per
-    /// graph, like `columns`.
-    node_times: OnceLock<Vec<Time>>,
+    /// Lazy window-index columns beside `node_events`: the time of each
+    /// entry and each event's slot in its endpoints' spans; built at
+    /// most once per graph, like `columns`.
+    window: OnceLock<WindowColumns>,
 }
 
 impl TemporalGraph {
@@ -127,7 +128,7 @@ impl TemporalGraph {
             edge_events,
             columns: OnceLock::new(),
             triangles: OnceLock::new(),
-            node_times: OnceLock::new(),
+            window: OnceLock::new(),
         }
     }
 
@@ -154,17 +155,17 @@ impl TemporalGraph {
     }
 
     /// The windowed candidate index: the node index with each event's
-    /// time stored inline beside it. The time column is built on first
-    /// use in `O(m)` (recording one `index.build` span) and kept for the
-    /// graph's lifetime (clones carry an already-built column along). See
-    /// [`crate::window_index`].
+    /// time stored inline beside it, and the slot column giving each
+    /// event's position in its `src`'s and its `dst`'s list. Both
+    /// columns are built on first use in one `O(m)` pass (recording one
+    /// `index.build` span) and kept for the graph's lifetime (clones
+    /// carry already-built columns along). See [`crate::window_index`].
     pub fn window_index(&self) -> WindowIndex<'_> {
-        let node_times = self.node_times.get_or_init(|| {
-            let times = self.times();
+        let cols = self.window.get_or_init(|| {
             let _span = tnm_obs::span!("index.build", events = self.num_events());
-            self.node_events.iter().map(|&i| times[i as usize]).collect()
+            WindowColumns::build(&self.node_offsets, &self.events)
         });
-        WindowIndex::new(&self.node_offsets, &self.node_events, node_times)
+        WindowIndex::new(&self.node_offsets, &self.node_events, cols)
     }
 
     /// The dense, ascending start-time column (`times()[i] ==

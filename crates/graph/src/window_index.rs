@@ -1,30 +1,71 @@
 //! Time-windowed candidate index: per-node CSR event lists with inline
-//! timestamps.
+//! timestamps and a per-event slot column.
 //!
 //! The motif walkers repeatedly answer one query: *"which events adjacent
 //! to node `x` fall in the half-open time window `(after, upto]`?"*. The
 //! node index on [`TemporalGraph`] can answer it, but every probe chases
-//! `events[i].time` through an indirection, and the upper bound is found
-//! by a linear scan. [`WindowIndex`] pairs each node's event list with
-//! its timestamps stored **inline and contiguous**, so both window
-//! endpoints resolve with `partition_point` binary searches over a dense
-//! `i64` array and the result comes back as a ready-made `&[EventIdx]`
-//! slice — no per-element time checks, no indirection,
-//! cache-line-friendly.
+//! `events[i].time` through an indirection. [`WindowIndex`] pairs each
+//! node's event list with its timestamps stored **inline and
+//! contiguous**, so a window is a run of one dense `i64` array and comes
+//! back as a ready-made `&[EventIdx]` slice.
+//!
+//! Beside the times sits the **slot column**: for every event, its
+//! position in its `src`'s and its `dst`'s span of the node index
+//! ([`WindowIndex::slots`]). A walk that has just pushed event `c` knows
+//! without a search where the window after `c` begins on both of `c`'s
+//! endpoints, and the walker's other nodes keep a cursor that only moves
+//! forward (see `tnm_motifs::engine::walker`). So a walk step costs the
+//! candidates it returns plus the cursor moves, not two binary searches
+//! per node.
 //!
 //! The index is a borrowed view, [`TemporalGraph::window_index`]: the
-//! event lists *are* the graph's node index, and the timestamp column
-//! beside them is built by the graph on first use (`O(m)` time, `2m`
-//! words) and kept for the graph's lifetime, like its SoA columns and
-//! triangle table. Every windowed engine counting the same graph
-//! object therefore shares one column, and a clone carries it along.
+//! event lists *are* the graph's node index, and the time and slot
+//! columns beside them are built by the graph on first use in one `O(m)`
+//! pass (`2m` times and `m` slot pairs: `16m + 8m` bytes) and kept for
+//! the graph's lifetime, like its SoA columns and triangle table. Every
+//! windowed engine counting the same graph object therefore shares one
+//! build, and a clone carries it along.
 //!
 //! [`TemporalGraph`]: crate::TemporalGraph
 //! [`TemporalGraph::window_index`]: crate::TemporalGraph::window_index
 
+use crate::event::Event;
 use crate::ids::{EventIdx, NodeId, Time};
 
-/// Per-node CSR event lists with timestamps stored inline.
+/// The columns a [`WindowIndex`] adds to the node index, built together
+/// in one pass over the events.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowColumns {
+    /// `times[p]` is the timestamp of `node_events[p]`.
+    times: Vec<Time>,
+    /// `slots[i] = [p_src, p_dst]`: where event `i` sits in its `src`'s
+    /// and its `dst`'s span of the node index.
+    slots: Vec<[u32; 2]>,
+}
+
+impl WindowColumns {
+    /// Builds both columns over the node index (`offsets`) of `events`
+    /// in one pass in event order — the order that filled the node
+    /// index, so each node's next free position is the event's slot.
+    pub(crate) fn build(offsets: &[u32], events: &[Event]) -> Self {
+        let mut next = offsets.to_vec();
+        let mut times = vec![0; 2 * events.len()];
+        let mut slots = Vec::with_capacity(events.len());
+        for e in events {
+            let (s, d) = (e.src.index(), e.dst.index());
+            let (ps, pd) = (next[s], next[d]);
+            next[s] = ps + 1;
+            next[d] = pd + 1;
+            times[ps as usize] = e.time;
+            times[pd as usize] = e.time;
+            slots.push([ps, pd]);
+        }
+        WindowColumns { times, slots }
+    }
+}
+
+/// Per-node CSR event lists with timestamps stored inline, plus each
+/// event's slot in its endpoints' lists.
 ///
 /// See the [module docs](self) for why this beats the plain node index
 /// for windowed candidate generation.
@@ -34,16 +75,22 @@ pub struct WindowIndex<'g> {
     offsets: &'g [u32],
     /// Event indices, grouped by node, time-sorted within each group.
     event_ids: &'g [EventIdx],
-    /// `times[i]` is the timestamp of `event_ids[i]` (dense, searchable).
+    /// `times[i]` is the timestamp of `event_ids[i]` (dense).
     times: &'g [Time],
+    /// Per event, its positions in `event_ids` (see [`WindowIndex::slots`]).
+    slots: &'g [[u32; 2]],
 }
 
 impl<'g> WindowIndex<'g> {
-    /// A view over a node index (`offsets`, `event_ids`) and the time
-    /// column aligned with it.
-    pub(crate) fn new(offsets: &'g [u32], event_ids: &'g [EventIdx], times: &'g [Time]) -> Self {
-        debug_assert_eq!(event_ids.len(), times.len());
-        WindowIndex { offsets, event_ids, times }
+    /// A view over a node index (`offsets`, `event_ids`) and the columns
+    /// built beside it.
+    pub(crate) fn new(
+        offsets: &'g [u32],
+        event_ids: &'g [EventIdx],
+        cols: &'g WindowColumns,
+    ) -> Self {
+        debug_assert_eq!(event_ids.len(), cols.times.len());
+        WindowIndex { offsets, event_ids, times: &cols.times, slots: &cols.slots }
     }
 
     /// Number of nodes covered.
@@ -61,34 +108,35 @@ impl<'g> WindowIndex<'g> {
     /// Node `node`'s full `(event_ids, times)` parallel slices.
     #[inline]
     pub fn node_slices(&self, node: NodeId) -> (&'g [EventIdx], &'g [Time]) {
-        let lo = self.offsets[node.index()] as usize;
-        let hi = self.offsets[node.index() + 1] as usize;
-        (&self.event_ids[lo..hi], &self.times[lo..hi])
+        let span = self.span(node);
+        (&self.event_ids[span.clone()], &self.times[span])
     }
 
-    /// Event indices adjacent to `node` with time in `(after, upto]`
-    /// (`upto = None` means unbounded above). Both endpoints are resolved
-    /// by binary search on the inline timestamp array.
+    /// Node `node`'s span: its positions in [`WindowIndex::event_ids`]
+    /// and [`WindowIndex::times`].
     #[inline]
-    pub fn events_in(&self, node: NodeId, after: Time, upto: Option<Time>) -> &'g [EventIdx] {
-        let (ids, times) = self.node_slices(node);
-        let start = times.partition_point(|&t| t <= after);
-        let end = match upto {
-            Some(b) => {
-                // Search only the tail that survived the lower bound.
-                start + times[start..].partition_point(|&t| t <= b)
-            }
-            None => ids.len(),
-        };
-        &ids[start..end]
+    pub fn span(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.offsets[node.index()] as usize..self.offsets[node.index() + 1] as usize
     }
 
-    /// Position (within `node`'s span) of the first event with
-    /// `time > t`; equals the span length when none qualifies.
+    /// Every node's event indices, concatenated in node order.
     #[inline]
-    pub fn first_after(&self, node: NodeId, t: Time) -> usize {
-        let (_, times) = self.node_slices(node);
-        times.partition_point(|&x| x <= t)
+    pub fn event_ids(&self) -> &'g [EventIdx] {
+        self.event_ids
+    }
+
+    /// The timestamps aligned with [`WindowIndex::event_ids`].
+    #[inline]
+    pub fn times(&self) -> &'g [Time] {
+        self.times
+    }
+
+    /// `[p_src, p_dst]`: the positions of event `idx` in
+    /// [`WindowIndex::event_ids`] within its `src`'s and its `dst`'s
+    /// span. Every later event of that node sits after it.
+    #[inline]
+    pub fn slots(&self, idx: EventIdx) -> [u32; 2] {
+        self.slots[idx as usize]
     }
 }
 
@@ -126,46 +174,30 @@ mod tests {
         }
     }
 
+    /// Every event sits at its slots in its src's and its dst's span, so
+    /// the window after it starts at `slot + 1` on both endpoints.
     #[test]
-    fn window_queries_agree_with_scan() {
-        let g = sample();
-        let ix = g.window_index();
-        for n in 0..g.num_nodes() {
-            let node = NodeId(n);
-            for after in 0..20 {
-                for upto in after..20 {
-                    let fast = ix.events_in(node, after, Some(upto));
-                    let slow: Vec<EventIdx> = g
-                        .node_events(node)
-                        .iter()
-                        .copied()
-                        .filter(|&i| {
-                            let t = g.event(i).time;
-                            t > after && t <= upto
-                        })
-                        .collect();
-                    assert_eq!(fast, slow.as_slice(), "node {n} ({after},{upto}]");
+    fn slots_locate_each_event_in_both_endpoint_lists() {
+        let g = TemporalGraphBuilder::new()
+            .event(0, 1, 3)
+            .event(1, 0, 3)
+            .event(0, 1, 3)
+            .event(2, 0, 5)
+            .event(0, 1, 9)
+            .build()
+            .unwrap();
+        for g in [sample(), g] {
+            let ix = g.window_index();
+            for (i, e) in g.events().iter().enumerate() {
+                for (node, slot) in [e.src, e.dst].into_iter().zip(ix.slots(i as EventIdx)) {
+                    let slot = slot as usize;
+                    assert!(ix.span(node).contains(&slot), "event {i} outside {node:?}'s span");
+                    assert_eq!(ix.event_ids()[slot], i as EventIdx);
+                    assert_eq!(ix.times()[slot], e.time);
+                    let after = &ix.event_ids()[slot + 1..ix.span(node).end];
+                    assert!(after.iter().all(|&j| j as usize > i));
                 }
-                let unbounded = ix.events_in(node, after, None);
-                let slow: Vec<EventIdx> = g
-                    .node_events(node)
-                    .iter()
-                    .copied()
-                    .filter(|&i| g.event(i).time > after)
-                    .collect();
-                assert_eq!(unbounded, slow.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn first_after_boundaries() {
-        let g = sample();
-        let ix = g.window_index();
-        // Node 2 events at times 7, 9, 11, 15.
-        assert_eq!(ix.first_after(NodeId(2), 0), 0);
-        assert_eq!(ix.first_after(NodeId(2), 7), 1);
-        assert_eq!(ix.first_after(NodeId(2), 10), 2);
-        assert_eq!(ix.first_after(NodeId(2), 15), 4);
     }
 }

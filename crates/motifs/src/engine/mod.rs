@@ -15,7 +15,7 @@
 //! | engine | strategy | pick it when |
 //! |---|---|---|
 //! | [`BacktrackEngine`] | serial walk, plain node-index scans | tiny graphs or unbounded timing, where building an index outweighs pruning; also the reference for differential tests |
-//! | [`WindowedEngine`] | serial walk, [`WindowIndex`](tnm_graph::WindowIndex) binary-search pruning | bounded ΔC/ΔW on one core — the best single-threaded walker for realistic in-memory workloads |
+//! | [`WindowedEngine`] | serial walk, [`WindowIndex`](tnm_graph::WindowIndex) cursor pruning | bounded ΔC/ΔW on one core — the best single-threaded walker for realistic in-memory workloads |
 //! | [`ParallelEngine`] | the walk executor over the windowed index: work-stealing workers, or one inline walk on a one-thread budget | large graphs on multi-core hardware with enough admissible work per start event |
 //! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]) over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
 //! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
@@ -115,10 +115,11 @@
 //!   comes from [`TemporalGraph::columns`](tnm_graph::TemporalGraph::columns)
 //!   — dense `times`/`srcs`/`dsts` arrays built lazily once per graph —
 //!   rather than striding through 24-byte [`Event`](tnm_graph::Event)
-//!   structs. Window probes (`count_*_between`, walker candidate
-//!   gathering, shard halo scans) are `partition_point` calls over the
-//!   contiguous `i64` time column; the star sweeps read endpoints from
-//!   the `u32` source/destination columns.
+//!   structs. Window probes (`count_*_between`, shard halo scans) are
+//!   `partition_point` calls over the contiguous `i64` time column; the
+//!   walker's candidate windows are cursor scans over the window index's
+//!   inline times; the star sweeps read endpoints from the `u32`
+//!   source/destination columns.
 //! * **Arena-resident merged lists.** The [`StreamEngine`] DPs never
 //!   allocate per pair/center/triangle: merged direction- or
 //!   label-tagged event lists live in one reusable SoA arena with

@@ -3,13 +3,13 @@
 //! Every engine drives the same depth-first walk over time-ordered,
 //! single-component event sequences: what varies is only **where the
 //! candidate events come from** at each extension step. That seam is the
-//! [`CandidateSource`] trait — [`NodeListCandidates`] scans the graph's
-//! plain node index (the original behaviour), while
-//! [`WindowedCandidates`] answers the same query from the graph's
-//! [`WindowIndex`] with binary searches on inline timestamps. Keeping the
-//! walk itself shared is what makes the engines provably equivalent: the
-//! emission filters, signature canonicalisation, and ordering rules are
-//! one piece of code.
+//! [`CandidateSource`] trait — [`NodeListCandidates`] searches the
+//! graph's plain node index on every step (the original behaviour), while
+//! [`WindowedCandidates`] walks the graph's [`WindowIndex`] with cursors
+//! it keeps per depth, so a step costs the candidates it returns plus
+//! cursor moves that only go forward. Keeping the walk itself shared is
+//! what makes the engines provably equivalent: the emission filters,
+//! signature canonicalisation, and ordering rules are one piece of code.
 //!
 //! Correctness relies on three facts:
 //!
@@ -29,20 +29,29 @@ use tnm_graph::window_index::WindowIndex;
 use tnm_graph::{EventIdx, NodeId, TemporalGraph, Time};
 
 /// Supplies the candidate events adjacent to the current node set with
-/// time in `(t_last, bound]`. Implementations must append **every**
-/// qualifying event exactly once, **sorted ascending by event index** —
-/// the walker consumes the list as-is, so engines are interchangeable
-/// only because this contract is exact. (Per-node event lists are
-/// already index-sorted — events are stored in time order — so sources
-/// either sort a concatenation or merge sorted runs.)
+/// time in `(t, bound]`, where `t` is the time of the event the walk
+/// pushed last. Implementations must append **every** qualifying event
+/// exactly once, **sorted ascending by event index** — the walker
+/// consumes the list as-is, so engines are interchangeable only because
+/// this contract is exact. (Per-node event lists are already
+/// index-sorted — events are stored in time order — so sources either
+/// sort a concatenation or merge sorted runs.)
+///
+/// The walker calls `gather` once per extension step, in walk order: at
+/// `depth` (the number of events pushed so far, at least 1) after
+/// pushing `pushed`, with `nodes` the walk's digits (a digit's node
+/// never changes while events holding it stay pushed). Sibling steps at
+/// one depth arrive in ascending `pushed` order. A source may keep state
+/// across calls on that basis; a stateless one may ignore `depth`.
 pub trait CandidateSource {
-    /// Appends candidates for each node in `nodes` to `out`, sorted and
+    /// Appends candidates for the nodes in `nodes` to `out`, sorted and
     /// deduplicated.
     fn gather(
-        &self,
+        &mut self,
         graph: &TemporalGraph,
         nodes: &[NodeId],
-        t_last: Time,
+        depth: usize,
+        pushed: EventIdx,
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     );
@@ -53,20 +62,24 @@ pub trait CandidateSource {
 /// upper bound breaks, then a sort + dedup of the concatenation. This is
 /// the seed repo's original strategy, with the per-probe time checks
 /// resolved against the dense SoA time column (8-byte rows) instead of
-/// chasing `events[i].time` through 24-byte structs.
+/// chasing `events[i].time` through 24-byte structs. It keeps no state
+/// between steps, which makes it the independent check on
+/// [`WindowedCandidates`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeListCandidates;
 
 impl CandidateSource for NodeListCandidates {
     fn gather(
-        &self,
+        &mut self,
         graph: &TemporalGraph,
         nodes: &[NodeId],
-        t_last: Time,
+        _depth: usize,
+        pushed: EventIdx,
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     ) {
         let times = graph.times();
+        let t_last = times[pushed as usize];
         for &node in nodes {
             let list = graph.node_events(node);
             let start = list.partition_point(|&i| times[i as usize] <= t_last);
@@ -84,54 +97,127 @@ impl CandidateSource for NodeListCandidates {
     }
 }
 
-/// Candidate generation over a graph's [`WindowIndex`]: both window
-/// endpoints resolve with binary searches on dense inline timestamps,
-/// each node answers with a ready-made **sorted run** of event indices,
-/// and the runs are k-way merged (k = current motif nodes, ≤ 4) with
-/// inline deduplication — replacing the `O(c log c)` per-descend sort of
-/// the node-list strategy with an `O(c·k)` merge.
-#[derive(Debug, Clone, Copy)]
+/// Candidate generation over a graph's [`WindowIndex`] with a cursor per
+/// depth and digit, and no search.
+///
+/// Digit `i`'s cursor at depth `d` is where its window starts: the first
+/// position in its span with time after the last pushed event. After the
+/// walker pushes event `c` at time `t`:
+///
+/// * each endpoint of `c` starts at its [`WindowIndex::slots`] entry
+///   plus one (everything before `c` in its list is no later than `t`)
+///   and skips the ties at `t`;
+/// * every other digit moves its cursor forward from where the previous
+///   sibling step at this depth left it — or, for the first sibling,
+///   from the parent depth's cursor — while times are `≤ t`. Siblings
+///   arrive in ascending time, so those moves add up to at most the
+///   parent step's candidates.
+///
+/// Each run then extends by a linear scan while times are `≤ bound`,
+/// which touches exactly the events it returns, and the runs are k-way
+/// merged (k = current motif nodes) with inline deduplication. A step
+/// thus costs `O(candidates · k)` plus the cursor moves.
+#[derive(Debug, Clone)]
 pub struct WindowedCandidates<'ix> {
     index: WindowIndex<'ix>,
+    /// `lo[d]` holds the cursors of the digits present at depth `d - 1`
+    /// (none at depth 1, where both digits are the first event's
+    /// endpoints); filled by the step at depth `d - 1`, advanced by each
+    /// sibling step at depth `d`.
+    lo: Vec<Cursors>,
+}
+
+/// One depth's cursors, `at[..len]`: positions in the index's flat
+/// arrays, one per digit. A digit past [`MAX_RUNS`] keeps no cursor and
+/// scans from the start of its span.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursors {
+    len: usize,
+    at: [u32; MAX_RUNS],
 }
 
 impl<'ix> WindowedCandidates<'ix> {
-    /// Wraps a graph's index (shareable across worker threads).
+    /// Wraps a graph's index. The cursors are per walk: create one
+    /// source per walker (the index itself is shared).
     pub fn new(index: WindowIndex<'ix>) -> Self {
-        WindowedCandidates { index }
+        WindowedCandidates { index, lo: Vec::new() }
     }
 }
 
 impl CandidateSource for WindowedCandidates<'_> {
     fn gather(
-        &self,
-        _graph: &TemporalGraph,
+        &mut self,
+        graph: &TemporalGraph,
         nodes: &[NodeId],
-        t_last: Time,
+        depth: usize,
+        pushed: EventIdx,
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     ) {
-        if nodes.len() > MAX_RUNS {
-            // Digit-pair signatures cap motifs at 10 nodes, so this is
-            // unreachable from any paper config; stay correct anyway.
-            for &node in nodes {
-                out.extend_from_slice(self.index.events_in(node, t_last, bound));
-            }
-            out.sort_unstable();
-            out.dedup();
-            return;
+        if self.lo.len() < depth + 2 {
+            self.lo.resize(depth + 2, Cursors::default());
         }
+        let (upper, lower) = self.lo.split_at_mut(depth + 1);
+        let carried = &mut upper[depth];
+        let next = &mut lower[0];
+        next.len = nodes.len().min(MAX_RUNS);
+        let ids = self.index.event_ids();
+        let times = self.index.times();
+        let e = graph.event(pushed);
+        let [src_slot, dst_slot] = self.index.slots(pushed);
+        let t_last = times[src_slot as usize];
         // A fixed-size run table keeps the merge allocation-free.
         let mut runs = [[].as_slice(); MAX_RUNS];
         let mut k = 0;
-        for &node in nodes {
-            let run = self.index.events_in(node, t_last, bound);
-            if !run.is_empty() {
-                runs[k] = run;
+        let mut spilled = false;
+        for (i, &node) in nodes.iter().enumerate() {
+            let span = self.index.span(node);
+            let mut p = if i < carried.len { carried.at[i] as usize } else { span.start };
+            if node == e.src {
+                p = p.max(src_slot as usize + 1);
+            } else if node == e.dst {
+                p = p.max(dst_slot as usize + 1);
+            }
+            let end = span.end;
+            while p < end && times[p] <= t_last {
+                p += 1;
+            }
+            if i < carried.len {
+                carried.at[i] = p as u32;
+            }
+            if i < MAX_RUNS {
+                next.at[i] = p as u32;
+            }
+            let mut q = p;
+            match bound {
+                Some(b) => {
+                    while q < end && times[q] <= b {
+                        q += 1;
+                    }
+                }
+                None => q = end,
+            }
+            if q == p {
+                continue;
+            }
+            if k == MAX_RUNS {
+                // Digit-pair signatures cap motifs at 10 nodes, so this
+                // is unreachable from any paper config; stay correct
+                // anyway.
+                out.extend_from_slice(&ids[p..q]);
+                spilled = true;
+            } else {
+                runs[k] = &ids[p..q];
                 k += 1;
             }
         }
-        merge_sorted_runs(&mut runs[..k], out);
+        if spilled {
+            runs[..k].iter().for_each(|r| out.extend_from_slice(r));
+            out.sort_unstable();
+            out.dedup();
+        } else {
+            merge_sorted_runs(&mut runs[..k], out);
+        }
     }
 }
 
@@ -361,7 +447,8 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
             return;
         }
         let first = self.graph.event(self.seq[0]);
-        let last = self.graph.event(*self.seq.last().expect("non-empty seq"));
+        let pushed = *self.seq.last().expect("non-empty seq");
+        let last = self.graph.event(pushed);
         let t_last = last.time;
         let c_base = if self.cfg.duration_aware { last.end_time() } else { last.time };
         let bound: Option<Time> = match (self.cfg.timing.delta_c, self.cfg.timing.delta_w) {
@@ -381,7 +468,7 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         let depth = self.seq.len();
         let mut cands = std::mem::take(&mut self.cand_bufs[depth]);
         cands.clear();
-        self.source.gather(self.graph, &self.digits, t_last, bound, &mut cands);
+        self.source.gather(self.graph, &self.digits, depth, pushed, bound, &mut cands);
         debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates sorted+deduped");
         let mut pos = 0;
         while pos < cands.len() {
@@ -463,5 +550,168 @@ impl<C: CandidateSource> Drop for Walker<'_, C> {
             reg.counter("engine.candidates_pruned").add(self.pruned);
             reg.counter("engine.instances_emitted").add(self.emitted);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::constraints::Timing;
+    use crate::models::MotifModel;
+    use tnm_graph::shard::{materialize, plan_shards, ShardGoal};
+    use tnm_graph::{Event, TemporalGraphBuilder};
+
+    /// Runs the cursor source and the stateless node-list search on every
+    /// step and fails on the first step where they differ.
+    struct Checked<'ix> {
+        cursor: WindowedCandidates<'ix>,
+        steps: usize,
+        scratch: Vec<EventIdx>,
+    }
+
+    impl CandidateSource for Checked<'_> {
+        fn gather(
+            &mut self,
+            graph: &TemporalGraph,
+            nodes: &[NodeId],
+            depth: usize,
+            pushed: EventIdx,
+            bound: Option<Time>,
+            out: &mut Vec<EventIdx>,
+        ) {
+            self.scratch.clear();
+            NodeListCandidates.gather(graph, nodes, depth, pushed, bound, &mut self.scratch);
+            self.cursor.gather(graph, nodes, depth, pushed, bound, out);
+            assert_eq!(
+                *out, self.scratch,
+                "depth {depth}, pushed {pushed}, nodes {nodes:?}, bound {bound:?}"
+            );
+            self.steps += 1;
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the graph generator.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `m` events on 10 nodes: node 0 is a hub on about half of them,
+    /// a third of the steps keep the previous timestamp (tie runs), a
+    /// quarter repeat the previous edge (parallel edges), and every
+    /// event has a duration of 0–4.
+    fn seeded_graph(seed: u64, m: usize) -> TemporalGraph {
+        let mut s = seed;
+        let mut b = TemporalGraphBuilder::new();
+        let (mut t, mut prev) = (0, (0u32, 1u32));
+        for _ in 0..m {
+            t += match next(&mut s) % 3 {
+                0 => 0,
+                _ => (next(&mut s) % 4) as Time,
+            };
+            let (src, dst) = if next(&mut s).is_multiple_of(4) {
+                prev
+            } else {
+                let a = if next(&mut s).is_multiple_of(2) { 0 } else { (next(&mut s) % 10) as u32 };
+                let b = (a + 1 + (next(&mut s) % 9) as u32) % 10;
+                if next(&mut s).is_multiple_of(2) {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            };
+            prev = (src, dst);
+            b.push(Event::with_duration(src, dst, t, (next(&mut s) % 5) as u32));
+        }
+        b.build().unwrap()
+    }
+
+    /// Every timing shape, duration-aware ΔC, and the four models.
+    fn configs(unbounded: bool) -> Vec<EnumConfig> {
+        let mut cfgs = vec![];
+        for (e, n) in [(3, 3), (3, 4), (4, 4)] {
+            let base = EnumConfig::new(e, n);
+            cfgs.push(base.clone().with_timing(Timing::only_c(3)));
+            cfgs.push(base.clone().with_timing(Timing::only_w(6)));
+            cfgs.push(base.clone().with_timing(Timing::both(2, 5)));
+            let mut aware = base.clone().with_timing(Timing::only_c(2));
+            aware.duration_aware = true;
+            cfgs.push(aware);
+            if unbounded {
+                cfgs.push(base.with_timing(Timing::UNBOUNDED));
+            }
+        }
+        for model in MotifModel::all_four(3, 6) {
+            cfgs.push(EnumConfig::for_model(&model, 3, 3));
+        }
+        cfgs
+    }
+
+    /// Walks from each of `starts`, in that order, on one walker with the
+    /// checked source; returns the number of steps checked.
+    fn walk_checked(graph: &TemporalGraph, cfg: &EnumConfig, starts: &[usize]) -> usize {
+        let cursor = WindowedCandidates::new(graph.window_index());
+        let mut walker = Walker::new(graph, cfg, Checked { cursor, steps: 0, scratch: vec![] });
+        for &s in starts {
+            walker.run_range(s..s + 1, |_| {});
+        }
+        walker.source.steps
+    }
+
+    #[test]
+    fn cursor_gather_matches_node_list_search_on_every_step() {
+        for seed in 1..=4 {
+            let g = seeded_graph(seed, 300);
+            let all: Vec<usize> = (0..g.num_events()).collect();
+            for cfg in configs(false) {
+                assert!(walk_checked(&g, &cfg, &all) > 100, "{cfg:?} walked too little");
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_gather_matches_with_unbounded_timing() {
+        let g = seeded_graph(7, 60);
+        let all: Vec<usize> = (0..g.num_events()).collect();
+        for cfg in configs(true) {
+            assert!(walk_checked(&g, &cfg, &all) > 50, "{cfg:?} walked too little");
+        }
+    }
+
+    /// The sampling engine starts walks at arbitrary event indices and
+    /// reuses one walker across them; cursors must not leak between
+    /// starts.
+    #[test]
+    fn cursor_gather_matches_from_arbitrary_starts() {
+        let g = seeded_graph(11, 300);
+        let m = g.num_events() as u64;
+        let mut s = 99;
+        let starts: Vec<usize> = (0..120).map(|_| (next(&mut s) % m) as usize).collect();
+        let descending: Vec<usize> = (0..g.num_events()).rev().collect();
+        for cfg in configs(false) {
+            assert!(walk_checked(&g, &cfg, &starts) > 0);
+            assert!(walk_checked(&g, &cfg, &descending) > 0);
+        }
+    }
+
+    /// A shard slice keeps the parent's node-id space, so many nodes have
+    /// empty spans.
+    #[test]
+    fn cursor_gather_matches_on_a_shard_slice() {
+        let g = seeded_graph(5, 400);
+        let plan = plan_shards(&g, Some(6), ShardGoal::ShardCount(3));
+        assert!(plan.shards.len() > 1);
+        let mut steps = 0;
+        for spec in &plan.shards {
+            let shard = materialize(&g, spec);
+            let own: Vec<usize> = shard.own_local().collect();
+            for cfg in configs(false) {
+                steps += walk_checked(shard.graph(), &cfg, &own);
+            }
+        }
+        assert!(steps > 100);
     }
 }

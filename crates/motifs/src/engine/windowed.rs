@@ -1,11 +1,14 @@
 //! [`WindowedEngine`] — the backtracking walk driven by a
 //! [`WindowIndex`](tnm_graph::WindowIndex).
 //!
-//! Identical walk, different candidate generation: the per-node CSR
-//! timestamp arrays let both ΔC/ΔW window endpoints resolve with binary
-//! searches and the candidates arrive as a ready slice, so under bounded
-//! timing the walker never touches an event outside the admissible
-//! window. The graph builds the `O(m)` index on first use and keeps it
+//! Identical walk, different candidate generation: each step's windows
+//! start where the index's slot column puts the event just pushed (for
+//! its endpoints) or where the walk's per-depth cursors already stand
+//! (for the other nodes), end by a scan over the inline timestamps, and
+//! arrive as ready slices — no search per node per step, and under
+//! bounded timing no event outside the admissible window is returned
+//! (see `WindowedCandidates` in the walker module). The graph builds the
+//! `O(m)` index on first use and keeps it
 //! ([`TemporalGraph::window_index`]), so repeated counts of the same
 //! graph build it once — but see
 //! [`BacktrackEngine`](crate::engine::BacktrackEngine) for the
@@ -17,7 +20,8 @@ use crate::engine::walker::{Walker, WindowedCandidates};
 use crate::engine::CountEngine;
 use tnm_graph::TemporalGraph;
 
-/// Serial backtracking engine over a time-windowed candidate index.
+/// Serial backtracking engine over a time-windowed candidate index, one
+/// `WindowedCandidates` cursor set per count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowedEngine;
 

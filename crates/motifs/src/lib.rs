@@ -76,9 +76,10 @@
 //!   differential tests and on tiny graphs where index construction is
 //!   not worth it.
 //! * [`engine::WindowedEngine`] (`windowed`) — the same walk driven by a
-//!   [`tnm_graph::WindowIndex`]: candidate events resolve with binary
-//!   searches over inline timestamps, so bounded ΔC/ΔW configurations
-//!   skip non-admissible events entirely. The best single-threaded
+//!   [`tnm_graph::WindowIndex`]: candidate windows start from the
+//!   pushed event's slot or a per-depth cursor and end by a scan over
+//!   inline timestamps, so bounded ΔC/ΔW configurations skip
+//!   non-admissible events entirely. The best single-threaded
 //!   choice for realistic workloads.
 //! * [`engine::ParallelEngine`] (`parallel`) — the walk executor every
 //!   walker shares, over the windowed index: work-stealing workers

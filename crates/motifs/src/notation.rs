@@ -13,6 +13,7 @@
 use crate::event_pair::EventPairType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use tnm_graph::wire::{Wire, WireError, WireReader, WireWriter};
 
@@ -28,7 +29,7 @@ pub const MAX_EVENTS: usize = 8;
 /// * the first pair is `01`;
 /// * node digits appear in chronological first-appearance order (digit `d`
 ///   only occurs after `d - 1` has occurred).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct MotifSignature {
     len: u8,
     pairs: [(u8, u8); MAX_EVENTS],
@@ -193,6 +194,34 @@ impl MotifSignature {
     }
 }
 
+impl MotifSignature {
+    /// The hash key: every pair packed into one byte (`src << 4 | dst`;
+    /// canonical digits stay below 16), the bytes in event order, and the
+    /// length. Unused pairs are `(0, 0)`, so two signatures are equal
+    /// exactly when their keys are.
+    #[inline]
+    fn hash_key(&self) -> (u64, u8) {
+        const _: () = assert!(MAX_EVENTS <= 8, "one packed byte per pair must fit a u64");
+        let packed = self
+            .pairs
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, &(a, b))| acc | (u64::from(a << 4 | b) << (8 * i)));
+        (packed, self.len)
+    }
+}
+
+/// Hashes the packed key in two writes: counting hashes a signature for
+/// every emitted instance.
+impl Hash for MotifSignature {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (packed, len) = self.hash_key();
+        state.write_u64(packed);
+        state.write_u8(len);
+    }
+}
+
 impl fmt::Display for MotifSignature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for &(a, b) in self.pairs() {
@@ -350,5 +379,31 @@ mod tests {
         let mut v = [sig("011202"), sig("010102"), sig("0110")];
         v.sort();
         assert_eq!(v[0], sig("0110"));
+    }
+
+    /// The packed hash key tells every catalog signature apart, reaches
+    /// the last digit of a maximal signature, and equal signatures built
+    /// separately hash equally under std's keyed hasher.
+    #[test]
+    fn packed_hash_key_is_injective() {
+        use crate::catalog::{all_3e, all_4e, all_4n4e};
+        use std::collections::{BTreeSet, HashSet};
+        use std::hash::BuildHasher;
+        let widest: Vec<(u8, u8)> = (0..MAX_EVENTS as u8).map(|i| (2 * i, 2 * i + 1)).collect();
+        let widest = MotifSignature::from_pairs(&widest).unwrap();
+        assert_eq!(widest.pairs().last(), Some(&(14, 15)));
+        let mut sigs: BTreeSet<MotifSignature> = all_3e().into_iter().collect();
+        sigs.extend(all_4e());
+        sigs.extend(all_4n4e());
+        sigs.insert(widest);
+        // A prefix shares every leading byte with the widest signature.
+        sigs.insert(MotifSignature::from_pairs(&widest.pairs()[..MAX_EVENTS - 1]).unwrap());
+        let keys: HashSet<(u64, u8)> = sigs.iter().map(MotifSignature::hash_key).collect();
+        assert_eq!(keys.len(), sigs.len());
+        let state = std::collections::hash_map::RandomState::new();
+        for s in &sigs {
+            let rebuilt = MotifSignature::from_pairs(s.pairs()).unwrap();
+            assert_eq!(state.hash_one(s), state.hash_one(rebuilt), "{s}");
+        }
     }
 }
