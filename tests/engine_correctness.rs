@@ -115,8 +115,34 @@ fn models_under_test() -> Vec<MotifModel> {
     ]
 }
 
-/// The engine agrees with the brute-force oracle for every model,
-/// for 2- and 3-event motifs on up to 4 nodes.
+/// Asserts `counts` equals the oracle's table exactly: same total,
+/// same count per signature.
+fn assert_matches_oracle(
+    counts: &MotifCounts,
+    oracle: &HashMap<MotifSignature, u64>,
+    engine: &str,
+    model: &MotifModel,
+    graph: &TemporalGraph,
+) {
+    let oracle_total: u64 = oracle.values().sum();
+    assert_eq!(
+        counts.total(),
+        oracle_total,
+        "{engine}: total mismatch for {} on {} events",
+        model.name,
+        graph.num_events()
+    );
+    for (&sig, &n) in oracle {
+        assert_eq!(counts.get(sig), n, "{engine}: count mismatch for {} signature {sig}", model.name);
+    }
+}
+
+/// Every exact engine agrees with the brute-force oracle for every
+/// model, for 2- and 3-event motifs on up to 4 nodes: the one-call
+/// `count_motifs`, every `EngineKind::all_exact()` kind on one and on
+/// four threads, and a sharded engine whose 3-event shards split these
+/// ≤ 14-event graphs into several slices. The oracle shares no code with
+/// the walk, so a walk bug cannot hide behind another walk.
 #[test]
 fn engine_matches_brute_force() {
     for_each_graph(1, 24, |rng, graph| {
@@ -126,25 +152,17 @@ fn engine_matches_brute_force() {
             // Hulovatyy's duration-aware gap equals the plain gap here
             // (all durations are zero), so semantics match the oracle.
             cfg.min_nodes = 2;
-            let engine = count_motifs(&graph, &cfg);
             let oracle = brute_force_counts(&graph, &model, k, 2, 4);
-            let oracle_total: u64 = oracle.values().sum();
-            assert_eq!(
-                engine.total(),
-                oracle_total,
-                "total mismatch for {} on {} events",
-                model.name,
-                graph.num_events()
-            );
-            for (sig, n) in oracle {
-                assert_eq!(
-                    engine.get(sig),
-                    n,
-                    "count mismatch for {} signature {}",
-                    model.name,
-                    sig
-                );
+            assert_matches_oracle(&count_motifs(&graph, &cfg), &oracle, "auto", &model, &graph);
+            for &kind in EngineKind::all_exact() {
+                for threads in [1, 4] {
+                    let label = format!("{kind}×{threads}");
+                    let counts = kind.count(&graph, &cfg, threads);
+                    assert_matches_oracle(&counts, &oracle, &label, &model, &graph);
+                }
             }
+            let sharded = ShardedEngine::new(3).count(&graph, &cfg);
+            assert_matches_oracle(&sharded, &oracle, "sharded(3)", &model, &graph);
         }
     });
 }
