@@ -133,7 +133,7 @@ mod tests {
         // Datasets where the decrease is robust at reduced scale (the
         // message networks sit within noise of zero there; the full-scale
         // run in EXPERIMENTS.md shows 8/9 decreasing).
-        let corpus = Corpus::scaled(0.25, 11).only(&["Email", "StackOverflow"]);
+        let corpus = Corpus::named(&["Email", "StackOverflow"], 0.25, 11).unwrap();
         let f3 = run(&corpus, false);
         for name in ["Email", "StackOverflow"] {
             let d = f3.repetition_change(name, 3).unwrap();
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn ratios_sum_to_one() {
-        let corpus = Corpus::scaled(0.1, 12).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.1, 12).unwrap();
         let f3 = run(&corpus, true);
         for c in &f3.cells {
             if c.total_pairs > 0 {

@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn delta_c_regularizes_skew() {
-        let corpus = Corpus::scaled(0.4, 13).only(&["SMS-Copenhagen"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen"], 0.4, 13).unwrap();
         let t = run_target(&corpus, "010102", "SMS-Copenhagen").unwrap();
         let only_w = &t.cells[0];
         let only_c = t.cells.last().unwrap();
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn four_event_targets_have_two_histograms() {
-        let corpus = Corpus::scaled(0.2, 14).only(&["CollegeMsg"]);
+        let corpus = Corpus::named(&["CollegeMsg"], 0.2, 14).unwrap();
         let t = run_target(&corpus, "01212303", "CollegeMsg").unwrap();
         assert_eq!(t.cells.len(), 4);
         for c in &t.cells {
@@ -232,13 +232,13 @@ mod tests {
 
     #[test]
     fn missing_dataset_is_none() {
-        let corpus = Corpus::scaled(0.05, 15).only(&["Email"]);
+        let corpus = Corpus::named(&["Email"], 0.05, 15).unwrap();
         assert!(run_target(&corpus, "010102", "Nope").is_none());
     }
 
     #[test]
     fn csv_shape() {
-        let corpus = Corpus::scaled(0.1, 16).only(&["SMS-Copenhagen"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen"], 0.1, 16).unwrap();
         let f = Fig4 { targets: vec![run_target(&corpus, "010102", "SMS-Copenhagen").unwrap()] };
         let csv = f.to_csv();
         // header + 3 ratios * 1 intermediate * 10 bins.

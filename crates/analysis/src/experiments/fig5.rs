@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn delta_w_caps_spans_delta_c_does_not() {
-        let corpus = Corpus::scaled(0.4, 17).only(&["CollegeMsg"]);
+        let corpus = Corpus::named(&["CollegeMsg"], 0.4, 17).unwrap();
         let t = run_target(&corpus, "010102", "CollegeMsg").unwrap();
         let only_c = &t.cells[0];
         let only_w = t.cells.last().unwrap();
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn instances_grow_with_ratio() {
         // Larger ΔC admits strictly more instances (supersets).
-        let corpus = Corpus::scaled(0.3, 18).only(&["SMS-Copenhagen"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen"], 0.3, 18).unwrap();
         let t = run_target(&corpus, "010102", "SMS-Copenhagen").unwrap();
         for w in t.cells.windows(2) {
             assert!(w[0].instances <= w[1].instances);
@@ -217,7 +217,7 @@ mod tests {
     /// CSV histograms) identical to three independent enumerations.
     #[test]
     fn shared_walk_matches_per_config_enumeration() {
-        let corpus = Corpus::scaled(0.15, 21).only(&["CollegeMsg"]);
+        let corpus = Corpus::named(&["CollegeMsg"], 0.15, 21).unwrap();
         let t = run_target(&corpus, "010102", "CollegeMsg").unwrap();
         let e = corpus.get("CollegeMsg").unwrap();
         for cell in &t.cells {
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn csv_shape() {
-        let corpus = Corpus::scaled(0.1, 19).only(&["CollegeMsg"]);
+        let corpus = Corpus::named(&["CollegeMsg"], 0.1, 19).unwrap();
         let f = run(&corpus, false);
         let csv = f.to_csv();
         assert_eq!(csv.lines().count(), 1 + 3 * BINS);

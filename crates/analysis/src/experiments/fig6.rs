@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn message_networks_are_rp_dominated() {
-        let corpus = Corpus::scaled(0.3, 20).only(&["SMS-Copenhagen", "StackOverflow"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen", "StackOverflow"], 0.3, 20).unwrap();
         let f6 = run(&corpus);
         let sms = f6.maps.iter().find(|m| m.name == "SMS-Copenhagen").unwrap();
         let so = f6.maps.iter().find(|m| m.name == "StackOverflow").unwrap();
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn weakly_connected_is_rare() {
-        let corpus = Corpus::scaled(0.3, 21).only(&["SMS-Copenhagen", "CollegeMsg"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen", "CollegeMsg"], 0.3, 21).unwrap();
         let f6 = run(&corpus);
         for m in &f6.maps {
             assert!(m.total > 0, "{} produced no motifs", m.name);
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn render_and_csv_shapes() {
-        let corpus = Corpus::scaled(0.05, 22).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.05, 22).unwrap();
         let f6 = run(&corpus);
         let text = f6.render();
         assert!(text.contains("Calls-Copenhagen"));

@@ -97,15 +97,23 @@ impl Corpus {
         Corpus { entries }
     }
 
-    /// A corpus restricted to the named datasets (order preserved).
-    pub fn only(&self, names: &[&str]) -> Corpus {
-        let entries = self
-            .entries
-            .iter()
-            .filter(|e| names.iter().any(|n| n.eq_ignore_ascii_case(&e.spec.name)))
-            .cloned()
-            .collect();
-        Corpus { entries }
+    /// Generates only the named datasets (matched case-insensitively,
+    /// in Table 2 order), each scaled by `factor` as in
+    /// [`Corpus::scaled`]. The graphs equal the same datasets of the full
+    /// scaled corpus (see [`Corpus::generate`]); the other datasets are
+    /// never built. Fails on a name that matches no dataset.
+    pub fn named(names: &[&str], factor: f64, seed: u64) -> Result<Self, String> {
+        let specs = DatasetSpec::all();
+        if let Some(unknown) =
+            names.iter().find(|n| !specs.iter().any(|s| s.name.eq_ignore_ascii_case(n)))
+        {
+            return Err(format!("unknown dataset `{unknown}`"));
+        }
+        let named = specs
+            .into_iter()
+            .filter(|s| names.iter().any(|n| n.eq_ignore_ascii_case(&s.name)))
+            .map(|s| scaled_spec(s, factor));
+        Ok(Self::generate(named, seed))
     }
 
     /// Finds one dataset by name.
@@ -126,7 +134,7 @@ impl Corpus {
 
 /// `spec` with its event budget scaled by `factor` and clamped to at
 /// least 500 events, as in [`Corpus::scaled`].
-pub fn scaled_spec(mut spec: DatasetSpec, factor: f64) -> DatasetSpec {
+fn scaled_spec(mut spec: DatasetSpec, factor: f64) -> DatasetSpec {
     spec.num_events = ((spec.num_events as f64 * factor) as usize).max(500);
     spec
 }
@@ -202,9 +210,16 @@ mod tests {
     #[test]
     fn subsetting() {
         let c = Corpus::scaled(0.05, 1);
-        let sub = c.only(&["email", "SMS-A"]);
+        let sub = Corpus::named(&["SMS-A", "email"], 0.05, 1).unwrap();
         assert_eq!(sub.len(), 2);
+        // Table 2 order, and each graph equals its full-corpus twin.
+        for (entry, name) in sub.entries.iter().zip(["Email", "SMS-A"]) {
+            assert_eq!(entry.spec.name, name);
+            assert_eq!(entry.graph.events(), c.get(name).unwrap().graph.events());
+        }
         assert!(c.get("Email").is_some());
         assert!(c.get("missing").is_none());
+        let err = Corpus::named(&["Email", "missing"], 0.05, 1).unwrap_err();
+        assert!(err.contains("unknown dataset `missing`"), "{err}");
     }
 }

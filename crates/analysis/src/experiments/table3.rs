@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn restriction_massively_reduces_counts() {
-        let corpus = Corpus::scaled(0.25, 3).only(&["CollegeMsg", "SMS-Copenhagen"]);
+        let corpus = Corpus::named(&["CollegeMsg", "SMS-Copenhagen"], 0.25, 3).unwrap();
         let t3 = run(&corpus);
         for r in &t3.rows {
             assert!(r.consecutive_total <= r.non_consecutive_total, "{}", r.name);
@@ -209,7 +209,7 @@ mod tests {
     /// byte-for-byte through the totals and rank changes it contains.
     #[test]
     fn batch_plan_matches_per_config_counts() {
-        let corpus = Corpus::scaled(0.1, 5).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.1, 5).unwrap();
         let rc = RunConfig::default();
         let t3 = run_with(&corpus, &rc);
         let e = &corpus.entries[0];
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn render_has_all_rows() {
-        let corpus = Corpus::scaled(0.05, 4).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.05, 4).unwrap();
         let t3 = run(&corpus);
         let text = t3.render();
         assert!(text.contains("Calls-Copenhagen"));

@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn bitcoin_shows_zero_difference() {
-        let corpus = Corpus::scaled(0.3, 5).only(&["Bitcoin-otc"]);
+        let corpus = Corpus::named(&["Bitcoin-otc"], 0.3, 5).unwrap();
         let t4 = run(&corpus);
         let r = &t4.rows[0];
         assert_eq!(r.vanilla_total, r.constrained_total);
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn constrained_is_subset_of_vanilla() {
-        let corpus = Corpus::scaled(0.15, 6).only(&["SMS-Copenhagen", "Email"]);
+        let corpus = Corpus::named(&["SMS-Copenhagen", "Email"], 0.15, 6).unwrap();
         let t4 = run(&corpus);
         for r in &t4.rows {
             assert!(r.constrained_total <= r.vanilla_total, "{}", r.name);
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn render_shapes() {
-        let corpus = Corpus::scaled(0.05, 7).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.05, 7).unwrap();
         let t4 = run(&corpus);
         assert!(t4.render().contains("Variance"));
         assert_eq!(t4.render_full().lines().count(), 3 + 32);

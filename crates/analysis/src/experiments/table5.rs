@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn counts_shrink_monotonically() {
-        let corpus = Corpus::scaled(0.2, 8).only(&["CollegeMsg", "SMS-Copenhagen"]);
+        let corpus = Corpus::named(&["CollegeMsg", "SMS-Copenhagen"], 0.2, 8).unwrap();
         let t5 = run(&corpus);
         for r in &t5.rows {
             assert_eq!(r.cells.len(), 3);
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn rpio_reduced_more_than_cw() {
-        let corpus = Corpus::scaled(0.3, 9).only(&["Email"]);
+        let corpus = Corpus::named(&["Email"], 0.3, 9).unwrap();
         let t5 = run(&corpus);
         let r = &t5.rows[0];
         let base = r.baseline().groups;
@@ -193,7 +193,7 @@ mod tests {
     /// and CSV are identical to the pre-batch driver's.
     #[test]
     fn batch_sweep_matches_per_config_counts() {
-        let corpus = Corpus::scaled(0.1, 11).only(&["CollegeMsg"]);
+        let corpus = Corpus::named(&["CollegeMsg"], 0.1, 11).unwrap();
         let rc = RunConfig::default();
         let t5 = run_with(&corpus, &rc);
         let e = &corpus.entries[0];
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn render_two_rows_per_dataset() {
-        let corpus = Corpus::scaled(0.05, 10).only(&["Calls-Copenhagen"]);
+        let corpus = Corpus::named(&["Calls-Copenhagen"], 0.05, 10).unwrap();
         let t5 = run(&corpus);
         let text = t5.render();
         assert!(text.contains("R,P,I,O"));

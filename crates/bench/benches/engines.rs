@@ -1,11 +1,11 @@
 //! Counting-engine benchmarks.
 //!
-//! The headline group, `engine_comparison`, races the three exact
-//! [`CountEngine`] implementations (backtrack, windowed, work-stealing
-//! parallel) on the synthetic generator corpora under a bounded-ΔW
-//! configuration — the regime the windowed index is built for. Further
-//! groups cover ΔW tightness sweeps (how pruning scales with the window),
-//! parallel scaling, the sampling engine across budgets, the sharded
+//! The headline group, `engine_comparison`, times the windowed walk on
+//! one thread and on the machine's cores on the synthetic generator
+//! corpora under a bounded-ΔW configuration — the regime the window
+//! index is built for. Further groups cover ΔW tightness sweeps (how
+//! pruning scales with the window), thread scaling of the walk
+//! executor, the sampling engine across budgets, the sharded
 //! engine on both transports (in this thread, and on real worker
 //! processes over the wire protocol vs the in-process baseline — the
 //! `distributed_engine` group), the stream engine's
@@ -31,8 +31,8 @@ use std::time::Duration;
 use tnm_datasets::{generate, DatasetSpec};
 use tnm_graph::TemporalGraph;
 use tnm_motifs::engine::{
-    auto_select, stream_hotpath, BacktrackEngine, CountEngine, ParallelEngine, StreamEngine,
-    WindowedEngine, PARALLEL_MIN_WINDOW_EVENTS, SERIAL_FALLBACK_EVENTS,
+    explain_auto_select, stream_hotpath, CountEngine, StreamEngine, WindowedEngine,
+    PARALLEL_MIN_WINDOW_EVENTS, SERIAL_FALLBACK_EVENTS,
 };
 use tnm_motifs::pattern::{matcher::StreamingMatcher, EventPattern};
 use tnm_motifs::prelude::*;
@@ -43,17 +43,14 @@ fn dataset(name: &str, events: usize) -> TemporalGraph {
     generate(&spec, 1)
 }
 
-fn engines() -> Vec<Box<dyn CountEngine>> {
-    vec![
-        Box::new(BacktrackEngine),
-        Box::new(WindowedEngine),
-        Box::new(ParallelEngine::new(
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8),
-        )),
-    ]
+/// The walk on one thread (`windowed`) and on the machine's cores, up
+/// to eight (`windowed_threads`).
+fn engines() -> Vec<(&'static str, WindowedEngine)> {
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
+    vec![("windowed", WindowedEngine), ("windowed_threads", WindowedEngine::new(cores))]
 }
 
-/// Backtrack vs windowed vs work-stealing parallel on the generator
+/// The windowed walk on one thread and on every core on the generator
 /// corpora, bounded ΔW (3n3e, the paper's flagship configuration).
 fn bench_engine_comparison(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_comparison_3n3e_dW3000");
@@ -62,8 +59,8 @@ fn bench_engine_comparison(c: &mut Criterion) {
         let g = dataset(name, 8_000);
         let cfg = EnumConfig::new(3, 3).exact_nodes(3).with_timing(Timing::only_w(3000));
         group.throughput(Throughput::Elements(g.num_events() as u64));
-        for engine in engines() {
-            group.bench_with_input(BenchmarkId::new(engine.name(), name), &g, |b, g| {
+        for (id, engine) in engines() {
+            group.bench_with_input(BenchmarkId::new(id, name), &g, |b, g| {
                 b.iter(|| black_box(engine.count(g, &cfg)))
             });
         }
@@ -73,10 +70,8 @@ fn bench_engine_comparison(c: &mut Criterion) {
 
 /// Hub-heavy workload under tight ΔW: few nodes → long per-node event
 /// lists; a tight window → small candidate sets. Candidate generation
-/// dominates the walk here, which is exactly where the windowed index
-/// wins — dense binary searches over inline timestamps plus a sorted-run
-/// merge, versus the node-list strategy's indirect time lookups plus a
-/// per-descend sort.
+/// dominates the walk here: cursor moves over inline timestamps plus a
+/// sorted-run merge.
 fn bench_hub_tight_window(c: &mut Criterion) {
     // Deterministic LCG graph: 24 nodes, 40k events → ~3.3k events per
     // node list; timestamps dense enough that ΔW=40 admits a handful of
@@ -99,9 +94,6 @@ fn bench_hub_tight_window(c: &mut Criterion) {
     group.throughput(Throughput::Elements(g.num_events() as u64));
     for dw in [20i64, 40] {
         let cfg = EnumConfig::new(3, 3).exact_nodes(3).with_timing(Timing::only_w(dw));
-        group.bench_with_input(BenchmarkId::new("backtrack", dw), &g, |b, g| {
-            b.iter(|| black_box(BacktrackEngine.count(g, &cfg)))
-        });
         group.bench_with_input(BenchmarkId::new("windowed", dw), &g, |b, g| {
             b.iter(|| black_box(WindowedEngine.count(g, &cfg)))
         });
@@ -109,18 +101,14 @@ fn bench_hub_tight_window(c: &mut Criterion) {
     group.finish();
 }
 
-/// How windowed pruning pays off as ΔW tightens: the backtrack walker's
-/// candidate scan is O(remaining events per node) regardless of the
-/// bound, while the windowed walker touches only admissible events.
+/// How windowed pruning pays off as ΔW tightens: the walker touches
+/// only admissible events, so its cost follows the window.
 fn bench_window_tightness(c: &mut Criterion) {
     let g = dataset("SMS-A", 10_000);
     let mut group = c.benchmark_group("window_tightness_3e");
     group.sample_size(10);
     for dw in [300i64, 1500, 6000] {
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(dw));
-        group.bench_with_input(BenchmarkId::new("backtrack", dw), &g, |b, g| {
-            b.iter(|| black_box(BacktrackEngine.count(g, &cfg)))
-        });
         group.bench_with_input(BenchmarkId::new("windowed", dw), &g, |b, g| {
             b.iter(|| black_box(WindowedEngine.count(g, &cfg)))
         });
@@ -135,7 +123,7 @@ fn bench_window_tightness(c: &mut Criterion) {
 /// occupancy past the threshold `auto` itself requires, and a
 /// hub-dense graph so each claimed start event carries real walk work
 /// (per-claim enumeration dwarfs steal traffic). `threads = 1` is the
-/// serial-delegation baseline the speedups are read against. Real
+/// inline one-thread walk the speedups are read against. Real
 /// scaling only materializes with physical cores — on a single-core
 /// host (CI containers included) the honest profile is flat, which
 /// pins the executor's *overhead* at ~zero; on multi-core hardware the
@@ -164,17 +152,18 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     let span = g.timespan().max(1) as f64;
     let occupancy = g.num_events() as f64 * 40.0 / span;
     assert!(occupancy >= PARALLEL_MIN_WINDOW_EVENTS, "windows too sparse: {occupancy:.2}");
+    let pick = explain_auto_select(&g, &cfg, 4);
     assert_eq!(
-        auto_select(&g, &cfg, 4),
-        EngineKind::Parallel,
-        "auto must agree this is a parallel workload"
+        (pick.chosen, pick.threads),
+        (EngineKind::Windowed, 4),
+        "auto must give this walk the whole thread budget"
     );
     let mut group = c.benchmark_group("parallel_scaling_3e");
     group.sample_size(10);
     group.throughput(Throughput::Elements(g.num_events() as u64));
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(ParallelEngine::new(t).count(&g, &cfg)))
+            b.iter(|| black_box(WindowedEngine::new(t).count(&g, &cfg)))
         });
     }
     group.finish();

@@ -60,8 +60,9 @@ Utility commands:
                                          --explain prints the auto-select
                                          decision with its measured inputs
                                          (event count, expected window
-                                         events, stream eligibility) before
-                                         counting.
+                                         events, stream eligibility) and
+                                         the threads the chosen engine runs
+                                         with, before counting.
   count-batch --dataset NAME (--spec FILE | --all-3e-motifs [--dw Y])
         [--engine E] [--threads N] [--top K] ...
                                          Count many motif configurations in
@@ -119,8 +120,11 @@ Service commands:
                                          sharded worker spans — one trace
                                          id) as Chrome-trace JSON. --profile
                                          prints the same trace as per-phase
-                                         totals plus the request's metrics
-                                         delta (events scanned, cache hits).
+                                         totals plus the counters the
+                                         request moved; the daemon records
+                                         no engine counters, so these are
+                                         only its serve.* counters
+                                         (serve.queries).
                                          --stats / --metrics / --slow-queries
                                          / --shutdown talk to a running daemon
                                          without loading anything; --metrics
@@ -144,25 +148,31 @@ Flags:
   --scale F     Scale dataset event budgets by F (default 1.0)
   --seed N      Corpus seed (default the standard experiment seed)
   --csv         Emit CSV instead of a rendered table (where supported)
-  --engine E    Counting engine: backtrack | windowed | parallel |
-                stream | sharded | sampling | auto
+  --engine E    Counting engine: windowed | stream | sharded |
+                sampling | auto
                 (default auto; see the tnm-motifs rustdoc on choosing
-                one). `stream` counts without enumerating instances —
-                exact and near-linear in events for Paranjape-shape jobs
-                (--dw only, no --induced or other restrictions, <=3
-                events on <=3 nodes), falling back to the windowed
-                walker otherwise; `auto` picks it whenever eligible.
+                one). `windowed` is the exact backtracking walk over the
+                window index, on the --threads budget. `stream` counts
+                without enumerating instances — exact and near-linear in
+                events for Paranjape-shape jobs (--dw only, no --induced
+                or other restrictions, <=3 events on <=3 nodes), falling
+                back to the one-thread windowed walk otherwise; `auto`
+                picks it whenever eligible.
                 `sharded` counts exact totals over time-slice shards,
                 one at a time in this process or, with --workers, on
                 worker processes.
                 `sampling` is approximate: counts are point estimates
                 with 95% confidence intervals. fig4/fig5 enumerate exact
                 instance statistics and reject it.
-  --threads N   Thread budget for parallel-capable engines (the sharded
-                engine work-steals within each shard, with --workers
-                N/workers threads inside each worker process; the
-                sampling engine evaluates window draws in parallel with
-                bit-identical seeded results)
+  --threads N   Thread budget (default: the available cores, at most
+                8). The windowed walk runs N work-stealing threads, and
+                --threads 1 is the serial walk; the sharded engine
+                work-steals within each shard, with --workers N/workers
+                threads inside each worker process; the sampling engine
+                evaluates window draws in parallel with bit-identical
+                seeded results. `auto` gives the windowed walk the whole
+                budget only when there is enough work per start event
+                (see --explain).
   --samples K   Sample-window budget for --engine sampling (quadruple it
                 to halve the confidence intervals). The sampler draws its
                 RNG seed from --seed. Rejected for exact engines.
@@ -203,19 +213,14 @@ fn main() -> ExitCode {
 fn corpus_from(args: &Args) -> Result<Corpus, Box<dyn std::error::Error>> {
     let scale: f64 = args.get_parsed("scale", 1.0)?;
     let seed: u64 = args.get_parsed("seed", experiments::CORPUS_SEED)?;
-    let mut specs = DatasetSpec::all();
     // The dataset may be named via --dataset or as a positional argument;
     // only the named one is generated.
-    if let Some(name) = args.get("dataset").or_else(|| args.positional(0)) {
-        specs.retain(|s| s.name.eq_ignore_ascii_case(name));
-        if specs.is_empty() {
-            return Err(format!("unknown dataset `{name}` (see `tnm list`)").into());
+    match args.get("dataset").or_else(|| args.positional(0)) {
+        Some(name) => {
+            Corpus::named(&[name], scale, seed).map_err(|e| format!("{e} (see `tnm list`)").into())
         }
+        None => Ok(Corpus::scaled(scale, seed)),
     }
-    if (scale - 1.0).abs() >= f64::EPSILON {
-        specs = specs.into_iter().map(|s| experiments::scaled_spec(s, scale)).collect();
-    }
-    Ok(Corpus::generate(specs, seed))
 }
 
 fn run_config_from(args: &Args) -> Result<RunConfig, Box<dyn std::error::Error>> {
@@ -1114,7 +1119,7 @@ mod tests {
     /// offending engine — not silently run an exact count.
     #[test]
     fn nonsensical_combos_rejected() {
-        for exact in ["backtrack", "windowed", "parallel", "stream", "sharded"] {
+        for exact in ["windowed", "stream", "sharded"] {
             let err = rc(&["--engine", exact, "--samples", "10"]).unwrap_err().to_string();
             assert!(
                 err.contains("--engine sampling") && err.contains(exact),
@@ -1139,6 +1144,11 @@ mod tests {
         // The retired engine name and spill flag are gone: the name fails
         // to parse, the flag is unknown to every verb.
         assert!(rc(&["--engine", "distributed"]).is_err());
+        // The walk is one engine; its thread count is --threads.
+        for retired in ["backtrack", "parallel"] {
+            let err = rc(&["--engine", retired]).unwrap_err().to_string();
+            assert!(err.contains("windowed"), "engine {retired}: unhelpful error `{err}`");
+        }
         let spill = Args::parse(["--max-resident-shards", "2"].iter().map(|s| s.to_string()));
         assert!(spill.unwrap().ensure_known(&COMMON_FLAGS).is_err());
     }

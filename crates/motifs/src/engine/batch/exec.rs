@@ -27,12 +27,9 @@ use std::collections::HashMap;
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::parallel::walk_fold;
-use crate::engine::walker::{
-    CandidateSource, NodeListCandidates, PrefixFilter, Walker, WindowedCandidates,
-};
-use crate::engine::EngineKind;
+use crate::engine::walker::{PrefixFilter, Walker, WindowedCandidates};
 use crate::notation::MotifSignature;
-use tnm_graph::{TemporalGraph, Time};
+use tnm_graph::{TemporalGraph, Time, WindowIndex};
 
 /// One member's emission-time predicate, with unbounded windows mapped
 /// to `Time::MAX` so the checks are branch-free comparisons.
@@ -148,74 +145,50 @@ fn tally(
     }
 }
 
-fn make_walker<'g, C: CandidateSource>(
+fn make_walker<'g>(
     graph: &'g TemporalGraph,
     walk_cfg: &'g EnumConfig,
     prefix: Option<&PrefixFilter>,
-    source: C,
-) -> Walker<'g, C> {
-    let walker = Walker::new(graph, walk_cfg, source);
+    index: WindowIndex<'g>,
+) -> Walker<'g, WindowedCandidates<'g>> {
+    let walker = Walker::new(graph, walk_cfg, WindowedCandidates::new(index));
     match prefix {
         Some(pf) => walker.with_prefix_filter(pf.clone()),
         None => walker,
     }
 }
 
-/// Counts one walk group: a single traversal under `walk_cfg` on the
-/// walk executor with `threads` threads, over the node-list candidates
-/// for `Backtrack` and the shared window index otherwise, with
-/// per-member masks folding into `out[member]`.
-#[allow(clippy::too_many_arguments)]
+/// Counts one walk group: a single traversal under `walk_cfg` over the
+/// shared window index, on the walk executor with `threads` threads,
+/// with per-member masks folding into `out[member]`.
 pub(super) fn count_walk_group(
     graph: &TemporalGraph,
     cfgs: &[EnumConfig],
     members: &[usize],
     walk_cfg: &EnumConfig,
     prefix_targets: Option<&[MotifSignature]>,
-    kind: EngineKind,
     threads: usize,
     out: &mut [MotifCounts],
 ) {
     let masks = masks_of(cfgs, members);
     let check_timing = any_tighter(&masks, walk_cfg);
+    let duration_aware = walk_cfg.duration_aware;
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
-    let locals = if kind == EngineKind::Backtrack {
-        fold_group(graph, walk_cfg, prefix.as_ref(), &masks, check_timing, threads, || {
-            NodeListCandidates
-        })
-    } else {
-        let index = graph.window_index();
-        fold_group(graph, walk_cfg, prefix.as_ref(), &masks, check_timing, threads, || {
-            WindowedCandidates::new(index)
-        })
-    };
+    // Build the index before any fan-out (see `WindowedEngine::count`).
+    let index = graph.window_index();
+    let locals = walk_fold(
+        0..graph.num_events(),
+        threads,
+        || make_walker(graph, walk_cfg, prefix.as_ref(), index),
+        || GroupAcc::new(masks.len()),
+        |acc, inst| tally(graph, &masks, duration_aware, check_timing, acc, inst),
+    );
     for local in &locals {
         for (pos, mask) in masks.iter().enumerate() {
             out[mask.slot].merge(&local.counts[pos]);
         }
     }
-}
-
-/// One group walk on the executor over `source`'s candidates, returning
-/// one accumulator per worker.
-fn fold_group<C: CandidateSource + Send>(
-    graph: &TemporalGraph,
-    walk_cfg: &EnumConfig,
-    prefix: Option<&PrefixFilter>,
-    masks: &[MemberMask],
-    check_timing: bool,
-    threads: usize,
-    source: impl Fn() -> C + Sync,
-) -> Vec<GroupAcc> {
-    let duration_aware = walk_cfg.duration_aware;
-    walk_fold(
-        0..graph.num_events(),
-        threads,
-        || make_walker(graph, walk_cfg, prefix, source()),
-        || GroupAcc::new(masks.len()),
-        |acc, inst| tally(graph, masks, duration_aware, check_timing, acc, inst),
-    )
 }
 
 /// Enumerates one walk group serially over the window index, invoking
@@ -235,9 +208,8 @@ pub(super) fn enumerate_walk_group<F: FnMut(usize, &MotifInstance<'_>)>(
     let duration_aware = walk_cfg.duration_aware;
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
-    let index = graph.window_index();
     let mut accept: HashMap<MotifSignature, Vec<u32>> = HashMap::new();
-    let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), WindowedCandidates::new(index));
+    let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), graph.window_index());
     walker.run_range(0..graph.num_events(), |inst| {
         let sig = inst.signature;
         let accepted = accept.entry(sig).or_insert_with(|| {

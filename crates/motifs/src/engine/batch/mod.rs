@@ -63,7 +63,7 @@ use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::stream::StreamEngine;
 use crate::engine::walker::PrefixFilter;
-use crate::engine::{auto_select, EngineKind};
+use crate::engine::{auto_select, explain_auto_select, EngineKind};
 use crate::notation::MotifSignature;
 use tnm_graph::{TemporalGraph, Time};
 
@@ -137,10 +137,7 @@ enum GroupExec {
     /// per instance.
     Walk {
         walk_cfg: EnumConfig,
-        /// The resolved walker: `Backtrack` (plain node index),
-        /// `Windowed`, or `Parallel` (windowed, more than one thread).
-        kind: EngineKind,
-        /// Executor threads; 1 unless `kind` is `Parallel`.
+        /// Executor threads of the windowed walk.
         threads: usize,
         /// Set when every member targets a signature: the shared walk
         /// prunes to the union of the targets' pair prefixes.
@@ -184,12 +181,16 @@ impl BatchPlan {
                 GroupExec::Stream { delta_w, num_events } => {
                     format!("stream ΔW={delta_w} {num_events}e ×{}", g.members.len())
                 }
-                GroupExec::Walk { walk_cfg, kind, prefix_targets, .. } => {
+                GroupExec::Walk { walk_cfg, threads, prefix_targets } => {
                     let pf = match prefix_targets {
                         Some(t) => format!(" prefix[{}]", t.len()),
                         None => String::new(),
                     };
-                    format!("walk({kind}) {}{pf} ×{}", walk_cfg.timing, g.members.len())
+                    let on = match threads {
+                        1 => String::new(),
+                        n => format!(", {n} threads"),
+                    };
+                    format!("walk(windowed{on}) {}{pf} ×{}", walk_cfg.timing, g.members.len())
                 }
                 GroupExec::Solo { kind } => format!("solo({kind}) ×{}", g.members.len()),
             })
@@ -224,14 +225,13 @@ impl BatchPlan {
                         out[i] = StreamEngine::project(&spectrum, &cfgs[i]);
                     }
                 }
-                GroupExec::Walk { walk_cfg, kind, threads, prefix_targets } => {
+                GroupExec::Walk { walk_cfg, threads, prefix_targets } => {
                     exec::count_walk_group(
                         graph,
                         cfgs,
                         &group.members,
                         walk_cfg,
                         prefix_targets.as_deref(),
-                        *kind,
                         *threads,
                         &mut out,
                     );
@@ -367,7 +367,6 @@ impl BatchPlanner {
                     // bucket's membership is complete.
                     exec: GroupExec::Walk {
                         walk_cfg: cfg.clone(),
-                        kind: EngineKind::Windowed,
                         threads: 1,
                         prefix_targets: None,
                     },
@@ -395,35 +394,32 @@ impl BatchPlanner {
                 .map(|&i| cfgs[i].signature_filter)
                 .collect::<Option<Vec<_>>>()
                 .filter(|targets| PrefixFilter::new(targets.iter(), key.num_events).is_some());
-            let (kind, threads) = Self::walker_for(graph, &walk_cfg, kind, threads);
-            groups[gi].exec = GroupExec::Walk { walk_cfg, kind, threads, prefix_targets };
+            let threads = Self::walk_threads(graph, &walk_cfg, kind, threads);
+            groups[gi].exec = GroupExec::Walk { walk_cfg, threads, prefix_targets };
         }
 
         BatchPlan { groups, n_configs: cfgs.len() }
     }
 
-    /// Resolves the walker and executor threads of one walk group: the
-    /// node-list `Backtrack` walk, or the windowed walk — `Parallel` when
-    /// it gets more than one thread, `Windowed` on one. Under `Auto` the
-    /// group's **widest-reach** walk config drives [`auto_select`];
-    /// selections whose execution cannot share one whole-graph walk
-    /// (sharded, either transport) degrade to the parallel in-memory
-    /// walk — the graph is already resident, so the batch keeps the
-    /// amortization and only gives up the bounded working set.
-    fn walker_for(
+    /// Resolves the executor threads of one walk group. An explicit
+    /// windowed kind walks on the budget. Under `Auto` the group's
+    /// **widest-reach** walk config drives [`explain_auto_select`] and
+    /// the group walks on the threads it picked: a sharded pick (either
+    /// transport) degrades to the in-memory walk on the budget — the
+    /// graph is already resident, so the batch keeps the amortization
+    /// and only gives up the bounded working set. Under the stream kind,
+    /// configs the DP cannot take walk on one thread, as
+    /// [`StreamEngine`]'s own fallback does.
+    fn walk_threads(
         graph: &TemporalGraph,
         walk_cfg: &EnumConfig,
         kind: EngineKind,
         threads: usize,
-    ) -> (EngineKind, usize) {
-        let resolved =
-            if kind == EngineKind::Auto { auto_select(graph, walk_cfg, threads) } else { kind };
-        match resolved {
-            EngineKind::Backtrack => (EngineKind::Backtrack, 1),
-            EngineKind::Parallel | EngineKind::Sharded { .. } if threads > 1 => {
-                (EngineKind::Parallel, threads)
-            }
-            _ => (EngineKind::Windowed, 1),
+    ) -> usize {
+        match kind {
+            EngineKind::Windowed => threads.max(1),
+            EngineKind::Auto => explain_auto_select(graph, walk_cfg, threads).threads,
+            _ => 1,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! profitable execution strategy varies with the workload: graph size,
 //! timing tightness, available cores, and whether the log fits in
 //! memory at all. This module makes the strategy a value: a
-//! [`CountEngine`] trait with six interchangeable implementations,
+//! [`CountEngine`] trait with four interchangeable implementations,
 //! selectable programmatically via [`EngineKind`] or from the CLI via
 //! `--engine`.
 //!
@@ -14,15 +14,13 @@
 //!
 //! | engine | strategy | pick it when |
 //! |---|---|---|
-//! | [`BacktrackEngine`] | serial walk, plain node-index scans | tiny graphs or unbounded timing, where building an index outweighs pruning; also the reference for differential tests |
-//! | [`WindowedEngine`] | serial walk, [`WindowIndex`](tnm_graph::WindowIndex) cursor pruning | bounded ΔC/ΔW on one core — the best single-threaded walker for realistic in-memory workloads |
-//! | [`ParallelEngine`] | the walk executor over the windowed index: work-stealing workers, or one inline walk on a one-thread budget | large graphs on multi-core hardware with enough admissible work per start event |
+//! | [`WindowedEngine`](struct@WindowedEngine) | the backtracking walk over the [`WindowIndex`](tnm_graph::WindowIndex) (cursor pruning) on the thread budget: one thread walks inline, more threads run work-stealing workers | any walk-shaped job on an in-memory graph — the one walker; give it threads when there is enough admissible work per start event |
 //! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]) over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
-//! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the windowed walker |
+//! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the one-thread windowed walk |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
-//! The walkers all pay cost proportional to the number of motif
-//! *instances*; [`StreamEngine`] is the one engine with different
+//! The walk engines (windowed, sharded) pay cost proportional to the
+//! number of motif *instances*; [`StreamEngine`] is the one engine with different
 //! asymptotics, and [`auto_select`] routes every eligible job to it
 //! first. All but the sampler are **exact** and produce identical
 //! [`MotifCounts`] for identical [`EnumConfig`]s — the cross-engine
@@ -50,7 +48,7 @@
 //! [`EngineKind::Auto`] picks an engine from the graph, configuration,
 //! and thread budget (see [`auto_select`]) and is what the one-call
 //! [`count_motifs`](crate::count_motifs) entry uses.
-//! All windowed engines read the graph's own
+//! Every walk reads the graph's own
 //! [`WindowIndex`](tnm_graph::WindowIndex), which
 //! [`TemporalGraph::window_index`](tnm_graph::TemporalGraph::window_index)
 //! builds on first use and keeps, so repeated counts of the same graph —
@@ -151,7 +149,7 @@
 //!
 //! | layer | spans | metrics |
 //! |---|---|---|
-//! | walkers | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
+//! | walk | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
 //! | graph | `index.build{events}` — once per graph, when its window index is built | — |
 //! | projection cache | — | `cache.proj.{hits,misses,rejected}`, `cache.proj.verify_ns` |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
@@ -174,7 +172,6 @@
 //! "Operating `tnm serve`" section. `tnm count --explain`
 //! prints [`explain_auto_select`]'s measured decision for the workload.
 
-mod backtrack;
 mod batch;
 mod config;
 mod distributed;
@@ -190,11 +187,10 @@ mod windowed;
 #[cfg(test)]
 mod wire_suite;
 
-pub use backtrack::BacktrackEngine;
 pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner};
 pub use config::{ConfigError, EnumConfig, MotifInstance};
 pub use distributed::run_worker;
-pub use parallel::{ParallelEngine, SERIAL_FALLBACK_EVENTS};
+pub use parallel::SERIAL_FALLBACK_EVENTS;
 pub use query::{Query, QueryError, QueryInstance, QueryResponse};
 pub use report::{t_critical_95, EngineReport, Estimate, Z_95};
 pub use sampling::{SamplingEngine, DEFAULT_SAMPLING_BUDGET, DEFAULT_SAMPLING_SEED};
@@ -242,12 +238,9 @@ pub trait CountEngine: Send + Sync {
 /// Engine selection, parseable from CLI strings (`--engine windowed`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// [`BacktrackEngine`].
-    Backtrack,
-    /// [`WindowedEngine`].
+    /// [`WindowedEngine`](struct@WindowedEngine) on the thread budget
+    /// (`1` = the serial walk).
     Windowed,
-    /// [`ParallelEngine`] over the windowed index.
-    Parallel,
     /// [`StreamEngine`]: exact count-without-enumerating fast path for
     /// eligible Paranjape-shape jobs, windowed-walker fallback otherwise.
     Stream,
@@ -272,26 +265,20 @@ pub enum EngineKind {
     Auto,
 }
 
+// Tags 0 and 2 belonged to two retired walk kinds; they stay unused so
+// the surviving kinds keep their numbers.
 tnm_graph::wire_enum!(EngineKind {
-    0 => Backtrack,
     1 => Windowed,
-    2 => Parallel,
     3 => Stream,
     4 => Sharded { shard_events as u64, workers as u64 },
     5 => Sampling { samples, seed },
     6 => Auto,
 });
 
-/// Below this many events, an unbounded-timing workload resolves to
-/// [`BacktrackEngine`]: with no ΔC/ΔW to prune by, the window index buys
-/// only a cheaper candidate merge, which cannot amortise its own `O(m)`
-/// build on a graph this small.
-pub const WINDOWED_MIN_EVENTS: usize = 256;
-
 /// Minimum expected number of admissible events per pruning window for
-/// [`auto_select`] to go parallel. Below this, most walks die after one
-/// candidate probe and thread spawn/merge overhead outweighs the work
-/// being distributed.
+/// [`auto_select`] to give the walk more than one thread. Below this,
+/// most walks die after one candidate probe and thread spawn/merge
+/// overhead outweighs the work being distributed.
 pub const PARALLEL_MIN_WINDOW_EVENTS: f64 = 2.0;
 
 /// Minimum expected events per ΔW window for [`auto_select`] to route a
@@ -300,8 +287,8 @@ pub const PARALLEL_MIN_WINDOW_EVENTS: f64 = 2.0;
 /// sweeps Σ over static triangles of their event counts (the triangles
 /// themselves are listed once per graph) — projection-density work the
 /// window never prunes. Below one expected event per window the
-/// walkers' probes die almost immediately (≈ `O(m)` total), so a
-/// starved needle-ΔW sweep over a dense projection must stay on them.
+/// walk's probes die almost immediately (≈ `O(m)` total), so a
+/// starved needle-ΔW sweep over a dense projection must stay on it.
 /// Jobs whose node budget or signature target gates the triangle class
 /// off ([`StreamEngine::needs_triads`]) skip this check.
 pub const STREAM_MIN_WINDOW_EVENTS: f64 = 1.0;
@@ -340,37 +327,35 @@ fn expected_window_events(graph: &TemporalGraph, cfg: &EnumConfig) -> f64 {
 }
 
 /// The selection table behind [`EngineKind::Auto`], resolving to a
-/// concrete kind from the workload:
+/// concrete kind and the threads it runs with:
 ///
 /// 1. a [`StreamEngine::eligible`] configuration (Paranjape shape: ΔW
 ///    set, no ΔC, no restrictions, non-induced, ≤ 3 events, ≤ 3 nodes)
 ///    → [`EngineKind::Stream`] — the only asymptotic win on the table
-///    (near-linear in events, not instances), so it outranks every
-///    walker regardless of graph size or thread budget. One carve-out:
+///    (near-linear in events, not instances), so it outranks the walk
+///    regardless of graph size or thread budget. One carve-out:
 ///    when the job's triangle class would run
 ///    ([`StreamEngine::needs_triads`]) **and** the window is starved
 ///    (expected occupancy below [`STREAM_MIN_WINDOW_EVENTS`]), the
-///    walkers keep the job — their probes die instantly under a needle
+///    walk keeps the job — its probes die instantly under a needle
 ///    ΔW while the triad merge still pays projection-density work;
-/// 2. unbounded timing on a graph under [`WINDOWED_MIN_EVENTS`] events →
-///    [`EngineKind::Backtrack`] (nothing to prune; skip the index build);
-/// 3. at least [`DISTRIBUTED_MIN_EVENTS`] events with a bounded
+/// 2. at least [`DISTRIBUTED_MIN_EVENTS`] events with a bounded
 ///    admissible reach and a worker budget above one →
 ///    [`EngineKind::Sharded`] with `workers` = the thread budget
 ///    (counting leaves the coordinator's address space);
-/// 4. at least [`SHARDED_MIN_EVENTS`] events with a bounded admissible
+/// 3. at least [`SHARDED_MIN_EVENTS`] events with a bounded admissible
 ///    reach ([`EnumConfig::admissible_reach`]) →
 ///    [`EngineKind::Sharded`] in this thread (`workers = 0`; bounded
 ///    working set; the within-shard executor still uses the thread
 ///    budget);
-/// 5. more than one thread, at least [`SERIAL_FALLBACK_EVENTS`] events,
+/// 4. otherwise → [`EngineKind::Windowed`], on the whole thread budget
+///    when the graph has at least [`SERIAL_FALLBACK_EVENTS`] events
 ///    **and** at least [`PARALLEL_MIN_WINDOW_EVENTS`] expected events
-///    per ΔC/ΔW window → [`EngineKind::Parallel`] (enough work per start
-///    event to pay for spawn and merge);
-/// 6. otherwise → [`EngineKind::Windowed`].
+///    per ΔC/ΔW window (enough work per start event to pay for spawn
+///    and merge), else on one thread.
 ///
-/// Rule 5 is why a huge-but-unsharded graph under an extremely tight ΔW
-/// still runs serial: each walk dies after a probe or two, so
+/// Rule 4 is why a huge-but-unsharded graph under an extremely tight ΔW
+/// still walks on one thread: each walk dies after a probe or two, so
 /// distributing the starts distributes almost nothing. [`auto_select`]
 /// never resolves to the approximate sampler — estimation is an explicit
 /// caller choice, not a performance fallback. The table is pinned by
@@ -385,10 +370,14 @@ pub fn auto_select(graph: &TemporalGraph, cfg: &EnumConfig, threads: usize) -> E
 pub struct AutoSelectExplanation {
     /// The resolved concrete kind.
     pub chosen: EngineKind,
+    /// The threads the chosen kind runs with: the budget, except that
+    /// the windowed walk takes one thread when rule 4's work test fails
+    /// and the stream DPs always run on one.
+    pub threads: usize,
     /// Events in the graph (`m`).
     pub num_events: usize,
     /// The thread budget the selector was given.
-    pub threads: usize,
+    pub budget: usize,
     /// Expected admissible events per ΔC/ΔW pruning window
     /// ([`f64::INFINITY`] with unbounded timing).
     pub expected_window_events: f64,
@@ -404,7 +393,7 @@ pub struct AutoSelectExplanation {
     /// ([`StreamEngine::needs_triads`]).
     pub needs_triads: bool,
     /// The 1-based rule of the [`auto_select`] doc table that fired
-    /// (6 = the windowed default).
+    /// (4 = the windowed walk).
     pub rule: u8,
     /// One-line rationale for the fired rule.
     pub reason: &'static str,
@@ -414,8 +403,8 @@ impl std::fmt::Display for AutoSelectExplanation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "auto-select: {} (rule {})", self.chosen, self.rule)?;
         writeln!(f, "  reason: {}", self.reason)?;
+        writeln!(f, "  threads: {} (budget {})", self.threads, self.budget)?;
         writeln!(f, "  num_events: {}", self.num_events)?;
-        writeln!(f, "  threads: {}", self.threads)?;
         if self.expected_window_events.is_finite() {
             writeln!(f, "  expected_window_events: {:.2}", self.expected_window_events)?;
         } else {
@@ -429,62 +418,52 @@ impl std::fmt::Display for AutoSelectExplanation {
 }
 
 /// [`auto_select`] with its working shown: the same decision chain,
-/// returning the chosen kind together with every measured input and the
-/// rule that fired. `auto_select` delegates here, so the two can never
-/// disagree.
+/// returning the chosen kind and its threads together with every
+/// measured input and the rule that fired. `auto_select` and
+/// [`EngineKind::Auto`] delegate here, so they can never disagree.
 pub fn explain_auto_select(
     graph: &TemporalGraph,
     cfg: &EnumConfig,
     threads: usize,
 ) -> AutoSelectExplanation {
     let m = graph.num_events();
+    let budget = threads.max(1);
     let window = expected_window_events(graph, cfg);
-    let unbounded = cfg.timing.delta_c.is_none() && cfg.timing.delta_w.is_none();
     let bounded_reach = cfg.admissible_reach(graph).is_some();
     let stream_eligible = StreamEngine::eligible(cfg);
     let needs_triads = StreamEngine::needs_triads(cfg);
     let mut explain = AutoSelectExplanation {
         chosen: EngineKind::Windowed,
+        threads: budget,
         num_events: m,
-        threads,
+        budget,
         expected_window_events: window,
-        unbounded_timing: unbounded,
+        unbounded_timing: cfg.timing.delta_c.is_none() && cfg.timing.delta_w.is_none(),
         bounded_reach,
         stream_eligible,
         needs_triads,
-        rule: 6,
-        reason: "no specialised rule fired; the serial windowed walker is the default",
+        rule: 4,
+        reason: "enough admissible work per start event to pay for spawn and merge",
     };
     if stream_eligible && (!needs_triads || window >= STREAM_MIN_WINDOW_EVENTS) {
         explain.chosen = EngineKind::Stream;
+        explain.threads = 1;
         explain.rule = 1;
         explain.reason = "stream-eligible shape; the window DP is near-linear in events";
-        return explain;
-    }
-    if unbounded && m < WINDOWED_MIN_EVENTS {
-        explain.chosen = EngineKind::Backtrack;
-        explain.rule = 2;
-        explain.reason = "unbounded timing on a small graph; nothing to prune, skip the index";
-        return explain;
-    }
-    if threads > 1 && m >= DISTRIBUTED_MIN_EVENTS && bounded_reach {
+    } else if budget > 1 && m >= DISTRIBUTED_MIN_EVENTS && bounded_reach {
         explain.chosen =
-            EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: threads };
-        explain.rule = 3;
+            EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: budget };
+        explain.rule = 2;
         explain.reason = "huge bounded-reach graph with a worker budget; leave the address space";
-        return explain;
-    }
-    if m >= SHARDED_MIN_EVENTS && bounded_reach {
+    } else if m >= SHARDED_MIN_EVENTS && bounded_reach {
         explain.chosen = EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 };
-        explain.rule = 4;
+        explain.rule = 3;
         explain.reason = "large bounded-reach graph; time slices keep the working set small";
-        return explain;
-    }
-    if threads > 1 && m >= SERIAL_FALLBACK_EVENTS && window >= PARALLEL_MIN_WINDOW_EVENTS {
-        explain.chosen = EngineKind::Parallel;
-        explain.rule = 5;
-        explain.reason = "enough admissible work per start event to pay for spawn and merge";
-        return explain;
+    } else if budget == 1 {
+        explain.reason = "the walk on the one-thread budget";
+    } else if m < SERIAL_FALLBACK_EVENTS || window < PARALLEL_MIN_WINDOW_EVENTS {
+        explain.threads = 1;
+        explain.reason = "too little admissible work per start event to share; walk on one thread";
     }
     explain
 }
@@ -494,10 +473,8 @@ impl EngineKind {
     /// approximate sampler), for sweeps and benches. The sharded engine
     /// appears once per transport: in this thread and on two worker
     /// processes.
-    pub const CONCRETE: [EngineKind; 6] = [
-        EngineKind::Backtrack,
+    pub const CONCRETE: [EngineKind; 4] = [
         EngineKind::Windowed,
-        EngineKind::Parallel,
         EngineKind::Stream,
         EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 },
         EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 2 },
@@ -523,7 +500,7 @@ impl EngineKind {
     }
 
     /// Instantiates the engine, resolving `Auto` against the workload
-    /// via [`auto_select`].
+    /// via [`explain_auto_select`] (kind and threads).
     pub fn engine_for(
         self,
         graph: &TemporalGraph,
@@ -531,9 +508,7 @@ impl EngineKind {
         threads: usize,
     ) -> Box<dyn CountEngine> {
         match self {
-            EngineKind::Backtrack => Box::new(BacktrackEngine),
-            EngineKind::Windowed => Box::new(WindowedEngine),
-            EngineKind::Parallel => Box::new(ParallelEngine::new(threads)),
+            EngineKind::Windowed => Box::new(WindowedEngine::new(threads)),
             EngineKind::Stream => Box::new(StreamEngine),
             EngineKind::Sharded { shard_events, workers } => {
                 // The thread budget spreads across worker processes: T
@@ -550,7 +525,10 @@ impl EngineKind {
             EngineKind::Sampling { samples, seed } => {
                 Box::new(SamplingEngine::new(samples.max(1) as usize, seed).with_threads(threads))
             }
-            EngineKind::Auto => auto_select(graph, cfg, threads).engine_for(graph, cfg, threads),
+            EngineKind::Auto => {
+                let pick = explain_auto_select(graph, cfg, threads);
+                pick.chosen.engine_for(graph, cfg, pick.threads)
+            }
         }
     }
 
@@ -588,9 +566,7 @@ impl std::str::FromStr for EngineKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
-            "backtrack" => Ok(EngineKind::Backtrack),
             "windowed" => Ok(EngineKind::Windowed),
-            "parallel" => Ok(EngineKind::Parallel),
             "stream" => Ok(EngineKind::Stream),
             "sharded" => Ok(EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 }),
             "sampling" => Ok(EngineKind::Sampling {
@@ -606,9 +582,7 @@ impl std::str::FromStr for EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            EngineKind::Backtrack => "backtrack",
             EngineKind::Windowed => "windowed",
-            EngineKind::Parallel => "parallel",
             EngineKind::Stream => "stream",
             EngineKind::Sharded { .. } => "sharded",
             EngineKind::Sampling { .. } => "sampling",
@@ -628,8 +602,7 @@ impl std::fmt::Display for ParseEngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown engine `{}` (expected backtrack, windowed, parallel, stream, sharded, \
-             sampling, or auto)",
+            "unknown engine `{}` (expected windowed, stream, sharded, sampling, or auto)",
             self.got
         )
     }
@@ -664,13 +637,7 @@ mod tests {
 
     #[test]
     fn kind_parses_and_displays() {
-        for kind in [
-            EngineKind::Backtrack,
-            EngineKind::Windowed,
-            EngineKind::Parallel,
-            EngineKind::Stream,
-            EngineKind::Auto,
-        ] {
+        for kind in [EngineKind::Windowed, EngineKind::Stream, EngineKind::Auto] {
             let round: EngineKind = kind.to_string().parse().unwrap();
             assert_eq!(round, kind);
         }
@@ -685,7 +652,11 @@ mod tests {
             EngineKind::sharded(DEFAULT_SHARD_EVENTS, 0),
         );
         assert_eq!(EngineKind::sharded(512, 4).to_string(), "sharded");
-        assert!("distributed".parse::<EngineKind>().is_err());
+        // The walk has one name; its thread count is the budget.
+        for retired in ["distributed", "backtrack", "parallel"] {
+            let msg = retired.parse::<EngineKind>().unwrap_err().to_string();
+            assert!(msg.contains("windowed"), "error must name the walk engine: {msg}");
+        }
         assert!("bogus".parse::<EngineKind>().is_err());
         let msg = "bogus".parse::<EngineKind>().unwrap_err().to_string();
         assert!(msg.contains("sampling"), "error must list all engines: {msg}");
@@ -711,7 +682,8 @@ mod tests {
     }
 
     /// Pins the [`auto_select`] table: each row is (events, span,
-    /// timing, threads) → expected concrete kind.
+    /// timing, thread budget) → expected concrete kind and the threads
+    /// it runs with.
     #[test]
     fn auto_selection_table() {
         let tiny = tiny();
@@ -740,86 +712,87 @@ mod tests {
         // run from event ends): reach counts as unbounded.
         let mut aware_c = EnumConfig::new(3, 3).with_timing(Timing::only_c(5));
         aware_c.duration_aware = true;
-        let table: &[(&TemporalGraph, &EnumConfig, usize, EngineKind)] = &[
+        let walk = EngineKind::Windowed;
+        let stream = EngineKind::Stream;
+        let table: &[(&TemporalGraph, &EnumConfig, usize, EngineKind, usize)] = &[
             // 1. Stream-eligible Paranjape shape: the asymptotic win
-            // outranks every walker, at any size or thread budget.
-            (&tiny, &loose_w, 1, EngineKind::Stream),
-            (&small, &loose_w, 8, EngineKind::Stream),
-            (&large, &loose_w, 1, EngineKind::Stream),
-            (&large, &loose_w, 8, EngineKind::Stream),
+            // outranks the walk, at any size or thread budget.
+            (&tiny, &loose_w, 1, stream, 1),
+            (&small, &loose_w, 8, stream, 1),
+            (&large, &loose_w, 1, stream, 1),
+            (&large, &loose_w, 8, stream, 1),
             // ...the large graph's ΔW=10 windows hold ≈1 expected event,
             // right at STREAM_MIN_WINDOW_EVENTS, so the needle stays
             // streamed there...
-            (&large, &needle_w, 8, EngineKind::Stream),
-            (&huge, &loose_w, 8, EngineKind::Stream),
+            (&large, &needle_w, 8, stream, 1),
+            (&huge, &loose_w, 8, stream, 1),
             // ...but the huge graph's windows are starved (<1 expected
             // event) and the job carries triangles: the carve-out hands
-            // it to the walkers (rule 3 shards it). With triangles gated
+            // it to the walk (rule 3 shards it). With triangles gated
             // off by a 2-node budget the same needle still streams.
-            (&huge, &needle_w, 8, sharded_default),
-            (&huge, &needle_w_2n, 8, EngineKind::Stream),
-            (&large, &needle_w_2n, 8, EngineKind::Stream),
-            // 2. Unbounded timing, small graph: backtrack skips the index.
-            (&tiny, &unbounded, 1, EngineKind::Backtrack),
-            (&tiny, &unbounded, 8, EngineKind::Backtrack),
-            (&small, &unbounded, 8, EngineKind::Backtrack),
-            // ...but bounded timing makes the index worth building (the
-            // 4-node budget keeps the stream fast path out).
-            (&tiny, &loose_w_4n, 1, EngineKind::Windowed),
-            (&small, &loose_w_4n, 8, EngineKind::Windowed),
-            // 3. At/above DISTRIBUTED_MIN_EVENTS with bounded reach and
+            (&huge, &needle_w, 8, sharded_default, 8),
+            (&huge, &needle_w_2n, 8, stream, 1),
+            (&large, &needle_w_2n, 8, stream, 1),
+            // Unbounded timing on a small graph: the walk on one thread
+            // (below SERIAL_FALLBACK_EVENTS, whatever the budget)...
+            (&tiny, &unbounded, 1, walk, 1),
+            (&tiny, &unbounded, 8, walk, 1),
+            (&small, &unbounded, 8, walk, 1),
+            // ...and the same for bounded timing (the 4-node budget
+            // keeps the stream fast path out).
+            (&tiny, &loose_w_4n, 1, walk, 1),
+            (&small, &loose_w_4n, 8, walk, 1),
+            // 2. At/above DISTRIBUTED_MIN_EVENTS with bounded reach and
             // more than one worker: counting leaves the process (the
             // thread budget becomes the worker count). One thread means
             // one worker — nothing to distribute — so the same graph
             // falls through to the sharded rule; stream eligibility
             // still outranks everything.
-            (&mega, &loose_w4, 8, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 8)),
-            (&mega, &loose_c, 2, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 2)),
-            (&mega, &loose_w4, 1, sharded_default),
-            (&mega, &unbounded, 8, EngineKind::Parallel),
-            (&mega, &loose_w, 8, EngineKind::Stream),
-            // 4. At/above SHARDED_MIN_EVENTS with bounded reach — and no
+            (&mega, &loose_w4, 8, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 8), 8),
+            (&mega, &loose_c, 2, EngineKind::sharded(DEFAULT_SHARD_EVENTS, 2), 2),
+            (&mega, &loose_w4, 1, sharded_default, 1),
+            (&mega, &unbounded, 8, walk, 8),
+            (&mega, &loose_w, 8, stream, 1),
+            // 3. At/above SHARDED_MIN_EVENTS with bounded reach — and no
             // stream eligibility: sharded (thread budget notwithstanding;
             // threads go within-shard).
-            (&huge, &loose_w4, 1, sharded_default),
-            (&huge, &loose_w4, 8, sharded_default),
-            (&huge, &needle_w4, 8, sharded_default),
-            (&huge, &loose_c, 8, sharded_default),
-            // ...an unbounded reach leaves nothing to shard by: parallel.
-            (&huge, &unbounded, 8, EngineKind::Parallel),
+            (&huge, &loose_w4, 1, sharded_default, 1),
+            (&huge, &loose_w4, 8, sharded_default, 8),
+            (&huge, &needle_w4, 8, sharded_default, 8),
+            (&huge, &loose_c, 8, sharded_default, 8),
+            // ...an unbounded reach leaves nothing to shard by: the walk
+            // on the whole budget.
+            (&huge, &unbounded, 8, walk, 8),
             // ...duration-aware ΔC bounds the reach via the graph's max
             // event duration (zero here), so the huge graph still shards.
-            (&huge, &aware_c, 8, sharded_default),
-            // 5. Large graph + threads + enough work per window: parallel.
-            (&large, &loose_w4, 8, EngineKind::Parallel),
-            (&large, &loose_c, 8, EngineKind::Parallel),
-            (&large, &unbounded, 8, EngineKind::Parallel),
-            // ...tight ΔW starves the walks: stay serial windowed.
-            (&large, &needle_w4, 8, EngineKind::Windowed),
+            (&huge, &aware_c, 8, sharded_default, 8),
+            // 4. Large graph + enough work per window: the walk takes the
+            // whole budget.
+            (&large, &loose_w4, 8, walk, 8),
+            (&large, &loose_c, 8, walk, 8),
+            (&large, &unbounded, 8, walk, 8),
+            // ...tight ΔW starves the walks: one thread.
+            (&large, &needle_w4, 8, walk, 1),
             // ...duration-aware ΔC: config-only reach is unbounded, so
             // below the sharded threshold the occupancy heuristic sees
-            // infinite windows and goes parallel.
-            (&large, &aware_c, 8, EngineKind::Parallel),
-            // 6. One thread below the sharded threshold: always serial.
-            (&large, &loose_w4, 1, EngineKind::Windowed),
-            (&large, &aware_c, 1, EngineKind::Windowed),
+            // infinite windows and takes the budget.
+            (&large, &aware_c, 8, walk, 8),
+            // ...and a one-thread budget is one thread.
+            (&large, &loose_w4, 1, walk, 1),
+            (&large, &aware_c, 1, walk, 1),
         ];
-        for &(g, cfg, threads, expected) in table {
-            let got = auto_select(g, cfg, threads);
+        for &(g, cfg, budget, expected, threads) in table {
+            let pick = explain_auto_select(g, cfg, budget);
+            let at = format!("m={} timing={} budget={budget}", g.num_events(), cfg.timing);
+            assert_eq!(auto_select(g, cfg, budget), expected, "{at}");
+            assert_eq!((pick.chosen, pick.threads), (expected, threads), "{at}");
             assert_eq!(
-                got,
-                expected,
-                "m={} timing={} threads={threads}",
-                g.num_events(),
-                cfg.timing
-            );
-            assert_eq!(
-                EngineKind::Auto.engine_for(g, cfg, threads).name(),
+                EngineKind::Auto.engine_for(g, cfg, budget).name(),
                 expected.engine_for(g, cfg, threads).name()
             );
             // The resolver never falls back to the approximate sampler
             // on its own: estimation is an explicit caller choice.
-            assert!(!matches!(got, EngineKind::Sampling { .. }));
+            assert!(!matches!(pick.chosen, EngineKind::Sampling { .. }));
         }
         // Explicit approximate/sharded kinds resolve to their engines
         // with parameters intact, bypassing the table.
@@ -839,20 +812,21 @@ mod tests {
         let loose_w = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
         let loose_w4 = EnumConfig::new(4, 4).with_timing(Timing::only_w(3_000));
         let unbounded = EnumConfig::new(3, 3);
-        for (g, cfg, threads, rule) in [
-            (&tiny, &loose_w, 1, 1u8),
-            (&tiny, &unbounded, 8, 2),
-            (&huge, &loose_w4, 1, 4),
-            (&large, &loose_w4, 8, 5),
-            (&large, &loose_w4, 1, 6),
+        for (g, cfg, budget, rule, threads) in [
+            (&tiny, &loose_w, 1, 1u8, 1),
+            (&tiny, &unbounded, 8, 4, 1),
+            (&huge, &loose_w4, 1, 3, 1),
+            (&large, &loose_w4, 8, 4, 8),
+            (&large, &loose_w4, 1, 4, 1),
         ] {
-            let explain = explain_auto_select(g, cfg, threads);
-            assert_eq!(explain.chosen, auto_select(g, cfg, threads), "rule {rule}");
+            let explain = explain_auto_select(g, cfg, budget);
+            assert_eq!(explain.chosen, auto_select(g, cfg, budget), "rule {rule}");
             assert_eq!(explain.rule, rule);
             assert_eq!(explain.num_events, g.num_events());
-            assert_eq!(explain.threads, threads);
+            assert_eq!((explain.threads, explain.budget), (threads, budget));
             let text = explain.to_string();
             assert!(text.contains(&format!("auto-select: {} (rule {rule})", explain.chosen)));
+            assert!(text.contains(&format!("threads: {threads} (budget {budget})")));
             assert!(text.contains(&format!("num_events: {}", g.num_events())));
         }
         // Unbounded timing renders an infinite window occupancy.
@@ -866,7 +840,7 @@ mod tests {
     fn engines_agree_on_a_toy_graph() {
         let g = tiny();
         let cfg = EnumConfig::new(3, 4).with_timing(Timing::only_w(30));
-        let reference = BacktrackEngine.count(&g, &cfg);
+        let reference = WindowedEngine.count(&g, &cfg);
         for kind in EngineKind::CONCRETE {
             let counts = kind.count(&g, &cfg, 4);
             assert_eq!(counts, reference, "engine {kind}");

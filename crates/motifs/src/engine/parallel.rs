@@ -1,5 +1,4 @@
-//! The walk executor ([`work_steal_map`]) and [`ParallelEngine`], its
-//! whole-graph windowed instantiation.
+//! The walk executor ([`work_steal_map`]).
 //!
 //! The seed repo's parallel path split start events into `threads` static
 //! chunks and merged results through a `Mutex`. Static chunking is a poor
@@ -19,44 +18,29 @@
 //!   thread merges the locals after `join`, so no lock is ever contended.
 //!
 //! It is the one loop that walks a range of start events for counting:
-//! [`ParallelEngine`], the sharded engine's per-shard walk, and batch
-//! walk groups all call it through [`walk_fold`]. A one-thread budget
-//! runs the whole range inline on the caller's thread, so serial callers
-//! need no branch of their own.
+//! [`WindowedEngine`](struct@crate::engine::WindowedEngine), the sharded
+//! engine's per-shard walk, and batch walk groups all call it through
+//! [`walk_fold`]. A one-thread budget runs the whole range inline on the
+//! caller's thread, so serial callers need no branch of their own.
 
 use crate::count::MotifCounts;
-use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::walker::{CandidateSource, Walker, WindowedCandidates};
-use crate::engine::{CountEngine, WindowedEngine};
+use crate::engine::config::MotifInstance;
+use crate::engine::walker::{CandidateSource, Walker};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tnm_graph::TemporalGraph;
 
 /// Below this many events the **auto** engine
-/// ([`EngineKind::Auto`](crate::engine::EngineKind)) prefers a serial
-/// engine — thread spawn/merge overhead dominates tiny graphs. An
-/// explicitly constructed [`ParallelEngine`] honors its thread count as
-/// asked.
+/// ([`EngineKind::Auto`](crate::engine::EngineKind)) walks on one
+/// thread — thread spawn/merge overhead dominates tiny graphs. An
+/// explicitly constructed
+/// [`WindowedEngine::new`](crate::engine::WindowedEngine::new) honors
+/// its thread count as asked.
 pub const SERIAL_FALLBACK_EVENTS: usize = 1024;
 
 /// Start events claimed per `fetch_add`. Larger chunks amortise the
 /// atomic; smaller chunks balance better. This suits start events whose
 /// cost varies by orders of magnitude.
 pub(crate) const DEFAULT_STEAL_CHUNK: usize = 64;
-
-/// Work-stealing parallel counting engine over the windowed index.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelEngine {
-    threads: usize,
-}
-
-impl ParallelEngine {
-    /// Work-stealing workers over the windowed candidate index; one
-    /// thread walks inline.
-    pub fn new(threads: usize) -> Self {
-        ParallelEngine { threads: threads.max(1) }
-    }
-}
 
 /// The walk executor: `threads` workers claim `chunk`-sized index ranges
 /// of `0..len` through an atomic cursor, each folding its claims into a
@@ -154,39 +138,6 @@ pub(crate) fn merge_counts(locals: Vec<MotifCounts>) -> MotifCounts {
         merged.merge(&local);
     }
     merged
-}
-
-impl CountEngine for ParallelEngine {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
-        // Build the window index (and the SoA columns it reads) before
-        // the fan-out so no worker stalls on its first probe while
-        // another builds them.
-        let index = graph.window_index();
-        merge_counts(walk_fold(
-            0..graph.num_events(),
-            self.threads,
-            || Walker::new(graph, cfg, WindowedCandidates::new(index)),
-            MotifCounts::new,
-            |counts, inst| counts.add(inst.signature, 1),
-        ))
-    }
-
-    /// Enumeration hands instances to a `&mut dyn FnMut` callback, which
-    /// cannot be shared across workers; it therefore delegates to the
-    /// serial windowed engine so callers get the deterministic
-    /// start-event order the serial engines guarantee.
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        WindowedEngine.enumerate(graph, cfg, callback)
-    }
 }
 
 #[cfg(test)]

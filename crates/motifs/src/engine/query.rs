@@ -324,7 +324,7 @@ mod tests {
     fn count_and_report_match_direct_dispatch() {
         let g = wedge_graph();
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(30));
-        for engine in [EngineKind::Backtrack, EngineKind::Windowed, EngineKind::Stream] {
+        for engine in [EngineKind::Windowed, EngineKind::Stream] {
             let q = Query::Count { cfg: cfg.clone(), engine, threads: 1 };
             let QueryResponse::Counts(counts) = q.run(&g).unwrap() else { panic!("shape") };
             assert_eq!(counts, engine.count(&g, &cfg, 1), "{engine}");

@@ -164,8 +164,7 @@ impl EngineReport {
 
 /// The names [`EngineReport::engine`] can hold: the engines' own
 /// [`name`](crate::engine::CountEngine::name)s.
-const ENGINE_NAMES: [&str; 6] =
-    ["backtrack", "windowed", "parallel", "stream", "sharded", "sampling"];
+const ENGINE_NAMES: [&str; 4] = ["windowed", "stream", "sharded", "sampling"];
 
 /// Engine name, exactness, sample count, integral counts, the
 /// per-signature estimates in ascending signature order, and the total.

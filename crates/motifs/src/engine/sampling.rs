@@ -48,8 +48,7 @@
 //! Window draws are embarrassingly parallel — each is an independent
 //! walk over its own event range — so with
 //! [`SamplingEngine::with_threads`] the engine evaluates them on the
-//! work-stealing executor shared with
-//! [`ParallelEngine`](crate::engine::ParallelEngine) and the sharded
+//! work-stealing executor shared with the windowed walk and the sharded
 //! engine. Determinism is preserved exactly: all window offsets are
 //! drawn up front from the seeded RNG (one stream, independent of the
 //! thread count), each window's weighted sums are computed in isolation,
@@ -172,10 +171,11 @@ impl CountEngine for SamplingEngine {
         self.report(graph, cfg).counts
     }
 
-    /// Exact enumeration, delegated to [`WindowedEngine`]: handing a
-    /// callback the same instance once per containing sample window
-    /// would be useless to every existing consumer, so only *counting*
-    /// is approximate on this engine.
+    /// Exact enumeration, delegated to
+    /// [`WindowedEngine`](struct@WindowedEngine): handing a callback the
+    /// same instance once per containing sample window would be useless
+    /// to every existing consumer, so only *counting* is approximate on
+    /// this engine.
     fn enumerate(
         &self,
         graph: &TemporalGraph,

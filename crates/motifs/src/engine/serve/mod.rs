@@ -593,9 +593,11 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
                 Query::Enumerate { .. } => ("enumerate", "serve.query.enumerate_ns"),
                 Query::Batch { .. } => ("batch", "serve.query.batch_ns"),
             };
-            // The merged baseline lets the trace's metrics delta cover
-            // engine counters (events scanned, cache hits) too when the
-            // process-global registry is enabled, not just `serve.*`.
+            // The merged baseline would let the trace's metrics delta
+            // cover engine counters (`engine.events_scanned`, …) when the
+            // process-global registry is enabled; `tnm serve` never
+            // enables it, so today the delta holds only the `serve.*`
+            // counters this request moved.
             let before = traced.then(|| state.merged_snapshot());
             let t0 = std::time::Instant::now();
             let (run, spans, trace_id) = if traced {

@@ -262,9 +262,7 @@ mod tests {
     fn queries_roundtrip_over_every_engine_kind() {
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
         let engines = [
-            EngineKind::Backtrack,
             EngineKind::Windowed,
-            EngineKind::Parallel,
             EngineKind::Stream,
             EngineKind::sharded(512, 0),
             EngineKind::sharded(700, 3),

@@ -47,7 +47,7 @@ pub(crate) use driver::ShardWalk;
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::{distributed, CountEngine, ParallelEngine, WindowedEngine};
+use crate::engine::{distributed, CountEngine, WindowedEngine};
 use std::path::PathBuf;
 use tnm_graph::shard::{materialize, plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 use tnm_graph::TemporalGraph;
@@ -217,7 +217,7 @@ impl ShardedEngine {
         // to one worker): run the monolithic engine on the parent
         // instead, sharing the parent's own window index.
         if plan.len() <= 1 {
-            let counts = ParallelEngine::new(self.config.threads).count(graph, cfg);
+            let counts = WindowedEngine::new(self.config.threads).count(graph, cfg);
             let stats = ShardedRunStats {
                 shards: 1,
                 max_shard_events: graph.num_events(),
@@ -306,7 +306,7 @@ impl CountEngine for ShardedEngine {
 mod tests {
     use super::*;
     use crate::constraints::Timing;
-    use crate::engine::{BacktrackEngine, WindowedEngine};
+    use crate::engine::WindowedEngine;
     use tnm_graph::TemporalGraphBuilder;
 
     /// Deterministic LCG graph with timestamp ties.
@@ -327,7 +327,7 @@ mod tests {
     fn matches_reference_across_shard_sizes() {
         let g = lcg_graph(300, 14, 400);
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(20, 45));
-        let reference = BacktrackEngine.count(&g, &cfg);
+        let reference = WindowedEngine.count(&g, &cfg);
         for shard_events in [1usize, 7, 64, 1000] {
             assert_eq!(
                 ShardedEngine::new(shard_events).count(&g, &cfg),

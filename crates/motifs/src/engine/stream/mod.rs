@@ -44,12 +44,13 @@
 //! ΔW set, no ΔC, no duration-awareness, no consecutive/constrained/
 //! induced restrictions, ≤ 3 events, and a node budget the three classes
 //! cover (≤ 3 nodes — automatic for ≤ 2-event motifs). Everything else
-//! falls back to [`WindowedEngine`] inside `count`, so the engine is
-//! exact for *any* configuration and safe to include in blanket sweeps;
-//! [`auto_select`](crate::engine::auto_select) only routes eligible jobs
-//! here — and keeps triangle-bearing jobs on the walkers when the ΔW
-//! window is starved, since the triad class's per-count cost follows
-//! the triangles' total event count, not the window (see
+//! falls back to [`WindowedEngine`](struct@WindowedEngine) inside
+//! `count`, so the engine is exact for *any* configuration and safe to
+//! include in blanket sweeps; [`auto_select`](crate::engine::auto_select)
+//! only routes eligible jobs here — and keeps triangle-bearing jobs on
+//! the walk when the ΔW window is starved, since the triad class's
+//! per-count cost follows the triangles' total event count, not the
+//! window (see
 //! [`STREAM_MIN_WINDOW_EVENTS`](crate::engine::STREAM_MIN_WINDOW_EVENTS)).
 //! `enumerate` always delegates to the walker — there are no instances
 //! to visit on the fast path.
@@ -74,7 +75,8 @@ use crate::notation::MotifSignature;
 use tnm_graph::TemporalGraph;
 
 /// Exact count-without-enumerating engine for eligible Paranjape-model
-/// configurations; transparent [`WindowedEngine`] fallback otherwise.
+/// configurations; transparent
+/// [`WindowedEngine`](struct@WindowedEngine) fallback otherwise.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamEngine;
 
@@ -314,7 +316,6 @@ fn star_signature(legs: &[u8], dirs: &[u8]) -> MotifSignature {
 mod tests {
     use super::*;
     use crate::constraints::Timing;
-    use crate::engine::BacktrackEngine;
     use crate::notation::sig;
     use tnm_graph::TemporalGraphBuilder;
 
@@ -368,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn figure1_network_matches_backtrack() {
+    fn figure1_network_matches_the_walk() {
         let g = graph(&[(0, 1, 3), (1, 2, 7), (1, 3, 8), (2, 0, 9), (0, 2, 11), (2, 3, 15)]);
         for k in [1usize, 2, 3] {
             for delta in [0i64, 2, 5, 8, 12, 100] {
@@ -376,7 +377,7 @@ mod tests {
                 assert!(StreamEngine::eligible(&cfg));
                 assert_eq!(
                     StreamEngine.count(&g, &cfg),
-                    BacktrackEngine.count(&g, &cfg),
+                    WindowedEngine.count(&g, &cfg),
                     "k={k} ΔW={delta}"
                 );
             }
@@ -396,18 +397,18 @@ mod tests {
     #[test]
     fn node_bounds_and_signature_filter() {
         let g = graph(&[(0, 1, 1), (1, 2, 2), (0, 2, 3), (1, 0, 4), (2, 1, 5)]);
-        let reference = BacktrackEngine.count(&g, &w(10, 3, 3));
+        let reference = WindowedEngine.count(&g, &w(10, 3, 3));
         assert_eq!(StreamEngine.count(&g, &w(10, 3, 3)), reference);
         // Exact-3-node slice.
         let three = w(10, 3, 3).exact_nodes(3);
-        assert_eq!(StreamEngine.count(&g, &three), BacktrackEngine.count(&g, &three));
+        assert_eq!(StreamEngine.count(&g, &three), WindowedEngine.count(&g, &three));
         // 2-node-only budget skips stars and triads entirely.
         let two = w(10, 3, 2);
-        assert_eq!(StreamEngine.count(&g, &two), BacktrackEngine.count(&g, &two));
+        assert_eq!(StreamEngine.count(&g, &two), WindowedEngine.count(&g, &two));
         // Signature targeting is a post-filter on the fast path.
         let target = EnumConfig::for_signature(sig("011202")).with_timing(Timing::only_w(10));
         assert!(StreamEngine::eligible(&target));
-        assert_eq!(StreamEngine.count(&g, &target), BacktrackEngine.count(&g, &target));
+        assert_eq!(StreamEngine.count(&g, &target), WindowedEngine.count(&g, &target));
     }
 
     #[test]
@@ -419,7 +420,7 @@ mod tests {
         // enumerate always walks, even for eligible configs.
         let mut seen = 0usize;
         StreamEngine.enumerate(&g, &w(10, 3, 3), &mut |_| seen += 1);
-        assert_eq!(seen as u64, BacktrackEngine.count(&g, &w(10, 3, 3)).total());
+        assert_eq!(seen as u64, WindowedEngine.count(&g, &w(10, 3, 3)).total());
     }
 
     #[test]

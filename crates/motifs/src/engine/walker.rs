@@ -3,13 +3,13 @@
 //! Every engine drives the same depth-first walk over time-ordered,
 //! single-component event sequences: what varies is only **where the
 //! candidate events come from** at each extension step. That seam is the
-//! [`CandidateSource`] trait — [`NodeListCandidates`] searches the
-//! graph's plain node index on every step (the original behaviour), while
-//! [`WindowedCandidates`] walks the graph's [`WindowIndex`] with cursors
-//! it keeps per depth, so a step costs the candidates it returns plus
-//! cursor moves that only go forward. Keeping the walk itself shared is
-//! what makes the engines provably equivalent: the emission filters,
-//! signature canonicalisation, and ordering rules are one piece of code.
+//! [`CandidateSource`] trait; [`WindowedCandidates`] walks the graph's
+//! [`WindowIndex`] with cursors it keeps per depth, so a step costs the
+//! candidates it returns plus cursor moves that only go forward. (The
+//! tests check it on every step against a stateless search of the plain
+//! node index.) Keeping the walk itself shared is what makes the engines
+//! provably equivalent: the emission filters, signature
+//! canonicalisation, and ordering rules are one piece of code.
 //!
 //! Correctness relies on three facts:
 //!
@@ -55,46 +55,6 @@ pub trait CandidateSource {
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     );
-}
-
-/// Candidate generation over [`TemporalGraph`]'s plain node index: one
-/// `partition_point` for the lower bound, then a linear scan until the
-/// upper bound breaks, then a sort + dedup of the concatenation. This is
-/// the seed repo's original strategy, with the per-probe time checks
-/// resolved against the dense SoA time column (8-byte rows) instead of
-/// chasing `events[i].time` through 24-byte structs. It keeps no state
-/// between steps, which makes it the independent check on
-/// [`WindowedCandidates`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeListCandidates;
-
-impl CandidateSource for NodeListCandidates {
-    fn gather(
-        &mut self,
-        graph: &TemporalGraph,
-        nodes: &[NodeId],
-        _depth: usize,
-        pushed: EventIdx,
-        bound: Option<Time>,
-        out: &mut Vec<EventIdx>,
-    ) {
-        let times = graph.times();
-        let t_last = times[pushed as usize];
-        for &node in nodes {
-            let list = graph.node_events(node);
-            let start = list.partition_point(|&i| times[i as usize] <= t_last);
-            for &i in &list[start..] {
-                if let Some(b) = bound {
-                    if times[i as usize] > b {
-                        break;
-                    }
-                }
-                out.push(i);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
 }
 
 /// Candidate generation over a graph's [`WindowIndex`] with a cursor per
@@ -560,6 +520,42 @@ mod tests {
     use crate::models::MotifModel;
     use tnm_graph::shard::{materialize, plan_shards, ShardGoal};
     use tnm_graph::{Event, TemporalGraphBuilder};
+
+    /// Candidate generation over [`TemporalGraph`]'s plain node index: one
+    /// `partition_point` for the lower bound, then a linear scan until the
+    /// upper bound breaks, then a sort + dedup of the concatenation. It
+    /// keeps no state between steps, which makes it the independent check
+    /// on [`WindowedCandidates`].
+    struct NodeListCandidates;
+
+    impl CandidateSource for NodeListCandidates {
+        fn gather(
+            &mut self,
+            graph: &TemporalGraph,
+            nodes: &[NodeId],
+            _depth: usize,
+            pushed: EventIdx,
+            bound: Option<Time>,
+            out: &mut Vec<EventIdx>,
+        ) {
+            let times = graph.times();
+            let t_last = times[pushed as usize];
+            for &node in nodes {
+                let list = graph.node_events(node);
+                let start = list.partition_point(|&i| times[i as usize] <= t_last);
+                for &i in &list[start..] {
+                    if let Some(b) = bound {
+                        if times[i as usize] > b {
+                            break;
+                        }
+                    }
+                    out.push(i);
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
 
     /// Runs the cursor source and the stateless node-list search on every
     /// step and fails on the first step where they differ.

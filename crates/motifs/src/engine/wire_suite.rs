@@ -31,6 +31,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use tnm_graph::wire::{
     decode, decode_events, encode, encode_events, read_msg, read_raw_msg, write_msg, Message, Wire,
+    WireError,
 };
 use tnm_graph::Event;
 
@@ -120,9 +121,7 @@ fn configs() -> Vec<EnumConfig> {
 
 fn engines() -> Vec<(&'static str, EngineKind)> {
     vec![
-        ("backtrack", EngineKind::Backtrack),
         ("windowed", EngineKind::Windowed),
-        ("parallel", EngineKind::Parallel),
         ("stream", EngineKind::Stream),
         ("sharded_512_0", EngineKind::sharded(512, 0)),
         ("sharded_700_3", EngineKind::sharded(700, 3)),
@@ -374,6 +373,27 @@ fn golden_frames_decode_and_reencode_identically() {
             _ => panic!("unclassified fixture entry {name}"),
         };
         assert_eq!(again, bytes, "{name}");
+    }
+}
+
+/// The surviving engine kinds keep their tags, and the tags of the two
+/// retired walk kinds (0 and 2) are refused rather than read as another
+/// kind.
+#[test]
+fn retired_engine_tags_are_refused() {
+    for (kind, tag) in [
+        (EngineKind::Windowed, 1u8),
+        (EngineKind::Stream, 3),
+        (EngineKind::sharded(1, 2), 4),
+        (EngineKind::sampling(1, 2), 5),
+        (EngineKind::Auto, 6),
+    ] {
+        assert_eq!(encode(&kind)[0], tag, "{kind}");
+        assert_eq!(decode::<EngineKind>(&encode(&kind)).unwrap(), kind);
+    }
+    for tag in [0u8, 2, 7] {
+        let err = decode::<EngineKind>(&[tag]).unwrap_err();
+        assert!(matches!(err, WireError::Malformed(_)), "tag {tag}: {err:?}");
     }
 }
 

@@ -7,7 +7,7 @@
 //! shortcut for the common case: the auto-selected engine on one thread.
 //! Enumerate instances with an engine's
 //! [`enumerate`](crate::engine::CountEngine::enumerate), e.g.
-//! [`WindowedEngine`](crate::engine::WindowedEngine)'s deterministic
+//! [`WindowedEngine`](struct@crate::engine::WindowedEngine)'s deterministic
 //! start-event order.
 
 pub use crate::engine::{EnumConfig, MotifInstance};
@@ -26,7 +26,7 @@ pub fn count_motifs(graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
 mod tests {
     use super::*;
     use crate::constraints::Timing;
-    use crate::engine::{CountEngine, ParallelEngine, WindowedEngine};
+    use crate::engine::{CountEngine, WindowedEngine};
     use crate::models::MotifModel;
     use crate::notation::sig;
     use tnm_graph::TemporalGraphBuilder;
@@ -191,7 +191,7 @@ mod tests {
         let g = b.build().unwrap();
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(30, 60));
         let serial = count_motifs(&g, &cfg);
-        let par = ParallelEngine::new(4).count(&g, &cfg);
+        let par = WindowedEngine::new(4).count(&g, &cfg);
         assert_eq!(serial, par);
     }
 
@@ -201,7 +201,7 @@ mod tests {
         // actually running multi-threaded on a tiny graph.
         let g = chain_graph();
         let cfg = EnumConfig::new(2, 4);
-        let par = ParallelEngine::new(8).count(&g, &cfg);
+        let par = WindowedEngine::new(8).count(&g, &cfg);
         assert_eq!(par, count_motifs(&g, &cfg));
     }
 

@@ -71,21 +71,16 @@
 //! implementation with [`engine::EngineKind`] (or `--engine` on the
 //! `tnm` CLI):
 //!
-//! * [`engine::BacktrackEngine`] (`backtrack`) — the serial reference
-//!   walker over the plain node index. Use it as the baseline for
-//!   differential tests and on tiny graphs where index construction is
-//!   not worth it.
-//! * [`engine::WindowedEngine`] (`windowed`) — the same walk driven by a
+//! * [`engine::WindowedEngine`](struct@engine::WindowedEngine)
+//!   (`windowed`) — the backtracking walk driven by a
 //!   [`tnm_graph::WindowIndex`]: candidate windows start from the
 //!   pushed event's slot or a per-depth cursor and end by a scan over
 //!   inline timestamps, so bounded ΔC/ΔW configurations skip
-//!   non-admissible events entirely. The best single-threaded
-//!   choice for realistic workloads.
-//! * [`engine::ParallelEngine`] (`parallel`) — the walk executor every
-//!   walker shares, over the windowed index: work-stealing workers
-//!   (atomic start-event cursor, per-worker local tables merged
-//!   lock-free at join), or one inline walk on a one-thread budget. The
-//!   best choice for large graphs on multi-core hardware.
+//!   non-admissible events entirely. It runs on the thread budget: one
+//!   thread walks inline (`WindowedEngine`, or `--threads 1`), more
+//!   threads run work-stealing workers (atomic start-event cursor,
+//!   per-worker local tables merged lock-free at join) —
+//!   `WindowedEngine::new(n)`.
 //! * [`engine::ShardedEngine`] (`sharded`) — time-slice shards with
 //!   bounded halos ([`tnm_graph::shard`]), each counted by the same
 //!   per-shard walk over one of two transports. With `workers = 0` the
@@ -102,24 +97,25 @@
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the
 //!   spectrum comes from sliding-window dynamic programs over node
 //!   pairs, star centers, and static triangles — near-linear in events
-//!   where every walker is linear in instances. Exact; ineligible
-//!   configurations transparently fall back to the windowed walker.
+//!   where the walk is linear in instances. Exact; ineligible
+//!   configurations transparently fall back to the one-thread windowed
+//!   walk.
 //! * [`engine::SamplingEngine`] (`sampling`) — **approximate** interval
 //!   sampling: unbiased point estimates with ~95 % confidence intervals
 //!   via [`engine::CountEngine::report`], at a fraction of exact cost on
 //!   large windows; window draws parallelize with bit-identical seeded
-//!   results. The other five engines are exact and produce identical
+//!   results. The other three engines are exact and produce identical
 //!   counts.
 //! * [`engine::EngineKind::Auto`] (`auto`, the default) — resolves per
 //!   workload via [`engine::auto_select`]: the stream fast path whenever
-//!   eligible, backtrack for small unbounded-timing jobs, sharded on
-//!   worker processes for bounded-timing graphs above
-//!   [`engine::DISTRIBUTED_MIN_EVENTS`] with a multi-worker budget,
-//!   sharded in this thread above [`engine::SHARDED_MIN_EVENTS`], work-stealing parallel when the
-//!   graph and its ΔC/ΔW windows carry enough work for multiple
-//!   threads, serial windowed otherwise.
+//!   eligible, sharded on worker processes for bounded-timing graphs
+//!   above [`engine::DISTRIBUTED_MIN_EVENTS`] with a multi-worker
+//!   budget, sharded in this thread above
+//!   [`engine::SHARDED_MIN_EVENTS`], the windowed walk otherwise — on
+//!   the whole thread budget when the graph and its ΔC/ΔW windows carry
+//!   enough work for more than one thread, on one thread if not.
 //!
-//! All windowed engines read one [`tnm_graph::WindowIndex`] per graph,
+//! Every walk reads one [`tnm_graph::WindowIndex`] per graph,
 //! built on first use by [`tnm_graph::TemporalGraph::window_index`] and
 //! kept with the graph, so repeated counts of the same graph build the
 //! index once.
@@ -187,11 +183,10 @@ pub mod prelude {
         pair_type_ratios, proportion_changes, ranking_changes, MotifCounts, PairGroupCounts,
     };
     pub use crate::engine::{
-        count_batch, enumerate_batch, AppendAck, BacktrackEngine, BatchPlan, BatchPlanner,
-        ConfigError, CountEngine, EngineKind, EngineReport, Estimate, IncrementalStream,
-        MotifServer, ParallelEngine, Query, QueryError, QueryLogEntry, QueryResponse,
-        SamplingEngine, ServeClient, ServeOptions, ServerStats, ShardedEngine, TraceReply,
-        WindowedEngine,
+        count_batch, enumerate_batch, AppendAck, BatchPlan, BatchPlanner, ConfigError, CountEngine,
+        EngineKind, EngineReport, Estimate, IncrementalStream, MotifServer, Query, QueryError,
+        QueryLogEntry, QueryResponse, SamplingEngine, ServeClient, ServeOptions, ServerStats,
+        ShardedEngine, TraceReply, WindowedEngine,
     };
     pub use crate::enumerate::{count_motifs, EnumConfig, MotifInstance};
     pub use crate::event_pair::{EventPairCounts, EventPairType, ALL_PAIR_TYPES};

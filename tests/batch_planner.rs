@@ -11,8 +11,8 @@
 //!
 //! * random mixed batches — models, ΔC/ΔW shapes, node budgets,
 //!   signature targets, induced/non-induced — on seeded random graphs,
-//!   for every shareable kind (auto, windowed, backtrack, parallel,
-//!   stream);
+//!   for every shareable kind (auto, windowed, stream), on one and on
+//!   three threads;
 //! * single-config batches and duplicate configs (duplicates must fill
 //!   every slot, identically);
 //! * the canonical 36-motif Paranjape batch (one shared stream pass —
@@ -86,14 +86,8 @@ fn random_config(rng: &mut StdRng) -> EnumConfig {
 /// Kinds whose batch execution shares traversals (everything except the
 /// solo sharded/distributed/sampling kinds, which `solo_kinds_match`
 /// covers).
-fn shareable_kinds() -> [EngineKind; 5] {
-    [
-        EngineKind::Auto,
-        EngineKind::Windowed,
-        EngineKind::Backtrack,
-        EngineKind::Parallel,
-        EngineKind::Stream,
-    ]
+fn shareable_kinds() -> [EngineKind; 3] {
+    [EngineKind::Auto, EngineKind::Windowed, EngineKind::Stream]
 }
 
 fn assert_batch_matches(graph: &TemporalGraph, batch: &[EnumConfig], label: &str) {
@@ -190,8 +184,8 @@ fn table5_style_ratio_sweep_mixes_stream_and_walk_groups() {
 }
 
 /// Every walk group names its resolved walker in `describe()` — what
-/// `tnm count-batch` prints — and a parallel group on one thread runs
-/// (and is labelled) as the windowed walk.
+/// `tnm count-batch` prints — with its executor threads when it has
+/// more than one.
 #[test]
 fn walk_groups_describe_their_resolved_walker() {
     let g = random_graph(46, 9, 140, 160);
@@ -200,10 +194,8 @@ fn walk_groups_describe_their_resolved_walker() {
         EnumConfig::new(3, 3).with_timing(Timing::both(10, 40)),
     ];
     for (kind, threads, label) in [
-        (EngineKind::Backtrack, 1, "walk(backtrack)"),
         (EngineKind::Windowed, 1, "walk(windowed)"),
-        (EngineKind::Parallel, 4, "walk(parallel)"),
-        (EngineKind::Parallel, 1, "walk(windowed)"),
+        (EngineKind::Windowed, 4, "walk(windowed, 4 threads)"),
     ] {
         let plan = BatchPlanner::plan(&g, &batch, kind, threads);
         assert_eq!(plan.num_groups(), 1, "{}", plan.describe());

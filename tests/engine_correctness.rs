@@ -133,7 +133,12 @@ fn assert_matches_oracle(
         graph.num_events()
     );
     for (&sig, &n) in oracle {
-        assert_eq!(counts.get(sig), n, "{engine}: count mismatch for {} signature {sig}", model.name);
+        assert_eq!(
+            counts.get(sig),
+            n,
+            "{engine}: count mismatch for {} signature {sig}",
+            model.name
+        );
     }
 }
 
@@ -173,7 +178,7 @@ fn parallel_equals_serial() {
     for_each_graph(2, 48, |_, graph| {
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(10, 20));
         let serial = count_motifs(&graph, &cfg);
-        let parallel = ParallelEngine::new(4).count(&graph, &cfg);
+        let parallel = WindowedEngine::new(4).count(&graph, &cfg);
         assert_eq!(serial, parallel);
     });
 }

@@ -1,8 +1,8 @@
 //! Cross-engine equivalence suite.
 //!
 //! The engine subsystem's core contract: every exact [`CountEngine`] —
-//! serial backtrack, window-indexed, work-stealing parallel, stream,
-//! and time-slice sharded — produces **identical**
+//! the window-indexed walk on one and on several threads, stream, and
+//! time-slice sharded — produces **identical**
 //! [`MotifCounts`] for identical configurations. This suite pins the
 //! contract across:
 //!
@@ -33,13 +33,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
-use tnm_motifs::engine::{
-    BacktrackEngine, CountEngine, EngineKind, ParallelEngine, ShardedEngine, StreamEngine,
-    WindowedEngine,
-};
+use tnm_motifs::engine::{CountEngine, EngineKind, ShardedEngine, StreamEngine, WindowedEngine};
 
-/// Every engine under test: the serial walkers, the work-stealing
-/// executor over the windowed index, the stream engine, and the sharded
+/// The count every engine must match: the stream DPs on a
+/// stream-eligible config — a separate algorithm that reads no window
+/// index — and the one-thread windowed walk otherwise (the brute-force
+/// oracle in `tests/engine_correctness.rs` checks the walk itself).
+fn reference(graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
+    if StreamEngine::eligible(cfg) {
+        StreamEngine.count(graph, cfg)
+    } else {
+        WindowedEngine.count(graph, cfg)
+    }
+}
+
+/// Every engine under test: the windowed walk inline and on four
+/// work-stealing threads, the stream engine, and the sharded
 /// engine on both transports — in this thread (serially and with three
 /// walk threads) and on two worker processes. The sharded runs use
 /// deliberately tiny shard targets so the suite's small graphs still
@@ -50,9 +59,8 @@ use tnm_motifs::engine::{
 /// the rest its windowed fallback.
 fn engines() -> Vec<Box<dyn CountEngine>> {
     vec![
-        Box::new(BacktrackEngine),
         Box::new(WindowedEngine),
-        Box::new(ParallelEngine::new(4)),
+        Box::new(WindowedEngine::new(4)),
         Box::new(ShardedEngine::new(16)),
         Box::new(ShardedEngine::new(25).with_threads(3)),
         Box::new(StreamEngine),
@@ -61,13 +69,13 @@ fn engines() -> Vec<Box<dyn CountEngine>> {
 }
 
 fn assert_all_engines_agree(graph: &TemporalGraph, cfg: &EnumConfig, label: &str) {
-    let reference = BacktrackEngine.count(graph, cfg);
+    let reference = reference(graph, cfg);
     for engine in engines() {
         let counts = engine.count(graph, cfg);
         assert_eq!(
             counts,
             reference,
-            "{label}: engine `{}` disagrees with backtrack reference",
+            "{label}: engine `{}` disagrees with the reference",
             engine.name()
         );
     }
@@ -199,7 +207,7 @@ fn signature_targeting_agrees() {
 /// (including one start event per shard, so every cut lands inside
 /// every multi-event motif's span) and tie-rich graphs whose duplicate
 /// timestamps straddle the cuts, the sharded engine's in-thread
-/// transport must match the backtrack reference exactly.
+/// transport must match the reference exactly.
 #[test]
 fn sharded_boundaries_are_exact() {
     // horizon << events ⇒ duplicate timestamps everywhere, including on
@@ -211,7 +219,7 @@ fn sharded_boundaries_are_exact() {
         for model in four_models() {
             for k in [2usize, 3] {
                 let cfg = EnumConfig::for_model(&model, k, 4);
-                let reference = BacktrackEngine.count(&g, &cfg);
+                let reference = reference(&g, &cfg);
                 for shard_events in [1usize, 2, 7, 33, events] {
                     assert_eq!(
                         ShardedEngine::new(shard_events).count(&g, &cfg),
@@ -382,7 +390,7 @@ fn generator_corpora_agree() {
     // scale that keeps the 3-engine × 2-config sweep under a second.
     for name in ["CollegeMsg", "Email", "Bitcoin-otc"] {
         let mut spec = DatasetSpec::by_name(name).expect("known dataset");
-        spec.num_events = 1_500; // above SERIAL_FALLBACK_EVENTS: auto goes parallel
+        spec.num_events = 1_500; // above SERIAL_FALLBACK_EVENTS: auto takes the budget
         let g = generate(&spec, 9);
         for cfg in [
             EnumConfig::new(3, 3).exact_nodes(3).with_timing(Timing::only_c(1500)),

@@ -28,9 +28,7 @@
 
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
-use tnm_motifs::engine::{
-    BacktrackEngine, CountEngine, ParallelEngine, ShardedEngine, StreamEngine, WindowedEngine,
-};
+use tnm_motifs::engine::{CountEngine, ShardedEngine, StreamEngine, WindowedEngine};
 
 /// How many `index.build` spans `spans` holds.
 fn index_builds(spans: &[tnm_obs::SpanRecord]) -> usize {
@@ -48,9 +46,8 @@ fn corpus() -> TemporalGraph {
 /// worker processes), and the stream DPs.
 fn engines() -> Vec<Box<dyn CountEngine>> {
     vec![
-        Box::new(BacktrackEngine),
         Box::new(WindowedEngine),
-        Box::new(ParallelEngine::new(4)),
+        Box::new(WindowedEngine::new(4)),
         Box::new(ShardedEngine::new(600)),
         Box::new(ShardedEngine::new(600).with_workers(2)),
         Box::new(StreamEngine),
@@ -130,18 +127,18 @@ fn enabled_windowed_run_lands_on_the_documented_names() {
 /// work-stealing walkers, the sampler, a batch walk group, batch
 /// enumeration and a one-shard sharded run — and requires that they all
 /// read one index, built once, with every exact count equal to the
-/// index-free backtrack reference.
+/// stream DPs' count (a separate algorithm that reads no window index).
 #[test]
 fn every_windowed_path_shares_one_index_build() {
     let _guard = tnm_obs::test_guard();
     let g = corpus();
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
-    let reference = BacktrackEngine.count(&g, &cfg);
+    let reference = StreamEngine.count(&g, &cfg);
     tnm_obs::set_enabled(true);
     tnm_obs::global().reset();
     tnm_obs::drain_spans();
     let windowed = WindowedEngine.count(&g, &cfg);
-    let parallel = ParallelEngine::new(4).count(&g, &cfg);
+    let threaded = WindowedEngine::new(4).count(&g, &cfg);
     let sampled = SamplingEngine::new(16, 3).report(&g, &cfg);
     let batch = EngineKind::Windowed.count_batch(&g, std::slice::from_ref(&cfg), 2);
     let mut enumerated = MotifCounts::new();
@@ -155,7 +152,7 @@ fn every_windowed_path_shares_one_index_build() {
     assert_eq!(sampled.samples, Some(16));
     for (path, counts) in [
         ("windowed", &windowed),
-        ("parallel", &parallel),
+        ("windowed on 4 threads", &threaded),
         ("batch walk group", &batch[0]),
         ("enumerate_batch", &enumerated),
         ("sharded", &sharded),

@@ -88,7 +88,9 @@ fn table5_timing_constraint_claims() {
     // Datasets where the differential-reduction claim is robust at this
     // scale; Calls/SMS-Copenhagen/SuperUser sit within noise of zero on
     // the synthetic corpus (see EXPERIMENTS.md).
-    let corpus = corpus().only(&["CollegeMsg", "Email", "FBWall", "SMS-A"]);
+    let corpus =
+        Corpus::named(&["CollegeMsg", "Email", "FBWall", "SMS-A"], 0.25, experiments::CORPUS_SEED)
+            .unwrap();
     let t5 = experiments::table5::run(&corpus);
     for row in &t5.rows {
         let base = row.baseline().groups;
@@ -114,7 +116,12 @@ fn table5_timing_constraint_claims() {
 
 #[test]
 fn figure3_repetition_ratio_decreases() {
-    let corpus = corpus().only(&["SMS-Copenhagen", "Email", "StackOverflow", "SuperUser"]);
+    let corpus = Corpus::named(
+        &["SMS-Copenhagen", "Email", "StackOverflow", "SuperUser"],
+        0.25,
+        experiments::CORPUS_SEED,
+    )
+    .unwrap();
     let f3 = experiments::fig3::run(&corpus, false);
     for name in ["Email", "StackOverflow", "SuperUser"] {
         let d = f3.repetition_change(name, 3).unwrap();
@@ -129,7 +136,7 @@ fn figure3_repetition_ratio_decreases() {
 
 #[test]
 fn figure4_delta_c_regularizes_intermediate_events() {
-    let corpus = Corpus::scaled(0.4, experiments::CORPUS_SEED).only(&["SMS-Copenhagen"]);
+    let corpus = Corpus::named(&["SMS-Copenhagen"], 0.4, experiments::CORPUS_SEED).unwrap();
     let t = experiments::fig4::run_target(&corpus, "010102", "SMS-Copenhagen").unwrap();
     let only_w = &t.cells[0];
     let only_c = t.cells.last().unwrap();
@@ -152,7 +159,7 @@ fn figure4_delta_c_regularizes_intermediate_events() {
 
 #[test]
 fn figure5_delta_w_caps_timespans() {
-    let corpus = Corpus::scaled(0.4, experiments::CORPUS_SEED).only(&["CollegeMsg"]);
+    let corpus = Corpus::named(&["CollegeMsg"], 0.4, experiments::CORPUS_SEED).unwrap();
     let t = experiments::fig5::run_target(&corpus, "010102", "CollegeMsg").unwrap();
     let only_c = &t.cells[0];
     let only_w = t.cells.last().unwrap();
@@ -169,7 +176,12 @@ fn figure5_delta_w_caps_timespans() {
 
 #[test]
 fn figure6_domain_structure() {
-    let corpus = corpus().only(&["SMS-Copenhagen", "CollegeMsg", "StackOverflow", "Email"]);
+    let corpus = Corpus::named(
+        &["SMS-Copenhagen", "CollegeMsg", "StackOverflow", "Email"],
+        0.25,
+        experiments::CORPUS_SEED,
+    )
+    .unwrap();
     let f6 = experiments::fig6::run(&corpus);
     let get = |name: &str| f6.maps.iter().find(|m| m.name == name).unwrap();
     // Message networks are R/P-dominated relative to Q&A networks.

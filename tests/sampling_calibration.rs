@@ -172,7 +172,7 @@ fn engine_kind_round_trip() {
 fn exact_reports_degenerate_to_counts() {
     let g = random_graph(21, 12, 400, 900);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(20, 50));
-    let reference = BacktrackEngine.count(&g, &cfg);
+    let reference = WindowedEngine.count(&g, &cfg);
     for kind in EngineKind::CONCRETE {
         let report = kind.report(&g, &cfg, 2);
         assert!(report.exact);

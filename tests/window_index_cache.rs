@@ -5,6 +5,7 @@
 use temporal_motifs::prelude::*;
 use tnm_datasets::{generate, DatasetSpec};
 use tnm_graph::{NodeId, WindowIndex};
+use tnm_motifs::engine::StreamEngine;
 
 fn dataset(name: &str, events: usize, seed: u64) -> TemporalGraph {
     let mut spec = DatasetSpec::by_name(name).expect("known dataset");
@@ -33,8 +34,10 @@ fn same_arrays(a: &WindowIndex<'_>, b: &WindowIndex<'_>, nodes: u32) -> bool {
 }
 
 /// Counting the same graph twice — the second time through its kept
-/// index — must yield identical results to the cold run and to the
-/// index-free backtrack reference.
+/// index — must yield identical results to the cold run and to a
+/// reference: the stream DPs (which read no window index) where the
+/// config is stream-eligible, a one-thread walk on a fresh copy of the
+/// graph otherwise.
 #[test]
 fn repeated_counts_through_cache_are_identical() {
     let g = dataset("CollegeMsg", 2_000, 3);
@@ -43,13 +46,17 @@ fn repeated_counts_through_cache_are_identical() {
         EnumConfig::new(2, 2).with_timing(Timing::both(600, 1_200)),
         EnumConfig::new(3, 3).with_timing(Timing::only_c(1_500)).with_consecutive(true),
     ] {
-        let reference = BacktrackEngine.count(&g, &cfg);
+        let reference = if StreamEngine::eligible(&cfg) {
+            StreamEngine.count(&g, &cfg)
+        } else {
+            WindowedEngine.count(&g.clone(), &cfg)
+        };
         let cold = WindowedEngine.count(&g, &cfg);
         let warm = WindowedEngine.count(&g, &cfg);
-        let warm_parallel = ParallelEngine::new(4).count(&g, &cfg);
+        let warm_threaded = WindowedEngine::new(4).count(&g, &cfg);
         assert_eq!(cold, reference);
         assert_eq!(warm, reference);
-        assert_eq!(warm_parallel, reference);
+        assert_eq!(warm_threaded, reference);
     }
 }
 
@@ -102,7 +109,8 @@ fn recycled_graphs_never_get_stale_indexes() {
             "round {round}: the index does not describe the graph"
         );
         let cfg = EnumConfig::new(2, 3).with_timing(Timing::only_w(600));
-        assert_eq!(WindowedEngine.count(&g, &cfg), BacktrackEngine.count(&g, &cfg));
+        assert!(StreamEngine::eligible(&cfg));
+        assert_eq!(WindowedEngine.count(&g, &cfg), StreamEngine.count(&g, &cfg));
     }
 }
 

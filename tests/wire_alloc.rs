@@ -74,13 +74,13 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Serve request kind 18 (Query): graph `g`, Batch (tag 4) on the
-/// backtrack engine (tag 0), one thread, and a config count of
+/// windowed engine (tag 1), one thread, and a config count of
 /// `u32::MAX` with no configs behind it.
 fn forged_batch_request() -> Vec<u8> {
     let mut p = Vec::new();
     p.extend_from_slice(&1u32.to_le_bytes());
     p.push(b'g');
-    p.extend_from_slice(&[4, 0]);
+    p.extend_from_slice(&[4, 1]);
     p.extend_from_slice(&1u32.to_le_bytes());
     p.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(p.len(), 15);
