@@ -164,7 +164,7 @@ pub fn default_threads() -> usize {
 /// one process's cores are the bottleneck. [`EngineKind::Stream`] (which `auto` picks whenever a
 /// driver's configuration is Paranjape-shaped) counts eligible only-ΔW
 /// spectra without enumerating instances and is the fastest exact
-/// option there by an asymptotic margin. All windowed engines read the
+/// option there by an asymptotic margin. Every walk reads the
 /// `WindowIndex` each graph builds once (`TemporalGraph::window_index`),
 /// and the streaming triad class reads the static triangles each graph
 /// lists once (`TemporalGraph::triangles`), so the dozens of counts a

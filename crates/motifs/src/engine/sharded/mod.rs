@@ -7,7 +7,7 @@
 //! independent [`TemporalGraph`](tnm_graph::TemporalGraph), launching
 //! walks **only from the shard's owned start events**. Ownership
 //! partitions the instance space exactly: every instance is counted in
-//! precisely one shard, so totals match the serial engines bit for bit
+//! precisely one shard, so totals match the whole-graph walk bit for bit
 //! (`tests/engine_equivalence.rs`).
 //!
 //! One value, [`ShardedConfig::workers`], picks the transport:
@@ -279,7 +279,7 @@ impl CountEngine for ShardedEngine {
     /// callbacks cannot cross a process boundary, so `workers` is
     /// ignored), with event indices translated back to the parent
     /// graph. Shards are visited in time order and owned starts in
-    /// index order, so callbacks observe exactly the serial engines'
+    /// index order, so callbacks observe exactly the windowed walk's
     /// deterministic enumeration order.
     fn enumerate(
         &self,

@@ -18,7 +18,8 @@
 //!   dynamic graphlets ([`constrained`]);
 //! * a pluggable **counting-engine subsystem** ([`engine`]): one shared
 //!   backtracking walk behind the [`engine::CountEngine`] trait, with
-//!   serial, window-indexed, work-stealing parallel, time-slice sharded
+//!   window-indexed (on one thread or work-stealing on several),
+//!   time-slice sharded
 //!   (shards walked in this thread, or shipped to worker processes over
 //!   the framed [`tnm_graph::wire`] protocol with crash-detected shards
 //!   rescheduled), and interval-sampling implementations (the sampler reports
