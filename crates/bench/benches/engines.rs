@@ -401,7 +401,7 @@ fn bench_serve_incremental(c: &mut Criterion) {
 /// itself, made with columns already built, stays outside the timing);
 /// `graph_warm` times a later call, which returns the view the graph
 /// already holds.
-fn bench_index_cache(c: &mut Criterion) {
+fn bench_window_index_reuse(c: &mut Criterion) {
     let g = dataset("Email", 20_000);
     let _ = g.columns();
     let mut group = c.benchmark_group("window_index_reuse");
@@ -782,7 +782,7 @@ criterion_group!(
     bench_stream_engine,
     bench_distributed_engine,
     bench_serve_incremental,
-    bench_index_cache,
+    bench_window_index_reuse,
     bench_walker_models,
     bench_signature_targeting,
     bench_streaming_matcher,

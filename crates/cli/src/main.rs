@@ -185,7 +185,24 @@ Flags:
                 (default 16384). Rejected for other engines.
 ";
 
+/// Ends the process quietly when stdout's reader has gone (`tnm … |
+/// head`). Rust ignores SIGPIPE, so `println!` panics on the broken
+/// pipe instead; this exits with the status a shell reports for a
+/// process that SIGPIPE ended (128 + 13) and leaves other panics to the
+/// default hook.
+fn exit_quietly_on_closed_stdout() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload().downcast_ref::<String>().map_or("", String::as_str);
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(141);
+        }
+        default_hook(info)
+    }));
+}
+
 fn main() -> ExitCode {
+    exit_quietly_on_closed_stdout();
     let mut argv = std::env::args().skip(1);
     let command = match argv.next() {
         Some(c) => c,

@@ -7,7 +7,7 @@
 //! network of four disjoint regions, one per row, so each row's failure
 //! mode is isolated and testable:
 //!
-//! | row | fails because | [11] | [12] | [13] | [14] |
+//! | row | fails because | \[11\] | \[12\] | \[13\] | \[14\] |
 //! |---|---|---|---|---|---|
 //! | 1 | a consecutive gap exceeds ΔC          | ✗ | ✓ | ✗ | ✓ |
 //! | 2 | not static-induced (+ ΔC violation)   | ✗ | ✓ | ✗ | ✗ |

@@ -11,11 +11,11 @@
 //! probe touches 3× fewer cache lines and the compiler is free to
 //! vectorize linear scans.
 //!
-//! The columns are built lazily, exactly once per [`TemporalGraph`]
-//! (`crate::TemporalGraph::columns` goes through a `OnceLock`), and
-//! row `i` of every column describes `graph.event(i)` — the same
-//! indices the node/edge/window indexes hand out, so the two views
-//! compose without translation.
+//! The columns are built lazily, exactly once per
+//! [`TemporalGraph`](crate::TemporalGraph) (`crate::TemporalGraph::columns`
+//! goes through a `OnceLock`), and row `i` of every column describes
+//! `graph.event(i)` — the same indices the node/edge/window indexes
+//! hand out, so the two views compose without translation.
 
 use crate::event::Event;
 use crate::ids::Time;

@@ -339,20 +339,6 @@ impl TemporalGraph {
         self.columns().first_at_or_after(t) as EventIdx
     }
 
-    /// Returns all directed static edges both of whose endpoints lie in
-    /// `nodes`. `nodes` is expected to be tiny (motif node sets, ≤ 4).
-    pub fn static_edges_within(&self, nodes: &[NodeId]) -> Vec<Edge> {
-        let mut out = Vec::new();
-        for &a in nodes {
-            for &b in nodes {
-                if a != b && self.has_edge(Edge { src: a, dst: b }) {
-                    out.push(Edge { src: a, dst: b });
-                }
-            }
-        }
-        out
-    }
-
     /// Validates internal invariants; used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<()> {
         if self.events.is_empty() {
@@ -553,14 +539,6 @@ mod tests {
         assert_eq!(evs[2].time, 9);
         let (_, all) = g.events_in_window(i64::MIN, i64::MAX);
         assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn static_edges_within_node_set() {
-        let g = sample();
-        let edges = g.static_edges_within(&[NodeId(0), NodeId(1), NodeId(2)]);
-        // 0->1, 1->2, 2->0, 0->2 all exist among {0,1,2}.
-        assert_eq!(edges.len(), 4);
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! [`wire`] encoding that carries shard files and worker messages across
 //! process boundaries, Table 2 statistics ([`stats::GraphStats`]),
 //! transformations used by the paper's protocol (resolution degrading,
-//! slicing), SNAP-style I/O, and the static projection ([`static_proj`])
-//! with its verified per-graph cache ([`index_cache`]).
+//! slicing), and SNAP-style I/O. The static projection of the event log
+//! is the graph's own CSR edge index ([`TemporalGraph::has_edge`],
+//! [`TemporalGraph::static_edges`]), and its static triangles are
+//! listed once per graph ([`TemporalGraph::triangles`]); no cache sits
+//! beside either.
 //!
 //! ## Data layout
 //!
@@ -62,33 +65,31 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[doc(hidden)]
+pub mod bench_lookups;
 pub mod builder;
 pub mod columns;
 pub mod error;
 pub mod event;
 pub mod graph;
 pub mod ids;
-pub mod index_cache;
 pub mod io;
 pub mod shard;
-pub mod static_proj;
 pub mod stats;
 pub mod transform;
 pub mod triangles;
 pub mod window_index;
 pub mod wire;
 
+#[doc(hidden)]
+pub use bench_lookups::{global_index_cache, global_projection_cache};
 pub use builder::TemporalGraphBuilder;
 pub use columns::EventColumns;
 pub use error::{GraphError, Result};
 pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
-#[doc(hidden)]
-pub use index_cache::global_index_cache;
-pub use index_cache::CacheStats;
 pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
-pub use static_proj::{global_projection_cache, StaticProjection, StaticProjectionCache};
 pub use triangles::Triangles;
 pub use window_index::WindowIndex;
 pub use wire::WireError;

@@ -294,7 +294,7 @@ impl BatchPlanner {
     /// eligible configs (under `Auto`, exactly those [`auto_select`]
     /// would route to the stream engine; under explicit `Stream`, every
     /// [`StreamEngine::eligible`] config), walk groups keyed by
-    /// [`GroupKey`]-equality plus the bounded-span guardrail, solo
+    /// `GroupKey`-equality plus the bounded-span guardrail, solo
     /// groups for sharded/sampling kinds. Group order is
     /// deterministic (first-member order).
     pub fn plan(

@@ -151,7 +151,6 @@
 //! |---|---|---|
 //! | walk | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
 //! | graph | `index.build{events}` — once per graph, when its window index is built | — |
-//! | projection cache | — | `cache.proj.{hits,misses,rejected}`, `cache.proj.verify_ns` |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
 //! | stream DPs | — | `stream.pair.{pairs_swept,groups_advanced,window_events}`, `stream.star.{centers_swept,center_events}`, `stream.triad.{triangles_swept,groups_advanced,window_events}` |
 //! | sharded, worker processes | `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |

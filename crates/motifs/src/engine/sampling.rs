@@ -103,7 +103,7 @@ impl SamplingEngine {
     /// Evaluates window draws on this many work-stealing worker threads
     /// (chainable). Estimates and confidence intervals are **bit-for-bit
     /// identical** at every thread budget — see the
-    /// [module docs](self) on parallel draws.
+    /// `engine::sampling` module docs on parallel draws.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

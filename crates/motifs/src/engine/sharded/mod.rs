@@ -89,7 +89,7 @@ pub struct ShardedRunStats {
     pub workers_spawned: usize,
 }
 
-/// Exact sharded counting engine. See the [module docs](self).
+/// Exact sharded counting engine. See the `engine::sharded` module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedEngine {
     config: ShardedConfig,

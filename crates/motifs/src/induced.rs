@@ -8,7 +8,7 @@
 //! four nodes.
 //!
 //! There is deliberately **no** temporal component here — the paper
-//! stresses that [13] and [14] capture only static inducedness (e.g. the
+//! stresses that \[13\] and \[14\] capture only static inducedness (e.g. the
 //! triangle formed by events 1, 2, 4 of `(a,b,2),(b,c,4),(c,a,5),(c,a,6)`
 //! is valid even though event 3 is skipped, because edge `c→a` is covered).
 

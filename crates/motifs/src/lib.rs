@@ -9,8 +9,8 @@
 //!   four-event motifs, [`catalog`]);
 //! * the **event-pair lens** — the 6-letter alphabet {R, P, I, O, C, W}
 //!   over consecutive events ([`event_pair`]);
-//! * the **four surveyed models** — Kovanen [11], Song [12], Hulovatyy
-//!   [13], Paranjape [14] — unified as a configuration space ([`models`]);
+//! * the **four surveyed models** — Kovanen \[11\], Song \[12\], Hulovatyy
+//!   \[13\], Paranjape \[14\] — unified as a configuration space ([`models`]);
 //! * the **timing constraints** ΔC and ΔW with the Section 4.5 regime
 //!   analysis ([`constraints`]);
 //! * the three inducedness/freshness restrictions: consecutive events

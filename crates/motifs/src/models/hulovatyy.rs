@@ -1,4 +1,4 @@
-//! Hulovatyy et al. [13]: dynamic graphlets.
+//! Hulovatyy et al. \[13\]: dynamic graphlets.
 //!
 //! *Y. Hulovatyy, H. Chen, T. Milenković, "Exploring the structure and
 //! function of temporal networks with dynamic graphlets", Bioinformatics

@@ -1,4 +1,4 @@
-//! Kovanen et al. [11]: the first holistic temporal motif model.
+//! Kovanen et al. \[11\]: the first holistic temporal motif model.
 //!
 //! *L. Kovanen, M. Karsai, K. Kaski, J. Kertész, J. Saramäki, "Temporal
 //! motifs in time-dependent networks", J. Stat. Mech. (2011).*

@@ -7,7 +7,7 @@
 //! aspect on or off and measure its bias, which is the paper's core
 //! methodology.
 //!
-//! | Aspect | Kovanen [11] | Song [12] | Hulovatyy [13] | Paranjape [14] |
+//! | Aspect | Kovanen \[11\] | Song \[12\] | Hulovatyy \[13\] | Paranjape \[14\] |
 //! |---|---|---|---|---|
 //! | Induced subgraph | node-based temporal | — | static only | static only |
 //! | Event durations | — | as labels | ✓ | — |
@@ -81,17 +81,17 @@ impl MotifModel {
         }
     }
 
-    /// Kovanen et al. [11] — see [`kovanen`].
+    /// Kovanen et al. \[11\] — see [`kovanen`].
     pub fn kovanen(delta_c: Time) -> Self {
         kovanen::model(delta_c)
     }
 
-    /// Song et al. [12] — see [`song`].
+    /// Song et al. \[12\] — see [`song`].
     pub fn song(delta_w: Time) -> Self {
         song::model(delta_w)
     }
 
-    /// Hulovatyy et al. [13] — see [`hulovatyy`].
+    /// Hulovatyy et al. \[13\] — see [`hulovatyy`].
     pub fn hulovatyy(delta_c: Time) -> Self {
         hulovatyy::model(delta_c)
     }
@@ -101,7 +101,7 @@ impl MotifModel {
         hulovatyy::constrained_model(delta_c)
     }
 
-    /// Paranjape et al. [14] — see [`paranjape`].
+    /// Paranjape et al. \[14\] — see [`paranjape`].
     pub fn paranjape(delta_w: Time) -> Self {
         paranjape::model(delta_w)
     }

@@ -1,4 +1,4 @@
-//! Paranjape et al. [14]: δ-temporal motifs.
+//! Paranjape et al. \[14\]: δ-temporal motifs.
 //!
 //! *A. Paranjape, A. R. Benson, J. Leskovec, "Motifs in temporal
 //! networks", WSDM 2017.*

@@ -1,4 +1,4 @@
-//! Song et al. [12]: event pattern matching over graph streams.
+//! Song et al. \[12\]: event pattern matching over graph streams.
 //!
 //! *C. Song, T. Ge, C. Chen, J. Wang, "Event pattern matching over graph
 //! streams", PVLDB 8(4), 2014.*

@@ -4,7 +4,7 @@
 //! workspace: named atomic **counters**, peak-tracking **gauges**, and
 //! log-bucketed **histograms** in a [`Registry`] ([`registry`]), plus
 //! hierarchical timed **spans** collected per thread and exportable as
-//! Chrome-trace JSON ([`span`], the [`span!`] macro).
+//! Chrome-trace JSON ([`span`](mod@span), the [`span!`] macro).
 //!
 //! Everything hot is gated behind one process-global flag read with a
 //! relaxed atomic load ([`enabled`]); when the flag is off the
