@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn message_networks_are_reciprocal() {
+    fn reciprocity_ratio() {
         // Edges 0->1 (twice), 1->0, 1->2, 2->0: 0->1 and 1->0 are
         // reciprocated, 2 of 4.
         let sample = TemporalGraphBuilder::new()
@@ -483,6 +483,10 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(reciprocity(&sample), 0.5);
+    }
+
+    #[test]
+    fn message_networks_are_reciprocal() {
         let sms = generate(&DatasetSpec::sms_copenhagen(), 5);
         let so = generate(&DatasetSpec::stack_overflow(), 5);
         let (r_sms, r_so) = (reciprocity(&sms), reciprocity(&so));
