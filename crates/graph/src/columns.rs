@@ -6,8 +6,8 @@
 //! endpoint of event *i* is not the center?" (star sweeps). Answering
 //! them through `&[Event]` drags the full 24-byte struct through the
 //! cache for every 8-byte (or 4-byte) answer. [`EventColumns`] stores
-//! the same log as four dense columns — `times: Vec<Time>`,
-//! `srcs`/`dsts: Vec<u32>`, `durations: Vec<u32>` — so a timestamp
+//! the fields those loops read as three dense columns — `times:
+//! Vec<Time>` and `srcs`/`dsts: Vec<u32>` — so a timestamp
 //! probe touches 3× fewer cache lines and the compiler is free to
 //! vectorize linear scans.
 //!
@@ -20,8 +20,8 @@
 use crate::event::Event;
 use crate::ids::Time;
 
-/// Dense columnar copy of an event list: one `Vec` per field, row `i`
-/// mirroring `events[i]`.
+/// Dense columnar copy of an event list's times and endpoints: one
+/// `Vec` per field, row `i` mirroring `events[i]`.
 ///
 /// `times` is sorted ascending whenever the source list was (the
 /// [`crate::TemporalGraph`] invariant), so `times.partition_point` is
@@ -31,7 +31,6 @@ pub struct EventColumns {
     times: Vec<Time>,
     srcs: Vec<u32>,
     dsts: Vec<u32>,
-    durations: Vec<u32>,
     has_time_ties: bool,
 }
 
@@ -42,14 +41,12 @@ impl EventColumns {
             times: Vec::with_capacity(events.len()),
             srcs: Vec::with_capacity(events.len()),
             dsts: Vec::with_capacity(events.len()),
-            durations: Vec::with_capacity(events.len()),
             has_time_ties: false,
         };
         for e in events {
             cols.times.push(e.time);
             cols.srcs.push(e.src.0);
             cols.dsts.push(e.dst.0);
-            cols.durations.push(e.duration);
         }
         cols.has_time_ties = cols.times.windows(2).any(|w| w[0] == w[1]);
         cols
@@ -83,12 +80,6 @@ impl EventColumns {
     #[inline]
     pub fn dsts(&self) -> &[u32] {
         &self.dsts
-    }
-
-    /// Durations; `durations()[i] == graph.event(i).duration`.
-    #[inline]
-    pub fn durations(&self) -> &[u32] {
-        &self.durations
     }
 
     /// True when at least two events share a timestamp. Tie-free logs
@@ -141,7 +132,6 @@ mod tests {
             assert_eq!(cols.times()[i], e.time);
             assert_eq!(cols.srcs()[i], e.src.0);
             assert_eq!(cols.dsts()[i], e.dst.0);
-            assert_eq!(cols.durations()[i], e.duration);
         }
     }
 

@@ -34,11 +34,10 @@
 //!   struct, the packed 20-byte [`wire`] record
 //!   ([`wire::EVENT_RECORD_BYTES`]), and the column builder cannot
 //!   drift apart silently.
-//! * **SoA** — [`EventColumns`], dense `times`/`srcs`/`dsts`/
-//!   `durations` columns built lazily once per graph
-//!   ([`TemporalGraph::columns`]). Row `i` of every column mirrors
-//!   `graph.event(i)`, so the node/edge/window index slices resolve
-//!   against either view without translation.
+//! * **SoA** — [`EventColumns`], dense `times`/`srcs`/`dsts` columns
+//!   built lazily once per graph ([`TemporalGraph::columns`]). Row `i`
+//!   of every column mirrors `graph.event(i)`, so the node/edge/window
+//!   index slices resolve against either view without translation.
 //!
 //! Hot paths — window binary searches ([`TemporalGraph::times`]),
 //! [`WindowIndex`] construction, [`shard`]'s left-pad/halo planning,

@@ -15,7 +15,7 @@
 //! | engine | strategy | pick it when |
 //! |---|---|---|
 //! | [`WindowedEngine`](struct@WindowedEngine) | the backtracking walk over the [`WindowIndex`](tnm_graph::WindowIndex) (cursor pruning) on the thread budget: one thread walks inline, more threads run work-stealing workers | any walk-shaped job on an in-memory graph — the one walker; give it threads when there is enough admissible work per start event |
-//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]) over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
+//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), each walked from its owned starts, over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** ([`run_worker`]) over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors. Static inducedness is re-checked against the parent graph on both | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
 //! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the one-thread windowed walk |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
@@ -152,8 +152,8 @@
 //! | walk | `walk.worker{worker}` | `engine.events_scanned`, `engine.candidates_pruned`, `engine.instances_emitted` |
 //! | graph | `index.build{events}` — once per graph, when its window index is built | — |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
+//! | sharded, worker processes | coordinator: `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times; worker: `walk.shard{shard}`, shipped back when the job is traced | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
 //! | stream DPs | — | `stream.pair.{pairs_swept,groups_advanced,window_events}`, `stream.star.{centers_swept,center_events}`, `stream.triad.{triangles_swept,groups_advanced,window_events}` |
-//! | sharded, worker processes | `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
 //! | query API | `query.{count,report,enumerate,batch}{engine,threads}` — the root of every [`Query::run`] | — |
 //! | serve | `serve.query{graph,kind}`, `serve.subscribe{graph}` — per-request roots when the trace flag is set | `serve.{queries,appends}`, `serve.query.{count,report,enumerate,batch}_ns`, `serve.connection_frames`, `serve.subscription_advance_ns` |
 //!
@@ -173,7 +173,6 @@
 
 mod batch;
 mod config;
-mod distributed;
 mod parallel;
 mod query;
 mod report;
@@ -188,7 +187,6 @@ mod wire_suite;
 
 pub use batch::{count_batch, enumerate_batch, BatchPlan, BatchPlanner};
 pub use config::{ConfigError, EnumConfig, MotifInstance};
-pub use distributed::run_worker;
 pub use parallel::SERIAL_FALLBACK_EVENTS;
 pub use query::{Query, QueryError, QueryInstance, QueryResponse};
 pub use report::{t_critical_95, EngineReport, Estimate, Z_95};
@@ -197,8 +195,7 @@ pub use serve::{
     AppendAck, AppendError, ClientError, GraphStat, IncrementalStream, MotifServer, QueryLogEntry,
     ServeClient, ServeOptions, ServerHandle, ServerStats, TraceReply,
 };
-pub(crate) use sharded::ShardWalk;
-pub use sharded::{ShardedConfig, ShardedEngine, ShardedRunStats, DEFAULT_SHARD_EVENTS};
+pub use sharded::{run_worker, ShardedEngine, ShardedRunStats, DEFAULT_SHARD_EVENTS};
 #[doc(hidden)]
 pub use stream::hotpath as stream_hotpath;
 pub use stream::StreamEngine;

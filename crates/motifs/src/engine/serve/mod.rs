@@ -7,7 +7,7 @@
 //! subscription counts **live under event appends** via
 //! [`IncrementalStream`] — O(new events) per append instead of a
 //! recount. Protocol details live in [`protocol`] (same
-//! [`tnm_graph::wire`] framing as the distributed worker protocol,
+//! [`tnm_graph::wire`] framing as the sharded engine's worker protocol,
 //! disjoint kind space); the client half in [`client`].
 //!
 //! ## Resident working set
@@ -53,14 +53,14 @@
 //!   scrape surface.
 //! * **Time series** — a background sampler folds the merged metrics
 //!   snapshot into a [`tnm_obs::TimeSeries`] ring every
-//!   [`ServeOptions::sample_interval_ms`] (default 1 s), retaining
-//!   [`ServeOptions::timeseries_cap`] windows (default 120 ≈ the last
-//!   two minutes). Each retained [`tnm_obs::TimePoint`] is the *delta*
-//!   over its window, so rates and per-window latency quantiles fall
-//!   out directly. The sampler runs whether or not the HTTP listener
-//!   is bound: the ring is served over the wire as a TimeSeries
-//!   response ([`ServeClient::timeseries`]) and, when
-//!   [`ServeOptions::http_port`] is set, as JSON on `/timeseries`.
+//!   [`ServeOptions::sample_interval_ms`] (default 1 s), retaining 120
+//!   windows (≈ the last two minutes). Each retained
+//!   [`tnm_obs::TimePoint`] is the *delta* over its window, so rates and
+//!   per-window latency quantiles fall out directly. The sampler runs
+//!   whether or not the HTTP listener is bound: the ring is served over
+//!   the wire as a TimeSeries response ([`ServeClient::timeseries`])
+//!   and, when [`ServeOptions::http_port`] is set, as JSON on
+//!   `/timeseries`.
 //!   `tnm top` polls the wire call and renders QPS, p50/p99 per query
 //!   kind, and shard residency.
 //! * **Per-query tracing** — a client can set the trace request flag
@@ -124,6 +124,10 @@ use std::time::Duration;
 use tnm_graph::wire::{decode, read_raw_msg, write_msg, MAX_FRAME_PAYLOAD};
 use tnm_graph::{Event, TemporalGraph};
 
+/// Retained [`tnm_obs::TimePoint`] samples (a ring: 120 × 1 s = the
+/// last two minutes).
+const TIMESERIES_CAP: usize = 120;
+
 /// Tunables for a [`MotifServer`].
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -134,8 +138,6 @@ pub struct ServeOptions {
     /// Ceiling on instances materialized per enumerate response, so a
     /// reply always fits the frame-payload limit.
     pub enumerate_cap: usize,
-    /// Maximum accepted request frame payload.
-    pub max_frame: usize,
     /// Port for the HTTP scrape surface (`/metrics`, `/healthz`,
     /// `/timeseries`), bound on the same interface as the wire
     /// listener. `None` (the default) disables it; 0 picks a free port
@@ -144,9 +146,6 @@ pub struct ServeOptions {
     /// How often the background sampler folds the merged metrics
     /// snapshot into the time series.
     pub sample_interval_ms: u64,
-    /// Retained [`tnm_obs::TimePoint`] samples (a ring: 120 × 1 s =
-    /// the last two minutes).
-    pub timeseries_cap: usize,
     /// Capacity of the worst-latency query table in [`ServerStats`].
     pub slow_queries: usize,
     /// Capacity of the completed-query flight recorder in
@@ -159,10 +158,8 @@ impl Default for ServeOptions {
         ServeOptions {
             max_threads: thread::available_parallelism().map_or(4, |n| n.get()),
             enumerate_cap: 100_000,
-            max_frame: MAX_FRAME_PAYLOAD,
             http_port: None,
             sample_interval_ms: 1_000,
-            timeseries_cap: 120,
             slow_queries: 8,
             flight_recorder: 32,
         }
@@ -356,7 +353,7 @@ impl MotifServer {
             Some(port) => Some(TcpListener::bind((addr.ip(), port))?),
             None => None,
         };
-        let timeseries = tnm_obs::TimeSeries::new(options.timeseries_cap.max(1));
+        let timeseries = tnm_obs::TimeSeries::new(TIMESERIES_CAP);
         let state = Arc::new(ServerState {
             registry: RwLock::new(HashMap::new()),
             options,
@@ -478,7 +475,7 @@ fn serve_connection(
         // Wire-level garbage (bad magic, oversized length, truncation
         // mid-frame) is unrecoverable on this connection — the stream
         // position is lost — so close it; the daemon lives on.
-        let frame = match read_raw_msg(&mut *reader, state.options.max_frame) {
+        let frame = match read_raw_msg(&mut *reader, MAX_FRAME_PAYLOAD) {
             Ok(Some(frame)) => frame,
             Ok(None) => break,
             Err(e) => {

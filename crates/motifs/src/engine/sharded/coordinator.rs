@@ -1,58 +1,12 @@
-//! The worker-process transport of
-//! [`ShardedEngine`](crate::engine::ShardedEngine): a coordinator that
-//! writes every planned shard to a temporary event file and farms the
-//! files out to `tnm worker` processes over a framed wire protocol.
-//!
-//! The division of labor:
-//!
-//! * **Coordinator** ([`count_on_workers`]): writes one
-//!   [`io::write_events_raw`](tnm_graph::io::write_events_raw) block per
-//!   shard under a temporary directory (removed when the run ends, even
-//!   by a panic), spawns N worker processes (the hidden `tnm worker`
-//!   subcommand), and drives a work queue over them — one coordinator
-//!   thread per worker, each sending [`protocol`] job frames on the
-//!   child's stdin and reading reply frames from its stdout. Per-shard
-//!   results merge into one [`MotifCounts`]; merging is commutative, so
-//!   scheduling order never affects the totals.
-//! * **Worker** ([`run_worker`]): loads the shard file it is told
-//!   about, rebuilds the slice as an independent graph in the parent's
-//!   node-id space, and runs the sharded engine's per-shard walk over
-//!   **only the owned start events** — the same ownership partition
-//!   that makes the in-thread transport exact.
-//!
-//! ## Crash detection and rescheduling
-//!
-//! A worker that dies mid-run (crash, kill, injected fault) surfaces as
-//! an I/O or framing error on its pipes. The coordinator thread
-//! observing the failure **requeues the in-flight shard** and retires;
-//! surviving workers drain the queue, so a run completes with identical
-//! counts as long as one worker lives. Replies are applied only when a
-//! frame decodes completely, and a job is requeued only when its reply
-//! never did — each shard is counted exactly once. If every worker dies
-//! with shards outstanding, the run panics rather than undercounting.
-//!
-//! ## The one whole-timeline predicate
-//!
-//! Static inducedness asks whether an edge exists *anywhere in the
-//! timeline* — a question a shard (and therefore a worker) cannot
-//! answer. Induced jobs ship with the flag stripped; workers return
-//! their instances **aggregated by inducedness-relevant structure** —
-//! `(signature, node set, covered edges)` groups with counts, since the
-//! verdict depends on nothing else — and the coordinator rechecks each
-//! *group* once against the parent graph's own edge index
-//! ([`TemporalGraph::has_edge`]) before tallying. Reply sizes are bounded
-//! by distinct structures instead of instance counts.
+//! The coordinator of the worker-process transport: shard files, the
+//! work queue, crash rescheduling and the per-group static-inducedness
+//! recheck (see the `engine::sharded` module docs).
 
-pub(crate) mod protocol;
-mod worker;
-
-pub use worker::run_worker;
-
+use super::protocol::{self, WorkerJob, WorkerMsg, WorkerReply};
+use super::ShardedEngine;
 use crate::count::MotifCounts;
 use crate::engine::config::EnumConfig;
-use crate::engine::ShardedConfig;
 use crate::induced::induced_cover_ok;
-use protocol::{WorkerJob, WorkerMsg, WorkerReply};
 use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -102,12 +56,12 @@ impl Drop for ShardFiles {
     }
 }
 
-/// Counts `plan`'s shards (more than one) on `config.workers` worker
-/// processes spawned from `bin`, each walking with `config.threads`
+/// Counts `plan`'s shards (more than one) on `engine.workers` worker
+/// processes spawned from `bin`, each walking with `engine.threads`
 /// threads. Returns the merged counts and the number of workers that
 /// spawned. Panics when every worker died with shards outstanding.
-pub(crate) fn count_on_workers(
-    config: &ShardedConfig,
+pub(super) fn count_on_workers(
+    engine: &ShardedEngine,
     bin: &Path,
     graph: &TemporalGraph,
     cfg: &EnumConfig,
@@ -137,14 +91,14 @@ pub(crate) fn count_on_workers(
             num_nodes: graph.num_nodes(),
             own_lo: spec.own_local().start as u64,
             own_hi: spec.own_local().end as u64,
-            threads: config.threads as u32,
+            threads: engine.threads as u32,
             want_induced: cfg.static_induced,
             cfg: cfg.clone(),
             trace,
         })
         .map(|job| QueuedJob { job, attempts: 0, last_error: None })
         .collect();
-    let n_workers = config.workers.min(shards).max(1);
+    let n_workers = engine.workers.min(shards).max(1);
 
     let queue = Mutex::new(jobs);
     let merged = Mutex::new(MotifCounts::new());
@@ -154,7 +108,7 @@ pub(crate) fn count_on_workers(
     // its first `jobs + 1` jobs — the last is the one it vanishes on —
     // before the queue opens to the others, so no other worker can
     // drain the queue first and leave the fault unfired.
-    let fault_after = config.fault_after.filter(|&(w, _)| w < n_workers);
+    let fault_after = engine.fault_after.filter(|&(w, _)| w < n_workers);
     let reserved = AtomicUsize::new(fault_after.map_or(0, |(_, jobs)| jobs + 1));
     std::thread::scope(|scope| {
         for w in 0..n_workers {
@@ -454,8 +408,8 @@ mod tests {
     fn engine_name_and_caps() {
         let e = ShardedEngine::new(100).with_workers(4);
         assert_eq!(e.name(), "sharded");
-        assert_eq!(e.config().workers, 4);
-        assert_eq!(e.config().shard_events, 100);
-        assert_eq!(ShardedEngine::new(100).with_workers(0).config().workers, 0);
+        assert_eq!(e.workers, 4);
+        assert_eq!(e.shard_events, 100);
+        assert_eq!(ShardedEngine::new(100).with_workers(0).workers, 0);
     }
 }

@@ -1,12 +1,10 @@
-//! The per-shard walk both transports run ([`ShardWalk`]): static
-//! inducedness stripped, the shard graph's own window index, and a pass of the
-//! walk executor over the shard's owned start events. The
-//! in-thread transport counts and enumerates through it; `tnm worker`
-//! builds its count and induced-group replies with it.
+//! The per-shard walk both transports run, and the in-thread
+//! transport's per-instance static-inducedness recheck (see the
+//! `engine::sharded` module docs).
 
+use super::protocol::InducedGroup;
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::distributed::protocol::InducedGroup;
 use crate::engine::parallel::{merge_counts, walk_fold};
 use crate::engine::walker::{Walker, WindowedCandidates};
 use crate::induced::static_induced_ok;
@@ -17,14 +15,11 @@ use tnm_graph::shard::Shard;
 use tnm_graph::window_index::WindowIndex;
 use tnm_graph::{EventIdx, TemporalGraph};
 
-/// One shard prepared for walking. The configuration is the caller's
-/// with static inducedness stripped — a time slice cannot answer
-/// whole-timeline `has_edge` queries, so the caller re-checks that
-/// predicate against the parent (per instance in this process, per
-/// induced group on the coordinator of a worker run). The window index
-/// is the shard graph's own, built before any walker fans out and
-/// dropped with the shard.
-pub(crate) struct ShardWalk<'g> {
+/// One shard prepared for walking: the caller's configuration with
+/// static inducedness stripped (the caller re-checks it against the
+/// parent), and the shard graph's own window index, built before any
+/// walker fans out and dropped with the shard.
+pub(super) struct ShardWalk<'g> {
     graph: &'g TemporalGraph,
     own: Range<usize>,
     cfg: EnumConfig,
@@ -33,7 +28,7 @@ pub(crate) struct ShardWalk<'g> {
 
 impl<'g> ShardWalk<'g> {
     /// Prepares a walk launching only from the shard-local starts `own`.
-    pub(crate) fn new(graph: &'g TemporalGraph, own: Range<usize>, cfg: &EnumConfig) -> Self {
+    pub(super) fn new(graph: &'g TemporalGraph, own: Range<usize>, cfg: &EnumConfig) -> Self {
         let mut cfg = cfg.clone();
         cfg.static_induced = false;
         ShardWalk { graph, own, cfg, index: graph.window_index() }
@@ -49,7 +44,7 @@ impl<'g> ShardWalk<'g> {
     }
 
     /// Counts the owned instances that pass `keep`.
-    pub(crate) fn count(
+    pub(super) fn count(
         &self,
         threads: usize,
         keep: impl Fn(&MotifInstance<'_>) -> bool + Sync,
@@ -67,14 +62,12 @@ impl<'g> ShardWalk<'g> {
         ))
     }
 
-    /// Aggregates the owned instances by inducedness-relevant structure
-    /// for a coordinator's static-inducedness recheck. The verdict
-    /// depends only on (node set, covered edges), so one group per
-    /// distinct combination bounds the reply by structure, not by
-    /// instance count. Shard node ids are parent ids already. Per-thread
+    /// Aggregates the owned instances into `(signature, node set,
+    /// covered edges)` groups for the coordinator's static-inducedness
+    /// recheck. Shard node ids are parent ids already. Per-thread
     /// maps merge with u64 additions (commutative), and the final sort
     /// makes the groups deterministic at any thread count.
-    pub(crate) fn induced_groups(&self, threads: usize) -> Vec<InducedGroup> {
+    pub(super) fn induced_groups(&self, threads: usize) -> Vec<InducedGroup> {
         type GroupKey = (MotifSignature, Vec<u32>, Vec<(u32, u32)>);
         let tally = |map: &mut HashMap<GroupKey, u64>, inst: &MotifInstance<'_>| {
             let mut nodes: Vec<u32> = Vec::with_capacity(2 * inst.events.len());

@@ -8,27 +8,44 @@
 //! walks **only from the shard's owned start events**. Ownership
 //! partitions the instance space exactly: every instance is counted in
 //! precisely one shard, so totals match the whole-graph walk bit for bit
-//! (`tests/engine_equivalence.rs`).
+//! (`tests/engine_equivalence.rs`). A degenerate plan (one shard spanning
+//! the log) runs the windowed walk on the parent instead.
 //!
-//! One value, [`ShardedConfig::workers`], picks the transport:
+//! Both transports run the same per-shard walk (`driver.rs`); `workers`
+//! picks the transport:
 //!
 //! * **`workers = 0` — in this thread.** Shards are materialized from
 //!   the parent's event buffer one at a time, so at most one shard graph
-//!   and its index are resident beside the parent. Within a shard,
-//!   counting runs on the walk executor every walker shares, under the
-//!   `threads` budget; one thread walks inline.
-//! * **`workers = n > 0` — worker processes.** Every shard is written
-//!   to a temporary event file and `n` `tnm worker` children count them
-//!   over the framed wire protocol, each with `threads` threads inside.
-//!   A worker that dies mid-run has its in-flight shard requeued onto
-//!   the survivors; static inducedness comes back as aggregated groups
-//!   that the coordinator re-checks against the parent; a traced run's
-//!   worker spans are stitched into the caller's trace. Without a worker
-//!   binary ([`ShardedEngine::worker_binary`]) the run stays in this
-//!   thread with `workers × threads` threads, and reports
+//!   and its index are resident beside the parent. Within a shard the
+//!   walk runs on the shared walk executor under the `threads` budget;
+//!   one thread walks inline.
+//! * **`workers = n > 0` — worker processes.** The coordinator
+//!   (`coordinator.rs`) writes every shard's events as one
+//!   [`io::write_events_raw`](tnm_graph::io::write_events_raw) block
+//!   under a temporary directory (removed when the run ends, even by a
+//!   panic), spawns `n` hidden `tnm worker` children ([`run_worker`],
+//!   `worker.rs`) and drives a work queue over them, one coordinator
+//!   thread per worker speaking the framed wire protocol
+//!   (`protocol.rs`) on the child's stdin/stdout. A worker loads the
+//!   shard file it is told about, rebuilds the slice in the parent's
+//!   node-id space, walks its owned starts with `threads` threads and
+//!   replies; all policy stays with the coordinator. Merging is
+//!   commutative, so scheduling order never affects the totals. A
+//!   traced run's worker spans are stitched into the caller's trace.
+//!   Without a worker binary ([`ShardedEngine::worker_binary`]) the run
+//!   stays in this thread with `workers × threads` threads and reports
 //!   `workers_spawned: 0`.
 //!
-//! Both transports run the same per-shard walk.
+//! ## Crash detection and rescheduling
+//!
+//! A worker that dies mid-run (crash, kill, injected fault) surfaces as
+//! an I/O or framing error on its pipes. The coordinator thread that
+//! sees it **requeues the in-flight shard** and retires; surviving
+//! workers drain the queue, so a run completes with identical counts as
+//! long as one worker lives. A reply is applied only once it decodes
+//! completely, and a job is requeued only when its reply never did, so
+//! each shard is counted exactly once. If every worker dies with shards
+//! outstanding, the run panics rather than undercounting.
 //!
 //! ## Exactness at the boundaries
 //!
@@ -39,15 +56,27 @@
 //! [`tnm_graph::shard`]). The one graph-global predicate — **static
 //! inducedness**, which asks whether an edge exists anywhere in the
 //! timeline — is stripped from the per-shard walk and re-checked against
-//! the parent graph.
+//! the parent graph:
+//!
+//! * in this thread, **per instance**, by translating the shard-local
+//!   event indices to the parent's — no allocation per instance;
+//! * with worker processes, **per group**: workers return their owned
+//!   instances aggregated by `(signature, node set, covered edges)` —
+//!   the verdict depends on nothing else — and the coordinator checks
+//!   each group once against the parent's edge index
+//!   ([`TemporalGraph::has_edge`](tnm_graph::TemporalGraph::has_edge)),
+//!   so reply sizes are bounded by distinct structures, not instances.
 
+mod coordinator;
 mod driver;
+mod protocol;
+mod worker;
 
-pub(crate) use driver::ShardWalk;
+pub use worker::run_worker;
 
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::engine::{distributed, CountEngine, WindowedEngine};
+use crate::engine::{CountEngine, WindowedEngine};
 use std::path::PathBuf;
 use tnm_graph::shard::{materialize, plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
 use tnm_graph::TemporalGraph;
@@ -55,24 +84,6 @@ use tnm_graph::TemporalGraph;
 /// Default target for owned start events per shard (CLI
 /// `--engine sharded` without `--shard-events`).
 pub const DEFAULT_SHARD_EVENTS: usize = 16_384;
-
-/// Tuning of the sharded executor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedConfig {
-    /// Target owned start events per shard (clamped to at least 1).
-    pub shard_events: usize,
-    /// Worker threads for the within-shard work-stealing walk — in this
-    /// thread's transport, or inside each worker process.
-    pub threads: usize,
-    /// `0` = walk every shard in this thread; `n > 0` = ship the shards
-    /// to `n` worker processes (never more than the plan has shards).
-    pub workers: usize,
-    /// Explicit worker binary override (`None` = resolve automatically).
-    pub worker_bin: Option<PathBuf>,
-    /// Fault injection `(worker index, jobs before exit)` — see
-    /// [`ShardedEngine::with_fault_after`].
-    pub fault_after: Option<(usize, usize)>,
-}
 
 /// Observability of one sharded run: the plan geometry and the spawn
 /// outcome. The residency high-water mark (`shard.resident_events`
@@ -92,7 +103,19 @@ pub struct ShardedRunStats {
 /// Exact sharded counting engine. See the `engine::sharded` module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedEngine {
-    config: ShardedConfig,
+    /// Target owned start events per shard (at least 1).
+    shard_events: usize,
+    /// Threads for the within-shard walk — in this thread's transport,
+    /// or inside each worker process.
+    threads: usize,
+    /// `0` = walk every shard in this thread; `n > 0` = ship the shards
+    /// to `n` worker processes (never more than the plan has shards).
+    workers: usize,
+    /// Explicit worker binary (`None` = [`ShardedEngine::worker_binary`]).
+    worker_bin: Option<PathBuf>,
+    /// Fault injection `(worker index, jobs before exit)` — see
+    /// [`ShardedEngine::with_fault_after`].
+    fault_after: Option<(usize, usize)>,
 }
 
 impl ShardedEngine {
@@ -100,13 +123,11 @@ impl ShardedEngine {
     /// owned-events-per-shard target.
     pub fn new(shard_events: usize) -> Self {
         ShardedEngine {
-            config: ShardedConfig {
-                shard_events: shard_events.max(1),
-                threads: 1,
-                workers: 0,
-                worker_bin: None,
-                fault_after: None,
-            },
+            shard_events: shard_events.max(1),
+            threads: 1,
+            workers: 0,
+            worker_bin: None,
+            fault_after: None,
         }
     }
 
@@ -114,21 +135,21 @@ impl ShardedEngine {
     /// worker processes it is the budget inside each process, shipped
     /// in the job descriptor.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
+        self.threads = threads.max(1);
         self
     }
 
     /// Ships the shards to `workers` `tnm worker` processes (chainable;
     /// `0` walks them in this thread).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+        self.workers = workers;
         self
     }
 
     /// Overrides worker-binary resolution with an explicit path
     /// (chainable).
     pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.config.worker_bin = Some(bin.into());
+        self.worker_bin = Some(bin.into());
         self
     }
 
@@ -140,13 +161,8 @@ impl ShardedEngine {
     /// the crash fires on every run that has more than `jobs` shards.
     /// Counts must come out identical anyway.
     pub fn with_fault_after(mut self, worker: usize, jobs: usize) -> Self {
-        self.config.fault_after = Some((worker, jobs.max(1)));
+        self.fault_after = Some((worker, jobs.max(1)));
         self
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &ShardedConfig {
-        &self.config
     }
 
     /// Resolves the worker binary this process would spawn: the
@@ -194,7 +210,7 @@ impl ShardedEngine {
         plan_shards(
             graph,
             cfg.admissible_reach(graph),
-            ShardGoal::EventsPerShard(self.config.shard_events),
+            ShardGoal::EventsPerShard(self.shard_events),
         )
     }
 
@@ -207,7 +223,7 @@ impl ShardedEngine {
         cfg: &EnumConfig,
     ) -> (MotifCounts, ShardedRunStats) {
         let plan = {
-            let _span = (self.config.workers > 0).then(|| tnm_obs::span!("distributed.plan"));
+            let _span = (self.workers > 0).then(|| tnm_obs::span!("distributed.plan"));
             self.plan(graph, cfg)
         };
         // Degenerate plan — one shard spanning the whole log (unbounded
@@ -217,7 +233,7 @@ impl ShardedEngine {
         // to one worker): run the monolithic engine on the parent
         // instead, sharing the parent's own window index.
         if plan.len() <= 1 {
-            let counts = WindowedEngine::new(self.config.threads).count(graph, cfg);
+            let counts = WindowedEngine::new(self.threads).count(graph, cfg);
             let stats = ShardedRunStats {
                 shards: 1,
                 max_shard_events: graph.num_events(),
@@ -230,12 +246,12 @@ impl ShardedEngine {
             max_shard_events: plan.max_shard_events(),
             workers_spawned: 0,
         };
-        let mut threads = self.config.threads;
-        if self.config.workers > 0 {
-            match self.config.worker_bin.clone().or_else(Self::worker_binary) {
+        let mut threads = self.threads;
+        if self.workers > 0 {
+            match self.worker_bin.clone().or_else(Self::worker_binary) {
                 Some(bin) => {
                     let (counts, spawned) =
-                        distributed::count_on_workers(&self.config, &bin, graph, cfg, &plan);
+                        coordinator::count_on_workers(self, &bin, graph, cfg, &plan);
                     stats.workers_spawned = spawned;
                     return (counts, stats);
                 }
@@ -243,7 +259,7 @@ impl ShardedEngine {
                 // the CLI): stay exact in this process, with the worker
                 // budget recycled as threads so the run keeps the job's
                 // parallelism.
-                None => threads *= self.config.workers,
+                None => threads *= self.workers,
             }
         }
         let mut counts = MotifCounts::new();
@@ -301,6 +317,14 @@ impl CountEngine for ShardedEngine {
         }
     }
 }
+
+/// The worker protocol, for `engine::wire_suite`'s golden frames and
+/// fuzzer.
+#[cfg(test)]
+pub(super) use protocol::{
+    reply_frames, InducedGroup, ReplyFrame, ReplyMetrics, WorkerJob, WorkerMsg, WorkerReply,
+    INDUCED_GROUP_BATCH,
+};
 
 #[cfg(test)]
 mod tests {

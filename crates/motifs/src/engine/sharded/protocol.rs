@@ -12,19 +12,12 @@
 //! | 3 | `ReplyFrame::Induced` | an [`InducedChunk`]: shard id + a `last` marker + a batch of [`InducedGroup`]s — instances aggregated by (signature, node set, covered edges) for the coordinator's inducedness recheck — and, on the last chunk only, [`ReplyMetrics`]; large replies span several frames, reassembled by [`read_reply`] |
 //! | 4 | `WorkerMsg::Shutdown` | empty: drain and exit cleanly |
 //!
-//! Induced replies deliberately do **not** ship one record per
-//! instance: the static-inducedness verdict depends only on the
-//! instance's node set and covered-edge set
-//! ([`induced_cover_ok`](crate::induced::induced_cover_ok)), so the
-//! worker folds its instances into per-`(signature, nodes, covered)`
-//! groups with a count. Reply size is bounded by the number of
-//! *distinct groups* — typically orders of magnitude below the
-//! instance count — and, so that no shard can ever outgrow the
-//! frame-payload ceiling, induced replies are **chunked**: at most
+//! Induced replies carry groups, not instances (see the
+//! `engine::sharded` module docs on the recheck), and are **chunked**
+//! so that no shard can outgrow the frame-payload ceiling: at most
 //! [`INDUCED_GROUP_BATCH`] groups per frame, the final frame marked
-//! `last`, and [`read_reply`] reassembles the sequence (rejecting
-//! mixed shard ids). The coordinator evaluates each group's verdict
-//! exactly once.
+//! `last`, and [`read_reply`] reassembles the sequence (rejecting mixed
+//! shard ids).
 //!
 //! Configurations, signatures, and count tables travel through the
 //! `Wire` impls next to those types, shared with the serve protocol.

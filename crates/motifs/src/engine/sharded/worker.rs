@@ -1,27 +1,10 @@
-//! The worker side of the sharded engine's process transport: a
-//! frame-driven loop any process can run over a pair of byte streams.
-//!
-//! The `tnm` CLI exposes this as the hidden `tnm worker` subcommand;
-//! the coordinator spawns N such processes and speaks the
-//! [`protocol`](super::protocol) frames over their stdin/stdout. The
-//! loop is deliberately dumb: read a job frame, load the shard file it
-//! names, run the sharded engine's per-shard walk over the shard's
-//! **owned** start events, write one reply frame, flush, repeat until a
-//! shutdown frame or EOF. All policy — scheduling, rescheduling after a
-//! crash, merging, the static-inducedness recheck — lives with the
-//! coordinator.
-//!
-//! A worker never sees the parent graph. The one predicate that needs
-//! it, static inducedness, is stripped by the per-shard walk (exactly as
-//! in the in-thread transport) and the instances go back aggregated by
-//! their inducedness-relevant structure — `(signature, node set,
-//! covered edges)` groups — for the coordinator to filter, one verdict
-//! per group.
+//! The worker loop of the worker-process transport (the hidden
+//! `tnm worker` subcommand; see the `engine::sharded` module docs).
 
+use super::driver::ShardWalk;
 use super::protocol::{
     reply_frames, ReplyMetrics, WorkerJob, WorkerMsg, WorkerReply, INDUCED_GROUP_BATCH,
 };
-use crate::engine::ShardWalk;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use tnm_graph::wire::{self, WireError};

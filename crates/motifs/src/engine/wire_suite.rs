@@ -19,12 +19,12 @@
 
 use crate::constraints::Timing;
 use crate::count::MotifCounts;
-use crate::engine::distributed::protocol::{
+use crate::engine::report::{EngineReport, Estimate};
+use crate::engine::serve::protocol::*;
+use crate::engine::sharded::{
     reply_frames, InducedGroup, ReplyFrame, ReplyMetrics, WorkerJob, WorkerMsg, WorkerReply,
     INDUCED_GROUP_BATCH,
 };
-use crate::engine::report::{EngineReport, Estimate};
-use crate::engine::serve::protocol::*;
 use crate::engine::{EngineKind, EnumConfig, Query, QueryInstance, QueryResponse};
 use crate::notation::{sig, MotifSignature};
 use std::borrow::Cow;

@@ -46,7 +46,7 @@ pub fn static_induced_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bo
 /// The inducedness predicate over an already-extracted **node set** and
 /// **covered-edge set**: every graph edge internal to `nodes` must
 /// appear in `covered`. This is the whole check — it never looks at the
-/// instance's events or times — which is what lets the distributed
+/// instance's events or times — which is what lets the sharded engine's
 /// workers ship induced instances as aggregated
 /// `(signature, nodes, covered edges)` groups and the coordinator
 /// recheck each *group* once against the parent graph.

@@ -87,12 +87,12 @@
 //!   per-shard walk over one of two transports. With `workers = 0` the
 //!   shards are walked one at a time in this thread, on the same
 //!   executor inside each shard. With `workers = n` the coordinator writes every
-//!   shard to a temporary event file, spawns `n` `tnm worker` children,
-//!   ships framed job descriptors over the [`tnm_graph::wire`] protocol
-//!   and merges the framed count replies — with crash-detected shards
-//!   rescheduled onto surviving workers, and the one whole-timeline
-//!   predicate (static inducedness) re-checked on the coordinator
-//!   against the parent graph. Exact.
+//!   shard to a temporary event file, spawns `n` `tnm worker` children
+//!   ([`engine::run_worker`]), ships framed job descriptors over the
+//!   [`tnm_graph::wire`] protocol and merges the framed replies, with
+//!   crash-detected shards rescheduled onto surviving workers. On both
+//!   transports the one whole-timeline predicate (static inducedness) is
+//!   re-checked against the parent graph. Exact.
 //! * [`engine::StreamEngine`] (`stream`) — **count without
 //!   enumerating**: for eligible Paranjape-shape jobs (only-ΔW,
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the

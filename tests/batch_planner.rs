@@ -22,25 +22,14 @@
 //! * `enumerate_batch` against per-config `WindowedEngine::enumerate`,
 //!   instance lists compared in order.
 
+mod common;
+
+use common::random_graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
 use tnm_motifs::catalog::all_motifs;
 use tnm_motifs::engine::{BatchPlanner, EngineKind};
-
-fn random_graph(seed: u64, nodes: u32, events: usize, horizon: i64) -> TemporalGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Vec::with_capacity(events);
-    while batch.len() < events {
-        let u: u32 = rng.gen_range(0..nodes);
-        let v: u32 = rng.gen_range(0..nodes);
-        if u == v {
-            continue;
-        }
-        batch.push(Event::new(u, v, rng.gen_range(0i64..horizon)));
-    }
-    TemporalGraph::from_events(batch).expect("non-empty batch")
-}
 
 /// One random configuration: mixed event counts, node budgets, timing
 /// shapes, restriction flags, and occasional signature targets — the

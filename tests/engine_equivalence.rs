@@ -26,9 +26,12 @@
 //! * the sharded engine's worker-process transport: real `tnm worker`
 //!   children counting shard files over the framed wire protocol, with
 //!   a tiny shard target so every sweep ships many shards
-//!   (`tests/distributed_engine.rs` adds the worker-crash rescheduling
+//!   (`tests/sharded_engine.rs` adds the worker-crash rescheduling
 //!   sweep on top).
 
+mod common;
+
+use common::random_graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temporal_motifs::prelude::*;
@@ -92,22 +95,6 @@ fn assert_all_engines_agree(graph: &TemporalGraph, cfg: &EnumConfig, label: &str
             "{label}: auto engine with {threads} threads disagrees"
         );
     }
-}
-
-/// Seeded random graph: `events` events over `nodes` nodes with
-/// timestamps in `0..horizon` (duplicates and ties on purpose).
-fn random_graph(seed: u64, nodes: u32, events: usize, horizon: i64) -> TemporalGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Vec::with_capacity(events);
-    while batch.len() < events {
-        let u: u32 = rng.gen_range(0..nodes);
-        let v: u32 = rng.gen_range(0..nodes);
-        if u == v {
-            continue;
-        }
-        batch.push(Event::new(u, v, rng.gen_range(0i64..horizon)));
-    }
-    TemporalGraph::from_events(batch).expect("non-empty batch")
 }
 
 /// The four paper models at a tight and a loose timing each.

@@ -9,25 +9,10 @@
 //! (fixed seeds, vendored RNG), so the suite pins behaviour rather than
 //! gambling on it.
 
-use temporal_motifs::prelude::*;
+mod common;
 
-/// Deterministic tie-rich random graph, same shape as the equivalence
-/// suite's generator.
-fn random_graph(seed: u64, nodes: u32, events: usize, horizon: i64) -> TemporalGraph {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Vec::with_capacity(events);
-    while batch.len() < events {
-        let u: u32 = rng.gen_range(0..nodes);
-        let v: u32 = rng.gen_range(0..nodes);
-        if u == v {
-            continue;
-        }
-        batch.push(Event::new(u, v, rng.gen_range(0i64..horizon)));
-    }
-    TemporalGraph::from_events(batch).expect("non-empty batch")
-}
+use common::random_graph;
+use temporal_motifs::prelude::*;
 
 /// The headline acceptance check: across the four paper models and ten
 /// seeds each, the exact total must fall within the sampler's reported
@@ -44,11 +29,14 @@ fn intervals_cover_exact_counts_across_models() {
     let mut trials = 0u32;
     let mut covered = 0u32;
     let mut reports = Vec::new();
+    // Parallel draws are bit-identical to serial ones, so the thread
+    // budget only shortens the run.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     for model in &models {
         let cfg = EnumConfig::for_model(model, 3, 3);
         let exact = WindowedEngine.count(&g, &cfg).total() as f64;
         for seed in 0..10u64 {
-            let report = SamplingEngine::new(800, seed).report(&g, &cfg);
+            let report = SamplingEngine::new(800, seed).with_threads(threads).report(&g, &cfg);
             trials += 1;
             if report.total.contains(exact) {
                 covered += 1;
