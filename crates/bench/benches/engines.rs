@@ -574,7 +574,7 @@ fn bench_query_trace_overhead(c: &mut Criterion) {
 }
 
 /// The dense hub graph the hot-path groups share: 12 nodes, 20k events
-/// over 20k seconds — long per-pair/per-center/per-triangle merged
+/// over 20k seconds — long per-center/per-triangle merged
 /// lists, so the DP inner loops dominate and layout effects show.
 fn hotpath_graph() -> TemporalGraph {
     let mut b = tnm_graph::TemporalGraphBuilder::new();
@@ -592,14 +592,13 @@ fn hotpath_graph() -> TemporalGraph {
     b.build().unwrap()
 }
 
-/// The SoA layout decision measured in isolation: a batch of δ-window
-/// probes answered by `partition_point` over the dense time column vs
-/// the same probes striding the 24-byte `Event` structs. Everything
-/// else (`hotpath_{pair,star,triad}_dp`) builds on this primitive.
+/// A batch of δ-window probes answered by `partition_point` over the
+/// dense time column — the primitive the other `hotpath_*` groups build
+/// on.
 fn bench_hotpath_window_probe(c: &mut Criterion) {
     let g = dataset("Email", 20_000);
-    let events = g.events();
-    let (t0, t1) = (events[0].time, events[events.len() - 1].time);
+    let times = g.times();
+    let (t0, t1) = (times[0], times[times.len() - 1]);
     let mut probes = Vec::with_capacity(4_096);
     let mut x = 0x243F6A8885A308D3u64;
     for _ in 0..4_096 {
@@ -607,31 +606,21 @@ fn bench_hotpath_window_probe(c: &mut Criterion) {
         let a = t0 + ((x >> 17) as i64).rem_euclid((t1 - t0).max(1));
         probes.push((a, a + 3_000));
     }
-    let times = g.times();
-    let probe_aos = || {
-        probes
-            .iter()
-            .map(|&(a, b)| {
-                events.partition_point(|e| e.time <= b) - events.partition_point(|e| e.time < a)
-            })
-            .sum::<usize>()
-    };
     let probe_soa = || {
         probes
             .iter()
             .map(|&(a, b)| times.partition_point(|&t| t <= b) - times.partition_point(|&t| t < a))
             .sum::<usize>()
     };
-    assert_eq!(probe_aos(), probe_soa(), "layouts must answer probes identically");
     let mut group = c.benchmark_group("hotpath_window_probe");
     group.sample_size(10);
     group.throughput(Throughput::Elements(probes.len() as u64));
-    group.bench_function("aos_struct", |b| b.iter(|| black_box(probe_aos())));
     group.bench_function("soa_column", |b| b.iter(|| black_box(probe_soa())));
     group.finish();
 }
 
-/// The branchless arena pair DP (SoA columns, flat bit-indexed tables).
+/// The 3-event 2-node class alone: the per-center pass over each
+/// center's higher-id leaves (`stream_hotpath::pair_triples`).
 fn bench_hotpath_pair_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`WindowedEngine`](struct@WindowedEngine) | the backtracking walk over the [`WindowIndex`](tnm_graph::WindowIndex) (cursor pruning) on the thread budget: one thread walks inline, more threads run work-stealing workers | any walk-shaped job on an in-memory graph — the one walker; give it threads when there is enough admissible work per start event |
 //! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), each walked from its owned starts, over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** ([`run_worker`]) over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors. Static inducedness is re-checked against the parent graph on both | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
-//! | [`StreamEngine`] | count-without-enumerating window DPs (2-node pair prefix counts, per-center star tables, per-triangle label DP) | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the one-thread windowed walk |
+//! | [`StreamEngine`] | count-without-enumerating window DPs: one per-center pass for 2-node sequences, stars and wedges, and a per-triangle label DP | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the one-thread windowed walk |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
 //! The walk engines (windowed, sharded) pay cost proportional to the
@@ -119,8 +119,9 @@
 //!   inline times; the star sweeps read endpoints from the `u32`
 //!   source/destination columns.
 //! * **Arena-resident merged lists.** The [`StreamEngine`] DPs never
-//!   allocate per pair/center/triangle: merged direction- or
-//!   label-tagged event lists live in one reusable SoA arena with
+//!   allocate per center or triangle: each center's incident events
+//!   (neighbor- and direction-tagged) and each triangle's label-tagged
+//!   merged events live in one reusable SoA arena with
 //!   precomputed timestamp-group boundaries, window expiry advances an
 //!   amortized group cursor against those boundaries, and the DP tables are
 //!   flat bit-indexed `[u64; K]` accumulators whose updates are
@@ -130,8 +131,7 @@
 //!   so a triad count is only the six-way merge and the window DP.
 //!
 //! The `hotpath_*` bench groups (`crates/bench/benches/engines.rs`)
-//! time each of these loops; `hotpath_window_probe` also times the
-//! struct-striding probe the column layout replaced.
+//! time each of these loops.
 //!
 //! ## Observability
 //!
@@ -153,9 +153,12 @@
 //! | graph | `index.build{events}` — once per graph, when its window index is built | — |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
 //! | sharded, worker processes | coordinator: `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times; worker: `walk.shard{shard}`, shipped back when the job is traced | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
-//! | stream DPs | — | `stream.pair.{pairs_swept,groups_advanced,window_events}`, `stream.star.{centers_swept,center_events}`, `stream.triad.{triangles_swept,groups_advanced,window_events}` |
+//! | stream DPs | `stream.star{two_node,star}` — the per-center pass, with which classes it produced; `stream.triad` — the triangle pass | `stream.pair.pairs_swept` (unordered node pairs with an event, counted by 2-node jobs), `stream.star.{centers_swept,center_events}` (star and wedge jobs), `stream.triad.{triangles_swept,groups_advanced,window_events}` |
 //! | query API | `query.{count,report,enumerate,batch}{engine,threads}` — the root of every [`Query::run`] | — |
 //! | serve | `serve.query{graph,kind}`, `serve.subscribe{graph}` — per-request roots when the trace flag is set | `serve.{queries,appends}`, `serve.query.{count,report,enumerate,batch}_ns`, `serve.connection_frames`, `serve.subscription_advance_ns` |
+//!
+//! `stream.pair.{groups_advanced,window_events}` were removed with the
+//! per-pair DP: 2-node sequences now come from the per-center pass.
 //!
 //! Workers ship their per-job metrics snapshot (plus wall time) inside
 //! reply frames; the coordinator folds them into its own registry, so

@@ -1,16 +1,16 @@
 //! Reusable SoA arena scratch shared by the stream DP classes.
 //!
 //! Every stream DP runs over a *merged, time-sorted event list* — per
-//! node pair, per star center, or per static triangle — and advances in
+//! center node or per static triangle — and advances in
 //! whole timestamp groups. [`DpArena`] is the one allocation all of
 //! them write into:
 //!
 //! * `times` — the merged timestamps, dense and ascending, so window
 //!   expiry probes one flat `i64` array (see [`expiry_cut`]);
-//! * `tags` — a parallel byte payload (direction bit for the pair DP,
-//!   6-valued label for the triad DP);
+//! * `tags` — a parallel byte payload (the 6-valued label of the triad
+//!   DP);
 //! * `aux` — a parallel `u32` payload (packed `nbr << 1 | dir` for the
-//!   star sweeps, whose neighbor ids do not fit a byte);
+//!   per-center sweeps, whose neighbor ids do not fit a byte);
 //! * `bounds` — the timestamp-group boundary array, computed **once**
 //!   per merged list by [`DpArena::seal_groups`] and reused by every
 //!   sweep over it, replacing per-event group scans.
@@ -19,8 +19,8 @@
 //! (times plus whichever payload it uses), calls `seal_groups`, and
 //! runs its DP over `(times, tags/aux, bounds)` slices. One arena is
 //! created per [`super::StreamEngine::spectrum`] call and threaded
-//! through every class, so a full spectrum pass performs O(1) scratch
-//! allocations total instead of one per pair/center/triangle.
+//! through both passes, so a full spectrum performs O(1) scratch
+//! allocations total instead of one per center or triangle.
 
 use tnm_graph::Time;
 
@@ -29,9 +29,9 @@ use tnm_graph::Time;
 pub(crate) struct DpArena {
     /// Merged event timestamps, ascending.
     pub times: Vec<Time>,
-    /// Byte payload parallel to `times` (direction bit / triad label).
+    /// Byte payload parallel to `times` (triad label).
     pub tags: Vec<u8>,
-    /// `u32` payload parallel to `times` (star: `nbr << 1 | dir`).
+    /// `u32` payload parallel to `times` (per center: `nbr << 1 | dir`).
     pub aux: Vec<u32>,
     /// Group boundaries: `bounds[g]..bounds[g + 1]` is timestamp group
     /// `g`; the last entry is `times.len()`. `bounds.len() - 1` groups.

@@ -7,36 +7,40 @@
 //! spectrum can instead be computed in time near-linear in the number of
 //! *events*, by decomposing it into three exactly-once classes:
 //!
-//! 1. **2-node sequences** ([`pair`]): for each unordered node pair, a
-//!    sliding-ΔW-window dynamic program over the pair's merged event
-//!    list maintains per-direction prefix counts (`counts1`, `counts2`)
-//!    as events enter and leave the window, accumulating every 2- and
-//!    3-event direction sequence in `O(events on the pair)`.
-//! 2. **Stars and wedges** ([`star`]): for each center node, its
-//!    incident events stream through past/future windows that maintain
-//!    the *pre*, *post*, and *peri* count tables — same-leaf pair counts
-//!    before, after, and straddling each event — from which the 24
-//!    2-leaf star signatures (and the 2-event wedges) follow by
-//!    inclusion–exclusion against the all-same-leaf counts.
-//! 3. **Triads** ([`triad`]): static triangles are listed once per
-//!    graph ([`TemporalGraph::triangles`], kept with the graph), and per
-//!    count each triangle's six edge-event lists merge into one list
-//!    that runs the generic 6-label window DP, keeping only label
-//!    triples that use all three node pairs.
+//! 1. **2-node sequences**: every event runs between the same two nodes.
+//! 2. **Stars and wedges**: every event touches one center node, and
+//!    the events reach exactly two leaves.
+//! 3. **Triads**: the events use all three node pairs of a node triple.
+//!
+//! Classes 1 and 2 come from one per-center pass ([`star`]): each
+//! center's incident events stream through past/future windows that
+//! maintain the *pre*, *post*, and *peri* count tables — same-leaf pair
+//! counts before, after, and straddling each event — from which the 24
+//! 2-leaf star signatures (and the 2-event wedges) follow by
+//! inclusion–exclusion against the all-same-leaf counts. Those
+//! all-same-leaf counts *are* the 2-node sequences: read from the leaves
+//! whose id is above the center's, they count each sequence once, from
+//! its lower-id endpoint. A 2-node-only job loads just those upper-half
+//! events. Class 3 ([`triad`]) lists static triangles once per graph
+//! ([`TemporalGraph::triangles`], kept with the graph); per count, each
+//! triangle's six edge-event lists merge into one list that runs the
+//! generic 6-label window DP, keeping only label triples that use all
+//! three node pairs.
 //!
 //! No class ever materializes an instance, and the classes partition the
 //! ≤ 3-node spectrum (a sequence touches 1, 2, or 3 undirected node
 //! pairs respectively), so the totals are bit-identical to the walker
 //! engines' — enforced by `tests/engine_equivalence.rs`.
 //!
-//! All three classes share one data-oriented execution shape: merged
-//! per-pair/per-center/per-triangle event lists live in a reusable SoA
+//! Both passes share one data-oriented execution shape: merged
+//! per-center/per-triangle event lists live in a reusable SoA
 //! arena scratch (`arena::DpArena`) fed from the graph's dense column
 //! view ([`TemporalGraph::columns`]), window expiry advances an
 //! amortized cursor over precomputed timestamp-group boundaries, and
 //! the DP tables are flat bit-indexed accumulators so the inner loops
-//! are branchless indexed adds. One arena is created per spectrum pass
-//! and threaded through every class.
+//! are branchless indexed adds. A spectrum runs at most two passes —
+//! the per-center pass (trace span `stream.star`) and the triangle pass
+//! (`stream.triad`) — and threads one arena through both.
 //!
 //! ## Eligibility and fallback
 //!
@@ -61,7 +65,6 @@
 //! pre-group snapshots.
 
 mod arena;
-mod pair;
 mod star;
 mod triad;
 
@@ -117,7 +120,7 @@ impl StreamEngine {
                 .is_none_or(|t| t.num_nodes() == 3 && undirected_pairs_of(t) == 3)
     }
 
-    /// Which of the three DP classes an eligible `cfg` needs, as
+    /// Which of the three classes an eligible `cfg` needs, as
     /// `(two_node, star, triad)` flags: every class produces signatures
     /// of one known node count (pairs: 2; wedges/stars/triads: 3), and a
     /// signature target pins the class further — a triangle target (3
@@ -136,12 +139,13 @@ impl StreamEngine {
         (want_two, want_star, want_triad)
     }
 
-    /// One full DP pass over the graph at window `delta`, computing
-    /// every signature the requested classes produce for `num_events`
-    /// events. This is the expensive half of the fast path; the split
-    /// into per-config results is a pure table projection
+    /// The stream passes over the graph at window `delta` — the
+    /// per-center pass, then the triangle pass if triads are wanted —
+    /// computing every signature the requested classes produce for
+    /// `num_events` events. This is the expensive half of the fast path;
+    /// the split into per-config results is a pure table projection
     /// ([`StreamEngine::project`]), which is what lets a batch of
-    /// eligible configs share a single pass.
+    /// eligible configs share one spectrum.
     pub(crate) fn spectrum(
         graph: &TemporalGraph,
         delta: tnm_graph::Time,
@@ -149,38 +153,28 @@ impl StreamEngine {
         (want_two, want_star, want_triad): (bool, bool, bool),
     ) -> MotifCounts {
         let mut spectrum = MotifCounts::new();
-        // One arena serves every class: each DP clears and refills the
-        // same scratch, so a full pass allocates O(1) times total (see
+        // One arena serves both passes: each DP clears and refills the
+        // same scratch, so a spectrum allocates O(1) times total (see
         // the [`arena`] module docs for the layout contract).
         let mut arena = DpArena::default();
-        match num_events {
-            1 => {
-                if want_two {
-                    // Every single event is a 01 instance (span 0 ≤ ΔW).
-                    let sig = MotifSignature::from_pairs(&[(0, 1)]).expect("01 is canonical");
-                    spectrum.add(sig, graph.num_events() as u64);
-                }
+        let classes = (want_two, want_star);
+        if num_events == 1 {
+            if want_two {
+                // Every single event is a 01 instance (span 0 ≤ ΔW).
+                let sig = MotifSignature::from_pairs(&[(0, 1)]).expect("01 is canonical");
+                spectrum.add(sig, graph.num_events() as u64);
             }
-            2 => {
-                if want_two {
-                    pair::count_pairs(graph, delta, &mut spectrum, &mut arena);
-                }
-                if want_star {
-                    star::count_wedges(graph, delta, &mut spectrum, &mut arena);
-                }
+        } else if want_two || want_star {
+            let _span = tnm_obs::span!("stream.star", two_node = want_two, star = want_star);
+            match num_events {
+                2 => star::count_pairs(graph, delta, classes, &mut spectrum, &mut arena),
+                3 => star::count_triples(graph, delta, classes, &mut spectrum, &mut arena),
+                _ => unreachable!("eligibility caps num_events at 3"),
             }
-            3 => {
-                if want_two {
-                    pair::count_triples(graph, delta, &mut spectrum, &mut arena);
-                }
-                if want_star {
-                    star::count_stars(graph, delta, &mut spectrum, &mut arena);
-                }
-                if want_triad {
-                    triad::count_triads(graph, delta, &mut spectrum, &mut arena);
-                }
-            }
-            _ => unreachable!("eligibility caps num_events at 3"),
+        }
+        if want_triad && num_events == 3 {
+            let _span = tnm_obs::span!("stream.triad");
+            triad::count_triads(graph, delta, &mut spectrum, &mut arena);
         }
         spectrum
     }
@@ -252,8 +246,8 @@ fn undirected_pairs_of(sig: &MotifSignature) -> usize {
     seen.len()
 }
 
-/// Direct entry points into the three DP classes for benchmarks: each
-/// runs one class end-to-end (arena included) and returns its counts.
+/// Direct entry points into the stream passes for benchmarks: each runs
+/// one class end-to-end (arena included) and returns its counts.
 /// Not part of the public API — the supported surface is
 /// [`StreamEngine`]; these exist so the `hotpath_*` bench groups can
 /// time one class without the spectrum dispatch around it.
@@ -261,17 +255,18 @@ fn undirected_pairs_of(sig: &MotifSignature) -> usize {
 pub mod hotpath {
     use super::*;
 
-    /// 3-event 2-node sequence DP over every node pair.
+    /// 3-event 2-node sequences: the 2-node-only per-center pass, over
+    /// each center's events with a higher-id leaf.
     pub fn pair_triples(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        pair::count_triples(graph, delta, &mut out, &mut DpArena::default());
+        star::count_triples(graph, delta, (true, false), &mut out, &mut DpArena::default());
         out
     }
 
     /// 3-event star sweeps over every center node.
     pub fn star_stars(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        star::count_stars(graph, delta, &mut out, &mut DpArena::default());
+        star::count_triples(graph, delta, (false, true), &mut out, &mut DpArena::default());
         out
     }
 

@@ -96,8 +96,8 @@
 //! * [`engine::StreamEngine`] (`stream`) — **count without
 //!   enumerating**: for eligible Paranjape-shape jobs (only-ΔW,
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the
-//!   spectrum comes from sliding-window dynamic programs over node
-//!   pairs, star centers, and static triangles — near-linear in events
+//!   spectrum comes from sliding-window dynamic programs over each
+//!   node's incident events and over static triangles — near-linear in events
 //!   where the walk is linear in instances. Exact; ineligible
 //!   configurations transparently fall back to the one-thread windowed
 //!   walk.

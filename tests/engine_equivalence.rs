@@ -281,7 +281,39 @@ fn stream_fast_path_matches_walkers() {
                     WindowedEngine.count(&g, &cfg),
                     "ties seed={seed}, k={k}, ΔW={delta}"
                 );
+                // The 2-node-only pass: upper-half loads, no star tables.
+                let two_node = EnumConfig::new(k, 2).with_timing(Timing::only_w(delta));
+                assert_eq!(
+                    StreamEngine.count(&g, &two_node),
+                    WindowedEngine.count(&g, &two_node),
+                    "ties seed={seed}, k={k}, 2 nodes, ΔW={delta}"
+                );
             }
+        }
+    }
+    // A tie-free random graph: distinct timestamps, so every pass runs
+    // its one-event-per-group shape over hundreds of events.
+    let mut rng = StdRng::seed_from_u64(904);
+    let (mut batch, mut t) = (Vec::new(), 0i64);
+    while batch.len() < 600 {
+        let (u, v) = (rng.gen_range(0..12u32), rng.gen_range(0..12u32));
+        if u != v {
+            t += rng.gen_range(1i64..40);
+            batch.push(Event::new(u, v, t));
+        }
+    }
+    let g = TemporalGraph::from_events(batch).expect("non-empty batch");
+    assert!(!g.columns().has_time_ties());
+    let quarter = (g.timespan() / 4).max(1);
+    for k in [2usize, 3] {
+        for delta in [60, 1_500, quarter] {
+            let model = tnm_motifs::models::paranjape::without_inducedness(delta);
+            let cfg = EnumConfig::for_model(&model, k, 3);
+            assert_eq!(
+                StreamEngine.count(&g, &cfg),
+                WindowedEngine.count(&g, &cfg),
+                "tie-free, k={k}, ΔW={delta}"
+            );
         }
     }
 }
