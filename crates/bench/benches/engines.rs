@@ -428,8 +428,11 @@ fn bench_window_index_reuse(c: &mut Criterion) {
 /// The shared walker on the paper's model comparison: `WindowedEngine`
 /// on the 40k-event StackOverflow spec for each of the four models
 /// (ΔC = 1500 s, ΔW = 3000 s) at 3 events on ≤ 3 nodes, plus the Table 5
-/// ΔC/ΔW = 0.5 and 0.25 configs. Every id walks, whatever `auto` would
-/// pick; the index is built before timing starts.
+/// ΔC/ΔW = 0.5 and 0.25 configs. Two 4-event ids time the restrictions
+/// the walk applies while it gathers: `exact_3n` (exactly 3 nodes,
+/// ΔC/ΔW = 0.5, so most steps run at the full node budget) and
+/// `kovanen_4e` (Kovanen's model on ≤ 4 nodes). Every id walks, whatever
+/// `auto` would pick; the index is built before timing starts.
 fn bench_walker_models(c: &mut Criterion) {
     let g = dataset("StackOverflow", 40_000);
     g.window_index();
@@ -443,6 +446,11 @@ fn bench_walker_models(c: &mut Criterion) {
     }
     for (name, ratio) in [("ratio_0.5", 0.5), ("ratio_0.25", 0.25)] {
         let cfg = EnumConfig::new(3, 3).exact_nodes(3).with_timing(Timing::from_ratio(3000, ratio));
+        group.bench_function(name, |b| b.iter(|| black_box(WindowedEngine.count(&g, &cfg))));
+    }
+    let exact = EnumConfig::new(4, 3).exact_nodes(3).with_timing(Timing::from_ratio(3000, 0.5));
+    let kovanen = EnumConfig::for_model(&MotifModel::kovanen(1500), 4, 4);
+    for (name, cfg) in [("exact_3n", exact), ("kovanen_4e", kovanen)] {
         group.bench_function(name, |b| b.iter(|| black_box(WindowedEngine.count(&g, &cfg))));
     }
     group.finish();

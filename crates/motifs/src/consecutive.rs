@@ -8,20 +8,6 @@
 
 use tnm_graph::{EventIdx, NodeId, TemporalGraph, Time};
 
-/// Scratch buffers reused across many checks to avoid per-instance
-/// allocation in the hot counting loop.
-#[derive(Debug, Default)]
-pub struct ConsecutiveScratch {
-    nodes: Vec<(NodeId, Time, Time, usize)>,
-}
-
-impl ConsecutiveScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Checks the consecutive events restriction for a time-ordered motif
 /// instance given by event indices into `graph`.
 ///
@@ -29,13 +15,16 @@ impl ConsecutiveScratch {
 /// x's own motif events and `k_x` be how many motif events touch `x`; the
 /// instance passes iff the graph contains exactly `k_x` events adjacent to
 /// `x` in `[first_x, last_x]` — i.e. no extra engagement.
-pub fn consecutive_ok(
-    graph: &TemporalGraph,
-    motif_events: &[EventIdx],
-    scratch: &mut ConsecutiveScratch,
-) -> bool {
-    let nodes = &mut scratch.nodes;
-    nodes.clear();
+///
+/// This is the definition; the walk does not call it. The walk enforces
+/// the same rule while it gathers candidates (see `engine::walker`): a
+/// node already in the motif may continue only with the next event of
+/// its own list, and no motif event may share its timestamp with another
+/// event of either endpoint. `validity` judges single instances with
+/// this function, and the tests hold the walk to it.
+pub fn consecutive_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bool {
+    // (node, first, last, k) per motif node, in first-touch order.
+    let mut nodes: Vec<(NodeId, Time, Time, usize)> = Vec::with_capacity(2 * motif_events.len());
     for &idx in motif_events {
         let e = graph.event(idx);
         for node in [e.src, e.dst] {
@@ -54,11 +43,6 @@ pub fn consecutive_ok(
         .all(|&(node, first, last, k)| graph.count_node_events_between(node, first, last) == k)
 }
 
-/// Convenience wrapper allocating its own scratch space.
-pub fn is_consecutive(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bool {
-    consecutive_ok(graph, motif_events, &mut ConsecutiveScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +58,7 @@ mod tests {
     #[test]
     fn clean_motif_passes() {
         let g = base().build().unwrap();
-        assert!(is_consecutive(&g, &[0, 1, 2]));
+        assert!(consecutive_ok(&g, &[0, 1, 2]));
     }
 
     #[test]
@@ -82,27 +66,27 @@ mod tests {
         // Extra event (0,3,9): node 0 engaged outside the motif during [5,12].
         let g = base().event(0, 3, 9).build().unwrap();
         // Motif = events at times 5, 8, 12 -> indices 0, 1, 3.
-        assert!(!is_consecutive(&g, &[0, 1, 3]));
+        assert!(!consecutive_ok(&g, &[0, 1, 3]));
     }
 
     #[test]
     fn outside_event_on_v_fails() {
         // Extra event (3,1,10): node 1 engaged during its span [5,12].
         let g = base().event(3, 1, 10).build().unwrap();
-        assert!(!is_consecutive(&g, &[0, 1, 3]));
+        assert!(!consecutive_ok(&g, &[0, 1, 3]));
     }
 
     #[test]
     fn outside_event_before_span_is_fine() {
         let g = base().event(0, 3, 1).build().unwrap();
         // Motif events are now indices 1, 2, 3.
-        assert!(is_consecutive(&g, &[1, 2, 3]));
+        assert!(consecutive_ok(&g, &[1, 2, 3]));
     }
 
     #[test]
     fn outside_event_after_span_is_fine() {
         let g = base().event(0, 3, 20).build().unwrap();
-        assert!(is_consecutive(&g, &[0, 1, 2]));
+        assert!(consecutive_ok(&g, &[0, 1, 2]));
     }
 
     #[test]
@@ -110,7 +94,7 @@ mod tests {
         // Node 2 participates only in the event at t=8; an event touching
         // node 2 at t=10 is outside its (degenerate) span [8,8].
         let g = base().event(3, 2, 10).build().unwrap();
-        assert!(is_consecutive(&g, &[0, 1, 3]));
+        assert!(consecutive_ok(&g, &[0, 1, 3]));
     }
 
     #[test]
@@ -124,7 +108,7 @@ mod tests {
             .event(0, 2, 11) // motif event 3
             .build()
             .unwrap();
-        assert!(!is_consecutive(&g, &[0, 2, 3]));
+        assert!(!consecutive_ok(&g, &[0, 2, 3]));
         // Without the dashed event it passes.
         let g2 = TemporalGraphBuilder::new()
             .event(0, 1, 7)
@@ -132,7 +116,7 @@ mod tests {
             .event(0, 2, 11)
             .build()
             .unwrap();
-        assert!(is_consecutive(&g2, &[0, 1, 2]));
+        assert!(consecutive_ok(&g2, &[0, 1, 2]));
     }
 
     #[test]
@@ -146,14 +130,6 @@ mod tests {
                 !(e.src == NodeId(1) && e.dst == NodeId(3))
             })
             .collect();
-        assert!(!is_consecutive(&g, &motif));
-    }
-
-    #[test]
-    fn scratch_reuse() {
-        let g = base().build().unwrap();
-        let mut scratch = ConsecutiveScratch::new();
-        assert!(consecutive_ok(&g, &[0, 1, 2], &mut scratch));
-        assert!(consecutive_ok(&g, &[0, 1, 2], &mut scratch));
+        assert!(!consecutive_ok(&g, &motif));
     }
 }

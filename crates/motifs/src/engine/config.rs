@@ -9,7 +9,7 @@
 
 use crate::constraints::Timing;
 use crate::models::MotifModel;
-use crate::notation::MotifSignature;
+use crate::notation::{MotifSignature, MAX_EVENTS};
 use std::fmt;
 use tnm_graph::wire::{Wire, WireError, WireReader, WireWriter};
 use tnm_graph::{EventIdx, TemporalGraph, Time};
@@ -26,6 +26,12 @@ use tnm_graph::{EventIdx, TemporalGraph, Time};
 pub enum ConfigError {
     /// `num_events` is zero — a motif needs at least one event.
     ZeroEvents,
+    /// `num_events` exceeds [`MAX_EVENTS`], the longest motif the
+    /// digit-pair notation can name.
+    TooManyEvents {
+        /// The offending size.
+        num_events: usize,
+    },
     /// `max_nodes` is below two — a (self-loop-free) event already
     /// touches two nodes.
     NodeBudget {
@@ -61,6 +67,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroEvents => write!(f, "num_events must be at least 1"),
+            ConfigError::TooManyEvents { num_events } => {
+                write!(f, "num_events must be at most {MAX_EVENTS} (got {num_events})")
+            }
             ConfigError::NodeBudget { max_nodes } => {
                 write!(f, "max_nodes must be at least 2 (got {max_nodes})")
             }
@@ -130,6 +139,9 @@ impl EnumConfig {
         if num_events < 1 {
             return Err(ConfigError::ZeroEvents);
         }
+        if num_events > MAX_EVENTS {
+            return Err(ConfigError::TooManyEvents { num_events });
+        }
         if max_nodes < 2 {
             return Err(ConfigError::NodeBudget { max_nodes });
         }
@@ -145,6 +157,9 @@ impl EnumConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_events < 1 {
             return Err(ConfigError::ZeroEvents);
+        }
+        if self.num_events > MAX_EVENTS {
+            return Err(ConfigError::TooManyEvents { num_events: self.num_events });
         }
         if self.max_nodes < 2 {
             return Err(ConfigError::NodeBudget { max_nodes: self.max_nodes });
@@ -396,6 +411,14 @@ mod tests {
         cfg.min_nodes = 5;
         assert_eq!(cfg.validate(), Err(ConfigError::MinNodes { min_nodes: 5, max_nodes: 3 }));
         assert_eq!(format!("{}", cfg.validate().unwrap_err()), "min-nodes=5 outside 2..=3");
+
+        // Nine events cannot be named in digit-pair notation: a typed
+        // error, not a panic at the first emitted instance.
+        let too_long = ConfigError::TooManyEvents { num_events: 9 };
+        assert_eq!(EnumConfig::new(9, 3).validate(), Err(too_long.clone()));
+        assert_eq!(EnumConfig::try_new(9, 3), Err(too_long.clone()));
+        assert_eq!(too_long.to_string(), "num_events must be at most 8 (got 9)");
+        EnumConfig::new(8, 9).validate().unwrap();
 
         let mut cfg = EnumConfig::new(2, 3);
         cfg.timing = Timing { delta_c: Some(-5), delta_w: None };

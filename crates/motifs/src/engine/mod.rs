@@ -160,6 +160,14 @@
 //! `stream.pair.{groups_advanced,window_events}` were removed with the
 //! per-pair DP: 2-node sequences now come from the per-center pass.
 //!
+//! `engine.events_scanned` counts the candidates the walk's source
+//! returns plus one per start event, and `engine.candidates_pruned` those
+//! the walker then refuses. The source already drops what the node
+//! budget and Kovanen's consecutive-events rule exclude (see the
+//! `CandidateSource` contract), so both counters count filtered
+//! candidates, and a consecutive-events or full-budget walk scans far
+//! fewer events than the unfiltered gather did for the same instances.
+//!
 //! Workers ship their per-job metrics snapshot (plus wall time) inside
 //! reply frames; the coordinator folds them into its own registry, so
 //! one trace and one snapshot describe a whole worker-process run —

@@ -19,39 +19,63 @@
 //!   total-ordering rule), enforced by strict `>` on timestamps;
 //! * candidate events are drawn from the node set of the partial motif,
 //!   which is exactly the "grows as a single component" rule.
+//!
+//! Each model restriction is applied where it is cheapest to decide:
+//!
+//! * **node budget** — once the walk holds `max_nodes` digits, the source
+//!   returns only events with both endpoints among them (an event in two
+//!   of the digits' runs); below the budget the walker rejects
+//!   an event that would add one node too many;
+//! * **Kovanen's consecutive events** — a digit can only continue with
+//!   the event right after its last motif event in its own list, so the
+//!   source offers at most one candidate per digit, and only events that
+//!   share their timestamp with no other event of either endpoint
+//!   (checked for the first event in `try_push`);
+//! * **static inducedness** — checked at emission against a per-walk
+//!   memo of `has_edge` over ordered digit pairs;
+//! * **constrained dynamic graphlets** — checked at emission.
 
-use crate::consecutive::{consecutive_ok, ConsecutiveScratch};
 use crate::constrained::constrained_ok;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::induced::static_induced_ok;
-use crate::notation::MotifSignature;
+use crate::notation::{MotifSignature, MAX_EVENTS};
 use tnm_graph::window_index::WindowIndex;
-use tnm_graph::{EventIdx, NodeId, TemporalGraph, Time};
+use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph, Time};
 
-/// Supplies the candidate events adjacent to the current node set with
-/// time in `(t, bound]`, where `t` is the time of the event the walk
-/// pushed last. Implementations must append **every** qualifying event
-/// exactly once, **sorted ascending by event index** — the walker
-/// consumes the list as-is, so engines are interchangeable only because
-/// this contract is exact. (Per-node event lists are already
-/// index-sorted — events are stored in time order — so sources either
-/// sort a concatenation or merge sorted runs.)
+/// Supplies the candidate events for the next step of a walk. A
+/// *qualifying* event
 ///
-/// The walker calls `gather` once per extension step, in walk order: at
-/// `depth` (the number of events pushed so far, at least 1) after
-/// pushing `pushed`, with `nodes` the walk's digits (a digit's node
-/// never changes while events holding it stay pushed). Sibling steps at
-/// one depth arrive in ascending `pushed` order. A source may keep state
-/// across calls on that basis; a stateless one may ignore `depth`.
+/// * touches a node in `nodes` and has time in `(t, bound]`, where `t`
+///   is the time of the event the walk pushed last (`seq`'s last);
+/// * has both endpoints in `nodes` when `nodes.len()` has reached
+///   `cfg.max_nodes`;
+/// * under `cfg.consecutive_events`, is the next event, in the node's
+///   own time-ordered list, after the last event of `seq` on each of its
+///   endpoints that is in `nodes`, and shares its timestamp with no
+///   other event of either endpoint.
+///
+/// Implementations must append **every** qualifying event exactly once,
+/// **sorted ascending by event index** — the walker consumes the list
+/// as-is, so engines are interchangeable only because this contract is
+/// exact. (Per-node event lists are already index-sorted — events are
+/// stored in time order — so sources either sort a concatenation or
+/// merge sorted runs.)
+///
+/// The walker calls `gather` once per extension step, in walk order,
+/// with `seq` the events pushed so far (at least one) and `nodes` the
+/// walk's digits (a digit's node never changes while events holding it
+/// stay pushed). Sibling steps at one depth (`seq.len()`) arrive in
+/// ascending order of their last event. A source may keep state across
+/// calls on that basis; a stateless one may ignore it.
 pub trait CandidateSource {
-    /// Appends candidates for the nodes in `nodes` to `out`, sorted and
+    /// Appends the qualifying candidates to `out`, sorted and
     /// deduplicated.
     fn gather(
         &mut self,
         graph: &TemporalGraph,
+        cfg: &EnumConfig,
         nodes: &[NodeId],
-        depth: usize,
-        pushed: EventIdx,
+        seq: &[EventIdx],
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     );
@@ -75,15 +99,21 @@ pub trait CandidateSource {
 ///
 /// Each run then extends by a linear scan while times are `≤ bound`,
 /// which touches exactly the events it returns, and the runs are k-way
-/// merged (k = current motif nodes) with inline deduplication. A step
+/// merged (k = current motif nodes) with inline deduplication. At the
+/// node budget the merge keeps only the events found in two runs. A step
 /// thus costs `O(candidates · k)` plus the cursor moves.
+///
+/// Under the consecutive-events restriction a digit's cursor instead
+/// stays at the slot after its last motif event, and that slot is the
+/// digit's only candidate: a step costs `O(k)`.
 #[derive(Debug, Clone)]
 pub struct WindowedCandidates<'ix> {
     index: WindowIndex<'ix>,
     /// `lo[d]` holds the cursors of the digits present at depth `d - 1`
     /// (none at depth 1, where both digits are the first event's
     /// endpoints); filled by the step at depth `d - 1`, advanced by each
-    /// sibling step at depth `d`.
+    /// sibling step at depth `d` (left as filled under the
+    /// consecutive-events restriction).
     lo: Vec<Cursors>,
 }
 
@@ -108,12 +138,13 @@ impl CandidateSource for WindowedCandidates<'_> {
     fn gather(
         &mut self,
         graph: &TemporalGraph,
+        cfg: &EnumConfig,
         nodes: &[NodeId],
-        depth: usize,
-        pushed: EventIdx,
+        seq: &[EventIdx],
         bound: Option<Time>,
         out: &mut Vec<EventIdx>,
     ) {
+        let depth = seq.len();
         if self.lo.len() < depth + 2 {
             self.lo.resize(depth + 2, Cursors::default());
         }
@@ -121,8 +152,16 @@ impl CandidateSource for WindowedCandidates<'_> {
         let carried = &mut upper[depth];
         let next = &mut lower[0];
         next.len = nodes.len().min(MAX_RUNS);
+        let full = nodes.len() >= cfg.max_nodes;
+        if cfg.consecutive_events {
+            let pushed = seq[depth - 1];
+            Step { index: self.index, graph, nodes, pushed, carried }
+                .consecutive(full, bound, next, out);
+            return;
+        }
         let ids = self.index.event_ids();
         let times = self.index.times();
+        let pushed = seq[depth - 1];
         let e = graph.event(pushed);
         let [src_slot, dst_slot] = self.index.slots(pushed);
         let t_last = times[src_slot as usize];
@@ -163,7 +202,7 @@ impl CandidateSource for WindowedCandidates<'_> {
             if k == MAX_RUNS {
                 // Digit-pair signatures cap motifs at 10 nodes, so this
                 // is unreachable from any paper config; stay correct
-                // anyway.
+                // anyway (the walker enforces the node budget itself).
                 out.extend_from_slice(&ids[p..q]);
                 spilled = true;
             } else {
@@ -176,23 +215,116 @@ impl CandidateSource for WindowedCandidates<'_> {
             out.sort_unstable();
             out.dedup();
         } else {
-            merge_sorted_runs(&mut runs[..k], out);
+            merge_sorted_runs(&mut runs[..k], full, out);
         }
     }
+}
+
+/// One consecutive-events step of [`WindowedCandidates`]: the walk
+/// state the step reads.
+struct Step<'a, 'ix> {
+    index: WindowIndex<'ix>,
+    graph: &'a TemporalGraph,
+    nodes: &'a [NodeId],
+    /// The event the walk pushed last.
+    pushed: EventIdx,
+    /// The parent depth's cursors: digit `i < carried.len` stands at the
+    /// slot after its last motif event as of the parent step.
+    carried: &'a Cursors,
+}
+
+impl Step<'_, '_> {
+    /// Appends each digit's one admissible successor: the event at its
+    /// cursor (the slot after its last motif event), if it lies in
+    /// `(t_last, bound]`, stands at the cursor of its other endpoint too
+    /// when that endpoint is a digit (or, below the node budget, is a
+    /// fresh node), and has no timestamp tie on either endpoint. Records
+    /// every digit's cursor in `next`.
+    fn consecutive(
+        &self,
+        full: bool,
+        bound: Option<Time>,
+        next: &mut Cursors,
+        out: &mut Vec<EventIdx>,
+    ) {
+        let (ids, times) = (self.index.event_ids(), self.index.times());
+        let last = self.graph.event(self.pushed);
+        let last_slots = self.index.slots(self.pushed);
+        let cursor = |i: usize| -> usize {
+            let node = self.nodes[i];
+            if node == last.src {
+                last_slots[0] as usize + 1
+            } else if node == last.dst {
+                last_slots[1] as usize + 1
+            } else {
+                // Every other digit was present at the parent depth.
+                self.carried.at[i] as usize
+            }
+        };
+        let bound = bound.unwrap_or(Time::MAX);
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let p = cursor(i);
+            next.at[i] = p as u32;
+            let end = self.index.span(node).end;
+            if p >= end || times[p] <= last.time || times[p] > bound {
+                continue;
+            }
+            let c = ids[p];
+            let e = self.graph.event(c);
+            let slots = self.index.slots(c);
+            let (other, other_slot) =
+                if e.src == node { (e.dst, slots[1]) } else { (e.src, slots[0]) };
+            match self.nodes.iter().position(|&n| n == other) {
+                // Digit `j < i` already offered (or refused) this event.
+                Some(j) if j < i || cursor(j) != other_slot as usize => continue,
+                None if full => continue,
+                _ => {}
+            }
+            if sole_at_its_time(self.index, e.src, e.dst, times[p], slots) {
+                out.push(c);
+            }
+        }
+        out.sort_unstable();
+    }
+}
+
+/// Whether neither endpoint of an event at time `t`, sitting at `slots`
+/// in `src`'s and `dst`'s spans, has another event at `t` (ties sit next
+/// to it in the endpoint's time-ordered span).
+fn sole_at_its_time(
+    index: WindowIndex<'_>,
+    src: NodeId,
+    dst: NodeId,
+    t: Time,
+    slots: [u32; 2],
+) -> bool {
+    let times = index.times();
+    [src, dst].into_iter().zip(slots).all(|(node, slot)| {
+        let (span, s) = (index.span(node), slot as usize);
+        (s == span.start || times[s - 1] != t) && (s + 1 == span.end || times[s + 1] != t)
+    })
 }
 
 /// Upper bound on simultaneously merged runs (motif node budget; the
 /// digit-pair notation itself caps signatures at ≤ 10 nodes).
 const MAX_RUNS: usize = 10;
+// A valid config's digits all keep a cursor (`EnumConfig::validate`
+// caps motifs at `MAX_EVENTS` events, so at `MAX_EVENTS + 1` nodes).
+const _: () = assert!(MAX_EVENTS < MAX_RUNS);
 
-/// Merges ascending runs into `out`, deduplicating across runs. Each
-/// event index appears in at most two runs (its endpoints), and runs are
-/// few and short, so the simple head-scan merge beats both a heap and a
+/// Merges ascending runs into `out`, deduplicating across runs; with
+/// `shared_only`, keeps only the events found in two runs. Each event
+/// index appears in at most two runs (its endpoints), and runs are few
+/// and short, so the simple head-scan merge beats both a heap and a
 /// concat-sort.
-fn merge_sorted_runs(runs: &mut [&[EventIdx]], out: &mut Vec<EventIdx>) {
+fn merge_sorted_runs(runs: &mut [&[EventIdx]], shared_only: bool, out: &mut Vec<EventIdx>) {
     match runs {
         [] => {}
-        [only] => out.extend_from_slice(only),
+        [only] => {
+            if !shared_only {
+                out.extend_from_slice(only)
+            }
+        }
         [a, b] => {
             // Two-pointer fast path: the overwhelmingly common case
             // (most walks hold 2–3 digits; one run is often empty).
@@ -201,11 +333,15 @@ fn merge_sorted_runs(runs: &mut [&[EventIdx]], out: &mut Vec<EventIdx>) {
                 let (x, y) = (a[i], b[j]);
                 match x.cmp(&y) {
                     std::cmp::Ordering::Less => {
-                        out.push(x);
+                        if !shared_only {
+                            out.push(x);
+                        }
                         i += 1;
                     }
                     std::cmp::Ordering::Greater => {
-                        out.push(y);
+                        if !shared_only {
+                            out.push(y);
+                        }
                         j += 1;
                     }
                     std::cmp::Ordering::Equal => {
@@ -215,8 +351,10 @@ fn merge_sorted_runs(runs: &mut [&[EventIdx]], out: &mut Vec<EventIdx>) {
                     }
                 }
             }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
+            if !shared_only {
+                out.extend_from_slice(&a[i..]);
+                out.extend_from_slice(&b[j..]);
+            }
         }
         runs => loop {
             let mut min: Option<EventIdx> = None;
@@ -226,11 +364,15 @@ fn merge_sorted_runs(runs: &mut [&[EventIdx]], out: &mut Vec<EventIdx>) {
                 }
             }
             let Some(min) = min else { break };
-            out.push(min);
+            let mut hits = 0;
             for r in runs.iter_mut() {
                 if r.first() == Some(&min) {
                     *r = &r[1..];
+                    hits += 1;
                 }
+            }
+            if hits > 1 || !shared_only {
+                out.push(min);
             }
         },
     }
@@ -294,6 +436,21 @@ impl PrefixFilter {
     }
 }
 
+/// Digits the static-inducedness memo covers: one bit per ordered pair
+/// in a `u64`. Larger motifs fall back to [`static_induced_ok`].
+const INDUCED_MEMO_DIGITS: usize = 8;
+/// Memo bits of digit 0's outgoing pairs (`(0, b)`, `b < 8`).
+const ROW: u64 = 0xFF;
+/// Memo bits of digit 0's incoming pairs (`(a, 0)`, `a < 8`).
+const COLUMN: u64 = 0x0101_0101_0101_0101;
+
+/// Memo bits of the ordered pairs `(a, b)`, `a != b`, among digits `0..n`.
+fn pairs_among(n: usize) -> u64 {
+    let row = (1u64 << n) - 1; // n ≤ 8, so this never shifts by 64
+    let square = (0..n).fold(0u64, |m, a| m | row << (8 * a));
+    square & !0x8040_2010_0804_0201 // minus the diagonal
+}
+
 /// One depth-first enumeration state machine. Reusable across start
 /// ranges; create one per worker thread.
 pub struct Walker<'g, C: CandidateSource> {
@@ -305,7 +462,14 @@ pub struct Walker<'g, C: CandidateSource> {
     digits: Vec<NodeId>,
     pairs: Vec<(u8, u8)>,
     cand_bufs: Vec<Vec<EventIdx>>,
-    scratch: ConsecutiveScratch,
+    /// The window index, under the consecutive-events restriction: the
+    /// first event's timestamp ties are read from its slot column.
+    ties: Option<WindowIndex<'g>>,
+    /// Static-inducedness memo over ordered digit pairs, bit `8a + b`
+    /// for `(a, b)`: `known` marks the pairs looked up since both digits
+    /// took their nodes, `edges` those whose static edge exists.
+    known: u64,
+    edges: u64,
     /// `tnm_obs::enabled()` captured at construction: per-candidate
     /// instrumentation is one branch on a plain bool, and the tallies
     /// below stay thread-local until [`Drop`] flushes them to the
@@ -330,7 +494,9 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
             digits: Vec::with_capacity(cfg.max_nodes),
             pairs: Vec::with_capacity(k),
             cand_bufs: (0..k).map(|_| Vec::new()).collect(),
-            scratch: ConsecutiveScratch::new(),
+            ties: cfg.consecutive_events.then(|| graph.window_index()),
+            known: 0,
+            edges: 0,
             obs: tnm_obs::enabled(),
             scanned: 0,
             pruned: 0,
@@ -346,17 +512,33 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         self
     }
 
-    /// Appends `node` as a fresh digit, returning it.
+    /// Appends `node` as a fresh digit, returning it, and forgets the
+    /// memoised edges of the digit's previous node.
     #[inline]
     fn fresh_digit(&mut self, node: NodeId) -> u8 {
+        let d = self.digits.len();
         self.digits.push(node);
-        (self.digits.len() - 1) as u8
+        if d < INDUCED_MEMO_DIGITS {
+            let stale = (ROW << (8 * d)) | (COLUMN << d);
+            self.known &= !stale;
+            self.edges &= !stale;
+        }
+        d as u8
     }
 
     /// Attempts to push `idx`; returns how many fresh digits were added
-    /// (`None` if rejected by node budget or the signature filter).
+    /// (`None` if rejected by the node budget, the first event's
+    /// timestamp ties under the consecutive-events restriction, or the
+    /// signature filter).
     fn try_push(&mut self, idx: EventIdx) -> Option<usize> {
         let e = self.graph.event(idx);
+        if let (Some(index), true) = (self.ties, self.seq.is_empty()) {
+            // Later events are vetted by the source (see
+            // `CandidateSource`); the first one is vetted here.
+            if !sole_at_its_time(index, e.src, e.dst, e.time, index.slots(idx)) {
+                return None;
+            }
+        }
         // One scan of the digit list resolves both endpoints; the hits
         // are reused for the node-budget check and the digit mapping
         // (self-loops cannot occur, so the endpoints are distinct and a
@@ -428,7 +610,7 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         let depth = self.seq.len();
         let mut cands = std::mem::take(&mut self.cand_bufs[depth]);
         cands.clear();
-        self.source.gather(self.graph, &self.digits, depth, pushed, bound, &mut cands);
+        self.source.gather(self.graph, self.cfg, &self.digits, &self.seq, bound, &mut cands);
         debug_assert!(cands.windows(2).all(|w| w[0] < w[1]), "candidates sorted+deduped");
         let mut pos = 0;
         while pos < cands.len() {
@@ -451,14 +633,10 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         if self.digits.len() < self.cfg.min_nodes {
             return;
         }
-        if self.cfg.consecutive_events && !consecutive_ok(self.graph, &self.seq, &mut self.scratch)
-        {
-            return;
-        }
         if self.cfg.constrained_dynamic && !constrained_ok(self.graph, &self.seq) {
             return;
         }
-        if self.cfg.static_induced && !static_induced_ok(self.graph, &self.seq) {
+        if self.cfg.static_induced && !self.induced() {
             return;
         }
         let signature =
@@ -468,6 +646,33 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         if self.obs {
             self.emitted += 1;
         }
+    }
+
+    /// Static inducedness of the current instance: no ordered digit pair
+    /// outside the pushed `pairs` has a static edge. Lookups are
+    /// memoised per digit pair until a digit takes a new node.
+    fn induced(&mut self) -> bool {
+        let n = self.digits.len();
+        if n > INDUCED_MEMO_DIGITS {
+            return static_induced_ok(self.graph, &self.seq);
+        }
+        let covered = self.pairs.iter().fold(0u64, |m, &(a, b)| m | 1 << (8 * a + b));
+        let mut uncovered = pairs_among(n) & !covered;
+        if uncovered & self.known & self.edges != 0 {
+            return false;
+        }
+        uncovered &= !self.known;
+        while uncovered != 0 {
+            let bit = uncovered.trailing_zeros() as usize;
+            uncovered &= uncovered - 1;
+            self.known |= 1 << bit;
+            let edge = Edge { src: self.digits[bit / 8], dst: self.digits[bit % 8] };
+            if self.graph.has_edge(edge) {
+                self.edges |= 1 << bit;
+                return false;
+            }
+        }
+        true
     }
 
     /// Walks every instance whose first event index lies in `start_range`.
@@ -516,30 +721,34 @@ impl<C: CandidateSource> Drop for Walker<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consecutive::consecutive_ok;
     use crate::constraints::Timing;
+    use crate::count::MotifCounts;
     use crate::models::MotifModel;
     use tnm_graph::shard::{materialize, plan_shards, ShardGoal};
     use tnm_graph::{Event, TemporalGraphBuilder};
 
     /// Candidate generation over [`TemporalGraph`]'s plain node index: one
     /// `partition_point` for the lower bound, then a linear scan until the
-    /// upper bound breaks, then a sort + dedup of the concatenation. It
-    /// keeps no state between steps, which makes it the independent check
-    /// on [`WindowedCandidates`].
+    /// upper bound breaks, then a sort + dedup of the concatenation. The
+    /// node budget and the consecutive-events rule are then applied as
+    /// filters, from the node lists and plain time comparisons. It keeps
+    /// no state between steps, which makes it the independent check on
+    /// [`WindowedCandidates`].
     struct NodeListCandidates;
 
     impl CandidateSource for NodeListCandidates {
         fn gather(
             &mut self,
             graph: &TemporalGraph,
+            cfg: &EnumConfig,
             nodes: &[NodeId],
-            _depth: usize,
-            pushed: EventIdx,
+            seq: &[EventIdx],
             bound: Option<Time>,
             out: &mut Vec<EventIdx>,
         ) {
             let times = graph.times();
-            let t_last = times[pushed as usize];
+            let t_last = times[seq[seq.len() - 1] as usize];
             for &node in nodes {
                 let list = graph.node_events(node);
                 let start = list.partition_point(|&i| times[i as usize] <= t_last);
@@ -554,6 +763,33 @@ mod tests {
             }
             out.sort_unstable();
             out.dedup();
+            if nodes.len() >= cfg.max_nodes {
+                out.retain(|&i| {
+                    let e = graph.event(i);
+                    nodes.contains(&e.src) && nodes.contains(&e.dst)
+                });
+            }
+            if cfg.consecutive_events {
+                out.retain(|&i| {
+                    let e = graph.event(i);
+                    [e.src, e.dst].into_iter().all(|x| {
+                        let list = graph.node_events(x);
+                        let ties = list.iter().filter(|&&j| times[j as usize] == e.time).count();
+                        let last = seq.iter().rev().find(|&&c| {
+                            let c = graph.event(c);
+                            c.src == x || c.dst == x
+                        });
+                        let follows = match last {
+                            Some(&last) => {
+                                let pos = list.iter().position(|&j| j == last).unwrap();
+                                list.get(pos + 1) == Some(&i)
+                            }
+                            None => true,
+                        };
+                        ties == 1 && follows
+                    })
+                });
+            }
         }
     }
 
@@ -569,19 +805,16 @@ mod tests {
         fn gather(
             &mut self,
             graph: &TemporalGraph,
+            cfg: &EnumConfig,
             nodes: &[NodeId],
-            depth: usize,
-            pushed: EventIdx,
+            seq: &[EventIdx],
             bound: Option<Time>,
             out: &mut Vec<EventIdx>,
         ) {
             self.scratch.clear();
-            NodeListCandidates.gather(graph, nodes, depth, pushed, bound, &mut self.scratch);
-            self.cursor.gather(graph, nodes, depth, pushed, bound, out);
-            assert_eq!(
-                *out, self.scratch,
-                "depth {depth}, pushed {pushed}, nodes {nodes:?}, bound {bound:?}"
-            );
+            NodeListCandidates.gather(graph, cfg, nodes, seq, bound, &mut self.scratch);
+            self.cursor.gather(graph, cfg, nodes, seq, bound, out);
+            assert_eq!(*out, self.scratch, "seq {seq:?}, nodes {nodes:?}, bound {bound:?}");
             self.steps += 1;
         }
     }
@@ -625,7 +858,9 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Every timing shape, duration-aware ΔC, and the four models.
+    /// Every timing shape, duration-aware ΔC, the four models, exact
+    /// node budgets of 2 and 3, and the consecutive-events and induced
+    /// restrictions at k = 2..=4.
     fn configs(unbounded: bool) -> Vec<EnumConfig> {
         let mut cfgs = vec![];
         for (e, n) in [(3, 3), (3, 4), (4, 4)] {
@@ -642,6 +877,14 @@ mod tests {
         }
         for model in MotifModel::all_four(3, 6) {
             cfgs.push(EnumConfig::for_model(&model, 3, 3));
+        }
+        for k in 2..=4 {
+            let timing = if unbounded { Timing::UNBOUNDED } else { Timing::only_w(6) };
+            cfgs.push(EnumConfig::new(k, 2).exact_nodes(2).with_timing(timing));
+            cfgs.push(EnumConfig::new(k, 3).exact_nodes(3).with_timing(Timing::both(2, 5)));
+            cfgs.push(EnumConfig::new(k, k + 1).with_consecutive(true).with_timing(timing));
+            cfgs.push(EnumConfig::new(k, 3).exact_nodes(3).with_consecutive(true));
+            cfgs.push(EnumConfig::new(k, 4).with_static_induced(true).with_timing(timing));
         }
         cfgs
     }
@@ -673,7 +916,9 @@ mod tests {
         let g = seeded_graph(7, 60);
         let all: Vec<usize> = (0..g.num_events()).collect();
         for cfg in configs(true) {
-            assert!(walk_checked(&g, &cfg, &all) > 50, "{cfg:?} walked too little");
+            // A consecutive-events walk gathers only from tie-free starts.
+            let floor = if cfg.consecutive_events { 20 } else { 50 };
+            assert!(walk_checked(&g, &cfg, &all) > floor, "{cfg:?} walked too little");
         }
     }
 
@@ -709,5 +954,72 @@ mod tests {
             }
         }
         assert!(steps > 100);
+    }
+
+    /// Instances by signature, from a walk over `source`, keeping those
+    /// that pass `keep`.
+    fn walk_counts(
+        graph: &TemporalGraph,
+        cfg: &EnumConfig,
+        source: impl CandidateSource,
+        keep: impl Fn(&[EventIdx]) -> bool,
+    ) -> MotifCounts {
+        let mut counts = MotifCounts::new();
+        Walker::new(graph, cfg, source).run_range(0..graph.num_events(), |inst| {
+            if keep(inst.events) {
+                counts.add(inst.signature, 1);
+            }
+        });
+        counts
+    }
+
+    /// The restrictions the walk applies while it gathers (node budget,
+    /// consecutive events) or through its memo (inducedness) admit
+    /// exactly the instances their definitions admit: a walk with both
+    /// flags cleared whose instances are filtered by `consecutive_ok` and
+    /// `static_induced_ok`. k = 1 included, where the walk never gathers.
+    #[test]
+    fn restrictions_match_their_definitions() {
+        let mut found = [0; 4];
+        for seed in 1..=3 {
+            let g = seeded_graph(seed, 200);
+            let index = g.window_index();
+            for k in 1..=4 {
+                for (min, max) in [(2, 2), (3, 3), (2, k + 1)] {
+                    for (consecutive, induced) in [(true, false), (false, true), (true, true)] {
+                        let mut cfg = EnumConfig::new(k, max)
+                            .with_timing(Timing::only_w(6))
+                            .with_consecutive(consecutive)
+                            .with_static_induced(induced);
+                        cfg.min_nodes = min;
+                        let plain = cfg.clone().with_consecutive(false).with_static_induced(false);
+                        let defined =
+                            walk_counts(&g, &plain, WindowedCandidates::new(index), |s| {
+                                (!consecutive || consecutive_ok(&g, s))
+                                    && (!induced || static_induced_ok(&g, s))
+                            });
+                        let walked =
+                            walk_counts(&g, &cfg, WindowedCandidates::new(index), |_| true);
+                        assert_eq!(walked, defined, "seed {seed}: {cfg:?}");
+                        found[consecutive as usize + 2 * induced as usize] += walked.total();
+                    }
+                }
+            }
+        }
+        assert!(found[1..].iter().all(|&n| n > 50), "too few instances: {found:?}");
+    }
+
+    /// At k = 1 the walk never gathers, so the first event's tie rule is
+    /// the whole consecutive-events check: (0,1,5) and (0,2,5) share node
+    /// 0 at t = 5, so only (1,2,9) is an instance.
+    #[test]
+    fn consecutive_single_events_exclude_timestamp_ties() {
+        let g = TemporalGraphBuilder::new().event(0, 1, 5).event(0, 2, 5).event(1, 2, 9).build();
+        let g = g.unwrap();
+        let cfg = EnumConfig::new(1, 2).with_consecutive(true);
+        let mut found = vec![];
+        let mut walker = Walker::new(&g, &cfg, WindowedCandidates::new(g.window_index()));
+        walker.run_range(0..3, |inst| found.push(inst.events.to_vec()));
+        assert_eq!(found, vec![vec![2]]);
     }
 }

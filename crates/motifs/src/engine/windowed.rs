@@ -7,8 +7,9 @@
 //! per-depth cursors already stand (for the other nodes), end by a scan
 //! over the inline timestamps, and arrive as ready slices — no search per
 //! node per step, and under bounded timing no event outside the
-//! admissible window is returned (see `WindowedCandidates` in the walker
-//! module). The graph builds the `O(m)` index on first use and keeps it
+//! admissible window is returned. Nor is an event the node budget or
+//! Kovanen's consecutive-events rule would refuse (see
+//! `WindowedCandidates` in the walker module). The graph builds the `O(m)` index on first use and keeps it
 //! ([`TemporalGraph::window_index`]), so repeated counts of the same
 //! graph build it once.
 //!

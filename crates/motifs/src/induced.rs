@@ -12,14 +12,23 @@
 //! triangle formed by events 1, 2, 4 of `(a,b,2),(b,c,4),(c,a,5),(c,a,6)`
 //! is valid even though event 3 is skipped, because edge `c→a` is covered).
 
+use crate::notation::MAX_EVENTS;
 use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph};
 
-/// Maximum node count the scratch buffers support (motifs are tiny).
-const MAX_MOTIF_NODES: usize = 8;
+/// Maximum node count the scratch buffers support: a single-component
+/// motif of [`MAX_EVENTS`] events touches at most one node more.
+const MAX_MOTIF_NODES: usize = MAX_EVENTS + 1;
 
 /// Checks static inducedness of a motif instance: the static projections
 /// of the motif events must cover every graph edge internal to the
 /// motif's node set.
+///
+/// This is the definition. The walker applies it through a memo instead
+/// (see `engine::walker`): each ordered digit pair's `has_edge` answer is
+/// kept until a digit takes a new node, and an instance passes if no
+/// pair outside its own pairs has an edge; motifs of more than eight
+/// nodes call this function. `validity` and the sharded engine's
+/// recheck against the parent graph use it directly.
 pub fn static_induced_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bool {
     let mut nodes: [NodeId; MAX_MOTIF_NODES] = [NodeId(0); MAX_MOTIF_NODES];
     let mut n = 0usize;
@@ -141,5 +150,18 @@ mod tests {
             .build()
             .unwrap();
         assert!(static_induced_ok(&g, &[0, 1]));
+    }
+
+    /// The longest motif, 8 events, can touch 9 nodes: a path 0→1→…→8
+    /// is checked, not refused, and a chord among its nodes still fails.
+    #[test]
+    fn nine_node_motifs_are_checked() {
+        let mut b = TemporalGraphBuilder::new();
+        for i in 0..8u32 {
+            b = b.event(i, i + 1, i as i64);
+        }
+        let path: Vec<EventIdx> = (0..8).collect();
+        assert!(static_induced_ok(&b.clone().build().unwrap(), &path));
+        assert!(!static_induced_ok(&b.event(8, 0, 20).build().unwrap(), &path));
     }
 }

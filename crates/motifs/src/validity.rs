@@ -2,7 +2,7 @@
 //! behind the paper's Figure 1, where the same four candidate motifs are
 //! accepted or rejected by the four models for different reasons.
 
-use crate::consecutive::is_consecutive;
+use crate::consecutive::consecutive_ok;
 use crate::constrained::constrained_ok;
 use crate::induced::static_induced_ok;
 use crate::models::MotifModel;
@@ -147,7 +147,7 @@ pub fn check_instance(
             violations.push(Violation::DeltaWExceeded { span, limit });
         }
     }
-    if model.consecutive_events && !is_consecutive(graph, &events) {
+    if model.consecutive_events && !consecutive_ok(graph, &events) {
         violations.push(Violation::ConsecutiveEvents);
     }
     if model.static_induced && !static_induced_ok(graph, &events) {

@@ -143,33 +143,61 @@ fn assert_matches_oracle(
 }
 
 /// Every exact engine agrees with the brute-force oracle for every
-/// model, for 2- and 3-event motifs on up to 4 nodes: the one-call
-/// `count_motifs`, every `EngineKind::all_exact()` kind on one and on
-/// four threads, and a sharded engine whose 3-event shards split these
-/// ≤ 14-event graphs into several slices. The oracle shares no code with
-/// the walk, so a walk bug cannot hide behind another walk.
+/// model on `graph`, for `k`-event motifs on `min_nodes..=max_nodes`
+/// nodes: the one-call `count_motifs`, every `EngineKind::all_exact()`
+/// kind on one and on four threads, and a sharded engine whose 3-event
+/// shards split these ≤ 14-event graphs into several slices. The oracle
+/// shares no code with the walk, so a walk bug cannot hide behind
+/// another walk.
+fn assert_engines_match_oracle(
+    graph: &TemporalGraph,
+    k: usize,
+    min_nodes: usize,
+    max_nodes: usize,
+) {
+    for model in models_under_test() {
+        let mut cfg = EnumConfig::for_model(&model, k, max_nodes);
+        // Hulovatyy's duration-aware gap equals the plain gap here
+        // (all durations are zero), so semantics match the oracle.
+        cfg.min_nodes = min_nodes;
+        let oracle = brute_force_counts(graph, &model, k, min_nodes, max_nodes);
+        assert_matches_oracle(&count_motifs(graph, &cfg), &oracle, "auto", &model, graph);
+        for &kind in EngineKind::all_exact() {
+            for threads in [1, 4] {
+                let label = format!("{kind}×{threads}, {cfg:?}");
+                let counts = kind.count(graph, &cfg, threads);
+                assert_matches_oracle(&counts, &oracle, &label, &model, graph);
+            }
+        }
+        let sharded = ShardedEngine::new(3).count(graph, &cfg);
+        assert_matches_oracle(&sharded, &oracle, "sharded(3)", &model, graph);
+    }
+}
+
+/// The oracle cases of one graph: 2- or 3-event motifs on up to 4
+/// nodes; 1- or 4-event motifs on up to 4 nodes; and an exact node
+/// budget (`min_nodes == max_nodes`), which the walk enforces while it
+/// gathers candidates, for 1 to 4 events.
+fn oracle_cases(rng: &mut StdRng, graph: TemporalGraph) {
+    assert_engines_match_oracle(&graph, rng.gen_range(2usize..=3), 2, 4);
+    assert_engines_match_oracle(&graph, [1, 4][rng.gen_range(0usize..2)], 2, 4);
+    let k = rng.gen_range(1usize..=4);
+    let n = rng.gen_range(2..=(k + 1).min(4));
+    assert_engines_match_oracle(&graph, k, n, n);
+}
+
 #[test]
 fn engine_matches_brute_force() {
-    for_each_graph(1, 24, |rng, graph| {
-        let k = rng.gen_range(2usize..=3);
-        for model in models_under_test() {
-            let mut cfg = EnumConfig::for_model(&model, k, 4);
-            // Hulovatyy's duration-aware gap equals the plain gap here
-            // (all durations are zero), so semantics match the oracle.
-            cfg.min_nodes = 2;
-            let oracle = brute_force_counts(&graph, &model, k, 2, 4);
-            assert_matches_oracle(&count_motifs(&graph, &cfg), &oracle, "auto", &model, &graph);
-            for &kind in EngineKind::all_exact() {
-                for threads in [1, 4] {
-                    let label = format!("{kind}×{threads}");
-                    let counts = kind.count(&graph, &cfg, threads);
-                    assert_matches_oracle(&counts, &oracle, &label, &model, &graph);
-                }
-            }
-            let sharded = ShardedEngine::new(3).count(&graph, &cfg);
-            assert_matches_oracle(&sharded, &oracle, "sharded(3)", &model, &graph);
-        }
-    });
+    for_each_graph(1, 24, oracle_cases);
+}
+
+/// The same cases over 2,000 graphs (the first 24 are tier-1's). About
+/// a minute in release: `cargo test --release --test engine_correctness
+/// engine_matches_brute_force_full -- --ignored`.
+#[test]
+#[ignore]
+fn engine_matches_brute_force_full() {
+    for_each_graph(1, 2_000, oracle_cases);
 }
 
 /// Parallel counting is identical to serial counting.

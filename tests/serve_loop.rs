@@ -14,9 +14,9 @@
 //! * **Robustness** — wire-level garbage (bad magic, another wire
 //!   version, oversized length headers, truncation mid-frame) costs the
 //!   offending connection only; application-level errors (unknown graph,
-//!   duplicate load, ineligible subscription, regressing append) answer
-//!   an error frame and the connection stays usable. The daemon survives
-//!   all of it.
+//!   duplicate load, ineligible subscription, regressing append, an
+//!   invalid config) answer an error frame and the connection stays
+//!   usable. The daemon survives all of it.
 //! * **Isolation** — concurrent clients loading and querying distinct
 //!   graphs never observe each other's data.
 
@@ -248,6 +248,17 @@ fn bad_peers_do_not_kill_the_daemon() {
         matches!(good.subscribe("g", &dc_cfg), Err(ClientError::Server(_))),
         "ΔC configs are not stream-eligible"
     );
+    // Nine events exceed what a signature can name: the query is refused
+    // with a typed config error, not a panic on the connection's thread.
+    let long = Query::Count {
+        cfg: EnumConfig::new(9, 3).with_timing(Timing::only_w(200)),
+        engine: EngineKind::Windowed,
+        threads: 1,
+    };
+    match good.query("g", &long) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("at most 8"), "{msg}"),
+        other => panic!("9-event query: {other:?}"),
+    }
     let regressing = [Event::new(0, 1, i64::MIN / 2)];
     assert!(
         matches!(good.append_events("g", &regressing), Err(ClientError::Server(_))),
