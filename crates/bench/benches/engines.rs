@@ -17,7 +17,8 @@
 //! pins the metrics-disabled hot path against the BENCH history,
 //! `query_trace_overhead` does the same for the untraced `Query::run`
 //! path vs a request-scoped trace), the graph build
-//! (`graph_build`: `from_sorted_events` at two corpus sizes), edge-list
+//! (`graph_build`: `from_sorted_events` at two corpus sizes, and with the
+//! lazy edge index's first build), edge-list
 //! ingest (`ingest`: `read_edge_list_str` with dense and sparse node
 //! ids), and dataset generation.
 //!
@@ -694,17 +695,22 @@ fn bench_hotpath_shard_plan(c: &mut Criterion) {
 }
 
 /// The graph build a served graph pays after every append:
-/// `from_sorted_events` (sortedness check, node index, edge index) on a
-/// sparse many-node StackOverflow-spec corpus of 40k events and a
-/// CollegeMsg-spec corpus of 150k. The event-log copy it consumes is
-/// made outside the timed region.
+/// `from_sorted_events` (sortedness check, node index) on a sparse
+/// many-node StackOverflow-spec corpus of 40k events and a
+/// CollegeMsg-spec corpus of 150k. `collegemsg_150k_edges` adds the
+/// first `has_edge`, which builds the edge index, so the row keeps the
+/// whole cost of a graph that static-edge readers use. The event-log
+/// copy each build consumes is made outside the timed region.
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_build");
     group.sample_size(10);
-    for (name, events, id) in
-        [("StackOverflow", 40_000, "stackoverflow_40k"), ("CollegeMsg", 150_000, "collegemsg_150k")]
-    {
+    for (name, events, id, edges) in [
+        ("StackOverflow", 40_000, "stackoverflow_40k", false),
+        ("CollegeMsg", 150_000, "collegemsg_150k", false),
+        ("CollegeMsg", 150_000, "collegemsg_150k_edges", true),
+    ] {
         let g = dataset(name, events);
+        let probe = g.events()[0].edge();
         group.throughput(Throughput::Elements(g.num_events() as u64));
         group.bench_function(id, |b| {
             b.iter_custom(|iters| {
@@ -713,6 +719,9 @@ fn bench_graph_build(c: &mut Criterion) {
                     let log = g.events().to_vec();
                     let t0 = std::time::Instant::now();
                     let built = black_box(TemporalGraph::from_sorted_events(log, g.num_nodes()));
+                    if edges {
+                        assert!(built.has_edge(black_box(probe)));
+                    }
                     total += t0.elapsed();
                     drop(built);
                 }

@@ -1,7 +1,7 @@
 //! The time-ordered temporal graph store with node and edge time indexes.
 //!
 //! [`TemporalGraph`] keeps the event list sorted by `(time, src, dst)` and
-//! maintains two auxiliary indexes that the motif models need:
+//! two auxiliary indexes that the motif models need:
 //!
 //! * a **node index** (CSR layout): for every node, the time-ordered list of
 //!   events it participates in. Kovanen et al.'s *consecutive events
@@ -13,36 +13,39 @@
 //!   and Paranjape models are membership tests on it.
 //!
 //! Both indexes store event indices rather than copies of the events, so a
-//! graph with `m` events costs `O(m)` extra words. The windowed walkers'
+//! graph with `m` events costs `O(m)` extra words. The node index is built
+//! with the graph. The edge index is built on first use — by a lookup,
+//! [`TemporalGraph::static_edges`], [`TemporalGraph::num_static_edges`],
+//! [`TemporalGraph::triangles`] or [`TemporalGraph::check_invariants`] —
+//! so queries that never read static edges (2-node counts, and walks with
+//! no inducedness check) never pay for it. The windowed walkers'
 //! [`WindowIndex`] is a view over the node index plus a time column and a
-//! per-event slot column the graph builds on first use
+//! per-event slot column the graph also builds on first use
 //! ([`TemporalGraph::window_index`]).
 //!
 //! ## Edge-index layout
 //!
 //! For `n` nodes and `E` distinct directed static edges, four flat arrays:
 //!
-//! * `edge_offsets` (`n + 1`): node `u`'s static out-edges are the slots
-//!   `edge_offsets[u]..edge_offsets[u + 1]`;
-//! * `edge_dsts` (`E`): the destination of each slot, ascending within
-//!   each source — so slots ascend with `(src, dst)`;
-//! * `edge_starts` (`E + 1`): slot `k`'s events are
-//!   `edge_events[edge_starts[k]..edge_starts[k + 1]]`;
-//! * `edge_events` (`m`): event indices grouped by `(src, dst)`, in time
-//!   order within each group.
+//! * `offsets` (`n + 1`): node `u`'s static out-edges are the slots
+//!   `offsets[u]..offsets[u + 1]`;
+//! * `dsts` (`E`): the destination of each slot, ascending within each
+//!   source — so slots ascend with `(src, dst)`;
+//! * `starts` (`E + 1`): slot `k`'s events are
+//!   `events[starts[k]..starts[k + 1]]`;
+//! * `events` (`m`): event indices grouped by `(src, dst)`, in time order
+//!   within each group.
 //!
 //! The build is two stable counting sorts of the time-ordered event
 //! indices — by `dst`, then by `src` — and one pass that cuts the result
-//! into groups: `O(m + n)` with no hashing. The whole
-//! [`TemporalGraph::from_sorted_events`] build (sortedness check, node
-//! and edge index) takes about 5–7 ms for a 150k-event CollegeMsg-spec
-//! log and 1–2 ms for a 40k-event StackOverflow-spec log on a 2-vCPU
-//! Xeon host (the `graph_build` bench group). It is about half of an
-//! edge-list ingest: reading a 90k-event SMS-A ×3 file
-//! ([`crate::io::read_edge_list_file`]) takes 11–12 ms, of which this
-//! build is 4.5–5 ms, parsing and node-id compaction about 5 ms, and the
-//! builder's tie-run sort (see [`crate::TemporalGraphBuilder::build`])
-//! under 1 ms (the `ingest` bench group). A lookup
+//! into groups: `O(m + n)` with no hashing. On the 90k-event SMS-A ×3
+//! file that `cold_count` parses, on a 2-vCPU Xeon host, the sortedness
+//! check takes 0.4–0.8 ms, the node index 0.7–1.0 ms and the edge index
+//! 2.3–3.5 ms; [`TemporalGraph::from_sorted_events`] pays the first two,
+//! and the first reader of static edges pays the third (one
+//! `graph.edge_index` span). The `graph_build` bench group times the
+//! eager part alone and, as `collegemsg_150k_edges`, with the first
+//! `has_edge`. A lookup
 //! ([`TemporalGraph::edge_events`], [`TemporalGraph::has_edge`]) is a
 //! binary search in the source's out-list, and
 //! [`TemporalGraph::static_edges`] walks the slots in order.
@@ -57,7 +60,10 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 /// An immutable temporal network: a time-ordered multiset of directed
-/// events plus node/edge time indexes.
+/// events plus node/edge time indexes. The node index is built with the
+/// graph; the edge index, the SoA columns, the window index and the
+/// triangle table are built on first use and kept (clones carry what is
+/// already built along).
 ///
 /// Construct one with [`crate::TemporalGraphBuilder`] or
 /// [`TemporalGraph::from_events`].
@@ -67,20 +73,14 @@ pub struct TemporalGraph {
     num_nodes: u32,
     node_offsets: Vec<u32>,
     node_events: Vec<EventIdx>,
-    /// Edge-index CSR (see the [module docs](self)): per source node, its
-    /// slot range into `edge_dsts`/`edge_starts`.
-    edge_offsets: Vec<u32>,
-    /// Per slot, the destination; ascending within each source.
-    edge_dsts: Vec<NodeId>,
-    /// Per slot, the start of its events in `edge_events`, plus a final
-    /// `m` sentinel.
-    edge_starts: Vec<u32>,
-    edge_events: Vec<EventIdx>,
+    /// Lazy edge index (see the [module docs](self)); built at most once
+    /// per graph, like `columns`.
+    edges: OnceLock<EdgeIndex>,
     /// Lazy SoA view of `events`; built at most once per graph (clones
     /// carry the already-built columns along).
     columns: OnceLock<EventColumns>,
-    /// Lazy static-triangle table over `edge_events`; built at most once
-    /// per graph, like `columns`.
+    /// Lazy static-triangle table over the edge index; built at most
+    /// once per graph, like `columns`.
     triangles: OnceLock<TriangleTable>,
     /// Lazy window-index columns beside `node_events`: the time of each
     /// entry and each event's slot in its endpoints' spans; built at
@@ -104,28 +104,26 @@ impl TemporalGraph {
     /// present are simply isolated), and event indices match the input
     /// order exactly.
     ///
+    /// The build is the sortedness check and the node index; the edge
+    /// index waits for its first reader (see the [module docs](self)).
+    ///
     /// # Panics
     ///
     /// Panics if the events are not sorted by
     /// `(time, src, dst, duration)`. The check is a single `O(m)` pass —
-    /// cheap next to the index builds that follow — and it runs in
+    /// about as cheap as the node index that follows — and it runs in
     /// release builds too: an unsorted buffer would otherwise corrupt
     /// every binary search silently.
     pub fn from_sorted_events(events: Vec<Event>, num_nodes: u32) -> Self {
         let _span = tnm_obs::span!("graph.build", events = events.len());
         assert!(events.windows(2).all(|w| w[0] <= w[1]), "events must be sorted");
         let (node_offsets, node_events) = build_node_index(&events, num_nodes);
-        let EdgeIndex { offsets, dsts, starts, events: edge_events } =
-            build_edge_index(&events, num_nodes);
         TemporalGraph {
             events,
             num_nodes,
             node_offsets,
             node_events,
-            edge_offsets: offsets,
-            edge_dsts: dsts,
-            edge_starts: starts,
-            edge_events,
+            edges: OnceLock::new(),
             columns: OnceLock::new(),
             triangles: OnceLock::new(),
             window: OnceLock::new(),
@@ -148,10 +146,22 @@ impl TemporalGraph {
     /// (clones carry an already-built table along). See
     /// [`crate::triangles`] for the layout.
     pub fn triangles(&self) -> Triangles<'_> {
-        let table = self.triangles.get_or_init(|| {
-            TriangleTable::build(&self.edge_offsets, &self.edge_dsts, &self.edge_starts)
-        });
-        Triangles::new(table, &self.edge_events)
+        let edges = self.edge_index();
+        let table = self
+            .triangles
+            .get_or_init(|| TriangleTable::build(&edges.offsets, &edges.dsts, &edges.starts));
+        Triangles::new(table, &edges.events)
+    }
+
+    /// The edge index, built on first use (recording one
+    /// `graph.edge_index` span) and kept for the graph's lifetime.
+    fn edge_index(&self) -> &EdgeIndex {
+        self.edges.get_or_init(|| {
+            let span = tnm_obs::span!("graph.edge_index", events = self.num_events());
+            let index = build_edge_index(&self.events, self.num_nodes);
+            let _span = span.arg("edges", index.dsts.len());
+            index
+        })
     }
 
     /// The windowed candidate index: the node index with each event's
@@ -182,6 +192,12 @@ impl TemporalGraph {
         &self.events
     }
 
+    /// Consumes the graph and returns its event log, so a caller that
+    /// grows the log can rebuild without copying it.
+    pub fn into_events(self) -> Vec<Event> {
+        self.events
+    }
+
     /// The event at index `idx`.
     #[inline]
     pub fn event(&self, idx: EventIdx) -> &Event {
@@ -209,7 +225,7 @@ impl TemporalGraph {
     /// Number of distinct directed static edges ("Edges" in Table 2).
     #[inline]
     pub fn num_static_edges(&self) -> usize {
-        self.edge_dsts.len()
+        self.edge_index().dsts.len()
     }
 
     /// Time of the earliest event; `None` if empty.
@@ -252,8 +268,9 @@ impl TemporalGraph {
     /// node of this graph).
     #[inline]
     pub fn edge_events(&self, edge: Edge) -> &[EventIdx] {
-        match self.edge_slot(edge) {
-            Some(k) => self.slot_events(k),
+        let edges = self.edge_index();
+        match edges.slot(edge) {
+            Some(k) => edges.slot_events(k),
             None => &[],
         }
     }
@@ -263,7 +280,7 @@ impl TemporalGraph {
     /// Paranjape models.
     #[inline]
     pub fn has_edge(&self, edge: Edge) -> bool {
-        self.edge_slot(edge).is_some()
+        self.edge_index().slot(edge).is_some()
     }
 
     /// Iterates over the distinct directed static edges in ascending
@@ -278,35 +295,12 @@ impl TemporalGraph {
     /// [`edge_events`](Self::edge_events)), by a walk over the edge
     /// index with no lookups.
     pub fn static_edge_events(&self) -> impl Iterator<Item = (Edge, &[EventIdx])> + '_ {
+        let edges = self.edge_index();
         (0..self.num_nodes).flat_map(move |u| {
-            self.out_slots(u).map(move |k| {
-                (Edge { src: NodeId(u), dst: self.edge_dsts[k] }, self.slot_events(k))
-            })
+            edges
+                .out_slots(u)
+                .map(move |k| (Edge { src: NodeId(u), dst: edges.dsts[k] }, edges.slot_events(k)))
         })
-    }
-
-    /// The edge-index slots of `src`'s static out-edges.
-    #[inline]
-    fn out_slots(&self, src: u32) -> Range<usize> {
-        self.edge_offsets[src as usize] as usize..self.edge_offsets[src as usize + 1] as usize
-    }
-
-    /// The edge-index slot of `edge`: a binary search in its source's
-    /// ascending out-list.
-    #[inline]
-    fn edge_slot(&self, edge: Edge) -> Option<usize> {
-        if edge.src.0 >= self.num_nodes {
-            return None;
-        }
-        let slots = self.out_slots(edge.src.0);
-        let at = self.edge_dsts[slots.clone()].binary_search(&edge.dst).ok()?;
-        Some(slots.start + at)
-    }
-
-    /// The time-ordered event indices of edge-index slot `k`.
-    #[inline]
-    fn slot_events(&self, k: usize) -> &[EventIdx] {
-        &self.edge_events[self.edge_starts[k] as usize..self.edge_starts[k + 1] as usize]
     }
 
     /// Counts events adjacent to `node` with time in the **inclusive**
@@ -363,7 +357,7 @@ impl TemporalGraph {
         }
         assert!(self.events.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(self.node_events.len(), self.events.len() * 2);
-        assert_eq!(self.edge_events.len(), self.events.len());
+        assert_eq!(self.edge_index().events.len(), self.events.len());
         Ok(())
     }
 }
@@ -405,11 +399,42 @@ fn build_node_index(events: &[Event], num_nodes: u32) -> (Vec<u32>, Vec<EventIdx
 }
 
 /// The edge index's four arrays (see the [module docs](self)).
+#[derive(Debug, Clone)]
 struct EdgeIndex {
+    /// Per source node, its slot range into `dsts`/`starts`.
     offsets: Vec<u32>,
+    /// Per slot, the destination; ascending within each source.
     dsts: Vec<NodeId>,
+    /// Per slot, the start of its events in `events`, plus a final `m`
+    /// sentinel.
     starts: Vec<u32>,
     events: Vec<EventIdx>,
+}
+
+impl EdgeIndex {
+    /// The slots of `src`'s static out-edges.
+    #[inline]
+    fn out_slots(&self, src: u32) -> Range<usize> {
+        self.offsets[src as usize] as usize..self.offsets[src as usize + 1] as usize
+    }
+
+    /// The slot of `edge`: a binary search in its source's ascending
+    /// out-list.
+    #[inline]
+    fn slot(&self, edge: Edge) -> Option<usize> {
+        if edge.src.index() + 1 >= self.offsets.len() {
+            return None;
+        }
+        let slots = self.out_slots(edge.src.0);
+        let at = self.dsts[slots.clone()].binary_search(&edge.dst).ok()?;
+        Some(slots.start + at)
+    }
+
+    /// The time-ordered event indices of slot `k`.
+    #[inline]
+    fn slot_events(&self, k: usize) -> &[EventIdx] {
+        &self.events[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
 }
 
 fn build_edge_index(events: &[Event], num_nodes: u32) -> EdgeIndex {

@@ -19,9 +19,9 @@
 //! transformations used by the paper's protocol (resolution degrading,
 //! slicing), and SNAP-style I/O. The static projection of the event log
 //! is the graph's own CSR edge index ([`TemporalGraph::has_edge`],
-//! [`TemporalGraph::static_edges`]), and its static triangles are
-//! listed once per graph ([`TemporalGraph::triangles`]); no cache sits
-//! beside either.
+//! [`TemporalGraph::static_edges`]), built the first time a query reads
+//! it, and its static triangles are listed once per graph
+//! ([`TemporalGraph::triangles`]); no cache sits beside either.
 //!
 //! ## Data layout
 //!

@@ -19,12 +19,15 @@
 //!   `lo → hi` and `hi → lo` event lists — 16 B a pair;
 //! * a **triangle table**: per triangle `{a, b, c}` with `a < b < c`,
 //!   the pair ids of `{a,b}`, `{a,c}` and `{b,c}` in that order — 12 B a
-//!   triangle. Pair ids ascend with `(lo, hi)`, so sorting a triangle's
-//!   three ids yields exactly this order.
+//!   triangle, three consecutive `u32`s. Pair ids ascend with `(lo, hi)`,
+//!   so sorting a triangle's three ids yields exactly this order.
 //!
 //! Triangles are sorted by **footprint** (their total event count), the
 //! order the triad DP processes them in, so the DP reads the table front
-//! to back and hashes nothing.
+//! to back and hashes nothing. The listing keeps each triangle as a
+//! 16 B `[footprint, ids…]` row, sorts the rows, and then packs the ids
+//! down inside the same buffer, so the sort rows and the table never
+//! coexist (peak RSS).
 //!
 //! ## Listing
 //!
@@ -51,8 +54,9 @@ const UNMARKED: u32 = u32::MAX;
 pub(crate) struct TriangleTable {
     /// Per pair: `[lo→hi start, lo→hi len, hi→lo start, hi→lo len]`.
     pairs: Vec<[u32; 4]>,
-    /// Per triangle: the pair ids of `{a,b}`, `{a,c}`, `{b,c}`.
-    triangles: Vec<[u32; 3]>,
+    /// Per triangle, three entries: the pair ids of `{a,b}`, `{a,c}`,
+    /// `{b,c}`.
+    triangles: Vec<u32>,
 }
 
 impl TriangleTable {
@@ -87,12 +91,14 @@ impl TriangleTable {
             forward[cursor[from as usize] as usize] = (to, id as u32);
             cursor[from as usize] += 1;
         }
-        drop(cursor);
+        drop((cursor, pair_nodes));
         let out = |u: usize| &forward[offsets[u] as usize..offsets[u + 1] as usize];
 
         let total = |p: u32| pairs[p as usize][1] + pairs[p as usize][3];
         let mut mark = vec![UNMARKED; n];
-        let mut found: Vec<(u32, [u32; 3])> = Vec::new();
+        // Per triangle, `[footprint, ids…]`: rows sort by footprint, then
+        // by ids.
+        let mut found: Vec<[u32; 4]> = Vec::new();
         for u in 0..n {
             for &(w, p_uw) in out(u) {
                 mark[w as usize] = p_uw;
@@ -103,7 +109,12 @@ impl TriangleTable {
                     if p_uw != UNMARKED {
                         let mut ids = [p_uv, p_uw, p_vw];
                         ids.sort_unstable();
-                        found.push((ids.iter().map(|&p| total(p)).sum(), ids));
+                        found.push([
+                            total(ids[0]) + total(ids[1]) + total(ids[2]),
+                            ids[0],
+                            ids[1],
+                            ids[2],
+                        ]);
                     }
                 }
             }
@@ -119,8 +130,8 @@ impl TriangleTable {
         // Keep only the pairs some triangle uses, renumbered in
         // ascending order so each triangle's ids stay sorted.
         let mut remap = vec![UNMARKED; pairs.len()];
-        for (_, ids) in &found {
-            for &p in ids {
+        for row in &found {
+            for &p in &row[1..] {
                 remap[p as usize] = 0;
             }
         }
@@ -131,7 +142,17 @@ impl TriangleTable {
                 kept.push(pairs[p]);
             }
         }
-        let triangles = found.iter().map(|(_, ids)| ids.map(|p| remap[p as usize])).collect();
+        // Pack row `t`'s ids into entries `3t..3t + 3` of the same
+        // buffer: each write lands before the row it reads from.
+        let len = found.len();
+        let mut triangles = found.into_flattened();
+        for t in 0..len {
+            for j in 0..3 {
+                triangles[3 * t + j] = remap[triangles[4 * t + 1 + j] as usize];
+            }
+        }
+        triangles.truncate(3 * len);
+        triangles.shrink_to_fit();
         TriangleTable { pairs: kept, triangles }
     }
 }
@@ -188,7 +209,7 @@ impl<'g> Triangles<'g> {
     /// Number of static triangles.
     #[inline]
     pub fn len(&self) -> usize {
-        self.table.triangles.len()
+        self.table.triangles.len() / 3
     }
 
     /// True if the static graph has no triangle.
@@ -203,7 +224,7 @@ impl<'g> Triangles<'g> {
     /// the [`TemporalGraph::edge_events`] of that directed edge.
     #[inline]
     pub fn edge_lists(&self, t: usize) -> [&'g [EventIdx]; 6] {
-        let ids = self.table.triangles[t];
+        let ids = self.table.triangles.as_chunks::<3>().0[t];
         std::array::from_fn(|label| {
             let spans = &self.table.pairs[ids[label / 2] as usize];
             let (start, len) = (spans[label % 2 * 2] as usize, spans[label % 2 * 2 + 1] as usize);

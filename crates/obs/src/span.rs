@@ -3,7 +3,9 @@
 //! A [`Span`] is an RAII guard: [`Span::start`] (usually via the
 //! [`span!`](crate::span!) macro) stamps a start time and the calling
 //! thread's current nesting depth; dropping it records a completed
-//! [`SpanRecord`] into the process-global collector. While
+//! [`SpanRecord`] into the process-global collector, provided someone
+//! still collects it: instrumentation is on, or the span's trace is
+//! still installed ([`set_trace`]). While
 //! [`enabled`](crate::enabled) is off, `Span::start` returns an inert
 //! guard after one branch — no clock read, no allocation.
 //!
@@ -258,7 +260,9 @@ impl Span {
     /// Starts a span (inert when disabled and untraced — two relaxed
     /// loads, nothing else).
     pub fn start(name: &'static str) -> Span {
-        if !spans_active() {
+        // One load: the span's trace is the one that made it active.
+        let trace_id = TRACE_ID.load(Ordering::Relaxed);
+        if trace_id == 0 && !crate::enabled() {
             return Span { inner: None };
         }
         let depth = DEPTH.with(|d| {
@@ -283,7 +287,7 @@ impl Span {
                 span_id,
                 parent_id,
                 prev_parent,
-                trace_id: TRACE_ID.load(Ordering::Relaxed),
+                trace_id,
             }),
         }
     }
@@ -311,7 +315,7 @@ impl Drop for Span {
             // (the recorded parent_id may instead be the trace attach
             // point when this span was a thread root).
             CURRENT_PARENT.with(|p| p.set(active.prev_parent));
-            push(SpanRecord {
+            let record = SpanRecord {
                 name: active.name.to_string(),
                 args: active.args,
                 start_ns: active.start_ns,
@@ -321,7 +325,21 @@ impl Drop for Span {
                 trace_id: active.trace_id,
                 span_id: active.span_id,
                 parent_id: active.parent_id,
-            });
+            };
+            // Record the span only if someone still collects it:
+            // instrumentation is on, or its trace is still installed. A
+            // span that outlives its trace (work on another thread that
+            // started while the trace was installed) has no owner left,
+            // since the owner clears the trace before it takes its
+            // spans; kept, it would sit in the collector for good. The
+            // check runs under the collector lock, so it cannot
+            // interleave with that clear-then-take.
+            let mut spans = collector().lock().unwrap_or_else(|p| p.into_inner());
+            let traced =
+                record.trace_id != 0 && TRACE_ID.load(Ordering::Relaxed) == record.trace_id;
+            if traced || crate::enabled() {
+                spans.push(record);
+            }
         }
     }
 }
@@ -408,6 +426,26 @@ mod tests {
             let _s = crate::span!("quiet", k = 1);
         }
         assert!(drain_spans().is_empty());
+    }
+
+    /// A span that ends after its trace is cleared has no owner left and
+    /// is not recorded; one that ends inside its trace is.
+    #[test]
+    fn spans_that_outlive_their_trace_are_dropped() {
+        let _guard = test_guard();
+        set_enabled(false);
+        drain_spans();
+        let ctx = TraceCtx::new();
+        set_trace(Some(ctx));
+        let outliving = crate::span!("outliving");
+        {
+            let _inside = crate::span!("inside");
+        }
+        set_trace(None);
+        drop(outliving);
+        let taken = take_trace_spans(ctx.trace_id);
+        assert_eq!(taken.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["inside"]);
+        assert!(drain_spans().is_empty(), "the orphan never reaches the collector");
     }
 
     #[test]

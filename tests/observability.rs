@@ -22,6 +22,9 @@
 //! * **One span per ingest** — a traced edge-list read records one
 //!   `ingest.parse` span (with its byte and event counts) and one
 //!   `graph.build` inside it.
+//! * **The edge index is built only for its readers** — a 2-node
+//!   stream count records no `graph.edge_index` span, and the first
+//!   induced walk records exactly one.
 //!
 //! Every test serializes on [`tnm_obs::test_guard`]: the registry and
 //! the enabled switch are process-global.
@@ -179,4 +182,41 @@ fn a_traced_edge_list_read_records_one_parse_and_one_build() {
     assert_eq!(arg("events"), Some("4"));
     assert_eq!(g.num_events(), 3);
     assert_eq!(build[0].parent_id, parse[0].span_id, "the build runs inside the parse span");
+}
+
+/// `f`'s result and how many `graph.edge_index` spans it recorded.
+fn edge_index_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    tnm_obs::set_enabled(true);
+    tnm_obs::drain_spans();
+    let out = f();
+    let spans = tnm_obs::drain_spans();
+    tnm_obs::set_enabled(false);
+    tnm_obs::global().reset();
+    (out, spans.iter().filter(|s| s.name == "graph.edge_index").count())
+}
+
+#[test]
+fn the_edge_index_is_built_once_and_only_for_its_readers() {
+    let _guard = tnm_obs::test_guard();
+    let corpus = corpus();
+    let g = TemporalGraph::from_sorted_events(corpus.events().to_vec(), corpus.num_nodes());
+    let two_node = EnumConfig::new(3, 2).with_timing(Timing::only_w(3_000));
+    let induced =
+        EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000)).with_static_induced(true);
+    let (_, builds) = edge_index_builds(|| StreamEngine.count(&g, &two_node));
+    assert_eq!(builds, 0, "a 2-node stream count reads no static edge");
+    let (first, builds) = edge_index_builds(|| WindowedEngine.count(&g, &induced));
+    assert_eq!(builds, 1, "the first induced walk builds the index");
+    let (second, builds) = edge_index_builds(|| WindowedEngine.count(&g, &induced));
+    assert_eq!(builds, 0, "a second induced walk reuses it");
+    assert_eq!(first, second);
+    // A clone carries the built index along; a fresh build of the same
+    // log lists the same static edges.
+    let clone = g.clone();
+    let fresh = TemporalGraph::from_sorted_events(g.events().to_vec(), g.num_nodes());
+    let (listed, builds) = edge_index_builds(|| clone.static_edges().collect::<Vec<_>>());
+    assert_eq!(builds, 0, "a clone carries the built index");
+    assert_eq!(listed, fresh.static_edges().collect::<Vec<_>>());
+    assert_eq!(g.num_static_edges(), fresh.num_static_edges());
+    assert!(listed.iter().all(|&e| g.edge_events(e) == fresh.edge_events(e)));
 }
