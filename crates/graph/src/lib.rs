@@ -88,7 +88,7 @@ pub use error::{GraphError, Result};
 pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
-pub use shard::{plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
+pub use shard::{plan_shards, ShardGoal, ShardPlan, ShardSpec};
 pub use triangles::Triangles;
 pub use window_index::WindowIndex;
 pub use wire::WireError;

@@ -20,11 +20,12 @@
 //!   halo (every event within `reach` of the last owned start).
 //!   Ownership is by start event, so instance sets of different shards
 //!   are disjoint — nothing is counted twice, nothing is missed.
-//! * [`materialize`] / [`Shard`] — an independent [`TemporalGraph`] view
-//!   of one shard's event slice, with [`Shard::to_global`] mapping
-//!   slice-local event indices back to parent indices.
+//! * [`materialize`] — an independent [`TemporalGraph`] over one shard's
+//!   event slice, in the parent's node-id space. Its event `i` is parent
+//!   event `range.start + i`, and [`ShardSpec::own_local`] names its
+//!   owned starts.
 //!
-//! ## What a shard view can and cannot answer
+//! ## What a shard graph can and cannot answer
 //!
 //! The pad+halo construction guarantees a shard contains **every** graph
 //! event with time in `[first owned time, last owned time + reach]`.
@@ -33,11 +34,13 @@
 //! constrained-freshness counts — answer identically on the shard and on
 //! the parent. The one graph-global question a time slice cannot answer
 //! is **static-projection membership** (`has_edge` over the whole
-//! timeline), which is why the sharded engine in `tnm-motifs` evaluates
-//! static inducedness against the parent graph via [`Shard::to_global`].
+//! timeline). Node ids are the parent's, so the sharded engine in
+//! `tnm-motifs` asks the parent graph instead: inside the walk when the
+//! parent is in the same process, per aggregated instance group on the
+//! coordinator when a worker process walked the shard.
 
 use crate::graph::TemporalGraph;
-use crate::ids::{EventIdx, Time};
+use crate::ids::Time;
 use std::ops::Range;
 
 /// How [`plan_shards`] sizes the owned slices.
@@ -168,45 +171,12 @@ pub fn plan_shards(graph: &TemporalGraph, reach: Option<Time>, goal: ShardGoal) 
     ShardPlan { reach: Some(reach), shards }
 }
 
-/// A materialized shard: an independent [`TemporalGraph`] over the
-/// spec's event slice, in the parent's node-id space.
-#[derive(Debug, Clone)]
-pub struct Shard {
-    spec: ShardSpec,
-    graph: TemporalGraph,
-}
-
-impl Shard {
-    /// The plan entry this shard was materialized from.
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    /// The shard's own graph view. Local event index `i` is parent event
-    /// `range.start + i` ([`Shard::to_global`]).
-    pub fn graph(&self) -> &TemporalGraph {
-        &self.graph
-    }
-
-    /// The owned start events in shard-local coordinates.
-    pub fn own_local(&self) -> Range<usize> {
-        self.spec.own_local()
-    }
-
-    /// Maps a shard-local event index back to the parent graph.
-    #[inline]
-    pub fn to_global(&self, local: EventIdx) -> EventIdx {
-        self.spec.range.start as EventIdx + local
-    }
-}
-
 /// Builds the shard graph from the parent's already-sorted event slice.
 /// The parent's node count is kept so node ids remain valid across the
 /// shard boundary.
-pub fn materialize(graph: &TemporalGraph, spec: &ShardSpec) -> Shard {
+pub fn materialize(graph: &TemporalGraph, spec: &ShardSpec) -> TemporalGraph {
     let events = graph.events()[spec.range.clone()].to_vec();
-    let graph = TemporalGraph::from_sorted_events(events, graph.num_nodes());
-    Shard { spec: spec.clone(), graph }
+    TemporalGraph::from_sorted_events(events, graph.num_nodes())
 }
 
 #[cfg(test)]
@@ -214,6 +184,7 @@ mod tests {
     use super::*;
     use crate::builder::TemporalGraphBuilder;
     use crate::event::Event;
+    use crate::ids::EventIdx;
 
     /// 40 events over 20 nodes with duplicate timestamps (two events per
     /// tick) so cuts land inside tie runs.
@@ -299,14 +270,14 @@ mod tests {
         let plan = plan_shards(&g, Some(3), ShardGoal::EventsPerShard(7));
         for spec in &plan.shards {
             let shard = materialize(&g, spec);
-            assert_eq!(shard.graph().events(), &g.events()[spec.range.clone()]);
-            assert_eq!(shard.graph().num_nodes(), g.num_nodes());
-            let local = shard.own_local();
+            assert_eq!(shard.events(), &g.events()[spec.range.clone()]);
+            assert_eq!(shard.num_nodes(), g.num_nodes());
+            let local = spec.own_local();
             assert_eq!(local.len(), spec.num_owned());
             for l in local {
-                let global = shard.to_global(l as EventIdx) as usize;
+                let global = spec.range.start + l;
                 assert!(spec.own.contains(&global));
-                assert_eq!(shard.graph().event(l as EventIdx), g.event(global as EventIdx));
+                assert_eq!(shard.event(l as EventIdx), g.event(global as EventIdx));
             }
         }
     }

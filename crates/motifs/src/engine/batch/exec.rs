@@ -7,7 +7,8 @@
 //! * a **structural** part — signature node count against the member's
 //!   node bounds, signature-target equality — that depends only on the
 //!   instance's canonical signature, so it is computed once per
-//!   *distinct signature* and cached ([`GroupAcc::accept`]);
+//!   *distinct signature* and cached (`Members::admit`, which counting
+//!   and enumeration share);
 //! * a **timing** part — first-to-last span against the member's ΔW,
 //!   maximum consecutive gap against its ΔC — computed once per
 //!   *instance* and compared against each structurally accepted
@@ -42,30 +43,77 @@ struct MemberMask {
     target: Option<MotifSignature>,
 }
 
-fn masks_of(cfgs: &[EnumConfig], members: &[usize]) -> Vec<MemberMask> {
-    members
-        .iter()
-        .map(|&i| {
-            let c = &cfgs[i];
-            MemberMask {
-                slot: i,
-                min_nodes: c.min_nodes,
-                max_nodes: c.max_nodes,
-                delta_c: c.timing.delta_c.unwrap_or(Time::MAX),
-                delta_w: c.timing.delta_w.unwrap_or(Time::MAX),
-                target: c.signature_filter,
-            }
-        })
-        .collect()
+/// A walk group's members as the shared walk sees them.
+struct Members {
+    masks: Vec<MemberMask>,
+    duration_aware: bool,
+    /// Whether any member's window is tighter than the walk's — if not,
+    /// every visited instance is admissible for every structurally
+    /// accepted member and the per-instance span/gap scan is skipped.
+    check_timing: bool,
 }
 
-/// Whether any member's window is tighter than the walk's — if not,
-/// every visited instance is admissible for every structurally accepted
-/// member and the per-instance span/gap scan can be skipped.
-fn any_tighter(masks: &[MemberMask], walk_cfg: &EnumConfig) -> bool {
-    let walk_c = walk_cfg.timing.delta_c.unwrap_or(Time::MAX);
-    let walk_w = walk_cfg.timing.delta_w.unwrap_or(Time::MAX);
-    masks.iter().any(|m| m.delta_c < walk_c || m.delta_w < walk_w)
+impl Members {
+    fn new(cfgs: &[EnumConfig], members: &[usize], walk_cfg: &EnumConfig) -> Self {
+        let masks: Vec<MemberMask> = members
+            .iter()
+            .map(|&i| {
+                let c = &cfgs[i];
+                MemberMask {
+                    slot: i,
+                    min_nodes: c.min_nodes,
+                    max_nodes: c.max_nodes,
+                    delta_c: c.timing.delta_c.unwrap_or(Time::MAX),
+                    delta_w: c.timing.delta_w.unwrap_or(Time::MAX),
+                    target: c.signature_filter,
+                }
+            })
+            .collect();
+        let walk_c = walk_cfg.timing.delta_c.unwrap_or(Time::MAX);
+        let walk_w = walk_cfg.timing.delta_w.unwrap_or(Time::MAX);
+        let check_timing = masks.iter().any(|m| m.delta_c < walk_c || m.delta_w < walk_w);
+        Members { masks, duration_aware: walk_cfg.duration_aware, check_timing }
+    }
+
+    /// Calls `each(pos)`, in ascending `pos`, for each member
+    /// `masks[pos]` that admits `inst`: its node bounds and target
+    /// accept the signature (decided once per signature and cached in
+    /// `accept`), and its ΔC and ΔW admit the instance's largest gap and
+    /// span.
+    #[inline]
+    fn admit(
+        &self,
+        graph: &TemporalGraph,
+        accept: &mut HashMap<MotifSignature, Vec<u32>>,
+        inst: &MotifInstance<'_>,
+        mut each: impl FnMut(usize),
+    ) {
+        let sig = inst.signature;
+        let accepted = accept.entry(sig).or_insert_with(|| {
+            self.masks
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| structural_ok(m, sig))
+                .map(|(i, _)| i as u32)
+                .collect()
+        });
+        if accepted.is_empty() {
+            return;
+        }
+        if !self.check_timing {
+            for &pos in accepted.iter() {
+                each(pos as usize);
+            }
+            return;
+        }
+        let (span, max_gap) = timing_of(graph, inst.events, self.duration_aware);
+        for &pos in accepted.iter() {
+            let m = &self.masks[pos as usize];
+            if max_gap <= m.delta_c && span <= m.delta_w {
+                each(pos as usize);
+            }
+        }
+    }
 }
 
 fn structural_ok(mask: &MemberMask, sig: MotifSignature) -> bool {
@@ -110,41 +158,6 @@ impl GroupAcc {
     }
 }
 
-fn tally(
-    graph: &TemporalGraph,
-    masks: &[MemberMask],
-    duration_aware: bool,
-    check_timing: bool,
-    acc: &mut GroupAcc,
-    inst: &MotifInstance<'_>,
-) {
-    let sig = inst.signature;
-    let accepted = acc.accept.entry(sig).or_insert_with(|| {
-        masks
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| structural_ok(m, sig))
-            .map(|(i, _)| i as u32)
-            .collect()
-    });
-    if accepted.is_empty() {
-        return;
-    }
-    if !check_timing {
-        for &mi in accepted.iter() {
-            acc.counts[mi as usize].add(sig, 1);
-        }
-        return;
-    }
-    let (span, max_gap) = timing_of(graph, inst.events, duration_aware);
-    for &mi in accepted.iter() {
-        let m = &masks[mi as usize];
-        if max_gap <= m.delta_c && span <= m.delta_w {
-            acc.counts[mi as usize].add(sig, 1);
-        }
-    }
-}
-
 fn make_walker<'g>(
     graph: &'g TemporalGraph,
     walk_cfg: &'g EnumConfig,
@@ -170,9 +183,7 @@ pub(super) fn count_walk_group(
     threads: usize,
     out: &mut [MotifCounts],
 ) {
-    let masks = masks_of(cfgs, members);
-    let check_timing = any_tighter(&masks, walk_cfg);
-    let duration_aware = walk_cfg.duration_aware;
+    let group = Members::new(cfgs, members, walk_cfg);
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
     // Build the index before any fan-out (see `WindowedEngine::count`).
@@ -181,11 +192,13 @@ pub(super) fn count_walk_group(
         0..graph.num_events(),
         threads,
         || make_walker(graph, walk_cfg, prefix.as_ref(), index),
-        || GroupAcc::new(masks.len()),
-        |acc, inst| tally(graph, &masks, duration_aware, check_timing, acc, inst),
+        || GroupAcc::new(group.masks.len()),
+        |acc, inst| {
+            group.admit(graph, &mut acc.accept, inst, |pos| acc.counts[pos].add(inst.signature, 1))
+        },
     );
     for local in &locals {
-        for (pos, mask) in masks.iter().enumerate() {
+        for (pos, mask) in group.masks.iter().enumerate() {
             out[mask.slot].merge(&local.counts[pos]);
         }
     }
@@ -203,36 +216,12 @@ pub(super) fn enumerate_walk_group<F: FnMut(usize, &MotifInstance<'_>)>(
     prefix_targets: Option<&[MotifSignature]>,
     callback: &mut F,
 ) {
-    let masks = masks_of(cfgs, members);
-    let check_timing = any_tighter(&masks, walk_cfg);
-    let duration_aware = walk_cfg.duration_aware;
+    let group = Members::new(cfgs, members, walk_cfg);
     let prefix = prefix_targets
         .map(|t| PrefixFilter::new(t.iter(), walk_cfg.num_events).expect("planner validated"));
     let mut accept: HashMap<MotifSignature, Vec<u32>> = HashMap::new();
     let mut walker = make_walker(graph, walk_cfg, prefix.as_ref(), graph.window_index());
     walker.run_range(0..graph.num_events(), |inst| {
-        let sig = inst.signature;
-        let accepted = accept.entry(sig).or_insert_with(|| {
-            masks
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| structural_ok(m, sig))
-                .map(|(i, _)| i as u32)
-                .collect()
-        });
-        if accepted.is_empty() {
-            return;
-        }
-        let timing =
-            if check_timing { Some(timing_of(graph, inst.events, duration_aware)) } else { None };
-        for &mi in accepted.iter() {
-            let m = &masks[mi as usize];
-            if let Some((span, max_gap)) = timing {
-                if max_gap > m.delta_c || span > m.delta_w {
-                    continue;
-                }
-            }
-            callback(m.slot, inst);
-        }
+        group.admit(graph, &mut accept, inst, |pos| callback(group.masks[pos].slot, inst));
     });
 }

@@ -79,10 +79,11 @@ pub fn count_batch(graph: &TemporalGraph, cfgs: &[EnumConfig], threads: usize) -
 /// Enumerates every configuration in `cfgs` against `graph` through
 /// shared serial walks, invoking `callback(config_index, instance)` for
 /// each instance each config admits. Each config receives exactly the
-/// instances its own [`enumerate`](crate::engine::CountEngine::enumerate)
-/// would, in the same deterministic start-event order; configs sharing
-/// a group are interleaved instance-by-instance (ascending config index
-/// within one instance).
+/// instances
+/// [`WindowedEngine::enumerate`](crate::engine::WindowedEngine::enumerate)
+/// hands out for it alone, in the same deterministic start-event order;
+/// configs sharing a group are interleaved instance-by-instance
+/// (ascending config index within one instance).
 pub fn enumerate_batch<F: FnMut(usize, &MotifInstance<'_>)>(
     graph: &TemporalGraph,
     cfgs: &[EnumConfig],

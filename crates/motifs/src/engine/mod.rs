@@ -14,15 +14,18 @@
 //!
 //! | engine | strategy | pick it when |
 //! |---|---|---|
-//! | [`WindowedEngine`](struct@WindowedEngine) | the backtracking walk over the [`WindowIndex`](tnm_graph::WindowIndex) (cursor pruning) on the thread budget: one thread walks inline, more threads run work-stealing workers | any walk-shaped job on an in-memory graph — the one walker; give it threads when there is enough admissible work per start event |
-//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), each walked from its owned starts, over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** ([`run_worker`]) over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors. Static inducedness is re-checked against the parent graph on both | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
+//! | [`WindowedEngine`](struct@WindowedEngine) | the backtracking walk over the [`WindowIndex`](tnm_graph::WindowIndex) (cursor pruning) on the thread budget: one thread walks inline, more threads run work-stealing workers; [`enumerate`](WindowedEngine::enumerate) walks serially and is the crate's one enumeration path | any walk-shaped job on an in-memory graph — the one walker; give it threads when there is enough admissible work per start event |
+//! | [`ShardedEngine`] | time-slice shards with bounded halos ([`tnm_graph::shard`]), each walked from its owned starts, over one of two transports: `workers = 0` walks them one at a time in this thread (work-stealing within a shard); `workers = n` ships shard files to `n` `tnm worker` **processes** ([`run_worker`]) over the framed [`tnm_graph::wire`] protocol, rescheduling a crashed worker's shards onto survivors. Static inducedness reads the parent graph's edges: inside the walk in this thread, per aggregated instance group on workers | very large logs under bounded timing — one shard graph and index resident at a time; add worker processes once one process's cores are the bottleneck |
 //! | [`StreamEngine`] | count-without-enumerating window DPs: one per-center pass for 2-node sequences, stars and wedges, and a per-triangle label DP | eligible Paranjape-shape jobs — ΔW only, non-induced, no restrictions, ≤ 3 events, ≤ 3 nodes — where cost is near-linear in *events*, not instances; ineligible configs fall back to the one-thread windowed walk |
 //! | [`SamplingEngine`] | interval sampling over the windowed index; draws evaluate in parallel under a thread budget with bit-identical seeded results | graphs or windows too large for exact counting, when an estimate with a confidence interval is enough |
 //!
 //! The walk engines (windowed, sharded) pay cost proportional to the
 //! number of motif *instances*; [`StreamEngine`] is the one engine with different
 //! asymptotics, and [`auto_select`] routes every eligible job to it
-//! first. All but the sampler are **exact** and produce identical
+//! first. The engines count; instances come from one place, the serial
+//! walk [`WindowedEngine::enumerate`], which [`Query::Enumerate`] and
+//! the experiment drivers call whatever engine they count with. All
+//! but the sampler are **exact** and produce identical
 //! [`MotifCounts`] for identical [`EnumConfig`]s — the cross-engine
 //! equivalence suite (`tests/engine_equivalence.rs`) enforces this for
 //! all four paper models, including shard cuts placed inside motif
@@ -216,21 +219,16 @@ use crate::count::MotifCounts;
 use tnm_graph::TemporalGraph;
 
 /// A motif counting engine: one execution strategy for the shared
-/// enumeration semantics defined by [`EnumConfig`].
+/// enumeration semantics defined by [`EnumConfig`]. Engines count; none
+/// hands out instances. Enumeration has one implementation, the serial
+/// walk [`WindowedEngine::enumerate`], because every exact engine
+/// enumerates the same instances.
 pub trait CountEngine: Send + Sync {
     /// Stable engine name (what `--engine` parses, what reports print).
     fn name(&self) -> &'static str;
 
     /// Counts instances per canonical signature.
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts;
-
-    /// Invokes `callback` once per instance (events in time order).
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    );
 
     /// Counts with uncertainty attached: per-motif point estimates and
     /// ~95 % confidence intervals. Exact engines use this default
@@ -477,23 +475,17 @@ pub fn explain_auto_select(
 
 impl EngineKind {
     /// Every concrete **exact** kind (excludes `Auto` and the
-    /// approximate sampler), for sweeps and benches. The sharded engine
-    /// appears once per transport: in this thread and on two worker
-    /// processes.
+    /// approximate sampler) — the registry the cross-engine equivalence
+    /// sweep iterates (`tests/engine_equivalence.rs`), so a newly
+    /// registered exact engine cannot be silently skipped. The sharded
+    /// engine appears once per transport: in this thread and on two
+    /// worker processes.
     pub const CONCRETE: [EngineKind; 4] = [
         EngineKind::Windowed,
         EngineKind::Stream,
         EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 0 },
         EngineKind::Sharded { shard_events: DEFAULT_SHARD_EVENTS, workers: 2 },
     ];
-
-    /// The exact kinds as a slice — the registry the cross-engine
-    /// equivalence sweep iterates (`tests/engine_equivalence.rs`), so a
-    /// newly registered exact engine (the stream fast path included)
-    /// cannot be silently skipped. Identical to [`EngineKind::CONCRETE`].
-    pub fn all_exact() -> &'static [EngineKind] {
-        &Self::CONCRETE
-    }
 
     /// The sampling kind with an explicit budget and seed.
     pub fn sampling(samples: u32, seed: u64) -> EngineKind {
@@ -671,19 +663,18 @@ mod tests {
         assert!(msg.contains("stream"), "error must list all engines: {msg}");
     }
 
-    /// Sweeps and benches iterate [`EngineKind::all_exact`]; the stream
+    /// Sweeps and benches iterate [`EngineKind::CONCRETE`]; the stream
     /// fast path must be in it, or the one engine with different
     /// asymptotics silently drops out of every equivalence sweep and
     /// bench history.
     #[test]
-    fn all_exact_includes_stream() {
-        assert!(EngineKind::all_exact().contains(&EngineKind::Stream));
-        assert_eq!(EngineKind::all_exact(), EngineKind::CONCRETE);
-        assert!(!EngineKind::all_exact().contains(&EngineKind::Auto));
-        assert!(!EngineKind::all_exact().iter().any(|k| matches!(k, EngineKind::Sampling { .. })));
+    fn concrete_includes_stream() {
+        assert!(EngineKind::CONCRETE.contains(&EngineKind::Stream));
+        assert!(!EngineKind::CONCRETE.contains(&EngineKind::Auto));
+        assert!(!EngineKind::CONCRETE.iter().any(|k| matches!(k, EngineKind::Sampling { .. })));
         // The worker-process transport must sit in the registry too, or
         // the equivalence sweep never crosses a process boundary.
-        assert!(EngineKind::all_exact()
+        assert!(EngineKind::CONCRETE
             .iter()
             .any(|k| matches!(k, EngineKind::Sharded { workers, .. } if *workers > 0)));
     }

@@ -24,7 +24,7 @@
 use crate::count::MotifCounts;
 use crate::engine::config::{ConfigError, EnumConfig, MotifInstance};
 use crate::engine::report::EngineReport;
-use crate::engine::EngineKind;
+use crate::engine::{EngineKind, WindowedEngine};
 use crate::notation::MotifSignature;
 use std::fmt;
 use tnm_graph::wire::{get_short, put_short, Wire, WireError, WireReader, WireWriter};
@@ -54,14 +54,18 @@ pub enum Query {
         /// Thread budget.
         threads: usize,
     },
-    /// Up to `limit` concrete instances plus the exact total. Rejected
-    /// for the approximate sampler, which has no instances to offer.
+    /// Up to `limit` concrete instances plus the exact total, in the
+    /// serial walk's start-event order. Every exact engine enumerates the
+    /// same instances, so the request always walks on one thread
+    /// ([`WindowedEngine::enumerate`]): `engine` is only validated, and
+    /// the approximate sampler, which has no instances to offer, is
+    /// rejected.
     Enumerate {
         /// What to enumerate.
         cfg: EnumConfig,
-        /// Which engine runs it.
+        /// Validated only: the approximate sampler is rejected.
         engine: EngineKind,
-        /// Thread budget.
+        /// Thread budget, unused: the walk is serial.
         threads: usize,
         /// Maximum instances materialized in the response (the total
         /// keeps counting past it).
@@ -280,11 +284,10 @@ impl Query {
             Query::Report { cfg, engine, .. } => {
                 QueryResponse::Report(engine.report(graph, cfg, threads))
             }
-            Query::Enumerate { cfg, engine, limit, .. } => {
+            Query::Enumerate { cfg, limit, .. } => {
                 let mut total = 0u64;
                 let mut instances = Vec::new();
-                let resolved = engine.engine_for(graph, cfg, threads);
-                resolved.enumerate(graph, cfg, &mut |inst: &MotifInstance<'_>| {
+                WindowedEngine.enumerate(graph, cfg, &mut |inst: &MotifInstance<'_>| {
                     total += 1;
                     if instances.len() < *limit {
                         instances.push(QueryInstance {

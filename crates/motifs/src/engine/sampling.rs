@@ -58,11 +58,11 @@
 //! intervals are bit-for-bit unchanged at any thread budget.
 
 use crate::count::MotifCounts;
-use crate::engine::config::{EnumConfig, MotifInstance};
+use crate::engine::config::EnumConfig;
 use crate::engine::parallel::work_steal_map;
 use crate::engine::report::{t_critical_95, EngineReport, Estimate};
 use crate::engine::walker::{Walker, WindowedCandidates};
-use crate::engine::{CountEngine, WindowedEngine};
+use crate::engine::CountEngine;
 use crate::notation::MotifSignature;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,20 +169,6 @@ impl CountEngine for SamplingEngine {
     /// [`report`](CountEngine::report) to keep the intervals.
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
         self.report(graph, cfg).counts
-    }
-
-    /// Exact enumeration, delegated to
-    /// [`WindowedEngine`](struct@WindowedEngine): handing a callback the
-    /// same instance once per containing sample window would be useless
-    /// to every existing consumer, so only *counting* is approximate on
-    /// this engine.
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        WindowedEngine.enumerate(graph, cfg, callback);
     }
 
     fn report(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> EngineReport {
@@ -353,6 +339,7 @@ fn fold_window(
 mod tests {
     use super::*;
     use crate::constraints::Timing;
+    use crate::engine::WindowedEngine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tnm_graph::TemporalGraphBuilder;
@@ -553,14 +540,5 @@ mod tests {
             report.total.point,
             report.total.half_width
         );
-    }
-
-    #[test]
-    fn enumerate_is_exact() {
-        let g = test_graph();
-        let cfg = EnumConfig::new(2, 3).with_timing(Timing::only_w(10));
-        let mut sampled = 0u64;
-        SamplingEngine::new(5, 1).enumerate(&g, &cfg, &mut |_| sampled += 1);
-        assert_eq!(sampled, WindowedEngine.count(&g, &cfg).total());
     }
 }

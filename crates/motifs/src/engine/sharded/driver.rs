@@ -1,26 +1,24 @@
-//! The per-shard walk both transports run, and the in-thread
-//! transport's per-instance static-inducedness recheck (see the
-//! `engine::sharded` module docs).
+//! The per-shard walk both transports run (see the `engine::sharded`
+//! module docs).
 
 use super::protocol::InducedGroup;
 use crate::count::MotifCounts;
 use crate::engine::config::{EnumConfig, MotifInstance};
 use crate::engine::parallel::{merge_counts, walk_fold};
 use crate::engine::walker::{Walker, WindowedCandidates};
-use crate::induced::static_induced_ok;
 use crate::notation::MotifSignature;
 use std::collections::HashMap;
 use std::ops::Range;
-use tnm_graph::shard::Shard;
 use tnm_graph::window_index::WindowIndex;
-use tnm_graph::{EventIdx, TemporalGraph};
+use tnm_graph::TemporalGraph;
 
-/// One shard prepared for walking: the caller's configuration with
-/// static inducedness stripped (the caller re-checks it against the
-/// parent), and the shard graph's own window index, built before any
-/// walker fans out and dropped with the shard.
+/// One shard prepared for walking: the configuration the walk applies,
+/// the graph it reads static edges from, and the shard graph's own
+/// window index, built before any walker fans out and dropped with the
+/// shard.
 pub(super) struct ShardWalk<'g> {
     graph: &'g TemporalGraph,
+    statics: &'g TemporalGraph,
     own: Range<usize>,
     cfg: EnumConfig,
     index: WindowIndex<'g>,
@@ -28,37 +26,38 @@ pub(super) struct ShardWalk<'g> {
 
 impl<'g> ShardWalk<'g> {
     /// Prepares a walk launching only from the shard-local starts `own`.
-    pub(super) fn new(graph: &'g TemporalGraph, own: Range<usize>, cfg: &EnumConfig) -> Self {
+    /// With the `parent` graph at hand, the walk checks static
+    /// inducedness itself against the parent's edges (shard graphs keep
+    /// the parent's node ids). Without it — in a worker process — the
+    /// check is stripped, and the coordinator re-checks the walk's
+    /// [`induced_groups`](Self::induced_groups) against the parent.
+    pub(super) fn new(
+        graph: &'g TemporalGraph,
+        parent: Option<&'g TemporalGraph>,
+        own: Range<usize>,
+        cfg: &EnumConfig,
+    ) -> Self {
         let mut cfg = cfg.clone();
-        cfg.static_induced = false;
-        ShardWalk { graph, own, cfg, index: graph.window_index() }
+        if parent.is_none() {
+            cfg.static_induced = false;
+        }
+        let statics = parent.unwrap_or(graph);
+        ShardWalk { graph, statics, own, cfg, index: graph.window_index() }
     }
 
     fn walker(&self) -> Walker<'_, WindowedCandidates<'_>> {
         Walker::new(self.graph, &self.cfg, WindowedCandidates::new(self.index))
+            .with_static_edges(self.statics)
     }
 
-    /// Visits the owned instances serially, in start-event order.
-    fn run(&self, visit: impl FnMut(&MotifInstance<'_>)) {
-        self.walker().run_range(self.own.clone(), visit);
-    }
-
-    /// Counts the owned instances that pass `keep`.
-    pub(super) fn count(
-        &self,
-        threads: usize,
-        keep: impl Fn(&MotifInstance<'_>) -> bool + Sync,
-    ) -> MotifCounts {
+    /// Counts the owned instances.
+    pub(super) fn count(&self, threads: usize) -> MotifCounts {
         merge_counts(walk_fold(
             self.own.clone(),
             threads,
             || self.walker(),
             MotifCounts::new,
-            |counts, inst| {
-                if keep(inst) {
-                    counts.add(inst.signature, 1);
-                }
-            },
+            |counts, inst| counts.add(inst.signature, 1),
         ))
     }
 
@@ -106,58 +105,4 @@ impl<'g> ShardWalk<'g> {
         });
         groups
     }
-}
-
-/// Evaluates static inducedness of a shard-local instance against the
-/// **parent** graph by translating its event indices.
-fn induced_in_parent(parent: &TemporalGraph, shard: &Shard, local_events: &[EventIdx]) -> bool {
-    const STACK_EVENTS: usize = 16;
-    let n = local_events.len();
-    if n <= STACK_EVENTS {
-        let mut buf = [0 as EventIdx; STACK_EVENTS];
-        for (b, &l) in buf.iter_mut().zip(local_events) {
-            *b = shard.to_global(l);
-        }
-        static_induced_ok(parent, &buf[..n])
-    } else {
-        let global: Vec<EventIdx> = local_events.iter().map(|&l| shard.to_global(l)).collect();
-        static_induced_ok(parent, &global)
-    }
-}
-
-/// Counts one in-memory shard's owned instances, re-checking static
-/// inducedness per instance against the parent.
-pub(super) fn count_shard(
-    parent: &TemporalGraph,
-    shard: &Shard,
-    cfg: &EnumConfig,
-    threads: usize,
-) -> MotifCounts {
-    let need_induced = cfg.static_induced;
-    ShardWalk::new(shard.graph(), shard.own_local(), cfg)
-        .count(threads, |inst| !need_induced || induced_in_parent(parent, shard, inst.events))
-}
-
-/// Enumerates one in-memory shard's owned instances in serial start
-/// order, handing the callback instances whose event indices are
-/// translated to the parent graph.
-pub(super) fn enumerate_shard(
-    parent: &TemporalGraph,
-    shard: &Shard,
-    cfg: &EnumConfig,
-    callback: &mut dyn FnMut(&MotifInstance<'_>),
-) {
-    let need_induced = cfg.static_induced;
-    let mut global = vec![0 as EventIdx; cfg.num_events];
-    ShardWalk::new(shard.graph(), shard.own_local(), cfg).run(|inst| {
-        if need_induced && !induced_in_parent(parent, shard, inst.events) {
-            return;
-        }
-        for (g, &l) in global.iter_mut().zip(inst.events) {
-            *g = shard.to_global(l);
-        }
-        let translated =
-            MotifInstance { events: &global[..inst.events.len()], signature: inst.signature };
-        callback(&translated);
-    });
 }

@@ -55,17 +55,19 @@
 //! covers the full closed interval an owned walk can reach (see
 //! [`tnm_graph::shard`]). The one graph-global predicate — **static
 //! inducedness**, which asks whether an edge exists anywhere in the
-//! timeline — is stripped from the per-shard walk and re-checked against
-//! the parent graph:
+//! timeline — is answered by the parent graph's edge index
+//! ([`TemporalGraph::has_edge`](tnm_graph::TemporalGraph::has_edge)).
+//! Shard graphs keep the parent's node ids, so:
 //!
-//! * in this thread, **per instance**, by translating the shard-local
-//!   event indices to the parent's — no allocation per instance;
-//! * with worker processes, **per group**: workers return their owned
-//!   instances aggregated by `(signature, node set, covered edges)` —
-//!   the verdict depends on nothing else — and the coordinator checks
-//!   each group once against the parent's edge index
-//!   ([`TemporalGraph::has_edge`](tnm_graph::TemporalGraph::has_edge)),
-//!   so reply sizes are bounded by distinct structures, not instances.
+//! * in this thread, **inside the walk**: the shard's walker reads its
+//!   static edges from the parent, through the same memoised check the
+//!   windowed walk runs;
+//! * with worker processes, which hold no parent graph, **per group**:
+//!   the worker walks without the check and returns its owned instances
+//!   aggregated by `(signature, node set, covered edges)` — the verdict
+//!   depends on nothing else — and the coordinator checks each group
+//!   once against the parent's edge index, so reply sizes are bounded by
+//!   distinct structures, not instances.
 
 mod coordinator;
 mod driver;
@@ -75,10 +77,11 @@ mod worker;
 pub use worker::run_worker;
 
 use crate::count::MotifCounts;
-use crate::engine::config::{EnumConfig, MotifInstance};
+use crate::engine::config::EnumConfig;
 use crate::engine::{CountEngine, WindowedEngine};
+use driver::ShardWalk;
 use std::path::PathBuf;
-use tnm_graph::shard::{materialize, plan_shards, Shard, ShardGoal, ShardPlan, ShardSpec};
+use tnm_graph::shard::{materialize, plan_shards, ShardGoal, ShardSpec};
 use tnm_graph::TemporalGraph;
 
 /// Default target for owned start events per shard (CLI
@@ -206,14 +209,6 @@ impl ShardedEngine {
         None
     }
 
-    fn plan(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> ShardPlan {
-        plan_shards(
-            graph,
-            cfg.admissible_reach(graph),
-            ShardGoal::EventsPerShard(self.shard_events),
-        )
-    }
-
     /// Counts and reports the run's plan geometry and spawn outcome —
     /// what the memory-bound and crash-rescheduling tests assert
     /// against.
@@ -224,7 +219,8 @@ impl ShardedEngine {
     ) -> (MotifCounts, ShardedRunStats) {
         let plan = {
             let _span = (self.workers > 0).then(|| tnm_obs::span!("distributed.plan"));
-            self.plan(graph, cfg)
+            let goal = ShardGoal::EventsPerShard(self.shard_events);
+            plan_shards(graph, cfg.admissible_reach(graph), goal)
         };
         // Degenerate plan — one shard spanning the whole log (unbounded
         // reach, or a shard target at or above the graph size).
@@ -266,7 +262,8 @@ impl ShardedEngine {
         for spec in &plan.shards {
             let _span = tnm_obs::span!("walk.shard", shard = spec.id);
             let shard = load(graph, spec);
-            counts.merge(&driver::count_shard(graph, &shard, cfg, threads));
+            let walk = ShardWalk::new(&shard, Some(graph), spec.own_local(), cfg);
+            counts.merge(&walk.count(threads));
         }
         (counts, stats)
     }
@@ -275,10 +272,10 @@ impl ShardedEngine {
 /// Materializes one shard from the parent's buffer. The previous shard
 /// is already dropped, so the gauge's value is the resident shard's
 /// size and its peak the run's residency high-water mark.
-fn load(graph: &TemporalGraph, spec: &ShardSpec) -> Shard {
+fn load(graph: &TemporalGraph, spec: &ShardSpec) -> TemporalGraph {
     let shard = materialize(graph, spec);
     tnm_obs::counter_add("shard.loads", 1);
-    tnm_obs::gauge_set("shard.resident_events", shard.graph().num_events() as u64);
+    tnm_obs::gauge_set("shard.resident_events", shard.num_events() as u64);
     shard
 }
 
@@ -289,32 +286,6 @@ impl CountEngine for ShardedEngine {
 
     fn count(&self, graph: &TemporalGraph, cfg: &EnumConfig) -> MotifCounts {
         self.count_with_stats(graph, cfg).0
-    }
-
-    /// Sequential per-shard enumeration in this thread (per-instance
-    /// callbacks cannot cross a process boundary, so `workers` is
-    /// ignored), with event indices translated back to the parent
-    /// graph. Shards are visited in time order and owned starts in
-    /// index order, so callbacks observe exactly the windowed walk's
-    /// deterministic enumeration order.
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        let plan = self.plan(graph, cfg);
-        if plan.len() <= 1 {
-            // Same degenerate-plan shortcut as `count_with_stats`; the
-            // windowed engine already produces the serial order this
-            // engine guarantees.
-            WindowedEngine.enumerate(graph, cfg, callback);
-            return;
-        }
-        for spec in &plan.shards {
-            let _span = tnm_obs::span!("walk.shard", shard = spec.id);
-            driver::enumerate_shard(graph, &load(graph, spec), cfg, callback);
-        }
     }
 }
 
@@ -369,17 +340,6 @@ mod tests {
         let (counts, stats) = ShardedEngine::new(16).count_with_stats(&g, &cfg);
         assert_eq!(stats.shards, 1);
         assert_eq!(counts, WindowedEngine.count(&g, &cfg));
-    }
-
-    #[test]
-    fn enumeration_order_matches_serial_engines() {
-        let g = lcg_graph(200, 12, 250);
-        let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(30));
-        let mut serial: Vec<Vec<u32>> = Vec::new();
-        WindowedEngine.enumerate(&g, &cfg, &mut |inst| serial.push(inst.events.to_vec()));
-        let mut sharded: Vec<Vec<u32>> = Vec::new();
-        ShardedEngine::new(13).enumerate(&g, &cfg, &mut |inst| sharded.push(inst.events.to_vec()));
-        assert_eq!(serial, sharded, "global event indices in identical order");
     }
 
     #[test]

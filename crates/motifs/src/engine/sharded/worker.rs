@@ -128,13 +128,13 @@ fn serve_job(job: &WorkerJob) -> Result<WorkerReply, WireError> {
         )));
     }
     let graph = TemporalGraph::from_sorted_events(events, job.num_nodes);
-    let walk = ShardWalk::new(&graph, own, &job.cfg);
+    let walk = ShardWalk::new(&graph, None, own, &job.cfg);
     let threads = (job.threads as usize).max(1);
     let shard_id = job.shard_id;
     Ok(if job.want_induced {
         WorkerReply::Induced { shard_id, groups: walk.induced_groups(threads) }
     } else {
-        WorkerReply::Counts { shard_id, counts: walk.count(threads, |_| true) }
+        WorkerReply::Counts { shard_id, counts: walk.count(threads) }
     })
 }
 

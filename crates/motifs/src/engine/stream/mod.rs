@@ -71,7 +71,7 @@ mod triad;
 use arena::DpArena;
 
 use crate::count::MotifCounts;
-use crate::engine::config::{EnumConfig, MotifInstance};
+use crate::engine::config::EnumConfig;
 use crate::engine::windowed::WindowedEngine;
 use crate::engine::CountEngine;
 use crate::notation::MotifSignature;
@@ -218,18 +218,6 @@ impl CountEngine for StreamEngine {
         } else {
             WindowedEngine.count(graph, cfg)
         }
-    }
-
-    /// Delegates to the walker: the fast path never materializes
-    /// instances, so per-instance callbacks always run the windowed
-    /// enumeration (deterministic serial start-event order).
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        WindowedEngine.enumerate(graph, cfg, callback);
     }
 }
 
@@ -412,10 +400,6 @@ mod tests {
         let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(2, 5));
         assert!(!StreamEngine::eligible(&cfg));
         assert_eq!(StreamEngine.count(&g, &cfg), WindowedEngine.count(&g, &cfg));
-        // enumerate always walks, even for eligible configs.
-        let mut seen = 0usize;
-        StreamEngine.enumerate(&g, &w(10, 3, 3), &mut |_| seen += 1);
-        assert_eq!(seen as u64, WindowedEngine.count(&g, &w(10, 3, 3)).total());
     }
 
     #[test]

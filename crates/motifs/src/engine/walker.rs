@@ -32,12 +32,13 @@
 //!   share their timestamp with no other event of either endpoint
 //!   (checked for the first event in `try_push`);
 //! * **static inducedness** — checked at emission against a per-walk
-//!   memo of `has_edge` over ordered digit pairs;
+//!   memo of `has_edge` over ordered digit pairs, read from the walker's
+//!   static graph (its own graph, or the parent of a shard slice);
 //! * **constrained dynamic graphlets** — checked at emission.
 
 use crate::constrained::constrained_ok;
 use crate::engine::config::{EnumConfig, MotifInstance};
-use crate::induced::static_induced_ok;
+use crate::induced::induced_cover_ok;
 use crate::notation::{MotifSignature, MAX_EVENTS};
 use tnm_graph::window_index::WindowIndex;
 use tnm_graph::{Edge, EventIdx, NodeId, TemporalGraph, Time};
@@ -437,7 +438,7 @@ impl PrefixFilter {
 }
 
 /// Digits the static-inducedness memo covers: one bit per ordered pair
-/// in a `u64`. Larger motifs fall back to [`static_induced_ok`].
+/// in a `u64`. Larger motifs fall back to [`induced_cover_ok`].
 const INDUCED_MEMO_DIGITS: usize = 8;
 /// Memo bits of digit 0's outgoing pairs (`(0, b)`, `b < 8`).
 const ROW: u64 = 0xFF;
@@ -455,6 +456,9 @@ fn pairs_among(n: usize) -> u64 {
 /// ranges; create one per worker thread.
 pub struct Walker<'g, C: CandidateSource> {
     graph: &'g TemporalGraph,
+    /// The graph static inducedness reads edges from: `graph` itself,
+    /// or the parent of a shard slice (see [`Walker::with_static_edges`]).
+    statics: &'g TemporalGraph,
     cfg: &'g EnumConfig,
     source: C,
     prefix: Option<PrefixFilter>,
@@ -487,6 +491,7 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
         let k = cfg.num_events;
         Walker {
             graph,
+            statics: graph,
             cfg,
             source,
             prefix: None,
@@ -509,6 +514,16 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
     /// the shared walk then prunes to the union of their pair prefixes.
     pub fn with_prefix_filter(mut self, filter: PrefixFilter) -> Self {
         self.prefix = Some(filter);
+        self
+    }
+
+    /// Reads static edges from `statics` instead of the walked graph
+    /// (chainable). A shard slice keeps its parent's node ids but only
+    /// some of its events, so its own edge index cannot decide static
+    /// inducedness, which asks about the whole timeline; the parent's
+    /// can.
+    pub fn with_static_edges(mut self, statics: &'g TemporalGraph) -> Self {
+        self.statics = statics;
         self
     }
 
@@ -654,7 +669,12 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
     fn induced(&mut self) -> bool {
         let n = self.digits.len();
         if n > INDUCED_MEMO_DIGITS {
-            return static_induced_ok(self.graph, &self.seq);
+            let mut covered = [Edge::new(0u32, 0u32); MAX_EVENTS];
+            for (c, &(a, b)) in covered.iter_mut().zip(&self.pairs) {
+                *c = Edge { src: self.digits[a as usize], dst: self.digits[b as usize] };
+            }
+            let covered = &covered[..self.pairs.len()];
+            return induced_cover_ok(&self.digits, covered, |edge| self.statics.has_edge(edge));
         }
         let covered = self.pairs.iter().fold(0u64, |m, &(a, b)| m | 1 << (8 * a + b));
         let mut uncovered = pairs_among(n) & !covered;
@@ -667,7 +687,7 @@ impl<'g, C: CandidateSource> Walker<'g, C> {
             uncovered &= uncovered - 1;
             self.known |= 1 << bit;
             let edge = Edge { src: self.digits[bit / 8], dst: self.digits[bit % 8] };
-            if self.graph.has_edge(edge) {
+            if self.statics.has_edge(edge) {
                 self.edges |= 1 << bit;
                 return false;
             }
@@ -724,6 +744,7 @@ mod tests {
     use crate::consecutive::consecutive_ok;
     use crate::constraints::Timing;
     use crate::count::MotifCounts;
+    use crate::induced::static_induced_ok;
     use crate::models::MotifModel;
     use tnm_graph::shard::{materialize, plan_shards, ShardGoal};
     use tnm_graph::{Event, TemporalGraphBuilder};
@@ -948,9 +969,9 @@ mod tests {
         let mut steps = 0;
         for spec in &plan.shards {
             let shard = materialize(&g, spec);
-            let own: Vec<usize> = shard.own_local().collect();
+            let own: Vec<usize> = spec.own_local().collect();
             for cfg in configs(false) {
-                steps += walk_checked(shard.graph(), &cfg, &own);
+                steps += walk_checked(&shard, &cfg, &own);
             }
         }
         assert!(steps > 100);
@@ -1021,5 +1042,33 @@ mod tests {
         let mut walker = Walker::new(&g, &cfg, WindowedCandidates::new(g.window_index()));
         walker.run_range(0..3, |inst| found.push(inst.events.to_vec()));
         assert_eq!(found, vec![vec![2]]);
+    }
+
+    /// A nine-node motif has more digits than the inducedness memo
+    /// covers; the walk decides it from its digits and pairs. An 8-event
+    /// path is induced until a chord joins two of its nodes, here long
+    /// after the path's window closes (static edges span the timeline).
+    #[test]
+    fn induced_past_the_memo_matches_the_definition() {
+        for chord in [false, true] {
+            let mut b = TemporalGraphBuilder::new();
+            for i in 0..8u32 {
+                b.push(Event::new(i, i + 1, i as i64 + 1));
+            }
+            if chord {
+                b.push(Event::new(6, 2, 100));
+            }
+            let g = b.build().unwrap();
+            let cfg =
+                EnumConfig::new(8, 9).with_timing(Timing::only_w(10)).with_static_induced(true);
+            let plain = cfg.clone().with_static_induced(false);
+            let index = g.window_index();
+            let defined = walk_counts(&g, &plain, WindowedCandidates::new(index), |s| {
+                static_induced_ok(&g, s)
+            });
+            let walked = walk_counts(&g, &cfg, WindowedCandidates::new(index), |_| true);
+            assert_eq!(walked, defined, "chord: {chord}");
+            assert_eq!(walked.total(), u64::from(!chord), "chord: {chord}");
+        }
     }
 }

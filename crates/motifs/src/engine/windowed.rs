@@ -41,6 +41,22 @@ impl WindowedEngine {
     pub fn new(threads: usize) -> Self {
         WindowedEngine { threads: threads.max(1) }
     }
+
+    /// Invokes `callback` once per instance, events in time order. This
+    /// is the crate's one enumeration path: every front end that hands
+    /// out instances ([`Query::Enumerate`](crate::engine::Query::Enumerate), the
+    /// experiment drivers) calls it. A `&mut dyn FnMut` callback cannot
+    /// be shared across workers, so it walks on the caller's thread
+    /// whatever the budget, in ascending start-event order.
+    pub fn enumerate(
+        &self,
+        graph: &TemporalGraph,
+        cfg: &EnumConfig,
+        callback: &mut dyn FnMut(&MotifInstance<'_>),
+    ) {
+        let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(graph.window_index()));
+        walker.run_range_by_ref(0..graph.num_events(), callback);
+    }
 }
 
 impl CountEngine for WindowedEngine {
@@ -60,18 +76,5 @@ impl CountEngine for WindowedEngine {
             MotifCounts::new,
             |counts, inst| counts.add(inst.signature, 1),
         ))
-    }
-
-    /// Enumeration hands instances to a `&mut dyn FnMut` callback, which
-    /// cannot be shared across workers, so it walks on the caller's
-    /// thread whatever the budget, in ascending start-event order.
-    fn enumerate(
-        &self,
-        graph: &TemporalGraph,
-        cfg: &EnumConfig,
-        callback: &mut dyn FnMut(&MotifInstance<'_>),
-    ) {
-        let mut walker = Walker::new(graph, cfg, WindowedCandidates::new(graph.window_index()));
-        walker.run_range_by_ref(0..graph.num_events(), callback);
     }
 }

@@ -1,14 +1,13 @@
 //! The one-call counting entry point, [`count_motifs`].
 //!
-//! Counting and enumeration run behind the
+//! Counting runs behind the
 //! [`CountEngine`](crate::engine::CountEngine) trait in
 //! [`engine`](crate::engine), which picks an execution strategy through
 //! [`EngineKind`]. [`count_motifs`] is the
 //! shortcut for the common case: the auto-selected engine on one thread.
-//! Enumerate instances with an engine's
-//! [`enumerate`](crate::engine::CountEngine::enumerate), e.g.
-//! [`WindowedEngine`](struct@crate::engine::WindowedEngine)'s deterministic
-//! start-event order.
+//! Enumeration has one implementation, the serial walk
+//! [`WindowedEngine::enumerate`](crate::engine::WindowedEngine::enumerate),
+//! which hands out instances in deterministic start-event order.
 
 pub use crate::engine::{EnumConfig, MotifInstance};
 

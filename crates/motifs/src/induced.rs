@@ -27,8 +27,8 @@ const MAX_MOTIF_NODES: usize = MAX_EVENTS + 1;
 /// (see `engine::walker`): each ordered digit pair's `has_edge` answer is
 /// kept until a digit takes a new node, and an instance passes if no
 /// pair outside its own pairs has an edge; motifs of more than eight
-/// nodes call this function. `validity` and the sharded engine's
-/// recheck against the parent graph use it directly.
+/// nodes call [`induced_cover_ok`] over their digits and pairs.
+/// `validity` uses this function directly.
 pub fn static_induced_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bool {
     let mut nodes: [NodeId; MAX_MOTIF_NODES] = [NodeId(0); MAX_MOTIF_NODES];
     let mut n = 0usize;
@@ -58,7 +58,8 @@ pub fn static_induced_ok(graph: &TemporalGraph, motif_events: &[EventIdx]) -> bo
 /// instance's events or times — which is what lets the sharded engine's
 /// workers ship induced instances as aggregated
 /// `(signature, nodes, covered edges)` groups and the coordinator
-/// recheck each *group* once against the parent graph.
+/// recheck each *group* once against the parent graph, and the walker
+/// decide motifs its memo does not cover from its digits and pairs.
 pub fn induced_cover_ok(
     nodes: &[NodeId],
     covered: &[Edge],

@@ -27,8 +27,10 @@
 //!   evaluates draws in parallel with bit-identical seeded results),
 //!   plus the **streaming fast path** ([`engine::StreamEngine`]) that
 //!   counts eligible δ-window spectra without enumerating instances;
-//!   the one-call [`count_motifs`] entry ([`enumerate`]), and spectrum
-//!   analytics ([`count`]);
+//!   the one-call [`count_motifs`] entry ([`enumerate`]); instances
+//!   from one enumeration path, the serial walk
+//!   [`engine::WindowedEngine::enumerate`]; and spectrum analytics
+//!   ([`count`]);
 //! * a serializable **Query API** ([`engine::Query`] /
 //!   [`engine::QueryResponse`]) shared by the CLI verbs, the library,
 //!   and **`tnm serve`** — a resident counting daemon
@@ -90,9 +92,10 @@
 //!   shard to a temporary event file, spawns `n` `tnm worker` children
 //!   ([`engine::run_worker`]), ships framed job descriptors over the
 //!   [`tnm_graph::wire`] protocol and merges the framed replies, with
-//!   crash-detected shards rescheduled onto surviving workers. On both
-//!   transports the one whole-timeline predicate (static inducedness) is
-//!   re-checked against the parent graph. Exact.
+//!   crash-detected shards rescheduled onto surviving workers. The one
+//!   whole-timeline predicate (static inducedness) reads the parent
+//!   graph's edges: inside the walk in this thread, and per aggregated
+//!   instance group on the coordinator for worker processes. Exact.
 //! * [`engine::StreamEngine`] (`stream`) — **count without
 //!   enumerating**: for eligible Paranjape-shape jobs (only-ΔW,
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the

@@ -144,7 +144,7 @@ fn assert_matches_oracle(
 
 /// Every exact engine agrees with the brute-force oracle for every
 /// model on `graph`, for `k`-event motifs on `min_nodes..=max_nodes`
-/// nodes: the one-call `count_motifs`, every `EngineKind::all_exact()`
+/// nodes: the one-call `count_motifs`, every `EngineKind::CONCRETE`
 /// kind on one and on four threads, and a sharded engine whose 3-event
 /// shards split these ≤ 14-event graphs into several slices. The oracle
 /// shares no code with the walk, so a walk bug cannot hide behind
@@ -162,7 +162,7 @@ fn assert_engines_match_oracle(
         cfg.min_nodes = min_nodes;
         let oracle = brute_force_counts(graph, &model, k, min_nodes, max_nodes);
         assert_matches_oracle(&count_motifs(graph, &cfg), &oracle, "auto", &model, graph);
-        for &kind in EngineKind::all_exact() {
+        for kind in EngineKind::CONCRETE {
             for threads in [1, 4] {
                 let label = format!("{kind}×{threads}, {cfg:?}");
                 let counts = kind.count(graph, &cfg, threads);

@@ -84,7 +84,7 @@ fn assert_all_engines_agree(graph: &TemporalGraph, cfg: &EnumConfig, label: &str
     }
     // Every exact kind by registry — the sweep that guarantees a newly
     // registered engine cannot be silently skipped.
-    for &kind in EngineKind::all_exact() {
+    for kind in EngineKind::CONCRETE {
         assert_eq!(kind.count(graph, cfg, 2), reference, "{label}: exact kind `{kind}` disagrees");
     }
     // The auto kind must agree regardless of how it resolves.

@@ -62,6 +62,7 @@ fn halos_stay_bounded_by_reach() {
 /// parent-graph recheck).
 #[test]
 fn spilled_counts_match_with_global_restrictions() {
+    let _obs = tnm_obs::test_guard();
     let g = random_graph(21, 15, 2_000, 5_000);
     let base = EnumConfig::new(3, 3).with_timing(Timing::both(40, 90));
     let variants = [
@@ -82,6 +83,13 @@ fn spilled_counts_match_with_global_restrictions() {
             reference,
             "{label}: worker processes + threads"
         );
+        for threads in [1, 3] {
+            assert_eq!(
+                ShardedEngine::new(150).with_threads(threads).count(&g, &cfg),
+                reference,
+                "{label}: in thread, {threads} threads"
+            );
+        }
     }
 }
 
@@ -167,6 +175,7 @@ fn worker_threads_are_exact() {
 /// full Paranjape and Hulovatyy models and a signature-targeted run.
 #[test]
 fn coordinator_recheck_keeps_induced_models_exact() {
+    let _obs = tnm_obs::test_guard();
     let g = random_graph(502, 9, 200, 150);
     for (label, cfg) in [
         ("paranjape", EnumConfig::for_model(&MotifModel::paranjape(40), 3, 3)),
@@ -189,6 +198,13 @@ fn coordinator_recheck_keeps_induced_models_exact() {
         let (counts, stats) = ShardedEngine::new(15).with_workers(2).count_with_stats(&g, &cfg);
         assert_eq!(counts, reference, "{label}");
         assert!(stats.workers_spawned > 0, "{label}: must cross the process boundary");
+        for threads in [1, 3] {
+            assert_eq!(
+                ShardedEngine::new(15).with_threads(threads).count(&g, &cfg),
+                reference,
+                "{label}: in thread, {threads} threads"
+            );
+        }
     }
 }
 
