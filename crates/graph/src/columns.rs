@@ -1,21 +1,21 @@
 //! Structure-of-arrays view of the event log.
 //!
-//! Every hot loop in the counting engines ultimately asks one of two
-//! questions about events: "what is the time of event *i*?" (window
-//! binary searches, group scans, shard pad/halo planning) or "which
-//! endpoint of event *i* is not the center?" (star sweeps). Answering
-//! them through `&[Event]` drags the full 24-byte struct through the
-//! cache for every 8-byte (or 4-byte) answer. [`EventColumns`] stores
-//! the fields those loops read as three dense columns — `times:
-//! Vec<Time>` and `srcs`/`dsts: Vec<u32>` — so a timestamp
-//! probe touches 3× fewer cache lines and the compiler is free to
-//! vectorize linear scans.
+//! Many loops in the counting engines ask "what is the time of event
+//! *i*?" (window binary searches, shard pad/halo planning). Answering
+//! through `&[Event]` drags the full 24-byte struct through the cache
+//! for every 8-byte answer. [`EventColumns`] stores the fields as three
+//! dense columns — `times: Vec<Time>` and `srcs`/`dsts: Vec<u32>` — so a
+//! timestamp probe touches 3× fewer cache lines and the compiler is free
+//! to vectorize linear scans.
 //!
-//! The columns are built lazily, exactly once per
+//! The columns are built lazily, at most once per
 //! [`TemporalGraph`](crate::TemporalGraph) (`crate::TemporalGraph::columns`
 //! goes through a `OnceLock`), and row `i` of every column describes
 //! `graph.event(i)` — the same indices the node/edge/window indexes
-//! hand out, so the two views compose without translation.
+//! hand out, so the two views compose without translation. An append
+//! drops them ([`crate::TemporalGraph::append`]), so the stream DPs,
+//! which a served graph runs after every append, read the event log
+//! instead and never build them.
 
 use crate::event::Event;
 use crate::ids::Time;
@@ -31,7 +31,6 @@ pub struct EventColumns {
     times: Vec<Time>,
     srcs: Vec<u32>,
     dsts: Vec<u32>,
-    has_time_ties: bool,
 }
 
 impl EventColumns {
@@ -41,14 +40,12 @@ impl EventColumns {
             times: Vec::with_capacity(events.len()),
             srcs: Vec::with_capacity(events.len()),
             dsts: Vec::with_capacity(events.len()),
-            has_time_ties: false,
         };
         for e in events {
             cols.times.push(e.time);
             cols.srcs.push(e.src.0);
             cols.dsts.push(e.dst.0);
         }
-        cols.has_time_ties = cols.times.windows(2).any(|w| w[0] == w[1]);
         cols
     }
 
@@ -80,15 +77,6 @@ impl EventColumns {
     #[inline]
     pub fn dsts(&self) -> &[u32] {
         &self.dsts
-    }
-
-    /// True when at least two events share a timestamp. Tie-free logs
-    /// (the common case for real corpora) let the stream DPs skip
-    /// timestamp-group bookkeeping entirely; the flag is one adjacency
-    /// scan at build time because `times` is sorted.
-    #[inline]
-    pub fn has_time_ties(&self) -> bool {
-        self.has_time_ties
     }
 
     /// Index of the first event with `time >= t` (binary search over
@@ -153,14 +141,5 @@ mod tests {
         let cols = EventColumns::build(&[]);
         assert!(cols.is_empty());
         assert_eq!(cols.window_range(0, 10), 0..0);
-        assert!(!cols.has_time_ties());
-    }
-
-    #[test]
-    fn time_tie_detection() {
-        assert!(!EventColumns::build(&sample()).has_time_ties());
-        let tied =
-            vec![Event::new(0u32, 1u32, 3), Event::new(1u32, 2u32, 7), Event::new(2u32, 0u32, 7)];
-        assert!(EventColumns::build(&tied).has_time_ties());
     }
 }

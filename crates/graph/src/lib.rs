@@ -11,7 +11,8 @@
 //!   definitions (they matter only for dynamic graphlets).
 //!
 //! The crate provides the event store ([`TemporalGraph`]) with per-node and
-//! per-edge time indexes, the windowed candidate index ([`WindowIndex`],
+//! per-edge time indexes, grown in place by [`TemporalGraph::append`],
+//! the windowed candidate index ([`WindowIndex`],
 //! built once per graph by [`TemporalGraph::window_index`]), time-slice
 //! shard planning with bounded halos ([`shard`]), the framed binary
 //! [`wire`] encoding that carries shard files and worker messages across
@@ -39,13 +40,15 @@
 //!   of every column mirrors `graph.event(i)`, so the node/edge/window
 //!   index slices resolve against either view without translation.
 //!
-//! Hot paths — window binary searches ([`TemporalGraph::times`]),
-//! [`WindowIndex`] construction, [`shard`]'s left-pad/halo planning,
-//! and the engines' candidate-time checks and merge sweeps — probe the
-//! SoA columns: a timestamp scan touches 8-byte rows instead of
+//! Window binary searches ([`TemporalGraph::times`]), [`shard`]'s
+//! left-pad/halo planning and the walker's candidate-time checks probe
+//! the SoA columns: a timestamp scan touches 8-byte rows instead of
 //! 24-byte structs, and dense `i64` arrays are what the compiler can
-//! vectorize. Code that needs a whole event (emission, wire encoding)
-//! keeps using the AoS view.
+//! vectorize. The stream DPs read the AoS log through the node and edge
+//! indexes instead, because [`TemporalGraph::append`] drops the columns
+//! with everything else built on first use, and a served graph runs
+//! those DPs after every append. Code that needs a whole event
+//! (emission, wire encoding) keeps using the AoS view.
 //!
 //! ```
 //! use tnm_graph::{TemporalGraphBuilder, stats::GraphStats};

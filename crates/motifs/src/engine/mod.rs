@@ -90,7 +90,8 @@
 //!
 //! [`MotifServer`] turns the crate into a long-running system: a TCP
 //! daemon holding a registry of loaded graphs as its resident working
-//! set (each with the columns, window index and triangle table it built),
+//! set (each graph with the structures it built on first use, until an
+//! append extends it in place and drops them),
 //! answering [`Query`] requests from concurrent clients, and keeping
 //! registered Paranjape-shape subscriptions **live under appends** via
 //! [`IncrementalStream`] — O(new events) per batch, bit-identical to a
@@ -119,8 +120,10 @@
 //!   structs. Window probes (`count_*_between`, shard halo scans) are
 //!   `partition_point` calls over the contiguous `i64` time column; the
 //!   walker's candidate windows are cursor scans over the window index's
-//!   inline times; the star sweeps read endpoints from the `u32`
-//!   source/destination columns.
+//!   inline times. The stream DPs are the exception: they copy each
+//!   center's or triangle's events into their arena straight from the
+//!   event log, so a 2-node count on a graph that just took an append
+//!   builds no columns.
 //! * **Arena-resident merged lists.** The [`StreamEngine`] DPs never
 //!   allocate per center or triangle: each center's incident events
 //!   (neighbor- and direction-tagged) and each triangle's label-tagged

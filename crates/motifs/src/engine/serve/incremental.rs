@@ -164,38 +164,19 @@ impl IncrementalStream {
     /// Folds a time-monotone batch into the live counts in
     /// O(window occupancy + batch) via the suffix identity (module
     /// docs): recount the ΔW suffix with and without the batch and add
-    /// the per-signature difference to the accumulated spectrum.
+    /// the per-signature difference to the accumulated spectrum. The
+    /// suffix graph grows into the spliced one by
+    /// [`TemporalGraph::append`], the same splice the daemon's graph
+    /// takes.
     pub fn append(&mut self, batch: &[Event]) -> Result<(), AppendError> {
         check_batch(batch, self.last_time)?;
         let Some(first) = batch.first() else { return Ok(()) };
         let cutoff = first.time.saturating_sub(self.delta);
         let idx = self.tail.partition_point(|e| e.time < cutoff);
-        let suffix = &self.tail[idx..];
 
-        // Merge the sorted suffix with the sorted batch; only events at
-        // the exact boundary timestamp can interleave, but equal-time
-        // runs must stay (src, dst, duration)-ordered for
-        // `from_sorted_events`.
-        let mut merged = Vec::with_capacity(suffix.len() + batch.len());
-        let (mut i, mut j) = (0, 0);
-        while i < suffix.len() && j < batch.len() {
-            if suffix[i] <= batch[j] {
-                merged.push(suffix[i]);
-                i += 1;
-            } else {
-                merged.push(batch[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&suffix[i..]);
-        merged.extend_from_slice(&batch[j..]);
-
-        let max_node = batch.iter().map(|e| e.src.0.max(e.dst.0) + 1).max().unwrap_or(0);
-        self.num_nodes = self.num_nodes.max(max_node);
-
-        let before = TemporalGraph::from_sorted_events(suffix.to_vec(), self.num_nodes);
-        let after = TemporalGraph::from_sorted_events(merged.clone(), self.num_nodes);
+        let before = TemporalGraph::from_sorted_events(self.tail[idx..].to_vec(), self.num_nodes);
         let old = StreamEngine::spectrum(&before, self.delta, self.cfg.num_events, self.wants);
+        let after = before.append(batch);
         let new = StreamEngine::spectrum(&after, self.delta, self.cfg.num_events, self.wants);
         for (sig, n) in new.iter() {
             let prior = old.get(sig);
@@ -203,11 +184,11 @@ impl IncrementalStream {
             self.spectrum.add(sig, n - prior);
         }
 
+        let merged = after.events();
         let new_last = merged.last().expect("batch is non-empty").time;
         let keep_from = new_last.saturating_sub(self.delta);
-        let idx = merged.partition_point(|e| e.time < keep_from);
-        merged.drain(..idx);
-        self.tail = merged;
+        self.tail = merged[merged.partition_point(|e| e.time < keep_from)..].to_vec();
+        self.num_nodes = after.num_nodes();
         self.last_time = Some(new_last);
         self.events_seen += batch.len() as u64;
         Ok(())

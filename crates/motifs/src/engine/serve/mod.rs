@@ -12,20 +12,18 @@
 //!
 //! ## Resident working set
 //!
-//! Each registry entry holds one copy of its canonical event log: a
-//! plain `Vec` until the first query, then owned by the
-//! [`TemporalGraph`] built over it. The `Arc<TemporalGraph>` is held for
-//! as long as the entry goes unmodified, and the graph keeps what it
-//! builds on first use — its edge index, SoA columns, window index
+//! Each registry entry holds its graph as one `Arc<TemporalGraph>`,
+//! built when the graph is loaded. The graph keeps what it builds on
+//! first use — its edge index, SoA columns, window index
 //! ([`TemporalGraph::window_index`]) and static triangle table — so the
 //! second query against a loaded graph pays no index build or triangle
-//! listing. An append takes the log back out of the graph (no copy,
-//! unless a running query still holds the graph) and splices the batch
-//! in; the next query rebuilds the graph by moving the log into it. That
-//! rebuild is a sortedness check and the node index, both `O(m + n)`
-//! with no hashing; the edge index (the largest part, 2.3–3.5 ms for a
-//! 90k-event log on a 2-vCPU host) and the other lazy structures follow
-//! only when a query reads them. Subscriptions are *not* invalidated,
+//! listing. An append takes the graph out of its `Arc` (copying it only
+//! while a running query still holds it) and grows it with
+//! [`TemporalGraph::append`]: the batch is spliced into the log's final
+//! tie run and the node index is extended in place, so the next query
+//! rebuilds nothing it does not read. The structures built on first use
+//! are dropped by the append and rebuilt by their next reader; a 2-node
+//! stream count reads none of them. Subscriptions are *not* invalidated,
 //! which is the point: their counts advance incrementally from the ΔW
 //! tail alone.
 //!
@@ -184,61 +182,24 @@ struct Subscription {
     stream: IncrementalStream,
 }
 
-/// One loaded graph: the canonical sorted event log, held exactly once,
-/// and the subscriptions riding on it.
+/// One loaded graph and the subscriptions riding on it.
 ///
-/// The log lives in one of two places. After a load or an append it is
-/// a plain `Vec` waiting for the next read. A read builds the graph by
-/// moving that `Vec` in, and the graph then owns the log; the graph is
-/// kept while the entry is unmodified, so the structures it builds on
-/// first use serve every later query. An append takes the log back out
-/// of the graph ([`TemporalGraph::into_events`]) and copies it only when
-/// a running query still holds the graph.
+/// The graph is held from load on, and queries share it through the
+/// `Arc`. An append ([`GraphEntry::append`]) unwraps it, copying it only
+/// while a running query still holds it, and extends it in place.
 struct GraphEntry {
-    log: Log,
-    num_nodes: u32,
+    graph: Arc<TemporalGraph>,
     subscriptions: Vec<Subscription>,
     next_sub_id: u32,
 }
 
-/// Where a [`GraphEntry`]'s one copy of its event log lives.
-enum Log {
-    /// No graph is built over the log (after a load or an append).
-    Pending(Vec<Event>),
-    /// The built graph owns the log.
-    Built(Arc<TemporalGraph>),
-}
-
 impl GraphEntry {
-    /// The sorted event log.
-    fn events(&self) -> &[Event] {
-        match &self.log {
-            Log::Pending(events) => events,
-            Log::Built(graph) => graph.events(),
-        }
-    }
-
-    /// The entry's graph, built from the log (which it takes over) if
-    /// none is built.
-    fn graph(&mut self) -> Arc<TemporalGraph> {
-        let graph = match std::mem::replace(&mut self.log, Log::Pending(Vec::new())) {
-            Log::Pending(events) => {
-                Arc::new(TemporalGraph::from_sorted_events(events, self.num_nodes))
-            }
-            Log::Built(graph) => graph,
-        };
-        self.log = Log::Built(Arc::clone(&graph));
-        graph
-    }
-
-    /// Takes the log out for an append, dropping the built graph. The
-    /// log is copied only while a running query still holds the graph.
-    fn take_events(&mut self) -> Vec<Event> {
-        match std::mem::replace(&mut self.log, Log::Pending(Vec::new())) {
-            Log::Pending(events) => events,
-            Log::Built(graph) => Arc::try_unwrap(graph)
-                .map_or_else(|graph| graph.events().to_vec(), TemporalGraph::into_events),
-        }
+    /// Grows the graph by a checked batch. The entry's `Arc` is left
+    /// holding an empty graph while the append runs.
+    fn append(&mut self, batch: &[Event]) {
+        let graph = Arc::try_unwrap(std::mem::take(&mut self.graph))
+            .unwrap_or_else(|held| TemporalGraph::clone(&held));
+        self.graph = Arc::new(graph.append(batch));
     }
 }
 
@@ -282,8 +243,8 @@ impl ServerState {
                 let entry = entry.lock().expect("entry lock");
                 GraphStat {
                     name: name.clone(),
-                    events: entry.events().len() as u64,
-                    nodes: entry.num_nodes,
+                    events: entry.graph.num_events() as u64,
+                    nodes: entry.graph.num_nodes(),
                     subscriptions: entry.subscriptions.len() as u32,
                 }
             })
@@ -557,12 +518,8 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
             let max_node = events.iter().map(|e| e.src.0.max(e.dst.0) + 1).max().unwrap_or(0);
             let num_nodes = num_nodes.max(max_node);
             let loaded = events.len() as u64;
-            let entry = GraphEntry {
-                log: Log::Pending(events),
-                num_nodes,
-                subscriptions: Vec::new(),
-                next_sub_id: 0,
-            };
+            let graph = Arc::new(TemporalGraph::from_sorted_events(events, num_nodes));
+            let entry = GraphEntry { graph, subscriptions: Vec::new(), next_sub_id: 0 };
             let mut registry = state.registry.write().expect("registry lock");
             if registry.contains_key(&name) {
                 return Err(format!("graph `{name}` is already loaded"));
@@ -573,8 +530,7 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
         Request::Append { name, events: batch } => {
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
-            let last = entry.events().last().map(|e| e.time);
-            check_batch(&batch, last).map_err(|e| e.to_string())?;
+            check_batch(&batch, entry.graph.last_time()).map_err(|e| e.to_string())?;
             // Fold into every subscription first: a failure there (all
             // shapes already checked above) must not leave the log and
             // the counts disagreeing.
@@ -588,23 +544,8 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
                     .histogram("serve.subscription_advance_ns")
                     .record(t0.elapsed().as_nanos() as u64);
             }
-            // Splice-merge at the boundary timestamp: batch times are
-            // ≥ the last log time, but equal-time runs must stay fully
-            // sorted for `from_sorted_events`. The graph gives the log
-            // up, and the next read rebuilds it.
-            let mut events = entry.take_events();
-            let idx = match batch.first() {
-                Some(first) => events.partition_point(|e| e.time < first.time),
-                None => events.len(),
-            };
-            let mut tail: Vec<Event> = events.split_off(idx);
-            tail.extend_from_slice(&batch);
-            tail.sort_unstable();
-            events.extend(tail);
-            let total_events = events.len() as u64;
-            entry.log = Log::Pending(events);
-            let max_node = batch.iter().map(|e| e.src.0.max(e.dst.0) + 1).max().unwrap_or(0);
-            entry.num_nodes = entry.num_nodes.max(max_node);
+            entry.append(&batch);
+            let total_events = entry.graph.num_events() as u64;
             state.obs.counter("serve.appends").add(batch.len() as u64);
             Ok(Response::Appended(AppendAck {
                 total_events,
@@ -617,7 +558,7 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
         }
         Request::Query { name, query, trace: traced } => {
             let entry = state.entry(&name)?;
-            let graph = entry.lock().expect("entry lock").graph();
+            let graph = Arc::clone(&entry.lock().expect("entry lock").graph);
             // Count outside the locks: a slow query must not block
             // loads/appends (or other clients' queries).
             let query = clamp(query, &state.options);
@@ -661,7 +602,7 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
             cfg.validate().map_err(|e| e.to_string())?;
             let entry = state.entry(&name)?;
             let mut entry = entry.lock().expect("entry lock");
-            let graph = entry.graph();
+            let graph = Arc::clone(&entry.graph);
             let before = traced.then(|| state.merged_snapshot());
             let (run, spans, _) = if traced {
                 run_traced("serve.subscribe", &[("graph", &name)], || {
@@ -818,11 +759,18 @@ mod tests {
         }
     }
 
-    /// The stats, the entry's one log and the next read all describe
-    /// `log`, the spliced log the appends should have produced.
+    /// The entry's graph.
+    fn graph(state: &ServerState) -> Arc<TemporalGraph> {
+        Arc::clone(&entry(state).lock().unwrap().graph)
+    }
+
+    /// The stats, the entry's one graph and the next read all describe
+    /// `log`, the spliced log the appends should have produced; the read
+    /// counts on the entry's graph, not a rebuild.
     fn assert_serves(state: &ServerState, log: &[Event]) {
         assert_eq!(state.stats().graphs[0].events, log.len() as u64);
-        assert_eq!(entry(state).lock().unwrap().events(), log);
+        let held = graph(state);
+        assert_eq!(held.events(), log);
         let counts = match dispatch(
             state,
             Request::Query { name: GRAPH.into(), query: read(), trace: false },
@@ -832,13 +780,14 @@ mod tests {
             Response::Query { response, .. } => response.counts(),
             other => panic!("unexpected {other:?}"),
         };
+        assert!(Arc::ptr_eq(&held, &graph(state)), "the read keeps the entry's graph");
         let fresh = TemporalGraph::from_events(log.to_vec()).unwrap();
         assert_eq!(counts, WindowedEngine.count(&fresh, &read().configs()[0]));
         assert!(counts.total() > 0, "the read must count something");
     }
 
-    /// An append while a query still holds the graph copies the log out
-    /// of it and leaves that graph's events as they were.
+    /// An append while a query still holds the graph copies the graph
+    /// and leaves the held one's events as they were.
     #[test]
     fn an_append_beside_a_running_query_copies_the_log() {
         // The builds and walks below record spans while another test's
@@ -848,7 +797,7 @@ mod tests {
         let state = &server.state;
         let mut log = events(400, 0, 1);
         load(state, &log);
-        let held = entry(state).lock().unwrap().graph();
+        let held = graph(state);
         assert_eq!(held.events(), log);
         let batch = events(60, log.last().unwrap().time, 2);
         let total = append(state, &batch);
@@ -860,9 +809,9 @@ mod tests {
         assert_serves(state, &log);
     }
 
-    /// Two appends with no read between them splice into the pending
-    /// log; a read between appends hands its graph's log back without a
-    /// copy.
+    /// Appends between reads grow the entry's one graph: after each, the
+    /// entry holds the only reference, and its events are the spliced
+    /// log.
     #[test]
     fn appends_between_reads_splice_the_one_log() {
         let _guard = tnm_obs::test_guard();
@@ -874,13 +823,13 @@ mod tests {
         for seed in [4, 5] {
             let batch = events(60, log.last().unwrap().time, seed);
             let total = append(state, &batch);
-            assert!(matches!(entry(state).lock().unwrap().log, Log::Pending(_)));
+            assert_eq!(Arc::strong_count(&graph(state)), 2, "the entry holds the only graph");
             log.extend_from_slice(&batch);
             log.sort_unstable();
             assert_eq!(total, log.len() as u64);
+            assert_eq!(graph(state).events(), log);
         }
         assert_serves(state, &log);
-        assert!(matches!(entry(state).lock().unwrap().log, Log::Built(_)));
     }
 
     /// Both ends of a serve connection turn Nagle's algorithm off: the

@@ -34,8 +34,8 @@
 //!
 //! Both passes share one data-oriented execution shape: merged
 //! per-center/per-triangle event lists live in a reusable SoA
-//! arena scratch (`arena::DpArena`) fed from the graph's dense column
-//! view ([`TemporalGraph::columns`]), window expiry advances an
+//! arena scratch (`arena::DpArena`) fed from the event log through the
+//! node and edge indexes, window expiry advances an
 //! amortized cursor over precomputed timestamp-group boundaries, and
 //! the DP tables are flat bit-indexed accumulators so the inner loops
 //! are branchless indexed adds. A spectrum runs at most two passes —

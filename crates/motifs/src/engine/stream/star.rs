@@ -136,15 +136,17 @@ fn upper(a: u32, center: u32) -> usize {
 
 /// Loads the center's incident events into the arena (already
 /// time-ordered: the node index stores event indices in global time
-/// order), reading endpoints from the dense SoA columns. With
-/// `upper_only`, keeps just the events whose leaf id is above the
-/// center's — all a 2-node-only pass reads. Callers seal the group
-/// boundaries only when the log has timestamp ties; tie-free centers
+/// order), reading each event's time and endpoints from the event log
+/// itself. The graph's SoA columns would make each load a little faster,
+/// but a served graph drops them on every append, and rebuilding them
+/// costs more than a 2-node count saves. With `upper_only`, keeps just
+/// the events whose leaf id is above the center's — all a 2-node-only
+/// pass reads. Callers seal the group boundaries only when the log has
+/// timestamp ties ([`TemporalGraph::has_time_ties`]); tie-free centers
 /// sweep with the identity [`DenseGroups`] map instead.
 fn load(graph: &TemporalGraph, center: u32, upper_only: bool, arena: &mut DpArena) {
     arena.clear();
-    let cols = graph.columns();
-    let (times, srcs, dsts) = (cols.times(), cols.srcs(), cols.dsts());
+    let events = graph.events();
     let list = graph.node_events(NodeId(center));
     // Every event is written and a dropped one is overwritten by the
     // next, so the filter costs no branch.
@@ -153,10 +155,10 @@ fn load(graph: &TemporalGraph, center: u32, upper_only: bool, arena: &mut DpAren
     arena.aux.resize(list.len(), 0);
     let mut n = 0;
     for &idx in list {
-        let i = idx as usize;
-        let nbr = srcs[i] ^ dsts[i] ^ center;
-        arena.times[n] = times[i];
-        arena.aux[n] = (nbr << 1) | (srcs[i] != center) as u32;
+        let e = &events[idx as usize];
+        let nbr = e.src.0 ^ e.dst.0 ^ center;
+        arena.times[n] = e.time;
+        arena.aux[n] = (nbr << 1) | (e.src.0 != center) as u32;
         n += (nbr >= min_leaf) as usize;
     }
     arena.times.truncate(n);
@@ -177,7 +179,7 @@ fn for_each_center(
     let obs = tnm_obs::enabled();
     let mut scratch = CenterScratch::new(graph.num_nodes() as usize, obs && two);
     let (mut centers_swept, mut peak_events, mut pairs_swept) = (0u64, 0u64, 0u64);
-    let tie_free = !graph.columns().has_time_ties();
+    let tie_free = !graph.has_time_ties();
     for c in 0..graph.num_nodes() {
         load(graph, c, !stars, arena);
         if obs && two {

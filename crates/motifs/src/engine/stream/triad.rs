@@ -36,7 +36,7 @@
 use super::arena::{expiry_cut, DenseGroups, DpArena, GroupMap, SealedGroups};
 use crate::count::MotifCounts;
 use crate::notation::MotifSignature;
-use tnm_graph::{EventIdx, TemporalGraph, Time};
+use tnm_graph::{Event, EventIdx, TemporalGraph, Time};
 
 /// Labels: `pair * 2 + dir`, pairs 0 = {a,b}, 1 = {a,c}, 2 = {b,c} for
 /// the triangle's sorted nodes `a < b < c`; dir 0 = lower → higher id.
@@ -52,7 +52,7 @@ pub(crate) fn count_triads(
     arena: &mut DpArena,
 ) {
     let triangles = graph.triangles();
-    let times = graph.times();
+    let events = graph.events();
     let sig_table = label_triple_signatures();
     let combos = closing_combos();
     // One flat accumulator over label triples, shared by all triangles:
@@ -60,9 +60,9 @@ pub(crate) fn count_triads(
     let mut acc = [0u64; LABELS * LABELS * LABELS];
     let obs = tnm_obs::enabled();
     let (mut triangles_swept, mut groups_advanced, mut peak_window) = (0u64, 0u64, 0u64);
-    let tie_free = !graph.columns().has_time_ties();
+    let tie_free = !graph.has_time_ties();
     for t in 0..triangles.len() {
-        merge_triangle_events(&triangles.edge_lists(t), times, arena);
+        merge_triangle_events(&triangles.edge_lists(t), events, arena);
         if tie_free {
             let groups = DenseGroups(arena.times.len());
             if obs {
@@ -102,9 +102,9 @@ pub(crate) fn count_triads(
 /// six-cursor min-merge on the indices needs no sort;
 /// the DP only needs timestamp *groups* (within-group order is
 /// immaterial under the ties-never-co-occur rule), and timestamps come
-/// from the dense SoA time column. Callers seal the group boundaries
-/// only when the log has timestamp ties.
-fn merge_triangle_events(lists: &[&[EventIdx]; LABELS], times: &[Time], arena: &mut DpArena) {
+/// from the event log. Callers seal the group boundaries only when the
+/// log has timestamp ties.
+fn merge_triangle_events(lists: &[&[EventIdx]; LABELS], events: &[Event], arena: &mut DpArena) {
     arena.clear();
     let mut cursor = [0usize; LABELS];
     loop {
@@ -118,7 +118,7 @@ fn merge_triangle_events(lists: &[&[EventIdx]; LABELS], times: &[Time], arena: &
         }
         let Some((idx, l)) = best else { break };
         cursor[l] += 1;
-        arena.times.push(times[idx as usize]);
+        arena.times.push(events[idx as usize].time);
         arena.tags.push(l as u8);
     }
 }
@@ -292,7 +292,7 @@ mod tests {
         let triangles = g.triangles();
         assert_eq!(triangles.len(), 1);
         let mut arena = DpArena::default();
-        merge_triangle_events(&triangles.edge_lists(0), g.times(), &mut arena);
+        merge_triangle_events(&triangles.edge_lists(0), g.events(), &mut arena);
         assert_eq!(arena.times, vec![1, 2, 3, 4, 5, 6, 7, 7]);
         let mut sorted = arena.times.clone();
         sorted.sort_unstable();

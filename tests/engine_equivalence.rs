@@ -303,7 +303,7 @@ fn stream_fast_path_matches_walkers() {
         }
     }
     let g = TemporalGraph::from_events(batch).expect("non-empty batch");
-    assert!(!g.columns().has_time_ties());
+    assert!(!g.has_time_ties());
     let quarter = (g.timespan() / 4).max(1);
     for k in [2usize, 3] {
         for delta in [60, 1_500, quarter] {

@@ -25,6 +25,9 @@
 //! * **The edge index is built only for its readers** — a 2-node
 //!   stream count records no `graph.edge_index` span, and the first
 //!   induced walk records exactly one.
+//! * **A served graph grows in place** — an append records one
+//!   `graph.append` span and no `graph.build`, and a traced read after
+//!   it records no `graph.build` either.
 //!
 //! Every test serializes on [`tnm_obs::test_guard`]: the registry and
 //! the enabled switch are process-global.
@@ -219,4 +222,48 @@ fn the_edge_index_is_built_once_and_only_for_its_readers() {
     assert_eq!(listed, fresh.static_edges().collect::<Vec<_>>());
     assert_eq!(g.num_static_edges(), fresh.num_static_edges());
     assert!(listed.iter().all(|&e| g.edge_events(e) == fresh.edge_events(e)));
+}
+
+/// The value of `key` among `span`'s args.
+fn arg<'s>(span: &'s tnm_obs::SpanRecord, key: &str) -> Option<&'s str> {
+    span.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+#[test]
+fn a_read_after_an_append_builds_nothing() {
+    let _guard = tnm_obs::test_guard();
+    let corpus = corpus();
+    let (base, tail) = corpus.events().split_at(3_000);
+    let batch = &tail[..512];
+    let server = MotifServer::bind("127.0.0.1:0").unwrap().spawn();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    client.load_graph("g", base, corpus.num_nodes()).unwrap();
+    let cfg = EnumConfig::new(3, 2).with_timing(Timing::only_w(3_000));
+    let read = Query::Count { cfg: cfg.clone(), engine: EngineKind::Stream, threads: 1 };
+    client.query("g", &read).unwrap();
+
+    tnm_obs::set_enabled(true);
+    tnm_obs::drain_spans();
+    let ack = client.append_events("g", batch).unwrap();
+    let spans = tnm_obs::drain_spans();
+    tnm_obs::set_enabled(false);
+    tnm_obs::global().reset();
+    assert_eq!(ack.total_events, 3_512);
+    let named = |spans: &[tnm_obs::SpanRecord], name: &str| {
+        spans.iter().filter(|s| s.name == name).cloned().collect::<Vec<_>>()
+    };
+    let appends = named(&spans, "graph.append");
+    assert_eq!(appends.len(), 1, "{spans:?}");
+    assert_eq!(arg(&appends[0], "events"), Some("3512"));
+    assert_eq!(arg(&appends[0], "batch"), Some("512"));
+    assert!(named(&spans, "graph.build").is_empty(), "the append rebuilds nothing: {spans:?}");
+
+    let (response, trace) = client.query_traced("g", &read).unwrap();
+    assert!(!named(&trace.spans, "stream.star").is_empty(), "{:?}", trace.spans);
+    assert!(named(&trace.spans, "graph.build").is_empty(), "{:?}", trace.spans);
+    let grown =
+        TemporalGraph::from_sorted_events(corpus.events()[..3_512].to_vec(), corpus.num_nodes());
+    assert_eq!(response.counts(), WindowedEngine.count(&grown, &cfg));
+    client.shutdown().unwrap();
+    server.join().unwrap();
 }

@@ -170,6 +170,53 @@ fn incremental_appends_match_recount_over_the_socket() {
     server.join().unwrap();
 }
 
+/// Reads interleaved with appends see every appended event: each read
+/// over the socket equals a windowed recount of a fresh graph built from
+/// the log so far, whether it reads the node index only (a 2-node
+/// stream count) or the window, edge and triangle structures the
+/// appends dropped.
+#[test]
+fn reads_between_appends_match_a_fresh_recount() {
+    let mut all = random_events(29, 25, 1_200, 2_000);
+    all.sort_unstable();
+    let (base, tail) = all.split_at(400);
+    let (server, addr) = spawn_server();
+    let mut client = ServeClient::connect(addr).unwrap();
+    client.load_graph("g", base, 0).unwrap();
+    let reads = [
+        (EnumConfig::new(3, 2).with_timing(Timing::only_w(60)), EngineKind::Auto),
+        (EnumConfig::new(3, 3).with_timing(Timing::only_w(60)), EngineKind::Stream),
+        (
+            EnumConfig::new(3, 3).with_timing(Timing::only_w(60)).with_static_induced(true),
+            EngineKind::Windowed,
+        ),
+    ];
+    let mut sent = base.to_vec();
+    let mut at = 0;
+    for (round, size) in [1usize, 37, 128, 5, 300, 329].into_iter().enumerate() {
+        let chunk = &tail[at..at + size];
+        at += size;
+        let ack = client.append_events("g", chunk).unwrap();
+        sent.extend_from_slice(chunk);
+        assert_eq!(ack.total_events, sent.len() as u64);
+        let fresh = TemporalGraph::from_events(sent.clone()).unwrap();
+        // Rotate which read comes first, so each of them meets a graph
+        // whose lazy structures the append just dropped.
+        for k in 0..reads.len() {
+            let (cfg, engine) = &reads[(round + k) % reads.len()];
+            let q = Query::Count { cfg: cfg.clone(), engine: *engine, threads: 1 };
+            let QueryResponse::Counts(counts) = client.query("g", &q).unwrap() else {
+                panic!("shape")
+            };
+            let expect = WindowedEngine.count(&fresh, cfg);
+            assert_eq!(counts, expect, "round {round}, {engine:?}, {} events", sent.len());
+        }
+    }
+    assert_eq!(at, tail.len());
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 #[test]
 fn bad_peers_do_not_kill_the_daemon() {
     let events = random_events(37, 20, 400, 1500);

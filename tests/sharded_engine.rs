@@ -97,6 +97,7 @@ fn spilled_counts_match_with_global_restrictions() {
 /// and the experiment drivers: parameters survive, reports are exact.
 #[test]
 fn engine_kind_round_trip() {
+    let _obs = tnm_obs::test_guard();
     let g = random_graph(11, 12, 800, 2_500);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(60));
     let reference = WindowedEngine.count(&g, &cfg);
