@@ -535,7 +535,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// The tracing tax on the query path. `trace_off` is the pinned id:
 /// with no request trace active, every span site under [`Query::run`]
 /// (the query root, walker workers, engine phases) must cost one
-/// relaxed atomic load and a branch — this id regressing against the
+/// thread-local read, one relaxed atomic load and a branch — this id regressing against the
 /// BENCH history means overhead leaked into the untraced hot path,
 /// which every `tnm serve` request without the trace flag pays.
 /// `trace_on` runs the identical query under a request-scoped

@@ -3,14 +3,13 @@
 //! Many loops in the counting engines ask "what is the time of event
 //! *i*?" (window binary searches, shard pad/halo planning). Answering
 //! through `&[Event]` drags the full 24-byte struct through the cache
-//! for every 8-byte answer. [`EventColumns`] stores the fields as three
-//! dense columns — `times: Vec<Time>` and `srcs`/`dsts: Vec<u32>` — so a
-//! timestamp probe touches 3× fewer cache lines and the compiler is free
-//! to vectorize linear scans.
+//! for every 8-byte answer. [`EventColumns`] stores the start times as
+//! one dense `Vec<Time>` column, so a timestamp probe touches 3× fewer
+//! cache lines and the compiler is free to vectorize linear scans.
 //!
 //! The columns are built lazily, at most once per
 //! [`TemporalGraph`](crate::TemporalGraph) (`crate::TemporalGraph::columns`
-//! goes through a `OnceLock`), and row `i` of every column describes
+//! goes through a `OnceLock`), and row `i` of the column describes
 //! `graph.event(i)` — the same indices the node/edge/window indexes
 //! hand out, so the two views compose without translation. An append
 //! drops them ([`crate::TemporalGraph::append`]), so the stream DPs,
@@ -20,8 +19,8 @@
 use crate::event::Event;
 use crate::ids::Time;
 
-/// Dense columnar copy of an event list's times and endpoints: one
-/// `Vec` per field, row `i` mirroring `events[i]`.
+/// Dense columnar copy of an event list's start times, row `i`
+/// mirroring `events[i]`.
 ///
 /// `times` is sorted ascending whenever the source list was (the
 /// [`crate::TemporalGraph`] invariant), so `times.partition_point` is
@@ -29,24 +28,13 @@ use crate::ids::Time;
 #[derive(Debug, Clone, Default)]
 pub struct EventColumns {
     times: Vec<Time>,
-    srcs: Vec<u32>,
-    dsts: Vec<u32>,
 }
 
 impl EventColumns {
-    /// Transposes an event list into columns. `O(m)` time and space.
+    /// Copies an event list's times into a column. `O(m)` time and
+    /// space.
     pub fn build(events: &[Event]) -> Self {
-        let mut cols = EventColumns {
-            times: Vec::with_capacity(events.len()),
-            srcs: Vec::with_capacity(events.len()),
-            dsts: Vec::with_capacity(events.len()),
-        };
-        for e in events {
-            cols.times.push(e.time);
-            cols.srcs.push(e.src.0);
-            cols.dsts.push(e.dst.0);
-        }
-        cols
+        EventColumns { times: events.iter().map(|e| e.time).collect() }
     }
 
     /// Number of events (rows).
@@ -65,18 +53,6 @@ impl EventColumns {
     #[inline]
     pub fn times(&self) -> &[Time] {
         &self.times
-    }
-
-    /// Source node ids; `srcs()[i] == graph.event(i).src.0`.
-    #[inline]
-    pub fn srcs(&self) -> &[u32] {
-        &self.srcs
-    }
-
-    /// Target node ids; `dsts()[i] == graph.event(i).dst.0`.
-    #[inline]
-    pub fn dsts(&self) -> &[u32] {
-        &self.dsts
     }
 
     /// Index of the first event with `time >= t` (binary search over
@@ -118,8 +94,6 @@ mod tests {
         assert!(!cols.is_empty());
         for (i, e) in events.iter().enumerate() {
             assert_eq!(cols.times()[i], e.time);
-            assert_eq!(cols.srcs()[i], e.src.0);
-            assert_eq!(cols.dsts()[i], e.dst.0);
         }
     }
 

@@ -19,7 +19,7 @@ use std::fmt;
 /// The layout is `#[repr(C)]` and pinned by test: 24 bytes, align 8,
 /// fields at offsets 0/4/8/16 (the tail is padding). Three things must
 /// stay in lockstep — this struct, the packed 20-byte wire record
-/// ([`crate::wire::EVENT_RECORD_BYTES`]), and the SoA column builder
+/// ([`crate::wire::EVENT_RECORD_BYTES`]), and the SoA time column
 /// ([`crate::EventColumns`]) — and the layout test is what catches a
 /// field being added or reordered in one of them but not the others.
 #[repr(C)]

@@ -830,8 +830,6 @@ mod tests {
         }
         let (cols, fcols) = (g.columns(), fresh.columns());
         assert_eq!(cols.times(), fcols.times(), "{ctx}");
-        assert_eq!(cols.srcs(), fcols.srcs(), "{ctx}");
-        assert_eq!(cols.dsts(), fcols.dsts(), "{ctx}");
     }
 
     /// `episodes` graphs (some starting empty), each grown by `appends`

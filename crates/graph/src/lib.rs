@@ -35,14 +35,14 @@
 //!   struct, the packed 20-byte [`wire`] record
 //!   ([`wire::EVENT_RECORD_BYTES`]), and the column builder cannot
 //!   drift apart silently.
-//! * **SoA** — [`EventColumns`], dense `times`/`srcs`/`dsts` columns
-//!   built lazily once per graph ([`TemporalGraph::columns`]). Row `i`
-//!   of every column mirrors `graph.event(i)`, so the node/edge/window
-//!   index slices resolve against either view without translation.
+//! * **SoA** — [`EventColumns`], a dense `times` column built lazily
+//!   once per graph ([`TemporalGraph::columns`]). Row `i` mirrors
+//!   `graph.event(i)`, so the node/edge/window index slices resolve
+//!   against either view without translation.
 //!
 //! Window binary searches ([`TemporalGraph::times`]), [`shard`]'s
 //! left-pad/halo planning and the walker's candidate-time checks probe
-//! the SoA columns: a timestamp scan touches 8-byte rows instead of
+//! the SoA column: a timestamp scan touches 8-byte rows instead of
 //! 24-byte structs, and dense `i64` arrays are what the compiler can
 //! vectorize. The stream DPs read the AoS log through the node and edge
 //! indexes instead, because [`TemporalGraph::append`] drops the columns

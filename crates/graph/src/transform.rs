@@ -3,9 +3,8 @@
 //! * **Resolution degrading** (Section 5.1.2): timestamps are floored to a
 //!   bucket size (300 s in the paper) to emulate snapshot-based data and
 //!   surface the constrained-dynamic-graphlet behaviour.
-//! * **Slicing** (Section 5, Datasets): the paper keeps only the earliest
-//!   10 % of StackOverflow events "for efficiency purposes".
-//! * **Node compaction**: drops unused node ids after filtering.
+//! * **Time rebasing**: shifts every timestamp by one offset.
+//! * **Node compaction**: drops unused node ids.
 
 use crate::builder::{NodeCompactor, TemporalGraphBuilder};
 use crate::event::Event;
@@ -31,46 +30,6 @@ pub fn degrade_resolution(graph: &TemporalGraph, bucket: Time) -> TemporalGraph 
     TemporalGraphBuilder::from_events(events).build().expect("degrading a valid graph cannot fail")
 }
 
-/// Keeps the earliest `fraction` of events (by position in the
-/// time-ordered stream), as the paper does for StackOverflow (10 %).
-///
-/// `fraction` is clamped to `[0, 1]`; the slice always keeps at least one
-/// event so the result stays a valid graph.
-pub fn slice_earliest_fraction(graph: &TemporalGraph, fraction: f64) -> TemporalGraph {
-    let m = graph.num_events();
-    let keep = ((m as f64 * fraction.clamp(0.0, 1.0)).round() as usize).clamp(1, m);
-    let events: Vec<Event> = graph.events()[..keep].to_vec();
-    TemporalGraphBuilder::from_events(events).build().expect("non-empty slice of a valid graph")
-}
-
-/// Keeps only events within the inclusive time window `[t0, t1]`.
-/// Returns `None` if the window is empty.
-pub fn slice_time_window(graph: &TemporalGraph, t0: Time, t1: Time) -> Option<TemporalGraph> {
-    let (_, evs) = graph.events_in_window(t0, t1);
-    if evs.is_empty() {
-        return None;
-    }
-    Some(
-        TemporalGraphBuilder::from_events(evs.to_vec())
-            .build()
-            .expect("non-empty window of a valid graph"),
-    )
-}
-
-/// Retains events satisfying `keep`, returning `None` when nothing
-/// survives the filter.
-pub fn filter_events<F>(graph: &TemporalGraph, mut keep: F) -> Option<TemporalGraph>
-where
-    F: FnMut(&Event) -> bool,
-{
-    let events: Vec<Event> = graph.events().iter().filter(|e| keep(e)).copied().collect();
-    if events.is_empty() {
-        None
-    } else {
-        Some(TemporalGraphBuilder::from_events(events).build().expect("non-empty filter result"))
-    }
-}
-
 /// Shifts all timestamps so the earliest event starts at `origin`.
 pub fn rebase_time(graph: &TemporalGraph, origin: Time) -> TemporalGraph {
     let offset = origin - graph.first_time().unwrap_or(0);
@@ -80,7 +39,6 @@ pub fn rebase_time(graph: &TemporalGraph, origin: Time) -> TemporalGraph {
 }
 
 /// Renumbers nodes densely by first appearance, dropping unused ids.
-/// Useful after [`filter_events`] or [`slice_time_window`].
 pub fn compact_nodes(graph: &TemporalGraph) -> TemporalGraph {
     let mut ids = NodeCompactor::new(graph.num_nodes() as usize);
     let events: Vec<Event> = graph
@@ -129,30 +87,6 @@ mod tests {
     #[should_panic(expected = "bucket size must be positive")]
     fn degrade_rejects_zero_bucket() {
         degrade_resolution(&sample(), 0);
-    }
-
-    #[test]
-    fn slice_fraction_keeps_prefix() {
-        let g = slice_earliest_fraction(&sample(), 0.5);
-        assert_eq!(g.num_events(), 2);
-        assert_eq!(g.last_time(), Some(307));
-        // Never empty:
-        assert_eq!(slice_earliest_fraction(&sample(), 0.0).num_events(), 1);
-        assert_eq!(slice_earliest_fraction(&sample(), 2.0).num_events(), 4);
-    }
-
-    #[test]
-    fn window_slice() {
-        let g = slice_time_window(&sample(), 300, 500).unwrap();
-        assert_eq!(g.num_events(), 2);
-        assert!(slice_time_window(&sample(), 1000, 2000).is_none());
-    }
-
-    #[test]
-    fn filtering() {
-        let g = filter_events(&sample(), |e| e.src == NodeId(0)).unwrap();
-        assert_eq!(g.num_events(), 2);
-        assert!(filter_events(&sample(), |_| false).is_none());
     }
 
     #[test]

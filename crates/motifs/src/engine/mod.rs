@@ -177,11 +177,14 @@
 //! Workers ship their per-job metrics snapshot (plus wall time) inside
 //! reply frames; the coordinator folds them into its own registry, so
 //! one trace and one snapshot describe a whole worker-process run —
-//! per-shard wall times make stragglers visible. When a request-scoped
-//! trace is active ([`tnm_obs::TraceCtx`], set by the serve trace flag
-//! or `tnm client --trace`), workers additionally ship their **span
-//! trees**: the coordinator re-mints span ids and stitches them under
-//! the request's parent span, so one Chrome-trace document shows
+//! per-shard wall times make stragglers visible. A request-scoped trace
+//! ([`tnm_obs::TraceCtx`], set by the serve trace flag or `tnm client
+//! --trace`) is installed on the thread that runs the request; the
+//! work-stealing executor and the coordinator install it on each thread
+//! they start, and the coordinator ships it in every job frame. Workers
+//! then ship their **span trees** back: the coordinator re-mints span
+//! ids and stitches them under the span that started the run, so one
+//! Chrome-trace document shows
 //! coordinator phases and per-shard worker walks on one timeline. The
 //! daemon's scrape surface (`/metrics`, `/healthz`, `/timeseries`),
 //! sample ring, and query logs are documented in the serve module's

@@ -54,7 +54,9 @@ pub(crate) const DEFAULT_STEAL_CHUNK: usize = 64;
 ///
 /// When `threads`, clamped to `len`, is 1, the executor spawns nothing:
 /// it calls `make_acc` once and `work` once with `0..len` on the caller's
-/// thread and records no `walk.worker` span.
+/// thread and records no `walk.worker` span. Otherwise every worker
+/// thread installs the caller's trace ([`tnm_obs::current_trace`]), so
+/// the workers' spans join the caller's request tree.
 pub(crate) fn work_steal_map<A, MS, W>(
     len: usize,
     threads: usize,
@@ -75,6 +77,9 @@ where
     }
     let chunk = chunk.max(1);
     let cursor = AtomicUsize::new(0);
+    // Workers record their spans under the caller's trace, beneath its
+    // innermost open span.
+    let trace = tnm_obs::current_trace();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
@@ -82,6 +87,7 @@ where
                 let make_acc = &make_acc;
                 let work = &work;
                 scope.spawn(move || {
+                    tnm_obs::set_trace(trace);
                     let _span = tnm_obs::span!("walk.worker", worker = worker);
                     let mut acc = make_acc();
                     loop {
@@ -146,9 +152,8 @@ mod tests {
 
     #[test]
     fn one_thread_runs_inline_with_one_claim() {
-        let _guard = tnm_obs::test_guard();
-        tnm_obs::set_enabled(true);
-        tnm_obs::drain_spans();
+        let ctx = tnm_obs::TraceCtx::new();
+        tnm_obs::set_trace(Some(ctx));
         let caller = std::thread::current().id();
         let made = AtomicUsize::new(0);
         let accs = work_steal_map(
@@ -161,8 +166,8 @@ mod tests {
             },
             |(_, claims): &mut (_, Vec<Range<usize>>), r| claims.push(r),
         );
-        let spans = tnm_obs::drain_spans();
-        tnm_obs::set_enabled(false);
+        tnm_obs::set_trace(None);
+        let spans = tnm_obs::take_trace_spans(ctx.trace_id);
         assert_eq!(made.load(Ordering::Relaxed), 1, "make_acc runs once");
         assert_eq!(accs.len(), 1);
         assert_eq!(accs[0].0, caller, "the accumulator is built on the caller's thread");
@@ -170,11 +175,12 @@ mod tests {
         assert!(spans.iter().all(|s| s.name != "walk.worker"), "no worker span inline");
     }
 
+    /// Worker threads record under the caller's trace, and each claim's
+    /// span nests inside its worker's span.
     #[test]
     fn spans_nest_and_order_under_the_work_stealing_executor() {
-        let _guard = tnm_obs::test_guard();
-        tnm_obs::set_enabled(true);
-        tnm_obs::drain_spans();
+        let ctx = tnm_obs::TraceCtx::new();
+        tnm_obs::set_trace(Some(ctx));
         let processed: Vec<usize> =
             work_steal_map(97, 4, 8, Vec::new, |acc: &mut Vec<usize>, r| {
                 let _chunk = tnm_obs::span!("test.chunk", lo = r.start);
@@ -183,8 +189,8 @@ mod tests {
             .into_iter()
             .flatten()
             .collect();
-        let spans = tnm_obs::drain_spans();
-        tnm_obs::set_enabled(false);
+        tnm_obs::set_trace(None);
+        let spans = tnm_obs::take_trace_spans(ctx.trace_id);
         // Every index processed exactly once regardless of interleaving.
         let mut sorted = processed;
         sorted.sort_unstable();
@@ -192,6 +198,7 @@ mod tests {
         let workers: Vec<_> = spans.iter().filter(|s| s.name == "walk.worker").collect();
         let chunks: Vec<_> = spans.iter().filter(|s| s.name == "test.chunk").collect();
         assert_eq!(workers.len(), 4, "one span per spawned worker");
+        assert!(workers.iter().all(|w| w.parent_id == 0), "worker roots attach at the trace root");
         assert_eq!(chunks.len(), 13, "97 indices in chunks of 8 → 13 claims");
         for c in &chunks {
             // Each chunk span nests inside its thread's worker span:

@@ -71,9 +71,10 @@
 //!   [`tnm_obs::TraceCtx`], collects the span tree (including spans
 //!   stitched back from distributed workers), and ships it in the
 //!   response as a [`TraceReply`] together with the request's metrics
-//!   delta. Tracing is a diagnostic: the trace context is
-//!   process-global, so two *concurrently traced* requests may
-//!   cross-attach spans.
+//!   delta. The trace context belongs to the connection's thread and
+//!   travels only with the request's own work (walker threads, worker
+//!   processes), so concurrent requests, traced or not, never attach
+//!   spans to each other's trees.
 //! * **Slow queries and the flight recorder** — every completed query
 //!   lands in two in-memory logs surfaced through [`ServerStats`]
 //!   (`tnm client --slow-queries`): a worst-latency table capped at
@@ -116,7 +117,7 @@ use crate::engine::query::Query;
 use crate::engine::serve::incremental::check_batch;
 use crate::engine::EngineKind;
 use protocol::{Request, Response};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -632,20 +633,14 @@ fn dispatch(state: &ServerState, request: Request<'_>) -> Result<Response, Strin
     }
 }
 
-/// Runs `f` under a fresh request-scoped trace: mints a trace id, opens
-/// a root span, re-points the ambient [`tnm_obs::TraceCtx`] at the root
-/// so every child — engine phase spans on walker threads, and spans
-/// shipped back from distributed worker processes — attaches beneath
-/// it, then collects the request's complete span tree. Returns `f`'s
-/// result, the spans, and the trace id.
-///
-/// The trace context is process-global (that is what lets spawned
-/// threads and worker processes inherit it), so two concurrent traced
-/// requests can cross-attach spans; tracing is an opt-in diagnostic,
-/// and the last writer wins. A span another request nested under one of
-/// its own spans can land in this trace while that parent is still open;
-/// such orphans (and anything beneath them) are dropped, so the returned
-/// spans always form one tree.
+/// Runs `f` under a fresh request-scoped trace: mints a
+/// [`tnm_obs::TraceCtx`], installs it on the connection's thread, opens
+/// a root span, runs `f`, and takes the request's span tree. Every
+/// child attaches beneath the root: spans on this thread nest under it,
+/// and the executors that start walker threads or worker processes hand
+/// those the trace with the innermost open span as the attach point.
+/// The trace is this thread's alone, so concurrent requests never share
+/// spans. Returns `f`'s result, the spans, and the trace id.
 fn run_traced<T>(
     root: &'static str,
     args: &[(&str, &str)],
@@ -657,20 +652,10 @@ fn run_traced<T>(
     for (key, value) in args {
         span = span.arg(key, value);
     }
-    tnm_obs::set_trace(Some(tnm_obs::TraceCtx { trace_id: ctx.trace_id, parent_span: span.id() }));
     let out = f();
     drop(span);
     tnm_obs::set_trace(None);
-    let mut spans = tnm_obs::take_trace_spans(ctx.trace_id);
-    loop {
-        let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
-        let before = spans.len();
-        spans.retain(|s| s.parent_id == 0 || ids.contains(&s.parent_id));
-        if spans.len() == before {
-            break;
-        }
-    }
-    (out, spans, ctx.trace_id)
+    (out, tnm_obs::take_trace_spans(ctx.trace_id), ctx.trace_id)
 }
 
 /// Applies the server's resource ceilings to a decoded query:
@@ -790,9 +775,6 @@ mod tests {
     /// and leaves the held one's events as they were.
     #[test]
     fn an_append_beside_a_running_query_copies_the_log() {
-        // The builds and walks below record spans while another test's
-        // trace is active; the guard keeps them out of its collector.
-        let _guard = tnm_obs::test_guard();
         let server = MotifServer::bind("127.0.0.1:0").unwrap();
         let state = &server.state;
         let mut log = events(400, 0, 1);
@@ -814,7 +796,6 @@ mod tests {
     /// log.
     #[test]
     fn appends_between_reads_splice_the_one_log() {
-        let _guard = tnm_obs::test_guard();
         let server = MotifServer::bind("127.0.0.1:0").unwrap();
         let state = &server.state;
         let mut log = events(400, 0, 3);

@@ -78,9 +78,9 @@ pub(super) fn count_on_workers(
         let _span = span.arg("dir", files.dir.display());
         files
     };
-    // The active request trace (if any) rides along in every job
-    // frame; workers collect their spans under it and ship them
-    // back for stitching.
+    // The caller's request trace (if any) is installed on every
+    // dispatch thread and rides along in every job frame; workers
+    // collect their spans under it and ship them back for stitching.
     let trace = tnm_obs::current_trace();
     let jobs: VecDeque<QueuedJob> = plan
         .shards
@@ -119,6 +119,7 @@ pub(super) fn count_on_workers(
             let reserved = &reserved;
             let fault = fault_after.filter(|&(idx, _)| idx == w);
             scope.spawn(move || {
+                tnm_obs::set_trace(trace);
                 // However the faulted worker's thread ends, the queue
                 // opens to the others.
                 let _gate = fault.map(|_| OpenGate(reserved));

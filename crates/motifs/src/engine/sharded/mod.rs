@@ -341,23 +341,4 @@ mod tests {
         assert_eq!(stats.shards, 1);
         assert_eq!(counts, WindowedEngine.count(&g, &cfg));
     }
-
-    #[test]
-    fn stats_expose_residency() {
-        let _obs = tnm_obs::test_guard();
-        tnm_obs::set_enabled(true);
-        tnm_obs::global().reset();
-        let g = lcg_graph(400, 16, 600);
-        let cfg = EnumConfig::new(2, 2).with_timing(Timing::only_w(15));
-        let (_, stats) = ShardedEngine::new(50).count_with_stats(&g, &cfg);
-        let snap = tnm_obs::global().snapshot();
-        tnm_obs::set_enabled(false);
-        assert!(stats.shards >= 8);
-        assert_eq!(stats.workers_spawned, 0);
-        // Residency high-water mark comes from the registry: one shard
-        // at a time, so the gauge peak honors the largest shard.
-        let peak = snap.gauges["shard.resident_events"].peak as usize;
-        assert!(peak <= stats.max_shard_events);
-        assert_eq!(snap.counters["shard.loads"], stats.shards as u64);
-    }
 }

@@ -37,20 +37,15 @@ pub fn run_worker<R: Read, W: Write>(
         // the walk: every span the walk opens (on this thread or
         // the work-stealing threads it spawns) carries the trace
         // id and ships back for the coordinator to stitch.
-        if let Some(ctx) = job.trace {
-            tnm_obs::set_trace(Some(ctx));
-        }
+        tnm_obs::set_trace(job.trace);
         let reply = {
             let _span = tnm_obs::span!("walk.shard", shard = job.shard_id);
             serve_job(&job)?
         };
-        let spans = match job.trace {
-            Some(ctx) => {
-                tnm_obs::set_trace(None);
-                normalize_spans(tnm_obs::take_trace_spans(ctx.trace_id))
-            }
-            None => Vec::new(),
-        };
+        tnm_obs::set_trace(None);
+        let spans = job
+            .trace
+            .map_or_else(Vec::new, |ctx| normalize_spans(tnm_obs::take_trace_spans(ctx.trace_id)));
         let metrics = ReplyMetrics {
             wall_ns: t0.elapsed().as_nanos() as u64,
             // Per-job delta: snapshot the worker's registry and
@@ -209,9 +204,6 @@ mod tests {
     /// trace before the next job.
     #[test]
     fn traced_jobs_ship_normalized_spans() {
-        let _guard = tnm_obs::test_guard();
-        tnm_obs::set_enabled(false);
-        tnm_obs::drain_spans();
         let g = graph();
         let dir = std::env::temp_dir().join(format!("tnm-worker-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -249,7 +241,10 @@ mod tests {
             );
         }
         assert!(tnm_obs::current_trace().is_none(), "the trace is cleared after the job");
-        assert!(tnm_obs::drain_spans().is_empty(), "shipped spans leave the collector");
+        assert!(
+            tnm_obs::take_trace_spans(ctx.trace_id).is_empty(),
+            "shipped spans leave the collector"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

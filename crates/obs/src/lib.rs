@@ -118,10 +118,12 @@ pub fn histogram_record_ns(name: &str, ns: u64) {
     }
 }
 
-/// Serializes tests that mutate global obs state (the enabled flag,
-/// the global registry, the span collector). Tests across the
-/// workspace take this guard so `cargo test`'s in-process parallelism
-/// cannot interleave their observations.
+/// Serializes tests that touch process-global obs state: the
+/// [`enabled`] flag, the [`global`] registry, and the untraced span
+/// collector ([`drain_spans`]). Tests across the workspace take this
+/// guard so `cargo test`'s in-process parallelism cannot interleave
+/// their observations. A test that only records and takes its own
+/// trace needs no guard: the trace is its thread's alone.
 #[doc(hidden)]
 pub fn test_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

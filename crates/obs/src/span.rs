@@ -3,11 +3,21 @@
 //! A [`Span`] is an RAII guard: [`Span::start`] (usually via the
 //! [`span!`](crate::span!) macro) stamps a start time and the calling
 //! thread's current nesting depth; dropping it records a completed
-//! [`SpanRecord`] into the process-global collector, provided someone
-//! still collects it: instrumentation is on, or the span's trace is
-//! still installed ([`set_trace`]). While
-//! [`enabled`](crate::enabled) is off, `Span::start` returns an inert
-//! guard after one branch — no clock read, no allocation.
+//! [`SpanRecord`] into the process-wide collector, provided someone
+//! still collects it. While neither [`enabled`](crate::enabled) is on
+//! nor the calling thread has a trace installed, `Span::start` returns
+//! an inert guard after one branch — no clock read, no allocation.
+//!
+//! Two kinds of record share the collector and never mix:
+//!
+//! * **Untraced** (`trace_id == 0`) — recorded while `enabled()` is on,
+//!   taken by [`drain_spans`] (the CLI's `--trace FILE`).
+//! * **Traced** — recorded while the thread has a request trace
+//!   installed ([`set_trace`]), taken by [`take_trace_spans`] with the
+//!   trace's id. The active trace is per thread: work a request hands
+//!   to another thread or process carries [`current_trace`] there and
+//!   installs it, so spans of unrelated work on other threads never
+//!   join the request's tree.
 //!
 //! Spans are meant for *coarse* phases (plan/spill/spawn/walk/merge,
 //! one per shard or query) — per-event costs belong in counters. The
@@ -49,10 +59,11 @@ pub struct SpanRecord {
 }
 
 /// Request-scoped trace identity: a trace id plus the span the next
-/// recorded root should attach under. Flows from `tnm serve` through
-/// `Query::run` into distributed worker processes (as a field of the
-/// job frame), so one served query stitches into a
-/// single cross-process span tree.
+/// recorded root should attach under. Installed per thread
+/// ([`set_trace`]); flows from the `tnm serve` connection thread into
+/// the walker threads and distributed worker processes (as a field of
+/// the job frame) that work for the request, so one served query
+/// stitches into a single cross-process span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Nonzero trace identifier shared by every span of the request.
@@ -83,35 +94,36 @@ impl Default for TraceCtx {
     }
 }
 
-// The active trace, as two relaxed atomics (trace id 0 = none). A
-// process-global rather than a thread-local: walker/worker threads
-// spawned mid-query must inherit it. Concurrent traced queries in one
-// process are therefore best-effort — spans are filtered by trace id
-// after draining, so an overlap loses spans rather than corrupting a
-// tree.
-static TRACE_ID: AtomicU64 = AtomicU64::new(0);
-static TRACE_PARENT: AtomicU64 = AtomicU64::new(0);
+/// The untraced context a thread starts with (trace id 0 = none).
+const UNTRACED: TraceCtx = TraceCtx { trace_id: 0, parent_span: 0 };
 
-/// Installs (or clears, with `None`) the process-global active trace.
+thread_local! {
+    // The calling thread's active trace (trace id 0 = none). Work a
+    // request starts on other threads carries it there explicitly
+    // (captured with [`current_trace`], installed with [`set_trace`]),
+    // so a thread that is not part of the request never joins it.
+    static TRACE: Cell<TraceCtx> = const { Cell::new(UNTRACED) };
+}
+
+/// Installs (or clears, with `None`) the calling thread's active
+/// trace. Spans this thread opens while it is installed record under
+/// its id; a thread-root span attaches under `ctx.parent_span`.
 pub fn set_trace(ctx: Option<TraceCtx>) {
-    let ctx = ctx.unwrap_or(TraceCtx { trace_id: 0, parent_span: 0 });
-    TRACE_ID.store(ctx.trace_id, Ordering::Relaxed);
-    TRACE_PARENT.store(ctx.parent_span, Ordering::Relaxed);
+    TRACE.with(|t| t.set(ctx.unwrap_or(UNTRACED)));
 }
 
-/// The active trace installed by [`set_trace`], if any.
+/// The calling thread's active trace, if any, with this thread's
+/// innermost open span as the attach point — the context to hand to a
+/// thread or process that works for the same request.
 pub fn current_trace() -> Option<TraceCtx> {
-    let trace_id = TRACE_ID.load(Ordering::Relaxed);
-    (trace_id != 0)
-        .then(|| TraceCtx { trace_id, parent_span: TRACE_PARENT.load(Ordering::Relaxed) })
+    let trace_id = trace_id();
+    (trace_id != 0).then(|| TraceCtx { trace_id, parent_span: inherited_parent() })
 }
 
-/// Whether spans should be collected: either instrumentation is on
-/// globally or a request-scoped trace is active. Two relaxed loads on
-/// the off path.
+/// The calling thread's active trace id (0 = none).
 #[inline]
-pub(crate) fn spans_active() -> bool {
-    crate::enabled() || TRACE_ID.load(Ordering::Relaxed) != 0
+fn trace_id() -> u64 {
+    TRACE.with(|t| t.get().trace_id)
 }
 
 fn epoch() -> &'static Instant {
@@ -138,14 +150,14 @@ fn next_span_id() -> u64 {
 }
 
 /// The parent a new span on this thread attaches under: the innermost
-/// open span, else the active trace's attach point (so spans on worker
-/// threads spawned mid-query still join the request tree).
+/// open span, else the installed trace's attach point (so a worker
+/// thread's root span joins the request tree).
 fn inherited_parent() -> u64 {
     let local = CURRENT_PARENT.with(|p| p.get());
     if local != 0 {
         local
     } else {
-        TRACE_PARENT.load(Ordering::Relaxed)
+        TRACE.with(|t| t.get().parent_span)
     }
 }
 
@@ -169,25 +181,21 @@ fn push(record: SpanRecord) {
     collector().lock().unwrap_or_else(|p| p.into_inner()).push(record);
 }
 
-/// Takes (and clears) every span recorded so far, in completion order.
+/// Takes every untraced span (`trace_id == 0`, recorded while
+/// [`enabled`](crate::enabled) is on) recorded so far, in completion
+/// order. Traced spans stay for [`take_trace_spans`].
 pub fn drain_spans() -> Vec<SpanRecord> {
-    std::mem::take(&mut *collector().lock().unwrap_or_else(|p| p.into_inner()))
+    take_trace_spans(0)
 }
 
-/// Removes and returns exactly the spans belonging to `trace_id`,
-/// leaving every other record (globally-enabled instrumentation,
-/// concurrent traces) in the collector.
+/// Removes and returns exactly the spans belonging to `trace_id`, in
+/// completion order, leaving every other record (untraced
+/// instrumentation, concurrent traces) in the collector.
 pub fn take_trace_spans(trace_id: u64) -> Vec<SpanRecord> {
     let mut guard = collector().lock().unwrap_or_else(|p| p.into_inner());
-    let mut taken = Vec::new();
-    guard.retain(|s| {
-        if s.trace_id == trace_id {
-            taken.push(s.clone());
-            false
-        } else {
-            true
-        }
-    });
+    let (taken, kept) =
+        std::mem::take(&mut *guard).into_iter().partition(|s| s.trace_id == trace_id);
+    *guard = kept;
     taken
 }
 
@@ -220,9 +228,10 @@ pub fn inject_spans(spans: Vec<SpanRecord>, attach_parent: u64, offset_ns: u64) 
 
 /// Records a span that was measured externally (e.g. a worker-reported
 /// wall time the coordinator re-emits): it ends now and lasted
-/// `dur_ns`. No-op while disabled and no trace is active.
+/// `dur_ns`. No-op while disabled and this thread has no trace.
 pub fn record_span(name: &str, dur_ns: u64, args: &[(&str, String)]) {
-    if !spans_active() {
+    let trace_id = trace_id();
+    if trace_id == 0 && !crate::enabled() {
         return;
     }
     let end = now_ns();
@@ -233,7 +242,7 @@ pub fn record_span(name: &str, dur_ns: u64, args: &[(&str, String)]) {
         dur_ns,
         tid: thread_id(),
         depth: DEPTH.with(|d| d.get()),
-        trace_id: TRACE_ID.load(Ordering::Relaxed),
+        trace_id,
         span_id: next_span_id(),
         parent_id: inherited_parent(),
     });
@@ -257,12 +266,12 @@ struct ActiveSpan {
 }
 
 impl Span {
-    /// Starts a span (inert when disabled and untraced — two relaxed
-    /// loads, nothing else).
+    /// Starts a span (inert when disabled and untraced — one
+    /// thread-local read and one relaxed load, nothing else).
     pub fn start(name: &'static str) -> Span {
-        // One load: the span's trace is the one that made it active.
-        let trace_id = TRACE_ID.load(Ordering::Relaxed);
-        if trace_id == 0 && !crate::enabled() {
+        // One read: the span's trace is the one that made it active.
+        let trace = TRACE.with(Cell::get);
+        if trace.trace_id == 0 && !crate::enabled() {
             return Span { inner: None };
         }
         let depth = DEPTH.with(|d| {
@@ -276,8 +285,7 @@ impl Span {
             p.set(span_id);
             prev
         });
-        let parent_id =
-            if prev_parent != 0 { prev_parent } else { TRACE_PARENT.load(Ordering::Relaxed) };
+        let parent_id = if prev_parent != 0 { prev_parent } else { trace.parent_span };
         Span {
             inner: Some(ActiveSpan {
                 name,
@@ -287,7 +295,7 @@ impl Span {
                 span_id,
                 parent_id,
                 prev_parent,
-                trace_id,
+                trace_id: trace.trace_id,
             }),
         }
     }
@@ -315,30 +323,28 @@ impl Drop for Span {
             // (the recorded parent_id may instead be the trace attach
             // point when this span was a thread root).
             CURRENT_PARENT.with(|p| p.set(active.prev_parent));
-            let record = SpanRecord {
-                name: active.name.to_string(),
-                args: active.args,
-                start_ns: active.start_ns,
-                dur_ns: now_ns().saturating_sub(active.start_ns),
-                tid: thread_id(),
-                depth: active.depth,
-                trace_id: active.trace_id,
-                span_id: active.span_id,
-                parent_id: active.parent_id,
+            // Record the span only if someone still collects it: a
+            // traced span while its trace is still installed on this
+            // thread (its owner clears the trace before taking its
+            // spans, so one that outlives the trace would sit in the
+            // collector for good), an untraced one while
+            // instrumentation is on.
+            let collected = match active.trace_id {
+                0 => crate::enabled(),
+                id => trace_id() == id,
             };
-            // Record the span only if someone still collects it:
-            // instrumentation is on, or its trace is still installed. A
-            // span that outlives its trace (work on another thread that
-            // started while the trace was installed) has no owner left,
-            // since the owner clears the trace before it takes its
-            // spans; kept, it would sit in the collector for good. The
-            // check runs under the collector lock, so it cannot
-            // interleave with that clear-then-take.
-            let mut spans = collector().lock().unwrap_or_else(|p| p.into_inner());
-            let traced =
-                record.trace_id != 0 && TRACE_ID.load(Ordering::Relaxed) == record.trace_id;
-            if traced || crate::enabled() {
-                spans.push(record);
+            if collected {
+                push(SpanRecord {
+                    name: active.name.to_string(),
+                    args: active.args,
+                    start_ns: active.start_ns,
+                    dur_ns: now_ns().saturating_sub(active.start_ns),
+                    tid: thread_id(),
+                    depth: active.depth,
+                    trace_id: active.trace_id,
+                    span_id: active.span_id,
+                    parent_id: active.parent_id,
+                });
             }
         }
     }
@@ -432,9 +438,6 @@ mod tests {
     /// is not recorded; one that ends inside its trace is.
     #[test]
     fn spans_that_outlive_their_trace_are_dropped() {
-        let _guard = test_guard();
-        set_enabled(false);
-        drain_spans();
         let ctx = TraceCtx::new();
         set_trace(Some(ctx));
         let outliving = crate::span!("outliving");
@@ -444,8 +447,11 @@ mod tests {
         set_trace(None);
         drop(outliving);
         let taken = take_trace_spans(ctx.trace_id);
-        assert_eq!(taken.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["inside"]);
-        assert!(drain_spans().is_empty(), "the orphan never reaches the collector");
+        assert_eq!(
+            taken.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
+            ["inside"],
+            "the orphan never reaches the collector"
+        );
     }
 
     #[test]
@@ -537,12 +543,10 @@ mod tests {
         assert_eq!(chrome_trace(&[]), "{\"traceEvents\":[]}");
     }
 
+    /// An installed trace collects spans whatever the metrics switch
+    /// says, and records their nesting by id.
     #[test]
     fn spans_nest_by_id_and_carry_the_trace() {
-        let _guard = test_guard();
-        set_enabled(false);
-        drain_spans();
-        // An active trace collects spans even with metrics disabled.
         let ctx = TraceCtx::new();
         set_trace(Some(ctx));
         {
@@ -552,10 +556,7 @@ mod tests {
             }
         }
         set_trace(None);
-        {
-            let _after = crate::span!("after"); // trace gone, obs off: dropped
-        }
-        let spans = drain_spans();
+        let spans = take_trace_spans(ctx.trace_id);
         assert_eq!(spans.len(), 2);
         let (inner, outer) = (&spans[0], &spans[1]);
         assert_eq!(outer.trace_id, ctx.trace_id);
@@ -565,24 +566,62 @@ mod tests {
         assert_eq!(outer.parent_id, 0, "no attach point: outer is a root");
     }
 
+    /// The trace is the calling thread's: another thread has none until
+    /// it installs the context [`current_trace`] captured, and then its
+    /// root span attaches under the capturing thread's innermost open
+    /// span. With no span open, the attach point is the installed one.
     #[test]
     fn thread_roots_attach_under_the_trace_parent() {
-        let _guard = test_guard();
-        set_enabled(false);
-        drain_spans();
         let mut ctx = TraceCtx::new();
         ctx.parent_span = 77;
         set_trace(Some(ctx));
-        std::thread::spawn(|| {
-            let _s = crate::span!("worker.root");
-        })
-        .join()
-        .unwrap();
+        assert_eq!(current_trace(), Some(ctx));
+        let outer = crate::span!("outer");
+        let captured = current_trace();
+        assert_eq!(captured, Some(TraceCtx { trace_id: ctx.trace_id, parent_span: outer.id() }));
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert_eq!(current_trace(), None, "threads start untraced"));
+            scope.spawn(|| {
+                set_trace(captured);
+                let _s = crate::span!("worker.root");
+            });
+        });
+        drop(outer);
         set_trace(None);
-        let spans = drain_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].parent_id, 77, "thread roots join the request tree");
+        let spans = take_trace_spans(ctx.trace_id);
+        let named = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
+        assert_eq!(spans.len(), 2);
+        assert_eq!(named("outer").parent_id, 77, "the root attaches at the installed point");
+        assert_eq!(
+            named("worker.root").parent_id,
+            named("outer").span_id,
+            "thread roots join the request tree"
+        );
         assert_eq!(current_trace(), None);
+    }
+
+    /// A traced span recorded while metrics are on goes to its trace
+    /// only: [`drain_spans`] never takes it, and takes the untraced
+    /// spans in its place.
+    #[test]
+    fn traced_spans_never_reach_drain_spans() {
+        let _guard = test_guard();
+        set_enabled(true);
+        drain_spans();
+        let ctx = TraceCtx::new();
+        set_trace(Some(ctx));
+        {
+            let _traced = crate::span!("traced");
+        }
+        set_trace(None);
+        {
+            let _plain = crate::span!("plain");
+        }
+        let drained = drain_spans();
+        set_enabled(false);
+        assert_eq!(drained.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["plain"]);
+        let traced = take_trace_spans(ctx.trace_id);
+        assert_eq!(traced.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["traced"]);
     }
 
     #[test]
@@ -611,16 +650,17 @@ mod tests {
 
     #[test]
     fn inject_spans_remints_ids_and_rebases_time() {
-        let _guard = test_guard();
-        set_enabled(true);
-        drain_spans();
         // Burn local ids so the re-minted ids cannot collide with the
         // shipped fragment's dense 1-based ids.
+        let warmup = TraceCtx::new();
+        set_trace(Some(warmup));
         for _ in 0..4 {
             let _s = crate::span!("local.warmup");
         }
-        drain_spans();
+        set_trace(None);
+        take_trace_spans(warmup.trace_id);
         // A "worker-shipped" fragment: dense local ids, zero-based time.
+        let trace_id = TraceCtx::new().trace_id;
         let shipped = vec![
             SpanRecord {
                 name: "walk.shard0".to_string(),
@@ -629,7 +669,7 @@ mod tests {
                 dur_ns: 50,
                 tid: 1,
                 depth: 0,
-                trace_id: 9,
+                trace_id,
                 span_id: 1,
                 parent_id: 0,
             },
@@ -640,14 +680,13 @@ mod tests {
                 dur_ns: 20,
                 tid: 1,
                 depth: 1,
-                trace_id: 9,
+                trace_id,
                 span_id: 2,
                 parent_id: 1,
             },
         ];
         inject_spans(shipped, 42, 1_000);
-        let spans = drain_spans();
-        set_enabled(false);
+        let spans = take_trace_spans(trace_id);
         assert_eq!(spans.len(), 2);
         let root = spans.iter().find(|s| s.name == "walk.shard0").unwrap();
         let inner = spans.iter().find(|s| s.name == "walk.inner").unwrap();

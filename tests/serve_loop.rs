@@ -18,7 +18,8 @@
 //!   invalid config) answer an error frame and the connection stays
 //!   usable. The daemon survives all of it.
 //! * **Isolation** — concurrent clients loading and querying distinct
-//!   graphs never observe each other's data.
+//!   graphs never observe each other's data, and a traced query's span
+//!   tree holds only its own request's spans, whatever runs beside it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,15 +47,6 @@ fn random_events(seed: u64, nodes: u32, events: usize, horizon: i64) -> Vec<Even
         batch.push(Event::new(u, v, rng.gen_range(0i64..horizon)));
     }
     batch
-}
-
-/// Serializes the tests that send traced queries: the trace context is
-/// process-global, so two traced requests in flight at once would
-/// cross-attach spans.
-static TRACED: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn traced_guard() -> std::sync::MutexGuard<'static, ()> {
-    TRACED.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn spawn_server() -> (ServerHandle, SocketAddr) {
@@ -427,6 +419,71 @@ fn concurrent_clients_are_isolated() {
     server.join().unwrap();
 }
 
+/// Traced and untraced queries on 4 connections at once, on one graph:
+/// the parallel walk, the stream engine and in-thread shards. Every
+/// traced reply is one well-formed tree of its own request's spans —
+/// one trace id, one `serve.query` root, no dangling parent, and
+/// exactly one `query.*` phase — and every answer is exact.
+#[test]
+fn concurrent_traces_hold_only_their_own_spans() {
+    let events = random_events(73, 40, 2_000, 8_000);
+    let graph = TemporalGraph::from_events(events.clone()).unwrap();
+    let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(200));
+    let reference = EngineKind::Stream.count(&graph, &cfg, 1);
+    let (server, addr) = spawn_server();
+    ServeClient::connect(addr).unwrap().load_graph("g", &events, 0).unwrap();
+    let engines =
+        [(EngineKind::Windowed, 2), (EngineKind::Stream, 1), (EngineKind::sharded(500, 0), 1)];
+    let handles: Vec<_> = (0..4usize)
+        .map(|conn| {
+            let cfg = cfg.clone();
+            let reference = reference.clone();
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(addr).unwrap();
+                for i in 0..75usize {
+                    let (engine, threads) = engines[(conn + i) % engines.len()];
+                    let q = Query::Count { cfg: cfg.clone(), engine, threads };
+                    let label = format!("connection {conn}, query {i}, {engine}");
+                    if (conn + i) % 2 == 1 {
+                        let QueryResponse::Counts(counts) = client.query("g", &q).unwrap() else {
+                            panic!("shape")
+                        };
+                        assert_eq!(counts, reference, "{label}");
+                        continue;
+                    }
+                    let (resp, trace) = client.query_traced("g", &q).unwrap();
+                    let QueryResponse::Counts(counts) = resp else { panic!("shape") };
+                    assert_eq!(counts, reference, "{label}");
+                    let spans = &trace.spans;
+                    let roots: Vec<_> = spans.iter().filter(|s| s.parent_id == 0).collect();
+                    assert_eq!(roots.len(), 1, "{label}: one root in {spans:?}");
+                    assert_eq!(roots[0].name, "serve.query", "{label}");
+                    let trace_id = roots[0].trace_id;
+                    assert!(spans.iter().all(|s| s.trace_id == trace_id), "{label}: one trace id");
+                    let ids: std::collections::BTreeSet<u64> =
+                        spans.iter().map(|s| s.span_id).collect();
+                    assert_eq!(ids.len(), spans.len(), "{label}: unique span ids");
+                    for s in spans {
+                        assert!(
+                            s.parent_id == 0 || ids.contains(&s.parent_id),
+                            "{label}: dangling parent on {}",
+                            s.name
+                        );
+                    }
+                    let phases = spans.iter().filter(|s| s.name.starts_with("query.")).count();
+                    assert_eq!(phases, 1, "{label}: foreign spans in {spans:?}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let mut client = ServeClient::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// Opt-in query tracing over the wire: a traced count answers with a
 /// well-formed span tree (one trace id, a `serve.query` root, the
 /// engine's `query.count` phase beneath it, every parent resolving)
@@ -435,7 +492,6 @@ fn concurrent_clients_are_isolated() {
 /// the same connection stay trace-free.
 #[test]
 fn traced_queries_ship_span_trees_and_populate_query_logs() {
-    let _traced = traced_guard();
     let events = random_events(31, 30, 800, 2500);
     let graph = TemporalGraph::from_events(events.clone()).unwrap();
     let server = MotifServer::bind_with(
@@ -513,7 +569,6 @@ fn traced_queries_ship_span_trees_and_populate_query_logs() {
 /// tally.
 #[test]
 fn loaded_graphs_build_their_window_index_once() {
-    let _traced = traced_guard();
     let mut events = random_events(59, 25, 618, 2000);
     events.sort_unstable();
     let (base, tail) = events.split_at(611);
@@ -556,7 +611,6 @@ fn loaded_graphs_build_their_window_index_once() {
 /// capped at 2 spawns at most 2 of them, and still counts exactly.
 #[test]
 fn worker_processes_are_clamped_to_the_thread_ceiling() {
-    let _traced = traced_guard();
     let events = random_events(41, 20, 800, 2000);
     let graph = TemporalGraph::from_events(events.clone()).unwrap();
     let server = MotifServer::bind_with(

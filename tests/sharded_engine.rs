@@ -62,7 +62,6 @@ fn halos_stay_bounded_by_reach() {
 /// parent-graph recheck).
 #[test]
 fn spilled_counts_match_with_global_restrictions() {
-    let _obs = tnm_obs::test_guard();
     let g = random_graph(21, 15, 2_000, 5_000);
     let base = EnumConfig::new(3, 3).with_timing(Timing::both(40, 90));
     let variants = [
@@ -97,7 +96,6 @@ fn spilled_counts_match_with_global_restrictions() {
 /// and the experiment drivers: parameters survive, reports are exact.
 #[test]
 fn engine_kind_round_trip() {
-    let _obs = tnm_obs::test_guard();
     let g = random_graph(11, 12, 800, 2_500);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(60));
     let reference = WindowedEngine.count(&g, &cfg);
@@ -176,7 +174,6 @@ fn worker_threads_are_exact() {
 /// full Paranjape and Hulovatyy models and a signature-targeted run.
 #[test]
 fn coordinator_recheck_keeps_induced_models_exact() {
-    let _obs = tnm_obs::test_guard();
     let g = random_graph(502, 9, 200, 150);
     for (label, cfg) in [
         ("paranjape", EnumConfig::for_model(&MotifModel::paranjape(40), 3, 3)),
@@ -349,21 +346,23 @@ fn shard_file_corruption_is_detected() {
 /// `walk.shard` spans from the survivor stitched in, and every parent
 /// edge resolving inside the tree. The crashed worker's unsent spans
 /// are allowed to be lost; a dangling parent is not.
+///
+/// The trace is collected with metrics off. The guard is for the crash:
+/// with metrics on, it would bump the global `distributed.workers_lost`
+/// counter that the crash tests above read.
 #[test]
 fn traces_stitch_into_one_well_formed_tree_even_under_worker_crashes() {
     let _obs = tnm_obs::test_guard();
     tnm_obs::set_enabled(false);
-    tnm_obs::drain_spans();
     let g = random_graph(507, 11, 300, 260);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(18, 40));
     let reference = WindowedEngine.count(&g, &cfg);
 
     // Open a request-scoped trace the way `tnm serve` does: mint a
-    // context, start the root span, re-point the ambient parent at it.
+    // context, install it, start the root span.
     let ctx = tnm_obs::TraceCtx::new();
     tnm_obs::set_trace(Some(ctx));
     let root = tnm_obs::Span::start("test.distributed");
-    tnm_obs::set_trace(Some(tnm_obs::TraceCtx { trace_id: ctx.trace_id, parent_span: root.id() }));
     let engine = ShardedEngine::new(12).with_workers(2).with_fault_after(0, 1);
     let counts = engine.count(&g, &cfg);
     drop(root);
@@ -407,10 +406,13 @@ fn traces_stitch_into_one_well_formed_tree_even_under_worker_crashes() {
 /// Each worker run writes its shard files into one temporary directory,
 /// named by the `distributed.spill` span. The directory is gone once the
 /// run returns — after a healthy run, and after a worker crash forced a
-/// requeue.
+/// requeue. The trace is collected with metrics off, under the guard, so
+/// the crash stays out of the crash tests' global
+/// `distributed.workers_lost` counter.
 #[test]
 fn shard_file_dir_is_cleaned_up() {
     let _obs = tnm_obs::test_guard();
+    tnm_obs::set_enabled(false);
     let g = random_graph(508, 11, 300, 260);
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::both(18, 40));
     let reference = WindowedEngine.count(&g, &cfg);
