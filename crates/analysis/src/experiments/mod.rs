@@ -85,12 +85,16 @@ impl Corpus {
 
     /// Generates exactly `specs`, in the order given. Each graph depends
     /// on its own spec and `seed` alone, so a subset comes out identical
-    /// to the same datasets of a full corpus.
+    /// to the same datasets of a full corpus. One
+    /// `ingest.generate{dataset, events}` span covers each dataset, its
+    /// graph build included.
     pub fn generate(specs: impl IntoIterator<Item = DatasetSpec>, seed: u64) -> Self {
         let entries = specs
             .into_iter()
             .map(|spec| {
+                let span = tnm_obs::span!("ingest.generate", dataset = spec.name);
                 let graph = generate(&spec, seed);
+                let _span = span.arg("events", graph.num_events());
                 CorpusEntry { spec, graph }
             })
             .collect();

@@ -6,7 +6,8 @@
 
 mod args;
 
-use args::Args;
+use args::{Args, Flags};
+use std::error::Error;
 use std::process::ExitCode;
 use tnm_analysis::experiments::{self, Corpus, RunConfig};
 use tnm_datasets::DatasetSpec;
@@ -185,6 +186,52 @@ Flags:
                 (default 16384). Rejected for other engines.
 ";
 
+/// What a verb's handler and its helpers return.
+type CliResult<T = ()> = Result<T, Box<dyn Error>>;
+
+/// A table or figure's CSV, if it has one, and its rendered text.
+type Texts = (Option<String>, String);
+
+// Flag groups shared by several verbs: the graph source (see
+// [`args::Source`]), the engine choice (see [`run_config_from`]), and
+// the motif vocabulary of `count`, `client` and, with a node floor and
+// a target signature, a `count-batch` spec line (see [`motif_config`]).
+const SOURCE: &str = "dataset= scale= seed=";
+const ENGINE: &str = "engine= threads= samples= workers= shard-events=";
+const COMMON: Flags = &[SOURCE, ENGINE, "csv"];
+const MOTIF: &str = "events= nodes= dc= dw= consecutive induced constrained";
+const SPEC_LINE: Flags = &[MOTIF, "min-nodes= sig="];
+const CLIENT: &str =
+    "addr= name= stats metrics slow-queries shutdown top= hold-out= append-batch= trace= profile";
+
+/// A verb: its name, its flags and its handler.
+type Verb = (&'static str, Flags, fn(&Args) -> CliResult);
+
+/// Every verb. `help` is answered before this table is read.
+const VERBS: &[Verb] = &[
+    ("worker", &[], worker),
+    ("list", COMMON, list),
+    ("stats", COMMON, stats),
+    ("generate", &[SOURCE, "out="], generate),
+    ("count", &[SOURCE, ENGINE, "csv", MOTIF, "top= trace= explain input="], count),
+    ("count-batch", &[SOURCE, ENGINE, "csv spec= all-3e-motifs dw= top="], count_batch),
+    ("serve", &["host= port= threads= enumerate-cap= http-port="], serve),
+    ("client", &[SOURCE, ENGINE, "csv", MOTIF, CLIENT], client),
+    ("top", &["addr= interval= iters="], top),
+    ("cycles", &[SOURCE, "dw= max-len="], cycles),
+    ("table2", COMMON, experiment),
+    ("table3", &[SOURCE, ENGINE, "csv full"], experiment),
+    ("table4", &[SOURCE, ENGINE, "csv full"], experiment),
+    ("table5", COMMON, experiment),
+    ("fig1", COMMON, experiment),
+    ("fig2", COMMON, experiment),
+    ("fig3", &[SOURCE, ENGINE, "csv include-4e"], experiment),
+    ("fig4", &[SOURCE, ENGINE, "csv all"], experiment),
+    ("fig5", &[SOURCE, ENGINE, "csv all"], experiment),
+    ("fig6", COMMON, experiment),
+    ("all", COMMON, all),
+];
+
 /// Ends the process quietly when stdout's reader has gone (`tnm … |
 /// head`). Rust ignores SIGPIPE, so `println!` panics on the broken
 /// pipe instead; this exits with the status a shell reports for a
@@ -204,21 +251,21 @@ fn exit_quietly_on_closed_stdout() {
 fn main() -> ExitCode {
     exit_quietly_on_closed_stdout();
     let mut argv = std::env::args().skip(1);
-    let command = match argv.next() {
-        Some(c) => c,
-        None => {
-            eprint!("{HELP}");
-            return ExitCode::FAILURE;
-        }
+    let Some(command) = argv.next() else {
+        eprint!("{HELP}");
+        return ExitCode::FAILURE;
     };
-    let args = match Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(verb, flags, run)) = VERBS.iter().find(|(name, ..)| *name == command) else {
+        eprintln!("unknown command `{command}`\n");
+        eprint!("{HELP}");
+        eprintln!("error: unknown command");
+        return ExitCode::FAILURE;
     };
-    match run(&command, &args) {
+    match Args::parse(verb, flags, argv).map_err(Into::into).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -227,81 +274,79 @@ fn main() -> ExitCode {
     }
 }
 
-fn corpus_from(args: &Args) -> Result<Corpus, Box<dyn std::error::Error>> {
-    let scale: f64 = args.get_parsed("scale", 1.0)?;
-    let seed: u64 = args.get_parsed("seed", experiments::CORPUS_SEED)?;
-    // The dataset may be named via --dataset or as a positional argument;
-    // only the named one is generated.
-    match args.get("dataset").or_else(|| args.positional(0)) {
-        Some(name) => {
-            Corpus::named(&[name], scale, seed).map_err(|e| format!("{e} (see `tnm list`)").into())
-        }
-        None => Ok(Corpus::scaled(scale, seed)),
-    }
-}
-
-fn run_config_from(args: &Args) -> Result<RunConfig, Box<dyn std::error::Error>> {
+fn run_config_from(args: &Args) -> CliResult<RunConfig> {
     let mut rc = RunConfig::default();
     if let Some(name) = args.get("engine") {
         rc.engine = name.parse::<EngineKind>()?;
     }
-    if let EngineKind::Sampling { samples, seed } = rc.engine {
-        let samples: u32 = args.get_parsed("samples", samples)?;
-        if samples == 0 {
-            return Err("--samples must be at least 1".into());
+    // Each engine option belongs to one engine and must be at least 1.
+    for (flag, owner) in
+        [("samples", "sampling"), ("shard-events", "sharded"), ("workers", "sharded")]
+    {
+        let owned = match rc.engine {
+            EngineKind::Sampling { .. } => owner == "sampling",
+            EngineKind::Sharded { .. } => owner == "sharded",
+            _ => false,
+        };
+        if args.has(flag) && !owned {
+            let engine = rc.engine;
+            let got = match owner {
+                "sampling" => format!("engine `{engine}` counts exactly"),
+                _ => format!("got engine `{engine}`"),
+            };
+            return Err(format!("--{flag} is only valid with --engine {owner} ({got})").into());
         }
-        rc.engine = EngineKind::Sampling { samples, seed: args.get_parsed("seed", seed)? };
-    } else if args.has("samples") {
-        return Err(format!(
-            "--samples is only valid with --engine sampling (engine `{}` counts exactly)",
-            rc.engine
-        )
-        .into());
-    }
-    if let EngineKind::Sharded { shard_events, workers } = rc.engine {
-        let shard_events: usize = args.get_parsed("shard-events", shard_events)?;
-        if shard_events == 0 {
-            return Err("--shard-events must be at least 1".into());
-        }
-        let workers: usize = args.get_parsed("workers", workers)?;
-        if args.has("workers") && workers == 0 {
-            return Err("--workers must be at least 1".into());
-        }
-        rc.engine = EngineKind::Sharded { shard_events, workers };
-    } else {
-        for flag in ["shard-events", "workers"] {
-            if args.has(flag) {
-                return Err(format!(
-                    "--{flag} is only valid with --engine sharded (got engine `{}`)",
-                    rc.engine
-                )
-                .into());
-            }
+        if args.get_parsed(flag, 1u64)? == 0 {
+            return Err(format!("--{flag} must be at least 1").into());
         }
     }
+    rc.engine = match rc.engine {
+        EngineKind::Sampling { samples, seed } => EngineKind::Sampling {
+            samples: args.get_parsed("samples", samples)?,
+            seed: args.get_parsed("seed", seed)?,
+        },
+        EngineKind::Sharded { shard_events, workers } => EngineKind::Sharded {
+            shard_events: args.get_parsed("shard-events", shard_events)?,
+            workers: args.get_parsed("workers", workers)?,
+        },
+        engine => engine,
+    };
     rc.threads = args.get_parsed("threads", rc.threads)?;
     Ok(rc)
 }
 
-/// Builds the `count`/`client` verbs' [`EnumConfig`] from the shared
-/// flag set, validated through [`EnumConfig::validate`] — the same
-/// typed [`ConfigError`] path the Query API and the serve daemon use.
-fn count_cfg_from(args: &Args) -> Result<EnumConfig, Box<dyn std::error::Error>> {
-    let events: usize = args.get_parsed("events", 3)?;
-    let nodes: usize = args.get_parsed("nodes", 3)?;
-    let dc: i64 = args.get_parsed("dc", 0)?;
-    let dw: i64 = args.get_parsed("dw", 0)?;
-    let timing = match (dc > 0, dw > 0) {
-        (true, true) => Timing::both(dc, dw),
-        (true, false) => Timing::only_c(dc),
-        (false, true) => Timing::only_w(dw),
-        (false, false) => return Err("count requires --dc and/or --dw".into()),
-    };
-    let cfg = EnumConfig::try_new(events, nodes)?
-        .with_timing(timing)
-        .with_consecutive(args.has("consecutive"))
-        .with_static_induced(args.has("induced"))
-        .with_constrained(args.has("constrained"));
+/// Builds an [`EnumConfig`] from the motif vocabulary: the `count` and
+/// `client` flags and the keys of a `count-batch` spec line alike.
+/// Every configuration needs a positive ΔC and/or ΔW; `sig` derives the
+/// event and node budgets from the signature (and a conflicting
+/// `events`/`nodes` is an error). Validated through
+/// [`EnumConfig::validate`], the same typed [`ConfigError`] path the
+/// Query API and the serve daemon use.
+fn motif_config(args: &Args) -> CliResult<EnumConfig> {
+    let events: Option<usize> = args.get_opt("events")?;
+    let nodes: Option<usize> = args.get_opt("nodes")?;
+    let dc: Option<i64> = args.get_opt("dc")?;
+    let dw: Option<i64> = args.get_opt("dw")?;
+    if dc.is_none() && dw.is_none() {
+        return Err("a motif needs --dc and/or --dw (dc= and/or dw= on a spec line)".into());
+    }
+    if dc.is_some_and(|v| v <= 0) || dw.is_some_and(|v| v <= 0) {
+        return Err("--dc and --dw (dc= and dw= on a spec line) must be positive".into());
+    }
+    let mut cfg = match args.get_opt::<MotifSignature>("sig")? {
+        Some(target) => {
+            let mut c = EnumConfig::for_signature(target);
+            c.num_events = events.unwrap_or(c.num_events);
+            c.max_nodes = nodes.unwrap_or(c.max_nodes);
+            c
+        }
+        None => EnumConfig::try_new(events.unwrap_or(3), nodes.unwrap_or(3))?,
+    }
+    .with_timing(Timing { delta_c: dc, delta_w: dw })
+    .with_consecutive(args.has("consecutive"))
+    .with_static_induced(args.has("induced"))
+    .with_constrained(args.has("constrained"));
+    cfg.min_nodes = args.get_parsed("min-nodes", cfg.min_nodes)?;
     cfg.validate()?;
     Ok(cfg)
 }
@@ -349,11 +394,7 @@ fn format_ns(ns: u64) -> String {
 /// Handles a traced serve request's telemetry: writes the span tree as
 /// Chrome-trace JSON (`--trace FILE`) and/or prints the per-phase
 /// profile with the request's metrics delta (`--profile`).
-fn report_trace(
-    trace: &TraceReply,
-    path: Option<&str>,
-    profile: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn report_trace(trace: &TraceReply, path: Option<&str>, profile: bool) -> CliResult {
     let trace_id = trace.spans.first().map_or(0, |s| s.trace_id);
     if let Some(path) = path {
         std::fs::write(path, tnm_obs::chrome_trace(&trace.spans))
@@ -440,94 +481,21 @@ fn render_top(addr: &str, points: &[tnm_obs::TimePoint]) -> String {
     out
 }
 
-/// The shared flag set plus per-command extras, for `ensure_known` —
-/// one definition of the common list instead of a hand-copied one per
-/// subcommand.
-fn allowed_flags<'a>(common: &[&'a str], extras: &[&'a str]) -> Vec<&'a str> {
-    let mut v = common.to_vec();
-    v.extend_from_slice(extras);
-    v
-}
-
-/// Parses a `count-batch` spec: one configuration per line of
-/// whitespace-separated tokens — `key=value` pairs (`events=`, `nodes=`,
-/// `min-nodes=`, `dc=`, `dw=`, `sig=`) and the bare restriction words
-/// `consecutive` / `induced` / `constrained`. `#` starts a comment;
-/// blank lines are skipped. Mirroring the `count` verb, every line must
-/// bound the walk with `dc=` and/or `dw=`; `sig=` derives the event and
-/// node budgets from the signature (and rejects a conflicting `events=`
-/// or `nodes=`).
-fn parse_batch_spec(text: &str) -> Result<Vec<EnumConfig>, Box<dyn std::error::Error>> {
+/// Parses a `count-batch` spec: one configuration per line, in the
+/// motif vocabulary of [`motif_config`] written as `key=value` tokens
+/// and bare restriction words, plus `min-nodes=` and `sig=`. `#` starts
+/// a comment; blank lines are skipped.
+fn parse_batch_spec(text: &str) -> CliResult<Vec<EnumConfig>> {
     let mut batch = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
-        let at = |msg: String| format!("spec line {}: {msg}", idx + 1);
-        let mut events: Option<usize> = None;
-        let mut nodes: Option<usize> = None;
-        let mut min_nodes: Option<usize> = None;
-        let mut dc: Option<i64> = None;
-        let mut dw: Option<i64> = None;
-        let mut target: Option<MotifSignature> = None;
-        let mut consecutive = false;
-        let mut induced = false;
-        let mut constrained = false;
-        for tok in line.split_whitespace() {
-            let bad = || at(format!("invalid token `{tok}`"));
-            match tok.split_once('=') {
-                Some(("events", v)) => events = Some(v.parse().map_err(|_| bad())?),
-                Some(("nodes", v)) => nodes = Some(v.parse().map_err(|_| bad())?),
-                Some(("min-nodes", v)) => min_nodes = Some(v.parse().map_err(|_| bad())?),
-                Some(("dc", v)) => dc = Some(v.parse().map_err(|_| bad())?),
-                Some(("dw", v)) => dw = Some(v.parse().map_err(|_| bad())?),
-                Some(("sig", v)) => target = Some(v.parse().map_err(|_| bad())?),
-                None if tok == "consecutive" => consecutive = true,
-                None if tok == "induced" => induced = true,
-                None if tok == "constrained" => constrained = true,
-                _ => {
-                    return Err(at(format!(
-                        "unknown token `{tok}` (expected events= nodes= min-nodes= dc= dw= sig= \
-                         or consecutive/induced/constrained)"
-                    ))
-                    .into())
-                }
-            }
-        }
-        if dc.is_none() && dw.is_none() {
-            return Err(at("needs dc= and/or dw= (like the `count` verb)".to_string()).into());
-        }
-        if dc.is_some_and(|v| v <= 0) || dw.is_some_and(|v| v <= 0) {
-            return Err(at("dc= and dw= must be positive".to_string()).into());
-        }
-        // Build first, validate once: the typed [`ConfigError`] path
-        // catches shape conflicts (an explicit events=/nodes= fighting
-        // sig=), bad node budgets, and min-nodes out of range — the
-        // same checks the Query API and the serve daemon run.
-        let mut cfg = match target {
-            Some(t) => {
-                let mut c = EnumConfig::for_signature(t);
-                if let Some(e) = events {
-                    c.num_events = e;
-                }
-                if let Some(n) = nodes {
-                    c.max_nodes = n;
-                }
-                c
-            }
-            None => EnumConfig::try_new(events.unwrap_or(3), nodes.unwrap_or(3))
-                .map_err(|e| at(e.to_string()))?,
-        };
-        cfg = cfg
-            .with_timing(Timing { delta_c: dc, delta_w: dw })
-            .with_consecutive(consecutive)
-            .with_static_induced(induced)
-            .with_constrained(constrained);
-        if let Some(m) = min_nodes {
-            cfg.min_nodes = m;
-        }
-        cfg.validate().map_err(|e| at(e.to_string()))?;
+        let cfg = Args::parse_spec_line(SPEC_LINE, line)
+            .map_err(Into::into)
+            .and_then(|args| motif_config(&args))
+            .map_err(|e| format!("spec line {}: {e}", idx + 1))?;
         batch.push(cfg);
     }
     if batch.is_empty() {
@@ -538,7 +506,7 @@ fn parse_batch_spec(text: &str) -> Result<Vec<EnumConfig>, Box<dyn std::error::E
 
 /// Resolves the `count-batch` configuration list from `--spec FILE` or
 /// `--all-3e-motifs` — exactly one of the two must be given.
-fn batch_from(args: &Args) -> Result<Vec<EnumConfig>, Box<dyn std::error::Error>> {
+fn batch_from(args: &Args) -> CliResult<Vec<EnumConfig>> {
     match (args.get("spec"), args.has("all-3e-motifs")) {
         (Some(_), true) => Err("--spec and --all-3e-motifs are mutually exclusive".into()),
         (None, false) => Err("count-batch requires --spec FILE or --all-3e-motifs".into()),
@@ -585,516 +553,370 @@ fn batch_cfg_summary(cfg: &EnumConfig) -> String {
     s
 }
 
-/// The position/timespan figures enumerate exact per-instance statistics
-/// that an approximate counter cannot provide; asking for the sampling
-/// engine there must be an error, not a silent exact run.
-fn reject_sampling_engine(args: &Args, what: &str) -> Result<(), Box<dyn std::error::Error>> {
-    if let EngineKind::Sampling { .. } = run_config_from(args)?.engine {
-        return Err(format!(
-            "{what} enumerates exact instance statistics; --engine sampling is not applicable"
-        )
-        .into());
+/// The worker side of the sharded engine's process transport. Spawned
+/// by the coordinator as `tnm worker` with framed jobs on stdin and
+/// framed replies on stdout; not intended for interactive use, so it
+/// stays out of the help text. TNM_WORKER_EXIT_AFTER is the
+/// crash-rescheduling tests' fault-injection knob.
+fn worker(_: &Args) -> CliResult {
+    // The coordinator propagates its obs flag via TNM_OBS=1 so
+    // worker-side walks record the same metrics; the snapshots travel
+    // back in the reply frames and merge on the coordinator.
+    if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
+        tnm_obs::set_enabled(true);
+    }
+    let exit_after =
+        std::env::var("TNM_WORKER_EXIT_AFTER").ok().and_then(|v| v.parse::<usize>().ok());
+    let stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    Ok(tnm_motifs::engine::run_worker(std::io::stdin().lock(), stdout, exit_after)?)
+}
+
+fn list(_: &Args) -> CliResult {
+    for spec in DatasetSpec::all() {
+        println!(
+            "{:<18} {:>7} nodes {:>7} events  median gap {:>5.0}s  ({:?})",
+            spec.name, spec.num_nodes, spec.num_events, spec.median_gap, spec.domain
+        );
     }
     Ok(())
 }
 
-/// Flags every experiment and counting verb accepts.
-const COMMON_FLAGS: [&str; 9] =
-    ["scale", "seed", "csv", "dataset", "engine", "threads", "samples", "workers", "shard-events"];
+fn stats(args: &Args) -> CliResult {
+    for e in &args.source()?.corpus()?.entries {
+        let s = GraphStats::compute(&e.graph);
+        println!(
+            "{}: {} nodes, {} events, {} edges, {} timestamps, \
+             unique {:.1}%, median gap {:.0}s, timespan {}s",
+            e.spec.name,
+            s.nodes,
+            s.events,
+            s.static_edges,
+            s.unique_timestamps,
+            s.unique_timestamp_fraction * 100.0,
+            s.median_inter_event_time,
+            s.timespan
+        );
+    }
+    Ok(())
+}
 
-fn run(command: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    match command {
-        "help" | "--help" | "-h" => print!("{HELP}"),
-        // Hidden: the worker side of the sharded engine's process
-        // transport. Spawned by the coordinator as `tnm worker` with framed jobs on stdin and
-        // framed replies on stdout; not intended for interactive use,
-        // so it stays out of the help text. TNM_WORKER_EXIT_AFTER is
-        // the crash-rescheduling tests' fault-injection knob.
-        "worker" => {
-            args.ensure_known(&[])?;
-            // The coordinator propagates its obs flag via TNM_OBS=1 so
-            // worker-side walks record the same metrics; the snapshots
-            // travel back in the reply frames and merge on the
-            // coordinator.
-            if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
-                tnm_obs::set_enabled(true);
-            }
-            let exit_after =
-                std::env::var("TNM_WORKER_EXIT_AFTER").ok().and_then(|v| v.parse::<usize>().ok());
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            tnm_motifs::engine::run_worker(
-                stdin.lock(),
-                std::io::BufWriter::new(stdout.lock()),
-                exit_after,
-            )?;
+fn generate(args: &Args) -> CliResult {
+    let out = args.get("out").ok_or("generate requires --out FILE")?;
+    let (_, graph) = args.source()?.graph()?;
+    tnm_graph::io::write_edge_list_file(&graph, out)?;
+    println!("wrote {} events to {out}", graph.num_events());
+    Ok(())
+}
+
+fn count(args: &Args) -> CliResult {
+    let source = args.source()?;
+    let cfg = motif_config(args)?;
+    let rc = run_config_from(args)?;
+    let top: usize = args.get_parsed("top", 20)?;
+    let timing = cfg.timing;
+    // TNM_OBS=1 turns the metrics registry on for this run (the same
+    // knob `tnm worker` honors), so operators can meter ad-hoc counts.
+    // Counts must be unaffected — CI diffs this verb's output against a
+    // metrics-off run.
+    if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
+        tnm_obs::set_enabled(true);
+    }
+    let trace = args.get("trace");
+    if trace.is_some() {
+        // Collect spans for exactly this run, ingest included: flip the
+        // flag on and clear anything left behind.
+        tnm_obs::set_enabled(true);
+        tnm_obs::drain_spans();
+    }
+    let (name, graph) = source.graph()?;
+    if args.has("explain") {
+        println!("{}", tnm_motifs::engine::explain_auto_select(&graph, &cfg, rc.threads));
+    }
+    // One validation-and-dispatch path for every front end: the same
+    // Query the serve daemon answers over the wire.
+    let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
+    let QueryResponse::Report(report) = query.run(&graph)? else {
+        unreachable!("Report queries answer with Report responses")
+    };
+    print_report(&name, &report, timing, top);
+    if let Some(path) = trace {
+        let spans = tnm_obs::drain_spans();
+        std::fs::write(path, tnm_obs::chrome_trace(&spans))
+            .map_err(|e| format!("cannot write trace file `{path}`: {e}"))?;
+        tnm_obs::set_enabled(false);
+        println!("wrote {} span(s) to {path} (Chrome-trace JSON)", spans.len());
+    }
+    Ok(())
+}
+
+fn count_batch(args: &Args) -> CliResult {
+    let batch = batch_from(args)?;
+    let rc = run_config_from(args)?;
+    let (name, graph) = args.source()?.graph()?;
+    // Validate through the Query path before planning, then let the
+    // query execute the shared-traversal plan (results are bit-identical
+    // to per-config `count` runs).
+    let query = Query::Batch { cfgs: batch.clone(), engine: rc.engine, threads: rc.threads };
+    query.validate()?;
+    let plan = BatchPlanner::plan(&graph, &batch, rc.engine, rc.threads);
+    println!(
+        "{name}: {} configurations in {} shared traversal group(s) (engine {}):",
+        batch.len(),
+        plan.num_groups(),
+        rc.engine
+    );
+    for line in plan.describe().lines() {
+        println!("  [{line}]");
+    }
+    let QueryResponse::Batch(results) = query.run(&graph)? else {
+        unreachable!("Batch queries answer with Batch responses")
+    };
+    let top: usize = args.get_parsed("top", 3)?;
+    for (i, (cfg, counts)) in batch.iter().zip(&results).enumerate() {
+        print!(
+            "  #{i:<3} {}: {} instances across {} motif types",
+            batch_cfg_summary(cfg),
+            counts.total(),
+            counts.num_signatures()
+        );
+        let head: Vec<String> =
+            counts.top_k(top).into_iter().map(|(s, n)| format!("{s}:{n}")).collect();
+        if head.is_empty() {
+            println!();
+        } else {
+            println!("  [{}]", head.join(" "));
         }
-        "list" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            for spec in DatasetSpec::all() {
-                println!(
-                    "{:<18} {:>7} nodes {:>7} events  median gap {:>5.0}s  ({:?})",
-                    spec.name, spec.num_nodes, spec.num_events, spec.median_gap, spec.domain
-                );
-            }
-        }
-        "stats" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            for e in &corpus_from(args)?.entries {
-                let s = GraphStats::compute(&e.graph);
-                println!(
-                    "{}: {} nodes, {} events, {} edges, {} timestamps, \
-                     unique {:.1}%, median gap {:.0}s, timespan {}s",
-                    e.spec.name,
-                    s.nodes,
-                    s.events,
-                    s.static_edges,
-                    s.unique_timestamps,
-                    s.unique_timestamp_fraction * 100.0,
-                    s.median_inter_event_time,
-                    s.timespan
-                );
-            }
-        }
-        "generate" => {
-            args.ensure_known(&["scale", "seed", "dataset", "out"])?;
-            let corpus = corpus_from(args)?;
-            let out = args.get("out").ok_or("generate requires --out FILE")?;
-            let entry = corpus.entries.first().ok_or("generate requires --dataset NAME")?;
-            tnm_graph::io::write_edge_list_file(&entry.graph, out)?;
-            println!("wrote {} events to {out}", entry.graph.num_events());
-        }
-        "count" => {
-            args.ensure_known(&allowed_flags(
-                &COMMON_FLAGS,
-                &[
-                    "events",
-                    "nodes",
-                    "dc",
-                    "dw",
-                    "consecutive",
-                    "induced",
-                    "constrained",
-                    "top",
-                    "trace",
-                    "explain",
-                    "input",
-                ],
-            ))?;
-            let input = args.get("input");
-            if input.is_some() && (args.has("dataset") || args.positional(0).is_some()) {
-                return Err("--input and --dataset are mutually exclusive".into());
-            }
-            let cfg = count_cfg_from(args)?;
-            let rc = run_config_from(args)?;
-            let top: usize = args.get_parsed("top", 20)?;
-            let timing = cfg.timing;
-            // TNM_OBS=1 turns the metrics registry on for this run (the
-            // same knob `tnm worker` honors), so operators can
-            // meter ad-hoc counts. Counts must be unaffected — CI diffs
-            // this verb's output against a metrics-off run.
-            if std::env::var("TNM_OBS").is_ok_and(|v| v == "1") {
-                tnm_obs::set_enabled(true);
-            }
-            let trace = args.get("trace");
-            if trace.is_some() {
-                // Collect spans for exactly this run, ingest included:
-                // flip the flag on and clear anything left behind.
-                tnm_obs::set_enabled(true);
-                tnm_obs::drain_spans();
-            }
-            let (name, graph) = match input {
-                Some(path) => {
-                    let graph = tnm_graph::io::read_edge_list_file(path)
-                        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                    let stem = std::path::Path::new(path).file_stem().unwrap_or_default();
-                    (stem.to_string_lossy().into_owned(), graph)
-                }
-                None => {
-                    let entry = corpus_from(args)?.entries.into_iter().next();
-                    let entry = entry.ok_or("count requires --dataset NAME or --input FILE")?;
-                    (entry.spec.name, entry.graph)
-                }
-            };
-            if args.has("explain") {
-                println!("{}", tnm_motifs::engine::explain_auto_select(&graph, &cfg, rc.threads));
-            }
-            // One validation-and-dispatch path for every front end: the
-            // same Query the serve daemon answers over the wire.
-            let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
-            let QueryResponse::Report(report) = query.run(&graph)? else {
-                unreachable!("Report queries answer with Report responses")
-            };
-            print_report(&name, &report, timing, top);
-            if let Some(path) = trace {
-                let spans = tnm_obs::drain_spans();
-                std::fs::write(path, tnm_obs::chrome_trace(&spans))
-                    .map_err(|e| format!("cannot write trace file `{path}`: {e}"))?;
-                tnm_obs::set_enabled(false);
-                println!("wrote {} span(s) to {path} (Chrome-trace JSON)", spans.len());
-            }
-        }
-        "count-batch" => {
-            args.ensure_known(&allowed_flags(
-                &COMMON_FLAGS,
-                &["spec", "all-3e-motifs", "dw", "top"],
-            ))?;
-            let batch = batch_from(args)?;
-            let rc = run_config_from(args)?;
-            let corpus = corpus_from(args)?;
-            let entry = corpus.entries.first().ok_or("count-batch requires --dataset NAME")?;
-            // Validate through the Query path before planning, then let
-            // the query execute the shared-traversal plan (results are
-            // bit-identical to per-config `count` runs).
-            let query =
-                Query::Batch { cfgs: batch.clone(), engine: rc.engine, threads: rc.threads };
-            query.validate()?;
-            let plan = BatchPlanner::plan(&entry.graph, &batch, rc.engine, rc.threads);
+    }
+    Ok(())
+}
+
+fn serve(args: &Args) -> CliResult {
+    let host = args.get("host").unwrap_or("127.0.0.1");
+    let port: u16 = args.get_parsed("port", 7878)?;
+    let mut options = ServeOptions::default();
+    options.max_threads = args.get_parsed("threads", options.max_threads)?;
+    if options.max_threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    options.enumerate_cap = args.get_parsed("enumerate-cap", options.enumerate_cap)?;
+    options.http_port = args.get_opt("http-port")?;
+    let server = MotifServer::bind_with((host, port), options)?;
+    println!("tnm serve: listening on {}", server.local_addr());
+    if let Some(http) = server.http_addr() {
+        println!("tnm serve: scrape surface on http://{http} (/metrics /healthz /timeseries)");
+    }
+    server.run()?;
+    Ok(())
+}
+
+fn client(args: &Args) -> CliResult {
+    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
+    let connect = || ServeClient::connect_retry(addr, 40, std::time::Duration::from_millis(250));
+    if args.has("shutdown") {
+        connect()?.shutdown()?;
+        println!("tnm client: asked {addr} to shut down");
+        return Ok(());
+    }
+    if args.has("metrics") {
+        print!("{}", connect()?.metrics()?.to_prometheus());
+        return Ok(());
+    }
+    if args.has("stats") {
+        let s = connect()?.stats()?;
+        println!(
+            "server at {addr}: {} queries, {} appended events, {} graph(s)",
+            s.queries,
+            s.appends,
+            s.graphs.len()
+        );
+        for g in &s.graphs {
             println!(
-                "{}: {} configurations in {} shared traversal group(s) (engine {}):",
-                entry.spec.name,
-                batch.len(),
-                plan.num_groups(),
-                rc.engine
+                "  {:<18} {:>9} events {:>8} nodes {:>3} subscription(s)",
+                g.name, g.events, g.nodes, g.subscriptions
             );
-            for line in plan.describe().lines() {
-                println!("  [{line}]");
-            }
-            let QueryResponse::Batch(results) = query.run(&entry.graph)? else {
-                unreachable!("Batch queries answer with Batch responses")
-            };
-            let top: usize = args.get_parsed("top", 3)?;
-            for (i, (cfg, counts)) in batch.iter().zip(&results).enumerate() {
-                print!(
-                    "  #{i:<3} {}: {} instances across {} motif types",
-                    batch_cfg_summary(cfg),
-                    counts.total(),
-                    counts.num_signatures()
-                );
-                let head: Vec<String> =
-                    counts.top_k(top).into_iter().map(|(s, n)| format!("{s}:{n}")).collect();
-                if head.is_empty() {
-                    println!();
-                } else {
-                    println!("  [{}]", head.join(" "));
-                }
+        }
+        return Ok(());
+    }
+    if args.has("slow-queries") {
+        let s = connect()?.stats()?;
+        println!("server at {addr}: slowest {} of {} queries", s.slow.len(), s.queries);
+        for e in &s.slow {
+            println!(
+                "  {:<10} {:<18} {:>12}  trace {}  {} span(s)",
+                e.kind,
+                e.graph,
+                format_ns(e.latency_ns),
+                if e.trace_id == 0 { "-".to_string() } else { format!("{:016x}", e.trace_id) },
+                e.spans.len()
+            );
+        }
+        println!("flight recorder ({} most recent):", s.flight.len());
+        for e in &s.flight {
+            println!("  {:<10} {:<18} {:>12}", e.kind, e.graph, format_ns(e.latency_ns));
+        }
+        return Ok(());
+    }
+    // A count: resolve the graph and the query before waiting for the
+    // daemon, so a bad command line fails at once.
+    let (dataset, graph) = args.source()?.graph()?;
+    let cfg = motif_config(args)?;
+    let rc = run_config_from(args)?;
+    let top: usize = args.get_parsed("top", 20)?;
+    let timing = cfg.timing;
+    let name = args.get("name").unwrap_or(&dataset);
+    let all = graph.events();
+    let hold_out = args.get_parsed("hold-out", 0usize)?.min(all.len());
+    let chunk: usize = args.get_parsed("append-batch", 512)?;
+    if chunk == 0 {
+        return Err("--append-batch must be at least 1".into());
+    }
+    let (base, tail) = all.split_at(all.len() - hold_out);
+    let trace_path = args.get("trace");
+    let wants_trace = trace_path.is_some() || args.has("profile");
+    let mut client = connect()?;
+    client.load_graph(name, base, graph.num_nodes())?;
+    if hold_out == 0 {
+        // The very query `count` runs locally, answered by the daemon —
+        // same validation, same dispatch, same report.
+        let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
+        let response = if wants_trace {
+            let (response, trace) = client.query_traced(name, &query)?;
+            report_trace(&trace, trace_path, args.has("profile"))?;
+            response
+        } else {
+            client.query(name, &query)?
+        };
+        let QueryResponse::Report(report) = response else {
+            return Err("server answered a Report query with the wrong shape".into());
+        };
+        print_report(name, &report, timing, top);
+    } else {
+        // Live path: subscribe, then stream the held-out tail through
+        // incremental appends. The final counts are bit-identical to
+        // counting the full graph from scratch. Tracing covers the
+        // subscription's initial count.
+        let (sub_id, mut live) = if wants_trace {
+            let (sub_id, live, trace) = client.subscribe_traced(name, &cfg)?;
+            report_trace(&trace, trace_path, args.has("profile"))?;
+            (sub_id, live)
+        } else {
+            client.subscribe(name, &cfg)?
+        };
+        for batch in tail.chunks(chunk) {
+            let ack = client.append_events(name, batch)?;
+            if let Some((_, c)) = ack.subscriptions.into_iter().find(|(id, _)| *id == sub_id) {
+                live = c;
             }
         }
-        "serve" => {
-            args.ensure_known(&["host", "port", "threads", "enumerate-cap", "http-port"])?;
-            let host = args.get("host").unwrap_or("127.0.0.1");
-            let port: u16 = args.get_parsed("port", 7878)?;
-            let mut options = ServeOptions::default();
-            options.max_threads = args.get_parsed("threads", options.max_threads)?;
-            if options.max_threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            options.enumerate_cap = args.get_parsed("enumerate-cap", options.enumerate_cap)?;
-            if args.has("http-port") {
-                options.http_port = Some(args.get_parsed("http-port", 9090)?);
-            }
-            let server = MotifServer::bind_with((host, port), options)?;
-            println!("tnm serve: listening on {}", server.local_addr());
-            if let Some(http) = server.http_addr() {
-                println!(
-                    "tnm serve: scrape surface on http://{http} (/metrics /healthz /timeseries)"
-                );
-            }
-            server.run()?;
+        print_report(name, &EngineReport::from_exact("serve", live), timing, top);
+    }
+    Ok(())
+}
+
+fn top(args: &Args) -> CliResult {
+    let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
+    let interval: u64 = args.get_parsed("interval", 1000)?;
+    let iters: usize = args.get_parsed("iters", 0)?;
+    let mut client = ServeClient::connect(addr)?;
+    let mut frame = 0usize;
+    loop {
+        use std::io::IsTerminal;
+        if std::io::stdout().is_terminal() {
+            // Repaint in place only when attached to a terminal; piped
+            // output stays an appendable log.
+            print!("\x1b[2J\x1b[H");
         }
-        "client" => {
-            args.ensure_known(&allowed_flags(
-                &COMMON_FLAGS,
-                &[
-                    "addr",
-                    "name",
-                    "stats",
-                    "metrics",
-                    "slow-queries",
-                    "shutdown",
-                    "events",
-                    "nodes",
-                    "dc",
-                    "dw",
-                    "consecutive",
-                    "induced",
-                    "constrained",
-                    "top",
-                    "hold-out",
-                    "append-batch",
-                    "trace",
-                    "profile",
-                ],
-            ))?;
-            let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
-            let mut client =
-                ServeClient::connect_retry(addr, 40, std::time::Duration::from_millis(250))?;
-            if args.has("shutdown") {
-                client.shutdown()?;
-                println!("tnm client: asked {addr} to shut down");
-                return Ok(());
-            }
-            if args.has("metrics") {
-                print!("{}", client.metrics()?.to_prometheus());
-                return Ok(());
-            }
-            if args.has("stats") {
-                let s = client.stats()?;
-                println!(
-                    "server at {addr}: {} queries, {} appended events, {} graph(s)",
-                    s.queries,
-                    s.appends,
-                    s.graphs.len()
-                );
-                for g in &s.graphs {
-                    println!(
-                        "  {:<18} {:>9} events {:>8} nodes {:>3} subscription(s)",
-                        g.name, g.events, g.nodes, g.subscriptions
-                    );
-                }
-                return Ok(());
-            }
-            if args.has("slow-queries") {
-                let s = client.stats()?;
-                println!("server at {addr}: slowest {} of {} queries", s.slow.len(), s.queries);
-                for e in &s.slow {
-                    println!(
-                        "  {:<10} {:<18} {:>12}  trace {}  {} span(s)",
-                        e.kind,
-                        e.graph,
-                        format_ns(e.latency_ns),
-                        if e.trace_id == 0 {
-                            "-".to_string()
-                        } else {
-                            format!("{:016x}", e.trace_id)
-                        },
-                        e.spans.len()
-                    );
-                }
-                println!("flight recorder ({} most recent):", s.flight.len());
-                for e in &s.flight {
-                    println!("  {:<10} {:<18} {:>12}", e.kind, e.graph, format_ns(e.latency_ns));
-                }
-                return Ok(());
-            }
-            let corpus = corpus_from(args)?;
-            let entry = corpus
-                .entries
-                .first()
-                .ok_or("client requires --dataset NAME (or --stats / --shutdown)")?;
-            let cfg = count_cfg_from(args)?;
-            let rc = run_config_from(args)?;
-            let top: usize = args.get_parsed("top", 20)?;
-            let timing = cfg.timing;
-            let name = args.get("name").unwrap_or(&entry.spec.name);
-            let all = entry.graph.events();
-            let hold_out: usize = args.get_parsed("hold-out", 0)?;
-            let hold_out = hold_out.min(all.len());
-            let chunk: usize = args.get_parsed("append-batch", 512)?;
-            if chunk == 0 {
-                return Err("--append-batch must be at least 1".into());
-            }
-            let (base, tail) = all.split_at(all.len() - hold_out);
-            let trace_path = args.get("trace");
-            let wants_trace = trace_path.is_some() || args.has("profile");
-            client.load_graph(name, base, entry.graph.num_nodes())?;
-            if hold_out == 0 {
-                // The very query `count` runs locally, answered by the
-                // daemon — same validation, same dispatch, same report.
-                let query = Query::Report { cfg, engine: rc.engine, threads: rc.threads };
-                let response = if wants_trace {
-                    let (response, trace) = client.query_traced(name, &query)?;
-                    report_trace(&trace, trace_path, args.has("profile"))?;
-                    response
-                } else {
-                    client.query(name, &query)?
-                };
-                let QueryResponse::Report(report) = response else {
-                    return Err("server answered a Report query with the wrong shape".into());
-                };
-                print_report(name, &report, timing, top);
-            } else {
-                // Live path: subscribe, then stream the held-out tail
-                // through incremental appends. The final counts are
-                // bit-identical to counting the full graph from scratch.
-                // Tracing covers the subscription's initial count.
-                let (sub_id, mut live) = if wants_trace {
-                    let (sub_id, live, trace) = client.subscribe_traced(name, &cfg)?;
-                    report_trace(&trace, trace_path, args.has("profile"))?;
-                    (sub_id, live)
-                } else {
-                    client.subscribe(name, &cfg)?
-                };
-                for batch in tail.chunks(chunk) {
-                    let ack = client.append_events(name, batch)?;
-                    if let Some((_, c)) =
-                        ack.subscriptions.into_iter().find(|(id, _)| *id == sub_id)
-                    {
-                        live = c;
-                    }
-                }
-                print_report(name, &EngineReport::from_exact("serve", live), timing, top);
-            }
+        print!("{}", render_top(addr, &client.timeseries()?));
+        frame += 1;
+        if iters != 0 && frame >= iters {
+            return Ok(());
         }
-        "top" => {
-            args.ensure_known(&["addr", "interval", "iters"])?;
-            let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
-            let interval: u64 = args.get_parsed("interval", 1000)?;
-            let iters: usize = args.get_parsed("iters", 0)?;
-            let mut client = ServeClient::connect(addr)?;
-            let mut frame = 0usize;
-            loop {
-                use std::io::IsTerminal;
-                if std::io::stdout().is_terminal() {
-                    // Repaint in place only when attached to a terminal;
-                    // piped output stays an appendable log.
-                    print!("\x1b[2J\x1b[H");
-                }
-                print!("{}", render_top(addr, &client.timeseries()?));
-                frame += 1;
-                if iters != 0 && frame >= iters {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(interval.max(50)));
-            }
-        }
-        "cycles" => {
-            args.ensure_known(&["scale", "seed", "dataset", "dw", "max-len"])?;
-            let corpus = corpus_from(args)?;
-            let entry = corpus.entries.first().ok_or("cycles requires --dataset NAME")?;
-            let dw: i64 = args.get_parsed("dw", 3600)?;
-            let max_len: usize = args.get_parsed("max-len", 4)?;
-            let counts = count_temporal_cycles(&entry.graph, &CycleConfig::new(max_len, dw));
-            let mut lens: Vec<_> = counts.iter().collect();
-            lens.sort();
-            println!("{}: temporal cycles within dW={dw}s:", entry.spec.name);
-            for (len, n) in lens {
-                println!("  length {len}: {n}");
-            }
-        }
-        "table2" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            let t = experiments::table2::run(&corpus_from(args)?);
-            if args.has("csv") {
-                print!("{}", t.to_csv());
-            } else {
-                print!("{}", t.render());
-            }
-        }
+        std::thread::sleep(std::time::Duration::from_millis(interval.max(50)));
+    }
+}
+
+fn cycles(args: &Args) -> CliResult {
+    let dw: i64 = args.get_parsed("dw", 3600)?;
+    let max_len: usize = args.get_parsed("max-len", 4)?;
+    let cfg = CycleConfig::try_new(max_len, dw)?;
+    let (name, graph) = args.source()?.graph()?;
+    let mut lens: Vec<_> = count_temporal_cycles(&graph, &cfg).into_iter().collect();
+    lens.sort();
+    println!("{name}: temporal cycles within dW={dw}s:");
+    for (len, n) in lens {
+        println!("  length {len}: {n}");
+    }
+    Ok(())
+}
+
+/// The table and figure verbs. `fig1` and `fig2` read no corpus, and
+/// neither they nor `table2` read the engine flags.
+fn experiment(args: &Args) -> CliResult {
+    let verb = args.verb();
+    let rc = match verb {
+        "fig1" | "fig2" | "table2" => RunConfig::default(),
+        _ => run_config_from(args)?,
+    };
+    // The position/timespan figures enumerate exact per-instance
+    // statistics that an approximate counter cannot provide.
+    if matches!(verb, "fig4" | "fig5") && matches!(rc.engine, EngineKind::Sampling { .. }) {
+        let why = "enumerates exact instance statistics; --engine sampling is not applicable";
+        return Err(format!("{verb} {why}").into());
+    }
+    let corpus = match verb {
+        "fig1" | "fig2" => Corpus { entries: Vec::new() },
+        _ => args.source()?.corpus()?,
+    };
+    // Each verb accepts only its own widening switch.
+    let wide = ["full", "include-4e", "all"].iter().any(|f| args.has(f));
+    let (table, rendered) = experiment_texts(verb, &corpus, &rc, wide);
+    print!("{}", table.filter(|_| args.has("csv")).unwrap_or(rendered));
+    Ok(())
+}
+
+/// One table or figure as CSV, if it has a CSV form, and rendered.
+/// `wide` is the verb's `--full`, `--include-4e` or `--all`.
+fn experiment_texts(verb: &str, corpus: &Corpus, rc: &RunConfig, wide: bool) -> Texts {
+    use experiments::*;
+    fn texts<T>(t: T, csv: fn(&T) -> String, text: fn(&T) -> String) -> Texts {
+        (Some(csv(&t)), text(&t))
+    }
+    match verb {
+        "table2" => texts(table2::run(corpus), |t| t.to_csv(), |t| t.render()),
         "table3" => {
-            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["full"]))?;
-            let t = experiments::table3::run_with(&corpus_from(args)?, &run_config_from(args)?);
-            if args.has("csv") {
-                print!("{}", t.to_csv());
-            } else {
-                print!("{}", t.render());
-                if args.has("full") {
-                    println!();
-                    print!("{}", t.render_full());
-                }
-            }
+            let t = table3::run_with(corpus, rc);
+            let r = if wide { format!("{}\n{}", t.render(), t.render_full()) } else { t.render() };
+            (Some(t.to_csv()), r)
         }
         "table4" => {
-            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["full"]))?;
-            let t = experiments::table4::run_with(&corpus_from(args)?, &run_config_from(args)?);
-            if args.has("csv") {
-                print!("{}", t.to_csv());
-            } else {
-                print!("{}", t.render());
-                if args.has("full") {
-                    println!();
-                    print!("{}", t.render_full());
-                }
-            }
+            let t = table4::run_with(corpus, rc);
+            let r = if wide { format!("{}\n{}", t.render(), t.render_full()) } else { t.render() };
+            (Some(t.to_csv()), r)
         }
-        "table5" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            let t = experiments::table5::run_with(&corpus_from(args)?, &run_config_from(args)?);
-            if args.has("csv") {
-                print!("{}", t.to_csv());
-            } else {
-                print!("{}", t.render());
-            }
-        }
-        "fig1" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            print!("{}", experiments::fig1::run().render());
-        }
-        "fig2" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            print!("{}", experiments::fig2::run().render());
-        }
-        "fig3" => {
-            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["include-4e"]))?;
-            let f = experiments::fig3::run_with(
-                &corpus_from(args)?,
-                args.has("include-4e"),
-                &run_config_from(args)?,
-            );
-            if args.has("csv") {
-                print!("{}", f.to_csv());
-            } else {
-                print!("{}", f.render());
-            }
-        }
-        "fig4" => {
-            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["all"]))?;
-            reject_sampling_engine(args, "fig4")?;
-            let f = experiments::fig4::run(&corpus_from(args)?, args.has("all"));
-            if args.has("csv") {
-                print!("{}", f.to_csv());
-            } else {
-                print!("{}", f.render());
-            }
-        }
-        "fig5" => {
-            args.ensure_known(&allowed_flags(&COMMON_FLAGS, &["all"]))?;
-            reject_sampling_engine(args, "fig5")?;
-            let f = experiments::fig5::run(&corpus_from(args)?, args.has("all"));
-            if args.has("csv") {
-                print!("{}", f.to_csv());
-            } else {
-                print!("{}", f.render());
-            }
-        }
-        "fig6" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            let f = experiments::fig6::run_with(&corpus_from(args)?, &run_config_from(args)?);
-            if args.has("csv") {
-                print!("{}", f.to_csv());
-            } else {
-                print!("{}", f.render());
-            }
-        }
-        "all" => {
-            args.ensure_known(&COMMON_FLAGS)?;
-            let corpus = corpus_from(args)?;
-            let rc = run_config_from(args)?;
-            print!("{}", experiments::table2::run(&corpus).render());
+        "table5" => texts(table5::run_with(corpus, rc), |t| t.to_csv(), |t| t.render()),
+        "fig1" => (None, fig1::run().render()),
+        "fig2" => (None, fig2::run().render()),
+        "fig3" => texts(fig3::run_with(corpus, wide, rc), |f| f.to_csv(), |f| f.render()),
+        "fig4" => texts(fig4::run(corpus, wide), |f| f.to_csv(), |f| f.render()),
+        "fig5" => texts(fig5::run(corpus, wide), |f| f.to_csv(), |f| f.render()),
+        "fig6" => texts(fig6::run_with(corpus, rc), |f| f.to_csv(), |f| f.render()),
+        other => unreachable!("`{other}` is not an experiment verb"),
+    }
+}
+
+/// What `all` prints, separated by blank lines: every table and figure,
+/// rendered, with the appendix variants of fig3–fig5.
+fn all(args: &Args) -> CliResult {
+    let corpus = args.source()?.corpus()?;
+    let rc = run_config_from(args)?;
+    let parts =
+        ["table2", "fig1", "fig2", "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6"];
+    for (i, verb) in parts.into_iter().enumerate() {
+        if i > 0 {
             println!();
-            print!("{}", experiments::fig1::run().render());
-            println!();
-            print!("{}", experiments::fig2::run().render());
-            println!();
-            print!("{}", experiments::table3::run_with(&corpus, &rc).render());
-            println!();
-            print!("{}", experiments::table4::run_with(&corpus, &rc).render());
-            println!();
-            print!("{}", experiments::table5::run_with(&corpus, &rc).render());
-            println!();
-            print!("{}", experiments::fig3::run_with(&corpus, true, &rc).render());
-            println!();
-            print!("{}", experiments::fig4::run(&corpus, true).render());
-            println!();
-            print!("{}", experiments::fig5::run(&corpus, true).render());
-            println!();
-            print!("{}", experiments::fig6::run_with(&corpus, &rc).render());
         }
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            eprint!("{HELP}");
-            return Err("unknown command".into());
-        }
+        let wide = matches!(verb, "fig3" | "fig4" | "fig5");
+        print!("{}", experiment_texts(verb, &corpus, &rc, wide).1);
     }
     Ok(())
 }
@@ -1104,8 +926,14 @@ mod tests {
     use super::*;
     use tnm_motifs::engine::DEFAULT_SHARD_EVENTS;
 
+    /// `tokens` parsed against `verb`'s flag table.
+    fn parse(verb: &str, tokens: &[&str]) -> Result<Args, args::ArgError> {
+        let &(verb, flags, _) = VERBS.iter().find(|(name, ..)| *name == verb).unwrap();
+        Args::parse(verb, flags, tokens.iter().map(|s| s.to_string()))
+    }
+
     fn rc(tokens: &[&str]) -> Result<RunConfig, Box<dyn std::error::Error>> {
-        run_config_from(&Args::parse(tokens.iter().map(|s| s.to_string())).unwrap())
+        run_config_from(&parse("count", tokens).unwrap())
     }
 
     #[test]
@@ -1166,12 +994,13 @@ mod tests {
             let err = rc(&["--engine", retired]).unwrap_err().to_string();
             assert!(err.contains("windowed"), "engine {retired}: unhelpful error `{err}`");
         }
-        let spill = Args::parse(["--max-resident-shards", "2"].iter().map(|s| s.to_string()));
-        assert!(spill.unwrap().ensure_known(&COMMON_FLAGS).is_err());
+        for &(verb, ..) in VERBS {
+            assert!(parse(verb, &["--max-resident-shards", "2"]).is_err());
+        }
     }
 
     fn batch(tokens: &[&str]) -> Result<Vec<EnumConfig>, Box<dyn std::error::Error>> {
-        batch_from(&Args::parse(tokens.iter().map(|s| s.to_string())).unwrap())
+        batch_from(&parse("count-batch", tokens).unwrap())
     }
 
     #[test]

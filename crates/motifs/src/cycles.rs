@@ -23,12 +23,54 @@ pub struct CycleConfig {
     pub delta_w: Time,
 }
 
+/// A [`CycleConfig`] bound out of range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleConfigError {
+    /// `max_length` is below two — a cycle needs at least two events.
+    TooShort {
+        /// The offending bound.
+        max_length: usize,
+    },
+    /// `delta_w` is negative.
+    NegativeWindow {
+        /// The offending bound.
+        delta_w: Time,
+    },
+}
+
+impl std::fmt::Display for CycleConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CycleConfigError::TooShort { max_length } => {
+                write!(f, "cycles need at least two events (got max length {max_length})")
+            }
+            CycleConfigError::NegativeWindow { delta_w } => {
+                write!(f, "window must be non-negative (got {delta_w})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CycleConfigError {}
+
 impl CycleConfig {
-    /// Creates a config, validating bounds.
+    /// Creates a config, panicking on the bounds [`CycleConfig::try_new`]
+    /// rejects.
     pub fn new(max_length: usize, delta_w: Time) -> Self {
-        assert!(max_length >= 2, "cycles need at least two events");
-        assert!(delta_w >= 0, "window must be non-negative");
-        CycleConfig { max_length, delta_w }
+        Self::try_new(max_length, delta_w).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Non-panicking [`CycleConfig::new`]: rejects a length below two or a
+    /// negative window with a [`CycleConfigError`]. Entry point for bounds
+    /// built from untrusted input (CLI arguments).
+    pub fn try_new(max_length: usize, delta_w: Time) -> Result<Self, CycleConfigError> {
+        if max_length < 2 {
+            return Err(CycleConfigError::TooShort { max_length });
+        }
+        if delta_w < 0 {
+            return Err(CycleConfigError::NegativeWindow { delta_w });
+        }
+        Ok(CycleConfig { max_length, delta_w })
     }
 }
 
@@ -188,5 +230,15 @@ mod tests {
     #[should_panic(expected = "at least two events")]
     fn bad_config_rejected() {
         CycleConfig::new(1, 10);
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_asserts() {
+        assert_eq!(CycleConfig::try_new(1, 10), Err(CycleConfigError::TooShort { max_length: 1 }));
+        assert_eq!(
+            CycleConfig::try_new(3, -1),
+            Err(CycleConfigError::NegativeWindow { delta_w: -1 })
+        );
+        assert_eq!(CycleConfig::try_new(3, 0).unwrap(), CycleConfig::new(3, 0));
     }
 }
