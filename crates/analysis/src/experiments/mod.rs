@@ -170,9 +170,8 @@ pub fn default_threads() -> usize {
 /// spectra without enumerating instances and is the fastest exact
 /// option there by an asymptotic margin. Every walk reads the
 /// `WindowIndex` each graph builds once (`TemporalGraph::window_index`),
-/// and the streaming triad class reads the static triangles each graph
-/// lists once (`TemporalGraph::triangles`), so the dozens of counts a
-/// driver performs on the same corpus entry build each index once; the
+/// and so does the streaming triad class, so the dozens of counts a
+/// driver performs on the same corpus entry build the index once; the
 /// sharded engine's shard graphs build their own, dropped with each
 /// time slice.
 ///

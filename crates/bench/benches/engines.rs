@@ -583,8 +583,8 @@ fn bench_query_trace_overhead(c: &mut Criterion) {
 }
 
 /// The dense hub graph the hot-path groups share: 12 nodes, 20k events
-/// over 20k seconds — long per-center/per-triangle merged
-/// lists, so the DP inner loops dominate and layout effects show.
+/// over 20k seconds — long per-center lists and long endpoint runs, so
+/// the inner loops dominate and layout effects show.
 fn hotpath_graph() -> TemporalGraph {
     let mut b = tnm_graph::TemporalGraphBuilder::new();
     let mut x = 0xC2B2AE3D27D4EB4Fu64;
@@ -651,12 +651,13 @@ fn bench_hotpath_star_dp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The six-way-merge triad DP. `soa` runs the 12-node hub
-/// graph (few triangles, long merged lists: the DP dominates);
-/// `sparse_stackoverflow` a 40k-event, many-node StackOverflow-spec
-/// corpus at ΔW 3000 (thousands of short triangles, where a per-count
-/// triangle listing would dominate). Both graphs list their triangles
-/// once, in the warm-up, so the rows time the per-count merge and DP.
+/// The triangle pass: per first event, a merge of its endpoints' ΔW
+/// runs. `soa` runs the 12-node hub graph (every run is long: the merge
+/// and closure loop dominate); `sparse_stackoverflow` a 40k-event,
+/// many-node StackOverflow-spec corpus at ΔW 3000 (short runs, most of
+/// them empty). Both graphs build their window index once, in the
+/// warm-up, so the rows time the per-count pass alone; its cost follows
+/// window occupancy, not the number of static triangles.
 fn bench_hotpath_triad_dp(c: &mut Criterion) {
     let g = hotpath_graph();
     let delta = 60i64;

@@ -144,12 +144,23 @@ impl Args {
 
     /// Where this verb's graphs come from: `--input FILE`, or the
     /// synthetic dataset named by `--dataset NAME` or the first
-    /// positional argument. Naming both is an error.
+    /// positional argument. Naming both is an error, and so is a
+    /// generator flag beside `--input`: `--scale`, and `--seed` unless it
+    /// seeds `--engine sampling`.
     pub fn source(&self) -> Result<Source<'_>, Box<dyn Error>> {
         let dataset = self.get("dataset").or_else(|| self.positional(0));
         let input = self.get("input");
-        if input.is_some() && dataset.is_some() {
-            return Err("--input and --dataset are mutually exclusive".into());
+        if input.is_some() {
+            if dataset.is_some() {
+                return Err("--input and --dataset are mutually exclusive".into());
+            }
+            let seeds_sampler = self.get("engine") == Some("sampling");
+            if let Some(flag) = ["scale", "seed"]
+                .into_iter()
+                .find(|&flag| self.has(flag) && !(flag == "seed" && seeds_sampler))
+            {
+                return Err(format!("--{flag} applies to generated datasets, not --input").into());
+            }
         }
         Ok(Source { args: self, input, dataset })
     }

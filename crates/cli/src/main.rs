@@ -20,8 +20,8 @@ tnm — Temporal Network Motifs: Models, Limitations, Evaluation (reproduction)
 
 USAGE: tnm <command> [flags]
 
-Experiment commands (all accept --scale F, --seed N, --csv, --engine E,
---threads N, --samples K):
+Experiment commands (all accept --scale F, --seed N, --engine E,
+--threads N, --samples K; table2-table5 and fig3-fig6 also --csv):
   table2            Dataset statistics (paper Table 2)
   table3 [--full]   Consecutive events restriction (Table 3; --full = Table 6)
   table4 [--full]   Constrained dynamic graphlets (Table 4; --full = Table 7)
@@ -148,7 +148,8 @@ Service commands:
 Flags:
   --scale F     Scale dataset event budgets by F (default 1.0)
   --seed N      Corpus seed (default the standard experiment seed)
-  --csv         Emit CSV instead of a rendered table (where supported)
+  --csv         Emit CSV instead of a rendered table (table2-table5,
+                fig3-fig6)
   --engine E    Counting engine: windowed | stream | sharded |
                 sampling | auto
                 (default auto; see the tnm-motifs rustdoc on choosing
@@ -196,9 +197,11 @@ type Texts = (Option<String>, String);
 // [`args::Source`]), the engine choice (see [`run_config_from`]), and
 // the motif vocabulary of `count`, `client` and, with a node floor and
 // a target signature, a `count-batch` spec line (see [`motif_config`]).
+// Only the verbs with a CSV form take `--csv`.
 const SOURCE: &str = "dataset= scale= seed=";
 const ENGINE: &str = "engine= threads= samples= workers= shard-events=";
-const COMMON: Flags = &[SOURCE, ENGINE, "csv"];
+const COMMON: Flags = &[SOURCE, ENGINE];
+const CSV: Flags = &[SOURCE, ENGINE, "csv"];
 const MOTIF: &str = "events= nodes= dc= dw= consecutive induced constrained";
 const SPEC_LINE: Flags = &[MOTIF, "min-nodes= sig="];
 const CLIENT: &str =
@@ -213,22 +216,22 @@ const VERBS: &[Verb] = &[
     ("list", COMMON, list),
     ("stats", COMMON, stats),
     ("generate", &[SOURCE, "out="], generate),
-    ("count", &[SOURCE, ENGINE, "csv", MOTIF, "top= trace= explain input="], count),
-    ("count-batch", &[SOURCE, ENGINE, "csv spec= all-3e-motifs dw= top="], count_batch),
+    ("count", &[SOURCE, ENGINE, MOTIF, "top= trace= explain input="], count),
+    ("count-batch", &[SOURCE, ENGINE, "spec= all-3e-motifs dw= top="], count_batch),
     ("serve", &["host= port= threads= enumerate-cap= http-port="], serve),
-    ("client", &[SOURCE, ENGINE, "csv", MOTIF, CLIENT], client),
+    ("client", &[SOURCE, ENGINE, MOTIF, CLIENT], client),
     ("top", &["addr= interval= iters="], top),
     ("cycles", &[SOURCE, "dw= max-len="], cycles),
-    ("table2", COMMON, experiment),
+    ("table2", CSV, experiment),
     ("table3", &[SOURCE, ENGINE, "csv full"], experiment),
     ("table4", &[SOURCE, ENGINE, "csv full"], experiment),
-    ("table5", COMMON, experiment),
+    ("table5", CSV, experiment),
     ("fig1", COMMON, experiment),
     ("fig2", COMMON, experiment),
     ("fig3", &[SOURCE, ENGINE, "csv include-4e"], experiment),
     ("fig4", &[SOURCE, ENGINE, "csv all"], experiment),
     ("fig5", &[SOURCE, ENGINE, "csv all"], experiment),
-    ("fig6", COMMON, experiment),
+    ("fig6", CSV, experiment),
     ("all", COMMON, all),
 ];
 

@@ -52,3 +52,35 @@ fn non_positive_windows_are_errors() {
     let client = ["client", "--addr", "127.0.0.1:9", "--dataset", "CollegeMsg", "--scale", "0.05"];
     fails_with(&[&client[..], &["--dc", "-5", "--dw", "3000"]].concat(), "must be positive");
 }
+
+/// `--scale` and `--seed` shape a generated dataset; beside `--input`
+/// they would be ignored, so they are refused (`--seed` still seeds
+/// `--engine sampling`).
+#[test]
+fn generator_flags_beside_input_are_errors() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("generator_flags.txt");
+    std::fs::write(&path, "0 1 10\n1 2 20\n2 0 30\n").expect("write edge list");
+    let input = ["count", "--input", path.to_str().unwrap(), "--dw", "3000"];
+    fails_with(&[&input[..], &["--scale", "7", "--seed", "3"]].concat(), "--scale applies to");
+    fails_with(&[&input[..], &["--seed", "3"]].concat(), "--seed applies to");
+    let sampled = ["--engine", "sampling", "--samples", "4", "--seed", "3"];
+    let out = Command::new(env!("CARGO_BIN_EXE_tnm"))
+        .args([&input[..], &sampled].concat())
+        .output()
+        .expect("tnm runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// Only the tables and figures with a CSV form take `--csv`.
+#[test]
+fn csv_is_refused_by_verbs_without_a_csv_form() {
+    let named = ["--dataset", "CollegeMsg", "--scale", "0.05"];
+    for verb in [&["count", "--dw", "3000"][..], &["count-batch", "--all-3e-motifs"], &["stats"]] {
+        fails_with(&[verb, &named[..], &["--csv"]].concat(), "unknown flag --csv");
+    }
+    let client = ["client", "--addr", "127.0.0.1:9", "--dw", "3000", "--csv"];
+    fails_with(&[&client[..], &named[..]].concat(), "unknown flag --csv");
+    for verb in ["list", "fig1", "fig2", "all"] {
+        fails_with(&[verb, "--csv"], "unknown flag --csv");
+    }
+}

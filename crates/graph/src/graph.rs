@@ -15,10 +15,10 @@
 //! Both indexes store event indices rather than copies of the events, so a
 //! graph with `m` events costs `O(m)` extra words. The node index is built
 //! with the graph. The edge index is built on first use — by a lookup,
-//! [`TemporalGraph::static_edges`], [`TemporalGraph::num_static_edges`],
-//! [`TemporalGraph::triangles`] or [`TemporalGraph::check_invariants`] —
-//! so queries that never read static edges (2-node counts, and walks with
-//! no inducedness check) never pay for it. The windowed walkers'
+//! [`TemporalGraph::static_edges`], [`TemporalGraph::num_static_edges`]
+//! or [`TemporalGraph::check_invariants`] — so queries that never read
+//! static edges (stream counts, and walks with no inducedness check)
+//! never pay for it. The windowed walkers'
 //! [`WindowIndex`] is a view over the node index plus a time column and a
 //! per-event slot column the graph also builds on first use
 //! ([`TemporalGraph::window_index`]).
@@ -35,8 +35,8 @@
 //! the spliced tail gets new entries. The cost is `O(n + tail)` plus the
 //! segment moves, against `O(m + n)` scattered writes for a rebuild. The
 //! timestamp-tie flag is updated from the tail alone. What the graph
-//! builds on first use — edge index, SoA columns, window index and
-//! triangle table — is dropped, and its next reader rebuilds it.
+//! builds on first use — edge index, SoA columns and window index — is
+//! dropped, and its next reader rebuilds it.
 //!
 //! ## Edge-index layout
 //!
@@ -70,16 +70,15 @@ use crate::columns::EventColumns;
 use crate::error::{GraphError, Result};
 use crate::event::Event;
 use crate::ids::{Edge, EventIdx, NodeId, Time};
-use crate::triangles::{TriangleTable, Triangles};
 use crate::window_index::{WindowColumns, WindowIndex};
 use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A temporal network: a time-ordered multiset of directed events plus
 /// node/edge time indexes. The node index and the timestamp-tie flag are
-/// built with the graph; the edge index, the SoA columns, the window index
-/// and the triangle table are built on first use and kept (clones carry
-/// what is already built along).
+/// built with the graph; the edge index, the SoA columns and the window
+/// index are built on first use and kept (clones carry what is already
+/// built along).
 ///
 /// A graph is read-only except through [`TemporalGraph::append`], which
 /// consumes it: the events before the splice point keep their indices,
@@ -103,9 +102,6 @@ pub struct TemporalGraph {
     /// Lazy SoA view of `events`; built at most once per graph (clones
     /// carry the already-built columns along).
     columns: OnceLock<EventColumns>,
-    /// Lazy static-triangle table over the edge index; built at most
-    /// once per graph, like `columns`.
-    triangles: OnceLock<TriangleTable>,
     /// Lazy window-index columns beside `node_events`: the time of each
     /// entry and each event's slot in its endpoints' spans; built at
     /// most once per graph, like `columns`.
@@ -155,7 +151,6 @@ impl TemporalGraph {
             has_time_ties,
             edges: OnceLock::new(),
             columns: OnceLock::new(),
-            triangles: OnceLock::new(),
             window: OnceLock::new(),
         }
     }
@@ -164,8 +159,8 @@ impl TemporalGraph {
     /// [`from_sorted_events`](Self::from_sorted_events) of the spliced log
     /// with `num_nodes` raised to cover the batch's node ids. The log and
     /// the node index are extended in place from the splice point on;
-    /// the edge index, SoA columns, window index and triangle table are
-    /// dropped (see the [module docs](self)). Records one
+    /// the edge index, SoA columns and window index are dropped (see the
+    /// [module docs](self)). Records one
     /// `graph.append{events, batch}` span, `events` being the grown log's
     /// length.
     ///
@@ -192,7 +187,6 @@ impl TemporalGraph {
         );
         self.edges = OnceLock::new();
         self.columns = OnceLock::new();
-        self.triangles = OnceLock::new();
         self.window = OnceLock::new();
         self
     }
@@ -215,19 +209,6 @@ impl TemporalGraph {
     #[inline]
     pub fn columns(&self) -> &EventColumns {
         self.columns.get_or_init(|| EventColumns::build(&self.events))
-    }
-
-    /// The static triangles of the graph — undirected node triples whose
-    /// three pairs each carry an event — listed on first use in
-    /// `O(m^1.5)` for `m` node pairs and kept for the graph's lifetime
-    /// (clones carry an already-built table along). See
-    /// [`crate::triangles`] for the layout.
-    pub fn triangles(&self) -> Triangles<'_> {
-        let edges = self.edge_index();
-        let table = self
-            .triangles
-            .get_or_init(|| TriangleTable::build(&edges.offsets, &edges.dsts, &edges.starts));
-        Triangles::new(table, &edges.events)
     }
 
     /// The edge index, built on first use (recording one
@@ -823,11 +804,6 @@ mod tests {
             g.static_edge_events().map(|(e, evs)| (e, evs.to_vec())).collect::<Vec<_>>()
         };
         assert_eq!(edges(g), edges(&fresh), "{ctx}");
-        let (tri, ftri) = (g.triangles(), fresh.triangles());
-        assert_eq!(tri.len(), ftri.len(), "{ctx}");
-        for t in 0..tri.len() {
-            assert_eq!(tri.edge_lists(t), ftri.edge_lists(t), "{ctx} triangle {t}");
-        }
         let (cols, fcols) = (g.columns(), fresh.columns());
         assert_eq!(cols.times(), fcols.times(), "{ctx}");
     }
@@ -860,7 +836,7 @@ mod tests {
                 };
                 add.sort_unstable();
                 if rng.below(3) == 0 && !g.is_empty() {
-                    let _ = (g.window_index(), g.triangles().len(), g.columns());
+                    let _ = (g.window_index(), g.num_static_edges(), g.columns());
                 }
                 log.extend_from_slice(&add);
                 log.sort_unstable();

@@ -21,8 +21,7 @@
 //! slicing), and SNAP-style I/O. The static projection of the event log
 //! is the graph's own CSR edge index ([`TemporalGraph::has_edge`],
 //! [`TemporalGraph::static_edges`]), built the first time a query reads
-//! it, and its static triangles are listed once per graph
-//! ([`TemporalGraph::triangles`]); no cache sits beside either.
+//! it; no cache sits beside it or the window index.
 //!
 //! ## Data layout
 //!
@@ -44,8 +43,8 @@
 //! left-pad/halo planning and the walker's candidate-time checks probe
 //! the SoA column: a timestamp scan touches 8-byte rows instead of
 //! 24-byte structs, and dense `i64` arrays are what the compiler can
-//! vectorize. The stream DPs read the AoS log through the node and edge
-//! indexes instead, because [`TemporalGraph::append`] drops the columns
+//! vectorize. The stream DPs read the AoS log through the node and
+//! window indexes instead, because [`TemporalGraph::append`] drops the columns
 //! with everything else built on first use, and a served graph runs
 //! those DPs after every append. Code that needs a whole event
 //! (emission, wire encoding) keeps using the AoS view.
@@ -79,7 +78,6 @@ pub mod io;
 pub mod shard;
 pub mod stats;
 pub mod transform;
-pub mod triangles;
 pub mod window_index;
 pub mod wire;
 
@@ -92,6 +90,5 @@ pub use event::Event;
 pub use graph::TemporalGraph;
 pub use ids::{Edge, EventIdx, NodeId, Time};
 pub use shard::{plan_shards, ShardGoal, ShardPlan, ShardSpec};
-pub use triangles::Triangles;
 pub use window_index::WindowIndex;
 pub use wire::WireError;

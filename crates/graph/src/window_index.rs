@@ -22,9 +22,9 @@
 //! event lists *are* the graph's node index, and the time and slot
 //! columns beside them are built by the graph on first use in one `O(m)`
 //! pass (`2m` times and `m` slot pairs: `16m + 8m` bytes) and kept for
-//! the graph's lifetime, like its SoA columns and triangle table. Every
-//! windowed engine counting the same graph object therefore shares one
-//! build, and a clone carries it along.
+//! the graph's lifetime, like its SoA columns. Every windowed engine and
+//! the stream engine's triangle pass counting the same graph object
+//! therefore share one build, and a clone carries it along.
 //!
 //! [`TemporalGraph`]: crate::TemporalGraph
 //! [`TemporalGraph::window_index`]: crate::TemporalGraph::window_index

@@ -120,21 +120,22 @@
 //!   structs. Window probes (`count_*_between`, shard halo scans) are
 //!   `partition_point` calls over the contiguous `i64` time column; the
 //!   walker's candidate windows are cursor scans over the window index's
-//!   inline times. The stream DPs are the exception: they copy each
-//!   center's or triangle's events into their arena straight from the
-//!   event log, so a 2-node count on a graph that just took an append
-//!   builds no columns.
-//! * **Arena-resident merged lists.** The [`StreamEngine`] DPs never
-//!   allocate per center or triangle: each center's incident events
-//!   (neighbor- and direction-tagged) and each triangle's label-tagged
-//!   merged events live in one reusable SoA arena with
-//!   precomputed timestamp-group boundaries, window expiry advances an
-//!   amortized group cursor against those boundaries, and the DP tables are
-//!   flat bit-indexed `[u64; K]` accumulators whose updates are
-//!   unconditional indexed adds. The triangles themselves come from the
-//!   table each graph lists once
-//!   ([`TemporalGraph::triangles`](tnm_graph::TemporalGraph::triangles)),
-//!   so a triad count is only the six-way merge and the window DP.
+//!   inline times. The stream passes are the exception: the per-center
+//!   pass copies each center's events into its arena straight from the
+//!   event log, and the triangle pass reads endpoints from the event log
+//!   through the window index, so a stream count on a graph that just
+//!   took an append builds no columns.
+//! * **Arena-resident lists and in-place runs.** The [`StreamEngine`]
+//!   passes never allocate per center or event: each center's incident
+//!   events (neighbor- and direction-tagged) live in one reusable SoA
+//!   arena with precomputed timestamp-group boundaries, window expiry
+//!   advances an amortized group cursor against those boundaries, and
+//!   the DP tables are flat bit-indexed `[u64; K]` accumulators whose
+//!   updates are unconditional indexed adds. The triangle pass reads
+//!   each first event's two endpoint runs in place from the window
+//!   index ([`TemporalGraph::window_index`](tnm_graph::TemporalGraph::window_index))
+//!   and closes them through a node-indexed scratch, so a triad count
+//!   costs the window occupancy at every event's endpoints.
 //!
 //! The `hotpath_*` bench groups (`crates/bench/benches/engines.rs`)
 //! time each of these loops.
@@ -159,7 +160,7 @@
 //! | graph | `index.build{events}` — once per graph, when its window index is built | — |
 //! | sharded, in thread | `walk.shard{shard}` | `shard.loads`, `shard.resident_events` (peak = the canonical high-water mark) |
 //! | sharded, worker processes | coordinator: `distributed.{plan,spill{shards,dir},spawn,merge}` + synthetic `distributed.walk{shard}` from worker wall times; worker: `walk.shard{shard}`, shipped back when the job is traced | `distributed.shard_wall_ns`, `distributed.{workers_lost,jobs_rescheduled}` |
-//! | stream DPs | `stream.star{two_node,star}` — the per-center pass, with which classes it produced; `stream.triad` — the triangle pass | `stream.pair.pairs_swept` (unordered node pairs with an event, counted by 2-node jobs), `stream.star.{centers_swept,center_events}` (star and wedge jobs), `stream.triad.{triangles_swept,groups_advanced,window_events}` |
+//! | stream DPs | `stream.star{two_node,star}` — the per-center pass, with which classes it produced; `stream.triad` — the triangle pass | `stream.pair.pairs_swept` (unordered node pairs with an event, counted by 2-node jobs), `stream.star.{centers_swept,center_events}` (star and wedge jobs), `stream.triad.triangles_swept` (first events whose two endpoint runs are both non-empty), `stream.triad.groups_advanced` (timestamp groups merged over those runs), `stream.triad.window_events` (the largest merged run) |
 //! | query API | `query.{count,report,enumerate,batch}{engine,threads}` — the root of every [`Query::run`] | — |
 //! | serve | `serve.query{graph,kind}`, `serve.subscribe{graph}` — per-request roots when the trace flag is set | `serve.{queries,appends}`, `serve.query.{count,report,enumerate,batch}_ns`, `serve.connection_frames`, `serve.subscription_advance_ns` |
 //!
@@ -294,12 +295,11 @@ pub const PARALLEL_MIN_WINDOW_EVENTS: f64 = 2.0;
 
 /// Minimum expected events per ΔW window for [`auto_select`] to route a
 /// **triangle-bearing** job to [`StreamEngine`]. The stream pair/star
-/// classes are `O(events)` regardless, but every triad count merges and
-/// sweeps Σ over static triangles of their event counts (the triangles
-/// themselves are listed once per graph) — projection-density work the
-/// window never prunes. Below one expected event per window the
-/// walk's probes die almost immediately (≈ `O(m)` total), so a
-/// starved needle-ΔW sweep over a dense projection must stay on it.
+/// classes are `O(events)` regardless; the triangle pass costs `O(m)`
+/// plus the ΔW-window occupancy at every event's two endpoints. Below
+/// one expected event per window the walk's probes die almost
+/// immediately (≈ `O(m)` total) too, so a starved needle-ΔW sweep
+/// stays on the walk.
 /// Jobs whose node budget or signature target gates the triangle class
 /// off ([`StreamEngine::needs_triads`]) skip this check.
 pub const STREAM_MIN_WINDOW_EVENTS: f64 = 1.0;
@@ -349,7 +349,7 @@ fn expected_window_events(graph: &TemporalGraph, cfg: &EnumConfig) -> f64 {
 ///    ([`StreamEngine::needs_triads`]) **and** the window is starved
 ///    (expected occupancy below [`STREAM_MIN_WINDOW_EVENTS`]), the
 ///    walk keeps the job — its probes die instantly under a needle
-///    ΔW while the triad merge still pays projection-density work;
+///    ΔW, and the triangle pass has no less to do;
 /// 2. at least [`DISTRIBUTED_MIN_EVENTS`] events with a bounded
 ///    admissible reach and a worker budget above one →
 ///    [`EngineKind::Sharded`] with `workers` = the thread budget

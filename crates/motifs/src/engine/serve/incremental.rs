@@ -18,8 +18,8 @@
 //! so an instance's membership depends only on the events it contains —
 //! counting a sub-multiset never changes existing instances' verdicts.
 //! The retained state is therefore just the accumulated spectrum plus
-//! the ΔW tail of the event log — no per-center/per-triangle
-//! tables survive between appends, yet the result is **bit-identical**
+//! the ΔW tail of the event log — no per-center tables or window
+//! index survive between appends, yet the result is **bit-identical**
 //! to a from-scratch [`StreamEngine`] recount (pinned by the randomized
 //! sweep below and by `tests/serve_loop.rs`).
 //!

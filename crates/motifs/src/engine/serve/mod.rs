@@ -14,10 +14,10 @@
 //!
 //! Each registry entry holds its graph as one `Arc<TemporalGraph>`,
 //! built when the graph is loaded. The graph keeps what it builds on
-//! first use — its edge index, SoA columns, window index
-//! ([`TemporalGraph::window_index`]) and static triangle table — so the
-//! second query against a loaded graph pays no index build or triangle
-//! listing. An append takes the graph out of its `Arc` (copying it only
+//! first use — its edge index, SoA columns and window index
+//! ([`TemporalGraph::window_index`], which the walks and the stream
+//! engine's triangle pass read) — so the second query against a loaded
+//! graph pays no index build. An append takes the graph out of its `Arc` (copying it only
 //! while a running query still holds it) and grows it with
 //! [`TemporalGraph::append`]: the batch is spliced into the log's final
 //! tie run and the node index is extended in place, so the next query

@@ -1,26 +1,24 @@
-//! Reusable SoA arena scratch shared by the stream DP classes.
+//! Reusable SoA arena scratch for the stream engine's per-center pass.
 //!
-//! Every stream DP runs over a *merged, time-sorted event list* — per
-//! center node or per static triangle — and advances in
-//! whole timestamp groups. [`DpArena`] is the one allocation all of
-//! them write into:
+//! The per-center DP runs over each center's *time-sorted incident
+//! event list* and advances in whole timestamp groups. [`DpArena`] is
+//! the one allocation it writes into:
 //!
 //! * `times` — the merged timestamps, dense and ascending, so window
 //!   expiry probes one flat `i64` array (see [`expiry_cut`]);
-//! * `tags` — a parallel byte payload (the 6-valued label of the triad
-//!   DP);
-//! * `aux` — a parallel `u32` payload (packed `nbr << 1 | dir` for the
-//!   per-center sweeps, whose neighbor ids do not fit a byte);
+//! * `aux` — a parallel `u32` payload (packed `nbr << 1 | dir`, whose
+//!   neighbor ids do not fit a byte);
 //! * `bounds` — the timestamp-group boundary array, computed **once**
-//!   per merged list by [`DpArena::seal_groups`] and reused by every
-//!   sweep over it, replacing per-event group scans.
+//!   per list by [`DpArena::seal_groups`] and reused by every sweep
+//!   over it, replacing per-event group scans.
 //!
-//! The contract: a class clears the arena, appends its merged list
-//! (times plus whichever payload it uses), calls `seal_groups`, and
-//! runs its DP over `(times, tags/aux, bounds)` slices. One arena is
-//! created per [`super::StreamEngine::spectrum`] call and threaded
-//! through both passes, so a full spectrum performs O(1) scratch
-//! allocations total instead of one per center or triangle.
+//! The contract: the pass clears the arena, appends a center's list
+//! (times plus `aux`), calls `seal_groups` when the log has ties, and
+//! runs its sweeps over `(times, aux, bounds)` slices. One arena is
+//! created per [`super::StreamEngine::spectrum`] call, so a spectrum
+//! performs O(1) scratch allocations instead of one per center. The
+//! triangle pass needs no arena: it reads its runs straight from the
+//! window index.
 
 use tnm_graph::Time;
 
@@ -29,8 +27,6 @@ use tnm_graph::Time;
 pub(crate) struct DpArena {
     /// Merged event timestamps, ascending.
     pub times: Vec<Time>,
-    /// Byte payload parallel to `times` (triad label).
-    pub tags: Vec<u8>,
     /// `u32` payload parallel to `times` (per center: `nbr << 1 | dir`).
     pub aux: Vec<u32>,
     /// Group boundaries: `bounds[g]..bounds[g + 1]` is timestamp group
@@ -43,7 +39,6 @@ impl DpArena {
     #[inline]
     pub fn clear(&mut self) {
         self.times.clear();
-        self.tags.clear();
         self.aux.clear();
     }
 
@@ -63,12 +58,6 @@ impl DpArena {
             }
         }
         self.bounds.push(times.len() as u32);
-    }
-
-    /// Number of timestamp groups in the sealed list.
-    #[inline]
-    pub fn num_groups(&self) -> usize {
-        self.bounds.len().saturating_sub(1)
     }
 }
 
@@ -149,7 +138,6 @@ mod tests {
         a.times.extend_from_slice(&[1, 1, 3, 5, 5, 5, 9]);
         a.seal_groups();
         assert_eq!(a.bounds, vec![0, 2, 3, 6, 7]);
-        assert_eq!(a.num_groups(), 4);
     }
 
     #[test]
@@ -157,18 +145,16 @@ mod tests {
         let mut a = DpArena::default();
         a.seal_groups();
         assert_eq!(a.bounds, vec![0]);
-        assert_eq!(a.num_groups(), 0);
     }
 
     #[test]
     fn clear_keeps_capacity_resets_lists() {
         let mut a = DpArena::default();
         a.times.extend_from_slice(&[1, 2]);
-        a.tags.extend_from_slice(&[0, 1]);
         a.aux.extend_from_slice(&[7, 9]);
         a.seal_groups();
         a.clear();
-        assert!(a.times.is_empty() && a.tags.is_empty() && a.aux.is_empty());
+        assert!(a.times.is_empty() && a.aux.is_empty());
     }
 
     #[test]

@@ -21,26 +21,28 @@
 //! all-same-leaf counts *are* the 2-node sequences: read from the leaves
 //! whose id is above the center's, they count each sequence once, from
 //! its lower-id endpoint. A 2-node-only job loads just those upper-half
-//! events. Class 3 ([`triad`]) lists static triangles once per graph
-//! ([`TemporalGraph::triangles`], kept with the graph); per count, each
-//! triangle's six edge-event lists merge into one list that runs the
-//! generic 6-label window DP, keeping only label triples that use all
-//! three node pairs.
+//! events. Class 3 ([`triad`]) is a window-local closure pass: for each
+//! first event `(a, b, t₁)` it merges `a`'s and `b`'s runs in
+//! `(t₁, t₁ + ΔW]` from the window index
+//! ([`TemporalGraph::window_index`]) and closes every `{a, w}` event
+//! against the earlier `{b, w}` events and vice versa, so its cost
+//! follows window occupancy, not the number of static triangles.
 //!
 //! No class ever materializes an instance, and the classes partition the
 //! ≤ 3-node spectrum (a sequence touches 1, 2, or 3 undirected node
 //! pairs respectively), so the totals are bit-identical to the walker
 //! engines' — enforced by `tests/engine_equivalence.rs`.
 //!
-//! Both passes share one data-oriented execution shape: merged
-//! per-center/per-triangle event lists live in a reusable SoA
-//! arena scratch (`arena::DpArena`) fed from the event log through the
-//! node and edge indexes, window expiry advances an
-//! amortized cursor over precomputed timestamp-group boundaries, and
-//! the DP tables are flat bit-indexed accumulators so the inner loops
-//! are branchless indexed adds. A spectrum runs at most two passes —
-//! the per-center pass (trace span `stream.star`) and the triangle pass
-//! (`stream.triad`) — and threads one arena through both.
+//! The per-center pass copies each center's events from the event log
+//! through the node index into a reusable SoA arena scratch
+//! (`arena::DpArena`); window expiry advances an amortized cursor over
+//! precomputed timestamp-group boundaries, and the DP tables are flat
+//! bit-indexed accumulators, so the inner loops are branchless indexed
+//! adds. The triangle pass reads its runs in place from the window
+//! index and keeps its counts in a node-indexed scratch wiped through
+//! those runs. A spectrum runs at most two passes — the per-center
+//! pass (trace span `stream.star`) and the triangle pass
+//! (`stream.triad`).
 //!
 //! ## Eligibility and fallback
 //!
@@ -52,9 +54,7 @@
 //! `count`, so the engine is exact for *any* configuration and safe to
 //! include in blanket sweeps; [`auto_select`](crate::engine::auto_select)
 //! only routes eligible jobs here — and keeps triangle-bearing jobs on
-//! the walk when the ΔW window is starved, since the triad class's
-//! per-count cost follows the triangles' total event count, not the
-//! window (see
+//! the walk when the ΔW window is starved (see
 //! [`STREAM_MIN_WINDOW_EVENTS`](crate::engine::STREAM_MIN_WINDOW_EVENTS)).
 //! `enumerate` always delegates to the walker — there are no instances
 //! to visit on the fast path.
@@ -104,10 +104,9 @@ impl StreamEngine {
     /// True if the fast path would run its triangle class for `cfg`: a
     /// 3-event spectrum whose node budget admits 3-node motifs and whose
     /// signature target (if any) is a triangle. This is the one class
-    /// whose per-count cost — a merge and DP over Σ over static
-    /// triangles of their event counts, independent of ΔW (the listing
-    /// itself is once per graph) — scales with projection density
-    /// rather than with the event count alone, which is why
+    /// whose per-count cost — per event, a merge of its two endpoints'
+    /// ΔW runs — grows with window occupancy at the endpoints rather
+    /// than with the event count alone, which is why
     /// [`auto_select`](crate::engine::auto_select) checks window
     /// occupancy before routing triad-bearing jobs here.
     pub fn needs_triads(cfg: &EnumConfig) -> bool {
@@ -125,7 +124,7 @@ impl StreamEngine {
     /// of one known node count (pairs: 2; wedges/stars/triads: 3), and a
     /// signature target pins the class further — a triangle target (3
     /// distinct undirected digit pairs) never needs the star sweeps and
-    /// vice versa. A 2-node-only budget skips the triangle enumeration
+    /// vice versa. A 2-node-only budget skips the triangle pass
     /// entirely. The batch executor ORs these flags across a group to
     /// run one shared [`StreamEngine::spectrum`] pass.
     pub(crate) fn class_wants(cfg: &EnumConfig) -> (bool, bool, bool) {
@@ -153,9 +152,9 @@ impl StreamEngine {
         (want_two, want_star, want_triad): (bool, bool, bool),
     ) -> MotifCounts {
         let mut spectrum = MotifCounts::new();
-        // One arena serves both passes: each DP clears and refills the
-        // same scratch, so a spectrum allocates O(1) times total (see
-        // the [`arena`] module docs for the layout contract).
+        // The per-center pass clears and refills one scratch for every
+        // center, so it allocates O(1) times (see the [`arena`] module
+        // docs for the layout contract).
         let mut arena = DpArena::default();
         let classes = (want_two, want_star);
         if num_events == 1 {
@@ -174,7 +173,7 @@ impl StreamEngine {
         }
         if want_triad && num_events == 3 {
             let _span = tnm_obs::span!("stream.triad");
-            triad::count_triads(graph, delta, &mut spectrum, &mut arena);
+            triad::count_triads(graph, delta, &mut spectrum);
         }
         spectrum
     }
@@ -258,10 +257,10 @@ pub mod hotpath {
         out
     }
 
-    /// 6-label triangle DP over every static triangle.
+    /// The triangle pass: window-local closure at every first event.
     pub fn triad_triads(graph: &TemporalGraph, delta: tnm_graph::Time) -> MotifCounts {
         let mut out = MotifCounts::new();
-        triad::count_triads(graph, delta, &mut out, &mut DpArena::default());
+        triad::count_triads(graph, delta, &mut out);
         out
     }
 }

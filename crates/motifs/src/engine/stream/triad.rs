@@ -1,85 +1,78 @@
-//! Triad counting: the 6-label δ-window merge DP per static triangle.
+//! Triad counting: temporal triangles by window-local closure.
 //!
 //! A 3-node, 3-event motif that is neither a 2-node sequence nor a star
 //! uses all three undirected node pairs of its node set — a temporal
-//! triangle. Static triangles are listed once per graph
-//! ([`TemporalGraph::triangles`]); each triangle's events (up to six
-//! directed edges) merge into one time-ordered list where every event
-//! carries a 6-valued label — (undirected pair, direction) — and the
-//! generic Paranjape window DP counts every strictly-ordered label
-//! triple within ΔW. Only triples whose three labels cover all three
-//! pairs are folded into signatures; the rest belong to the pair/star
-//! classes and are discarded for free (their accumulator slots simply
-//! map to no signature).
+//! triangle. Its first event `(a, b, t₁)` is on one pair; the other two
+//! run between a third node `w` and `a` and `b`, one each, in either
+//! order, inside `(t₁, t₁ + ΔW]`. Equal timestamps never co-occur, so
+//! every triangle has exactly one first event, and the pass counts each
+//! triangle there.
 //!
-//! Cost per count: `O(Σ_triangles events-on-the-triangle · 6)` — the
-//! six-way merge plus the DP over each triangle's footprint, the WSDM'17
-//! triangle bound — with a 48-entry label-triple → signature table
-//! computed once per count. Listing the triangles is the graph's
-//! one-time `O(m^1.5)` cost, shared by every later count.
+//! The pass walks first events in log order. For each, it reads `a`'s
+//! and `b`'s runs in `(t₁, t₁ + ΔW]` from the window index
+//! ([`TemporalGraph::window_index`]): the slot column gives where each
+//! run starts, and the inline times where it ends. It merges the two
+//! runs by timestamp group and skips their events on `{a, b}` (those
+//! belong to the 2-node and star classes). Per third node `w`, a
+//! node-indexed scratch keeps how many `{a, w}` and `{b, w}` events of
+//! each direction came earlier. An event on `{b, w}` closes one
+//! triangle with each earlier `{a, w}` event, and vice versa, into one
+//! of 8 slots — which endpoint of the first event the second event
+//! shares, and the directions of the second and third events. A
+//! timestamp group closes against the counts before it and is admitted
+//! after, so tied events never chain. The scratch is wiped through the
+//! events it admitted, and the 8 slots map to the triangle signatures
+//! once per pass.
 //!
-//! Data layout (see [`super::arena`]): each triangle's merged list is
-//! built by a six-way cursor merge over its directed edge-event index
-//! lists (event indices are globally time-ordered, so no sort is
-//! needed) straight into the arena's SoA scratch — dense `times` plus
-//! the 6-valued label in `tags`. The graph keeps its triangles sorted
-//! by footprint (merged-list length), so the scratch grows
-//! monotonically: the bulk of small triangles stream through a
-//! cache-resident arena, and the few giant lists come last instead of
-//! evicting it mid-stream. Accumulation is commutative sums, so the
-//! order cannot change any count.
+//! Cost per count: `O(m + Σ_events (|run_a| + |run_b|))` — the window
+//! occupancy at each event's endpoints, not the number of static
+//! triangles or the events on them — with `O(n)` scratch. Nothing is
+//! listed or kept between counts beyond the graph's window index, which
+//! the walkers read too.
 
-// The DP tables are indexed by label/pair ids used across several
-// tables per loop body; iterator forms would obscure the recurrences.
-#![allow(clippy::needless_range_loop)]
-
-use super::arena::{expiry_cut, DenseGroups, DpArena, GroupMap, SealedGroups};
 use crate::count::MotifCounts;
 use crate::notation::MotifSignature;
-use tnm_graph::{Event, EventIdx, TemporalGraph, Time};
+use std::ops::Range;
+use tnm_graph::{Event, EventIdx, NodeId, TemporalGraph, Time, WindowIndex};
 
-/// Labels: `pair * 2 + dir`, pairs 0 = {a,b}, 1 = {a,c}, 2 = {b,c} for
-/// the triangle's sorted nodes `a < b < c`; dir 0 = lower → higher id.
-const LABELS: usize = 6;
+/// Per third node `w`, the in-window counts of `a → w`, `w → a`,
+/// `b → w` and `w → b` events seen so far for the current first event
+/// `(a, b)`.
+type Sides = [u32; 4];
 
-/// Counts every δ-window temporal triangle into `out`, over the graph's
-/// footprint-sorted triangle table (listed on the graph's first triad
-/// count and reused by every later one).
-pub(crate) fn count_triads(
-    graph: &TemporalGraph,
-    delta: Time,
-    out: &mut MotifCounts,
-    arena: &mut DpArena,
-) {
-    let triangles = graph.triangles();
+/// Closed triangles per slot `(shared << 2) | (d2 << 1) | d3`: `shared`
+/// is 0 when the second event is on `{a, w}`, 1 when it is on `{b, w}`;
+/// `d2` and `d3` are 0 when the event leaves the first event's node
+/// for `w`, 1 when it arrives from `w`.
+type Closures = [u64; 8];
+
+/// Counts every δ-window temporal triangle into `out`.
+pub(crate) fn count_triads(graph: &TemporalGraph, delta: Time, out: &mut MotifCounts) {
+    let index = graph.window_index();
     let events = graph.events();
-    let sig_table = label_triple_signatures();
-    let combos = closing_combos();
-    // One flat accumulator over label triples, shared by all triangles:
-    // the signature of a label triple is triangle-independent.
-    let mut acc = [0u64; LABELS * LABELS * LABELS];
+    let mut sides = vec![Sides::default(); graph.num_nodes() as usize];
+    let mut seen = Vec::new();
+    let mut acc = Closures::default();
     let obs = tnm_obs::enabled();
     let (mut triangles_swept, mut groups_advanced, mut peak_window) = (0u64, 0u64, 0u64);
-    let tie_free = !graph.has_time_ties();
-    for t in 0..triangles.len() {
-        merge_triangle_events(&triangles.edge_lists(t), events, arena);
-        if tie_free {
-            let groups = DenseGroups(arena.times.len());
-            if obs {
-                triangles_swept += 1;
-                groups_advanced += groups.num_groups() as u64;
-                peak_window = peak_window.max(arena.times.len() as u64);
-            }
-            triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
-        } else {
-            arena.seal_groups();
-            if obs {
-                triangles_swept += 1;
-                groups_advanced += arena.num_groups() as u64;
-                peak_window = peak_window.max(arena.times.len() as u64);
-            }
-            let groups = SealedGroups(&arena.bounds);
-            triangle_window_dp(&arena.times, &arena.tags, &groups, delta, &combos, &mut acc);
+    for (i, e) in events.iter().enumerate() {
+        let [pa, pb] = index.slots(i as EventIdx);
+        let horizon = e.time.saturating_add(delta);
+        let (Some(run_a), Some(run_b)) = (
+            window_run(&index, e.src, pa, e.time, horizon),
+            window_run(&index, e.dst, pb, e.time, horizon),
+        ) else {
+            continue;
+        };
+        let groups = close(&index, events, e, (&run_a, &run_b), &mut sides, &mut seen, &mut acc);
+        for &x in &seen {
+            sides[(x >> 2) as usize] = Sides::default();
+        }
+        seen.clear();
+        if obs {
+            triangles_swept += 1;
+            groups_advanced += groups;
+            peak_window = peak_window.max((run_a.len() + run_b.len()) as u64);
         }
     }
     if obs {
@@ -88,140 +81,113 @@ pub(crate) fn count_triads(
         reg.counter("stream.triad.groups_advanced").add(groups_advanced);
         reg.gauge("stream.triad.window_events").set(peak_window);
     }
-    for (slot, &n) in acc.iter().enumerate() {
-        if n > 0 {
-            let sig = sig_table[slot].expect("only all-three-pairs slots accumulate");
-            out.add(sig, n);
+    for (slot, sig) in closure_signatures().into_iter().enumerate() {
+        if acc[slot] > 0 {
+            out.add(sig, acc[slot]);
         }
     }
 }
 
-/// Merges a triangle's six directed edge-event lists (labels 0..=5 in
-/// the canonical (pair, dir) order) into the arena as a time-ordered
-/// labeled list. Event indices are assigned in global time order, so a
-/// six-cursor min-merge on the indices needs no sort;
-/// the DP only needs timestamp *groups* (within-group order is
-/// immaterial under the ties-never-co-occur rule), and timestamps come
-/// from the event log. Callers seal the group boundaries only when the
-/// log has timestamp ties.
-fn merge_triangle_events(lists: &[&[EventIdx]; LABELS], events: &[Event], arena: &mut DpArena) {
-    arena.clear();
-    let mut cursor = [0usize; LABELS];
-    loop {
-        let mut best: Option<(u32, usize)> = None;
-        for l in 0..LABELS {
-            if let Some(&idx) = lists[l].get(cursor[l]) {
-                if best.is_none_or(|(min_idx, _)| idx < min_idx) {
-                    best = Some((idx, l));
-                }
-            }
-        }
-        let Some((idx, l)) = best else { break };
-        cursor[l] += 1;
-        arena.times.push(events[idx as usize].time);
-        arena.tags.push(l as u8);
+/// The positions in `node`'s span of its events in `(t, horizon]`, if
+/// there are any: the scan starts at `slot + 1` — `slot` being where the
+/// first event itself sits — and passes the events tied with it.
+fn window_run(
+    index: &WindowIndex<'_>,
+    node: NodeId,
+    slot: u32,
+    t: Time,
+    horizon: Time,
+) -> Option<Range<usize>> {
+    let times = index.times();
+    let end = index.span(node).end;
+    let mut start = slot as usize + 1;
+    while start < end && times[start] == t {
+        start += 1;
     }
+    let mut stop = start;
+    while stop < end && times[stop] <= horizon {
+        stop += 1;
+    }
+    (stop > start).then_some(start..stop)
 }
 
-/// The label pairs `(l1, l2)` that close a triangle with a final event
-/// on pair `p3`: both orders of the two other pairs, all four direction
-/// combinations — eight per `p3`.
-fn closing_combos() -> [[(usize, usize); 8]; 3] {
-    let mut out = [[(0, 0); 8]; 3];
-    for p3 in 0..3 {
-        let [pa, pb]: [usize; 2] = match p3 {
-            0 => [1, 2],
-            1 => [0, 2],
-            _ => [0, 1],
-        };
-        let mut slot = 0;
-        for (x, y) in [(pa, pb), (pb, pa)] {
-            for dx in 0..2 {
-                for dy in 0..2 {
-                    out[p3][slot] = (x * 2 + dx, y * 2 + dy);
-                    slot += 1;
-                }
-            }
-        }
-    }
-    out
+/// The node `x` reaches from `node`, and 0 when `x` leaves `node`, 1
+/// when it arrives there.
+#[inline]
+fn far_end(x: &Event, node: u32) -> (u32, usize) {
+    (x.src.0 ^ x.dst.0 ^ node, (x.src.0 != node) as usize)
 }
 
-/// The 6-label window DP: strictly-ordered in-window triples by label,
-/// accumulated only into all-three-pairs slots. Runs over the arena's
-/// SoA slices, advancing by whole timestamp groups through the group
-/// map; `counts2` is a flat 36-slot table so every push, pop, and
-/// close is an unconditional indexed add.
-fn triangle_window_dp<B: GroupMap>(
-    times: &[Time],
-    labels: &[u8],
-    groups: &B,
-    delta: Time,
-    combos: &[[(usize, usize); 8]; 3],
-    acc: &mut [u64; LABELS * LABELS * LABELS],
-) {
-    let mut counts1 = [0u64; LABELS];
-    let mut counts2 = [0u64; LABELS * LABELS]; // [l1 * LABELS + l2]
-    let mut front = 0usize;
-    for g in 0..groups.num_groups() {
-        let (start, end) = (groups.start(g), groups.start(g + 1));
-        let t = times[start];
-        let cut = expiry_cut(times, groups, front, g, t - delta);
-        while front < cut {
-            let (gs, ge) = (groups.start(front), groups.start(front + 1));
-            for &l in &labels[gs..ge] {
-                counts1[l as usize] -= 1;
-            }
-            for &l in &labels[gs..ge] {
-                let base = l as usize * LABELS;
-                for l2 in 0..LABELS {
-                    counts2[base + l2] -= counts1[l2];
-                }
-            }
-            front += 1;
+/// Merges the first event `e`'s two runs by timestamp group, closing
+/// each group against the counts before it and then admitting it. Each
+/// admitted event is pushed onto `seen` as `w << 2 | column`, its
+/// column in [`Sides`]. Returns the number of groups.
+fn close(
+    index: &WindowIndex<'_>,
+    events: &[Event],
+    e: &Event,
+    (run_a, run_b): (&Range<usize>, &Range<usize>),
+    sides: &mut [Sides],
+    seen: &mut Vec<u64>,
+    acc: &mut Closures,
+) -> u64 {
+    let (ids, times) = (index.event_ids(), index.times());
+    let (a, b) = (e.src.0, e.dst.0);
+    let at = |p: usize| &events[ids[p] as usize];
+    let (mut i, mut j) = (run_a.start, run_b.start);
+    let mut groups = 0;
+    while i < run_a.end || j < run_b.end {
+        let ta = if i < run_a.end { times[i] } else { Time::MAX };
+        let tb = if j < run_b.end { times[j] } else { Time::MAX };
+        let t = ta.min(tb);
+        let mut i2 = i;
+        while i2 < run_a.end && times[i2] == t {
+            i2 += 1;
         }
-        // Close: only pair-disjoint (l1, l2) prefixes can complete a
-        // triangle with this event's pair — the eight precomputed combos;
-        // the other prefixes stay pure DP state.
-        for &l3 in &labels[start..end] {
-            for &(l1, l2) in &combos[(l3 / 2) as usize] {
-                acc[(l1 * LABELS + l2) * LABELS + l3 as usize] += counts2[l1 * LABELS + l2];
-            }
+        let mut j2 = j;
+        while j2 < run_b.end && times[j2] == t {
+            j2 += 1;
         }
-        // Push against the pre-group snapshot, then admit the group.
-        for &l in &labels[start..end] {
-            for l1 in 0..LABELS {
-                counts2[l1 * LABELS + l as usize] += counts1[l1];
+        // An {a, w} event closes against the earlier {b, w} events (the
+        // second event shares b), and a {b, w} event against the earlier
+        // {a, w} events (the second event shares a).
+        let group = seen.len();
+        for p in i..i2 {
+            let (w, d3) = far_end(at(p), a);
+            if w != b {
+                let s = &sides[w as usize];
+                acc[4 | d3] += u64::from(s[2]);
+                acc[4 | 2 | d3] += u64::from(s[3]);
+                seen.push(u64::from(w) << 2 | d3 as u64);
             }
         }
-        for &l in &labels[start..end] {
-            counts1[l as usize] += 1;
+        for p in j..j2 {
+            let (w, d3) = far_end(at(p), b);
+            if w != a {
+                let s = &sides[w as usize];
+                acc[d3] += u64::from(s[0]);
+                acc[2 | d3] += u64::from(s[1]);
+                seen.push(u64::from(w) << 2 | 2 | d3 as u64);
+            }
         }
+        for &x in &seen[group..] {
+            sides[(x >> 2) as usize][(x & 3) as usize] += 1;
+        }
+        (i, j) = (i2, j2);
+        groups += 1;
     }
+    groups
 }
 
-/// Signature per label triple; `None` unless the three labels cover all
-/// three undirected pairs (those triples are stars or 2-node sequences,
-/// counted by their own classes).
-fn label_triple_signatures() -> Vec<Option<MotifSignature>> {
-    // Symbolic endpoints per label: pair {a,b} → (0,1), {a,c} → (0,2),
-    // {b,c} → (1,2); odd labels reverse.
-    const ENDPOINTS: [(u8, u8); LABELS] = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)];
-    let mut table = vec![None; LABELS * LABELS * LABELS];
-    for l1 in 0..LABELS {
-        for l2 in 0..LABELS {
-            for l3 in 0..LABELS {
-                let pairs = [l1 / 2, l2 / 2, l3 / 2];
-                let covers_all = pairs.contains(&0) && pairs.contains(&1) && pairs.contains(&2);
-                if covers_all {
-                    let seq = [ENDPOINTS[l1], ENDPOINTS[l2], ENDPOINTS[l3]];
-                    table[(l1 * LABELS + l2) * LABELS + l3] =
-                        Some(MotifSignature::canonicalize(&seq));
-                }
-            }
-        }
-    }
-    table
+/// The signature of each closure slot: the first event is `a → b`
+/// (digits 0 → 1), the third node `w` is digit 2.
+fn closure_signatures() -> [MotifSignature; 8] {
+    let leg = |node: u8, dir: usize| if dir == 0 { (node, 2) } else { (2, node) };
+    std::array::from_fn(|slot| {
+        let shared = (slot >> 2) as u8;
+        let (d2, d3) = ((slot >> 1) & 1, slot & 1);
+        MotifSignature::canonicalize(&[(0, 1), leg(shared, d2), leg(1 - shared, d3)])
+    })
 }
 
 #[cfg(test)]
@@ -240,7 +206,7 @@ mod tests {
 
     fn triads(g: &TemporalGraph, delta: Time) -> MotifCounts {
         let mut c = MotifCounts::new();
-        count_triads(g, delta, &mut c, &mut DpArena::default());
+        count_triads(g, delta, &mut c);
         c
     }
 
@@ -276,35 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sort_order() {
-        // Interleaved events across all six directed edges: the cursor
-        // merge must produce the same time order a sort would.
-        let g = graph(&[
-            (0, 1, 1),
-            (1, 0, 2),
-            (0, 2, 3),
-            (2, 0, 4),
-            (1, 2, 5),
-            (2, 1, 6),
-            (0, 1, 7),
-            (2, 1, 7),
-        ]);
-        let triangles = g.triangles();
-        assert_eq!(triangles.len(), 1);
-        let mut arena = DpArena::default();
-        merge_triangle_events(&triangles.edge_lists(0), g.events(), &mut arena);
-        assert_eq!(arena.times, vec![1, 2, 3, 4, 5, 6, 7, 7]);
-        let mut sorted = arena.times.clone();
-        sorted.sort_unstable();
-        assert_eq!(arena.times, sorted);
-        arena.seal_groups();
-        assert_eq!(arena.num_groups(), 7);
-    }
-
-    #[test]
     fn clone_counts_match_original() {
-        // Clones taken before and after the triangle table is built
-        // (the second carries the table along) count identically.
+        // Clones taken before and after the window index is built (the
+        // second carries the index along) count identically.
         let g = graph(&[
             (0, 1, 1),
             (1, 2, 2),
@@ -323,15 +263,76 @@ mod tests {
         assert_eq!(triads(&warm, 6), counts);
     }
 
+    /// Every strictly time-ordered event triple within `delta` whose
+    /// events use the three pairs of one node triple, by its signature.
+    fn brute_force(g: &TemporalGraph, delta: Time) -> MotifCounts {
+        let ev = g.events();
+        let mut out = MotifCounts::new();
+        for i in 0..ev.len() {
+            for j in i + 1..ev.len() {
+                for k in j + 1..ev.len() {
+                    let (x, y, z) = (&ev[i], &ev[j], &ev[k]);
+                    if !(x.time < y.time && y.time < z.time && z.time - x.time <= delta) {
+                        continue;
+                    }
+                    let pair = |e: &Event| (e.src.0.min(e.dst.0), e.src.0.max(e.dst.0));
+                    let mut nodes = vec![x.src, x.dst, y.src, y.dst, z.src, z.dst];
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    let (p, q, r) = (pair(x), pair(y), pair(z));
+                    if nodes.len() == 3 && p != q && q != r && p != r {
+                        let seq = [(x.src, x.dst), (y.src, y.dst), (z.src, z.dst)];
+                        out.add(MotifSignature::canonicalize(&seq), 1);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Seeded random graphs on a few nodes — timestamp ties, parallel
+    /// events, both directions, nonzero durations — against brute-force
+    /// triangle enumeration at ΔW 0, 1, small and unbounded.
     #[test]
-    fn signature_table_has_48_entries() {
-        let table = label_triple_signatures();
-        assert_eq!(table.iter().flatten().count(), 48);
-        // Directions matter: a→b, b→c, a→c is the feed-forward triangle.
-        let idx = |l1: usize, l2: usize, l3: usize| (l1 * LABELS + l2) * LABELS + l3;
-        assert_eq!(table[idx(0, 4, 2)], Some(sig("011202")));
-        // a→b, c→b, a→c: 01, 21, 02.
-        assert_eq!(table[idx(0, 5, 2)], Some(sig("012102")));
-        assert_eq!(table[idx(0, 1, 2)], None, "two labels on one pair");
+    fn random_graphs_match_brute_force() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let mut closed = 0;
+        for round in 0..60 {
+            let nodes = 3 + below(5) as u32;
+            let span = 1 + below(if round % 3 == 0 { 4 } else { 40 }) as i64;
+            let mut b = TemporalGraphBuilder::new();
+            for _ in 0..4 + below(36) {
+                let src = below(u64::from(nodes)) as u32;
+                let dst = (src + 1 + below(u64::from(nodes) - 1) as u32) % nodes;
+                let t = below(span as u64) as i64;
+                b.push(Event::with_duration(src, dst, t, below(3) as u32));
+            }
+            let g = b.build().unwrap();
+            for delta in [0, 1, 1 + below(12) as i64, Time::MAX] {
+                let counts = triads(&g, delta);
+                assert_eq!(counts, brute_force(&g, delta), "round {round} ΔW={delta}");
+                closed += counts.total();
+            }
+        }
+        assert!(closed > 1000, "the graphs must hold triangles: {closed}");
+    }
+
+    #[test]
+    fn closure_slots_name_the_eight_triangles() {
+        let sigs = closure_signatures();
+        let mut distinct = sigs.to_vec();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 8, "{sigs:?}");
+        // a→b, a→w, b→w: the second event shares a.
+        assert_eq!(sigs[0b000], sig("010212"));
+        // a→b, b→w, a→w: the feed-forward triangle.
+        assert_eq!(sigs[0b100], sig("011202"));
+        // a→b, w→b, w→a.
+        assert_eq!(sigs[0b111], sig("012120"));
     }
 }

@@ -100,7 +100,8 @@
 //!   enumerating**: for eligible Paranjape-shape jobs (only-ΔW,
 //!   non-induced, no restrictions, ≤ 3 events on ≤ 3 nodes) the
 //!   spectrum comes from sliding-window dynamic programs over each
-//!   node's incident events and over static triangles — near-linear in events
+//!   node's incident events and a window-local triangle closure at each
+//!   event — near-linear in events
 //!   where the walk is linear in instances. Exact; ineligible
 //!   configurations transparently fall back to the one-thread windowed
 //!   walk.

@@ -22,9 +22,9 @@
 //! * **One span per ingest** — a traced edge-list read records one
 //!   `ingest.parse` span (with its byte and event counts) and one
 //!   `graph.build` inside it.
-//! * **The edge index is built only for its readers** — a 2-node
-//!   stream count records no `graph.edge_index` span, and the first
-//!   induced walk records exactly one.
+//! * **The edge index is built only for its readers** — a stream count,
+//!   2-node or with the triangle pass, records no `graph.edge_index`
+//!   span, and the first induced walk records exactly one.
 //! * **A served graph grows in place** — an append records one
 //!   `graph.append` span and no `graph.build`, and a traced read after
 //!   it records no `graph.build` either.
@@ -131,15 +131,15 @@ fn enabled_windowed_run_lands_on_the_documented_names() {
 
 /// Counts one graph through every windowed path — the serial and
 /// work-stealing walkers, the sampler, a batch walk group, batch
-/// enumeration and a one-shard sharded run — and requires that they all
-/// read one index, built once, with every exact count equal to the
-/// stream DPs' count (a separate algorithm that reads no window index).
+/// enumeration and a one-shard sharded run — and then the stream
+/// engine, whose triangle pass reads the window index too, and requires
+/// that they all read one index, built once, with every exact count
+/// equal to the stream engine's (a separate algorithm).
 #[test]
 fn every_windowed_path_shares_one_index_build() {
     let _guard = tnm_obs::test_guard();
     let g = corpus();
     let cfg = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
-    let reference = StreamEngine.count(&g, &cfg);
     tnm_obs::set_enabled(true);
     tnm_obs::global().reset();
     tnm_obs::drain_spans();
@@ -150,6 +150,7 @@ fn every_windowed_path_shares_one_index_build() {
     let mut enumerated = MotifCounts::new();
     enumerate_batch(&g, std::slice::from_ref(&cfg), |_, inst| enumerated.add(inst.signature, 1));
     let (sharded, stats) = ShardedEngine::new(g.num_events()).count_with_stats(&g, &cfg);
+    let reference = StreamEngine.count(&g, &cfg);
     let spans = tnm_obs::drain_spans();
     tnm_obs::set_enabled(false);
     tnm_obs::global().reset();
@@ -208,6 +209,9 @@ fn the_edge_index_is_built_once_and_only_for_its_readers() {
         EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000)).with_static_induced(true);
     let (_, builds) = edge_index_builds(|| StreamEngine.count(&g, &two_node));
     assert_eq!(builds, 0, "a 2-node stream count reads no static edge");
+    let three_node = EnumConfig::new(3, 3).with_timing(Timing::only_w(3_000));
+    let (_, builds) = edge_index_builds(|| StreamEngine.count(&g, &three_node));
+    assert_eq!(builds, 0, "the triangle pass reads no static edge");
     let (first, builds) = edge_index_builds(|| WindowedEngine.count(&g, &induced));
     assert_eq!(builds, 1, "the first induced walk builds the index");
     let (second, builds) = edge_index_builds(|| WindowedEngine.count(&g, &induced));
